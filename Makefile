@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint fuzz-smoke check-diff bench bench-json bench-compare bench-stream bench-sim bench-ops bench-all tables examples serve-smoke cluster-smoke compute-smoke sim-smoke auto-smoke sim-remarks verify ci clean
+.PHONY: all build test test-race lint fuzz-smoke check-diff bench bench-json bench-compare bench-stream bench-sim bench-ops bench-all tables examples serve-smoke cluster-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
 
 all: build test
 
@@ -42,12 +42,14 @@ check-diff:
 	$(GO) test -run 'TestDiffSweep' -count=1 -v ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime 2m ./internal/core/
 
-# What CI runs: lint, build, the full test suite, and a race-detector
-# pass over the concurrency-heavy packages.
+# What CI runs: lint, build, the full test suite, a race-detector pass
+# over the whole tree, and the nested bench module (its own go.mod, so
+# the root ./... never sees it).
 ci: lint
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/machine/... ./internal/dist/... ./internal/server/... ./internal/client/... ./internal/cluster/... ./internal/calibrate/... ./internal/costmodel/... ./internal/spops/...
+	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Trajectory benchmarks: the BenchmarkRootEncode family plus the
 # streaming-vs-materializing pair (with its peak-MB memory metric),
@@ -157,11 +159,6 @@ sim-remarks:
 	$(GO) run ./cmd/costmodel -n 400 -p 4 -s 0.1 -partition row
 	$(GO) run ./cmd/costmodel -n 400 -p 4 -s 0.1 -partition row \
 		-topology star -link-bw 1000000
-
-# The artefacts recorded in the repository.
-verify:
-	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 clean:
 	$(GO) clean ./...

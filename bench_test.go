@@ -422,44 +422,6 @@ func BenchmarkDistributedSpMV(b *testing.B) {
 	})
 }
 
-// BenchmarkMeshSpMV compares the communicator-based 2-D SpMV (x blocks
-// broadcast down grid columns, partials reduced across rows) with the
-// root-centric full-vector broadcast on the same mesh-distributed array.
-func BenchmarkMeshSpMV(b *testing.B) {
-	g := sparse.UniformExact(480, 480, 0.1, 14)
-	mesh, err := partition.NewMesh(480, 480, 2, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := machine.New(4, machine.WithRecvTimeout(60*time.Second))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-	res, err := (dist.ED{}).Distribute(m, g, mesh, dist.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, 480)
-	for i := range x {
-		x[i] = float64(i)
-	}
-	b.Run("grid-comms", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ops.MeshSpMV(m, mesh, res, x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("root-broadcast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ops.DistributedSpMV(m, mesh, res, x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkRootEncode is the root-pipeline trajectory benchmark: one
 // full distribution at n=800, p=16 for every scheme, with the
 // strictly sequential root loop (workers=1) and the full worker pool

@@ -59,7 +59,7 @@ func runOp(d *core.Distribution, g *sparse.Dense, op string, verify bool) error 
 
 func runOpSpMV(d *core.Distribution, g *sparse.Dense, verify bool) error {
 	x := opVector(g.Cols())
-	y, st, err := d.HaloSpMV(x)
+	y, st, err := d.SpMV(x)
 	if err != nil {
 		return fmt.Errorf("spmv: %w", err)
 	}

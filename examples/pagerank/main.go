@@ -57,7 +57,7 @@ func main() {
 	}
 	var iters int
 	for iters = 1; iters <= 200; iters++ {
-		ar, err := d.SpMV(r)
+		ar, _, err := d.SpMV(r)
 		if err != nil {
 			log.Fatal(err)
 		}

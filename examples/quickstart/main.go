@@ -37,15 +37,17 @@ func main() {
 			rank, local.Rows, local.Cols, local.NNZ())
 	}
 
-	// The distributed array is immediately usable: y = A·x.
+	// The distributed array is immediately usable: y = A·x by halo
+	// exchange, with the wire traffic it moved.
 	x := make([]float64, 1000)
 	for i := range x {
 		x[i] = 1
 	}
-	y, err := d.SpMV(x)
+	y, st, err := d.SpMV(x)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Println(core.OpStatsString(st))
 	sum := 0.0
 	for _, v := range y {
 		sum += v

@@ -48,7 +48,7 @@ func main() {
 
 		// The product itself is scheme-independent: all three leave the
 		// same compressed arrays behind.
-		y, err := d.SpMV(x)
+		y, _, err := d.SpMV(x)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func main() {
 	start := time.Now()
 	y := x
 	for it := 0; it < iterations; it++ {
-		y, err = d.SpMV(y)
+		y, _, err = d.SpMV(y)
 		if err != nil {
 			log.Fatal(err)
 		}

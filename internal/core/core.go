@@ -23,7 +23,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dist"
 	"repro/internal/machine"
-	"repro/internal/ops"
 	"repro/internal/partition"
 	"repro/internal/simnet"
 	"repro/internal/sparse"
@@ -705,17 +704,6 @@ func (d *Distribution) DiffCheck() error {
 // array, for streamed runs.
 func (d *Distribution) DiffCheckAgainst(g *sparse.Dense) error {
 	return check.Distribution(g, check.Pieces(d.Partition, d.Result.PartArrays()))
-}
-
-// SpMV computes y = A·x using the distributed array.
-func (d *Distribution) SpMV(x []float64) ([]float64, error) {
-	return ops.DistributedSpMV(d.m, d.Partition, d.Result, x)
-}
-
-// CG solves A·x = b with the conjugate gradient method over the
-// distributed array (A must be symmetric positive definite).
-func (d *Distribution) CG(b []float64, tol float64, maxIter int) (*ops.CGResult, error) {
-	return ops.DistributedCG(d.m, d.Partition, d.Result, b, tol, maxIter)
 }
 
 // DistributionTime returns the virtual data distribution time of the run.

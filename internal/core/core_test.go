@@ -86,7 +86,7 @@ func TestDistributeSpMV(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
-	y, err := d.SpMV(x)
+	y, _, err := d.SpMV(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +117,17 @@ func TestDistributeCG(t *testing.T) {
 	}
 	if !sol.Converged {
 		t.Fatalf("CG residual %g after %d iterations", sol.Residual, sol.Iterations)
+	}
+	if _, err := d.CG(make([]float64, 24), 1e-6, 5); err == nil {
+		t.Error("wrong b length accepted")
+	}
+	rect, err := Distribute(sparse.Uniform(6, 4, 0.5, 3), Config{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rect.Close()
+	if _, err := rect.CG(make([]float64, 6), 1e-6, 5); err == nil {
+		t.Error("non-square system accepted")
 	}
 }
 
@@ -178,7 +189,7 @@ func TestDistributeJDSMethod(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
-	y, err := d.SpMV(x)
+	y, _, err := d.SpMV(x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/compress"
+	"repro/internal/ops"
 	"repro/internal/spops"
 )
 
 // Distributed compute on a finished distribution. These wrap the spops
-// halo-exchange engine: the first op builds a CommPlan from the local
-// compressed arrays' column support, and every later op on the same
-// distribution reuses it, so an iterative solver pays the plan cost
-// once and O(halo) traffic per iteration instead of a root broadcast.
+// halo-exchange engine, the only distributed-kernel layer: the first op
+// builds a CommPlan from the local compressed arrays' column support,
+// and every later op on the same distribution reuses it, so an
+// iterative solver pays the plan cost once and O(halo) traffic per
+// iteration instead of a root broadcast.
 
 // CommPlan returns the halo-exchange communication plan for this
 // distribution, building it on first use. The plan is pure index
@@ -25,11 +27,10 @@ func (d *Distribution) CommPlan() (*spops.CommPlan, error) {
 	return d.commPlan, d.commErr
 }
 
-// HaloSpMV computes y = A·x with point-to-point halo exchange instead
-// of the broadcast kernel behind SpMV, and reports the wire traffic it
-// moved. On a degraded distribution the surviving ranks compute over
-// the re-homed parts.
-func (d *Distribution) HaloSpMV(x []float64) ([]float64, spops.OpStats, error) {
+// SpMV computes y = A·x with point-to-point halo exchange and reports
+// the wire traffic it moved. On a degraded distribution the surviving
+// ranks compute over the re-homed parts.
+func (d *Distribution) SpMV(x []float64) ([]float64, spops.OpStats, error) {
 	pl, err := d.CommPlan()
 	if err != nil {
 		return nil, spops.OpStats{}, err
@@ -47,6 +48,24 @@ func (d *Distribution) Jacobi(b []float64, tol float64, maxIter int) ([]float64,
 		return nil, spops.OpStats{}, err
 	}
 	return spops.Jacobi(d.m, pl, b, nil, tol, maxIter)
+}
+
+// CG solves A·x = b with the conjugate gradient method (A must be
+// symmetric positive definite). Every product is one halo SpMV; the
+// vector updates run sequentially at the caller, so the distributed
+// array never moves after distribution.
+func (d *Distribution) CG(b []float64, tol float64, maxIter int) (*ops.CGResult, error) {
+	rows, cols := d.Partition.Shape()
+	if rows != cols {
+		return nil, fmt.Errorf("core: CG: array %dx%d not square", rows, cols)
+	}
+	if len(b) != rows {
+		return nil, fmt.Errorf("core: CG: b has %d entries, want %d", len(b), rows)
+	}
+	return ops.CG(func(p []float64) ([]float64, error) {
+		y, _, err := d.SpMV(p)
+		return y, err
+	}, b, tol, maxIter)
 }
 
 // PowerIteration estimates the dominant eigenvalue and eigenvector of

@@ -11,24 +11,25 @@ import (
 )
 
 // The ops differential sweep: the distributed compute layer (halo
-// SpMV, Jacobi, row-fetch SpGEMM) is run under every scheme x
-// partition x method combination and each result is diffed against the
-// sequential oracle — a dense mat-vec, the residual of the linear
-// system, or the sequential Gustavson SpGEMM. One failing combination
-// is one OpsSweepFailure; the sweep never stops early.
+// SpMV, Jacobi, CG, power iteration, row-fetch SpGEMM) is run under
+// every scheme x partition x method combination and each result is
+// diffed against the sequential oracle — a dense mat-vec, the residual
+// of the linear system, sequential CG, the eigenpair equation, or the
+// sequential Gustavson SpGEMM. One failing combination is one
+// OpsSweepFailure; the sweep never stops early.
 
 // OpsSweepConfig selects the axes of an OpsSweep. The zero value
-// sweeps SFC/CFS/ED over row/col/mesh/cyclic-row with CRS/CCS/JDS for
-// all three ops on the direct engine path.
+// sweeps SFC/CFS/ED over row/col/mesh/cyclic-row/balanced-row with
+// CRS/CCS/JDS for all five ops on the direct engine path.
 type OpsSweepConfig struct {
 	// Seed drives the input generators (default 1).
 	Seed int64
 	// Schemes, Partitions and Methods default to SFC/CFS/ED,
-	// row/col/mesh/cyclic-row and CRS/CCS/JDS.
+	// row/col/mesh/cyclic-row/balanced-row and CRS/CCS/JDS.
 	Schemes    []string
 	Partitions []string
 	Methods    []string
-	// Ops defaults to spmv, jacobi and spgemm.
+	// Ops defaults to spmv, jacobi, cg, power and spgemm.
 	Ops []string
 	// Kill additionally runs every combination with one rank crashed
 	// before distribution: the plan must exclude the dead rank and the
@@ -46,13 +47,13 @@ func (sc OpsSweepConfig) withDefaults() OpsSweepConfig {
 		sc.Schemes = []string{"SFC", "CFS", "ED"}
 	}
 	if len(sc.Partitions) == 0 {
-		sc.Partitions = []string{"row", "col", "mesh", "cyclic-row"}
+		sc.Partitions = []string{"row", "col", "mesh", "cyclic-row", "balanced-row"}
 	}
 	if len(sc.Methods) == 0 {
 		sc.Methods = []string{"CRS", "CCS", "JDS"}
 	}
 	if len(sc.Ops) == 0 {
-		sc.Ops = []string{"spmv", "jacobi", "spgemm"}
+		sc.Ops = []string{"spmv", "jacobi", "cg", "power", "spgemm"}
 	}
 	return sc
 }
@@ -143,20 +144,29 @@ func opsSweepOne(op, scheme, part, method, mode string, seed int64) error {
 		return opsSweepSpMV(d, g, seed)
 	case "jacobi":
 		return opsSweepJacobi(d, g)
+	case "cg":
+		return opsSweepCG(d, g)
+	case "power":
+		return opsSweepPower(d, g)
 	case "spgemm":
 		return opsSweepSpGEMM(d, g, seed)
 	default:
-		return fmt.Errorf("core: unknown op %q (want spmv, jacobi or spgemm)", op)
+		return fmt.Errorf("core: unknown op %q (want spmv, jacobi, cg, power or spgemm)", op)
 	}
 }
 
 // opsSweepInput builds the op's deterministic test matrix: a
 // rectangular uniform array for spmv/spgemm, a strictly diagonally
-// dominant square one for jacobi.
+// dominant square one for jacobi, the SPD 2-D Poisson matrix for cg, a
+// non-negative irreducible one for power.
 func opsSweepInput(op string, seed int64) *sparse.Dense {
 	switch op {
 	case "jacobi":
 		return diagDominant(sparse.Uniform(40, 40, 0.12, seed))
+	case "power":
+		return perronInput(sparse.Uniform(40, 40, 0.12, seed))
+	case "cg":
+		return sparse.Poisson2D(6).ToDense()
 	case "spgemm":
 		return sparse.Uniform(30, 24, 0.15, seed)
 	default:
@@ -179,12 +189,26 @@ func diagDominant(g *sparse.Dense) *sparse.Dense {
 	return g
 }
 
+// perronInput adds the identity and a ring i -> i+1 to a non-negative
+// square array in place and returns it. The ring makes the array
+// irreducible, so its dominant eigenvector is strictly positive and
+// unique (Perron-Frobenius); the unit diagonal makes it aperiodic, so
+// power iteration converges, in tens of sweeps at this density.
+func perronInput(g *sparse.Dense) *sparse.Dense {
+	n := g.Rows()
+	for i := 0; i < n; i++ {
+		g.Set(i, i, g.At(i, i)+1)
+		g.Set(i, (i+1)%n, g.At(i, (i+1)%n)+1)
+	}
+	return g
+}
+
 func opsSweepSpMV(d *Distribution, g *sparse.Dense, seed int64) error {
 	x := make([]float64, g.Cols())
 	for i := range x {
 		x[i] = float64((int64(i)*2654435761 + seed) % 17)
 	}
-	got, st, err := d.HaloSpMV(x)
+	got, st, err := d.SpMV(x)
 	if err != nil {
 		return err
 	}
@@ -209,6 +233,52 @@ func opsSweepJacobi(d *Distribution, g *sparse.Dense) error {
 	}
 	// The oracle is the residual: A·x must reproduce b.
 	return vecsClose("jacobi residual", denseMatVec(g, x), b, 1e-8)
+}
+
+// opsSweepCG solves the Poisson system through the halo SpMV and
+// diffs the solution against the same CG over the sequential SpMV.
+func opsSweepCG(d *Distribution, g *sparse.Dense) error {
+	b := make([]float64, g.Rows())
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	got, err := d.CG(b, 1e-10, 1000)
+	if err != nil {
+		return err
+	}
+	a := compress.CompressCRS(g, nil)
+	want, err := ops.CG(func(p []float64) ([]float64, error) { return ops.SpMV(a, p) }, b, 1e-10, 1000)
+	if err != nil {
+		return err
+	}
+	if !got.Converged || !want.Converged {
+		return fmt.Errorf("core: cg converged distributed=%v sequential=%v", got.Converged, want.Converged)
+	}
+	return vecsClose("cg", got.X, want.X, 1e-8)
+}
+
+// opsSweepPower checks the eigenpair equation A·v = lambda·v and that
+// v is strictly positive: the input is entrywise non-negative, so a
+// positive eigenvector can only belong to the spectral radius
+// (Perron-Frobenius) — the pair is the dominant one, not just any.
+func opsSweepPower(d *Distribution, g *sparse.Dense) error {
+	lam, v, st, err := d.PowerIteration(1e-10, 2000)
+	if err != nil {
+		return err
+	}
+	if !st.Converged {
+		return fmt.Errorf("core: power iteration did not converge in %d iterations", st.Iterations)
+	}
+	for i, vi := range v {
+		if vi <= 0 {
+			return fmt.Errorf("core: power eigenvector[%d] = %g, want > 0 (dominant mode)", i, vi)
+		}
+	}
+	av := denseMatVec(g, v)
+	for i := range av {
+		av[i] -= lam * v[i]
+	}
+	return vecsClose("power residual", av, make([]float64, len(av)), 1e-6)
 }
 
 func opsSweepSpGEMM(d *Distribution, g *sparse.Dense, seed int64) error {

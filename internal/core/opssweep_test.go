@@ -18,9 +18,9 @@ func reportOpsSweep(t *testing.T, name string, res *OpsSweepResult) {
 }
 
 // TestOpsSweep is the compute-layer differential harness: halo SpMV,
-// Jacobi and row-fetch SpGEMM under the full scheme x partition x
-// method matrix, each diffed against its sequential oracle. Short mode
-// trims the method axis.
+// Jacobi, CG, power iteration and row-fetch SpGEMM under the full
+// scheme x partition x method matrix, each diffed against its
+// sequential oracle. Short mode trims the method axis.
 func TestOpsSweep(t *testing.T) {
 	sc := OpsSweepConfig{}
 	if testing.Short() {
@@ -67,7 +67,7 @@ func TestDistributionOpsConvenience(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	y, st, err := d.HaloSpMV(x)
+	y, st, err := d.SpMV(x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,10 +234,7 @@ type SchemeEstimate struct {
 }
 
 // PredictAllOrdered returns estimates for SFC, CFS and ED, in that
-// order. Consumers that compare or tie-break across schemes must use
-// this (or iterate Schemes explicitly): ranging over PredictAll's map
-// visits schemes in a randomised order, which makes any
-// iteration-order tie-break nondeterministic.
+// order, so a comparison or tie-break across schemes is deterministic.
 func PredictAllOrdered(in Inputs, params cost.Params) ([]SchemeEstimate, error) {
 	out := make([]SchemeEstimate, 0, len(Schemes))
 	for _, s := range Schemes {
@@ -246,21 +243,6 @@ func PredictAllOrdered(in Inputs, params cost.Params) ([]SchemeEstimate, error) 
 			return nil, err
 		}
 		out = append(out, SchemeEstimate{Scheme: s, Estimate: e})
-	}
-	return out, nil
-}
-
-// PredictAll returns the same estimates as PredictAllOrdered, keyed by
-// scheme name. The map carries no iteration order — use
-// PredictAllOrdered when order (or a deterministic tie-break) matters.
-func PredictAll(in Inputs, params cost.Params) (map[string]Estimate, error) {
-	ordered, err := PredictAllOrdered(in, params)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Estimate, len(ordered))
-	for _, se := range ordered {
-		out[se.Scheme] = se.Estimate
 	}
 	return out, nil
 }

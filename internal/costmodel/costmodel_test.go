@@ -153,16 +153,27 @@ func TestConversionNeeded(t *testing.T) {
 	}
 }
 
+// predictByScheme indexes PredictAllOrdered's result by scheme name.
+func predictByScheme(t *testing.T, in Inputs, params cost.Params) map[string]Estimate {
+	t.Helper()
+	ordered, err := PredictAllOrdered(in, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]Estimate, len(ordered))
+	for _, se := range ordered {
+		out[se.Scheme] = se.Estimate
+	}
+	return out
+}
+
 func TestPredictAllOrderingAtPaperRatio(t *testing.T) {
 	// With the paper's estimated T_Data = 1.2·T_Operation and s = 0.1:
 	// row partition → SFC best overall (paper §5.1 observation 2);
 	// column partition → ED best overall (paper §5.2).
 	params := cost.DefaultParams
 	row := Inputs{N: 1000, P: 16, S: 0.1, Kind: RowPart, Method: CRS}
-	all, err := PredictAll(row, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := predictByScheme(t, row, params)
 	if !(all["SFC"].Total() < all["CFS"].Total() && all["SFC"].Total() < all["ED"].Total()) {
 		t.Errorf("row partition: SFC not best overall: SFC %v CFS %v ED %v",
 			all["SFC"].Total(), all["CFS"].Total(), all["ED"].Total())
@@ -177,10 +188,7 @@ func TestPredictAllOrderingAtPaperRatio(t *testing.T) {
 	}
 
 	col := Inputs{N: 1000, P: 16, S: 0.1, Kind: ColPart, Method: CRS}
-	allC, err := PredictAll(col, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	allC := predictByScheme(t, col, params)
 	if !(allC["ED"].Total() < allC["CFS"].Total() && allC["CFS"].Total() < allC["SFC"].Total()) {
 		t.Errorf("col partition: expected ED < CFS < SFC overall, got SFC %v CFS %v ED %v",
 			allC["SFC"].Total(), allC["CFS"].Total(), allC["ED"].Total())

@@ -67,18 +67,12 @@ func TestCrossoverAgreesWithFullModel(t *testing.T) {
 	mk := func(s float64) Inputs {
 		return Inputs{N: 4000, P: 8, S: s, Kind: ColPart, Method: CRS}
 	}
-	below, err := PredictAll(mk(sStar*0.8), params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	below := predictByScheme(t, mk(sStar*0.8), params)
 	if below["ED"].Total() >= below["SFC"].Total() {
 		t.Errorf("at s = %.3f (below crossover %.3f) ED %v not ahead of SFC %v",
 			sStar*0.8, sStar, below["ED"].Total(), below["SFC"].Total())
 	}
-	above, err := PredictAll(mk(math.Min(0.49, sStar*1.3)), params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	above := predictByScheme(t, mk(math.Min(0.49, sStar*1.3)), params)
 	if above["ED"].Total() <= above["SFC"].Total() {
 		t.Errorf("at s above crossover ED %v still ahead of SFC %v",
 			above["ED"].Total(), above["SFC"].Total())

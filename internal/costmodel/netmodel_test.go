@@ -76,10 +76,7 @@ func TestRemarksUnderUniformRemarkBooleans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := PredictAll(in, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := predictByScheme(t, in, params)
 	if want := all["ED"].Distribution < all["SFC"].Distribution && all["ED"].Distribution < all["CFS"].Distribution; tr.Remark1 != want {
 		t.Errorf("Remark1 = %v, closed form %v", tr.Remark1, want)
 	}

@@ -22,16 +22,6 @@ func TestPredictAllOrderedOrder(t *testing.T) {
 			t.Errorf("position %d: scheme %q, want %q", i, ordered[i].Scheme, want)
 		}
 	}
-	// The map form must agree entry by entry.
-	all, err := PredictAll(in, cost.DefaultParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, se := range ordered {
-		if all[se.Scheme] != se.Estimate {
-			t.Errorf("map and ordered disagree for %s", se.Scheme)
-		}
-	}
 }
 
 // TestSelectDeterministic is the satellite-1 determinism contract: 100

@@ -1,46 +1,12 @@
 package machine
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Additional MPI-style collectives. Like Barrier/Bcast/Gather these use
 // reserved negative tags and are not charged to cost counters: the
 // paper's analysis models only the distribution traffic itself.
 
-const (
-	tagScatter = -5
-	tagReduce  = -6
-	tagAll2All = -7
-)
-
-// Scatterv distributes root's per-rank slices: rank k receives chunks[k].
-// On non-root ranks chunks is ignored. Returns this rank's chunk.
-func (p *Proc) Scatterv(root int, chunks [][]float64) ([]float64, error) {
-	if root < 0 || root >= p.m.p {
-		return nil, fmt.Errorf("machine: Scatterv from invalid root %d", root)
-	}
-	if p.Rank == root {
-		if len(chunks) != p.m.p {
-			return nil, fmt.Errorf("machine: Scatterv: %d chunks for %d ranks", len(chunks), p.m.p)
-		}
-		for i := 0; i < p.m.p; i++ {
-			if i == root {
-				continue
-			}
-			if err := p.control(i, tagScatter, chunks[i]); err != nil {
-				return nil, fmt.Errorf("machine: scatter to %d: %w", i, err)
-			}
-		}
-		return chunks[root], nil
-	}
-	msg, err := p.RecvFrom(root, tagScatter)
-	if err != nil {
-		return nil, err
-	}
-	return msg.Data, nil
-}
+const tagReduce = -6
 
 // ReduceOp combines two equal-length vectors elementwise.
 type ReduceOp func(acc, in []float64)
@@ -94,56 +60,4 @@ func (p *Proc) Allreduce(data []float64, op ReduceOp) ([]float64, error) {
 		return nil, err
 	}
 	return p.Bcast(0, acc)
-}
-
-// Alltoallv exchanges per-destination slices: out[k] goes to rank k, and
-// the returned slice holds in[k] = what rank k sent to this rank. This
-// is the communication pattern of sparse redistribution.
-func (p *Proc) Alltoallv(out [][]float64) ([][]float64, error) {
-	if len(out) != p.m.p {
-		return nil, fmt.Errorf("machine: Alltoallv: %d chunks for %d ranks", len(out), p.m.p)
-	}
-	// Send to everyone else (own chunk is kept locally).
-	for k := 0; k < p.m.p; k++ {
-		if k == p.Rank {
-			continue
-		}
-		if err := p.control(k, tagAll2All, out[k]); err != nil {
-			return nil, fmt.Errorf("machine: alltoall to %d: %w", k, err)
-		}
-	}
-	in := make([][]float64, p.m.p)
-	in[p.Rank] = out[p.Rank]
-	for i := 0; i < p.m.p-1; i++ {
-		msg, err := p.RecvFrom(-1, tagAll2All)
-		if err != nil {
-			return nil, fmt.Errorf("machine: alltoall recv: %w", err)
-		}
-		if in[msg.From] != nil && msg.From != p.Rank {
-			return nil, fmt.Errorf("machine: alltoall: duplicate contribution from rank %d", msg.From)
-		}
-		in[msg.From] = msg.Data
-	}
-	return in, nil
-}
-
-// AllGather collects every rank's contribution at every rank, indexed by
-// rank.
-func (p *Proc) AllGather(data []float64) ([][]float64, error) {
-	out := make([][]float64, p.m.p)
-	for k := range out {
-		out[k] = data
-	}
-	return p.Alltoallv(out)
-}
-
-// RanksByLoad returns rank indices sorted by the given per-rank load,
-// descending — a helper for load-balance diagnostics in examples.
-func RanksByLoad(load []int) []int {
-	idx := make([]int, len(load))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return load[idx[a]] > load[idx[b]] })
-	return idx
 }

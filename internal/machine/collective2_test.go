@@ -7,59 +7,6 @@ import (
 	"time"
 )
 
-func TestScatterv(t *testing.T) {
-	m, err := New(3, WithRecvTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	err = m.Run(func(p *Proc) error {
-		var chunks [][]float64
-		if p.Rank == 0 {
-			chunks = [][]float64{{0}, {1, 1}, {2, 2, 2}}
-		}
-		got, err := p.Scatterv(0, chunks)
-		if err != nil {
-			return err
-		}
-		if len(got) != p.Rank+1 {
-			return fmt.Errorf("rank %d got %d values, want %d", p.Rank, len(got), p.Rank+1)
-		}
-		for _, v := range got {
-			if v != float64(p.Rank) {
-				return fmt.Errorf("rank %d got value %g", p.Rank, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScattervErrors(t *testing.T) {
-	m, _ := New(2, WithRecvTimeout(time.Second))
-	defer m.Close()
-	err := m.Run(func(p *Proc) error {
-		if p.Rank == 0 {
-			if _, err := p.Scatterv(0, [][]float64{{1}}); err == nil {
-				return fmt.Errorf("wrong chunk count accepted")
-			}
-			if _, err := p.Scatterv(9, nil); err == nil {
-				return fmt.Errorf("invalid root accepted")
-			}
-			// Unblock rank 1 with a real scatter.
-			_, err := p.Scatterv(0, [][]float64{{1}, {2}})
-			return err
-		}
-		_, err := p.Scatterv(0, nil)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReduceSum(t *testing.T) {
 	m, _ := New(4, WithRecvTimeout(5*time.Second))
 	defer m.Close()
@@ -114,80 +61,6 @@ func TestReduceLengthMismatch(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestAlltoallv(t *testing.T) {
-	const p = 4
-	m, _ := New(p, WithRecvTimeout(5*time.Second))
-	defer m.Close()
-	err := m.Run(func(pr *Proc) error {
-		out := make([][]float64, p)
-		for k := range out {
-			out[k] = []float64{float64(pr.Rank*10 + k)}
-		}
-		in, err := pr.Alltoallv(out)
-		if err != nil {
-			return err
-		}
-		for k := range in {
-			want := float64(k*10 + pr.Rank)
-			if len(in[k]) != 1 || in[k][0] != want {
-				return fmt.Errorf("rank %d in[%d] = %v, want [%g]", pr.Rank, k, in[k], want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallvWrongChunks(t *testing.T) {
-	m, _ := New(2, WithRecvTimeout(time.Second))
-	defer m.Close()
-	err := m.Run(func(pr *Proc) error {
-		if pr.Rank == 0 {
-			if _, err := pr.Alltoallv([][]float64{{1}}); err == nil {
-				return fmt.Errorf("short chunk list accepted")
-			}
-		}
-		// Both ranks then complete a proper exchange.
-		_, err := pr.Alltoallv([][]float64{{1}, {2}})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllGather(t *testing.T) {
-	m, _ := New(3, WithRecvTimeout(5*time.Second))
-	defer m.Close()
-	err := m.Run(func(pr *Proc) error {
-		all, err := pr.AllGather([]float64{float64(pr.Rank + 1)})
-		if err != nil {
-			return err
-		}
-		for k := range all {
-			if all[k][0] != float64(k+1) {
-				return fmt.Errorf("rank %d all[%d] = %v", pr.Rank, k, all[k])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRanksByLoad(t *testing.T) {
-	got := RanksByLoad([]int{5, 20, 10})
-	want := []int{1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("RanksByLoad = %v, want %v", got, want)
-		}
 	}
 }
 

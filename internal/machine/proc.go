@@ -200,11 +200,11 @@ func (p *Proc) Gather(root int, data []float64) ([][]float64, error) {
 
 // collectiveRecorded reports whether a reserved control tag carries a
 // payload that should appear in the network model: the data-bearing
-// collectives (Bcast/Gather/Scatterv/Reduce/Alltoallv), not barrier
+// collectives (Bcast/Gather/Reduce/Allreduce), not barrier
 // synchronisation, whose messages move no array data.
 func collectiveRecorded(tag int) bool {
 	switch tag {
-	case tagBcast, tagGather, tagScatter, tagReduce, tagAll2All:
+	case tagBcast, tagGather, tagReduce:
 		return true
 	}
 	return false

@@ -16,6 +16,10 @@ import (
 // maps. This works uniformly for every partition method: row-like
 // partitions contribute disjoint output rows, mesh and column
 // partitions contribute partial sums that are accumulated.
+//
+// It is the broadcast reference the halo kernels of internal/spops are
+// measured against, and the only code in this package that runs on the
+// machine; production compute goes through spops.
 func DistributedSpMV(m *machine.Machine, part partition.Partition, res *dist.Result, x []float64) ([]float64, error) {
 	rows, cols := part.Shape()
 	if len(x) != cols {
@@ -73,77 +77,4 @@ func DistributedSpMV(m *machine.Machine, part partition.Partition, res *dist.Res
 		return nil, err
 	}
 	return y, nil
-}
-
-// CGResult reports the outcome of a conjugate-gradient solve.
-type CGResult struct {
-	X          []float64
-	Iterations int
-	Residual   float64
-	Converged  bool
-}
-
-// DistributedCG solves A·x = b by the conjugate gradient method, using
-// DistributedSpMV for every matrix-vector product. A must be symmetric
-// positive definite (e.g. the 2-D Poisson matrix). Vector updates run at
-// rank 0; the distributed array never moves again after distribution —
-// which is the point of compressing it well once.
-func DistributedCG(m *machine.Machine, part partition.Partition, res *dist.Result, b []float64, tol float64, maxIter int) (*CGResult, error) {
-	rows, cols := part.Shape()
-	if rows != cols {
-		return nil, fmt.Errorf("ops: DistributedCG: array %dx%d not square", rows, cols)
-	}
-	if len(b) != rows {
-		return nil, fmt.Errorf("ops: DistributedCG: b has %d entries, want %d", len(b), rows)
-	}
-	if maxIter <= 0 {
-		maxIter = 10 * rows
-	}
-	x := make([]float64, rows)
-	r := make([]float64, rows)
-	copy(r, b)
-	p := make([]float64, rows)
-	copy(p, b)
-	rsOld, err := Dot(r, r)
-	if err != nil {
-		return nil, err
-	}
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return &CGResult{X: x, Converged: true}, nil
-	}
-
-	for iter := 1; iter <= maxIter; iter++ {
-		ap, err := DistributedSpMV(m, part, res, p)
-		if err != nil {
-			return nil, fmt.Errorf("ops: CG iteration %d: %w", iter, err)
-		}
-		pap, err := Dot(p, ap)
-		if err != nil {
-			return nil, err
-		}
-		if pap == 0 {
-			return &CGResult{X: x, Iterations: iter, Residual: Norm2(r) / bnorm}, nil
-		}
-		alpha := rsOld / pap
-		if err := Axpy(alpha, p, x); err != nil {
-			return nil, err
-		}
-		if err := Axpy(-alpha, ap, r); err != nil {
-			return nil, err
-		}
-		rsNew, err := Dot(r, r)
-		if err != nil {
-			return nil, err
-		}
-		if rel := Norm2(r) / bnorm; rel < tol {
-			return &CGResult{X: x, Iterations: iter, Residual: rel, Converged: true}, nil
-		}
-		beta := rsNew / rsOld
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rsOld = rsNew
-	}
-	return &CGResult{X: x, Iterations: maxIter, Residual: Norm2(r) / bnorm}, nil
 }

@@ -72,12 +72,10 @@ func TestDistributedSpMVErrors(t *testing.T) {
 	}
 }
 
-func TestDistributedCGSolvesPoisson(t *testing.T) {
-	const grid = 8 // 64x64 system
-	coo := sparse.Poisson2D(grid)
-	g := coo.ToDense()
-	n := grid * grid
-	part, err := partition.NewRow(n, n, 4)
+func TestDistributedSpMVWithBalancedRow(t *testing.T) {
+	// The balanced partitioner plugs into the whole stack unchanged.
+	g := sparse.BlockClustered(30, 30, 6, 5, 0.9, 35)
+	part, err := partition.NewBalancedRow(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,61 +84,15 @@ func TestDistributedCGSolvesPoisson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Manufactured solution: b = A * ones.
-	ones := vec(n, func(int) float64 { return 1 })
-	b := denseSpMV(g, ones)
-
-	sol, err := DistributedCG(m, part, res, b, 1e-10, 1000)
+	if err := dist.Verify(g, part, res); err != nil {
+		t.Fatal(err)
+	}
+	x := vec(30, func(i int) float64 { return float64(i) })
+	y, err := DistributedSpMV(m, part, res, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Converged {
-		t.Fatalf("CG did not converge: residual %g after %d iterations", sol.Residual, sol.Iterations)
-	}
-	if !vecsEqual(sol.X, ones, 1e-6) {
-		t.Error("CG solution differs from manufactured solution")
-	}
-	if sol.Iterations >= 1000 {
-		t.Errorf("CG took %d iterations", sol.Iterations)
-	}
-}
-
-func TestDistributedCGZeroRHS(t *testing.T) {
-	g := sparse.Diagonal(6, 2).Clone()
-	part, _ := partition.NewRow(6, 6, 2)
-	m := newMachine(t, 2)
-	res, err := dist.CFS{}.Distribute(m, g, part, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := DistributedCG(m, part, res, make([]float64, 6), 1e-12, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Converged || Norm2(sol.X) != 0 {
-		t.Error("zero RHS must yield zero solution immediately")
-	}
-}
-
-func TestDistributedCGErrors(t *testing.T) {
-	g := sparse.Uniform(6, 4, 0.5, 3)
-	part, _ := partition.NewRow(6, 4, 2)
-	m := newMachine(t, 2)
-	res, err := dist.SFC{}.Distribute(m, g, part, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DistributedCG(m, part, res, make([]float64, 6), 1e-6, 5); err == nil {
-		t.Error("non-square system accepted")
-	}
-	sq := sparse.Diagonal(4, 1)
-	partSq, _ := partition.NewRow(4, 4, 2)
-	resSq, err := dist.SFC{}.Distribute(m, sq, partSq, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DistributedCG(m, partSq, resSq, make([]float64, 3), 1e-6, 5); err == nil {
-		t.Error("wrong b length accepted")
+	if !vecsEqual(y, denseSpMV(g, x), 1e-9) {
+		t.Error("balanced-row SpMV differs from dense reference")
 	}
 }

@@ -58,33 +58,6 @@ func TestBroadcastSpMVAppearsInTimeline(t *testing.T) {
 	}
 }
 
-// TestMeshSpMVAppearsInTimeline does the same for the communicator
-// collectives (column broadcast, row reduce) of the mesh kernel.
-func TestMeshSpMVAppearsInTimeline(t *testing.T) {
-	g := sparse.Uniform(16, 16, 0.25, 9)
-	mesh, err := partition.NewMesh(16, 16, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := netMachine(t, 4, "mesh")
-	res, err := dist.ED{}.Distribute(m, g, mesh, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := m.Network().Finalize().Makespan
-	x := make([]float64, 16)
-	for i := range x {
-		x[i] = 1
-	}
-	if _, err := ops.MeshSpMV(m, mesh, res, x); err != nil {
-		t.Fatal(err)
-	}
-	after := m.Network().Finalize().Makespan
-	if after <= base {
-		t.Fatalf("mesh SpMV left no trace in the timeline: makespan %v -> %v", base, after)
-	}
-}
-
 // TestBarrierStaysOffTheBooks pins the boundary: barrier control
 // traffic moves no data and must not appear in the network model.
 func TestBarrierStaysOffTheBooks(t *testing.T) {

@@ -1,7 +1,9 @@
-// Package ops provides sparse kernels over the compressed formats and
-// over distributed arrays: the workloads (iterative solvers, sparse
-// matrix-vector products) for which the paper distributes and compresses
-// sparse arrays in the first place.
+// Package ops provides the sequential sparse kernels over the
+// compressed formats (SpMV, SpGEMM, CG, RCM): the workloads for which
+// the paper distributes and compresses sparse arrays in the first
+// place, and the oracles the distributed layer (internal/spops) is
+// diffed against. Its one distributed kernel, DistributedSpMV, is the
+// root-broadcast reference for the halo exchange.
 package ops
 
 import (
@@ -42,6 +44,27 @@ func SpMVCCS(a *compress.CCS, x []float64) ([]float64, error) {
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
 			y[a.RowIdx[k]] += a.Val[k] * xj
 		}
+	}
+	return y, nil
+}
+
+// SpMVJDS computes y = A·x for a JDS array — the format's raison
+// d'être: the inner loop runs down whole jagged diagonals, which
+// vectorises on long arrays.
+func SpMVJDS(a *compress.JDS, x []float64) ([]float64, error) {
+	if len(x) != a.Cols {
+		return nil, fmt.Errorf("ops: SpMVJDS: x has %d entries, want %d", len(x), a.Cols)
+	}
+	yPerm := make([]float64, a.Rows)
+	for k := 0; k+1 < len(a.JDPtr); k++ {
+		lo, hi := a.JDPtr[k], a.JDPtr[k+1]
+		for t := lo; t < hi; t++ {
+			yPerm[t-lo] += a.Val[t] * x[a.ColIdx[t]]
+		}
+	}
+	y := make([]float64, a.Rows)
+	for pos, orig := range a.Perm {
+		y[orig] = yPerm[pos]
 	}
 	return y, nil
 }

@@ -70,6 +70,29 @@ func TestSpMVProperty(t *testing.T) {
 	}
 }
 
+func TestSpMVJDSMatchesDense(t *testing.T) {
+	f := func(seed int64) bool {
+		d := sparse.Uniform(12, 10, 0.3, seed)
+		x := vec(10, func(i int) float64 { return float64(i%4) - 1.5 })
+		j := compress.CompressJDS(d, nil)
+		y, err := SpMVJDS(j, x)
+		if err != nil {
+			return false
+		}
+		return vecsEqual(y, denseSpMV(d, x), 1e-12)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestSpMVJDSDimensionError(t *testing.T) {
+	j := compress.CompressJDS(sparse.NewDense(3, 4), nil)
+	if _, err := SpMVJDS(j, make([]float64, 3)); err == nil {
+		t.Error("wrong x length accepted")
+	}
+}
+
 func TestSpMVTMatchesTranspose(t *testing.T) {
 	d := sparse.PaperFigure1()
 	x := vec(10, func(i int) float64 { return float64(i) - 4 })

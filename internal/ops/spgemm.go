@@ -5,9 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/compress"
-	"repro/internal/dist"
-	"repro/internal/machine"
-	"repro/internal/partition"
 )
 
 // SpGEMM computes the sparse product C = A·B of two CRS arrays using
@@ -72,83 +69,4 @@ func Kron(a, b *compress.CRS) *compress.CRS {
 		}
 	}
 	return out
-}
-
-// DistributedSpMM computes the dense product C = A·B where A is a
-// distributed sparse array and B a dense cols x k matrix (row-major,
-// flattened) broadcast to every rank. The result is assembled at rank 0
-// and returned as a rows x k row-major slice. Works for every partition
-// through the same partial-contribution pattern as DistributedSpMV.
-func DistributedSpMM(m *machine.Machine, part partition.Partition, res *dist.Result, b []float64, k int) ([]float64, error) {
-	rows, cols := part.Shape()
-	if k <= 0 {
-		return nil, fmt.Errorf("ops: DistributedSpMM: k = %d must be positive", k)
-	}
-	if len(b) != cols*k {
-		return nil, fmt.Errorf("ops: DistributedSpMM: B has %d entries, want %d", len(b), cols*k)
-	}
-	if part.NumParts() != m.P() {
-		return nil, fmt.Errorf("ops: DistributedSpMM: partition has %d parts, machine %d", part.NumParts(), m.P())
-	}
-	c := make([]float64, rows*k)
-	err := m.Run(func(pr *machine.Proc) error {
-		bAll, err := pr.Bcast(0, b)
-		if err != nil {
-			return fmt.Errorf("ops: rank %d bcast: %w", pr.Rank, err)
-		}
-		rowMap, colMap := part.RowMap(pr.Rank), part.ColMap(pr.Rank)
-
-		// Local partial product: len(rowMap) x k.
-		local := make([]float64, len(rowMap)*k)
-		switch {
-		case res.Method == dist.CRS && res.LocalCRS != nil:
-			a := res.LocalCRS[pr.Rank]
-			for li := 0; li < a.Rows; li++ {
-				for t := a.RowPtr[li]; t < a.RowPtr[li+1]; t++ {
-					gj := colMap[a.ColIdx[t]]
-					v := a.Val[t]
-					for q := 0; q < k; q++ {
-						local[li*k+q] += v * bAll[gj*k+q]
-					}
-				}
-			}
-		case res.Method == dist.CCS && res.LocalCCS != nil:
-			a := res.LocalCCS[pr.Rank]
-			for lj := 0; lj < a.Cols; lj++ {
-				gj := colMap[lj]
-				for t := a.ColPtr[lj]; t < a.ColPtr[lj+1]; t++ {
-					li := a.RowIdx[t]
-					v := a.Val[t]
-					for q := 0; q < k; q++ {
-						local[li*k+q] += v * bAll[gj*k+q]
-					}
-				}
-			}
-		default:
-			return fmt.Errorf("ops: rank %d: result carries no local arrays", pr.Rank)
-		}
-
-		gathered, err := pr.Gather(0, local)
-		if err != nil {
-			return fmt.Errorf("ops: rank %d gather: %w", pr.Rank, err)
-		}
-		if pr.Rank == 0 {
-			for src, contrib := range gathered {
-				rm := part.RowMap(src)
-				if len(contrib) != len(rm)*k {
-					return fmt.Errorf("ops: rank %d contributed %d values, want %d", src, len(contrib), len(rm)*k)
-				}
-				for li, gi := range rm {
-					for q := 0; q < k; q++ {
-						c[gi*k+q] += contrib[li*k+q]
-					}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
 }

@@ -5,8 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/compress"
-	"repro/internal/dist"
-	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -133,92 +131,5 @@ func TestKronProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDistributedSpMMAllPartitions(t *testing.T) {
-	g := sparse.Uniform(18, 14, 0.25, 33)
-	const k = 3
-	b := make([]float64, 14*k)
-	for i := range b {
-		b[i] = float64(i%5) - 2
-	}
-	bDense := sparse.NewDense(14, k)
-	for i := 0; i < 14; i++ {
-		for q := 0; q < k; q++ {
-			bDense.Set(i, q, b[i*k+q])
-		}
-	}
-	want := denseMatMul(g, bDense)
-
-	row, _ := partition.NewRow(18, 14, 4)
-	col, _ := partition.NewCol(18, 14, 4)
-	mesh, _ := partition.NewMesh(18, 14, 2, 2)
-	for _, part := range []partition.Partition{row, col, mesh} {
-		for _, method := range []dist.Method{dist.CRS, dist.CCS} {
-			t.Run(part.Name()+"/"+method.String(), func(t *testing.T) {
-				m := newMachine(t, 4)
-				res, err := dist.ED{}.Distribute(m, g, part, dist.Options{Method: method})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := DistributedSpMM(m, part, res, b, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 18; i++ {
-					for q := 0; q < k; q++ {
-						if diff := c[i*k+q] - want.At(i, q); diff > 1e-9 || diff < -1e-9 {
-							t.Fatalf("C[%d][%d] = %g, want %g", i, q, c[i*k+q], want.At(i, q))
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestDistributedSpMMErrors(t *testing.T) {
-	g := sparse.Uniform(8, 8, 0.3, 34)
-	part, _ := partition.NewRow(8, 8, 2)
-	m := newMachine(t, 2)
-	res, err := dist.SFC{}.Distribute(m, g, part, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DistributedSpMM(m, part, res, make([]float64, 8), 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := DistributedSpMM(m, part, res, make([]float64, 7), 1); err == nil {
-		t.Error("wrong B size accepted")
-	}
-	part4, _ := partition.NewRow(8, 8, 4)
-	if _, err := DistributedSpMM(m, part4, res, make([]float64, 8), 1); err == nil {
-		t.Error("part mismatch accepted")
-	}
-}
-
-func TestDistributedSpMVWithBalancedRow(t *testing.T) {
-	// The balanced partitioner plugs into the whole stack unchanged.
-	g := sparse.BlockClustered(30, 30, 6, 5, 0.9, 35)
-	part, err := partition.NewBalancedRow(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newMachine(t, 4)
-	res, err := dist.ED{}.Distribute(m, g, part, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dist.Verify(g, part, res); err != nil {
-		t.Fatal(err)
-	}
-	x := vec(30, func(i int) float64 { return float64(i) })
-	y, err := DistributedSpMV(m, part, res, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecsEqual(y, denseSpMV(g, x), 1e-9) {
-		t.Error("balanced-row SpMV differs from dense reference")
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sparse"
 )
 
 func waitJobTerminal(t *testing.T, ts *httptest.Server, id string) JobStatus {
@@ -116,9 +118,27 @@ func TestAutoPlanCacheArrayIdentity(t *testing.T) {
 		t.Error("auto job on a different array hit the plan cached for seed 3")
 	}
 
-	hits, misses := s.metrics.planHits.Load(), s.metrics.planMisses.Load()
+	hits, misses := s.plans.hits.Load(), s.plans.misses.Load()
 	if hits != 1 || misses != 2 {
 		t.Errorf("plan cache counters hits=%d misses=%d, want 1/2", hits, misses)
+	}
+}
+
+// TestPlanCacheBounded pins the eviction the plan cache lacked: auto
+// jobs key their plan by array identity, so every new seed is a new
+// entry, and a daemon fed distinct seeds must not pin partitions
+// without limit.
+func TestPlanCacheBounded(t *testing.T) {
+	s := newServer(Config{})
+	g := sparse.UniformExact(8, 8, 0.25, 1)
+	for seed := int64(1); seed <= planCacheCap+1; seed++ {
+		spec := JobSpec{N: 8, Ratio: 0.25, Seed: seed, Scheme: "ED", Procs: 2}.withDefaults()
+		if _, hit, err := s.planFor(spec, g, true); err != nil || hit {
+			t.Fatalf("seed %d: hit=%v err=%v, want a fresh plan", seed, hit, err)
+		}
+	}
+	if n := len(s.plans.entries); n > planCacheCap {
+		t.Errorf("plan cache holds %d entries after %d distinct auto plans, cap %d", n, planCacheCap+1, planCacheCap)
 	}
 }
 

@@ -31,19 +31,12 @@ type metrics struct {
 
 	inflight atomic.Int64 // jobs currently inside a worker
 
-	planHits    atomic.Int64
-	planMisses  atomic.Int64
-	arrayHits   atomic.Int64
-	arrayMisses atomic.Int64
-
 	machinesCreated atomic.Int64
 	machinesReused  atomic.Int64
 	drainedFrames   atomic.Int64 // stale frames dropped returning machines to the pool
 
 	dedupHits atomic.Int64 // resubmissions answered from the client-job-ID table
 
-	opsPlanHits   atomic.Int64 // comm-plan cache hits for op jobs
-	opsPlanMisses atomic.Int64 // comm-plan cache misses (plan derived)
 	opsWireWords  atomic.Int64 // point-to-point words the compute ops moved
 	opsBcastWords atomic.Int64 // broadcast-equivalent words those ops replaced
 
@@ -164,6 +157,10 @@ type gauges struct {
 	// auto is the refiner's per-scheme snapshot (already sorted by
 	// scheme), sampled at scrape time.
 	auto []calibrate.RefineSchemeStats
+	// Cache hit/miss counters, owned by the server's caches.
+	planHits, planMisses       int64
+	arrayHits, arrayMisses     int64
+	opsPlanHits, opsPlanMisses int64
 }
 
 // write renders the full exposition. The format is the Prometheus text
@@ -185,10 +182,10 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "sparsedistd_jobs_total{state=\"failed\"} %d\n", m.failed.Load())
 	fmt.Fprintf(w, "sparsedistd_jobs_total{state=\"canceled\"} %d\n", m.canceled.Load())
 
-	counter("sparsedistd_plan_cache_hits_total", "Plan cache hits (partition + codec reused).", m.planHits.Load())
-	counter("sparsedistd_plan_cache_misses_total", "Plan cache misses (partition built).", m.planMisses.Load())
-	counter("sparsedistd_array_cache_hits_total", "Input array cache hits.", m.arrayHits.Load())
-	counter("sparsedistd_array_cache_misses_total", "Input array cache misses (array generated).", m.arrayMisses.Load())
+	counter("sparsedistd_plan_cache_hits_total", "Plan cache hits (partition + codec reused).", g.planHits)
+	counter("sparsedistd_plan_cache_misses_total", "Plan cache misses (partition built).", g.planMisses)
+	counter("sparsedistd_array_cache_hits_total", "Input array cache hits.", g.arrayHits)
+	counter("sparsedistd_array_cache_misses_total", "Input array cache misses (array generated).", g.arrayMisses)
 	counter("sparsedistd_machines_created_total", "Emulated machines built for the pool.", m.machinesCreated.Load())
 	counter("sparsedistd_machines_reused_total", "Jobs served by a pooled machine.", m.machinesReused.Load())
 	counter("sparsedistd_machine_drained_frames_total", "Stale frames dropped when returning machines to the pool.", m.drainedFrames.Load())
@@ -211,8 +208,8 @@ func (m *metrics) write(w io.Writer, g gauges) {
 			fmt.Fprintf(w, "sparsedistd_ops_total{op=%q} %d\n", op, opCounts[i])
 		}
 	}
-	counter("sparsedistd_ops_plan_cache_hits_total", "Comm-plan cache hits (halo plan reused).", m.opsPlanHits.Load())
-	counter("sparsedistd_ops_plan_cache_misses_total", "Comm-plan cache misses (halo plan derived).", m.opsPlanMisses.Load())
+	counter("sparsedistd_ops_plan_cache_hits_total", "Comm-plan cache hits (halo plan reused).", g.opsPlanHits)
+	counter("sparsedistd_ops_plan_cache_misses_total", "Comm-plan cache misses (halo plan derived).", g.opsPlanMisses)
 	counter("sparsedistd_ops_wire_words_total", "Point-to-point words moved by distributed compute ops.", m.opsWireWords.Load())
 	counter("sparsedistd_ops_broadcast_equiv_words_total", "Broadcast-equivalent words the halo exchange replaced.", m.opsBcastWords.Load())
 

@@ -3,10 +3,8 @@ package server
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/compress"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/sparse"
@@ -28,79 +26,22 @@ var knownOps = map[string]bool{"spmv": true, "jacobi": true, "spgemm": true}
 // defaultOpIters caps Jacobi sweeps when the spec leaves op_iters zero.
 const defaultOpIters = 500
 
-// opPlanCache holds CommPlans keyed like distribution plans but always
-// including the array identity: the plan indexes the array's nonzero
-// structure, so two arrays of equal shape must not share one. Bounded
-// like the array cache; an arbitrary entry is evicted when full.
-type opPlanCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[planKey]*spops.CommPlan
-}
-
-func newOpPlanCache(max int) *opPlanCache {
-	if max < 1 {
-		max = 1
-	}
-	return &opPlanCache{max: max, entries: make(map[planKey]*spops.CommPlan)}
-}
-
-func (c *opPlanCache) get(key planKey) (*spops.CommPlan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pl, ok := c.entries[key]
-	return pl, ok
-}
-
-func (c *opPlanCache) put(key planKey, pl *spops.CommPlan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.entries) >= c.max {
-		for k := range c.entries {
-			delete(c.entries, k)
-			break
-		}
-	}
-	c.entries[key] = pl
-}
-
-// opPlanKey builds the cache key for spec's comm plan: the resolved
-// plan key plus, always, the array identity.
-func opPlanKey(spec JobSpec, g *sparse.Dense) planKey {
-	cfg := specConfig(spec)
-	key := planKey{
-		rows: g.Rows(), cols: g.Cols(),
-		partition: cfg.Partition, procs: cfg.Procs,
-		meshRows: cfg.MeshRows, meshCols: cfg.MeshCols,
-		block:  cfg.BlockSize,
-		scheme: cfg.Scheme,
-		array:  specArrayKey(spec),
-	}
-	if method, err := core.ParseMethod(cfg.Method); err == nil {
-		key.method = method
-	}
-	return key
-}
-
 // runOp executes spec.Op on the freshly distributed array, fills the
 // result's ops_* fields and counts the traffic into the metrics.
 func (s *Server) runOp(spec JobSpec, g *sparse.Dense, pl *plan, m *machine.Machine, res *dist.Result, out *JobResult) error {
-	key := opPlanKey(spec, g)
-	cpl, hit := s.opPlans.get(key)
-	if hit {
-		s.metrics.opsPlanHits.Add(1)
-	} else {
-		s.metrics.opsPlanMisses.Add(1)
-		var err error
-		cpl, err = spops.BuildCommPlan(pl.part, res)
-		if err != nil {
-			return fmt.Errorf("building comm plan: %w", err)
-		}
-		s.opPlans.put(key, cpl)
+	// The comm plan is cached under the plan's key plus, always, the
+	// array identity: it indexes the array's nonzero structure, so two
+	// arrays of equal shape must not share one.
+	key := pl.key
+	key.array = specArrayKey(spec)
+	cpl, hit, err := s.opPlans.getOrFill(key, func() (*spops.CommPlan, error) {
+		return spops.BuildCommPlan(pl.part, res)
+	})
+	if err != nil {
+		return fmt.Errorf("building comm plan: %w", err)
 	}
 
 	var st spops.OpStats
-	var err error
 	switch spec.Op {
 	case "spmv":
 		_, st, err = spops.SpMV(m, cpl, opVector(g.Cols(), spec.Seed))

@@ -2,7 +2,6 @@ package server
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -35,89 +34,37 @@ func specArrayKey(s JobSpec) arrayKey {
 		diagDominant: s.Op == "jacobi"}
 }
 
-// arrayCache holds recently generated input arrays. Bounded: when full,
-// an arbitrary entry is evicted (Go map iteration order), which is
-// plenty for a working set of repeated request shapes.
-type arrayCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[arrayKey]*sparse.Dense
-}
+// arrayCacheCap bounds the array, statistics and comm-plan caches,
+// whose entries are O(n²) or O(nnz) each. planCacheCap bounds the plan
+// cache: a plan is small, but scheme=auto and balanced-row key it by
+// array identity, so without a bound every new seed pins a partition
+// for the life of the daemon.
+const (
+	arrayCacheCap = 32
+	planCacheCap  = 1024
+)
 
-func newArrayCache(max int) *arrayCache {
-	if max < 1 {
-		max = 1
-	}
-	return &arrayCache{max: max, entries: make(map[arrayKey]*sparse.Dense)}
-}
-
-// get returns the array for the spec, generating and caching it on a
-// miss. hit reports whether the cache already had it.
-func (c *arrayCache) get(spec JobSpec) (g *sparse.Dense, hit bool) {
+// arrayFor returns the input array for the spec, generating it on a
+// miss.
+func (s *Server) arrayFor(spec JobSpec) (g *sparse.Dense, hit bool) {
 	key := specArrayKey(spec)
-	c.mu.Lock()
-	if g, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return g, true
-	}
-	c.mu.Unlock()
-	// Generate outside the lock: array generation is the expensive part
-	// and must not serialise unrelated jobs. Two racing misses both
-	// generate; last store wins — identical content either way.
-	g = sparse.UniformExact(spec.N, spec.N, spec.Ratio, spec.Seed)
-	if key.diagDominant {
-		makeDiagDominant(g)
-	}
-	c.mu.Lock()
-	if len(c.entries) >= c.max {
-		for k := range c.entries {
-			delete(c.entries, k)
-			break
+	g, hit, _ = s.arrays.getOrFill(key, func() (*sparse.Dense, error) {
+		g := sparse.UniformExact(spec.N, spec.N, spec.Ratio, spec.Seed)
+		if key.diagDominant {
+			makeDiagDominant(g)
 		}
-	}
-	c.entries[key] = g
-	c.mu.Unlock()
-	return g, false
+		return g, nil
+	})
+	return g, hit
 }
 
-// statsCache holds measured array statistics for auto jobs: measuring
-// is a full O(rows·cols) scan, and the loadgen resubmits the same
-// handful of array shapes, so the working set is tiny. Bounded the same
-// way the array cache is.
-type statsCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[arrayKey]costmodel.ArrayStats
-}
-
-func newStatsCache(max int) *statsCache {
-	if max < 1 {
-		max = 1
-	}
-	return &statsCache{max: max, entries: make(map[arrayKey]costmodel.ArrayStats)}
-}
-
-// get returns the statistics for the spec's array, measuring g on a
-// miss. Like the array cache, racing misses both measure (identical
-// results) rather than serialising unrelated jobs.
-func (c *statsCache) get(spec JobSpec, g *sparse.Dense) costmodel.ArrayStats {
-	key := specArrayKey(spec)
-	c.mu.Lock()
-	if st, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return st
-	}
-	c.mu.Unlock()
-	st := costmodel.MeasureStats(g)
-	c.mu.Lock()
-	if len(c.entries) >= c.max {
-		for k := range c.entries {
-			delete(c.entries, k)
-			break
-		}
-	}
-	c.entries[key] = st
-	c.mu.Unlock()
+// statsFor returns the measured statistics of the spec's array for
+// auto jobs: measuring is a full O(rows·cols) scan, and the loadgen
+// resubmits the same handful of array shapes.
+func (s *Server) statsFor(spec JobSpec, g *sparse.Dense) costmodel.ArrayStats {
+	st, _, _ := s.stats.getOrFill(specArrayKey(spec), func() (costmodel.ArrayStats, error) {
+		return costmodel.MeasureStats(g), nil
+	})
 	return st
 }
 
@@ -143,21 +90,13 @@ type planKey struct {
 }
 
 // plan is one cached (partition, codec, method) triple — everything of
-// a dist.Plan except the per-run global array and options.
+// a dist.Plan except the per-run global array and options — with the
+// key it is cached under.
 type plan struct {
+	key    planKey
 	part   partition.Partition
 	codec  dist.Codec
 	method dist.Method
-}
-
-// planCache maps resolved specs to reusable plans.
-type planCache struct {
-	mu      sync.Mutex
-	entries map[planKey]*plan
-}
-
-func newPlanCache() *planCache {
-	return &planCache{entries: make(map[planKey]*plan)}
 }
 
 // specConfig translates a (defaulted, validated) JobSpec into the
@@ -176,101 +115,84 @@ func specConfig(spec JobSpec) core.Config {
 	}.Normalized()
 }
 
-// get returns the plan for the spec, building and caching partition and
-// codec on a miss. valueDependent forces the array identity into the
-// key even when the resolved partition is shape-pure: an auto job's
-// *plan choice* depends on the array's values, so two arrays with the
-// same shape but different sparsity must not share an entry (the same
-// rule balanced-row already follows for its boundaries).
-func (c *planCache) get(spec JobSpec, g *sparse.Dense, valueDependent bool) (*plan, bool, error) {
-	cfg := specConfig(spec)
-	key := planKey{
-		rows: g.Rows(), cols: g.Cols(),
-		partition: cfg.Partition, procs: cfg.Procs,
-		meshRows: cfg.MeshRows, meshCols: cfg.MeshCols,
-		block:  cfg.BlockSize,
-		scheme: cfg.Scheme, method: 0,
-	}
+// newPlanKey resolves the shape-pure half of a plan key; callers add
+// the array identity or the stream marker.
+func newPlanKey(cfg core.Config, rows, cols int) (planKey, error) {
 	method, err := core.ParseMethod(cfg.Method)
 	if err != nil {
-		return nil, false, err
+		return planKey{}, err
 	}
-	key.method = method
-	if cfg.Partition == "balanced-row" || valueDependent {
-		key.array = specArrayKey(spec)
-	}
-
-	c.mu.Lock()
-	if p, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return p, true, nil
-	}
-	c.mu.Unlock()
-
-	part, err := core.NewPartition(g, cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	codec, err := dist.CodecByName(cfg.Scheme)
-	if err != nil {
-		return nil, false, err
-	}
-	p := &plan{part: part, codec: codec, method: method}
-	c.mu.Lock()
-	c.entries[key] = p
-	c.mu.Unlock()
-	return p, false, nil
-}
-
-// getStream is get for a streamed job: the partition is planned from
-// the chunked source (a counting pass for balanced-row, shape only for
-// the rest). File-backed balanced plans are never cached — the file can
-// change on disk between jobs, and a stale boundary sweep would
-// silently skew the load balance.
-func (c *planCache) getStream(spec JobSpec, src sparse.ChunkReader) (*plan, bool, error) {
-	cfg := specConfig(spec)
-	rows, cols := src.Shape()
-	key := planKey{
+	return planKey{
 		rows: rows, cols: cols,
 		partition: cfg.Partition, procs: cfg.Procs,
 		meshRows: cfg.MeshRows, meshCols: cfg.MeshCols,
 		block:  cfg.BlockSize,
-		scheme: cfg.Scheme,
-		stream: true, source: spec.SourceFile,
+		scheme: cfg.Scheme, method: method,
+	}, nil
+}
+
+// newPlan pairs a built partition with the key's codec and method.
+func newPlan(key planKey, part partition.Partition) (*plan, error) {
+	codec, err := dist.CodecByName(key.scheme)
+	if err != nil {
+		return nil, err
 	}
-	method, err := core.ParseMethod(cfg.Method)
+	return &plan{key: key, part: part, codec: codec, method: key.method}, nil
+}
+
+// planFor returns the plan for the spec, building and caching partition
+// and codec on a miss. valueDependent forces the array identity into
+// the key even when the resolved partition is shape-pure: an auto job's
+// *plan choice* depends on the array's values, so two arrays with the
+// same shape but different sparsity must not share an entry (the same
+// rule balanced-row already follows for its boundaries).
+func (s *Server) planFor(spec JobSpec, g *sparse.Dense, valueDependent bool) (*plan, bool, error) {
+	cfg := specConfig(spec)
+	key, err := newPlanKey(cfg, g.Rows(), g.Cols())
 	if err != nil {
 		return nil, false, err
 	}
-	key.method = method
-	valueDependent := cfg.Partition == "balanced-row"
-	cacheable := !(valueDependent && spec.SourceFile != "")
-	if valueDependent && spec.SourceFile == "" {
+	if cfg.Partition == "balanced-row" || valueDependent {
 		key.array = specArrayKey(spec)
 	}
-
-	if cacheable {
-		c.mu.Lock()
-		if p, ok := c.entries[key]; ok {
-			c.mu.Unlock()
-			return p, true, nil
+	return s.plans.getOrFill(key, func() (*plan, error) {
+		part, err := core.NewPartition(g, cfg)
+		if err != nil {
+			return nil, err
 		}
-		c.mu.Unlock()
-	}
+		return newPlan(key, part)
+	})
+}
 
-	part, err := core.NewStreamPartition(src, cfg)
+// streamPlanFor is planFor for a streamed job: the partition is
+// planned from the chunked source (a counting pass for balanced-row,
+// shape only for the rest). File-backed balanced plans are never cached — the file can
+// change on disk between jobs, and a stale boundary sweep would
+// silently skew the load balance.
+func (s *Server) streamPlanFor(spec JobSpec, src sparse.ChunkReader) (*plan, bool, error) {
+	cfg := specConfig(spec)
+	rows, cols := src.Shape()
+	key, err := newPlanKey(cfg, rows, cols)
 	if err != nil {
 		return nil, false, err
 	}
-	codec, err := dist.CodecByName(cfg.Scheme)
-	if err != nil {
-		return nil, false, err
+	key.stream, key.source = true, spec.SourceFile
+	build := func() (*plan, error) {
+		part, err := core.NewStreamPartition(src, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return newPlan(key, part)
 	}
-	p := &plan{part: part, codec: codec, method: method}
-	if cacheable {
-		c.mu.Lock()
-		c.entries[key] = p
-		c.mu.Unlock()
+	if cfg.Partition == "balanced-row" {
+		if spec.SourceFile != "" {
+			pl, err := build()
+			if err == nil {
+				s.plans.misses.Add(1)
+			}
+			return pl, false, err
+		}
+		key.array = specArrayKey(spec)
 	}
-	return p, false, nil
+	return s.plans.getOrFill(key, build)
 }

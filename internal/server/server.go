@@ -33,6 +33,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/sparse"
+	"repro/internal/spops"
 	"repro/internal/trace"
 )
 
@@ -126,10 +127,10 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	metrics *metrics
-	plans   *planCache
-	arrays  *arrayCache
-	stats   *statsCache
-	opPlans *opPlanCache
+	plans   *cache[planKey, *plan]
+	arrays  *cache[arrayKey, *sparse.Dense]
+	stats   *cache[arrayKey, costmodel.ArrayStats]
+	opPlans *cache[planKey, *spops.CommPlan]
 	refiner *calibrate.Refiner
 	pool    *machinePool
 
@@ -166,10 +167,10 @@ func newServer(cfg Config) *Server {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		metrics:  newMetrics(),
-		plans:    newPlanCache(),
-		arrays:   newArrayCache(32),
-		stats:    newStatsCache(32),
-		opPlans:  newOpPlanCache(32),
+		plans:    newCache[planKey, *plan](planCacheCap),
+		arrays:   newCache[arrayKey, *sparse.Dense](arrayCacheCap),
+		stats:    newCache[arrayKey, costmodel.ArrayStats](arrayCacheCap),
+		opPlans:  newCache[planKey, *spops.CommPlan](arrayCacheCap),
 		refiner:  calibrate.NewRefiner(cfg.RefineAlpha),
 		jobs:     make(map[string]*job),
 		dedup:    make(map[string]string),
@@ -334,12 +335,7 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 		return s.executeStream(j)
 	}
 	spec := j.spec
-	g, arrayHit := s.arrays.get(spec)
-	if arrayHit {
-		s.metrics.arrayHits.Add(1)
-	} else {
-		s.metrics.arrayMisses.Add(1)
-	}
+	g, arrayHit := s.arrayFor(spec)
 	// scheme=auto resolves here, on-node: the spec routed and deduped on
 	// the literal "AUTO", and only the worker knows the array's measured
 	// statistics and this node's refined corrections.
@@ -352,14 +348,9 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 		spec, auto = resolved, choice
 		s.metrics.autoResolved(auto.Scheme)
 	}
-	pl, planHit, err := s.plans.get(spec, g, auto != nil)
+	pl, planHit, err := s.planFor(spec, g, auto != nil)
 	if err != nil {
 		return nil, err
-	}
-	if planHit {
-		s.metrics.planHits.Add(1)
-	} else {
-		s.metrics.planMisses.Add(1)
 	}
 
 	m, err := s.pool.get(pl.part.NumParts())
@@ -427,7 +418,7 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 // corrections) over the array's cached statistics and returns the spec
 // with the chosen plan substituted in.
 func (s *Server) resolveAuto(spec JobSpec, g *sparse.Dense) (JobSpec, *core.AutoChoice, error) {
-	st := s.stats.get(spec, g)
+	st := s.statsFor(spec, g)
 	// Built by hand rather than via specConfig: Normalized would default
 	// the empty Method/Partition and destroy the "model picks" signal.
 	cfg := core.Config{
@@ -514,14 +505,9 @@ func (s *Server) executeStream(j *job) (*JobResult, error) {
 		src = sparse.NewUniformStream(spec.N, spec.N, want, spec.Seed, sparse.DefaultChunkEntries)
 	}
 
-	pl, planHit, err := s.plans.getStream(spec, src)
+	pl, planHit, err := s.streamPlanFor(spec, src)
 	if err != nil {
 		return nil, err
-	}
-	if planHit {
-		s.metrics.planHits.Add(1)
-	} else {
-		s.metrics.planMisses.Add(1)
 	}
 
 	m, err := s.pool.get(pl.part.NumParts())
@@ -759,6 +745,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		draining:      draining,
 		nodes:         s.registry.CountByState(),
 		auto:          s.refiner.Stats(),
+		planHits:      s.plans.hits.Load(),
+		planMisses:    s.plans.misses.Load(),
+		arrayHits:     s.arrays.hits.Load(),
+		arrayMisses:   s.arrays.misses.Load(),
+		opsPlanHits:   s.opPlans.hits.Load(),
+		opsPlanMisses: s.opPlans.misses.Load(),
 	})
 }
 

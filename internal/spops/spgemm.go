@@ -108,8 +108,7 @@ func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CR
 	}
 	stats := e.stats("spgemm", 1)
 	// The broadcast-equivalent for SpGEMM ships all of B (as
-	// triplets) to every non-root rank, the ops.DistributedSpMM
-	// pattern.
+	// triplets) to every non-root rank.
 	stats.BcastWords = 3 * b.NNZ() * (len(pl.alive) - 1)
 	return c, stats, nil
 }

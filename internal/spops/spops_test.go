@@ -10,6 +10,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/ops"
+	"repro/internal/simnet"
 	"repro/internal/sparse"
 	"repro/internal/spops"
 )
@@ -148,6 +149,75 @@ func TestPlanHaloBeatsBroadcast(t *testing.T) {
 			bcastTotal := pl.Stats.BcastWords + 256
 			if st.WireWords >= bcastTotal {
 				t.Fatalf("measured %d words >= broadcast-path %d", st.WireWords, bcastTotal)
+			}
+		})
+	}
+}
+
+// sentWords runs fn with a cleared simnet recorder and returns the
+// payload words of every message the machine sent meanwhile.
+func sentWords(t *testing.T, d *core.Distribution, fn func() error) int {
+	t.Helper()
+	net := d.Machine().Network()
+	net.Reset()
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	words := 0
+	for _, e := range net.Finalize().Events {
+		if e.Kind == simnet.EvSend {
+			words += e.Words
+		}
+	}
+	return words
+}
+
+// TestMeshTrafficPin pins the 2-D layout argument (Eckstein &
+// Mátyásfalvi, arXiv:1812.00904) the broadcast generation was retired
+// on: on a pr x pc mesh partition the halo SpMV moves O(n/√p) words
+// per rank — within 1.10x of the closed form n·(pr+pc) of the classic
+// column-broadcast/row-reduce algorithm — and never more than the
+// root-broadcast reference on the same machine. Both sides are
+// measured from simnet-recorded sends.
+func TestMeshTrafficPin(t *testing.T) {
+	cases := []struct {
+		name   string
+		g      *sparse.Dense
+		pr, pc int
+	}{
+		{"uniform-s0.1-n256-2x2", sparse.Uniform(256, 256, 0.1, 1), 2, 2},
+		{"uniform-s0.1-n256-4x4", sparse.Uniform(256, 256, 0.1, 1), 4, 4},
+		{"uniform-s0.01-n1000-4x4", sparse.Uniform(1000, 1000, 0.01, 1), 4, 4},
+		{"banded-bw3-n1024-4x4", sparse.Banded(1024, 1024, 3, 1, 1), 4, 4},
+		{"banded-bw3-n2000-2x2", sparse.Banded(2000, 2000, 3, 1, 1), 2, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.g.Rows()
+			d, pl := distribute(t, tc.g, core.Config{
+				Scheme: "ED", Partition: "mesh", MeshRows: tc.pr, MeshCols: tc.pc,
+				Procs: tc.pr * tc.pc, Topology: "uniform",
+			})
+			defer d.Close()
+			x := randVec(n, 3)
+			halo := sentWords(t, d, func() error {
+				y, _, err := spops.SpMV(d.Machine(), pl, x)
+				if err == nil {
+					vecClose(t, y, denseMatVec(tc.g, x), 1e-12, "halo SpMV")
+				}
+				return err
+			})
+			bcast := sentWords(t, d, func() error {
+				_, err := ops.DistributedSpMV(d.Machine(), d.Partition, d.Result, x)
+				return err
+			})
+			closed := n * (tc.pr + tc.pc)
+			t.Logf("halo %d words, broadcast %d, closed form n(pr+pc) = %d", halo, bcast, closed)
+			if float64(halo) > 1.10*float64(closed) {
+				t.Errorf("halo SpMV moved %d words > 1.10 x n(pr+pc) = %d", halo, closed)
+			}
+			if halo > bcast {
+				t.Errorf("halo SpMV moved %d words > broadcast reference %d", halo, bcast)
 			}
 		})
 	}

@@ -33,7 +33,7 @@ func TestPipelineQuickstart(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	y, err := d.SpMV(x)
+	y, _, err := d.SpMV(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPipelineHBFileToSolver(t *testing.T) {
 		t.Fatalf("CG residual %g", sol.Residual)
 	}
 	// Check the solve: A·x ≈ b.
-	ax, err := d.SpMV(sol.X)
+	ax, _, err := d.SpMV(sol.X)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,20 +150,14 @@ func TestPipelineRCMThenBalancedDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := ops.Bandwidth(ordered)
-	part, err := partition.NewBalancedRow(ordered, 4)
+	if bw := ops.Bandwidth(ordered); bw > n/4 {
+		t.Fatalf("RCM left bandwidth %d", bw)
+	}
+	d, err := core.Distribute(ordered, core.Config{Scheme: "ED", Partition: "balanced-row", Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := machine.New(4, machine.WithRecvTimeout(30*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	res, err := dist.ED{}.Distribute(m, ordered, part, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer d.Close()
 	want := make([]float64, n)
 	for i := range want {
 		want[i] = float64(i%3) + 1
@@ -174,19 +168,16 @@ func TestPipelineRCMThenBalancedDistribution(t *testing.T) {
 			b[i] += ordered.At(i, j) * want[j]
 		}
 	}
-	if bw > n/4 {
-		t.Fatalf("bandwidth %d too wide for the halo test", bw)
-	}
-	sol, err := ops.DistributedJacobiBanded(m, part, res, b, bw, 1e-12, 5000)
+	x, st, err := d.Jacobi(b, 1e-12, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Converged {
-		t.Fatalf("Jacobi residual %g", sol.Residual)
+	if !st.Converged {
+		t.Fatalf("Jacobi did not converge in %d iterations", st.Iterations)
 	}
 	for i := range want {
-		if diff := sol.X[i] - want[i]; diff > 1e-8 || diff < -1e-8 {
-			t.Fatalf("x[%d] = %g, want %g", i, sol.X[i], want[i])
+		if diff := x[i] - want[i]; diff > 1e-8 || diff < -1e-8 {
+			t.Fatalf("x[%d] = %g, want %g", i, x[i], want[i])
 		}
 	}
 }
