@@ -92,16 +92,26 @@ bench-sim:
 	$(GO) run ./cmd/benchjson -ratio -metric ns_per_op -max 1.10 /tmp/bench_sim.json \
 		BenchmarkSimnetEvents/simnet-uniform BenchmarkSimnetEvents/counter
 
-# Compute-layer traffic gate: on a banded array (s <= 0.1) the halo
+# Compute-layer gates. Traffic: on a banded array (s <= 0.1) the halo
 # exchange must move strictly fewer wire words than broadcasting the
-# operand, for both SpMV (x vector) and SpGEMM (the whole B array).
+# operand, for both SpMV (x vector) and SpGEMM (the whole B array, in
+# the same row-buffer encoding). Time: the distributed SpGEMM must beat
+# the sequential ops.SpGEMM on the same operands. Allocations: it
+# allocates per rank and per message (a 4-rank Machine.Run with 12
+# decoded messages costs ~170 against the sequential kernel's ~45),
+# never per nonzero, which sat at 93x. 100 iterations, because over 3
+# the pool warm-up of the first products decides the time ratio.
 bench-ops:
-	$(GO) test -run '^$$' -bench 'BenchmarkSpMV$$|BenchmarkDistSpGEMM' -benchtime=3x . \
+	$(GO) test -run '^$$' -bench 'BenchmarkSpMV$$|BenchmarkDistSpGEMM' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out /tmp/bench_ops.json
 	$(GO) run ./cmd/benchjson -ratio -metric wire-words -max 0.95 /tmp/bench_ops.json \
 		BenchmarkSpMV/halo BenchmarkSpMV/broadcast
 	$(GO) run ./cmd/benchjson -ratio -metric wire-words -max 0.95 /tmp/bench_ops.json \
 		BenchmarkDistSpGEMM/rowfetch BenchmarkDistSpGEMM/broadcast
+	$(GO) run ./cmd/benchjson -ratio -metric ns_per_op -max 1.0 /tmp/bench_ops.json \
+		BenchmarkDistSpGEMM/rowfetch BenchmarkDistSpGEMM/sequential
+	$(GO) run ./cmd/benchjson -ratio -metric allocs_per_op -max 5.0 /tmp/bench_ops.json \
+		BenchmarkDistSpGEMM/rowfetch BenchmarkDistSpGEMM/sequential
 
 # Full benchmark harness (one bench per paper table + ablations).
 bench-all:

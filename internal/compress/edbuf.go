@@ -95,6 +95,41 @@ func EncodeEDRect(g *sparse.Dense, r0, c0, nr, nc int, major Major, ctr *cost.Co
 	return buf
 }
 
+// AppendEDRows appends the row-major special buffer of rows [lo, hi) of
+// m to buf: the rows' nonzero counts, then their (C, V) pairs with the
+// column indices as stored. Row ids do not travel — both ends know the
+// range. DecodeEDToCRS(buf, hi-lo, m.Cols, 0, nil) is the inverse. The
+// compute layer ships row blocks of an already-compressed array this
+// way, so no counter is charged: nothing is scanned or packed.
+func (m *CRS) AppendEDRows(buf []float64, lo, hi int) []float64 {
+	for i := lo; i < hi; i++ {
+		buf = append(buf, float64(m.RowPtr[i+1]-m.RowPtr[i]))
+	}
+	return m.appendEDPairs(buf, lo, hi)
+}
+
+// AppendEDRowList is AppendEDRows for a list of rows, in list order.
+// The list names rows in a numbering that starts at off (a block of a
+// larger array listed by global row): entry g is row g-off of m.
+func (m *CRS) AppendEDRowList(buf []float64, rows []int, off int) []float64 {
+	for _, g := range rows {
+		buf = append(buf, float64(m.RowPtr[g-off+1]-m.RowPtr[g-off]))
+	}
+	for _, g := range rows {
+		buf = m.appendEDPairs(buf, g-off, g-off+1)
+	}
+	return buf
+}
+
+// appendEDPairs appends the (C, V) pairs of rows [lo, hi), which are
+// contiguous in a CRS.
+func (m *CRS) appendEDPairs(buf []float64, lo, hi int) []float64 {
+	for k := m.RowPtr[lo]; k < m.RowPtr[hi]; k++ {
+		buf = append(buf, float64(m.ColIdx[k]), m.Val[k])
+	}
+	return buf
+}
+
 // DecodeEDToCRS decodes a row-major special buffer into a local CRS of
 // shape rows x cols, subtracting colOffset from every stored column index
 // (Cases 3.3.1-3.3.3; pass 0 for no conversion). The counter is charged

@@ -211,3 +211,40 @@ func TestMajorString(t *testing.T) {
 		t.Errorf("Major.String: got %q, %q", RowMajor, ColMajor)
 	}
 }
+
+func TestAppendEDRowsRoundTrip(t *testing.T) {
+	// Figure 1's array as CRS: rows 3-5 encode to the same buffer
+	// EncodeEDRect builds from the dense array (Figure 6), and any row
+	// range or list decodes back to those rows.
+	g := sparse.PaperFigure1()
+	m := CompressCRS(g, nil)
+	got := m.AppendEDRows(nil, 3, 6)
+	want := EncodeEDRect(g, 3, 0, 3, 8, RowMajor, nil)
+	if len(got) != len(want) {
+		t.Fatalf("buffer %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("buffer %v, want %v", got, want)
+		}
+	}
+	prefix := []float64{42}
+	if buf := m.AppendEDRows(prefix, 0, 0); len(buf) != 1 || buf[0] != 42 {
+		t.Fatalf("empty range appended %v", buf)
+	}
+
+	// A list names rows of a block by global id: rows 13, 10, 15 of a
+	// numbering that starts at 10 are rows 3, 0, 5 of m.
+	rows := []int{13, 10, 15}
+	dec, err := DecodeEDToCRS(m.AppendEDRowList(nil, rows, 10), len(rows), m.Cols, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		for j := 0; j < m.Cols; j++ {
+			if dec.At(i, j) != m.At(r-10, j) {
+				t.Fatalf("listed row %d col %d = %g, want %g", r, j, dec.At(i, j), m.At(r-10, j))
+			}
+		}
+	}
+}

@@ -31,7 +31,9 @@ package spops
 import (
 	"fmt"
 	"sort"
+	"sync"
 
+	"repro/internal/compress"
 	"repro/internal/dist"
 	"repro/internal/partition"
 )
@@ -105,6 +107,10 @@ type CommPlan struct {
 	// owns itself: ySeg[selfDst[i]] += contribVal[selfSrc[i]].
 	selfSrc [][]int32
 	selfDst [][]int32
+
+	// gemm is what only SpGEMM reads, derived on the first product.
+	gemmOnce sync.Once
+	gemm     *gemmView
 }
 
 // partComp holds part k's precomputed index translations.
@@ -492,4 +498,93 @@ func (pl *CommPlan) buildStats() {
 			}
 		}
 	}
+}
+
+// rowRef names one sparse row inside a set of arrays: row `row` of the
+// array `owner` (a part id or a rank, by context).
+type rowRef struct{ owner, row int32 }
+
+// gemmView is the plan seen from the SpGEMM kernel, which walks A by
+// output row where SpMV walks it in storage order. It is derived once
+// per plan, on the first product, and read-only afterwards; the plan is
+// cached by core.Distribution and by the server, so no op pays for it.
+type gemmView struct {
+	// rows[k] holds part k's nonzeros grouped by local row: LocalCRS[k]
+	// itself, or a one-time conversion of a CCS or JDS part.
+	rows []*compress.CRS
+	// feed[r][feedPtr[r][c]:feedPtr[r][c+1]] lists the (part, local
+	// row) pairs that accumulate into rank r's contribution slot c: the
+	// inverse of partComp.rowOut. Several parts hosted at one rank
+	// (re-homed after a rank died) meet in the same slot here.
+	feedPtr [][]int32
+	feed    [][]rowRef
+	// prod[prodPtr[g]:prodPtr[g+1]] lists the (rank, contribution slot)
+	// pairs that produce global row g of C, ranks ascending: the
+	// inverse of Contrib.
+	prodPtr []int32
+	prod    []rowRef
+}
+
+// gemmView returns the plan's SpGEMM view, building it on first use.
+func (pl *CommPlan) gemmView() *gemmView {
+	pl.gemmOnce.Do(func() { pl.gemm = pl.buildGemmView() })
+	return pl.gemm
+}
+
+func (pl *CommPlan) buildGemmView() *gemmView {
+	gv := &gemmView{
+		rows:    make([]*compress.CRS, pl.P),
+		feedPtr: make([][]int32, pl.P),
+		feed:    make([][]rowRef, pl.P),
+	}
+	for k := 0; k < pl.P; k++ {
+		switch pl.Res.Method { // BuildCommPlan admitted no other method
+		case dist.CRS:
+			gv.rows[k] = pl.Res.LocalCRS[k]
+		case dist.CCS:
+			gv.rows[k] = compress.CCSToCRS(pl.Res.LocalCCS[k])
+		case dist.JDS:
+			gv.rows[k] = compress.JDSToCRS(pl.Res.LocalJDS[k])
+		}
+	}
+	for _, r := range pl.alive {
+		gv.feedPtr[r], gv.feed[r] = groupRefs(len(pl.Contrib[r]), func(emit func(int32, rowRef)) {
+			for k := 0; k < pl.P; k++ {
+				if pl.Host[k] != r {
+					continue
+				}
+				for li, c := range pl.parts[k].rowOut {
+					if c >= 0 {
+						emit(c, rowRef{owner: int32(k), row: int32(li)})
+					}
+				}
+			}
+		})
+	}
+	gv.prodPtr, gv.prod = groupRefs(pl.Rows, func(emit func(int32, rowRef)) {
+		for _, r := range pl.alive {
+			for c, g := range pl.Contrib[r] {
+				emit(int32(g), rowRef{owner: int32(r), row: int32(c)})
+			}
+		}
+	})
+	return gv
+}
+
+// groupRefs is a counting sort of the refs each emits, by key in
+// [0, n): refs[ptr[k]:ptr[k+1]] are those emitted under key k, in
+// emission order. each runs twice and must emit the same sequence.
+func groupRefs(n int, each func(emit func(key int32, ref rowRef))) (ptr []int32, refs []rowRef) {
+	ptr = make([]int32, n+1)
+	each(func(k int32, _ rowRef) { ptr[k+1]++ })
+	for k := 0; k < n; k++ {
+		ptr[k+1] += ptr[k]
+	}
+	refs = make([]rowRef, ptr[n])
+	next := append([]int32(nil), ptr[:n]...)
+	each(func(k int32, ref rowRef) {
+		refs[next[k]] = ref
+		next[k]++
+	})
+	return ptr, refs
 }

@@ -2,59 +2,28 @@ package spops
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/machine"
 )
 
-// bEntry is one stored nonzero of a fetched B row.
-type bEntry struct {
-	col int
-	val float64
-}
-
-// triplet is the wire unit of the SpGEMM exchange: (row, col, value)
-// packed as three float64 words, the ED scheme's buffer layout
-// applied to computation traffic.
-type triplet struct {
-	row, col int
-	val      float64
-}
-
-// packTriplets flattens triplets into a wire buffer.
-func packTriplets(ts []triplet) []float64 {
-	buf := make([]float64, 0, 3*len(ts))
-	for _, t := range ts {
-		buf = append(buf, float64(t.row), float64(t.col), t.val)
-	}
-	return buf
-}
-
-// unpackTriplets parses a wire buffer back into triplets.
-func unpackTriplets(buf []float64) ([]triplet, error) {
-	if len(buf)%3 != 0 {
-		return nil, fmt.Errorf("spops: triplet buffer of %d words", len(buf))
-	}
-	ts := make([]triplet, 0, len(buf)/3)
-	for i := 0; i < len(buf); i += 3 {
-		ts = append(ts, triplet{row: int(buf[i]), col: int(buf[i+1]), val: buf[i+2]})
-	}
-	return ts, nil
-}
-
 // DistSpGEMM computes C = A·B where A is the plan's distributed array
 // and B is a global CRS at the IO rank with B.Rows == A.Cols. B's
 // rows are block-scattered to the x-owners once, then each rank
-// fetches — as triplet buffers, point to point — exactly the B-rows
-// its local A-nonzeros reference: the plan's needed-index sets are
-// the fetch lists, because the columns A touches are the rows of B
-// the product reads (Gustavson's identity). Each rank multiplies its
-// hosted parts with Gustavson's row-merge locally and ships its C
-// triplets back to the IO rank, which merges duplicates (col- and
-// mesh-partitioned parts produce partial sums for the same output
-// entry) into the returned CRS.
+// fetches, point to point, exactly the B-rows its local A-nonzeros
+// reference: the plan's needed-index sets are the fetch lists, because
+// the columns A touches are the rows of B the product reads
+// (Gustavson's identity). Each rank multiplies its hosted parts with a
+// two-pass Gustavson and ships its rows of C back to the IO rank, which
+// sums the rows several ranks produced (col- and mesh-partitioned parts
+// yield partial sums for the same output entry) into the returned CRS.
+//
+// Every payload is the ED scheme's row-major special buffer — row
+// counts, then (C, V) pairs — over a row list both ends derive from the
+// plan, so no row id travels: xRange(r) for the scatter, SendIdx[s][r]
+// for the fetch, Contrib[r] for the gather.
 func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CRS, OpStats, error) {
 	if b == nil {
 		return nil, OpStats{}, fmt.Errorf("spops: DistSpGEMM: nil B")
@@ -63,29 +32,35 @@ func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CR
 		return nil, OpStats{}, fmt.Errorf("spops: DistSpGEMM: A is %dx%d but B has %d rows",
 			pl.Rows, pl.Cols, b.Rows)
 	}
-	e := newExec(m, pl)
+	// Receivers validate what they decode; an invalid B must fail here,
+	// not on some rank mid-exchange with its peers left waiting.
+	if err := b.Validate(); err != nil {
+		return nil, OpStats{}, fmt.Errorf("spops: DistSpGEMM: B: %w", err)
+	}
+	gv := pl.gemmView()
+	e := bindExec(m, pl)
 	var c *compress.CRS
 	err := e.run(func(pr *machine.Proc) error {
-		st := e.st[pr.Rank]
 		// Phase 1: block-scatter B's rows to the x-owners (owner of
 		// column j of A owns row j of B).
-		block, err := e.scatterB(pr, b)
+		block, off, err := e.scatterB(pr, b)
 		if err != nil {
 			return err
 		}
 		// Phase 2: row-fetch exchange along the plan's halo pairs.
-		rows, err := e.fetchB(pr, block)
+		need, err := e.fetchB(pr, block, off, b.Cols)
 		if err != nil {
 			return err
 		}
 		// Phase 3: local Gustavson over the hosted parts.
-		cts := e.localGustavson(pr.Rank, rows)
-		// Phase 4: C triplets to the IO rank; merge.
+		out := e.multiply(pr.Rank, gv, need)
+		// Phase 4: C rows to the IO rank; merge.
 		if pr.Rank != pl.IO {
-			return pr.Send(pl.IO, e.tag(tagGather), [4]int64{int64(len(cts))},
-				packTriplets(cts), &st.wire)
+			return e.sendRows(pr, pl.IO, tagGather, out.Rows,
+				out.AppendEDRows(machine.GetBuf(out.Rows+2*out.NNZ()), 0, out.Rows))
 		}
-		all := cts
+		produced := make([]*compress.CRS, pl.P)
+		produced[pl.IO] = out
 		for _, r := range pl.alive {
 			if r == pl.IO {
 				continue
@@ -94,28 +69,58 @@ func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CR
 			if err != nil {
 				return fmt.Errorf("spops: gather C from %d: %w", r, err)
 			}
-			ts, err := unpackTriplets(msg.Data)
-			if err != nil {
+			if produced[r], err = decodeRows("gather", &msg, len(pl.Contrib[r]), b.Cols); err != nil {
 				return err
 			}
-			all = append(all, ts...)
 		}
-		c = mergeTriplets(all, pl.Rows, b.Cols)
+		c = gv.merge(produced, b.Cols)
 		return nil
 	})
 	if err != nil {
 		return nil, OpStats{}, err
 	}
 	stats := e.stats("spgemm", 1)
-	// The broadcast-equivalent for SpGEMM ships all of B (as
-	// triplets) to every non-root rank.
-	stats.BcastWords = 3 * b.NNZ() * (len(pl.alive) - 1)
+	// The broadcast-equivalent for SpGEMM ships all of B, in the same
+	// row-buffer encoding, to every non-root rank.
+	stats.BcastWords = (b.Rows + 2*b.NNZ()) * (len(pl.alive) - 1)
 	return c, stats, nil
 }
 
-// scatterB ships each x-owner its block of B rows as triplets and
-// returns this rank's block indexed by global row.
-func (e *exec) scatterB(pr *machine.Proc, b *compress.CRS) (map[int][]bEntry, error) {
+// sendRows ships one special buffer drawn from the wire-buffer pool;
+// the receiver releases it after decoding. rows is the length of the
+// row list the buffer was encoded over, which decodeRows checks against
+// its own copy of the plan.
+func (e *exec) sendRows(pr *machine.Proc, to, tagOff, rows int, buf []float64) error {
+	if err := pr.SendBuf(to, e.tag(tagOff), [4]int64{int64(rows)}, buf, true, &e.st[pr.Rank].wire); err != nil {
+		return fmt.Errorf("spops: spgemm send %d->%d: %w", pr.Rank, to, err)
+	}
+	return nil
+}
+
+// decodeRows parses a received special buffer into a CRS of the rows
+// the plan lists for this message and releases the payload. Everything
+// a damaged or hostile buffer can get wrong is an error naming the
+// phase and the sender: a row count that differs from the plan's list,
+// non-integral, negative or NaN counts, a count sum that disagrees with
+// the pair region, columns outside [0, cols) or out of order, explicit
+// zeros.
+func decodeRows(phase string, msg *machine.Message, rows, cols int) (*compress.CRS, error) {
+	defer machine.ReleaseMessage(msg)
+	if got := msg.Meta[0]; got != int64(rows) {
+		return nil, fmt.Errorf("spops: spgemm %s from rank %d: buffer of %d rows, plan lists %d",
+			phase, msg.From, got, rows)
+	}
+	m, err := compress.DecodeEDToCRS(msg.Data, rows, cols, 0, nil)
+	if err != nil {
+		return nil, fmt.Errorf("spops: spgemm %s from rank %d: %w", phase, msg.From, err)
+	}
+	return m, nil
+}
+
+// scatterB ships each x-owner its block of B rows and returns this
+// rank's block with the global id of its first row. The IO rank reads
+// B in place.
+func (e *exec) scatterB(pr *machine.Proc, b *compress.CRS) (*compress.CRS, int, error) {
 	pl, st := e.pl, e.st[pr.Rank]
 	if pr.Rank == pl.IO {
 		for _, r := range pl.alive {
@@ -123,49 +128,31 @@ func (e *exec) scatterB(pr *machine.Proc, b *compress.CRS) (map[int][]bEntry, er
 			if r == pl.IO || hi-lo == 0 {
 				continue
 			}
-			var ts []triplet
-			for g := lo; g < hi; g++ {
-				for idx := b.RowPtr[g]; idx < b.RowPtr[g+1]; idx++ {
-					ts = append(ts, triplet{row: g, col: b.ColIdx[idx], val: b.Val[idx]})
-				}
-			}
-			if err := pr.Send(r, e.tag(tagScatter), [4]int64{int64(len(ts))},
-				packTriplets(ts), &st.wire); err != nil {
-				return nil, fmt.Errorf("spops: scatter B to %d: %w", r, err)
+			buf := machine.GetBuf(hi - lo + 2*(b.RowPtr[hi]-b.RowPtr[lo]))
+			if err := e.sendRows(pr, r, tagScatter, hi-lo, b.AppendEDRows(buf, lo, hi)); err != nil {
+				return nil, 0, err
 			}
 		}
-		block := map[int][]bEntry{}
-		for g := st.xlo; g < st.xhi; g++ {
-			for idx := b.RowPtr[g]; idx < b.RowPtr[g+1]; idx++ {
-				block[g] = append(block[g], bEntry{col: b.ColIdx[idx], val: b.Val[idx]})
-			}
-		}
-		return block, nil
+		return b, 0, nil
 	}
-	block := map[int][]bEntry{}
 	if st.xhi-st.xlo == 0 {
-		return block, nil
+		// Owns no rows, so no send list names this rank.
+		return &compress.CRS{Cols: b.Cols, RowPtr: []int{0}}, 0, nil
 	}
 	msg, err := pr.RecvFrom(pl.IO, e.tag(tagScatter))
 	if err != nil {
-		return nil, fmt.Errorf("spops: rank %d scatter B recv: %w", pr.Rank, err)
+		return nil, 0, fmt.Errorf("spops: rank %d scatter B recv: %w", pr.Rank, err)
 	}
-	ts, err := unpackTriplets(msg.Data)
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range ts {
-		block[t.row] = append(block[t.row], bEntry{col: t.col, val: t.val})
-	}
-	return block, nil
+	block, err := decodeRows("scatter", &msg, st.xhi-st.xlo, b.Cols)
+	return block, st.xlo, err
 }
 
 // fetchB runs the row-fetch exchange: each B-block owner ships each
-// consumer the rows on their halo send list, and every rank returns
-// the union of its own block rows and the fetched rows, indexed by
-// global B-row. Rows with no stored entries travel as zero triplets
-// of nothing — they are simply absent, which Gustavson handles.
-func (e *exec) fetchB(pr *machine.Proc, block map[int][]bEntry) (map[int][]bEntry, error) {
+// consumer the rows on their halo send list, and every rank returns the
+// B-rows it needs as one CRS indexed by need slot (the position of the
+// row's global id in Need[rank]). off is the global id of block's first
+// row, cols is B's column count.
+func (e *exec) fetchB(pr *machine.Proc, block *compress.CRS, off, cols int) (*compress.CRS, error) {
 	pl, st := e.pl, e.st[pr.Rank]
 	me := pr.Rank
 	for _, r := range pl.alive {
@@ -173,116 +160,206 @@ func (e *exec) fetchB(pr *machine.Proc, block map[int][]bEntry) (map[int][]bEntr
 		if len(idx) == 0 || r == me {
 			continue
 		}
-		var ts []triplet
+		words := len(idx)
 		for _, g := range idx {
-			for _, en := range block[g] {
-				ts = append(ts, triplet{row: g, col: en.col, val: en.val})
-			}
+			words += 2 * block.RowNNZ(g-off)
 		}
-		if err := pr.Send(r, e.tag(tagFetch), [4]int64{int64(len(ts))},
-			packTriplets(ts), &st.wire); err != nil {
-			return nil, fmt.Errorf("spops: B fetch %d->%d: %w", me, r, err)
+		if err := e.sendRows(pr, r, tagFetch, len(idx),
+			block.AppendEDRowList(machine.GetBuf(words), idx, off)); err != nil {
+			return nil, err
 		}
 	}
-	rows := map[int][]bEntry{}
-	// Own needed rows straight from the block.
-	lo, hi := st.xlo, st.xhi
-	for _, g := range pl.Need[me] {
-		if g >= lo && g < hi {
-			rows[g] = block[g]
-		}
-	}
+	fetched := make([]*compress.CRS, pl.P)
 	for _, s := range pl.alive {
-		if len(pl.SendIdx[s][me]) == 0 || s == me {
+		pos := pl.recvPos[me][s]
+		if len(pos) == 0 || s == me {
 			continue
 		}
 		msg, err := pr.RecvFrom(s, e.tag(tagFetch))
 		if err != nil {
 			return nil, fmt.Errorf("spops: B fetch recv %d<-%d: %w", me, s, err)
 		}
-		ts, err := unpackTriplets(msg.Data)
-		if err != nil {
+		if fetched[s], err = decodeRows("fetch", &msg, len(pos), cols); err != nil {
 			return nil, err
 		}
-		for _, t := range ts {
-			rows[t.row] = append(rows[t.row], bEntry{col: t.col, val: t.val})
+	}
+	// each visits every needed row as (need slot, source array, row in
+	// it): the owned ones in block, the others where they were decoded.
+	each := func(visit func(slot int32, m *compress.CRS, row int)) {
+		for i, src := range pl.ownSrc[me] {
+			visit(pl.ownDst[me][i], block, int(src)+st.xlo-off)
+		}
+		for s, f := range fetched {
+			if f != nil {
+				for i, slot := range pl.recvPos[me][s] {
+					visit(slot, f, i)
+				}
+			}
 		}
 	}
-	return rows, nil
+	need := &compress.CRS{Rows: len(pl.Need[me]), Cols: cols, RowPtr: make([]int, len(pl.Need[me])+1)}
+	each(func(slot int32, m *compress.CRS, row int) { need.RowPtr[slot+1] = m.RowNNZ(row) })
+	for i := 0; i < need.Rows; i++ {
+		need.RowPtr[i+1] += need.RowPtr[i]
+	}
+	need.ColIdx = make([]int, need.RowPtr[need.Rows])
+	need.Val = make([]float64, need.RowPtr[need.Rows])
+	each(func(slot int32, m *compress.CRS, row int) {
+		lo, hi := m.RowPtr[row], m.RowPtr[row+1]
+		copy(need.ColIdx[need.RowPtr[slot]:], m.ColIdx[lo:hi])
+		copy(need.Val[need.RowPtr[slot]:], m.Val[lo:hi])
+	})
+	return need, nil
 }
 
-// localGustavson multiplies every part hosted at rank r against the
-// fetched B rows, producing C triplets with global indices. Each
-// A-nonzero (i,j) merges B's row j scaled by a_ij into C's row i.
-func (e *exec) localGustavson(r int, rows map[int][]bEntry) []triplet {
-	pl, st := e.pl, e.st[r]
+// spa is Gustavson's sparse accumulator: a dense value array over B's
+// columns whose entries count only when their mark equals the current
+// generation, so starting the next output row is one increment and the
+// arrays are never cleared.
+type spa struct {
+	mark []int
+	val  []float64
+	gen  int
+}
+
+func newSPA(cols int) *spa {
+	return &spa{mark: make([]int, cols), val: make([]float64, cols), gen: 1}
+}
+
+// count is the symbolic step: it marks cols in the current row and
+// returns how many were new to it.
+func (a *spa) count(cols []int) int {
+	n := 0
+	for _, c := range cols {
+		if a.mark[c] != a.gen {
+			a.mark[c] = a.gen
+			n++
+		}
+	}
+	return n
+}
+
+// add is the numeric step: it accumulates scale·(cols, vals) into the
+// current row, appending each column new to the row to idx.
+func (a *spa) add(scale float64, cols []int, vals []float64, idx []int) []int {
+	vals = vals[:len(cols)]
+	for k, c := range cols {
+		if a.mark[c] != a.gen {
+			a.mark[c] = a.gen
+			a.val[c] = scale * vals[k]
+			idx = append(idx, c)
+		} else {
+			a.val[c] += scale * vals[k]
+		}
+	}
+	return idx
+}
+
+// flush closes the current row of m, whose columns add appended to
+// m.ColIdx from position start on: it sorts them and appends the sums
+// that are not exactly zero (the no-explicit-zero invariant of CRS and
+// of the special buffer), then starts the next row.
+func (a *spa) flush(m *compress.CRS, row, start int) {
+	touched := m.ColIdx[start:]
+	slices.Sort(touched)
+	// Compacts in place: the write position never passes the read.
+	m.ColIdx = m.ColIdx[:start]
+	for _, c := range touched {
+		if v := a.val[c]; v != 0 {
+			m.ColIdx = append(m.ColIdx, c)
+			m.Val = append(m.Val, v)
+		}
+	}
+	m.RowPtr[row+1] = len(m.Val)
+	a.gen++
+}
+
+// multiply runs Gustavson's algorithm over every part hosted at rank r
+// against the need-slot-indexed B rows and returns the rank's rows of
+// C, indexed by contribution slot (Contrib[r] order). The symbolic
+// pass sizes the slabs exactly; the numeric pass fills them in place.
+// Each A-nonzero (i, j) merges B's row j scaled by a_ij into C's row i
+// and is charged 2 operations per B entry; the symbolic pass is
+// bookkeeping, like plan construction, and is not charged.
+func (e *exec) multiply(r int, gv *gemmView, need *compress.CRS) *compress.CRS {
+	pl := e.pl
+	feeds, feedPtr := gv.feed[r], gv.feedPtr[r]
+	nOut := len(pl.Contrib[r])
+	acc := newSPA(need.Cols)
+	nnz := 0
+	for c := 0; c < nOut; c++ {
+		for _, f := range feeds[feedPtr[c]:feedPtr[c+1]] {
+			a, slot := gv.rows[f.owner], pl.parts[f.owner].colNeed
+			for q := a.RowPtr[f.row]; q < a.RowPtr[f.row+1]; q++ {
+				s := slot[a.ColIdx[q]]
+				nnz += acc.count(need.ColIdx[need.RowPtr[s]:need.RowPtr[s+1]])
+			}
+		}
+		acc.gen++
+	}
+	out := &compress.CRS{Rows: nOut, Cols: need.Cols, RowPtr: make([]int, nOut+1),
+		ColIdx: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
 	var delta cost.Counter
-	acc := map[int]map[int]float64{}
-	for k := 0; k < pl.P; k++ {
-		if pl.Host[k] != r {
+	for c := 0; c < nOut; c++ {
+		start := len(out.ColIdx)
+		for _, f := range feeds[feedPtr[c]:feedPtr[c+1]] {
+			a, slot := gv.rows[f.owner], pl.parts[f.owner].colNeed
+			for q := a.RowPtr[f.row]; q < a.RowPtr[f.row+1]; q++ {
+				s := slot[a.ColIdx[q]]
+				lo, hi := need.RowPtr[s], need.RowPtr[s+1]
+				out.ColIdx = acc.add(a.Val[q], need.ColIdx[lo:hi], need.Val[lo:hi], out.ColIdx)
+				delta.AddOps(2 * (hi - lo))
+			}
+		}
+		acc.flush(out, c, start)
+	}
+	e.chargeComp(e.st[r], delta)
+	return out
+}
+
+// merge assembles the global C from the rows each rank produced
+// (produced[r] is indexed by r's contribution slot). A row one rank
+// produced is copied; a row several ranks hold partial sums for goes
+// through the accumulator, and entries whose final sum is exactly zero
+// are dropped there, so the result has the nonzeros of ops.SpGEMM.
+func (gv *gemmView) merge(produced []*compress.CRS, cols int) *compress.CRS {
+	rows := len(gv.prodPtr) - 1
+	acc := newSPA(cols)
+	rowOf := func(p rowRef) (m *compress.CRS, lo, hi int) {
+		m = produced[p.owner]
+		return m, m.RowPtr[p.row], m.RowPtr[p.row+1]
+	}
+	nnz := 0
+	for g := 0; g < rows; g++ {
+		prods := gv.prod[gv.prodPtr[g]:gv.prodPtr[g+1]]
+		if len(prods) == 1 {
+			_, lo, hi := rowOf(prods[0])
+			nnz += hi - lo
 			continue
 		}
-		rowMap := pl.Part.RowMap(k)
-		colMap := pl.Part.ColMap(k)
-		forEachNZ(pl.Res, k, func(li, lj int, av float64) {
-			gi, gj := rowMap[li], colMap[lj]
-			brow := rows[gj]
-			if len(brow) == 0 {
-				return
-			}
-			m := acc[gi]
-			if m == nil {
-				m = map[int]float64{}
-				acc[gi] = m
-			}
-			for _, en := range brow {
-				m[en.col] += av * en.val
-			}
-			delta.AddOps(2 * len(brow))
-		})
+		for _, p := range prods {
+			m, lo, hi := rowOf(p)
+			nnz += acc.count(m.ColIdx[lo:hi])
+		}
+		acc.gen++
 	}
-	var ts []triplet
-	for gi, m := range acc {
-		for gc, v := range m {
-			ts = append(ts, triplet{row: gi, col: gc, val: v})
+	c := &compress.CRS{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1),
+		ColIdx: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
+	for g := 0; g < rows; g++ {
+		prods := gv.prod[gv.prodPtr[g]:gv.prodPtr[g+1]]
+		if len(prods) == 1 {
+			m, lo, hi := rowOf(prods[0])
+			c.ColIdx = append(c.ColIdx, m.ColIdx[lo:hi]...)
+			c.Val = append(c.Val, m.Val[lo:hi]...)
+			c.RowPtr[g+1] = len(c.Val)
+			continue
 		}
-	}
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].row != ts[b].row {
-			return ts[a].row < ts[b].row
+		start := len(c.ColIdx)
+		for _, p := range prods {
+			m, lo, hi := rowOf(p)
+			c.ColIdx = acc.add(1, m.ColIdx[lo:hi], m.Val[lo:hi], c.ColIdx)
 		}
-		return ts[a].col < ts[b].col
-	})
-	e.chargeComp(st, delta)
-	return ts
-}
-
-// mergeTriplets sums duplicate (row, col) entries — partial products
-// from col/mesh-partitioned parts — and builds the global CRS.
-func mergeTriplets(ts []triplet, rows, cols int) *compress.CRS {
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].row != ts[b].row {
-			return ts[a].row < ts[b].row
-		}
-		return ts[a].col < ts[b].col
-	})
-	c := &compress.CRS{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-	for i := 0; i < len(ts); {
-		j := i + 1
-		v := ts[i].val
-		for j < len(ts) && ts[j].row == ts[i].row && ts[j].col == ts[i].col {
-			v += ts[j].val
-			j++
-		}
-		if v != 0 {
-			c.ColIdx = append(c.ColIdx, ts[i].col)
-			c.Val = append(c.Val, v)
-			c.RowPtr[ts[i].row+1]++
-		}
-		i = j
-	}
-	for i := 0; i < rows; i++ {
-		c.RowPtr[i+1] += c.RowPtr[i]
+		acc.flush(c, g, start)
 	}
 	return c
 }

@@ -17,10 +17,10 @@ const (
 	tagScatter = iota // IO -> owners: x (or b, or B-block) segments
 	tagHalo           // owner -> consumer: needed x values
 	tagYRoute         // contributor -> owner: partial y sums
-	tagGather         // owner -> IO: owned y segments / C triplets
+	tagGather         // owner -> IO: owned y segments / C rows
 	tagRedUp          // alive rank -> IO: scalar reduction operands
 	tagRedDown        // IO -> alive rank: reduced scalars
-	tagFetch          // B-row owner -> consumer: fetched triplets
+	tagFetch          // B-row owner -> consumer: fetched B rows
 	tagCount
 )
 
@@ -70,17 +70,27 @@ type exec struct {
 	st   []*rankState
 }
 
-func newExec(m *machine.Machine, pl *CommPlan) *exec {
+// bindExec allocates the tags and the per-rank counters of one run.
+func bindExec(m *machine.Machine, pl *CommPlan) *exec {
 	e := &exec{pl: pl, m: m, base: m.AllocTags(tagCount), st: make([]*rankState, pl.P)}
 	for _, r := range pl.alive {
 		st := &rankState{rank: r}
 		st.xlo, st.xhi = pl.xRange(r)
 		st.ylo, st.yhi = pl.yRange(r)
+		e.st[r] = st
+	}
+	return e
+}
+
+// newExec is bindExec plus the vector scratch of the SpMV-family ops.
+func newExec(m *machine.Machine, pl *CommPlan) *exec {
+	e := bindExec(m, pl)
+	for _, r := range pl.alive {
+		st := e.st[r]
 		st.xSeg = make([]float64, st.xhi-st.xlo)
 		st.ySeg = make([]float64, st.yhi-st.ylo)
 		st.needVal = make([]float64, len(pl.Need[r]))
 		st.contribVal = make([]float64, len(pl.Contrib[r]))
-		e.st[r] = st
 	}
 	return e
 }
