@@ -96,13 +96,22 @@ bench-sim:
 # exchange must move strictly fewer wire words than broadcasting the
 # operand, for both SpMV (x vector) and SpGEMM (the whole B array, in
 # the same row-buffer encoding). Time: the distributed SpGEMM must beat
-# the sequential ops.SpGEMM on the same operands. Allocations: it
+# the sequential ops.SpGEMM on the same operands, and a halo Jacobi
+# sweep (internal/spops BenchmarkJacobiSweep, the compute_sweep shape)
+# may cost at most 1.25x one sequential ops.SpMV on the same array: on
+# one processor the four ranks do exactly that product once, so the
+# excess is the message path (1.75x before the kernel went through the
+# plan's sweep view, about 1.0 since). Allocations: the SpGEMM
 # allocates per rank and per message (a 4-rank Machine.Run with 12
 # decoded messages costs ~170 against the sequential kernel's ~45),
 # never per nonzero, which sat at 93x. 100 iterations, because over 3
-# the pool warm-up of the first products decides the time ratio.
+# the pool warm-up of the first products decides the time ratio. The
+# sweep pair runs on one processor, like the repository benchmark: the
+# ranks are goroutines, and a second processor adds the host's thread
+# scheduling to every hand-off and its noise to the ratio.
 bench-ops:
-	$(GO) test -run '^$$' -bench 'BenchmarkSpMV$$|BenchmarkDistSpGEMM' -benchtime=100x -benchmem . \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkSpMV$$|BenchmarkDistSpGEMM' -benchtime=100x -benchmem . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkJacobiSweep' -benchtime=100x -benchmem -cpu 1 ./internal/spops/ ; } \
 		| $(GO) run ./cmd/benchjson -out /tmp/bench_ops.json
 	$(GO) run ./cmd/benchjson -ratio -metric wire-words -max 0.95 /tmp/bench_ops.json \
 		BenchmarkSpMV/halo BenchmarkSpMV/broadcast
@@ -112,6 +121,8 @@ bench-ops:
 		BenchmarkDistSpGEMM/rowfetch BenchmarkDistSpGEMM/sequential
 	$(GO) run ./cmd/benchjson -ratio -metric allocs_per_op -max 5.0 /tmp/bench_ops.json \
 		BenchmarkDistSpGEMM/rowfetch BenchmarkDistSpGEMM/sequential
+	$(GO) run ./cmd/benchjson -ratio -metric ns_per_op -max 1.25 /tmp/bench_ops.json \
+		BenchmarkJacobiSweep/halo BenchmarkJacobiSweep/sequential
 
 # Full benchmark harness (one bench per paper table + ablations).
 bench-all:

@@ -25,6 +25,7 @@ type mailbox struct {
 	mu      chanMutex
 	pending []Message
 	pulling bool
+	waiters int // goroutines parked on mu.wake
 }
 
 // chanMutex is a mutex with an associated broadcast channel, so waiters
@@ -45,32 +46,84 @@ func newMailbox() *mailbox {
 func (b *mailbox) acquire() { <-b.mu.lock }
 func (b *mailbox) release() { b.mu.lock <- struct{}{} }
 
-// broadcast wakes every goroutine blocked in waitWake. Callers must
-// hold the mailbox lock.
+// broadcast wakes every goroutine parked in recvMatch's wait branch.
+// The wake channel is replaced only when somebody holds the old one: a
+// rank with a single receiver, the common case, never allocates here.
+// Callers must hold the mailbox lock.
 func (b *mailbox) broadcast() {
+	if b.waiters == 0 {
+		return
+	}
 	close(b.mu.wake)
 	b.mu.wake = make(chan struct{})
 }
 
-// take removes and returns the first pending message matching the
-// predicate. Callers must hold the mailbox lock.
-func (b *mailbox) take(match func(Message) bool) (Message, bool) {
-	for i, m := range b.pending {
-		if match(m) {
-			b.pending = append(b.pending[:i], b.pending[i+1:]...)
-			return m, true
+// want names the message a receive waits for. It is a plain value —
+// matched without a closure, formatted only when a timeout or
+// cancellation error is built — because every receive carries one.
+type want struct {
+	kind wantKind
+	from int // negative matches any sender
+	// wantTag: the tag is lo, negative matching any tag. wantRange: the
+	// tag lies in [lo, hi).
+	lo, hi int
+}
+
+type wantKind uint8
+
+const (
+	wantAny wantKind = iota
+	wantTag
+	wantRange
+)
+
+func (w want) matches(m *Message) bool {
+	switch w.kind {
+	case wantTag:
+		return (w.from < 0 || m.From == w.from) && (w.lo < 0 || m.Tag == w.lo)
+	case wantRange:
+		return (w.from < 0 || m.From == w.from) && m.Tag >= w.lo && m.Tag < w.hi
+	}
+	return true
+}
+
+// String is the text operators read in a receive timeout.
+func (w want) String() string {
+	switch w.kind {
+	case wantTag:
+		return fmt.Sprintf("(src %d, tag %d)", w.from, w.lo)
+	case wantRange:
+		return fmt.Sprintf("(src %d, tags [%d,%d))", w.from, w.lo, w.hi)
+	}
+	return "any message"
+}
+
+// take removes and returns the first pending message w matches. The
+// vacated slot past the new length is zeroed: left as it was it would
+// keep the last message's Data reachable from the mailbox — a stale
+// alias of a buffer the receiver may by then have returned to the
+// pool. Callers must hold the mailbox lock.
+func (b *mailbox) take(w want) (Message, bool) {
+	for i := range b.pending {
+		if !w.matches(&b.pending[i]) {
+			continue
 		}
+		m := b.pending[i]
+		last := len(b.pending) - 1
+		copy(b.pending[i:], b.pending[i+1:])
+		b.pending[last] = Message{}
+		b.pending = b.pending[:last]
+		return m, true
 	}
 	return Message{}, false
 }
 
-// recvMatch returns the next message for this rank satisfying match,
+// recvMatch returns the next message for this rank that w matches,
 // buffering non-matching messages for other receivers on the same
-// rank. desc names the wanted message in the timeout error. A non-nil
-// ctx aborts the wait early when cancelled (the ctx variants of the
-// Proc receive methods); nil means "wait out the machine timeout", the
-// classic behaviour.
-func (p *Proc) recvMatch(ctx context.Context, desc string, match func(Message) bool) (Message, error) {
+// rank. A non-nil ctx aborts the wait early when cancelled (the ctx
+// variants of the Proc receive methods); nil means "wait out the
+// machine timeout", the classic behaviour.
+func (p *Proc) recvMatch(ctx context.Context, w want) (Message, error) {
 	b := p.m.boxes[p.Rank]
 	deadline := time.Now().Add(p.m.timeout)
 	b.acquire()
@@ -78,10 +131,10 @@ func (p *Proc) recvMatch(ctx context.Context, desc string, match func(Message) b
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				b.release()
-				return Message{}, fmt.Errorf("machine: rank %d waiting for %s: %w", p.Rank, desc, err)
+				return Message{}, fmt.Errorf("machine: rank %d waiting for %s: %w", p.Rank, w, err)
 			}
 		}
-		if msg, ok := b.take(match); ok {
+		if msg, ok := b.take(w); ok {
 			b.release()
 			p.traceRecv(msg)
 			return msg, nil
@@ -89,13 +142,14 @@ func (p *Proc) recvMatch(ctx context.Context, desc string, match func(Message) b
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			b.release()
-			return Message{}, fmt.Errorf("machine: rank %d waiting for %s: %w", p.Rank, desc, ErrTimeout)
+			return Message{}, fmt.Errorf("machine: rank %d waiting for %s: %w", p.Rank, w, ErrTimeout)
 		}
 		if b.pulling {
 			// Someone else is draining the transport; wait until they
 			// deposit a message or release the pull role — or until our
 			// own deadline passes or our context is cancelled.
 			wake := b.mu.wake
+			b.waiters++
 			b.release()
 			var done <-chan struct{}
 			if ctx != nil {
@@ -109,6 +163,7 @@ func (p *Proc) recvMatch(ctx context.Context, desc string, match func(Message) b
 			}
 			timer.Stop()
 			b.acquire()
+			b.waiters--
 			continue
 		}
 		b.pulling = true

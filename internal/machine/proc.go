@@ -78,7 +78,7 @@ func (p *Proc) traceRecv(msg Message) {
 // with concurrent sessions it can swallow another session's frame; use
 // RecvFrom or RecvRange there.
 func (p *Proc) Recv() (Message, error) {
-	return p.recvMatch(nil, "any message", func(Message) bool { return true })
+	return p.recvMatch(nil, want{kind: wantAny})
 }
 
 // RecvFrom returns the next message from the given source with the given
@@ -94,10 +94,7 @@ func (p *Proc) RecvFrom(from, tag int) (Message, error) {
 // caller (a job server, a request handler) can abandon a distribution
 // mid-flight instead of waiting out the machine's receive timeout.
 func (p *Proc) RecvFromCtx(ctx context.Context, from, tag int) (Message, error) {
-	desc := fmt.Sprintf("(src %d, tag %d)", from, tag)
-	return p.recvMatch(ctx, desc, func(m Message) bool {
-		return (from < 0 || m.From == from) && (tag < 0 || m.Tag == tag)
-	})
+	return p.recvMatch(ctx, want{kind: wantTag, from: from, lo: tag})
 }
 
 // RecvRange returns the next message from the given source whose tag
@@ -111,10 +108,7 @@ func (p *Proc) RecvRange(from, lo, hi int) (Message, error) {
 
 // RecvRangeCtx is RecvRange with cancellation, like RecvFromCtx.
 func (p *Proc) RecvRangeCtx(ctx context.Context, from, lo, hi int) (Message, error) {
-	desc := fmt.Sprintf("(src %d, tags [%d,%d))", from, lo, hi)
-	return p.recvMatch(ctx, desc, func(m Message) bool {
-		return (from < 0 || m.From == from) && m.Tag >= lo && m.Tag < hi
-	})
+	return p.recvMatch(ctx, want{kind: wantRange, from: from, lo: lo, hi: hi})
 }
 
 // P returns the machine's processor count.

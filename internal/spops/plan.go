@@ -111,6 +111,10 @@ type CommPlan struct {
 	// gemm is what only SpGEMM reads, derived on the first product.
 	gemmOnce sync.Once
 	gemm     *gemmView
+	// sweep is what only the SpMV-family kernel reads, derived on the
+	// first SpMV, Jacobi or Power.
+	sweepOnce sync.Once
+	sweep     []sweepPart
 }
 
 // partComp holds part k's precomputed index translations.
@@ -498,6 +502,72 @@ func (pl *CommPlan) buildStats() {
 			}
 		}
 	}
+}
+
+// sweepPart is part k seen from the SpMV-family kernel: partComp's index
+// translations applied to every stored nonzero once, so that a sweep
+// reads val[q] * need[slot[q]] and not, on every nonzero of every
+// sweep, need[colNeed[ColIdx[q]]]. It costs 4 bytes per stored nonzero
+// and is derived once per plan, on the first SpMV-family op; the plan is
+// cached by core.Distribution and by the server, so no op pays for it.
+type sweepPart struct {
+	// slot has one entry per stored nonzero, in storage order. CRS and
+	// JDS: the nonzero's slot in the host's need-value buffer
+	// (colNeed[ColIdx[q]]). CCS: its slot in the host's contribution
+	// buffer (rowOut[RowIdx[q]]); the need slot stays per column.
+	slot []int32
+	// lines lists, ascending, the local rows (CRS) or columns (CCS) that
+	// store a nonzero; the kernel visits no other. Unused by JDS, whose
+	// diagonals hold no empty row.
+	lines []int32
+}
+
+// sweepView returns the plan's per-part sweep view, building it on
+// first use.
+func (pl *CommPlan) sweepView() []sweepPart {
+	pl.sweepOnce.Do(func() { pl.sweep = pl.buildSweepView() })
+	return pl.sweep
+}
+
+func (pl *CommPlan) buildSweepView() []sweepPart {
+	sv := make([]sweepPart, pl.P)
+	for k := range sv {
+		pc, sp := &pl.parts[k], &sv[k]
+		switch pl.Res.Method { // BuildCommPlan admitted no other method
+		case dist.CRS:
+			a := pl.Res.LocalCRS[k]
+			sp.slot = translate(a.ColIdx, pc.colNeed)
+			sp.lines = nonEmpty(a.RowPtr)
+		case dist.CCS:
+			a := pl.Res.LocalCCS[k]
+			sp.slot = translate(a.RowIdx, pc.rowOut)
+			sp.lines = nonEmpty(a.ColPtr)
+		case dist.JDS:
+			sp.slot = translate(pl.Res.LocalJDS[k].ColIdx, pc.colNeed)
+		}
+	}
+	return sv
+}
+
+// translate maps each local index through pos.
+func translate(idx []int, pos []int32) []int32 {
+	out := make([]int32, len(idx))
+	for q, j := range idx {
+		out[q] = pos[j]
+	}
+	return out
+}
+
+// nonEmpty lists the lines of a CRS or CCS pointer array that store at
+// least one nonzero.
+func nonEmpty(ptr []int) []int32 {
+	var lines []int32
+	for i := 0; i+1 < len(ptr); i++ {
+		if ptr[i+1] > ptr[i] {
+			lines = append(lines, int32(i))
+		}
+	}
+	return lines
 }
 
 // rowRef names one sparse row inside a set of arrays: row `row` of the

@@ -100,8 +100,9 @@ func Jacobi(m *machine.Machine, pl *CommPlan, b, x0 []float64, tol float64, maxI
 				st.xSeg[i] = next
 			}
 			it++
-			red, err := e.allreduce(pr, []float64{maxDelta}, maxOp)
-			if err != nil {
+			red := st.red[:1]
+			red[0] = maxDelta
+			if err := e.allreduce(pr, red, maxOp); err != nil {
 				return err
 			}
 			if red[0] < tol {
@@ -171,8 +172,9 @@ func Power(m *machine.Machine, pl *CommPlan, tol float64, maxIter int) (float64,
 				dot += st.xSeg[i] * v
 				nsq += v * v
 			}
-			red, err := e.allreduce(pr, []float64{dot, nsq}, sumOp)
-			if err != nil {
+			red := st.red[:2]
+			red[0], red[1] = dot, nsq
+			if err := e.allreduce(pr, red, sumOp); err != nil {
 				return err
 			}
 			it++

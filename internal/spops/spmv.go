@@ -53,10 +53,11 @@ type rankState struct {
 	rank       int
 	xlo, xhi   int
 	ylo, yhi   int
-	xSeg       []float64 // resident owned x values
-	ySeg       []float64 // owned y accumulation
-	needVal    []float64 // x values this rank's nonzeros reference
-	contribVal []float64 // partial sums for contributed rows
+	xSeg       []float64  // resident owned x values
+	ySeg       []float64  // owned y accumulation
+	needVal    []float64  // x values this rank's nonzeros reference
+	contribVal []float64  // partial sums for contributed rows
+	red        [2]float64 // allreduce operand, then the reduced scalars
 	wire       cost.Counter
 	comp       cost.Counter
 }
@@ -64,10 +65,11 @@ type rankState struct {
 // exec binds a plan to one machine run: allocated tags plus per-rank
 // state and counters.
 type exec struct {
-	pl   *CommPlan
-	m    *machine.Machine
-	base int
-	st   []*rankState
+	pl    *CommPlan
+	m     *machine.Machine
+	base  int
+	st    []*rankState
+	sweep []sweepPart // the plan's sweep view (SpMV-family ops only)
 }
 
 // bindExec allocates the tags and the per-rank counters of one run.
@@ -85,6 +87,7 @@ func bindExec(m *machine.Machine, pl *CommPlan) *exec {
 // newExec is bindExec plus the vector scratch of the SpMV-family ops.
 func newExec(m *machine.Machine, pl *CommPlan) *exec {
 	e := bindExec(m, pl)
+	e.sweep = pl.sweepView()
 	for _, r := range pl.alive {
 		st := e.st[r]
 		st.xSeg = make([]float64, st.xhi-st.xlo)
@@ -142,13 +145,16 @@ func (e *exec) scatterX(pr *machine.Proc, x []float64) error {
 // halo runs one halo exchange: every x-owner sends each consumer the
 // owned values that consumer's nonzeros reference, and each rank
 // assembles its need-value buffer from its own segment plus the
-// received payloads.
+// received payloads. Payloads follow the wire-buffer ownership protocol
+// (DESIGN §7): packed into a pooled buffer, handed over with the
+// message, released by the receiver once copied out.
 func (e *exec) halo(pr *machine.Proc) error {
 	pl, st := e.pl, e.st[pr.Rank]
 	me := pr.Rank
 	// Own values first (no wire).
+	ownDst := pl.ownDst[me]
 	for i, src := range pl.ownSrc[me] {
-		st.needVal[pl.ownDst[me][i]] = st.xSeg[src]
+		st.needVal[ownDst[i]] = st.xSeg[src]
 	}
 	// Sends: pack owned values for each consumer.
 	for _, r := range pl.alive {
@@ -156,11 +162,11 @@ func (e *exec) halo(pr *machine.Proc) error {
 		if len(idx) == 0 || r == me {
 			continue
 		}
-		buf := make([]float64, len(idx))
+		buf := machine.GetBuf(len(idx))[:len(idx)]
 		for i, j := range idx {
 			buf[i] = st.xSeg[j-st.xlo]
 		}
-		if err := pr.Send(r, e.tag(tagHalo), [4]int64{int64(len(idx))}, buf, &st.wire); err != nil {
+		if err := pr.SendBuf(r, e.tag(tagHalo), [4]int64{int64(len(idx))}, buf, true, &st.wire); err != nil {
 			return fmt.Errorf("spops: halo send %d->%d: %w", me, r, err)
 		}
 	}
@@ -180,6 +186,7 @@ func (e *exec) halo(pr *machine.Proc) error {
 		for i, p := range pos {
 			st.needVal[p] = msg.Data[i]
 		}
+		machine.ReleaseMessage(&msg)
 	}
 	return nil
 }
@@ -196,57 +203,67 @@ func (e *exec) compute(pr *machine.Proc) {
 		if pl.Host[k] != pr.Rank {
 			continue
 		}
-		e.computePart(k, st, &delta)
+		delta.AddOps(2 * e.computePart(k, st.needVal, st.contribVal))
 	}
 	e.chargeComp(st, delta)
 }
 
 // computePart multiplies part k against the assembled need values in
-// its format's natural storage order.
-func (e *exec) computePart(k int, st *rankState, ctr *cost.Counter) {
+// its format's natural storage order, through the plan's sweep view,
+// and returns the number of nonzeros it multiplied. Every inner loop
+// runs over sub-slices cut to one length, so only the gather from need
+// (and the CCS and JDS scatter into contrib) is bounds-checked.
+func (e *exec) computePart(k int, need, contrib []float64) int {
 	pl := e.pl
-	pc := &pl.parts[k]
+	pc, sp := &pl.parts[k], &e.sweep[k]
 	switch pl.Res.Method {
 	case dist.CRS:
 		a := pl.Res.LocalCRS[k]
-		for i := 0; i < a.Rows; i++ {
-			out := pc.rowOut[i]
-			if out < 0 {
-				continue
+		for _, i := range sp.lines {
+			lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+			val, slot := a.Val[lo:hi], sp.slot[lo:hi]
+			// Two accumulators halve the serial add chain a row sum is;
+			// the order of additions differs from ops.SpMV's, which
+			// every comparison against it allows for.
+			var s0, s1 float64
+			for len(val) >= 2 && len(slot) >= 2 {
+				s0 += val[0] * need[slot[0]]
+				s1 += val[1] * need[slot[1]]
+				val, slot = val[2:], slot[2:]
 			}
-			sum := 0.0
-			for idx := a.RowPtr[i]; idx < a.RowPtr[i+1]; idx++ {
-				sum += a.Val[idx] * st.needVal[pc.colNeed[a.ColIdx[idx]]]
+			if len(val) > 0 && len(slot) > 0 {
+				s0 += val[0] * need[slot[0]]
 			}
-			st.contribVal[out] += sum
-			ctr.AddOps(2 * (a.RowPtr[i+1] - a.RowPtr[i]))
+			contrib[pc.rowOut[i]] += s0 + s1
 		}
+		return a.NNZ()
 	case dist.CCS:
 		a := pl.Res.LocalCCS[k]
-		for j := 0; j < a.Cols; j++ {
-			if a.ColPtr[j+1] == a.ColPtr[j] {
-				continue
+		for _, j := range sp.lines {
+			lo, hi := a.ColPtr[j], a.ColPtr[j+1]
+			val, slot := a.Val[lo:hi], sp.slot[lo:hi]
+			xv := need[pc.colNeed[j]]
+			for q, v := range val {
+				contrib[slot[q]] += v * xv
 			}
-			xv := st.needVal[pc.colNeed[j]]
-			for idx := a.ColPtr[j]; idx < a.ColPtr[j+1]; idx++ {
-				st.contribVal[pc.rowOut[a.RowIdx[idx]]] += a.Val[idx] * xv
-			}
-			ctr.AddOps(2 * (a.ColPtr[j+1] - a.ColPtr[j]))
 		}
+		return a.NNZ()
 	case dist.JDS:
 		a := pl.Res.LocalJDS[k]
 		for d := 0; d < a.MaxRowNNZ(); d++ {
-			for t := a.JDPtr[d]; t < a.JDPtr[d+1]; t++ {
-				li := a.Perm[t-a.JDPtr[d]]
-				st.contribVal[pc.rowOut[li]] += a.Val[t] * st.needVal[pc.colNeed[a.ColIdx[t]]]
+			lo, hi := a.JDPtr[d], a.JDPtr[d+1]
+			val, slot, perm := a.Val[lo:hi], sp.slot[lo:hi], a.Perm[:hi-lo]
+			for q, v := range val {
+				contrib[pc.rowOut[perm[q]]] += v * need[slot[q]]
 			}
-			ctr.AddOps(2 * (a.JDPtr[d+1] - a.JDPtr[d]))
 		}
+		return a.NNZ()
 	}
+	return 0
 }
 
 // yRoute ships each rank's partial sums to the rows' owners and
-// accumulates the owned y segment.
+// accumulates the owned y segment. Payloads are pooled like halo's.
 func (e *exec) yRoute(pr *machine.Proc) error {
 	pl, st := e.pl, e.st[pr.Rank]
 	me := pr.Rank
@@ -254,8 +271,9 @@ func (e *exec) yRoute(pr *machine.Proc) error {
 		st.ySeg[i] = 0
 	}
 	// Own contributions.
+	selfDst := pl.selfDst[me]
 	for i, src := range pl.selfSrc[me] {
-		st.ySeg[pl.selfDst[me][i]] += st.contribVal[src]
+		st.ySeg[selfDst[i]] += st.contribVal[src]
 	}
 	// Sends to other owners.
 	for _, o := range pl.alive {
@@ -263,11 +281,11 @@ func (e *exec) yRoute(pr *machine.Proc) error {
 		if len(pos) == 0 || o == me {
 			continue
 		}
-		buf := make([]float64, len(pos))
+		buf := machine.GetBuf(len(pos))[:len(pos)]
 		for i, p := range pos {
 			buf[i] = st.contribVal[p]
 		}
-		if err := pr.Send(o, e.tag(tagYRoute), [4]int64{int64(len(pos))}, buf, &st.wire); err != nil {
+		if err := pr.SendBuf(o, e.tag(tagYRoute), [4]int64{int64(len(pos))}, buf, true, &st.wire); err != nil {
 			return fmt.Errorf("spops: y route %d->%d: %w", me, o, err)
 		}
 	}
@@ -287,6 +305,7 @@ func (e *exec) yRoute(pr *machine.Proc) error {
 		for i, g := range rows {
 			st.ySeg[g-st.ylo] += msg.Data[i]
 		}
+		machine.ReleaseMessage(&msg)
 	}
 	return nil
 }
@@ -316,44 +335,56 @@ func (e *exec) gatherY(pr *machine.Proc, y []float64) error {
 }
 
 // allreduce folds each alive rank's operand vector with op at the IO
-// rank and redistributes the result — a tiny point-to-point reduction
-// on plan tags, so it works on degraded machines where the built-in
-// collectives would wait on dead ranks.
-func (e *exec) allreduce(pr *machine.Proc, vals []float64, op func(acc, in []float64)) ([]float64, error) {
+// rank and redistributes the result into vals, in place — a tiny
+// point-to-point reduction on plan tags, so it works on degraded
+// machines where the built-in collectives would wait on dead ranks.
+//
+// vals is the caller's rankState.red, reused every sweep. It goes up
+// as it is: its rank does not touch it again before the reply, which
+// the IO rank sends only after folding it. The reply goes down as one
+// pooled copy per peer (a pooled buffer has exactly one receiver),
+// which the peer copies into vals and releases.
+func (e *exec) allreduce(pr *machine.Proc, vals []float64, op func(acc, in []float64)) error {
 	pl, st := e.pl, e.st[pr.Rank]
 	if pr.Rank != pl.IO {
 		if err := pr.Send(pl.IO, e.tag(tagRedUp), [4]int64{}, vals, &st.wire); err != nil {
-			return nil, err
+			return err
 		}
 		msg, err := pr.RecvFrom(pl.IO, e.tag(tagRedDown))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return msg.Data, nil
+		if len(msg.Data) != len(vals) {
+			return fmt.Errorf("spops: allreduce: rank %d got %d values back, want %d", pr.Rank, len(msg.Data), len(vals))
+		}
+		copy(vals, msg.Data)
+		machine.ReleaseMessage(&msg)
+		return nil
 	}
-	acc := append([]float64(nil), vals...)
 	for _, r := range pl.alive {
 		if r == pl.IO {
 			continue
 		}
 		msg, err := pr.RecvFrom(r, e.tag(tagRedUp))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if len(msg.Data) != len(acc) {
-			return nil, fmt.Errorf("spops: allreduce: rank %d sent %d values, want %d", r, len(msg.Data), len(acc))
+		if len(msg.Data) != len(vals) {
+			return fmt.Errorf("spops: allreduce: rank %d sent %d values, want %d", r, len(msg.Data), len(vals))
 		}
-		op(acc, msg.Data)
+		op(vals, msg.Data)
+		machine.ReleaseMessage(&msg)
 	}
 	for _, r := range pl.alive {
 		if r == pl.IO {
 			continue
 		}
-		if err := pr.Send(r, e.tag(tagRedDown), [4]int64{}, acc, &st.wire); err != nil {
-			return nil, err
+		down := append(machine.GetBuf(len(vals)), vals...)
+		if err := pr.SendBuf(r, e.tag(tagRedDown), [4]int64{}, down, true, &st.wire); err != nil {
+			return err
 		}
 	}
-	return acc, nil
+	return nil
 }
 
 // run executes fn as an SPMD region over the plan's alive ranks; dead

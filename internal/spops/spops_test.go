@@ -51,7 +51,7 @@ func vecClose(t *testing.T, got, want []float64, tol float64, label string) {
 
 // distribute runs core.Distribute and builds the plan; the caller
 // must Close the distribution.
-func distribute(t *testing.T, g *sparse.Dense, cfg core.Config) (*core.Distribution, *spops.CommPlan) {
+func distribute(t testing.TB, g *sparse.Dense, cfg core.Config) (*core.Distribution, *spops.CommPlan) {
 	t.Helper()
 	d, err := core.Distribute(g, cfg)
 	if err != nil {

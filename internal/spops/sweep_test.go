@@ -1,0 +1,294 @@
+package spops_test
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/compress"
+	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/ops"
+	"repro/internal/sparse"
+	"repro/internal/spops"
+)
+
+// diagDominant returns g with its diagonal raised until every row is
+// strictly diagonally dominant, so that Jacobi converges on it.
+func diagDominant(g *sparse.Dense) *sparse.Dense {
+	d := g.Clone()
+	for i := 0; i < d.Rows(); i++ {
+		sum := 0.0
+		for j, v := range d.Row(i) {
+			if j != i {
+				sum += math.Abs(v)
+			}
+		}
+		d.Set(i, i, 1.25*sum+1)
+	}
+	return d
+}
+
+// TestSweepKernelParity holds the plan-compiled kernel against the
+// sequential ops.SpMV on the global CRS — the oracle shares no code
+// with it — over every part format, partition and a spread of machine
+// sizes: one rank (no halo at all), more ranks than rows (empty parts)
+// and a killed rank (two parts meeting in one rank's buffers). The
+// element-operation charge must be exactly two per stored nonzero.
+func TestSweepKernelParity(t *testing.T) {
+	arrays := []struct {
+		name string
+		g    *sparse.Dense
+	}{
+		{"wide", sparse.Uniform(23, 41, 0.2, 5)},
+		{"tall", sparse.Uniform(41, 23, 0.2, 6)},
+		{"few-rows", sparse.Uniform(5, 30, 0.3, 7)}, // p=7 leaves row parts empty
+		{"banded", sparse.Banded(40, 40, 3, 0.8, 8)},
+	}
+	type machineCase struct {
+		procs int
+		kill  bool
+	}
+	machines := []machineCase{{1, false}, {4, false}, {7, false}, {4, true}}
+	for _, arr := range arrays {
+		a := compress.CompressCRS(arr.g, nil)
+		x := randVec(arr.g.Cols(), 11)
+		want, err := ops.SpMV(a, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, part := range []string{"row", "col", "mesh"} {
+			for _, method := range []string{"CRS", "CCS", "JDS"} {
+				for _, mc := range machines {
+					name := fmt.Sprintf("%s/%s/%s/p%d", arr.name, part, method, mc.procs)
+					cfg := core.Config{Scheme: "ED", Partition: part, Method: method, Procs: mc.procs}
+					if mc.kill {
+						name += "-killed"
+						cfg.Degrade, cfg.KillRank = true, 2
+						cfg.Retries, cfg.RetryBackoff = 2, 2*time.Millisecond
+					}
+					t.Run(name, func(t *testing.T) {
+						d, pl := distribute(t, arr.g, cfg)
+						defer d.Close()
+						if mc.kill {
+							shared := false
+							for k, h := range pl.Host {
+								shared = shared || h != k
+							}
+							if !shared {
+								t.Fatalf("no part was re-homed: hosts %v", pl.Host)
+							}
+						}
+						y, st, err := spops.SpMV(d.Machine(), pl, x)
+						if err != nil {
+							t.Fatal(err)
+						}
+						vecClose(t, y, want, 1e-12, "SpMV")
+						if st.Ops != 2*a.NNZ() {
+							t.Fatalf("charged %d element operations, want 2·nnz = %d", st.Ops, 2*a.NNZ())
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSweepAllocs pins what one more sweep allocates. Two Jacobi runs
+// that cannot converge (tol 0) differ only in their sweep count, so the
+// difference of their allocations is the sweeps' own: no payload, no
+// receive description, no watchdog timer. What is left is the pool
+// trading a buffer that is too short for a new one now and then. Before,
+// a sweep allocated about 75 times.
+func TestSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	const n, p = 512, 4
+	g := diagDominant(sparse.Banded(n, n, 8, 0.8, 3))
+	b := randVec(n, 4)
+	d, pl := distribute(t, g, core.Config{Scheme: "ED", Partition: "row", Method: "CRS", Procs: p})
+	defer d.Close()
+	allocs := func(sweeps int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			_, st, err := spops.Jacobi(d.Machine(), pl, b, nil, 0, sweeps)
+			if err != nil {
+				t.Error(err)
+			} else if st.Iterations != sweeps {
+				t.Errorf("ran %d sweeps, want %d", st.Iterations, sweeps)
+			}
+		})
+	}
+	allocs(10) // build the sweep view, warm the pool
+	short, long := allocs(10), allocs(60)
+	if perSweep := (long - short) / 50; perSweep > 2*p {
+		t.Errorf("a sweep allocates %.1f times (%.0f for 60 sweeps, %.0f for 10), want <= %d",
+			perSweep, long, short, 2*p)
+	}
+}
+
+// TestSweepsOverLossyTransport aims transient faults at sweep traffic:
+// while Jacobi and Power run on a reliable layer over a fault injector,
+// a second goroutine arms a drop, a duplicate or a reordering after
+// every few messages, so they land on halo, y-route and allreduce
+// messages of every sweep, not only on the first scatter. Both ops must
+// return exactly what they return on the clean machine, in as many
+// sweeps. Under -race this also shows a payload recycled while a
+// retransmission could still read it.
+func TestSweepsOverLossyTransport(t *testing.T) {
+	const n, p = 96, 4
+	g := diagDominant(sparse.Banded(n, n, 5, 0.8, 9))
+	b := randVec(n, 10)
+	for _, part := range []string{"row", "mesh"} {
+		t.Run(part, func(t *testing.T) {
+			d, pl := distribute(t, g, core.Config{Scheme: "ED", Partition: part, Procs: p})
+			defer d.Close()
+			ft := machine.NewFaultTransport(machine.NewChanTransport(p))
+			rt := machine.NewReliableTransport(ft, machine.RetryPolicy{
+				MaxRetries: 8, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond})
+			m, err := machine.New(p, machine.WithTransport(rt), machine.WithRecvTimeout(10*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+
+			// underFaults runs op while the injector is firing. Faults are
+			// paced by the messages sent, not by the clock: a stalled
+			// message is retransmitted into at most one of them.
+			underFaults := func(op func()) {
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					armedAt := rt.Stats().DataSent
+					for i := 0; ; {
+						select {
+						case <-stop:
+							return
+						case <-time.After(50 * time.Microsecond):
+						}
+						sent := rt.Stats().DataSent
+						if sent-armedAt < 5 {
+							continue
+						}
+						armedAt = sent
+						switch i % 3 {
+						case 0:
+							ft.DropNext(1)
+						case 1:
+							ft.DuplicateNext(1)
+						case 2:
+							ft.ReorderNext(1)
+						}
+						i++
+					}
+				}()
+				op()
+				close(stop)
+				wg.Wait()
+			}
+
+			xClean, stClean, err := spops.Jacobi(d.Machine(), pl, b, nil, 1e-10, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stClean.Converged || stClean.Iterations < 10 {
+				t.Fatalf("clean Jacobi: %+v", stClean)
+			}
+			underFaults(func() {
+				x, st, err := spops.Jacobi(m, pl, b, nil, 1e-10, 200)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Iterations != stClean.Iterations || st.Converged != stClean.Converged {
+					t.Fatalf("Jacobi under faults: %d sweeps (converged %v), clean run %d (%v)",
+						st.Iterations, st.Converged, stClean.Iterations, stClean.Converged)
+				}
+				if st.Messages != stClean.Messages || st.WireWords != stClean.WireWords {
+					t.Fatalf("charged traffic differs under faults: %+v vs %+v", st, stClean)
+				}
+				// Bit for bit: message timing may not reach the arithmetic.
+				vecClose(t, x, xClean, 0, "Jacobi solution")
+			})
+
+			lamClean, vClean, pstClean, err := spops.Power(d.Machine(), pl, 1e-9, 60)
+			if err != nil {
+				t.Fatal(err)
+			}
+			underFaults(func() {
+				lam, v, st, err := spops.Power(m, pl, 1e-9, 60)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Iterations != pstClean.Iterations || st.Converged != pstClean.Converged {
+					t.Fatalf("Power under faults: %d sweeps (converged %v), clean run %d (%v)",
+						st.Iterations, st.Converged, pstClean.Iterations, pstClean.Converged)
+				}
+				if lam != lamClean {
+					t.Fatalf("Power under faults: lambda %v, clean run %v", lam, lamClean)
+				}
+				vecClose(t, v, vClean, 0, "Power eigenvector")
+			})
+
+			fs := ft.FullStats()
+			if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 {
+				t.Fatalf("faults not injected: %+v", fs)
+			}
+			t.Logf("%d Jacobi + %d Power sweeps through %+v", stClean.Iterations, pstClean.Iterations, fs)
+		})
+	}
+}
+
+// BenchmarkJacobiSweep is the compute layer's in-package benchmark, on
+// the shape of the repository benchmark's compute_sweep workload
+// (banded n=2000, ED/row/CRS on four ranks). halo is one Jacobi of 50
+// sweeps that cannot converge early; sequential is 50 ops.SpMV on the
+// global CRS of the same array — the same multiply-adds on one
+// processor without any message, the like-for-like time baseline.
+func BenchmarkJacobiSweep(b *testing.B) {
+	const n, p, sweeps = 2000, 4, 50
+	g := diagDominant(sparse.Banded(n, n, 8, 0.8, 1))
+	a := compress.CompressCRS(g, nil)
+	rhs := randVec(n, 2)
+	// measure times b.N calls of op, each worth `sweeps` sweeps.
+	measure := func(b *testing.B, op func()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		total := float64(b.N * sweeps)
+		ns := float64(b.Elapsed().Nanoseconds()) / total
+		b.ReportMetric(ns, "ns/sweep")
+		b.ReportMetric(ns/float64(a.NNZ()), "ns/nnz")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/sweep")
+	}
+	b.Run("halo", func(b *testing.B) {
+		d, pl := distribute(b, g, core.Config{Scheme: "ED", Partition: "row", Method: "CRS", Procs: p})
+		defer d.Close()
+		run := func() {
+			if _, _, err := spops.Jacobi(d.Machine(), pl, rhs, nil, 0, sweeps); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run() // build the sweep view, warm the pool
+		measure(b, run)
+	})
+	b.Run("sequential", func(b *testing.B) {
+		x := randVec(n, 3)
+		measure(b, func() {
+			for s := 0; s < sweeps; s++ {
+				if _, err := ops.SpMV(a, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+}
