@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint fuzz-smoke check-diff bench bench-json bench-compare bench-stream bench-sim bench-ops bench-all tables examples serve-smoke cluster-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
+.PHONY: all build test test-race lint fuzz-smoke check-diff bench bench-json bench-compare bench-stream bench-sim bench-ops bench-kernels bench-all tables examples serve-smoke cluster-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
 
 all: build test
 
@@ -123,6 +123,19 @@ bench-ops:
 		BenchmarkDistSpGEMM/rowfetch BenchmarkDistSpGEMM/sequential
 	$(GO) run ./cmd/benchjson -ratio -metric ns_per_op -max 1.25 /tmp/bench_ops.json \
 		BenchmarkJacobiSweep/halo BenchmarkJacobiSweep/sequential
+
+# Distribution-kernel benchmarks, in their own packages: the ED encode
+# routes (block against accessor), the CFS block compress, the one-pass
+# ED decode against its three-pass reference, index conversion, and one
+# whole distribution per scheme x block partition over chan and over
+# tcp (the host columns of EXPERIMENTS.md "Remarks on the wall clock").
+# CI runs the same line
+# with BENCHTIME=1x so they cannot rot; -cpu 1 because the ranks are
+# goroutines, as in bench-ops.
+BENCHTIME ?= 50x
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodeED|BenchmarkCompressPart|BenchmarkDecodeED|BenchmarkConvertCols|BenchmarkRun$$|BenchmarkDistributeTCP' \
+		-benchtime=$(BENCHTIME) -benchmem -cpu 1 ./internal/compress/ ./internal/dist/ ./internal/core/
 
 # Full benchmark harness (one bench per paper table + ablations).
 bench-all:

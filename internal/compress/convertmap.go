@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cost"
+	"repro/internal/partition"
 )
 
 // Map-based global-to-local index conversion. The paper's Cases
@@ -13,42 +14,65 @@ import (
 // baseline's distribution rule) own strided index sets, so the receiver
 // converts through its ownership map instead. localIndexOf is a binary
 // search, charged as one operation per converted index to stay
-// comparable with the subtraction path.
+// comparable with the subtraction path — which convertToLocal takes
+// itself whenever the map it is handed turns out to be contiguous.
 
 // localIndexOf returns the position of global index g within the sorted
 // ownership map, or an error if g is not owned.
 func localIndexOf(m []int, g int) (int, error) {
 	i := sort.SearchInts(m, g)
 	if i >= len(m) || m[i] != g {
-		return 0, fmt.Errorf("compress: global index %d not in ownership map", g)
+		return 0, errNotOwned(g)
 	}
 	return i, nil
 }
 
-// ConvertColsToLocal rewrites global column indices into local ones via
-// the sorted ownership map. For contiguous maps this equals
-// ShiftCols(map[0]).
-func (m *CRS) ConvertColsToLocal(colMap []int, ctr *cost.Counter) error {
-	for k, g := range m.ColIdx {
-		l, err := localIndexOf(colMap, g)
-		if err != nil {
-			return fmt.Errorf("compress: CRS col %d: %w", k, err)
+func errNotOwned(g int) error {
+	return fmt.Errorf("compress: global index %d not in ownership map", g)
+}
+
+// convertToLocal rewrites the global indices in idx into their positions
+// within the sorted ownership map m. The map is inspected once: a
+// contiguous one makes every conversion a subtraction and a range check,
+// a strided one is searched per index. kind names the array in errors.
+func convertToLocal(idx, m []int, kind string) error {
+	if len(m) > 0 && partition.Contiguous(m) {
+		for k, g := range idx {
+			l := g - m[0]
+			if l < 0 || l >= len(m) {
+				return fmt.Errorf("compress: %s %d: %w", kind, k, errNotOwned(g))
+			}
+			idx[k] = l
 		}
-		m.ColIdx[k] = l
+		return nil
+	}
+	for k, g := range idx {
+		l, err := localIndexOf(m, g)
+		if err != nil {
+			return fmt.Errorf("compress: %s %d: %w", kind, k, err)
+		}
+		idx[k] = l
+	}
+	return nil
+}
+
+// ConvertColsToLocal rewrites global column indices into local ones via
+// the sorted ownership map, charging one operation per index once all
+// are converted. For contiguous maps this equals ShiftCols(map[0]) with
+// a range check.
+func (m *CRS) ConvertColsToLocal(colMap []int, ctr *cost.Counter) error {
+	if err := convertToLocal(m.ColIdx, colMap, "CRS col"); err != nil {
+		return err
 	}
 	ctr.AddOps(len(m.ColIdx))
 	return nil
 }
 
 // ConvertRowsToLocal rewrites global row indices into local ones via the
-// sorted ownership map.
+// sorted ownership map; see ConvertColsToLocal.
 func (m *CCS) ConvertRowsToLocal(rowMap []int, ctr *cost.Counter) error {
-	for k, g := range m.RowIdx {
-		l, err := localIndexOf(rowMap, g)
-		if err != nil {
-			return fmt.Errorf("compress: CCS row %d: %w", k, err)
-		}
-		m.RowIdx[k] = l
+	if err := convertToLocal(m.RowIdx, rowMap, "CCS row"); err != nil {
+		return err
 	}
 	ctr.AddOps(len(m.RowIdx))
 	return nil
@@ -114,89 +138,29 @@ func EncodeEDPartInto(at func(i, j int) float64, rowMap, colMap []int, major Maj
 }
 
 // DecodeEDToCRSMap decodes a row-major special buffer converting global
-// column indices through the ownership map (cyclic partitions).
+// column indices through the ownership map (cyclic partitions). It is
+// DecodeEDToCRS with a search in place of the subtraction: one charge of
+// rows + 1 + 3·nnz once the buffer is accepted, nothing when it is not.
 func DecodeEDToCRSMap(buf []float64, rows int, colMap []int, ctr *cost.Counter) (*CRS, error) {
 	if rows < 0 {
 		return nil, fmt.Errorf("compress: DecodeEDToCRSMap negative row count %d", rows)
 	}
-	if len(buf) < rows {
-		return nil, fmt.Errorf("compress: ED buffer too short: %d words, need %d counts", len(buf), rows)
+	ptr, idx, val, err := decodeED(buf, rows, len(colMap), 0, colMap, "row", "column", ctr)
+	if err != nil {
+		return nil, err
 	}
-	nnz := (len(buf) - rows) / 2
-	ptr, idx := carveInts(rows+1, nnz)
-	m := &CRS{Rows: rows, Cols: len(colMap), RowPtr: ptr, ColIdx: idx}
-	for i := 0; i < rows; i++ {
-		r, err := wordToCount(buf[i])
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED count for row %d: %w", i, err)
-		}
-		m.RowPtr[i+1] = m.RowPtr[i] + r
-		ctr.AddOps(1)
-	}
-	ctr.AddOps(1)
-	if sum := m.RowPtr[rows]; len(buf) != rows+2*sum {
-		return nil, fmt.Errorf("compress: ED buffer length %d, want %d", len(buf), rows+2*sum)
-	}
-	m.Val = make([]float64, nnz)
-	for k := 0; k < nnz; k++ {
-		g, err := wordToIndex(buf[rows+2*k])
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED column index %d: %w", k, err)
-		}
-		l, err := localIndexOf(colMap, g)
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED column index %d: %w", k, err)
-		}
-		m.ColIdx[k] = l
-		m.Val[k] = buf[rows+2*k+1]
-		ctr.AddOps(3)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("compress: decoded ED buffer invalid: %w", err)
-	}
-	return m, nil
+	return &CRS{Rows: rows, Cols: len(colMap), RowPtr: ptr, ColIdx: idx, Val: val}, nil
 }
 
 // DecodeEDToCCSMap decodes a column-major special buffer converting
-// global row indices through the ownership map.
+// global row indices through the ownership map; see DecodeEDToCRSMap.
 func DecodeEDToCCSMap(buf []float64, cols int, rowMap []int, ctr *cost.Counter) (*CCS, error) {
 	if cols < 0 {
 		return nil, fmt.Errorf("compress: DecodeEDToCCSMap negative col count %d", cols)
 	}
-	if len(buf) < cols {
-		return nil, fmt.Errorf("compress: ED buffer too short: %d words, need %d counts", len(buf), cols)
+	ptr, idx, val, err := decodeED(buf, cols, len(rowMap), 0, rowMap, "col", "row", ctr)
+	if err != nil {
+		return nil, err
 	}
-	nnz := (len(buf) - cols) / 2
-	ptr, idx := carveInts(cols+1, nnz)
-	m := &CCS{Rows: len(rowMap), Cols: cols, ColPtr: ptr, RowIdx: idx}
-	for j := 0; j < cols; j++ {
-		r, err := wordToCount(buf[j])
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED count for col %d: %w", j, err)
-		}
-		m.ColPtr[j+1] = m.ColPtr[j] + r
-		ctr.AddOps(1)
-	}
-	ctr.AddOps(1)
-	if sum := m.ColPtr[cols]; len(buf) != cols+2*sum {
-		return nil, fmt.Errorf("compress: ED buffer length %d, want %d", len(buf), cols+2*sum)
-	}
-	m.Val = make([]float64, nnz)
-	for k := 0; k < nnz; k++ {
-		g, err := wordToIndex(buf[cols+2*k])
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED row index %d: %w", k, err)
-		}
-		l, err := localIndexOf(rowMap, g)
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED row index %d: %w", k, err)
-		}
-		m.RowIdx[k] = l
-		m.Val[k] = buf[cols+2*k+1]
-		ctr.AddOps(3)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("compress: decoded ED buffer invalid: %w", err)
-	}
-	return m, nil
+	return &CCS{Rows: len(rowMap), Cols: cols, ColPtr: ptr, RowIdx: idx, Val: val}, nil
 }

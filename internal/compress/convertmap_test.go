@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -60,23 +62,120 @@ func TestConvertRowsToLocal(t *testing.T) {
 	}
 }
 
-func TestEncodeEDPartMatchesRect(t *testing.T) {
-	// For contiguous maps, EncodeEDPart must equal EncodeEDRect.
-	g := sparse.PaperFigure1()
-	rowMap := []int{3, 4, 5}
-	colMap := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	for _, major := range []Major{RowMajor, ColMajor} {
-		got := EncodeEDPart(g.At, rowMap, colMap, major, nil)
-		want := EncodeEDRect(g, 3, 0, 3, 8, major, nil)
-		if len(got) != len(want) {
-			t.Fatalf("%v: length %d, want %d", major, len(got), len(want))
+// blockCases are the rectangles the block kernels are held to the
+// accessor forms on: random interior rectangles of a UniformExact array
+// plus the degenerate shapes — no rows, no columns, an all-zero block
+// and a fully dense one (where the headroom check has no slack).
+func blockCases() (g *sparse.Dense, rects [][4]int) {
+	const n = 48
+	g = sparse.UniformExact(n, n, 0.2, 11)
+	for i := 0; i < 8; i++ { // an all-zero block and a fully dense one
+		for j := 0; j < 8; j++ {
+			g.Set(i, j, 0)
+			g.Set(n-1-i, n-1-j, float64(1+i+j))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%v: word %d = %g, want %g", major, i, got[i], want[i])
+	}
+	rects = [][4]int{
+		{0, 0, n, n},
+		{5, 0, 0, n},         // nr = 0
+		{0, 7, n, 0},         // nc = 0
+		{0, 0, 8, 8},         // all zero
+		{n - 8, n - 8, 8, 8}, // fully dense
+	}
+	rng := rand.New(rand.NewSource(5))
+	for len(rects) < 40 {
+		r0, c0 := rng.Intn(n), rng.Intn(n)
+		rects = append(rects, [4]int{r0, c0, 1 + rng.Intn(n-r0), 1 + rng.Intn(n-c0)})
+	}
+	return g, rects
+}
+
+// TestEncodeEDPartMatchesRect pins the two encode routes to each other:
+// for every rectangle and both layouts the block kernel and the accessor
+// form produce the same words and charge the same total, whether the
+// block kernel starts from no buffer or from a reused one full of
+// another part's words — too small, large enough only until the last
+// lines, or large.
+func TestEncodeEDPartMatchesRect(t *testing.T) {
+	g, rects := blockCases()
+	garbage := func(n int) []float64 {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = -7.5
+		}
+		return b[:0]
+	}
+	for _, rc := range rects {
+		r0, c0, nr, nc := rc[0], rc[1], rc[2], rc[3]
+		rowMap, colMap := rangeIntsTest(r0, r0+nr), rangeIntsTest(c0, c0+nc)
+		for _, major := range []Major{RowMajor, ColMajor} {
+			var wantCtr cost.Counter
+			want := EncodeEDPart(g.At, rowMap, colMap, major, &wantCtr)
+			counts := nr
+			if major == ColMajor {
+				counts = nc
+			}
+			if ops := int64(nr*nc + 3*(len(want)-counts)/2); wantCtr.Ops != ops {
+				t.Fatalf("%v %v: accessor form charged %d ops, want cells + 3·nnz = %d", rc, major, wantCtr.Ops, ops)
+			}
+			for name, buf := range map[string][]float64{
+				"fresh":                nil,
+				"reused, too small":    garbage(3),
+				"reused, grown midway": garbage(len(want)), // no line of headroom near the end
+				"reused, large":        garbage(3 * 48 * 48),
+			} {
+				var ctr cost.Counter
+				got := EncodeEDRectInto(g, r0, c0, nr, nc, major, buf, &ctr)
+				if !slices.Equal(got, want) {
+					t.Errorf("%v %v %s: block kernel and accessor form differ\n got %v\nwant %v", rc, major, name, got, want)
+				}
+				if ctr != wantCtr {
+					t.Errorf("%v %v %s: block kernel charged %v, accessor form %v", rc, major, name, ctr, wantCtr)
+				}
 			}
 		}
 	}
+}
+
+// TestCompressRectMatchesPartGlobal is the same pin for CFS's root
+// compress, in every registered format: the block route returns the
+// array the accessor form returns, global minor indices included, for
+// the same charge.
+func TestCompressRectMatchesPartGlobal(t *testing.T) {
+	g, rects := blockCases()
+	for _, name := range FormatNames() {
+		f, err := FormatByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rc := range rects {
+			r0, c0, nr, nc := rc[0], rc[1], rc[2], rc[3]
+			var ctr, wantCtr cost.Counter
+			got := f.CompressRectGlobal(g, r0, c0, nr, nc, &ctr)
+			want := f.CompressPartGlobal(g.At, rangeIntsTest(r0, r0+nr), rangeIntsTest(c0, c0+nc), &wantCtr)
+			if !partArraysEqual(got, want) {
+				t.Errorf("%s %v: block route and accessor form differ\n got %+v\nwant %+v", name, rc, got, want)
+			}
+			if ctr != wantCtr {
+				t.Errorf("%s %v: block route charged %v, accessor form %v", name, rc, ctr, wantCtr)
+			}
+		}
+	}
+}
+
+func partArraysEqual(a, b PartArray) bool {
+	switch a := a.(type) {
+	case *CRS:
+		b, ok := b.(*CRS)
+		return ok && a.Equal(b)
+	case *CCS:
+		b, ok := b.(*CCS)
+		return ok && a.Equal(b)
+	case *JDS:
+		b, ok := b.(*JDS)
+		return ok && a.Equal(b)
+	}
+	return false
 }
 
 func TestEDMapRoundTripCyclic(t *testing.T) {

@@ -54,45 +54,73 @@ func (m Major) String() string {
 // nonzero — identical to CompressCRS/CCS accounting, which is why the
 // paper's encoding time equals its CFS compression time.
 func EncodeEDRect(g *sparse.Dense, r0, c0, nr, nc int, major Major, ctr *cost.Counter) []float64 {
+	return EncodeEDRectInto(g, r0, c0, nr, nc, major, nil, ctr)
+}
+
+// EncodeEDRectInto is EncodeEDRect writing into buf's backing array —
+// pass a zero-length buffer from machine.GetBuf to reuse one allocation
+// across parts. It is the encode kernel of the block partitions (row,
+// column, mesh: every part a rectangle): one scan of the dense cells,
+// row sub-slices for RowMajor and a strided walk for ColMajor, writing
+// each (C, V) pair by index. The buffer is never sized from a density
+// guess: before each line the kernel checks that a fully dense line
+// still fits, and when it does not — at line 0 for a fresh buffer — it
+// counts the nonzeros still to come and grows once, to exactly what the
+// part needs plus that one line of headroom. A pooled buffer that has
+// seen the run's largest part is therefore never grown again and the
+// whole encode is a single scan. The charge is booked once per part and
+// totals nr·nc + 3·nnz, word for word what EncodeEDPartInto charges
+// cell by cell; the two produce identical buffers
+// (TestEncodeEDPartMatchesRect).
+func EncodeEDRectInto(g *sparse.Dense, r0, c0, nr, nc int, major Major, buf []float64, ctr *cost.Counter) []float64 {
 	if r0 < 0 || c0 < 0 || nr < 0 || nc < 0 || r0+nr > g.Rows() || c0+nc > g.Cols() {
 		panic(fmt.Sprintf("compress: EncodeEDRect(%d,%d,%d,%d) out of range %dx%d",
 			r0, c0, nr, nc, g.Rows(), g.Cols()))
 	}
-	var counts int
-	if major == RowMajor {
-		counts = nr
-	} else {
-		counts = nc
+	lines, span := nr, nc // counts region first, then the pairs line by line
+	if major == ColMajor {
+		lines, span = nc, nr
 	}
-	buf := make([]float64, counts, counts+2*nr*nc/4) // counts region first
-	if major == RowMajor {
-		for i := 0; i < nr; i++ {
-			n := 0
-			for j := 0; j < nc; j++ {
-				if v := g.At(r0+i, c0+j); v != 0 {
-					buf = append(buf, float64(c0+j), v) // global column index
-					n++
-					ctr.AddOps(3)
-				}
+	buf = buf[:cap(buf)]
+	if len(buf) < lines {
+		buf = make([]float64, lines)
+	}
+	data, stride := g.Data(), g.Cols()
+	w := lines
+	for l := 0; l < lines; l++ {
+		if len(buf)-w < 2*span {
+			var rest int // nonzeros of the lines still to come
+			if major == RowMajor {
+				rest = countNonzero(data, stride, r0+l, c0, nr-l, nc)
+			} else {
+				rest = countNonzero(data, stride, r0, c0+l, nr, nc-l)
 			}
-			buf[i] = float64(n)
-			ctr.AddOps(nc)
+			grown := make([]float64, w+2*rest+2*span)
+			copy(grown, buf[:w])
+			buf = grown
 		}
-	} else {
-		for j := 0; j < nc; j++ {
-			n := 0
+		out := buf[w : w+2*span]
+		n := 0
+		if major == RowMajor {
+			at := (r0+l)*stride + c0
+			for j, v := range data[at : at+nc] {
+				out[n], out[n+1] = float64(c0+j), v // global column index
+				n += nonzero(v) << 1
+			}
+		} else {
+			at := r0*stride + c0 + l
 			for i := 0; i < nr; i++ {
-				if v := g.At(r0+i, c0+j); v != 0 {
-					buf = append(buf, float64(r0+i), v) // global row index
-					n++
-					ctr.AddOps(3)
-				}
+				v := data[at]
+				out[n], out[n+1] = float64(r0+i), v // global row index
+				n += nonzero(v) << 1
+				at += stride
 			}
-			buf[j] = float64(n)
-			ctr.AddOps(nr)
 		}
+		buf[l] = float64(n / 2)
+		w += n
 	}
-	return buf
+	ctr.AddOps(nr*nc + 3*(w-lines)/2)
+	return buf[:w]
 }
 
 // AppendEDRows appends the row-major special buffer of rows [lo, hi) of
@@ -135,93 +163,139 @@ func (m *CRS) appendEDPairs(buf []float64, lo, hi int) []float64 {
 // (Cases 3.3.1-3.3.3; pass 0 for no conversion). The counter is charged
 // one operation per produced RO entry and per moved C and V word, plus
 // one per index conversion when colOffset != 0 — the paper's decoding
-// time ⌈n/p⌉·n·(2s' + 1/n) + 1.
+// time ⌈n/p⌉·n·(2s' + 1/n) + 1 — in one call once the buffer has been
+// accepted: a rejected buffer charges nothing, so no caller books work
+// for a part that was not produced. The result needs no further
+// Validate: every check it makes is made here, on the way through.
 func DecodeEDToCRS(buf []float64, rows, cols, colOffset int, ctr *cost.Counter) (*CRS, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("compress: DecodeEDToCRS negative shape %dx%d", rows, cols)
 	}
-	if len(buf) < rows {
-		return nil, fmt.Errorf("compress: ED buffer too short: %d words, need %d counts", len(buf), rows)
+	ptr, idx, val, err := decodeED(buf, rows, cols, colOffset, nil, "row", "column", ctr)
+	if err != nil {
+		return nil, err
 	}
-	// The pair region fixes nnz up front, so RO and CO can be carved
-	// from one backing allocation; the prefix sum must agree below.
-	nnz := (len(buf) - rows) / 2
-	ptr, idx := carveInts(rows+1, nnz)
-	m := &CRS{Rows: rows, Cols: cols, RowPtr: ptr, ColIdx: idx}
-	for i := 0; i < rows; i++ {
-		r, err := wordToCount(buf[i])
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED count for row %d: %w", i, err)
-		}
-		m.RowPtr[i+1] = m.RowPtr[i] + r // RO[i+1] = RO[i] + R_i
-		ctr.AddOps(1)
-	}
-	ctr.AddOps(1) // RO[0] initialisation
-	if sum := m.RowPtr[rows]; len(buf) != rows+2*sum {
-		return nil, fmt.Errorf("compress: ED buffer length %d, want %d (rows %d + 2x%d nnz)",
-			len(buf), rows+2*sum, rows, sum)
-	}
-	m.Val = make([]float64, nnz)
-	for k := 0; k < nnz; k++ {
-		c, err := wordToIndex(buf[rows+2*k])
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED column index %d: %w", k, err)
-		}
-		m.ColIdx[k] = c - colOffset
-		m.Val[k] = buf[rows+2*k+1]
-		ctr.AddOps(2)
-		if colOffset != 0 {
-			ctr.AddOps(1)
-		}
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("compress: decoded ED buffer invalid: %w", err)
-	}
-	return m, nil
+	return &CRS{Rows: rows, Cols: cols, RowPtr: ptr, ColIdx: idx, Val: val}, nil
 }
 
 // DecodeEDToCCS decodes a column-major special buffer into a local CCS of
 // shape rows x cols, subtracting rowOffset from every stored row index.
+// Charging and the rejected-buffer rule are those of DecodeEDToCRS.
 func DecodeEDToCCS(buf []float64, rows, cols, rowOffset int, ctr *cost.Counter) (*CCS, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("compress: DecodeEDToCCS negative shape %dx%d", rows, cols)
 	}
-	if len(buf) < cols {
-		return nil, fmt.Errorf("compress: ED buffer too short: %d words, need %d counts", len(buf), cols)
+	ptr, idx, val, err := decodeED(buf, cols, rows, rowOffset, nil, "col", "row", ctr)
+	if err != nil {
+		return nil, err
 	}
-	nnz := (len(buf) - cols) / 2
-	ptr, idx := carveInts(cols+1, nnz)
-	m := &CCS{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: idx}
-	for j := 0; j < cols; j++ {
-		r, err := wordToCount(buf[j])
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED count for col %d: %w", j, err)
+	return &CCS{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: idx, Val: val}, nil
+}
+
+// decodeED is the decode of both layouts: lines major lines (rows of a
+// CRS, columns of a CCS) whose minor indices must land in [0, span)
+// once made local — by subtracting offset or, when idxMap is non-nil
+// (a strided ownership map of span entries), by finding them in it.
+// Each region of the buffer is walked once. The counts region becomes
+// the pointer array by prefix sum, RO[i+1] = RO[i] + R_i, every count
+// tested as it is added: an exact non-negative integer that does not
+// run past the pair region. The pair region becomes the index and value
+// arrays line by line, every pair tested as it is moved: an exact
+// integer index, inside the span once local, strictly ascending within
+// its line, and a nonzero value — the invariants (*CRS).Validate
+// checks, so no array it would reject is returned.
+func decodeED(buf []float64, lines, span, offset int, idxMap []int, line, minor string, ctr *cost.Counter) (ptr, idx []int, val []float64, err error) {
+	if len(buf) < lines {
+		return nil, nil, nil, fmt.Errorf("compress: ED buffer too short: %d words, need %d counts", len(buf), lines)
+	}
+	// The pair region fixes nnz up front, so the pointer and index arrays
+	// can be carved from one backing allocation sized by the buffer, never
+	// by a count word; the prefix sum must agree below.
+	pairs := buf[lines:]
+	nnz := len(pairs) / 2
+	ptr, idx = carveInts(lines+1, nnz)
+	sum := 0
+	for i, w := range buf[:lines] {
+		r, ok := exactInt(w)
+		if !ok || r < 0 || r > nnz-sum {
+			if _, err := wordToCount(w); err != nil {
+				return nil, nil, nil, fmt.Errorf("compress: ED count for %s %d: %w", line, i, err)
+			}
+			return nil, nil, nil, fmt.Errorf("compress: ED counts reach %d at %s %d, pair region holds %d", sum+r, line, i, nnz)
 		}
-		m.ColPtr[j+1] = m.ColPtr[j] + r
-		ctr.AddOps(1)
+		sum += r
+		ptr[i+1] = sum
 	}
-	ctr.AddOps(1)
-	if sum := m.ColPtr[cols]; len(buf) != cols+2*sum {
-		return nil, fmt.Errorf("compress: ED buffer length %d, want %d (cols %d + 2x%d nnz)",
-			len(buf), cols+2*sum, cols, sum)
+	if len(pairs) != 2*sum {
+		return nil, nil, nil, fmt.Errorf("compress: ED buffer length %d, want %d (%d counts + 2x%d nnz)",
+			len(buf), lines+2*sum, lines, sum)
 	}
-	m.Val = make([]float64, nnz)
-	for k := 0; k < nnz; k++ {
-		r, err := wordToIndex(buf[cols+2*k])
-		if err != nil {
-			return nil, fmt.Errorf("compress: ED row index %d: %w", k, err)
+	val = make([]float64, nnz)
+	for i := 0; i < lines; i++ {
+		prev := -1
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			w, v := pairs[2*k], pairs[2*k+1]
+			g, ok := exactInt(w)
+			if !ok {
+				_, err := wordToIndex(w)
+				return nil, nil, nil, fmt.Errorf("compress: ED %s index %d: %w", minor, k, err)
+			}
+			j := g - offset
+			if idxMap != nil {
+				if j, err = localIndexOf(idxMap, g); err != nil {
+					return nil, nil, nil, fmt.Errorf("compress: ED %s index %d: %w", minor, k, err)
+				}
+			}
+			switch {
+			case j < 0 || j >= span:
+				return nil, nil, nil, fmt.Errorf("compress: ED %s index %d out of range %d in %s %d", minor, j, span, line, i)
+			case j <= prev:
+				return nil, nil, nil, fmt.Errorf("compress: ED %s indices not ascending in %s %d", minor, line, i)
+			case v == 0:
+				return nil, nil, nil, fmt.Errorf("compress: ED explicit zero in %s %d at %s %d", line, i, minor, j)
+			}
+			idx[k], val[k], prev = j, v, j
 		}
-		m.RowIdx[k] = r - rowOffset
-		m.Val[k] = buf[cols+2*k+1]
-		ctr.AddOps(2)
-		if rowOffset != 0 {
-			ctr.AddOps(1)
+	}
+	perPair := 2 // the C and V moves
+	if offset != 0 || idxMap != nil {
+		perPair = 3 // and the index conversion
+	}
+	ctr.AddOps(lines + 1 + perPair*nnz) // RO entries, RO[0] included
+	return ptr, idx, val, nil
+}
+
+// countNonzero counts the nonzeros of the rectangle [r0, r0+nr) x
+// [c0, c0+nc) of a row-major array with the given row stride.
+func countNonzero(data []float64, stride, r0, c0, nr, nc int) int {
+	n := 0
+	for i := 0; i < nr; i++ {
+		at := (r0+i)*stride + c0
+		for _, v := range data[at : at+nc] {
+			if v != 0 {
+				n++
+			}
 		}
 	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("compress: decoded ED buffer invalid: %w", err)
-	}
-	return m, nil
+	return n
+}
+
+// exactInt converts a wire word to the integer it holds exactly:
+// ok is false for NaN, the infinities, fractions and magnitudes at or
+// beyond 2^53 — everything wordToIndex rejects, which callers use on
+// the failure path to name the reason.
+func exactInt(w float64) (n int, ok bool) {
+	n = int(w)
+	return n, float64(n) == w && w < maxExactWord && w > -maxExactWord
+}
+
+// nonzero returns 1 when v != 0 and 0 otherwise (so for both signed
+// zeros), without a branch: at the paper's sparse ratios the taken
+// branch of `if v != 0` is the scan's dominant cost, mispredicted once
+// per nonzero.
+func nonzero(v float64) int {
+	b := math.Float64bits(v) << 1 // drop the sign
+	return int((b | -b) >> 63)
 }
 
 func wordToCount(w float64) (int, error) {

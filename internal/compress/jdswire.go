@@ -118,14 +118,10 @@ func (m *JDS) ShiftCols(delta int, ctr *cost.Counter) {
 }
 
 // ConvertColsToLocal rewrites global column indices into local ones via
-// the sorted ownership map.
+// the sorted ownership map; see (*CRS).ConvertColsToLocal.
 func (m *JDS) ConvertColsToLocal(colMap []int, ctr *cost.Counter) error {
-	for k, g := range m.ColIdx {
-		l, err := localIndexOf(colMap, g)
-		if err != nil {
-			return fmt.Errorf("compress: JDS col %d: %w", k, err)
-		}
-		m.ColIdx[k] = l
+	if err := convertToLocal(m.ColIdx, colMap, "JDS col"); err != nil {
+		return err
 	}
 	ctr.AddOps(len(m.ColIdx))
 	return nil

@@ -43,6 +43,10 @@ type Format struct {
 	// array through its row/column maps, keeping global minor indices
 	// (CFS's root-side compression phase).
 	CompressPartGlobal func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray
+	// compressRect is the format's block kernel: CompressPartGlobal for
+	// a part that is a rectangle of the materialised global array.
+	// Callers reach it through CompressRectGlobal.
+	compressRect func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray
 	// HeaderExtra is the format-specific word the wire header carries
 	// beyond the part shape (JDS: diagonal count; otherwise 0).
 	HeaderExtra func(a PartArray) int64
@@ -65,6 +69,13 @@ type Format struct {
 	// localising minor indices via idxMap when non-nil, else by offset
 	// (Cases 3.3.1-3.3.3).
 	DecodeED func(buf []float64, rows, cols, offset int, idxMap []int, ctr *cost.Counter) (PartArray, error)
+}
+
+// CompressRectGlobal is CompressPartGlobal for the part [r0, r0+nr) x
+// [c0, c0+nc) of the materialised global array g — the block route of
+// CFS's root compress (part.go): same array, same charges, no accessor.
+func (f *Format) CompressRectGlobal(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
+	return f.compressRect(g, r0, c0, nr, nc, ctr)
 }
 
 var formats = map[string]*Format{}
@@ -113,6 +124,9 @@ func init() {
 		CompressPartGlobal: func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
 			return CompressCRSPartGlobal(at, rowMap, colMap, ctr)
 		},
+		compressRect: func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
+			return CompressCRSRectGlobal(g, r0, c0, nr, nc, ctr)
+		},
 		HeaderExtra: func(PartArray) int64 { return 0 },
 		WireCap: func(a PartArray) int {
 			m := a.(*CRS)
@@ -152,6 +166,9 @@ func init() {
 		},
 		CompressPartGlobal: func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
 			return CompressCCSPartGlobal(at, rowMap, colMap, ctr)
+		},
+		compressRect: func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
+			return CompressCCSRectGlobal(g, r0, c0, nr, nc, ctr)
 		},
 		HeaderExtra: func(PartArray) int64 { return 0 },
 		WireCap: func(a PartArray) int {
@@ -200,6 +217,9 @@ func init() {
 		},
 		CompressPartGlobal: func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
 			return CompressJDSPartGlobal(at, rowMap, colMap, ctr)
+		},
+		compressRect: func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
+			return CompressJDSRectGlobal(g, r0, c0, nr, nc, ctr)
 		},
 		HeaderExtra: func(a PartArray) int64 {
 			return int64(a.(*JDS).NumDiagonals())

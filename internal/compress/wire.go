@@ -44,7 +44,8 @@ func PackCRSInto(m *CRS, buf []float64, ctr *cost.Counter) []float64 {
 // UnpackCRS deserialises a buffer produced by PackCRS into a CRS of the
 // given shape. The result may still hold global column indices; apply
 // ShiftCols afterwards per Case 3.2.2/3.2.3. Validation is deferred to
-// the caller for that reason.
+// the caller for that reason. The charge is made once, after the last
+// word has been accepted: a rejected buffer charges nothing.
 func UnpackCRS(buf []float64, rows, cols int, ctr *cost.Counter) (*CRS, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("compress: UnpackCRS negative shape %dx%d", rows, cols)
@@ -105,6 +106,7 @@ func PackCCSInto(m *CCS, buf []float64, ctr *cost.Counter) []float64 {
 
 // UnpackCCS deserialises a buffer produced by PackCCS into a CCS of the
 // given shape. RowIdx may still hold global indices; apply ShiftRows.
+// As with UnpackCRS, a rejected buffer charges nothing.
 func UnpackCCS(buf []float64, rows, cols int, ctr *cost.Counter) (*CCS, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("compress: UnpackCCS negative shape %dx%d", rows, cols)

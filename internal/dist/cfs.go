@@ -45,25 +45,40 @@ func (CFS) Prepare(*runState) error { return nil }
 // EncodePart implements Codec: compress part k with global minor
 // indices (compression phase), then — under the CFSConvertAtRoot
 // ablation — localise indices, and pack for the wire (distribution
-// phase). The wire buffer comes from the machine's pool.
+// phase). The wire buffer comes from the machine's pool. A rectangular
+// part (partRect) is compressed in place by the block kernel; any other
+// part goes through the accessor form.
 func (c CFS) EncodePart(run *runState, k int, pp *partPayload) error {
-	return c.EncodePartAt(run, k, run.global.At, pp)
+	r0, c0, nr, nc, ok := partRect(run.part, k)
+	if !ok {
+		return c.EncodePartAt(run, k, run.global.At, pp)
+	}
+	start := time.Now()
+	a := run.format.CompressRectGlobal(run.global, r0, c0, nr, nc, &pp.comp)
+	pp.wallComp = time.Since(start)
+	return c.packPart(run, k, nr, nc, a, pp)
 }
 
 // EncodePartAt implements canonicalEncoder: the same encode driven by a
 // cell accessor instead of the materialized global array, so a
 // streaming receiver can replay the root's canonical encode — with
 // byte-identical payload and charges — from its accumulated entries.
-func (CFS) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
-	f := run.format
+func (c CFS) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
-	pp.meta = [4]int64{int64(len(rowMap)), int64(len(colMap))}
 	start := time.Now()
-	a := f.CompressPartGlobal(at, rowMap, colMap, &pp.comp)
+	a := run.format.CompressPartGlobal(at, rowMap, colMap, &pp.comp)
 	pp.wallComp = time.Since(start)
-	start = time.Now()
+	return c.packPart(run, k, len(rowMap), len(colMap), a, pp)
+}
+
+// packPart is the distribution-phase tail of both encode routes: the
+// nr x nc compressed part a becomes part k's wire payload.
+func (CFS) packPart(run *runState, k, nr, nc int, a compress.PartArray, pp *partPayload) error {
+	f := run.format
+	pp.meta = [4]int64{int64(nr), int64(nc)}
+	start := time.Now()
 	if run.opts.CFSConvertAtRoot {
-		if err := localiseMinor(f, a, rowMap, colMap, &pp.dist); err != nil {
+		if err := localiseMinor(f, a, run.part.RowMap(k), run.part.ColMap(k), &pp.dist); err != nil {
 			return fmt.Errorf("dist: CFS root convert for %d: %w", k, err)
 		}
 	}

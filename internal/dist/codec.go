@@ -112,6 +112,28 @@ func (r *Result) allocLocals(p int) {
 	}
 }
 
+// partRect reports whether part k is a rectangle of the global array —
+// both ownership maps contiguous, as in the paper's row, column and mesh
+// partitions — and returns it. It is the one rule that selects the
+// root's encode route: a rectangle of the materialised global array is
+// scanned in place by the block kernels (compress.EncodeEDRectInto,
+// Format.CompressRectGlobal); every other part (cyclic, block-cyclic)
+// and the streaming replay, which has no dense array, go through the
+// accessor forms. The two routes produce identical payloads and charges.
+func partRect(part partition.Partition, k int) (r0, c0, nr, nc int, ok bool) {
+	rowMap, colMap := part.RowMap(k), part.ColMap(k)
+	if !partition.Contiguous(rowMap) || !partition.Contiguous(colMap) {
+		return 0, 0, 0, 0, false
+	}
+	if len(rowMap) > 0 {
+		r0 = rowMap[0]
+	}
+	if len(colMap) > 0 {
+		c0 = colMap[0]
+	}
+	return r0, c0, len(rowMap), len(colMap), true
+}
+
 // localiseMinor converts an array's global minor indices to part-local
 // ones: contiguous ownership maps subtract the map origin (Cases
 // x.2/x.3 of the paper; a zero origin is Case x.1 and charges nothing),

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/partition"
@@ -406,21 +407,89 @@ func TestBreakdownWallTimesPopulated(t *testing.T) {
 	}
 }
 
+// TestVerifyDetectsCorruption: for every storage method, on a block
+// and on a cyclic partition, Verify accepts what the engine produced
+// and rejects it once one value, one index or one part's placement is
+// wrong, or a part is missing.
 func TestVerifyDetectsCorruption(t *testing.T) {
-	g := sparse.Uniform(16, 16, 0.2, 8)
-	part, _ := partition.NewRow(16, 16, 4)
-	m := newMachine(t, 4)
-	res, err := ED{}.Distribute(m, g, part, Options{})
-	if err != nil {
-		t.Fatal(err)
+	g := sparse.Uniform(16, 16, 0.3, 8)
+	row, _ := partition.NewRow(16, 16, 4)
+	cyc, _ := partition.NewCyclicRow(16, 16, 4)
+	for _, part := range []partition.Partition{row, cyc} {
+		for _, method := range []Method{CRS, CCS, JDS} {
+			fresh := func() *Result {
+				res, err := ED{}.Distribute(newMachine(t, 4), g, part, Options{Method: method})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			name := part.Name() + "/" + method.String()
+			if err := Verify(g, part, fresh()); err != nil {
+				t.Errorf("%s: intact result rejected: %v", name, err)
+			}
+			for what, corrupt := range map[string]func(*Result){
+				"value": func(r *Result) {
+					switch method {
+					case CRS:
+						r.LocalCRS[2].Val[0]++
+					case CCS:
+						r.LocalCCS[2].Val[0]++
+					case JDS:
+						r.LocalJDS[2].Val[0]++
+					}
+				},
+				"moved nonzero": func(r *Result) { // still a valid array, of other cells
+					g2 := g.Clone()
+					i, j := part.RowMap(2)[0], part.ColMap(2)[0]
+					g2.Set(i, j, 1-g2.At(i, j)) // flip one cell between zero and nonzero
+					local := partition.Extract(g2, part, 2)
+					switch method {
+					case CRS:
+						r.LocalCRS[2] = compress.CompressCRS(local, nil)
+					case CCS:
+						r.LocalCCS[2] = compress.CompressCCS(local, nil)
+					case JDS:
+						r.LocalJDS[2] = compress.CompressJDS(local, nil)
+					}
+				},
+				"parts swapped": func(r *Result) {
+					r.LocalCRS, r.LocalCCS, r.LocalJDS = swap01(r.LocalCRS), swap01(r.LocalCCS), swap01(r.LocalJDS)
+				},
+				"part missing": func(r *Result) {
+					switch method {
+					case CRS:
+						r.LocalCRS[3] = nil
+					case CCS:
+						r.LocalCCS[3] = nil
+					case JDS:
+						r.LocalJDS[3] = nil
+					}
+				},
+				"too few parts": func(r *Result) {
+					r.LocalCRS, r.LocalCCS, r.LocalJDS = first3(r.LocalCRS), first3(r.LocalCCS), first3(r.LocalJDS)
+				},
+			} {
+				res := fresh()
+				corrupt(res)
+				if err := Verify(g, part, res); err == nil {
+					t.Errorf("%s: Verify accepted a result with %s", name, what)
+				}
+			}
+		}
 	}
-	res.LocalCRS[2].Val[0] += 1 // corrupt one value
-	if err := Verify(g, part, res); err == nil {
-		t.Error("Verify accepted corrupted result")
-	}
-	if err := Verify(g, part, nil); err == nil {
+	if err := Verify(g, row, nil); err == nil {
 		t.Error("Verify accepted nil result")
 	}
+}
+
+func first3[T any](s []T) []T { return s[:min(3, len(s))] }
+
+func swap01[T any](s []T) []T {
+	if len(s) > 1 {
+		s[0], s[1] = s[1], s[0]
+	}
+	return s
 }
 
 func TestMethodString(t *testing.T) {

@@ -52,32 +52,50 @@ func (ED) Prepare(*runState) error { return nil }
 // EncodePart implements Codec: encode part k's special buffer
 // (compression phase). The buffer itself is the wire message — no
 // separate packing step. JDS rides the row-major buffer (Format.Major)
-// and re-lays diagonals at the receiver.
+// and re-lays diagonals at the receiver. A rectangular part (partRect)
+// is scanned in place by the block kernel; any other part goes through
+// the accessor form.
 func (e ED) EncodePart(run *runState, k int, pp *partPayload) error {
-	return e.EncodePartAt(run, k, run.global.At, pp)
+	r0, c0, nr, nc, ok := partRect(run.part, k)
+	if !ok {
+		return e.EncodePartAt(run, k, run.global.At, pp)
+	}
+	pp.meta = [4]int64{int64(nr), int64(nc)}
+	start := time.Now()
+	pp.buf = compress.EncodeEDRectInto(run.global, r0, c0, nr, nc, run.format.Major, machine.GetBuf(0), &pp.comp)
+	pp.pooled = true
+	pp.wallComp = time.Since(start)
+	return e.checkEncoded(run, k, pp)
 }
 
 // EncodePartAt implements canonicalEncoder: the same encode driven by a
 // cell accessor instead of the materialized global array, so a
 // streaming receiver can replay the root's canonical encode — with
 // byte-identical payload and charges — from its accumulated entries.
-func (ED) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
+func (e ED) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	pp.meta = [4]int64{int64(len(rowMap)), int64(len(colMap))}
 	start := time.Now()
 	pp.buf = compress.EncodeEDPartInto(at, rowMap, colMap, run.format.Major, machine.GetBuf(0), &pp.comp)
 	pp.pooled = true
 	pp.wallComp = time.Since(start)
-	if run.opts.Check {
-		// Root-side invariant: the special buffer is well formed and
-		// every stored index stays inside the part's cross product.
-		counts, minor := len(rowMap), colMap
-		if run.format.Major == compress.ColMajor {
-			counts, minor = len(colMap), rowMap
-		}
-		if err := check.EDBufferOwned(pp.buf, counts, minor); err != nil {
-			return fmt.Errorf("dist: ED encode part %d: %w", k, err)
-		}
+	return e.checkEncoded(run, k, pp)
+}
+
+// checkEncoded is the root-side invariant under Options.Check: the
+// special buffer is well formed and every stored index stays inside the
+// part's cross product.
+func (ED) checkEncoded(run *runState, k int, pp *partPayload) error {
+	if !run.opts.Check {
+		return nil
+	}
+	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
+	counts, minor := len(rowMap), colMap
+	if run.format.Major == compress.ColMajor {
+		counts, minor = len(colMap), rowMap
+	}
+	if err := check.EDBufferOwned(pp.buf, counts, minor); err != nil {
+		return fmt.Errorf("dist: ED encode part %d: %w", k, err)
 	}
 	return nil
 }
