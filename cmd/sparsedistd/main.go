@@ -161,7 +161,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	if len(peerList) > 0 {
 		fmt.Fprintf(os.Stderr, "sparsedistd: serving on http://%s (queue %d, workers %d, %d peers)\n",
 			ln.Addr(), *queue, *workers, len(peerList))
@@ -192,6 +192,27 @@ func main() {
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal(err)
 		}
+	}
+}
+
+// Connection deadlines. Every handler answers from memory — a submit
+// enqueues, a status read copies — so a connection slower than these
+// is stalled or hostile, not busy; without them a client that never
+// finishes its headers holds its connection forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second // headers plus the (size-capped) body
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute // keep-alive between one client's polls
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -104,5 +105,28 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, f.wantErrSub)
 			}
 		})
+	}
+}
+
+// TestHTTPServerDeadlines: the daemon's listener may not be the
+// zero-valued http.Server, which waits forever on a client that never
+// finishes its headers, its body or its read of the response.
+func TestHTTPServerDeadlines(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.Handler == nil {
+		t.Error("handler not installed")
+	}
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": hs.ReadHeaderTimeout,
+		"ReadTimeout":       hs.ReadTimeout,
+		"WriteTimeout":      hs.WriteTimeout,
+		"IdleTimeout":       hs.IdleTimeout,
+	} {
+		if d <= 0 || d > 5*time.Minute {
+			t.Errorf("%s = %v, want a finite positive deadline", name, d)
+		}
+	}
+	if hs.ReadHeaderTimeout > hs.ReadTimeout {
+		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v, which covers the headers too", hs.ReadHeaderTimeout, hs.ReadTimeout)
 	}
 }

@@ -91,8 +91,10 @@ func Operation(iters int) (time.Duration, error) {
 
 // Wire measures T_Startup and T_Data over the given transport factory
 // by timing one-way transfers of increasing payloads between two ranks
-// and fitting time = T_Startup + words·T_Data. reps transfers are
-// averaged per size.
+// and fitting time = T_Startup + words·T_Data. Each size keeps the
+// fastest of its reps round trips: scheduling and timer noise only
+// ever add to a transfer, so the minimum is the closest sample to the
+// transport's own cost.
 func Wire(newTransport func(p int) (machine.Transport, error), sizes []int, reps int) (Fit, error) {
 	if len(sizes) < 2 {
 		return Fit{}, fmt.Errorf("calibrate: need >= 2 payload sizes")
@@ -118,11 +120,11 @@ func Wire(newTransport func(p int) (machine.Transport, error), sizes []int, reps
 			return Fit{}, fmt.Errorf("calibrate: negative payload size %d", words)
 		}
 		payload := make([]float64, words)
-		var elapsed time.Duration
+		var fastest time.Duration
 		err := m.Run(func(p *machine.Proc) error {
 			if p.Rank == 0 {
-				start := time.Now()
 				for r := 0; r < reps; r++ {
+					start := time.Now()
 					if err := p.Send(1, 1, [4]int64{}, payload, nil); err != nil {
 						return err
 					}
@@ -130,8 +132,10 @@ func Wire(newTransport func(p int) (machine.Transport, error), sizes []int, reps
 					if _, err := p.RecvFrom(1, 2); err != nil {
 						return err
 					}
+					if d := time.Since(start); r == 0 || d < fastest {
+						fastest = d
+					}
 				}
-				elapsed = time.Since(start)
 				return nil
 			}
 			for r := 0; r < reps; r++ {
@@ -148,10 +152,10 @@ func Wire(newTransport func(p int) (machine.Transport, error), sizes []int, reps
 			return Fit{}, err
 		}
 		// Each round trip is one payload transfer plus one empty ack:
-		// time/rep ≈ 2·T_Startup + words·T_Data. Halve the intercept
+		// time ≈ 2·T_Startup + words·T_Data. Halve the intercept
 		// later; the slope is unaffected.
 		xs = append(xs, float64(words))
-		ys = append(ys, float64(elapsed.Nanoseconds())/float64(reps))
+		ys = append(ys, float64(fastest.Nanoseconds()))
 	}
 	fit, err := fitLinear(xs, ys)
 	if err != nil {

@@ -106,11 +106,13 @@ func TestHostCalibration(t *testing.T) {
 
 func TestLinkFitModelTransport(t *testing.T) {
 	// A model transport with large known unit costs dominates channel
-	// noise, so the fitted link must land near the configured values.
+	// noise, so the fitted link must land near the configured values:
+	// the slope rests on an 8 ms spread between the payload sizes, well
+	// above the sleep jitter the fastest of three round trips lets through.
 	params := cost.Params{TStartup: 2 * time.Millisecond, TData: 2 * time.Microsecond, TOperation: time.Nanosecond}
 	link, fit, err := LinkFit(func(p int) (machine.Transport, error) {
 		return machine.NewModelTransport(machine.NewChanTransport(p), params), nil
-	}, []int{0, 200, 400}, 2)
+	}, []int{0, 2000, 4000}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

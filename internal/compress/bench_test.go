@@ -53,8 +53,9 @@ func BenchmarkEncodeED(b *testing.B) {
 	})
 }
 
-// BenchmarkCompressPart is the CFS root compress of the whole array:
-// the block route against the accessor form it is pinned to.
+// BenchmarkCompressPart is the CFS root compress of the whole array in
+// each of the three methods: the block route against the accessor form
+// it is pinned to.
 func BenchmarkCompressPart(b *testing.B) {
 	g := benchArray()
 	all := rangeIntsTest(0, benchN)
@@ -66,6 +67,8 @@ func BenchmarkCompressPart(b *testing.B) {
 		{"accessor/CRS", func() { CompressCRSPartGlobal(g.At, all, all, nil) }},
 		{"block/CCS", func() { CompressCCSRectGlobal(g, 0, 0, benchN, benchN, nil) }},
 		{"accessor/CCS", func() { CompressCCSPartGlobal(g.At, all, all, nil) }},
+		{"block/JDS", func() { CompressJDSRectGlobal(g, 0, 0, benchN, benchN, nil) }},
+		{"accessor/JDS", func() { CompressJDSPartGlobal(g.At, all, all, nil) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

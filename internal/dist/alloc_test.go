@@ -14,7 +14,7 @@ import (
 // partition's per-call ownership maps and a few fixed words remain.
 // Before pooling, this cycle allocated (and grew) a fresh wire buffer
 // per part; a regression reintroducing that shows up here long before
-// it shows up in BenchmarkRootEncode.
+// it shows up in BenchmarkRun's allocs/op.
 func TestEDEncodeSendSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under -race")

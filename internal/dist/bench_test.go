@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -10,14 +13,50 @@ import (
 	"repro/internal/sparse"
 )
 
+// benchDistribute is the loop every whole-distribution benchmark here
+// shares: b.N distributions on one machine of the given transport,
+// reused across iterations. wdist-ms and wcomp-ms are the measured
+// phases of the paper's split (root time plus the slowest rank's),
+// vdist-ms and vcomp-ms the virtual clock's figures for the same run.
+func benchDistribute(b *testing.B, tcp bool, s Scheme, g *sparse.Dense, part partition.Partition, opts Options) {
+	b.Helper()
+	var mopts []machine.Option
+	if tcp {
+		tr, err := machine.NewTCPTransport(part.NumParts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		mopts = append(mopts, machine.WithTransport(tr))
+	}
+	m, err := machine.New(part.NumParts(), mopts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	var last *Result
+	var wdist, wcomp time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if last, err = s.Distribute(m, g, part, opts); err != nil {
+			b.Fatal(err)
+		}
+		wdist += last.Breakdown.WallDistribution()
+		wcomp += last.Breakdown.WallCompression()
+	}
+	b.StopTimer()
+	bd := last.Breakdown
+	b.ReportMetric(float64(wdist.Microseconds())/1e3/float64(b.N), "wdist-ms")
+	b.ReportMetric(float64(wcomp.Microseconds())/1e3/float64(b.N), "wcomp-ms")
+	b.ReportMetric(float64(bd.DistributionTime(cost.DefaultParams))/1e6, "vdist-ms")
+	b.ReportMetric(float64(bd.CompressionTime(cost.DefaultParams))/1e6, "vcomp-ms")
+}
+
 // BenchmarkRun is one whole distribution of the Table-3 array (n=1000,
 // s=0.1, p=4, CRS) per scheme and block partition over the in-process
-// chan transport, on one machine reused across iterations — the host
-// column of EXPERIMENTS.md "Remarks on the wall clock". wdist-ms and
-// wcomp-ms are the measured phases of the paper's split (root time plus
-// the slowest rank's), vdist-ms and vcomp-ms the virtual clock's
-// figures for the same run. CI runs it with -benchtime=1x so it cannot
-// rot.
+// chan transport — the host column of EXPERIMENTS.md "Remarks on the
+// wall clock" and, with cmd/tables for the full grid, what stands for
+// the paper's Tables 3-5 on this host.
 func BenchmarkRun(b *testing.B) {
 	const n, p = 1000, 4
 	g := sparse.UniformExact(n, n, 0.1, 7)
@@ -40,29 +79,131 @@ func BenchmarkRun(b *testing.B) {
 	for _, s := range Schemes() {
 		for _, pt := range parts {
 			b.Run(s.Name()+"/"+pt.name, func(b *testing.B) {
-				m, err := machine.New(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer m.Close()
-				var last *Result
-				var wdist, wcomp time.Duration
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if last, err = s.Distribute(m, g, pt.part, Options{}); err != nil {
-						b.Fatal(err)
-					}
-					wdist += last.Breakdown.WallDistribution()
-					wcomp += last.Breakdown.WallCompression()
-				}
-				b.StopTimer()
-				bd := last.Breakdown
-				b.ReportMetric(float64(wdist.Microseconds())/1e3/float64(b.N), "wdist-ms")
-				b.ReportMetric(float64(wcomp.Microseconds())/1e3/float64(b.N), "wcomp-ms")
-				b.ReportMetric(float64(bd.DistributionTime(cost.DefaultParams))/1e6, "vdist-ms")
-				b.ReportMetric(float64(bd.CompressionTime(cost.DefaultParams))/1e6, "vcomp-ms")
+				benchDistribute(b, false, s, g, pt.part, Options{})
 			})
 		}
 	}
+}
+
+// BenchmarkAblationSparseRatio sweeps s to locate the wall-clock
+// crossover between SFC and ED that Remark 5 predicts: as s grows, ED's
+// wire savings shrink while its decode cost grows.
+func BenchmarkAblationSparseRatio(b *testing.B) {
+	part, err := partition.NewCol(400, 400, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range []float64{0.01, 0.05, 0.1, 0.2, 0.4} {
+		g := sparse.UniformExact(400, 400, s, 8)
+		for _, scheme := range []Scheme{SFC{}, ED{}} {
+			b.Run(fmt.Sprintf("%s/s=%g", scheme.Name(), s), func(b *testing.B) {
+				benchDistribute(b, false, scheme, g, part, Options{})
+			})
+		}
+	}
+}
+
+// BenchmarkAblationCFSConvert compares the paper's receiver-side index
+// conversion against the convert-at-root variant on a mesh partition
+// (where conversion is needed, Case 3.2.3).
+func BenchmarkAblationCFSConvert(b *testing.B) {
+	g := sparse.UniformExact(480, 480, 0.1, 10)
+	part, err := partition.NewMesh(480, 480, 2, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		atRoot bool
+	}{{"receiver-side", false}, {"root-side", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			benchDistribute(b, false, CFS{}, g, part, Options{CFSConvertAtRoot: c.atRoot})
+		})
+	}
+}
+
+// BenchmarkAblationEDOverlap compares the sequential ED root loop with
+// the pipelined variant over the TCP transport, where send time is real
+// enough to hide encoding behind.
+func BenchmarkAblationEDOverlap(b *testing.B) {
+	g := sparse.UniformExact(800, 800, 0.1, 13)
+	part, err := partition.NewRow(800, 800, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		overlap bool
+	}{{"sequential", false}, {"pipelined", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			benchDistribute(b, true, ED{}, g, part, Options{EDOverlap: c.overlap})
+		})
+	}
+}
+
+// BenchmarkStreamDistribute/gate holds the out-of-core engine to its
+// memory claim against the materializing one on the same >=10M-nonzero
+// chunked source (n=12288 at ~6.7% density, ED/CRS, row partition, p=8,
+// an 8 MiB root budget): its heap high-water mark is at most half — the
+// materializing side pays the 1.2 GiB dense array streaming exists to
+// avoid. The GC headroom is halved for both sides, because under the
+// default 100% a churn-heavy profile rides HeapAlloc to twice its live
+// set and the high-water mark would measure the collector's laziness as
+// much as the footprint. Time is not gated here: on this input it is
+// decided by the state of the process's page mappings, not by either
+// engine (EXPERIMENTS.md "Where each number comes from").
+func BenchmarkStreamDistribute(b *testing.B) {
+	const (
+		n   = 12288
+		p   = 8
+		nnz = 10_066_330 // ~0.067 * n * n
+	)
+	part, err := partition.NewRow(n, n, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	source := func() sparse.ChunkReader {
+		return sparse.NewUniformStream(n, n, nnz, 77, sparse.DefaultChunkEntries)
+	}
+	b.Run("gate", func(b *testing.B) {
+		defer debug.SetGCPercent(debug.SetGCPercent(50))
+		// peakMiB is the heap high-water mark of one distribution on a
+		// fresh machine.
+		peakMiB := func(run func(m *machine.Machine) error) float64 {
+			m, err := machine.New(p, machine.WithRecvTimeout(300*time.Second))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			runtime.GC() // the other side's garbage is not this side's peak
+			peak, err := heapHighWater(func() error { return run(m) })
+			if err != nil {
+				b.Fatal(err)
+			}
+			return float64(peak) / (1 << 20)
+		}
+		var mat, stream float64
+		for i := 0; i < b.N; i++ {
+			mat = peakMiB(func(m *machine.Machine) error {
+				g, err := sparse.Materialize(source())
+				if err != nil {
+					return err
+				}
+				_, err = Run(m, Plan{Codec: ED{}, Global: g, Partition: part})
+				return err
+			})
+			stream = peakMiB(func(m *machine.Machine) error {
+				_, err := RunStream(m, StreamPlan{Codec: ED{}, Source: source(), Partition: part,
+					Stream: StreamOptions{MemBudget: 8 << 20}})
+				return err
+			})
+		}
+		b.ReportMetric(0, "ns/op") // suppressed: the gate is on memory
+		b.ReportMetric(mat, "mat-peak-MB")
+		b.ReportMetric(stream, "stream-peak-MB")
+		b.ReportMetric(stream/mat, "peak-ratio")
+		if stream/mat > 0.5 {
+			b.Fatalf("streaming heap high-water is %.3f of materializing, above the 0.50 bound", stream/mat)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,26 +245,29 @@ func TestStreamSetupErrors(t *testing.T) {
 	}
 }
 
-// heapHighWater samples HeapAlloc until stop is closed and reports the
-// maximum seen. ReadMemStats is a stop-the-world probe, so the sample
-// period is coarse; flushes happen continuously, so the high-water mark
-// is still representative.
-func heapHighWater(stop <-chan struct{}, peak *atomic.Uint64) {
-	var ms runtime.MemStats
-	for {
-		runtime.ReadMemStats(&ms)
+// heapHighWater runs fn while sampling HeapAlloc and reports the maximum
+// seen. ReadMemStats is a stop-the-world probe, so the sample period is
+// coarse; flushes happen continuously, so the high-water mark is still
+// representative.
+func heapHighWater(fn func() error) (uint64, error) {
+	stop, done := make(chan struct{}), make(chan uint64)
+	go func() {
+		var ms runtime.MemStats
+		var peak uint64
 		for {
-			old := peak.Load()
-			if ms.HeapAlloc <= old || peak.CompareAndSwap(old, ms.HeapAlloc) {
-				break
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+			select {
+			case <-stop:
+				done <- peak
+				return
+			case <-time.After(2 * time.Millisecond):
 			}
 		}
-		select {
-		case <-stop:
-			return
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
+	}()
+	err := fn()
+	close(stop)
+	return <-done, err
 }
 
 // TestStreamIngesterBoundedMemory is the bounded-memory guard: route a
@@ -297,10 +299,6 @@ func TestStreamIngesterBoundedMemory(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	baseline := ms.HeapAlloc
 
-	var peak atomic.Uint64
-	stop := make(chan struct{})
-	go heapHighWater(stop, &peak)
-
 	var delivered int64
 	sink := func(k int, entries []sparse.Entry) error {
 		delivered += int64(len(entries))
@@ -309,18 +307,19 @@ func TestStreamIngesterBoundedMemory(t *testing.T) {
 	opts := StreamOptions{FlushEntries: 8192, MemBudget: budget}.withDefaults(p)
 	si := newStreamIngester(loc, p, opts.FlushEntries, opts.budgetEntries(p), sink)
 	src := sparse.NewUniformStream(n, n, nnz, 42, sparse.DefaultChunkEntries)
-	if err := si.run(src, Options{}, nil); err != nil {
+	high, err := heapHighWater(func() error {
+		if err := si.run(src, Options{}, nil); err != nil {
+			return err
+		}
+		return si.drain()
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := si.drain(); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
 
 	if delivered != nnz {
 		t.Fatalf("delivered %d entries, want %d", delivered, nnz)
 	}
-	high := peak.Load()
 	if high < baseline {
 		high = baseline
 	}

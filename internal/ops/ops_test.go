@@ -209,3 +209,28 @@ func TestVectorHelpers(t *testing.T) {
 		t.Errorf("Norm2 = %g, want 5", got)
 	}
 }
+
+// BenchmarkSpMVFormats times the sequential y = A·x kernels — the
+// oracles every distributed op is checked against — across the three
+// local formats on one 800x800 array at s = 0.1.
+func BenchmarkSpMVFormats(b *testing.B) {
+	g := sparse.UniformExact(800, 800, 0.1, 9)
+	crs, ccs, jds := compress.CompressCRS(g, nil), compress.CompressCCS(g, nil), compress.CompressJDS(g, nil)
+	x := vec(800, func(i int) float64 { return float64(i) })
+	for _, k := range []struct {
+		name string
+		spmv func() ([]float64, error)
+	}{
+		{"CRS", func() ([]float64, error) { return SpMV(crs, x) }},
+		{"CCS", func() ([]float64, error) { return SpMVCCS(ccs, x) }},
+		{"JDS", func() ([]float64, error) { return SpMVJDS(jds, x) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := k.spmv(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/sparse"
 )
 
-func newMachine(t *testing.T, p int) *machine.Machine {
+func newMachine(t testing.TB, p int) *machine.Machine {
 	t.Helper()
 	m, err := machine.New(p, machine.WithRecvTimeout(10*time.Second))
 	if err != nil {
@@ -189,4 +189,41 @@ func TestRedistributeEmptyParts(t *testing.T) {
 	if err := dist.Verify(g, colB, got); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkRedistribute measures direct row->mesh redistribution against
+// a fresh ED distribution onto the mesh (the naive root path, without
+// even charging the gather it would also need). vredist-ms is the
+// virtual clock's figure for one op.
+func BenchmarkRedistribute(b *testing.B) {
+	g := sparse.UniformExact(480, 480, 0.1, 11)
+	row, _ := partition.NewRow(480, 480, 4)
+	mesh, _ := partition.NewMesh(480, 480, 2, 2)
+	m := newMachine(b, 4)
+	src, err := (dist.ED{}).Distribute(m, g, row, dist.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("direct-alltoall", func(b *testing.B) {
+		var virt time.Duration
+		for i := 0; i < b.N; i++ {
+			_, stats, err := Redistribute(m, row, src, mesh)
+			if err != nil {
+				b.Fatal(err)
+			}
+			virt = stats.Time(cost.DefaultParams)
+		}
+		b.ReportMetric(float64(virt)/1e6, "vredist-ms")
+	})
+	b.Run("via-root", func(b *testing.B) {
+		var bd *dist.Breakdown
+		for i := 0; i < b.N; i++ {
+			res, err := (dist.ED{}).Distribute(m, g, mesh, dist.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bd = res.Breakdown
+		}
+		b.ReportMetric(float64(bd.DistributionTime(cost.DefaultParams)+bd.CompressionTime(cost.DefaultParams))/1e6, "vredist-ms")
+	})
 }

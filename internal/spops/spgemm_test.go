@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchgate"
 	"repro/internal/check"
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -54,78 +55,90 @@ func assertProduct(t *testing.T, c, want *compress.CRS) {
 // per-rank partial products — nothing the kernel computed.
 func TestSpGEMMWirePin(t *testing.T) {
 	const p = 4
+	pin := func(t *testing.T, ga, gb *sparse.Dense, part, method string) spops.OpStats {
+		b := compress.CompressCRS(gb, nil)
+		want := spgemmOracle(t, ga, b)
+		d, pl := distribute(t, ga, core.Config{Scheme: "ED", Partition: part, Method: method, Procs: p})
+		defer d.Close()
+		c, st, err := spops.DistSpGEMM(d.Machine(), pl, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertProduct(t, c, want)
+
+		words, msgs := 0, 0
+		list := func(rows, nnz int) {
+			words += rows + 2*nnz
+			msgs++
+		}
+		// Scatter: the ceil-div block of B's rows to each non-IO owner.
+		blk := (b.Rows + p - 1) / p
+		for r := 0; r < p; r++ {
+			lo, hi := min(r*blk, b.Rows), min((r+1)*blk, b.Rows)
+			if r != pl.IO && hi > lo {
+				list(hi-lo, b.RowPtr[hi]-b.RowPtr[lo])
+			}
+		}
+		// Fetch: the halo send lists, as B rows.
+		for s := 0; s < p; s++ {
+			for r := 0; r < p; r++ {
+				if idx := pl.SendIdx[s][r]; len(idx) > 0 {
+					nnz := 0
+					for _, g := range idx {
+						nnz += b.RowNNZ(g)
+					}
+					list(len(idx), nnz)
+				}
+			}
+		}
+		// Gather: each non-IO rank's rows of its partial product.
+		for r := 0; r < p; r++ {
+			if r == pl.IO {
+				continue
+			}
+			rowMap, colMap := d.Partition.RowMap(r), d.Partition.ColMap(r)
+			nnz := 0
+			for _, i := range rowMap {
+				for j := 0; j < gb.Cols(); j++ {
+					sum := 0.0
+					for _, k := range colMap {
+						sum += ga.At(i, k) * gb.At(k, j)
+					}
+					if sum != 0 {
+						nnz++
+					}
+				}
+			}
+			list(len(pl.Contrib[r]), nnz)
+		}
+		if st.WireWords != words {
+			t.Errorf("moved %d words, rows listed + 2 x nonzeros shipped = %d", st.WireWords, words)
+		}
+		if st.Messages != msgs {
+			t.Errorf("sent %d messages, the plan implies %d", st.Messages, msgs)
+		}
+		if wantB := (b.Rows + 2*b.NNZ()) * (p - 1); st.BcastWords != wantB {
+			t.Errorf("broadcast equivalent %d words, want %d in the same encoding", st.BcastWords, wantB)
+		}
+		return st
+	}
 	ga := sparse.Uniform(40, 32, 0.15, 5)
 	gb := sparse.Uniform(32, 20, 0.2, 6)
-	b := compress.CompressCRS(gb, nil)
-	want := spgemmOracle(t, ga, b)
 	for _, part := range []string{"row", "col", "mesh"} {
 		for _, method := range []string{"CRS", "CCS", "JDS"} {
-			t.Run(part+"/"+method, func(t *testing.T) {
-				d, pl := distribute(t, ga, core.Config{Scheme: "ED", Partition: part, Method: method, Procs: p})
-				defer d.Close()
-				c, st, err := spops.DistSpGEMM(d.Machine(), pl, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertProduct(t, c, want)
-
-				words, msgs := 0, 0
-				list := func(rows, nnz int) {
-					words += rows + 2*nnz
-					msgs++
-				}
-				// Scatter: the ceil-div block of B's rows to each non-IO owner.
-				blk := (b.Rows + p - 1) / p
-				for r := 0; r < p; r++ {
-					lo, hi := min(r*blk, b.Rows), min((r+1)*blk, b.Rows)
-					if r != pl.IO && hi > lo {
-						list(hi-lo, b.RowPtr[hi]-b.RowPtr[lo])
-					}
-				}
-				// Fetch: the halo send lists, as B rows.
-				for s := 0; s < p; s++ {
-					for r := 0; r < p; r++ {
-						if idx := pl.SendIdx[s][r]; len(idx) > 0 {
-							nnz := 0
-							for _, g := range idx {
-								nnz += b.RowNNZ(g)
-							}
-							list(len(idx), nnz)
-						}
-					}
-				}
-				// Gather: each non-IO rank's rows of its partial product.
-				for r := 0; r < p; r++ {
-					if r == pl.IO {
-						continue
-					}
-					rowMap, colMap := d.Partition.RowMap(r), d.Partition.ColMap(r)
-					nnz := 0
-					for _, i := range rowMap {
-						for j := 0; j < gb.Cols(); j++ {
-							sum := 0.0
-							for _, k := range colMap {
-								sum += ga.At(i, k) * gb.At(k, j)
-							}
-							if sum != 0 {
-								nnz++
-							}
-						}
-					}
-					list(len(pl.Contrib[r]), nnz)
-				}
-				if st.WireWords != words {
-					t.Errorf("moved %d words, rows listed + 2 x nonzeros shipped = %d", st.WireWords, words)
-				}
-				if st.Messages != msgs {
-					t.Errorf("sent %d messages, the plan implies %d", st.Messages, msgs)
-				}
-				if wantB := (b.Rows + 2*b.NNZ()) * (p - 1); st.BcastWords != wantB {
-					t.Errorf("broadcast equivalent %d words, want %d in the same encoding", st.BcastWords, wantB)
-				}
-			})
+			t.Run(part+"/"+method, func(t *testing.T) { pin(t, ga, gb, part, method) })
 		}
 	}
+	// The regime the layer targets — banded, s ≈ 0.05, B = A: fetching
+	// the referenced B rows must also undercut shipping all of B to
+	// every rank (18,730 of 21,230 words, 0.882).
+	t.Run("banded/row/CRS", func(t *testing.T) {
+		g := sparse.Banded(256, 256, 8, 0.8, 3)
+		st := pin(t, g, g, "row", "CRS")
+		if float64(st.WireWords) > 0.95*float64(st.BcastWords) {
+			t.Errorf("row fetch moved %d words, above 0.95 x the %d of broadcasting B", st.WireWords, st.BcastWords)
+		}
+	})
 }
 
 // TestSpGEMMAllocs guards the slab-and-pool design: one n=256 product
@@ -150,6 +163,35 @@ func TestSpGEMMAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, run); avg > 300 {
 		t.Errorf("DistSpGEMM allocates %.0f times per product, want <= 300", avg)
 	}
+}
+
+// BenchmarkDistSpGEMM/gate holds the row-fetch product to the time of
+// the sequential ops.SpGEMM on the same operands (the input of
+// TestSpGEMMAllocs, B = A), twenty products a side and round: the four
+// ranks do the sequential kernel's multiply-adds between them, through
+// pre-sized slabs, so scatter, fetch and gather must fit in what that
+// saves. Words and allocations are exact counts, pinned by
+// TestSpGEMMWirePin and TestSpGEMMAllocs.
+func BenchmarkDistSpGEMM(b *testing.B) {
+	g := sparse.Banded(256, 256, 8, 0.8, 3)
+	bm := compress.CompressCRS(g, nil)
+	d, pl := distribute(b, g, core.Config{Scheme: "ED", Partition: "row", Method: "CRS", Procs: 4})
+	defer d.Close()
+	b.Run("gate", func(b *testing.B) {
+		benchgate.Ratio(b, 20, 1.0, func() {
+			for i := 0; i < 20; i++ {
+				if _, _, err := spops.DistSpGEMM(d.Machine(), pl, bm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}, func() {
+			for i := 0; i < 20; i++ {
+				if _, err := ops.SpGEMM(bm, bm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 }
 
 // TestSpGEMMEdgeCases runs shapes the sweep does not reach against

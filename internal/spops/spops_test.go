@@ -140,15 +140,16 @@ func TestPlanHaloBeatsBroadcast(t *testing.T) {
 				t.Fatalf("halo %d words >= broadcast %d words", pl.Stats.HaloWords, pl.Stats.BcastWords)
 			}
 			// The measured one-shot traffic must also beat broadcast +
-			// gather: scatter + halo + y-route + gather < n(p-1) + n.
+			// gather with room to spare: scatter + halo + y-route +
+			// gather <= 0.95 (n(p-1) + n); row reads 0.419, mesh 0.639.
 			x := randVec(256, 1)
 			_, st, err := spops.SpMV(d.Machine(), pl, x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bcastTotal := pl.Stats.BcastWords + 256
-			if st.WireWords >= bcastTotal {
-				t.Fatalf("measured %d words >= broadcast-path %d", st.WireWords, bcastTotal)
+			if float64(st.WireWords) > 0.95*float64(bcastTotal) {
+				t.Fatalf("measured %d words > 0.95 x broadcast-path %d", st.WireWords, bcastTotal)
 			}
 		})
 	}

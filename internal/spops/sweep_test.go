@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchgate"
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -248,13 +249,38 @@ func TestSweepsOverLossyTransport(t *testing.T) {
 // (banded n=2000, ED/row/CRS on four ranks). halo is one Jacobi of 50
 // sweeps that cannot converge early; sequential is 50 ops.SpMV on the
 // global CRS of the same array — the same multiply-adds on one
-// processor without any message, the like-for-like time baseline.
+// processor without any message, the like-for-like time baseline. gate
+// holds halo to 1.60x sequential: on one processor the four ranks do
+// exactly that product once per sweep, so the excess is the message
+// path. It read 1.75-1.95 before the kernel went through the plan's
+// sweep view and reads 1.2 since (0.96-1.44 over 100 processes on the
+// shared host, whose contended stretches slow the halo side more), so
+// the gate catches the old message path coming back, nothing subtler.
 func BenchmarkJacobiSweep(b *testing.B) {
 	const n, p, sweeps = 2000, 4, 50
 	g := diagDominant(sparse.Banded(n, n, 8, 0.8, 1))
 	a := compress.CompressCRS(g, nil)
-	rhs := randVec(n, 2)
-	// measure times b.N calls of op, each worth `sweeps` sweeps.
+	rhs, x := randVec(n, 2), randVec(n, 3)
+	d, pl := distribute(b, g, core.Config{Scheme: "ED", Partition: "row", Method: "CRS", Procs: p})
+	defer d.Close()
+	// Both sides are worth `sweeps` sweeps a call.
+	halo := func(b *testing.B) func() {
+		return func() {
+			if _, _, err := spops.Jacobi(d.Machine(), pl, rhs, nil, 0, sweeps); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	sequential := func(b *testing.B) func() {
+		return func() {
+			for s := 0; s < sweeps; s++ {
+				if _, err := ops.SpMV(a, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	// measure times b.N calls of op.
 	measure := func(b *testing.B, op func()) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -271,24 +297,10 @@ func BenchmarkJacobiSweep(b *testing.B) {
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/sweep")
 	}
 	b.Run("halo", func(b *testing.B) {
-		d, pl := distribute(b, g, core.Config{Scheme: "ED", Partition: "row", Method: "CRS", Procs: p})
-		defer d.Close()
-		run := func() {
-			if _, _, err := spops.Jacobi(d.Machine(), pl, rhs, nil, 0, sweeps); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run := halo(b)
 		run() // build the sweep view, warm the pool
 		measure(b, run)
 	})
-	b.Run("sequential", func(b *testing.B) {
-		x := randVec(n, 3)
-		measure(b, func() {
-			for s := 0; s < sweeps; s++ {
-				if _, err := ops.SpMV(a, x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
+	b.Run("sequential", func(b *testing.B) { measure(b, sequential(b)) })
+	b.Run("gate", func(b *testing.B) { benchgate.Ratio(b, 50, 1.60, halo(b), sequential(b)) })
 }
