@@ -26,12 +26,14 @@ lint:
 		staticcheck ./...; \
 	else echo "staticcheck not installed; skipping"; fi
 
-# Short fuzz pass over the wire decoders (go-native fuzzing runs one
+# Short fuzz pass over the wire decoders, the end-to-end differential
+# target and the daemon's request path (go-native fuzzing runs one
 # target per invocation, so each gets its own line).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartED -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/
 
 # The differential correctness harness at full size: >= 200 adversarial
 # arrays through every scheme x partition x method combination, direct,

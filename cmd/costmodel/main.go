@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/costmodel"
+	"repro/internal/partition"
 	"repro/internal/simnet"
 )
 
@@ -52,7 +53,7 @@ func main() {
 	}
 	in := costmodel.Inputs{N: *n, P: *p, S: *s, Kind: kind}
 	if kind == costmodel.MeshPart {
-		in.Pr, in.Pc = squareGrid(*p)
+		in.Pr, in.Pc = partition.SquareGrid(*p)
 	}
 	if *method == "CCS" {
 		in.Method = costmodel.CCS
@@ -166,16 +167,6 @@ func parseKind(s string) (costmodel.PartitionKind, error) {
 	default:
 		return 0, fmt.Errorf("unknown partition %q (want row, col or mesh)", s)
 	}
-}
-
-func squareGrid(p int) (int, int) {
-	best := 1
-	for d := 1; d*d <= p; d++ {
-		if p%d == 0 {
-			best = d
-		}
-	}
-	return best, p / best
 }
 
 func ms(d time.Duration) string {

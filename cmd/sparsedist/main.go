@@ -14,95 +14,83 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/simnet"
 	"repro/internal/sparse"
+	"repro/internal/spops"
 	"repro/internal/trace"
 )
 
 func main() {
+	// Plan flags bind straight to the core.Config they describe; an empty
+	// string flag is an untyped one, which core's default table resolves
+	// (and which, under -scheme auto, leaves the choice to the model).
+	var cfg core.Config
+	flag.StringVar(&cfg.Scheme, "scheme", "",
+		"distribution scheme: SFC, CFS, ED (default ED), or auto (pick the predicted-fastest scheme, partition and method from the array's measured statistics with the cost model)")
+	flag.StringVar(&cfg.Partition, "partition", "", "partition method: "+core.PartitionNames()+" (default row)")
+	flag.IntVar(&cfg.Procs, "procs", 4, "number of processors")
+	flag.IntVar(&cfg.BlockSize, "block", 1, "block size for the brs partition")
+	flag.StringVar(&cfg.Method, "method", "", "compression method: "+dist.MethodNames()+" (default CRS)")
+	flag.StringVar(&cfg.Transport, "transport", "", "message transport: chan, tcp or model (default chan)")
+	flag.StringVar(&cfg.Topology, "topology", "",
+		"network model topology: "+simnet.TopologyNames()+" (empty: no network model); records the run against a discrete-event simulator and prints the contention-aware timing section")
+	flag.Float64Var(&cfg.LinkBW, "link-bw", 0,
+		"bottleneck link bandwidth in payload words/s (0: the cost model's 1/T_Data); applies to the topology's bottleneck links")
+	flag.DurationVar(&cfg.LinkLatency, "link-latency", 0,
+		"bottleneck link per-message latency (0: the cost model's T_Startup)")
+	flag.BoolVar(&cfg.Check, "check", false,
+		"run the invariant checker during the run and the differential oracle after it (reassemble the global array from the distributed pieces and diff element-wise)")
+	flag.BoolVar(&cfg.Trace, "trace", false, "print the message timeline and per-rank activity chart")
+	flag.IntVar(&cfg.Workers, "workers", 0,
+		"root-side encode workers (0: one per CPU, 1: the paper's sequential root loop)")
+	flag.IntVar(&cfg.Retries, "retries", 0,
+		"retransmission budget per message; > 0 enables the reliable transport (seq numbers, checksums, ACK/retransmit)")
+	flag.DurationVar(&cfg.RetryBackoff, "retry-backoff", 0,
+		"initial ACK wait for the reliable transport, doubling per retry (0: library default 5ms)")
+	flag.BoolVar(&cfg.Degrade, "degrade", false,
+		"survive dead ranks by remapping their partition parts onto survivors (implies the reliable transport)")
+	flag.IntVar(&cfg.FaultDrops, "fault-drop", 0, "inject: drop the next N data messages on the wire")
+	flag.IntVar(&cfg.FaultCorrupt, "fault-corrupt", 0, "inject: flip a random payload bit in the next N data messages")
+	flag.IntVar(&cfg.KillRank, "kill", 0, "inject: permanently crash this rank (needs -degrade; rank 0 cannot be killed)")
+	flag.IntVar(&cfg.FlushEntries, "flush", 0, "streaming per-part flush threshold in entries (0: library default 8192)")
+
+	var cli cliFlags
+	flag.IntVar(&cli.n, "n", 500, "square array size for synthetic input")
+	flag.Float64Var(&cli.ratio, "ratio", 0.1, "sparse ratio s for synthetic input")
+	flag.StringVar(&cli.input, "input", "", "read the array from a coordinate-format file instead of generating")
+	flag.StringVar(&cli.batch, "batch", "",
+		"comma-separated schemes (e.g. SFC,CFS,ED) distributed concurrently over one shared machine; overrides -scheme")
+	flag.StringVar(&cli.op, "op", "",
+		"run a distributed compute op on the finished distribution: spmv (halo-exchange y = A·x), jacobi (solve A·x = b; synthetic inputs are made diagonally dominant) or spgemm (row-fetch C = A·A)")
+	flag.BoolVar(&cli.stream, "stream", false,
+		"out-of-core mode: stream the input in bounded chunks instead of materializing it; the root's memory stays within -mem-budget")
 	var (
-		n      = flag.Int("n", 500, "square array size for synthetic input")
-		ratio  = flag.Float64("ratio", 0.1, "sparse ratio s for synthetic input")
-		seed   = flag.Int64("seed", 1, "random seed for synthetic input")
-		input  = flag.String("input", "", "read the array from a coordinate-format file instead of generating")
-		scheme = flag.String("scheme", "ED",
-			"distribution scheme: SFC, CFS, ED, or auto (pick the predicted-fastest scheme, partition and method from the array's measured statistics with the cost model)")
-		batch = flag.String("batch", "",
-			"comma-separated schemes (e.g. SFC,CFS,ED) distributed concurrently over one shared machine; overrides -scheme")
-		part      = flag.String("partition", "row", "partition method: row, col, mesh, cyclic-row, cyclic-col or brs")
-		procs     = flag.Int("procs", 4, "number of processors")
-		mesh      = flag.String("mesh", "", "mesh grid as RxC (e.g. 2x2); defaults to the most square grid")
-		block     = flag.Int("block", 1, "block size for the brs partition")
-		method    = flag.String("method", "CRS", "compression method: CRS or CCS")
-		transport = flag.String("transport", "chan", "message transport: chan or tcp")
-		topology  = flag.String("topology", "",
-			"network model topology: "+simnet.TopologyNames()+" (empty: no network model); records the run against a discrete-event simulator and prints the contention-aware timing section")
-		linkBW = flag.Float64("link-bw", 0,
-			"bottleneck link bandwidth in payload words/s (0: the cost model's 1/T_Data); applies to the topology's bottleneck links")
-		linkLatency = flag.Duration("link-latency", 0,
-			"bottleneck link per-message latency (0: the cost model's T_Startup)")
-		verify    = flag.Bool("verify", true, "verify the distributed result against direct compression")
-		checkFlag = flag.Bool("check", false,
-			"run the invariant checker during the run and the differential oracle after it (reassemble the global array from the distributed pieces and diff element-wise)")
-		traceFlag = flag.Bool("trace", false, "print the message timeline and per-rank activity chart")
-		spy       = flag.Bool("spy", false, "print an ASCII spy plot of the array's sparsity pattern")
-		workers   = flag.Int("workers", 0,
-			"root-side encode workers (0: one per CPU, 1: the paper's sequential root loop)")
+		seed       = flag.Int64("seed", 1, "random seed for synthetic input")
+		mesh       = flag.String("mesh", "", "mesh grid as RxC (e.g. 2x2); defaults to the most square grid")
+		verify     = flag.Bool("verify", true, "verify the distributed result against direct compression")
+		spy        = flag.Bool("spy", false, "print an ASCII spy plot of the array's sparsity pattern")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-
-		retries = flag.Int("retries", 0,
-			"retransmission budget per message; > 0 enables the reliable transport (seq numbers, checksums, ACK/retransmit)")
-		retryBackoff = flag.Duration("retry-backoff", 0,
-			"initial ACK wait for the reliable transport, doubling per retry (0: library default 5ms)")
-		degrade = flag.Bool("degrade", false,
-			"survive dead ranks by remapping their partition parts onto survivors (implies the reliable transport)")
-		faultDrop    = flag.Int("fault-drop", 0, "inject: drop the next N data messages on the wire")
-		faultCorrupt = flag.Int("fault-corrupt", 0, "inject: flip a random payload bit in the next N data messages")
-		kill         = flag.Int("kill", 0, "inject: permanently crash this rank (needs -degrade; rank 0 cannot be killed)")
-
-		op = flag.String("op", "",
-			"run a distributed compute op on the finished distribution: spmv (halo-exchange y = A·x), jacobi (solve A·x = b; synthetic inputs are made diagonally dominant) or spgemm (row-fetch C = A·A)")
-
-		stream = flag.Bool("stream", false,
-			"out-of-core mode: stream the input in bounded chunks instead of materializing it; the root's memory stays within -mem-budget")
-		memBudget = flag.String("mem-budget", "32M",
+		memBudget  = flag.String("mem-budget", "32M",
 			"streaming root memory budget for routing buffers (bytes, with optional K/M/G suffix)")
-		flush = flag.Int("flush", 0, "streaming per-part flush threshold in entries (0: library default 8192)")
 	)
 	flag.Parse()
 
-	// Flags the user actually typed, as opposed to defaults: under
-	// -scheme auto an untyped -partition/-method means "the model picks",
-	// which the non-empty flag defaults would otherwise silently pin.
-	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	meshRows, meshCols := 0, 0
 	if *mesh != "" {
 		var err error
-		meshRows, meshCols, err = parseMesh(*mesh)
-		if err != nil {
+		if cfg.MeshRows, cfg.MeshCols, err = parseMesh(*mesh); err != nil {
 			fatal(err)
 		}
 	}
-	if err := validateFlags(cliFlags{
-		n: *n, ratio: *ratio, input: *input, procs: *procs,
-		meshRows: meshRows, meshCols: meshCols,
-		kill: *kill, degrade: *degrade, batch: *batch,
-		topology: *topology, linkBW: *linkBW, linkLatency: *linkLatency,
-		scheme: *scheme, methodSet: explicit["method"], stream: *stream,
-		op: *op,
-	}); err != nil {
+	if err := validateFlags(cfg, cli); err != nil {
 		fatal(err)
 	}
 
@@ -131,63 +119,33 @@ func main() {
 		}()
 	}
 
-	cfg := core.Config{
-		Scheme:       *scheme,
-		Partition:    *part,
-		Procs:        *procs,
-		MeshRows:     meshRows,
-		MeshCols:     meshCols,
-		BlockSize:    *block,
-		Method:       *method,
-		Transport:    *transport,
-		Topology:     *topology,
-		LinkBW:       *linkBW,
-		LinkLatency:  *linkLatency,
-		Trace:        *traceFlag,
-		Workers:      *workers,
-		Check:        *checkFlag,
-		Retries:      *retries,
-		RetryBackoff: *retryBackoff,
-		Degrade:      *degrade,
-		FaultDrops:   *faultDrop,
-		FaultCorrupt: *faultCorrupt,
-		KillRank:     *kill,
-	}
-	// Under auto, only flags the user typed pin the plan; the rest is
-	// the model's to choose (core resolves them before distributing).
-	if core.IsAutoScheme(*scheme) && *batch == "" {
-		if !explicit["partition"] {
-			cfg.Partition = ""
-		}
-		if !explicit["method"] {
-			cfg.Method = ""
-		}
-	}
-
-	if *stream {
-		if *batch != "" || *spy {
+	if cli.stream {
+		if cli.batch != "" || *spy {
 			fatal(fmt.Errorf("-stream is incompatible with -batch and -spy (both need the materialized array)"))
 		}
-		budget, err := parseSize(*memBudget)
-		if err != nil {
+		var err error
+		if cfg.MemBudget, err = parseSize(*memBudget); err != nil {
 			fatal(err)
 		}
-		cfg.MemBudget = budget
-		cfg.FlushEntries = *flush
-		if err := runStream(cfg, *input, *n, *ratio, *seed, *verify, *checkFlag, *traceFlag); err != nil {
+		if err := runStream(cfg, cli.input, cli.n, cli.ratio, *seed, *verify); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	g, err := loadArray(*input, *n, *ratio, *seed)
+	g, err := loadArray(cli.input, cli.n, cli.ratio, *seed)
 	if err != nil {
 		fatal(err)
 	}
-	prepareOpInput(g, *op, *input == "")
+	// Jacobi diverges on a random array, so a synthetic input is made
+	// strictly diagonally dominant before distribution. File inputs are
+	// the user's to shape — they pass through untouched.
+	if cli.op == "jacobi" && cli.input == "" {
+		sparse.MakeDiagDominant(g)
+	}
 
-	if *batch != "" {
-		if err := runBatch(g, cfg, *batch, *verify, *checkFlag, *spy); err != nil {
+	if cli.batch != "" {
+		if err := runBatch(g, cfg, cli.batch, *verify, *spy); err != nil {
 			fatal(err)
 		}
 		return
@@ -204,7 +162,7 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Print(d.Report())
-	if *traceFlag {
+	if cfg.Trace {
 		fmt.Println("\nmessage timeline:")
 		fmt.Print(d.Trace().Timeline())
 		fmt.Println()
@@ -222,14 +180,14 @@ func main() {
 		}
 		fmt.Println("verification: OK (all local compressed arrays match direct compression)")
 	}
-	if *checkFlag {
+	if cfg.Check {
 		if err := d.DiffCheck(); err != nil {
 			fatal(fmt.Errorf("differential check FAILED: %w", err))
 		}
 		fmt.Println("differential check: OK (reassembled array matches the input element-wise)")
 	}
-	if *op != "" {
-		if err := runOp(d, g, *op, *verify); err != nil {
+	if cli.op != "" {
+		if err := runOp(d, g, cli.op, *verify); err != nil {
 			fatal(err)
 		}
 	}
@@ -252,43 +210,29 @@ func parseMesh(s string) (rows, cols int, err error) {
 	return rows, cols, nil
 }
 
-// ConflictError reports two individually valid flags that cannot be
-// combined. Distinct from a plain bad value so callers (and tests) can
-// tell "fix this flag" from "drop one of these flags".
-type ConflictError struct {
-	Flags  string // the offending combination, e.g. "-scheme auto with -method"
-	Reason string
-}
-
-func (e *ConflictError) Error() string { return e.Flags + ": " + e.Reason }
-
-// cliFlags carries everything validateFlags inspects; methodSet is
-// whether the user explicitly typed -method (its default is non-empty,
-// so the value alone cannot tell).
+// cliFlags carries the flag values that describe the run rather than
+// the plan — everything validateFlags inspects beyond core.Config.
 type cliFlags struct {
-	n                  int
-	ratio              float64
-	input              string
-	procs              int
-	meshRows, meshCols int
-	kill               int
-	degrade            bool
-	batch              string
-	topology           string
-	linkBW             float64
-	linkLatency        time.Duration
-	scheme             string
-	methodSet          bool
-	stream             bool
-	op                 string
+	n      int
+	ratio  float64
+	input  string
+	batch  string
+	stream bool
+	op     string
 }
 
 // validateFlags rejects bad flag values and combinations up front with
 // one clear error each, instead of a downstream panic (-ratio out of
 // range), a hang (-kill without -degrade), a half-run batch (unknown
 // -batch scheme), or a silently pinned auto plan (-scheme auto with an
-// explicit -method).
-func validateFlags(f cliFlags) error {
+// explicit -method). What a valid plan is comes from cfg.Validate, in
+// its words; the rules here are the ones only the CLI knows: the input
+// array, -procs (its default is 4, so 0 is a typo, not "unset"), the
+// -batch list, and which flags this front door refuses to combine.
+func validateFlags(cfg core.Config, f cliFlags) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if f.input == "" {
 		if f.n < 0 {
 			return fmt.Errorf("-n %d: array size cannot be negative", f.n)
@@ -297,79 +241,53 @@ func validateFlags(f cliFlags) error {
 			return fmt.Errorf("-ratio %g: sparse ratio must be in [0, 1]", f.ratio)
 		}
 	}
-	if f.procs < 1 {
-		return fmt.Errorf("-procs %d: need at least one processor", f.procs)
-	}
-	effProcs := f.procs
-	if f.meshRows > 0 {
-		effProcs = f.meshRows * f.meshCols
-	}
-	if f.kill < 0 {
-		return fmt.Errorf("-kill %d: rank cannot be negative (0 kills nobody)", f.kill)
-	}
-	if f.kill > 0 && !f.degrade {
-		return fmt.Errorf("-kill %d without -degrade: the run cannot complete with a dead rank; add -degrade", f.kill)
-	}
-	if f.kill >= effProcs && f.kill > 0 {
-		return fmt.Errorf("-kill %d: rank out of range for %d processors", f.kill, effProcs)
+	if cfg.Procs < 1 {
+		return fmt.Errorf("-procs %d: need at least one processor", cfg.Procs)
 	}
 	if f.batch != "" {
 		for _, s := range strings.Split(f.batch, ",") {
-			name := strings.ToUpper(strings.TrimSpace(s))
-			switch name {
-			case "SFC", "CFS", "ED":
-			case "AUTO":
+			name := strings.TrimSpace(s)
+			if core.IsAutoScheme(name) {
 				// The batch table compares schemes under one pinned
 				// partition/method; auto picks its own plan, which would
 				// make the columns incomparable.
-				return &ConflictError{
-					Flags:  "-batch with scheme auto",
+				return &core.ConflictError{
+					Fields: "-batch with scheme auto",
 					Reason: "the batch table compares schemes under one pinned plan, but auto picks its own; run -scheme auto separately",
 				}
-			default:
-				return fmt.Errorf("-batch: unknown scheme %q (want SFC, CFS or ED)", strings.TrimSpace(s))
+			}
+			if _, err := dist.ByName(strings.ToUpper(name)); err != nil {
+				return fmt.Errorf("-batch: %w", err)
 			}
 		}
 	}
-	if core.IsAutoScheme(f.scheme) {
-		if f.methodSet {
-			return &ConflictError{
-				Flags:  "-scheme auto with -method",
+	if core.IsAutoScheme(cfg.Scheme) {
+		if cfg.Method != "" {
+			return &core.ConflictError{
+				Fields: "-scheme auto with -method",
 				Reason: "auto picks the compression method from the array's statistics; drop -method or pick the scheme explicitly",
 			}
 		}
 		if f.stream {
-			return &ConflictError{
-				Flags:  "-scheme auto with -stream",
+			return &core.ConflictError{
+				Fields: "-scheme auto with -stream",
 				Reason: "plan selection needs full array statistics, which a streamed run never materializes; pick a scheme explicitly",
 			}
 		}
 	}
-	if !simnet.ValidTopology(f.topology) {
-		return fmt.Errorf("-topology %q: unknown topology (want %s)", f.topology, simnet.TopologyNames())
-	}
-	if f.linkBW < 0 || math.IsNaN(f.linkBW) || math.IsInf(f.linkBW, 0) {
-		return fmt.Errorf("-link-bw %g: bandwidth must be a finite non-negative words/s", f.linkBW)
-	}
-	if f.linkLatency < 0 {
-		return fmt.Errorf("-link-latency %v: latency cannot be negative", f.linkLatency)
-	}
-	if f.topology == "" && (f.linkBW > 0 || f.linkLatency > 0) {
-		return fmt.Errorf("-link-bw/-link-latency need -topology to apply to")
-	}
-	if !validOp(f.op) {
-		return fmt.Errorf("-op %q: want spmv, jacobi or spgemm", f.op)
+	if !spops.ValidOp(f.op) {
+		return fmt.Errorf("-op %q: want %s", f.op, spops.OpNames())
 	}
 	if f.op != "" {
 		if f.stream {
-			return &ConflictError{
-				Flags:  "-op with -stream",
+			return &core.ConflictError{
+				Fields: "-op with -stream",
 				Reason: "the compute ops run on a materialized distribution; drop -stream",
 			}
 		}
 		if f.batch != "" {
-			return &ConflictError{
-				Flags:  "-op with -batch",
+			return &core.ConflictError{
+				Fields: "-op with -batch",
 				Reason: "the compute ops run on one distribution, not a scheme comparison; drop -batch",
 			}
 		}
@@ -381,7 +299,7 @@ func validateFlags(f cliFlags) error {
 // concurrently over one shared machine and prints a comparison table:
 // the schemes' tag ranges are disjoint, so the runs interleave without
 // stealing each other's frames and each breakdown counts its own plan.
-func runBatch(g *sparse.Dense, cfg core.Config, batch string, verify, checkFlag, spy bool) error {
+func runBatch(g *sparse.Dense, cfg core.Config, batch string, verify, spy bool) error {
 	names := strings.Split(batch, ",")
 	cfgs := make([]core.Config, len(names))
 	for i, s := range names {
@@ -415,7 +333,7 @@ func runBatch(g *sparse.Dense, cfg core.Config, batch string, verify, checkFlag,
 		}
 		fmt.Println("\nverification: OK (every scheme's local arrays match direct compression)")
 	}
-	if checkFlag {
+	if cfg.Check {
 		for _, d := range b.Distributions {
 			if err := d.DiffCheck(); err != nil {
 				return fmt.Errorf("%s differential check FAILED: %w", d.Result.Scheme, err)
@@ -445,7 +363,7 @@ func openSource(path string, n int, ratio float64, seed int64) (sparse.ChunkRead
 // chunked source. -verify and -check need a dense oracle, so they
 // re-open the source and materialize it *after* the distribution —
 // opt-in memory spent on checking, not on distributing.
-func runStream(cfg core.Config, input string, n int, ratio float64, seed int64, verify, checkFlag, traceFlag bool) error {
+func runStream(cfg core.Config, input string, n int, ratio float64, seed int64, verify bool) error {
 	src, closeSrc, err := openSource(input, n, ratio, seed)
 	if err != nil {
 		return err
@@ -459,11 +377,11 @@ func runStream(cfg core.Config, input string, n int, ratio float64, seed int64, 
 	}
 	defer d.Close()
 	fmt.Print(d.Report())
-	if traceFlag {
+	if cfg.Trace {
 		fmt.Println("\nmessage timeline:")
 		fmt.Print(d.Trace().Timeline())
 	}
-	if !verify && !checkFlag {
+	if !verify && !cfg.Check {
 		return nil
 	}
 	oracleSrc, closeOracle, err := openSource(input, n, ratio, seed)
@@ -481,7 +399,7 @@ func runStream(cfg core.Config, input string, n int, ratio float64, seed int64, 
 		}
 		fmt.Println("verification: OK (all local compressed arrays match direct compression)")
 	}
-	if checkFlag {
+	if cfg.Check {
 		if err := d.DiffCheckAgainst(g); err != nil {
 			return fmt.Errorf("differential check FAILED: %w", err)
 		}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestParseMesh(t *testing.T) {
@@ -58,12 +60,16 @@ func TestParseSize(t *testing.T) {
 
 func TestValidateFlags(t *testing.T) {
 	// Each case applies overrides to a baseline of the flag defaults.
+	// Plan rules live in core.Config.Validate (internal/core
+	// TestConfigValidate is their table); the rows here pin that the CLI
+	// reaches them, plus every rule only the CLI knows.
 	type flags struct {
+		cfg core.Config
 		cliFlags
 		wantErrSub   string
 		wantConflict bool
 	}
-	base := flags{cliFlags: cliFlags{n: 500, ratio: 0.1, procs: 4, scheme: "ED"}}
+	base := flags{cfg: core.Config{Procs: 4, BlockSize: 1}, cliFlags: cliFlags{n: 500, ratio: 0.1}}
 	cases := []struct {
 		name string
 		mod  func(*flags)
@@ -73,51 +79,72 @@ func TestValidateFlags(t *testing.T) {
 		{"ratio-above-one", func(f *flags) { f.ratio = 1.5; f.wantErrSub = "-ratio" }},
 		{"ratio-negative", func(f *flags) { f.ratio = -0.1; f.wantErrSub = "-ratio" }},
 		{"ratio-ignored-with-input", func(f *flags) { f.ratio = 9; f.input = "m.txt" }},
-		{"zero-procs", func(f *flags) { f.procs = 0; f.wantErrSub = "-procs" }},
-		{"negative-procs", func(f *flags) { f.procs = -3; f.wantErrSub = "-procs" }},
-		{"kill-negative", func(f *flags) { f.kill = -1; f.degrade = true; f.wantErrSub = "-kill" }},
-		{"kill-without-degrade", func(f *flags) { f.kill = 2; f.wantErrSub = "-degrade" }},
-		{"kill-with-degrade", func(f *flags) { f.kill = 2; f.degrade = true }},
-		{"kill-out-of-range", func(f *flags) { f.kill = 4; f.degrade = true; f.wantErrSub = "out of range" }},
-		{"kill-range-uses-mesh", func(f *flags) { f.kill = 5; f.degrade = true; f.meshRows, f.meshCols = 2, 3 }},
+		{"zero-procs", func(f *flags) { f.cfg.Procs = 0; f.wantErrSub = "-procs" }},
+		{"negative-procs", func(f *flags) { f.cfg.Procs = -3; f.wantErrSub = "procs -3" }},
+		{"kill-negative", func(f *flags) { f.cfg.KillRank = -1; f.cfg.Degrade = true; f.wantErrSub = "kill -1" }},
+		{"kill-without-degrade", func(f *flags) { f.cfg.KillRank = 2; f.wantErrSub = "degrade"; f.wantConflict = true }},
+		{"kill-with-degrade", func(f *flags) { f.cfg.KillRank = 2; f.cfg.Degrade = true }},
+		{"kill-out-of-range", func(f *flags) { f.cfg.KillRank = 4; f.cfg.Degrade = true; f.wantErrSub = "out of range" }},
+		{"kill-range-uses-mesh", func(f *flags) {
+			f.cfg.KillRank = 5
+			f.cfg.Degrade = true
+			f.cfg.Partition = "mesh"
+			f.cfg.MeshRows, f.cfg.MeshCols = 2, 3
+		}},
 		{"kill-out-of-mesh-range", func(f *flags) {
-			f.kill = 6
-			f.degrade = true
-			f.meshRows, f.meshCols = 2, 3
+			f.cfg.KillRank = 6
+			f.cfg.Degrade = true
+			f.cfg.Partition = "mesh"
+			f.cfg.MeshRows, f.cfg.MeshCols = 2, 3
 			f.wantErrSub = "out of range"
 		}},
 		{"batch-ok", func(f *flags) { f.batch = "SFC, cfs,ED" }},
 		{"batch-unknown", func(f *flags) { f.batch = "SFC,BOGUS"; f.wantErrSub = "-batch" }},
 		{"batch-empty-entry", func(f *flags) { f.batch = "SFC,,ED"; f.wantErrSub = "-batch" }},
-		{"topology-ok", func(f *flags) { f.topology = "star"; f.linkBW = 1e6; f.linkLatency = time.Millisecond }},
-		{"topology-unknown", func(f *flags) { f.topology = "hypercube"; f.wantErrSub = "-topology" }},
-		{"link-bw-negative", func(f *flags) { f.topology = "bus"; f.linkBW = -1; f.wantErrSub = "-link-bw" }},
-		{"link-bw-nan", func(f *flags) { f.topology = "bus"; f.linkBW = math.NaN(); f.wantErrSub = "-link-bw" }},
-		{"link-bw-inf", func(f *flags) { f.topology = "bus"; f.linkBW = math.Inf(1); f.wantErrSub = "-link-bw" }},
-		{"link-latency-negative", func(f *flags) { f.topology = "mesh"; f.linkLatency = -time.Second; f.wantErrSub = "-link-latency" }},
-		{"link-overrides-without-topology", func(f *flags) { f.linkBW = 1e6; f.wantErrSub = "-topology" }},
-		{"auto-ok", func(f *flags) { f.scheme = "auto" }},
-		{"auto-uppercase-ok", func(f *flags) { f.scheme = "AUTO" }},
+		{"topology-ok", func(f *flags) {
+			f.cfg.Topology = "star"
+			f.cfg.LinkBW = 1e6
+			f.cfg.LinkLatency = time.Millisecond
+		}},
+		{"topology-unknown", func(f *flags) { f.cfg.Topology = "hypercube"; f.wantErrSub = "topology" }},
+		{"link-bw-negative", func(f *flags) { f.cfg.Topology = "bus"; f.cfg.LinkBW = -1; f.wantErrSub = "link-bw" }},
+		{"link-bw-nan", func(f *flags) { f.cfg.Topology = "bus"; f.cfg.LinkBW = math.NaN(); f.wantErrSub = "link-bw" }},
+		{"link-bw-inf", func(f *flags) { f.cfg.Topology = "bus"; f.cfg.LinkBW = math.Inf(1); f.wantErrSub = "link-bw" }},
+		{"link-latency-negative", func(f *flags) {
+			f.cfg.Topology = "mesh"
+			f.cfg.LinkLatency = -time.Second
+			f.wantErrSub = "link-latency"
+		}},
+		{"link-overrides-without-topology", func(f *flags) {
+			f.cfg.LinkBW = 1e6
+			f.wantErrSub = "topology"
+			f.wantConflict = true
+		}},
+		{"partition-bad-descriptor", func(f *flags) { f.cfg.Partition = "(Bogus,*)"; f.wantErrSub = "partition" }},
+		{"workers-negative", func(f *flags) { f.cfg.Workers = -3; f.wantErrSub = "workers -3" }},
+		{"retries-negative", func(f *flags) { f.cfg.Retries = -2; f.wantErrSub = "retries -2" }},
+		{"auto-ok", func(f *flags) { f.cfg.Scheme = "auto" }},
+		{"auto-uppercase-ok", func(f *flags) { f.cfg.Scheme = "AUTO" }},
 		{"auto-with-explicit-method", func(f *flags) {
-			f.scheme = "auto"
-			f.methodSet = true
+			f.cfg.Scheme = "auto"
+			f.cfg.Method = "CCS"
 			f.wantErrSub = "-method"
 			f.wantConflict = true
 		}},
 		{"auto-with-stream", func(f *flags) {
-			f.scheme = "auto"
+			f.cfg.Scheme = "auto"
 			f.stream = true
 			f.wantErrSub = "-stream"
 			f.wantConflict = true
 		}},
-		{"explicit-method-without-auto", func(f *flags) { f.methodSet = true }},
+		{"explicit-method-without-auto", func(f *flags) { f.cfg.Method = "JDS" }},
 		{"stream-without-auto", func(f *flags) { f.stream = true }},
 		{"batch-auto-entry", func(f *flags) {
 			f.batch = "SFC,auto"
 			f.wantErrSub = "-batch"
 			f.wantConflict = true
 		}},
-		{"batch-overrides-auto-scheme", func(f *flags) { f.scheme = "auto"; f.batch = "SFC,ED" }},
+		{"batch-overrides-auto-scheme", func(f *flags) { f.cfg.Scheme = "auto"; f.batch = "SFC,ED" }},
 		{"op-ok", func(f *flags) { f.op = "spmv" }},
 		{"op-unknown", func(f *flags) { f.op = "qr"; f.wantErrSub = "-op" }},
 		{"op-with-stream", func(f *flags) {
@@ -137,7 +164,12 @@ func TestValidateFlags(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := base
 			tc.mod(&f)
-			err := validateFlags(f.cliFlags)
+			err := validateFlags(f.cfg, f.cliFlags)
+			// The doors agree: whatever core rejects, the CLI rejects in
+			// core's words.
+			if verr := f.cfg.Validate(); verr != nil && (err == nil || err.Error() != verr.Error()) {
+				t.Fatalf("core rejects the config with %q, the CLI answers %v", verr, err)
+			}
 			if f.wantErrSub == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -150,7 +182,7 @@ func TestValidateFlags(t *testing.T) {
 			if !strings.Contains(err.Error(), f.wantErrSub) {
 				t.Fatalf("error %q does not mention %q", err, f.wantErrSub)
 			}
-			var conflict *ConflictError
+			var conflict *core.ConflictError
 			if got := errors.As(err, &conflict); got != f.wantConflict {
 				t.Fatalf("errors.As(ConflictError) = %v, want %v (err %q)", got, f.wantConflict, err)
 			}

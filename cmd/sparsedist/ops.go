@@ -12,35 +12,8 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/sparse"
+	"repro/internal/spops"
 )
-
-// validOp reports whether s names a supported -op (empty means none).
-func validOp(s string) bool {
-	switch s {
-	case "", "spmv", "jacobi", "spgemm":
-		return true
-	}
-	return false
-}
-
-// prepareOpInput shapes a synthetic input for the chosen op: Jacobi
-// diverges on a random array, so the generator's output is made
-// strictly diagonally dominant before distribution. File inputs are
-// the user's to shape — they pass through untouched.
-func prepareOpInput(g *sparse.Dense, op string, synthetic bool) {
-	if op != "jacobi" || !synthetic {
-		return
-	}
-	for i := 0; i < g.Rows() && i < g.Cols(); i++ {
-		sum := 0.0
-		for j := 0; j < g.Cols(); j++ {
-			if j != i {
-				sum += math.Abs(g.At(i, j))
-			}
-		}
-		g.Set(i, i, 1.25*sum+1)
-	}
-}
 
 // runOp executes the requested op over the distributed array and
 // prints its traffic statistics.
@@ -58,7 +31,9 @@ func runOp(d *core.Distribution, g *sparse.Dense, op string, verify bool) error 
 }
 
 func runOpSpMV(d *core.Distribution, g *sparse.Dense, verify bool) error {
-	x := opVector(g.Cols())
+	// Seed 1 is the daemon's default, so CLI and service runs of the
+	// same array compute on the same operand.
+	x := spops.OpVector(g.Cols(), 1)
 	y, st, err := d.SpMV(x)
 	if err != nil {
 		return fmt.Errorf("spmv: %w", err)
@@ -125,16 +100,6 @@ func runOpSpGEMM(d *core.Distribution, g *sparse.Dense, verify bool) error {
 		fmt.Println("op oracle: OK (row-fetch SpGEMM matches the sequential product)")
 	}
 	return nil
-}
-
-// opVector is the deterministic dense operand the ops use, matching
-// the daemon's generator so CLI and service runs are comparable.
-func opVector(n int) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64((int64(i)*2654435761+1)%17) / 4
-	}
-	return x
 }
 
 func denseMatVec(g *sparse.Dense, x []float64) []float64 {

@@ -44,8 +44,10 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/simnet"
+	"repro/internal/spops"
 )
 
 func main() {
@@ -249,17 +251,10 @@ func validateFlags(f daemonFlags) error {
 	if f.maxProcs < 1 {
 		return fmt.Errorf("-max-procs %d: admission cap must be positive", f.maxProcs)
 	}
-	if !simnet.ValidTopology(f.topology) {
-		return fmt.Errorf("-topology %q: unknown topology (want %s)", f.topology, simnet.TopologyNames())
-	}
-	if f.linkBW < 0 || math.IsNaN(f.linkBW) || math.IsInf(f.linkBW, 0) {
-		return fmt.Errorf("-link-bw %g: bandwidth must be a finite non-negative words/s", f.linkBW)
-	}
-	if f.linkLatency < 0 {
-		return fmt.Errorf("-link-latency %v: latency cannot be negative", f.linkLatency)
-	}
-	if f.topology == "" && (f.linkBW > 0 || f.linkLatency > 0) {
-		return fmt.Errorf("-link-bw/-link-latency need -topology to apply to")
+	// The node-level network model is plan vocabulary: core says what
+	// is valid, in its words.
+	if err := (core.Config{Topology: f.topology, LinkBW: f.linkBW, LinkLatency: f.linkLatency}).Validate(); err != nil {
+		return err
 	}
 	if f.refineAlpha < 0 || f.refineAlpha > 1 || math.IsNaN(f.refineAlpha) {
 		return fmt.Errorf("-refine-alpha %g: EWMA weight must be in (0, 1], or 0 for the library default", f.refineAlpha)
@@ -274,13 +269,10 @@ func validateFlags(f daemonFlags) error {
 	// unchecked, so a typo'd -schemes burned a full run on 400s.
 	sawAuto := false
 	for _, s := range splitList(f.schemes) {
-		switch strings.ToUpper(s) {
-		case "SFC", "CFS", "ED":
-		case "AUTO":
-			sawAuto = true
-		default:
-			return fmt.Errorf("-schemes: unknown scheme %q (want SFC, CFS, ED or AUTO)", s)
+		if err := (core.Config{Scheme: s}).Validate(); err != nil {
+			return fmt.Errorf("-schemes: %w", err)
 		}
+		sawAuto = sawAuto || core.IsAutoScheme(s)
 	}
 	if f.schemes != "" && len(splitList(f.schemes)) == 0 {
 		return fmt.Errorf("-schemes %q: no scheme names found", f.schemes)
@@ -288,10 +280,8 @@ func validateFlags(f daemonFlags) error {
 	if f.assertAuto && f.loadgen && !sawAuto {
 		return fmt.Errorf("-assert-auto without AUTO in -schemes: no auto jobs would run, so the assertion can never hold")
 	}
-	switch f.op {
-	case "", "spmv", "jacobi", "spgemm":
-	default:
-		return fmt.Errorf("-op %q: want spmv, jacobi or spgemm", f.op)
+	if !spops.ValidOp(f.op) {
+		return fmt.Errorf("-op %q: want %s", f.op, spops.OpNames())
 	}
 	if f.assertOps && f.loadgen && f.op == "" {
 		return fmt.Errorf("-assert-ops without -op: no distributed ops would run, so the assertion can never hold")

@@ -53,12 +53,12 @@ func TestValidateFlags(t *testing.T) {
 		{"zero-max-n", func(f *flags) { f.maxN = 0; f.wantErrSub = "-max-n" }},
 		{"zero-max-procs", func(f *flags) { f.maxProcs = 0; f.wantErrSub = "-max-procs" }},
 		{"topology-ok", func(f *flags) { f.topology = "fattree"; f.linkBW = 2e6; f.linkLatency = 100 * time.Microsecond }},
-		{"topology-unknown", func(f *flags) { f.topology = "torus"; f.wantErrSub = "-topology" }},
-		{"link-bw-negative", func(f *flags) { f.topology = "star"; f.linkBW = -2; f.wantErrSub = "-link-bw" }},
-		{"link-bw-nan", func(f *flags) { f.topology = "star"; f.linkBW = math.NaN(); f.wantErrSub = "-link-bw" }},
-		{"link-bw-inf", func(f *flags) { f.topology = "star"; f.linkBW = math.Inf(1); f.wantErrSub = "-link-bw" }},
-		{"link-latency-negative", func(f *flags) { f.topology = "bus"; f.linkLatency = -time.Millisecond; f.wantErrSub = "-link-latency" }},
-		{"link-overrides-without-topology", func(f *flags) { f.linkLatency = time.Millisecond; f.wantErrSub = "-topology" }},
+		{"topology-unknown", func(f *flags) { f.topology = "torus"; f.wantErrSub = "topology" }},
+		{"link-bw-negative", func(f *flags) { f.topology = "star"; f.linkBW = -2; f.wantErrSub = "link-bw" }},
+		{"link-bw-nan", func(f *flags) { f.topology = "star"; f.linkBW = math.NaN(); f.wantErrSub = "link-bw" }},
+		{"link-bw-inf", func(f *flags) { f.topology = "star"; f.linkBW = math.Inf(1); f.wantErrSub = "link-bw" }},
+		{"link-latency-negative", func(f *flags) { f.topology = "bus"; f.linkLatency = -time.Millisecond; f.wantErrSub = "link-latency" }},
+		{"link-overrides-without-topology", func(f *flags) { f.linkLatency = time.Millisecond; f.wantErrSub = "without topology" }},
 		{"zero-jobs", func(f *flags) { f.jobs = 0; f.wantErrSub = "-jobs" }},
 		{"zero-clients", func(f *flags) { f.clients = 0; f.wantErrSub = "-clients" }},
 		{"refine-alpha-ok", func(f *flags) { f.refineAlpha = 0.5 }},

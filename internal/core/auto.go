@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cost"
 	"repro/internal/costmodel"
 	"repro/internal/simnet"
 	"repro/internal/sparse"
@@ -46,19 +45,14 @@ type AutoChoice struct {
 // config: everything the caller set explicitly becomes a pin, and a
 // configured topology makes selection contention-aware.
 func AutoSelectOptions(cfg Config) (costmodel.SelectOptions, error) {
-	procs := cfg.Procs
-	if procs <= 0 {
-		procs = 4
-	}
-	if (cfg.Partition == "mesh" || cfg.Partition == "cyclic-mesh") &&
-		cfg.MeshRows > 0 && cfg.MeshCols > 0 {
-		procs = cfg.MeshRows * cfg.MeshCols
-	}
+	// Processor count, mesh grid and params come from the default table;
+	// the pins come from cfg as sent, where empty means "free".
+	d := cfg.withDefaults()
 	opts := costmodel.SelectOptions{
-		Procs:    procs,
-		MeshRows: cfg.MeshRows,
-		MeshCols: cfg.MeshCols,
-		Params:   cfg.Params,
+		Procs:    d.Procs,
+		MeshRows: d.MeshRows,
+		MeshCols: d.MeshCols,
+		Params:   d.Params,
 	}
 	if cfg.Partition != "" {
 		kind := costmodel.KindFor(cfg.Partition)
@@ -69,11 +63,7 @@ func AutoSelectOptions(cfg Config) (costmodel.SelectOptions, error) {
 		opts.Method = &method
 	}
 	if cfg.Topology != "" {
-		params := cfg.Params
-		if params == (cost.Params{}) {
-			params = cost.DefaultParams
-		}
-		top, err := simnet.Build(cfg.Topology, procs, params, cfg.LinkBW, cfg.LinkLatency)
+		top, err := simnet.Build(cfg.Topology, d.Procs, d.Params, cfg.LinkBW, cfg.LinkLatency)
 		if err != nil {
 			return costmodel.SelectOptions{}, fmt.Errorf("core: auto selection: %w", err)
 		}

@@ -57,7 +57,7 @@ type Config struct {
 	MeshRows, MeshCols int
 	// BlockSize is the block-cyclic block size for "brs" (default 1).
 	BlockSize int
-	// Method is "CRS" or "CCS" (default "CRS").
+	// Method is "CRS", "CCS" or "JDS" (default "CRS").
 	Method string
 	// Transport is "chan" (default), "tcp" (localhost sockets) or
 	// "model" (channel transport that really sleeps T_Startup +
@@ -130,19 +130,29 @@ type Config struct {
 	KillRank int
 }
 
+// withDefaults is the one default table: every front door (the library
+// entry points, sparsedist's flags, the daemon's JobSpec) resolves an
+// unset field through it. Scheme and method names are folded to upper
+// case, so "ed" and "" land on the same plan as "ED".
 func (c Config) withDefaults() Config {
+	// Under auto an empty partition or method means "the model picks":
+	// defaulting it here would silently pin the plan, so it stays empty
+	// until ResolveAutoStats fills it in.
+	auto := IsAutoScheme(c.Scheme)
 	if c.Scheme == "" {
 		c.Scheme = "ED"
 	}
-	if c.Partition == "" {
+	c.Scheme = strings.ToUpper(c.Scheme)
+	if c.Partition == "" && !auto {
 		c.Partition = "row"
 	}
 	if c.Procs == 0 {
 		c.Procs = 4
 	}
-	if c.Method == "" {
+	if c.Method == "" && !auto {
 		c.Method = "CRS"
 	}
+	c.Method = strings.ToUpper(c.Method)
 	if c.Transport == "" {
 		c.Transport = "chan"
 	}
@@ -154,7 +164,7 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Partition == "mesh" || c.Partition == "cyclic-mesh" {
 		if c.MeshRows == 0 || c.MeshCols == 0 {
-			c.MeshRows, c.MeshCols = squareGrid(c.Procs)
+			c.MeshRows, c.MeshCols = partition.SquareGrid(c.Procs)
 		}
 		c.Procs = c.MeshRows * c.MeshCols
 	}
@@ -178,33 +188,71 @@ func (c Config) injectsFaults() bool {
 // config, so "ED" and "" (defaulted) hit the same entry.
 func (c Config) Normalized() Config { return c.withDefaults() }
 
-// NewPartition builds the partition cfg describes for g — the planning
-// half of Distribute, exported so a serving layer can cache partitions
-// across requests and drive the dist engine on a pooled machine itself.
-// Call it on a Normalized config.
-func NewPartition(g *sparse.Dense, cfg Config) (partition.Partition, error) {
-	return newPartition(g, cfg)
+// NewPlan turns a config into the dist.Plan that distributes g: the
+// partition, the scheme's codec and Options{Method, Degrade, Workers,
+// Check, Ctx}. It is the one plan builder — Distribute and DistributeAll
+// run what it returns, and a serving layer caches it (minus Global and
+// the per-job options) to drive dist.Run on a pooled machine. cfg must
+// be valid (Validate), concrete (scheme auto already resolved, see
+// ResolveAutoStats) and Normalized.
+func NewPlan(g *sparse.Dense, cfg Config) (dist.Plan, error) {
+	part, err := NewPartition(g, cfg)
+	if err != nil {
+		return dist.Plan{}, err
+	}
+	codec, opts, err := cfg.codecOptions()
+	if err != nil {
+		return dist.Plan{}, err
+	}
+	return dist.Plan{Codec: codec, Global: g, Partition: part, Options: opts}, nil
 }
 
-// NewStreamPartition is NewPartition for a chunked source: the
-// nnz-balanced method takes one counting pass over the stream (which is
-// rewound afterwards); every other method needs only the shape.
-func NewStreamPartition(src sparse.ChunkReader, cfg Config) (partition.Partition, error) {
-	return newStreamPartition(src, cfg)
+// NewStreamPlan is NewPlan for a chunked source, with the streaming
+// bounds (MemBudget, FlushEntries) carried over; DistributeStream runs
+// what it returns.
+func NewStreamPlan(src sparse.ChunkReader, cfg Config) (dist.StreamPlan, error) {
+	part, err := NewStreamPartition(src, cfg)
+	if err != nil {
+		return dist.StreamPlan{}, err
+	}
+	codec, opts, err := cfg.codecOptions()
+	if err != nil {
+		return dist.StreamPlan{}, err
+	}
+	return dist.StreamPlan{
+		Codec: codec, Source: src, Partition: part, Options: opts,
+		Stream: dist.StreamOptions{FlushEntries: cfg.FlushEntries, MemBudget: cfg.MemBudget},
+	}, nil
 }
 
-// ParseMethod resolves a Config.Method name to the dist-level method.
-func ParseMethod(name string) (dist.Method, error) { return parseMethod(name) }
+// codecOptions resolves the partition-independent half of a plan.
+func (c Config) codecOptions() (dist.Codec, dist.Options, error) {
+	codec, err := dist.CodecByName(c.Scheme)
+	if err != nil {
+		return nil, dist.Options{}, err
+	}
+	method, err := ParseMethod(c.Method)
+	if err != nil {
+		return nil, dist.Options{}, err
+	}
+	return codec, dist.Options{Method: method, Degrade: c.Degrade, Workers: c.Workers, Check: c.Check, Ctx: c.Ctx}, nil
+}
 
-// squareGrid returns the most square pr x pc factorisation of p.
-func squareGrid(p int) (int, int) {
-	best := 1
-	for d := 1; d*d <= p; d++ {
-		if p%d == 0 {
-			best = d
+// concrete is the one path from a request to the config a plan is built
+// from: validate, resolve scheme auto against g's measured statistics,
+// apply the defaults.
+func (c Config) concrete(g *sparse.Dense) (Config, *AutoChoice, error) {
+	if err := c.Validate(); err != nil {
+		return Config{}, nil, err
+	}
+	var auto *AutoChoice
+	if IsAutoScheme(c.Scheme) {
+		var err error
+		if c, auto, err = ResolveAuto(g, c); err != nil {
+			return Config{}, nil, err
 		}
 	}
-	return best, p / best
+	return c.withDefaults(), auto, nil
 }
 
 // Distribution is a distributed sparse array: the per-rank compressed
@@ -235,8 +283,8 @@ type Distribution struct {
 	commErr  error
 }
 
-// parseMethod resolves a Config.Method name.
-func parseMethod(name string) (dist.Method, error) {
+// ParseMethod resolves a Config.Method name to the dist-level method.
+func ParseMethod(name string) (dist.Method, error) {
 	switch strings.ToUpper(name) {
 	case "CRS":
 		return dist.CRS, nil
@@ -245,7 +293,7 @@ func parseMethod(name string) (dist.Method, error) {
 	case "JDS":
 		return dist.JDS, nil
 	default:
-		return 0, fmt.Errorf("core: unknown method %q (want %s)", name, dist.MethodNames())
+		return 0, fmt.Errorf("method %q: want %s", name, dist.MethodNames())
 	}
 }
 
@@ -263,13 +311,6 @@ type machineStack struct {
 // faults hit the wire *below* the reliability layer, which then
 // recovers from them.
 func newMachineStack(cfg Config) (*machineStack, error) {
-	if cfg.KillRank >= cfg.Procs {
-		return nil, fmt.Errorf("core: KillRank %d out of range for %d processors", cfg.KillRank, cfg.Procs)
-	}
-	if cfg.KillRank > 0 && !cfg.Degrade {
-		return nil, fmt.Errorf("core: KillRank without Degrade cannot complete; set Degrade")
-	}
-
 	// The network model is built first so the model transport can price
 	// its sleeps by topology routes instead of the flat charge.
 	var net *simnet.Network
@@ -302,7 +343,7 @@ func newMachineStack(cfg Config) (*machineStack, error) {
 			base = machine.NewModelTransport(machine.NewChanTransport(cfg.Procs), cfg.Params)
 		}
 	default:
-		return nil, fmt.Errorf("core: unknown transport %q (want chan, tcp or model)", cfg.Transport)
+		return nil, unknownTransport(cfg.Transport)
 	}
 
 	var ft *machine.FaultTransport
@@ -353,44 +394,40 @@ func newMachineStack(cfg Config) (*machineStack, error) {
 	return &machineStack{m: m, rel: rt, faults: ft, net: net}, nil
 }
 
+// NewMachine builds the emulated machine cfg describes — Procs ranks
+// on cfg.Transport under the receive watchdog, with the network
+// recorder attached when a Topology is set — without distributing
+// anything: what a serving layer pools to run NewPlan's plans on.
+func NewMachine(cfg Config) (*machine.Machine, error) {
+	st, err := newMachineStack(cfg.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	return st.m, nil
+}
+
 // Distribute partitions, distributes and compresses g per the config.
 // Scheme "auto" is resolved here: the cost model picks the plan before
 // the run, and the decision comes back in Distribution.Auto.
 func Distribute(g *sparse.Dense, cfg Config) (*Distribution, error) {
-	var auto *AutoChoice
-	if IsAutoScheme(cfg.Scheme) {
-		var err error
-		cfg, auto, err = ResolveAuto(g, cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cfg = cfg.withDefaults()
-
-	part, err := newPartition(g, cfg)
+	cfg, auto, err := cfg.concrete(g)
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := dist.ByName(strings.ToUpper(cfg.Scheme))
+	plan, err := NewPlan(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	method, err := parseMethod(cfg.Method)
-	if err != nil {
-		return nil, err
-	}
-
 	st, err := newMachineStack(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	res, err := scheme.Distribute(st.m, g, part, dist.Options{Method: method, Degrade: cfg.Degrade, Workers: cfg.Workers, Check: cfg.Check, Ctx: cfg.Ctx})
+	res, err := dist.Run(st.m, plan)
 	if err != nil {
 		st.m.Close()
 		return nil, err
 	}
-	return &Distribution{Global: g, Partition: part, Result: res, Params: cfg.Params, Auto: auto, m: st.m, rel: st.rel, faults: st.faults, net: st.net}, nil
+	return &Distribution{Global: g, Partition: plan.Partition, Result: res, Params: cfg.Params, Auto: auto, m: st.m, rel: st.rel, faults: st.faults, net: st.net}, nil
 }
 
 // DistributeStream is Distribute for an out-of-core source: the global
@@ -402,41 +439,27 @@ func Distribute(g *sparse.Dense, cfg Config) (*Distribution, error) {
 // cost counters are identical to the materializing path by construction
 // (dist.RunStream's parity contract).
 func DistributeStream(src sparse.ChunkReader, cfg Config) (*Distribution, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if IsAutoScheme(cfg.Scheme) {
 		return nil, ErrAutoStream
 	}
 	cfg = cfg.withDefaults()
-
-	part, err := newStreamPartition(src, cfg)
+	plan, err := NewStreamPlan(src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	codec, err := dist.CodecByName(strings.ToUpper(cfg.Scheme))
-	if err != nil {
-		return nil, err
-	}
-	method, err := parseMethod(cfg.Method)
-	if err != nil {
-		return nil, err
-	}
-
 	st, err := newMachineStack(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	res, err := dist.RunStream(st.m, dist.StreamPlan{
-		Codec:     codec,
-		Source:    src,
-		Partition: part,
-		Options:   dist.Options{Method: method, Degrade: cfg.Degrade, Check: cfg.Check, Ctx: cfg.Ctx},
-		Stream:    dist.StreamOptions{FlushEntries: cfg.FlushEntries, MemBudget: cfg.MemBudget},
-	})
+	res, err := dist.RunStream(st.m, plan)
 	if err != nil {
 		st.m.Close()
 		return nil, err
 	}
-	return &Distribution{Partition: part, Result: res, Params: cfg.Params, Streamed: true, m: st.m, rel: st.rel, faults: st.faults, net: st.net}, nil
+	return &Distribution{Partition: plan.Partition, Result: res, Params: cfg.Params, Streamed: true, m: st.m, rel: st.rel, faults: st.faults, net: st.net}, nil
 }
 
 // Batch is a set of distributions sharing one emulated machine,
@@ -483,14 +506,10 @@ func DistributeAll(g *sparse.Dense, cfgs []Config) (*Batch, error) {
 	}
 	autos := make([]*AutoChoice, len(cfgs))
 	for i := range cfgs {
-		if IsAutoScheme(cfgs[i].Scheme) {
-			resolved, choice, err := ResolveAuto(g, cfgs[i])
-			if err != nil {
-				return nil, fmt.Errorf("core: DistributeAll config %d: %w", i, err)
-			}
-			cfgs[i], autos[i] = resolved, choice
+		var err error
+		if cfgs[i], autos[i], err = cfgs[i].concrete(g); err != nil {
+			return nil, fmt.Errorf("core: DistributeAll config %d: %w", i, err)
 		}
-		cfgs[i] = cfgs[i].withDefaults()
 	}
 	ref := cfgs[0].perPlanZeroed()
 	// A Degrade plan needs the reliable transport, so any config asking
@@ -511,27 +530,11 @@ func DistributeAll(g *sparse.Dense, cfgs []Config) (*Batch, error) {
 	shared.Reliable = ref.Reliable
 	shared.Degrade = anyDegrade(cfgs)
 
-	parts := make([]partition.Partition, len(cfgs))
 	plans := make([]dist.Plan, len(cfgs))
 	for i, cfg := range cfgs {
-		part, err := newPartition(g, cfg)
-		if err != nil {
+		var err error
+		if plans[i], err = NewPlan(g, cfg); err != nil {
 			return nil, fmt.Errorf("core: DistributeAll config %d: %w", i, err)
-		}
-		codec, err := dist.CodecByName(strings.ToUpper(cfg.Scheme))
-		if err != nil {
-			return nil, fmt.Errorf("core: DistributeAll config %d: %w", i, err)
-		}
-		method, err := parseMethod(cfg.Method)
-		if err != nil {
-			return nil, fmt.Errorf("core: DistributeAll config %d: %w", i, err)
-		}
-		parts[i] = part
-		plans[i] = dist.Plan{
-			Codec:     codec,
-			Global:    g,
-			Partition: part,
-			Options:   dist.Options{Method: method, Degrade: cfg.Degrade, Workers: cfg.Workers, Check: cfg.Check, Ctx: cfg.Ctx},
 		}
 	}
 
@@ -548,7 +551,7 @@ func DistributeAll(g *sparse.Dense, cfgs []Config) (*Batch, error) {
 	b := &Batch{Distributions: make([]*Distribution, len(cfgs)), m: st.m}
 	for i, res := range results {
 		b.Distributions[i] = &Distribution{
-			Global: g, Partition: parts[i], Result: res, Params: cfgs[i].Params, Auto: autos[i],
+			Global: g, Partition: plans[i].Partition, Result: res, Params: cfgs[i].Params, Auto: autos[i],
 			m: st.m, rel: st.rel, faults: st.faults, net: st.net,
 		}
 	}
@@ -564,7 +567,10 @@ func anyDegrade(cfgs []Config) bool {
 	return false
 }
 
-func newPartition(g *sparse.Dense, cfg Config) (partition.Partition, error) {
+// NewPartition builds the partition cfg describes for g — the
+// partition half of NewPlan, exported for callers that drive the dist
+// engine themselves. Call it on a Normalized config.
+func NewPartition(g *sparse.Dense, cfg Config) (partition.Partition, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil array")
 	}
@@ -572,12 +578,12 @@ func newPartition(g *sparse.Dense, cfg Config) (partition.Partition, error) {
 		func() ([]int, error) { return sparse.RowNNZ(g), nil })
 }
 
-// newStreamPartition plans from a chunked source: the shape is free,
-// and the nnz-balanced partition takes one cheap counting pass
+// NewStreamPartition is NewPartition for a chunked source: the shape is
+// free, and the nnz-balanced partition takes one cheap counting pass
 // (sparse.ScanStats) over the stream, which rewinds it afterwards. The
 // count pass feeds the same boundary sweep the materialized planner
 // uses, so a streamed plan lands on identical part boundaries.
-func newStreamPartition(src sparse.ChunkReader, cfg Config) (partition.Partition, error) {
+func NewStreamPartition(src sparse.ChunkReader, cfg Config) (partition.Partition, error) {
 	rows, cols := src.Shape()
 	return newPartitionAt(rows, cols, cfg, func() ([]int, error) {
 		st, err := sparse.ScanStats(src)
@@ -611,11 +617,7 @@ func newPartitionAt(rows, cols int, cfg Config, rowNNZ func() ([]int, error)) (p
 	case "brs":
 		return partition.NewBlockCyclicRow(rows, cols, cfg.Procs, cfg.BlockSize)
 	case "cyclic-mesh":
-		pr, pc := cfg.MeshRows, cfg.MeshCols
-		if pr == 0 || pc == 0 {
-			pr, pc = squareGrid(cfg.Procs)
-		}
-		return partition.NewCyclicMesh(rows, cols, pr, pc, cfg.BlockSize, cfg.BlockSize)
+		return partition.NewCyclicMesh(rows, cols, cfg.MeshRows, cfg.MeshCols, cfg.BlockSize, cfg.BlockSize)
 	case "balanced-row":
 		counts, err := rowNNZ()
 		if err != nil {
@@ -623,7 +625,7 @@ func newPartitionAt(rows, cols int, cfg Config, rowNNZ func() ([]int, error)) (p
 		}
 		return partition.NewBalancedRowFromCounts(counts, cols, cfg.Procs)
 	default:
-		return nil, fmt.Errorf("core: unknown partition %q (want row, col, mesh, cyclic-row, cyclic-col, brs or cyclic-mesh)", cfg.Partition)
+		return nil, unknownPartition(cfg.Partition)
 	}
 }
 

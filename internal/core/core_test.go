@@ -146,16 +146,6 @@ func TestConfigErrors(t *testing.T) {
 	}
 }
 
-func TestSquareGrid(t *testing.T) {
-	cases := map[int][2]int{4: {2, 2}, 6: {2, 3}, 16: {4, 4}, 7: {1, 7}, 36: {6, 6}}
-	for p, want := range cases {
-		pr, pc := squareGrid(p)
-		if pr != want[0] || pc != want[1] {
-			t.Errorf("squareGrid(%d) = %dx%d, want %dx%d", p, pr, pc, want[0], want[1])
-		}
-	}
-}
-
 func TestReportContents(t *testing.T) {
 	g := sparse.Uniform(16, 16, 0.1, 6)
 	d, err := Distribute(g, Config{Scheme: "ED", Procs: 2})

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/cost"
+	"repro/internal/partition"
 	"repro/internal/simnet"
 	"repro/internal/sparse"
 )
@@ -158,7 +159,7 @@ func Select(st ArrayStats, opts SelectOptions) (Choice, error) {
 	s := st.S()
 	pr, pc := opts.MeshRows, opts.MeshCols
 	if pr <= 0 || pc <= 0 || pr*pc != opts.Procs {
-		pr, pc = squareGrid(opts.Procs)
+		pr, pc = partition.SquareGrid(opts.Procs)
 	}
 
 	choice := def
@@ -269,17 +270,6 @@ func clamp01(r, floor float64) float64 {
 		r = 1
 	}
 	return r
-}
-
-// squareGrid returns the most square pr x pc factorisation of p.
-func squareGrid(p int) (int, int) {
-	best := 1
-	for d := 1; d*d <= p; d++ {
-		if p%d == 0 {
-			best = d
-		}
-	}
-	return best, p / best
 }
 
 // KindFor maps a core partition name (or HPF descriptor) to the model's

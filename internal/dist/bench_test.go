@@ -122,9 +122,10 @@ func BenchmarkAblationCFSConvert(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEDOverlap compares the sequential ED root loop with
-// the pipelined variant over the TCP transport, where send time is real
-// enough to hide encoding behind.
+// BenchmarkAblationEDOverlap compares the sequential ED root loop
+// (Workers: 1) with the pipelined one (Workers: 2, one part of encode
+// overlapped with the previous part's send) over the TCP transport,
+// where send time is real enough to hide encoding behind.
 func BenchmarkAblationEDOverlap(b *testing.B) {
 	g := sparse.UniformExact(800, 800, 0.1, 13)
 	part, err := partition.NewRow(800, 800, 4)
@@ -133,10 +134,10 @@ func BenchmarkAblationEDOverlap(b *testing.B) {
 	}
 	for _, c := range []struct {
 		name    string
-		overlap bool
-	}{{"sequential", false}, {"pipelined", true}} {
+		workers int
+	}{{"sequential", 1}, {"pipelined", 2}} {
 		b.Run(c.name, func(b *testing.B) {
-			benchDistribute(b, true, ED{}, g, part, Options{EDOverlap: c.overlap})
+			benchDistribute(b, true, ED{}, g, part, Options{Workers: c.workers})
 		})
 	}
 }

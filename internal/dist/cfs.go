@@ -35,9 +35,6 @@ func (CFS) Policy() PhasePolicy {
 	return PhasePolicy{RootEncode: PhaseCompression, Receive: PhaseDistribution}
 }
 
-// Overlap implements Codec; CFS has no forced-pipeline ablation.
-func (CFS) Overlap(Options) bool { return false }
-
 // Prepare implements Codec; CFS compresses straight from the global
 // array.
 func (CFS) Prepare(*runState) error { return nil }

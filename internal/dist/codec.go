@@ -53,9 +53,6 @@ type Codec interface {
 	Scheme() string
 	// Policy returns the scheme's cost bookkeeping split.
 	Policy() PhasePolicy
-	// Overlap reports whether the options force the pipelined root loop
-	// even at Workers<=1 (the legacy ED one-part-lookahead ablation).
-	Overlap(opts Options) bool
 	// Prepare runs once per plan before the SPMD region, outside the
 	// timed phases (the paper excludes partition time).
 	Prepare(run *runState) error

@@ -71,21 +71,6 @@ type Options struct {
 	// a cancelled run the machine can be drained (machine.Drain) and
 	// reused. Nil means run to completion — the classic behaviour.
 	Ctx context.Context
-	// Tag pins the base message tag for this run's data frames (a
-	// degradable run additionally uses Tag+k per part k and Tag+p for
-	// assignment commits). Zero — the default — draws a fresh disjoint
-	// tag range from the machine's allocator instead, which is what
-	// lets concurrent distributions share one machine; pin a tag only
-	// for single-session runs that need a fixed wire layout, and keep
-	// pinned values below the allocator's base (see machine.AllocTags).
-	Tag int
-	// EDOverlap pipelines the ED root loop: part k+1 is encoded in a
-	// worker goroutine while part k's buffer is on the wire. Virtual
-	// costs are identical (same counts); wall-clock distribution
-	// improves when the transport is slow (TCP), which
-	// BenchmarkAblationEDOverlap shows. The paper's SP2 implementation
-	// is strictly sequential; this is an engineering extension.
-	EDOverlap bool
 	// CFSConvertAtRoot is an ablation switch for the CFS scheme: instead
 	// of sending global minor indices and converting at the receivers
 	// (the paper's design, Cases 3.2.1-3.2.3), the root converts each

@@ -42,10 +42,6 @@ func (ED) Policy() PhasePolicy {
 	return PhasePolicy{RootEncode: PhaseCompression, Receive: PhaseCompression}
 }
 
-// Overlap implements Codec: EDOverlap forces at least the one-worker
-// pipeline — the legacy one-part-lookahead overlap ablation.
-func (ED) Overlap(o Options) bool { return o.EDOverlap }
-
 // Prepare implements Codec; ED encodes straight from the global array.
 func (ED) Prepare(*runState) error { return nil }
 

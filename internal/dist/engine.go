@@ -58,19 +58,14 @@ type tagSet struct {
 	assign int
 }
 
-// planTags resolves a plan's tag range: an explicit Options.Tag is
-// honoured verbatim (legacy single-session layout), otherwise a
-// disjoint range is drawn from the machine's allocator so concurrent
-// plans on one machine can never steal each other's frames.
+// planTags draws a plan's tag range from the machine's allocator, so
+// concurrent plans on one machine can never steal each other's frames.
 func planTags(m *machine.Machine, opts Options, p int) tagSet {
-	base := opts.Tag
-	if base == 0 {
-		if opts.Degrade {
-			base = m.AllocTags(p + 1)
-		} else {
-			base = m.AllocTags(1)
-		}
+	n := 1
+	if opts.Degrade {
+		n = p + 1
 	}
+	base := m.AllocTags(n)
 	return tagSet{base: base, assign: base + p}
 }
 
@@ -120,7 +115,7 @@ func runDirect(m *machine.Machine, run *runState, res *Result, bd *Breakdown, ta
 	stallToComp := c.Policy().RootEncode == PhaseCompression
 	err := m.Run(func(pr *machine.Proc) error {
 		if pr.Rank == 0 {
-			err := rootSendParts(p, run.opts, bd, stallToComp, c.Overlap(run.opts),
+			err := rootSendParts(p, run.opts, bd, stallToComp,
 				cancellableEncode(ctx, func(k int, pp *partPayload) error { return c.EncodePart(run, k, pp) }),
 				sendTo(pr, tags.base, bd))
 			if err != nil {
@@ -177,7 +172,7 @@ func rootDegradable(pr *machine.Proc, p int, run *runState, remap *partition.Rem
 	// dies. Retention is also why delivery below never marks payloads
 	// poolable: a buffer on a survivor must stay valid for re-sending.
 	retained := make([]partPayload, p)
-	err := rootSendParts(p, run.opts, bd, c.Policy().RootEncode == PhaseCompression, false,
+	err := rootSendParts(p, run.opts, bd, c.Policy().RootEncode == PhaseCompression,
 		cancellableEncode(run.opts.Ctx, func(k int, pp *partPayload) error { return c.EncodePart(run, k, pp) }),
 		func(pp *partPayload) error {
 			retained[pp.k] = *pp

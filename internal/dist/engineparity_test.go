@@ -207,19 +207,3 @@ func TestSessionConcurrentDistributions(t *testing.T) {
 		sameBreakdownCounters(t, solo.Breakdown, results[i].Breakdown)
 	}
 }
-
-// TestSessionRejectsPinnedTag: pinned tags defeat collision-free
-// allocation, so a Session must refuse them up front.
-func TestSessionRejectsPinnedTag(t *testing.T) {
-	const n, p = 8, 2
-	g := sparse.Uniform(n, n, 0.2, 1)
-	part, err := partition.NewRow(n, n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newMachine(t, p)
-	_, err = NewSession(m).Distribute(Plan{Codec: ED{}, Global: g, Partition: part, Options: Options{Tag: 7}})
-	if err == nil {
-		t.Fatal("pinned Options.Tag accepted by Session")
-	}
-}

@@ -9,6 +9,10 @@ import (
 	"repro/internal/sparse"
 )
 
+// The pipelined root loop (Workers > 1) overlaps part k+1's encode with
+// part k's send; these tests hold it to the sequential loop (Workers: 1)
+// on ED, the scheme whose encode dominates the root's time.
+
 func TestEDOverlapEquivalent(t *testing.T) {
 	g := sparse.Uniform(40, 40, 0.15, 20)
 	row, _ := partition.NewRow(40, 40, 4)
@@ -17,12 +21,12 @@ func TestEDOverlapEquivalent(t *testing.T) {
 		for _, method := range []Method{CRS, CCS} {
 			t.Run(part.Name()+"/"+method.String(), func(t *testing.T) {
 				m1 := newMachine(t, 4)
-				base, err := ED{}.Distribute(m1, g, part, Options{Method: method})
+				base, err := ED{}.Distribute(m1, g, part, Options{Method: method, Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
 				m2 := newMachine(t, 4)
-				over, err := ED{}.Distribute(m2, g, part, Options{Method: method, EDOverlap: true})
+				over, err := ED{}.Distribute(m2, g, part, Options{Method: method, Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,7 +65,7 @@ func TestEDOverlapOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	res, err := ED{}.Distribute(m, g, part, Options{EDOverlap: true})
+	res, err := ED{}.Distribute(m, g, part, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +75,10 @@ func TestEDOverlapOverTCP(t *testing.T) {
 }
 
 func TestEDOverlapSendFailure(t *testing.T) {
-	// A failing send mid-pipeline must error out cleanly (producer
-	// drained, no goroutine leak panics) rather than deadlock.
+	// Frames lost under the pipelined root must error out cleanly (the
+	// root's sends all succeed; the receivers' watchdogs report the
+	// loss) rather than deadlock. A send that itself fails is
+	// TestRootPipelineSendFailureDrains.
 	g := sparse.Uniform(16, 16, 0.2, 22)
 	part, _ := partition.NewRow(16, 16, 4)
 	ft := machine.NewFaultTransport(machine.NewChanTransport(4))
@@ -82,7 +88,7 @@ func TestEDOverlapSendFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := (ED{}).Distribute(m, g, part, Options{EDOverlap: true}); err == nil {
+	if _, err := (ED{}).Distribute(m, g, part, Options{Workers: 2}); err == nil {
 		t.Fatal("dropped messages went unnoticed")
 	}
 }

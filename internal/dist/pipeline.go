@@ -9,8 +9,7 @@ package dist
 // is the paper's SP2 behaviour as well as the virtual-cost reference.
 // The pipelined path runs a bounded pool of Options.Workers encoder
 // goroutines while a single consumer sends completed parts *in part
-// order*; it generalises the old ED-only one-part-lookahead overlap
-// (Options.EDOverlap) to every scheme and any worker count.
+// order*, for every scheme and any worker count.
 //
 // Virtual costs are identical on both paths by construction: encoders
 // charge per-part local counters (partPayload.comp/.dist) and the
@@ -61,18 +60,14 @@ type encodePartFunc func(k int, pp *partPayload) error
 type sendPartFunc func(pp *partPayload) error
 
 // rootSendParts runs the root side of one scheme: encode parts 0..p-1
-// and hand each to send in part order. Workers<=1 runs the strictly
-// sequential legacy loop unless forcePipeline is set (the EDOverlap
-// ablation), which runs the single-worker pipeline — same counts, one
-// part of encode/send overlap.
-func rootSendParts(p int, opts Options, bd *Breakdown, stallToComp, forcePipeline bool,
+// and hand each to send in part order. One worker runs the strictly
+// sequential legacy loop, more run the pipeline — same counts, encode
+// overlapped with send.
+func rootSendParts(p int, opts Options, bd *Breakdown, stallToComp bool,
 	encode encodePartFunc, send sendPartFunc) error {
 	workers := opts.workerCount()
-	if workers <= 1 && !forcePipeline {
+	if workers <= 1 {
 		return runRootSequential(p, opts.Net, bd, encode, send)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	return runRootPipeline(p, workers, opts.Net, bd, stallToComp, encode, send)
 }
@@ -102,8 +97,7 @@ func runRootSequential(p int, net *simnet.Network, bd *Breakdown, encode encodeP
 // runRootPipeline fans part encoding out over a bounded worker pool and
 // sends completed parts in order from this goroutine. On any error —
 // an encoder's or the sender's — the pool is stopped and fully drained
-// before returning, so no goroutine outlives the call (the old ED
-// overlap loop had its own drain; this is the one shared copy).
+// before returning, so no goroutine outlives the call.
 func runRootPipeline(p, workers int, net *simnet.Network, bd *Breakdown, stallToComp bool,
 	encode encodePartFunc, send sendPartFunc) error {
 	if workers > p {

@@ -30,24 +30,9 @@ func NewSession(m *machine.Machine) *Session { return &Session{m: m} }
 // Machine returns the underlying machine.
 func (s *Session) Machine() *machine.Machine { return s.m }
 
-// checkPlan rejects plans that would defeat collision-free tag
-// allocation: session plans must leave Options.Tag zero so Run draws a
-// disjoint range from the machine's allocator.
-func (s *Session) checkPlan(i int, plan Plan) error {
-	if plan.Options.Tag != 0 {
-		return fmt.Errorf("dist: Session: plan %d pins Options.Tag %d; session plans must let the machine allocate tags", i, plan.Options.Tag)
-	}
-	return nil
-}
-
 // Distribute plans and runs one distribution on the shared machine.
 // Safe to call from multiple goroutines.
-func (s *Session) Distribute(plan Plan) (*Result, error) {
-	if err := s.checkPlan(0, plan); err != nil {
-		return nil, err
-	}
-	return Run(s.m, plan)
-}
+func (s *Session) Distribute(plan Plan) (*Result, error) { return Run(s.m, plan) }
 
 // DistributeAll runs every plan concurrently over the shared machine
 // and returns the results in plan order. Plans fail or succeed
@@ -59,10 +44,6 @@ func (s *Session) DistributeAll(plans []Plan) ([]*Result, error) {
 	errs := make([]error, len(plans))
 	var wg sync.WaitGroup
 	for i := range plans {
-		if err := s.checkPlan(i, plans[i]); err != nil {
-			errs[i] = err
-			continue
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

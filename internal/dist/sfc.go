@@ -33,9 +33,6 @@ func (SFC) Policy() PhasePolicy {
 	return PhasePolicy{RootEncode: PhaseDistribution, Receive: PhaseCompression}
 }
 
-// Overlap implements Codec; SFC has no forced-pipeline ablation.
-func (SFC) Overlap(Options) bool { return false }
-
 // Prepare implements Codec: materialise the dense local arrays up
 // front — the paper's analysis excludes partition time.
 func (SFC) Prepare(run *runState) error {

@@ -143,11 +143,8 @@ type streamTags struct {
 	stats  int
 }
 
-func planStreamTags(m *machine.Machine, opts Options, p int) streamTags {
-	base := opts.Tag
-	if base == 0 {
-		base = m.AllocTags(p + 3)
-	}
+func planStreamTags(m *machine.Machine, p int) streamTags {
+	base := m.AllocTags(p + 3)
 	return streamTags{base: base, assign: base + p, credit: base + p + 1, stats: base + p + 2}
 }
 
@@ -190,7 +187,7 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	bd := newBreakdown(p)
 	res := &Result{Scheme: c.Scheme(), Partition: plan.Partition.Name(), Method: plan.Options.Method, Breakdown: bd}
 	res.allocLocals(p)
-	tags := planStreamTags(m, plan.Options, p)
+	tags := planStreamTags(m, p)
 	sopts := plan.Stream.withDefaults(p)
 	var remap *partition.Remap
 	if plan.Options.Degrade {

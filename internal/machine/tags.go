@@ -9,9 +9,9 @@ import "sync/atomic"
 // every session its own disjoint range instead, so concurrent SPMD
 // executions multiplex one machine safely.
 //
-// Allocated tags start at allocTagBase; hand-picked tags (legacy
-// Options.Tag values, package-internal constants) must stay below it,
-// and collective/control tags remain negative.
+// Allocated tags start at allocTagBase; hand-picked tags
+// (package-internal constants) must stay below it, and
+// collective/control tags remain negative.
 
 // allocTagBase is the first tag AllocTags ever returns.
 const allocTagBase = 1 << 16

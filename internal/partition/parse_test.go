@@ -61,3 +61,30 @@ func TestParseMatchesDirectConstructors(t *testing.T) {
 		}
 	}
 }
+
+func TestSquareGrid(t *testing.T) {
+	cases := map[int][2]int{1: {1, 1}, 4: {2, 2}, 6: {2, 3}, 16: {4, 4}, 7: {1, 7}, 36: {6, 6}}
+	for p, want := range cases {
+		pr, pc := SquareGrid(p)
+		if pr != want[0] || pc != want[1] {
+			t.Errorf("SquareGrid(%d) = %dx%d, want %dx%d", p, pr, pc, want[0], want[1])
+		}
+	}
+}
+
+// TestCheckDescriptorAgreesWithParse: the syntax check and the builder
+// share one grammar, so they accept and reject the same descriptors.
+func TestCheckDescriptorAgreesWithParse(t *testing.T) {
+	for _, desc := range []string{
+		"(Block,*)", "( block , * )", "(*,Block)", "(Block,Block)", "(Cyclic,*)", "(*,Cyclic)",
+		"(Cyclic(3),*)", "(Cyclic,Cyclic)", "(Cyclic(2),Cyclic(3))",
+		"", "(Block", "(Block)", "(*,*)", "(Bogus,*)", "(Cyclic(0),*)", "(Cyclic(x),*)",
+		"(*,Cyclic(2))", "(Block,Cyclic)", "Block,Block,Block",
+	} {
+		_, perr := Parse(desc, 12, 12, 4)
+		cerr := CheckDescriptor(desc)
+		if (perr == nil) != (cerr == nil) {
+			t.Errorf("%q: Parse error %v, CheckDescriptor error %v", desc, perr, cerr)
+		}
+	}
+}

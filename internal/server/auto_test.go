@@ -133,7 +133,7 @@ func TestPlanCacheBounded(t *testing.T) {
 	g := sparse.UniformExact(8, 8, 0.25, 1)
 	for seed := int64(1); seed <= planCacheCap+1; seed++ {
 		spec := JobSpec{N: 8, Ratio: 0.25, Seed: seed, Scheme: "ED", Procs: 2}.withDefaults()
-		if _, hit, err := s.planFor(spec, g, true); err != nil || hit {
+		if _, hit, err := s.planFor(spec, spec.config(s.cfg).Normalized(), g, true); err != nil || hit {
 			t.Fatalf("seed %d: hit=%v err=%v, want a fresh plan", seed, hit, err)
 		}
 	}

@@ -150,30 +150,11 @@ func TestBadRequests(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"malformed json", `{"n":`},
-		{"unknown field", `{"n":64,"frobnicate":1}`},
-		{"negative n", `{"n":-5}`},
-		{"n over limit", `{"n":100000}`},
-		{"ratio over 1", `{"n":64,"ratio":1.5}`},
-		{"negative ratio", `{"n":64,"ratio":-0.25}`},
-		{"unknown scheme", `{"n":64,"scheme":"XXX"}`},
-		{"unknown partition", `{"n":64,"partition":"diagonal"}`},
-		{"unknown method", `{"n":64,"method":"COO"}`},
-		{"negative procs", `{"n":64,"procs":-2}`},
-		{"procs over limit", `{"n":64,"procs":999}`},
-		{"half a mesh", `{"n":64,"mesh_rows":2}`},
-		{"negative mesh", `{"n":64,"mesh_rows":-1,"mesh_cols":-1}`},
-		{"mesh over limit", `{"n":64,"mesh_rows":4,"mesh_cols":4}`},
-		{"negative workers", `{"n":64,"workers":-1}`},
-		{"negative block", `{"n":64,"block":-3}`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+	// The table is shared with the white-box validator test and the
+	// fuzz corpus (spec_test.go).
+	for _, tc := range server.BadRequests {
+		t.Run(tc.Name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.Body))
 			if err != nil {
 				t.Fatalf("POST: %v", err)
 			}

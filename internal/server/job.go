@@ -7,6 +7,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/spops"
 	"repro/internal/trace"
 )
 
@@ -95,7 +97,35 @@ func (s JobSpec) RouteKey() string {
 		d.MeshRows, d.MeshCols, d.Block, d.Method, d.Stream, d.SourceFile, d.Op)
 }
 
-// withDefaults resolves the spec's zero values to the service defaults.
+// config is the one translation of a JobSpec into the core.Config
+// vocabulary: the spec's plan fields plus the node-level settings every
+// job on this server shares. Validation, defaults, auto resolution and
+// plan building all start from it.
+func (s JobSpec) config(node Config) core.Config {
+	return core.Config{
+		Scheme:      s.Scheme,
+		Partition:   s.Partition,
+		Procs:       s.Procs,
+		MeshRows:    s.MeshRows,
+		MeshCols:    s.MeshCols,
+		BlockSize:   s.Block,
+		Method:      s.Method,
+		Workers:     s.Workers,
+		Check:       s.Check,
+		MemBudget:   s.MemBudget,
+		Params:      node.Params,
+		Topology:    node.Topology,
+		LinkBW:      node.LinkBW,
+		LinkLatency: node.LinkLatency,
+		RecvTimeout: node.RecvTimeout,
+	}
+}
+
+// withDefaults resolves the spec's zero values to the service defaults:
+// the input array's here, the plan's from core's default table (under
+// AUTO an empty partition/method stays empty — "the model picks"). The
+// mesh grid is echoed as sent: the route key carries it verbatim, so it
+// is kept out of the normalisation, which would fold it into procs.
 func (s JobSpec) withDefaults() JobSpec {
 	if s.N == 0 {
 		s.N = 200
@@ -106,41 +136,23 @@ func (s JobSpec) withDefaults() JobSpec {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Scheme == "" {
-		s.Scheme = "ED"
-	}
-	s.Scheme = strings.ToUpper(s.Scheme)
-	// Under AUTO, an empty partition/method means "the model picks" —
-	// defaulting them here would silently pin the plan (and change the
-	// route key), so they stay empty.
-	if s.Partition == "" && s.Scheme != "AUTO" {
-		s.Partition = "row"
-	}
-	if s.Procs == 0 {
-		s.Procs = 4
-	}
-	if s.Method == "" && s.Scheme != "AUTO" {
-		s.Method = "CRS"
-	}
-	s.Method = strings.ToUpper(s.Method)
-	if s.Block == 0 {
-		s.Block = 1
-	}
+	c := s.config(Config{})
+	c.MeshRows, c.MeshCols = 0, 0
+	c = c.Normalized()
+	s.Scheme, s.Partition, s.Procs, s.Method, s.Block = c.Scheme, c.Partition, c.Procs, c.Method, c.BlockSize
 	s.Op = strings.ToLower(s.Op)
 	return s
 }
 
-// knownPartitions mirrors core.newPartition's accepted names (HPF
-// descriptors are validated by the partition parser at plan time).
-var knownPartitions = map[string]bool{
-	"row": true, "col": true, "mesh": true, "cyclic-row": true,
-	"cyclic-col": true, "brs": true, "cyclic-mesh": true, "balanced-row": true,
-}
-
-// validate rejects bad requests up front with one clear error each —
-// the HTTP twin of the sparsedist CLI's validateFlags — and enforces
-// the server's admission limits.
+// validate rejects bad requests up front with one clear error each:
+// what a valid plan request is comes from core.Config.Validate, in its
+// words; what only the service knows — the input array, the admission
+// limits, file and budget needing stream, the op rules, and the policy
+// that auto picks its own method — is checked here.
 func (s JobSpec) validate(limits Limits) error {
+	if err := s.config(Config{}).Validate(); err != nil {
+		return err
+	}
 	if s.N < 1 {
 		return fmt.Errorf("n %d: array size must be positive", s.N)
 	}
@@ -150,48 +162,21 @@ func (s JobSpec) validate(limits Limits) error {
 	if s.Ratio < 0 || s.Ratio > 1 {
 		return fmt.Errorf("ratio %g: sparse ratio must be in [0, 1]", s.Ratio)
 	}
-	if s.Procs < 1 {
-		return fmt.Errorf("procs %d: need at least one processor", s.Procs)
-	}
 	if s.Procs > limits.MaxProcs {
 		return fmt.Errorf("procs %d: exceeds the server's limit of %d", s.Procs, limits.MaxProcs)
 	}
-	if (s.MeshRows < 0) || (s.MeshCols < 0) {
-		return fmt.Errorf("mesh %dx%d: grid dimensions cannot be negative", s.MeshRows, s.MeshCols)
-	}
-	if (s.MeshRows > 0) != (s.MeshCols > 0) {
-		return fmt.Errorf("mesh %dx%d: set both grid dimensions or neither", s.MeshRows, s.MeshCols)
-	}
-	if s.MeshRows > 0 && s.MeshRows*s.MeshCols > limits.MaxProcs {
+	// Each dimension first: the product of two huge dimensions can wrap
+	// around to something small.
+	if s.MeshRows > limits.MaxProcs || s.MeshCols > limits.MaxProcs || s.MeshRows*s.MeshCols > limits.MaxProcs {
 		return fmt.Errorf("mesh %dx%d: grid exceeds the server's processor limit of %d", s.MeshRows, s.MeshCols, limits.MaxProcs)
 	}
-	switch s.Scheme {
-	case "SFC", "CFS", "ED":
-	case "AUTO":
+	if core.IsAutoScheme(s.Scheme) {
 		if s.Method != "" {
 			return fmt.Errorf("method %q with scheme auto: auto picks the method; omit it or pick the scheme explicitly", s.Method)
 		}
 		if s.Stream {
 			return fmt.Errorf("scheme auto with stream: selection needs full array statistics, which a streamed job never materializes; pick a scheme explicitly")
 		}
-	default:
-		return fmt.Errorf("scheme %q: want SFC, CFS, ED or auto", s.Scheme)
-	}
-	// An empty partition/method only survives withDefaults under AUTO,
-	// where it means "the model picks".
-	if s.Partition != "" && !knownPartitions[s.Partition] && !strings.HasPrefix(s.Partition, "(") {
-		return fmt.Errorf("partition %q: want row, col, mesh, cyclic-row, cyclic-col, brs, cyclic-mesh, balanced-row or an HPF descriptor", s.Partition)
-	}
-	switch s.Method {
-	case "CRS", "CCS", "JDS", "":
-	default:
-		return fmt.Errorf("method %q: want CRS, CCS or JDS", s.Method)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("workers %d: cannot be negative", s.Workers)
-	}
-	if s.Block < 1 {
-		return fmt.Errorf("block %d: block size must be positive", s.Block)
 	}
 	if len(s.ClientID) > 128 {
 		return fmt.Errorf("client_id %d bytes long: limit is 128", len(s.ClientID))
@@ -202,14 +187,11 @@ func (s JobSpec) validate(limits Limits) error {
 	if len(s.SourceFile) > 512 {
 		return fmt.Errorf("source_file %d bytes long: limit is 512", len(s.SourceFile))
 	}
-	if s.MemBudget < 0 {
-		return fmt.Errorf("mem_budget %d: cannot be negative", s.MemBudget)
-	}
 	if s.MemBudget > 0 && !s.Stream {
 		return fmt.Errorf("mem_budget without stream: the budget only bounds streamed jobs; set stream")
 	}
-	if s.Op != "" && !knownOps[s.Op] {
-		return fmt.Errorf("op %q: want spmv, jacobi or spgemm", s.Op)
+	if !spops.ValidOp(s.Op) {
+		return fmt.Errorf("op %q: want %s", s.Op, spops.OpNames())
 	}
 	if s.Op != "" && s.Stream {
 		return fmt.Errorf("op %q with stream: compute ops need the materialized array server-side; drop stream", s.Op)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/compress"
 	"repro/internal/dist"
@@ -20,9 +19,6 @@ import (
 // array and plan; the pooled machine executing it changes per job (the
 // plan is machine-free by construction).
 
-// knownOps are the accepted JobSpec.Op values.
-var knownOps = map[string]bool{"spmv": true, "jacobi": true, "spgemm": true}
-
 // defaultOpIters caps Jacobi sweeps when the spec leaves op_iters zero.
 const defaultOpIters = 500
 
@@ -35,7 +31,7 @@ func (s *Server) runOp(spec JobSpec, g *sparse.Dense, pl *plan, m *machine.Machi
 	key := pl.key
 	key.array = specArrayKey(spec)
 	cpl, hit, err := s.opPlans.getOrFill(key, func() (*spops.CommPlan, error) {
-		return spops.BuildCommPlan(pl.part, res)
+		return spops.BuildCommPlan(pl.Partition, res)
 	})
 	if err != nil {
 		return fmt.Errorf("building comm plan: %w", err)
@@ -44,13 +40,13 @@ func (s *Server) runOp(spec JobSpec, g *sparse.Dense, pl *plan, m *machine.Machi
 	var st spops.OpStats
 	switch spec.Op {
 	case "spmv":
-		_, st, err = spops.SpMV(m, cpl, opVector(g.Cols(), spec.Seed))
+		_, st, err = spops.SpMV(m, cpl, spops.OpVector(g.Cols(), spec.Seed))
 	case "jacobi":
 		iters := spec.OpIters
 		if iters == 0 {
 			iters = defaultOpIters
 		}
-		_, st, err = spops.Jacobi(m, cpl, opVector(g.Rows(), spec.Seed+1), nil, 1e-9, iters)
+		_, st, err = spops.Jacobi(m, cpl, spops.OpVector(g.Rows(), spec.Seed+1), nil, 1e-9, iters)
 	case "spgemm":
 		// C = A·A: the synthetic arrays are square, so the array is its
 		// own right-hand operand — no second array to generate or cache.
@@ -75,34 +71,4 @@ func (s *Server) runOp(spec JobSpec, g *sparse.Dense, pl *plan, m *machine.Machi
 	s.metrics.opsWireWords.Add(int64(st.WireWords))
 	s.metrics.opsBcastWords.Add(int64(st.BcastWords))
 	return nil
-}
-
-// opVector is the deterministic dense vector op jobs compute with —
-// reproducible from the spec alone, so a client can rerun the op
-// locally and compare.
-func opVector(n int, seed int64) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64((int64(i)*2654435761+seed)%17) / 4
-	}
-	return x
-}
-
-// makeDiagDominant rewrites g's diagonal to 1.25·(off-diagonal row
-// sum) + 1 in place. Jacobi jobs run on this variant of the synthetic
-// array: plain uniform arrays are nowhere near diagonally dominant, so
-// the iteration would diverge on them (and a zero diagonal entry would
-// reject the plan outright). The spectral radius of the iteration
-// matrix stays below 0.8, so convergence is fast and iteration counts
-// are stable across shapes.
-func makeDiagDominant(g *sparse.Dense) {
-	for i := 0; i < g.Rows(); i++ {
-		sum := 0.0
-		for j := 0; j < g.Cols(); j++ {
-			if j != i {
-				sum += math.Abs(g.At(i, j))
-			}
-		}
-		g.Set(i, i, 1.25*sum+1)
-	}
 }

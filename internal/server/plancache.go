@@ -13,15 +13,16 @@ import (
 // The plan cache. A distribution plan has two reusable halves that are
 // pure functions of the request: the input array (N, ratio, seed) and
 // the partition + codec + method resolution (shape, partition method,
-// processor grid, scheme). Both are immutable once built — partitions
-// only answer ownership queries, codecs are stateless — so concurrent
-// jobs share cached entries freely. The per-run half (machine, tags,
-// breakdown) is never cached.
+// processor grid, scheme), which core.NewPlan builds. Both are
+// immutable once built — partitions only answer ownership queries,
+// codecs are stateless — so concurrent jobs share cached entries
+// freely. The per-run half (machine, tags, breakdown) is never cached.
 
 // arrayKey identifies one synthetic input array. diagDominant marks
 // the Jacobi variant: op=jacobi jobs run on the array with its
-// diagonal rewritten for convergence (see makeDiagDominant), which is
-// a different array than the plain generator output of the same seed.
+// diagonal rewritten for convergence (sparse.MakeDiagDominant), which
+// is a different array than the plain generator output of the same
+// seed.
 type arrayKey struct {
 	n            int
 	ratio        uint64 // float bits, so the key is comparable
@@ -51,7 +52,7 @@ func (s *Server) arrayFor(spec JobSpec) (g *sparse.Dense, hit bool) {
 	g, hit, _ = s.arrays.getOrFill(key, func() (*sparse.Dense, error) {
 		g := sparse.UniformExact(spec.N, spec.N, spec.Ratio, spec.Seed)
 		if key.diagDominant {
-			makeDiagDominant(g)
+			sparse.MakeDiagDominant(g)
 		}
 		return g, nil
 	})
@@ -80,7 +81,7 @@ type planKey struct {
 	meshCols   int
 	block      int
 	scheme     string
-	method     dist.Method
+	method     string
 	array      arrayKey // zero unless the partition is value-dependent
 	// stream discriminates streamed plans: a balanced partition planned
 	// from the synthetic *stream* covers a different array than one
@@ -89,100 +90,69 @@ type planKey struct {
 	source string // file-backed stream source, "" for synthetic
 }
 
-// plan is one cached (partition, codec, method) triple — everything of
-// a dist.Plan except the per-run global array and options — with the
-// key it is cached under.
-type plan struct {
-	key    planKey
-	part   partition.Partition
-	codec  dist.Codec
-	method dist.Method
-}
-
-// specConfig translates a (defaulted, validated) JobSpec into the
-// core.Config vocabulary, normalized so defaults are resolved once.
-func specConfig(spec JobSpec) core.Config {
-	return core.Config{
-		Scheme:    spec.Scheme,
-		Partition: spec.Partition,
-		Procs:     spec.Procs,
-		MeshRows:  spec.MeshRows,
-		MeshCols:  spec.MeshCols,
-		BlockSize: spec.Block,
-		Method:    spec.Method,
-		Workers:   spec.Workers,
-		Check:     spec.Check,
-	}.Normalized()
-}
-
-// newPlanKey resolves the shape-pure half of a plan key; callers add
-// the array identity or the stream marker.
-func newPlanKey(cfg core.Config, rows, cols int) (planKey, error) {
-	method, err := core.ParseMethod(cfg.Method)
-	if err != nil {
-		return planKey{}, err
-	}
+// newPlanKey resolves the shape-pure half of a plan key from a
+// normalized config; callers add the array identity or the stream
+// marker.
+func newPlanKey(cfg core.Config, rows, cols int) planKey {
 	return planKey{
 		rows: rows, cols: cols,
 		partition: cfg.Partition, procs: cfg.Procs,
 		meshRows: cfg.MeshRows, meshCols: cfg.MeshCols,
 		block:  cfg.BlockSize,
-		scheme: cfg.Scheme, method: method,
-	}, nil
+		scheme: cfg.Scheme, method: cfg.Method,
+	}
 }
 
-// newPlan pairs a built partition with the key's codec and method.
-func newPlan(key planKey, part partition.Partition) (*plan, error) {
-	codec, err := dist.CodecByName(key.scheme)
-	if err != nil {
-		return nil, err
-	}
-	return &plan{key: key, part: part, codec: codec, method: key.method}, nil
+// plan is one cached dist.Plan — partition, codec and method as
+// core.NewPlan resolved them, with no global array and no per-job
+// options — and the key it is cached under. A job copies the value and
+// fills in its own array, workers, check flag and context.
+type plan struct {
+	key planKey
+	dist.Plan
 }
 
-// planFor returns the plan for the spec, building and caching partition
-// and codec on a miss. valueDependent forces the array identity into
-// the key even when the resolved partition is shape-pure: an auto job's
-// *plan choice* depends on the array's values, so two arrays with the
-// same shape but different sparsity must not share an entry (the same
-// rule balanced-row already follows for its boundaries).
-func (s *Server) planFor(spec JobSpec, g *sparse.Dense, valueDependent bool) (*plan, bool, error) {
-	cfg := specConfig(spec)
-	key, err := newPlanKey(cfg, g.Rows(), g.Cols())
-	if err != nil {
-		return nil, false, err
-	}
+// cachedPlan keeps the cacheable half of a plan core just built.
+func cachedPlan(key planKey, codec dist.Codec, part partition.Partition, method dist.Method) *plan {
+	return &plan{key: key, Plan: dist.Plan{Codec: codec, Partition: part, Options: dist.Options{Method: method}}}
+}
+
+// planFor returns the plan for a job's resolved, normalized config,
+// building and caching it on a miss. valueDependent forces the array
+// identity into the key even when the resolved partition is shape-pure:
+// an auto job's *plan choice* depends on the array's values, so two
+// arrays with the same shape but different sparsity must not share an
+// entry (the same rule balanced-row already follows for its
+// boundaries).
+func (s *Server) planFor(spec JobSpec, cfg core.Config, g *sparse.Dense, valueDependent bool) (*plan, bool, error) {
+	key := newPlanKey(cfg, g.Rows(), g.Cols())
 	if cfg.Partition == "balanced-row" || valueDependent {
 		key.array = specArrayKey(spec)
 	}
 	return s.plans.getOrFill(key, func() (*plan, error) {
-		part, err := core.NewPartition(g, cfg)
+		built, err := core.NewPlan(g, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return newPlan(key, part)
+		return cachedPlan(key, built.Codec, built.Partition, built.Options.Method), nil
 	})
 }
 
 // streamPlanFor is planFor for a streamed job: the partition is
 // planned from the chunked source (a counting pass for balanced-row,
-// shape only for the rest). File-backed balanced plans are never cached — the file can
-// change on disk between jobs, and a stale boundary sweep would
-// silently skew the load balance.
-func (s *Server) streamPlanFor(spec JobSpec, src sparse.ChunkReader) (*plan, bool, error) {
-	cfg := specConfig(spec)
+// shape only for the rest). File-backed balanced plans are never
+// cached — the file can change on disk between jobs, and a stale
+// boundary sweep would silently skew the load balance.
+func (s *Server) streamPlanFor(spec JobSpec, cfg core.Config, src sparse.ChunkReader) (*plan, bool, error) {
 	rows, cols := src.Shape()
-	key, err := newPlanKey(cfg, rows, cols)
-	if err != nil {
-		return nil, false, err
-	}
+	key := newPlanKey(cfg, rows, cols)
 	key.stream, key.source = true, spec.SourceFile
 	build := func() (*plan, error) {
-		part, err := core.NewStreamPartition(src, cfg)
+		built, err := core.NewStreamPlan(src, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return newPlan(key, part)
+		return cachedPlan(key, built.Codec, built.Partition, built.Options.Method), nil
 	}
 	if cfg.Partition == "balanced-row" {
 		if spec.SourceFile != "" {

@@ -2,22 +2,10 @@ package server
 
 import (
 	"sync"
-	"time"
 
-	"repro/internal/cost"
+	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/simnet"
 )
-
-// netSpec is the pool's network-model configuration: when topology is
-// set, every machine the pool builds carries a simnet recorder over
-// that topology, and put resets it so the next job replays clean.
-type netSpec struct {
-	topology    string
-	linkBW      float64
-	linkLatency time.Duration
-	params      cost.Params
-}
 
 // machinePool recycles emulated machines between jobs. Building a
 // machine is cheap but not free (p mailboxes, a channel transport with
@@ -30,22 +18,24 @@ type machinePool struct {
 	mu      sync.Mutex
 	idle    map[int][]*machine.Machine
 	maxIdle int // per processor count
-	timeout time.Duration
-	net     netSpec
-	closed  bool
+	// cfg is the node-level machine description (receive watchdog and,
+	// when a topology is set, the network model: every machine the pool
+	// builds then carries a simnet recorder, and put resets it so the
+	// next job replays clean); get fills in the processor count.
+	cfg    core.Config
+	closed bool
 
 	m *metrics
 }
 
-func newMachinePool(maxIdle int, recvTimeout time.Duration, m *metrics, net netSpec) *machinePool {
+func newMachinePool(maxIdle int, cfg core.Config, m *metrics) *machinePool {
 	if maxIdle < 1 {
 		maxIdle = 1
 	}
 	return &machinePool{
 		idle:    make(map[int][]*machine.Machine),
 		maxIdle: maxIdle,
-		timeout: recvTimeout,
-		net:     net,
+		cfg:     cfg,
 		m:       m,
 	}
 }
@@ -62,15 +52,9 @@ func (mp *machinePool) get(p int) (*machine.Machine, error) {
 		return m, nil
 	}
 	mp.mu.Unlock()
-	opts := []machine.Option{machine.WithRecvTimeout(mp.timeout)}
-	if mp.net.topology != "" {
-		top, err := simnet.Build(mp.net.topology, p, mp.net.params, mp.net.linkBW, mp.net.linkLatency)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, machine.WithNetwork(simnet.NewNetwork(top, mp.net.params)))
-	}
-	m, err := machine.New(p, opts...)
+	cfg := mp.cfg
+	cfg.Procs = p
+	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return nil, err
 	}

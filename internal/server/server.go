@@ -177,9 +177,9 @@ func newServer(cfg Config) *Server {
 		queue:    make(chan *job, cfg.QueueDepth),
 		hbClient: &http.Client{Timeout: 2 * cfg.Cluster.HeartbeatEvery},
 	}
-	s.pool = newMachinePool(cfg.PoolIdle, cfg.RecvTimeout, s.metrics, netSpec{
-		topology: cfg.Topology, linkBW: cfg.LinkBW, linkLatency: cfg.LinkLatency, params: cfg.Params,
-	})
+	// The zero spec's config is the node-level half alone: what every
+	// pooled machine is built from, whatever job it later serves.
+	s.pool = newMachinePool(cfg.PoolIdle, JobSpec{}.config(cfg), s.metrics)
 	s.registry = cluster.NewRegistry(cluster.RegistryConfig{
 		Self:         cfg.Cluster.NodeID,
 		SelfEndpoint: cfg.Cluster.Advertise,
@@ -339,64 +339,40 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 	// scheme=auto resolves here, on-node: the spec routed and deduped on
 	// the literal "AUTO", and only the worker knows the array's measured
 	// statistics and this node's refined corrections.
+	cfg := spec.config(s.cfg)
 	var auto *core.AutoChoice
-	if spec.Scheme == "AUTO" {
-		resolved, choice, err := s.resolveAuto(spec, g)
+	if core.IsAutoScheme(cfg.Scheme) {
+		var err error
+		cfg, auto, err = core.ResolveAutoStats(s.statsFor(spec, g), cfg, s.refiner.Adjust)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("auto plan selection: %w", err)
 		}
-		spec, auto = resolved, choice
 		s.metrics.autoResolved(auto.Scheme)
 	}
-	pl, planHit, err := s.planFor(spec, g, auto != nil)
+	cfg = cfg.Normalized()
+	pl, planHit, err := s.planFor(spec, cfg, g, auto != nil)
 	if err != nil {
 		return nil, err
 	}
 
-	m, err := s.pool.get(pl.part.NumParts())
+	m, err := s.pool.get(pl.Partition.NumParts())
 	if err != nil {
 		return nil, err
 	}
 	defer s.pool.put(m)
 
-	res, err := dist.Run(m, dist.Plan{
-		Codec:     pl.codec,
-		Global:    g,
-		Partition: pl.part,
-		Options: dist.Options{
-			Method:  pl.method,
-			Workers: spec.Workers,
-			Check:   spec.Check,
-			Ctx:     j.ctx,
-		},
-	})
+	run := pl.Plan
+	run.Global = g
+	run.Options.Workers, run.Options.Check, run.Options.Ctx = cfg.Workers, cfg.Check, j.ctx
+	res, err := dist.Run(m, run)
 	if err != nil {
 		return nil, err
 	}
 
-	bd := res.Breakdown
-	phases := []trace.PhaseStat{
-		{Name: "T_Distribution", Virtual: bd.DistributionTime(s.cfg.Params), Wall: bd.WallDistribution()},
-		{Name: "T_Compression", Virtual: bd.CompressionTime(s.cfg.Params), Wall: bd.WallCompression()},
-	}
-	out := &JobResult{
-		Scheme:        res.Scheme,
-		Partition:     res.Partition,
-		Method:        res.Method.String(),
-		Procs:         pl.part.NumParts(),
-		Rows:          g.Rows(),
-		Cols:          g.Cols(),
-		NNZ:           g.NNZ(),
-		Phases:        phases,
-		PhaseTable:    trace.PhaseTable(phases),
-		Messages:      bd.RootDist.Messages,
-		Elements:      bd.RootDist.Elements,
-		Degraded:      res.Degraded,
-		PlanCacheHit:  planHit,
-		ArrayCacheHit: arrayHit,
-	}
+	out := s.newJobResult(res, pl, planHit)
+	out.Rows, out.Cols, out.NNZ, out.ArrayCacheHit = g.Rows(), g.Cols(), g.NNZ(), arrayHit
 	if auto != nil {
-		s.recordAuto(out, auto, phases)
+		s.recordAuto(out, auto)
 	}
 	// The compute op runs on the same pooled machine while it is still
 	// held, before the network timing snapshot, so the op's halo traffic
@@ -406,49 +382,36 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 			return nil, err
 		}
 	}
-	if tr := m.Tracer(); tr != nil {
-		snap := tr.Snapshot()
-		out.Trace = &snap
-	}
-	attachNetTiming(out, m)
+	attachMachineReport(out, m)
 	return out, nil
 }
 
-// resolveAuto runs the cost model (with this node's refined
-// corrections) over the array's cached statistics and returns the spec
-// with the chosen plan substituted in.
-func (s *Server) resolveAuto(spec JobSpec, g *sparse.Dense) (JobSpec, *core.AutoChoice, error) {
-	st := s.statsFor(spec, g)
-	// Built by hand rather than via specConfig: Normalized would default
-	// the empty Method/Partition and destroy the "model picks" signal.
-	cfg := core.Config{
-		Scheme:      "auto",
-		Partition:   spec.Partition,
-		Procs:       spec.Procs,
-		MeshRows:    spec.MeshRows,
-		MeshCols:    spec.MeshCols,
-		BlockSize:   spec.Block,
-		Method:      spec.Method,
-		Workers:     spec.Workers,
-		Params:      s.cfg.Params,
-		Topology:    s.cfg.Topology,
-		LinkBW:      s.cfg.LinkBW,
-		LinkLatency: s.cfg.LinkLatency,
+// newJobResult shapes the part of the payload every finished job
+// shares: the plan as run, the paper's phase split and the root's wire
+// totals. The caller adds the array's shape and cache provenance.
+func (s *Server) newJobResult(res *dist.Result, pl *plan, planHit bool) *JobResult {
+	bd := res.Breakdown
+	phases := []trace.PhaseStat{
+		{Name: "T_Distribution", Virtual: bd.DistributionTime(s.cfg.Params), Wall: bd.WallDistribution()},
+		{Name: "T_Compression", Virtual: bd.CompressionTime(s.cfg.Params), Wall: bd.WallCompression()},
 	}
-	resolved, choice, err := core.ResolveAutoStats(st, cfg, s.refiner.Adjust)
-	if err != nil {
-		return JobSpec{}, nil, fmt.Errorf("auto plan selection: %w", err)
+	return &JobResult{
+		Scheme:       res.Scheme,
+		Partition:    res.Partition,
+		Method:       res.Method.String(),
+		Procs:        pl.Partition.NumParts(),
+		Phases:       phases,
+		PhaseTable:   trace.PhaseTable(phases),
+		Messages:     bd.RootDist.Messages,
+		Elements:     bd.RootDist.Elements,
+		Degraded:     res.Degraded,
+		PlanCacheHit: planHit,
 	}
-	spec.Scheme = resolved.Scheme // already upper-case model names
-	spec.Partition = resolved.Partition
-	spec.Method = resolved.Method
-	spec.Workers = resolved.Workers
-	return spec, choice, nil
 }
 
 // recordAuto pins the chosen plan and its prediction into the result
 // and folds the observed virtual phase times back into the refiner.
-func (s *Server) recordAuto(out *JobResult, auto *core.AutoChoice, phases []trace.PhaseStat) {
+func (s *Server) recordAuto(out *JobResult, auto *core.AutoChoice) {
 	out.Auto = true
 	out.ChosenScheme = auto.Scheme
 	out.ChosenPartition = auto.Partition
@@ -456,7 +419,7 @@ func (s *Server) recordAuto(out *JobResult, auto *core.AutoChoice, phases []trac
 	out.ChosenWorkers = auto.Workers
 	out.PredictedDistribution = auto.Predicted.Distribution
 	out.PredictedCompression = auto.Predicted.Compression
-	actual := costmodel.Estimate{Distribution: phases[0].Virtual, Compression: phases[1].Virtual}
+	actual := costmodel.Estimate{Distribution: out.Phases[0].Virtual, Compression: out.Phases[1].Virtual}
 	if actual.Total() > 0 {
 		diff := auto.Predicted.Total() - actual.Total()
 		if diff < 0 {
@@ -467,9 +430,15 @@ func (s *Server) recordAuto(out *JobResult, auto *core.AutoChoice, phases []trac
 	s.refiner.Observe(auto.Scheme, auto.Predicted, actual)
 }
 
-// attachNetTiming copies the network model's replayed phase estimates
-// into the result when the pooled machine carries one (Config.Topology).
-func attachNetTiming(out *JobResult, m *machine.Machine) {
+// attachMachineReport copies what the pooled machine recorded of the
+// job into the result: the tracer snapshot when the run was traced,
+// and the network model's replayed phase estimates when the machine
+// carries one (Config.Topology).
+func attachMachineReport(out *JobResult, m *machine.Machine) {
+	if tr := m.Tracer(); tr != nil {
+		snap := tr.Snapshot()
+		out.Trace = &snap
+	}
 	net := m.Network()
 	if net == nil {
 		return
@@ -505,65 +474,37 @@ func (s *Server) executeStream(j *job) (*JobResult, error) {
 		src = sparse.NewUniformStream(spec.N, spec.N, want, spec.Seed, sparse.DefaultChunkEntries)
 	}
 
-	pl, planHit, err := s.streamPlanFor(spec, src)
+	cfg := spec.config(s.cfg).Normalized()
+	pl, planHit, err := s.streamPlanFor(spec, cfg, src)
 	if err != nil {
 		return nil, err
 	}
 
-	m, err := s.pool.get(pl.part.NumParts())
+	m, err := s.pool.get(pl.Partition.NumParts())
 	if err != nil {
 		return nil, err
 	}
 	defer s.pool.put(m)
 
+	opts := pl.Options
+	opts.Check, opts.Ctx = cfg.Check, j.ctx
 	res, err := dist.RunStream(m, dist.StreamPlan{
-		Codec:     pl.codec,
-		Source:    src,
-		Partition: pl.part,
-		Options: dist.Options{
-			Method: pl.method,
-			Check:  spec.Check,
-			Ctx:    j.ctx,
-		},
-		Stream: dist.StreamOptions{MemBudget: spec.MemBudget},
+		Codec: pl.Codec, Source: src, Partition: pl.Partition, Options: opts,
+		Stream: dist.StreamOptions{MemBudget: cfg.MemBudget},
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	nnz := 0
+	out := s.newJobResult(res, pl, planHit)
+	out.Rows, out.Cols = pl.Partition.Shape()
 	for _, a := range res.PartArrays() {
 		if a != nil {
-			nnz += a.NNZ()
+			out.NNZ += a.NNZ()
 		}
 	}
-	rows, cols := pl.part.Shape()
-	bd := res.Breakdown
-	phases := []trace.PhaseStat{
-		{Name: "T_Distribution", Virtual: bd.DistributionTime(s.cfg.Params), Wall: bd.WallDistribution()},
-		{Name: "T_Compression", Virtual: bd.CompressionTime(s.cfg.Params), Wall: bd.WallCompression()},
-	}
-	out := &JobResult{
-		Scheme:       res.Scheme,
-		Partition:    res.Partition,
-		Method:       res.Method.String(),
-		Procs:        pl.part.NumParts(),
-		Rows:         rows,
-		Cols:         cols,
-		NNZ:          nnz,
-		Phases:       phases,
-		PhaseTable:   trace.PhaseTable(phases),
-		Messages:     bd.RootDist.Messages,
-		Elements:     bd.RootDist.Elements,
-		Degraded:     res.Degraded,
-		Streamed:     true,
-		PlanCacheHit: planHit,
-	}
-	if tr := m.Tracer(); tr != nil {
-		snap := tr.Snapshot()
-		out.Trace = &snap
-	}
-	attachNetTiming(out, m)
+	out.Streamed = true
+	attachMachineReport(out, m)
 	return out, nil
 }
 

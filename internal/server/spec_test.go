@@ -1,0 +1,206 @@
+package server
+
+// The request path, white-box: the shared bad-request table, the
+// agreement between JobSpec.validate and core.Config.Validate, the
+// routing and echo contracts a mixed-version cluster depends on, and
+// the fuzz target over the whole decode → defaults → validate → plan
+// chain.
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/sparse"
+)
+
+// BadRequests is every request body the daemon must answer with a 400
+// under Limits{MaxN: 256, MaxProcs: 8}: TestBadRequests posts them over
+// HTTP, TestValidateAgreesWithCore holds the validator to core's words
+// on them, and FuzzJobSpec starts from them.
+var BadRequests = []struct{ Name, Body string }{
+	{"malformed json", `{"n":`},
+	{"unknown field", `{"n":64,"frobnicate":1}`},
+	{"negative n", `{"n":-5}`},
+	{"n over limit", `{"n":100000}`},
+	{"ratio over 1", `{"n":64,"ratio":1.5}`},
+	{"negative ratio", `{"n":64,"ratio":-0.25}`},
+	{"unknown scheme", `{"n":64,"scheme":"XXX"}`},
+	{"unknown partition", `{"n":64,"partition":"diagonal"}`},
+	{"unknown method", `{"n":64,"method":"COO"}`},
+	{"negative procs", `{"n":64,"procs":-2}`},
+	{"procs over limit", `{"n":64,"procs":999}`},
+	{"half a mesh", `{"n":64,"mesh_rows":2}`},
+	{"negative mesh", `{"n":64,"mesh_rows":-1,"mesh_cols":-1}`},
+	{"mesh over limit", `{"n":64,"mesh_rows":4,"mesh_cols":4}`},
+	{"mesh product wraps", `{"n":64,"partition":"mesh","mesh_rows":4294967296,"mesh_cols":4294967296}`},
+	{"negative workers", `{"n":64,"workers":-1}`},
+	{"negative block", `{"n":64,"block":-3}`},
+	// Malformed HPF descriptors: admitted (202) and failed on a worker
+	// before admission asked core.
+	{"descriptor unknown axis", `{"n":32,"partition":"(Bogus,*)"}`},
+	{"descriptor distributes nothing", `{"n":32,"partition":"(*,*)"}`},
+	{"descriptor block-cyclic columns", `{"n":32,"partition":"(*,Cyclic(2))"}`},
+	{"descriptor unterminated", `{"n":32,"partition":"(Block"}`},
+	// The bodies of TestAutoValidation and TestStreamSpecValidation.
+	{"auto with method", `{"n":64,"scheme":"auto","method":"CRS"}`},
+	{"auto with stream", `{"n":64,"scheme":"auto","stream":true}`},
+	{"auto with stream and file", `{"n":64,"scheme":"auto","stream":true,"source_file":"x.mtx"}`},
+	{"file without stream", `{"source_file":"a.mtx"}`},
+	{"budget without stream", `{"mem_budget":1048576}`},
+	{"negative budget", `{"stream":true,"mem_budget":-1}`},
+}
+
+// decodeSpec is handleSubmit's decoding step.
+func decodeSpec(body []byte) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// TestValidateAgreesWithCore: every row of the bad-request table is
+// rejected, and whenever core.Config.Validate rejects the spec's
+// config the service answers in core's words — the doors agree.
+func TestValidateAgreesWithCore(t *testing.T) {
+	limits := Limits{MaxN: 256, MaxProcs: 8}
+	fromCore := 0
+	for _, tc := range BadRequests {
+		spec, err := decodeSpec([]byte(tc.Body))
+		if err != nil {
+			continue // rejected before validation
+		}
+		spec = spec.withDefaults()
+		err = spec.validate(limits)
+		if err == nil {
+			t.Errorf("%s: %s accepted", tc.Name, tc.Body)
+			continue
+		}
+		if verr := spec.config(Config{}).Validate(); verr != nil {
+			fromCore++
+			if err.Error() != verr.Error() {
+				t.Errorf("%s: core says %q, the service says %q", tc.Name, verr, err)
+			}
+		}
+	}
+	if fromCore < 10 {
+		t.Errorf("only %d rows reached core.Config.Validate; the table no longer covers the shared rules", fromCore)
+	}
+}
+
+// TestRouteKeyUnchanged pins RouteKey to strings computed at the
+// parent of the one-request-path change (78e80fa): routing must not
+// move when a cluster runs mixed versions, so the defaults may come
+// from core's table but the key they produce may not change.
+func TestRouteKeyUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{"defaults", JobSpec{}, "200|0.1|1|ED|row|4|0x0|1|CRS|false||"},
+		{"mesh without grid", JobSpec{N: 96, Partition: "mesh", Procs: 6}, "96|0.1|1|ED|mesh|6|0x0|1|CRS|false||"},
+		{"mesh with grid", JobSpec{N: 96, Partition: "mesh", MeshRows: 3, MeshCols: 2}, "96|0.1|1|ED|mesh|4|3x2|1|CRS|false||"},
+		{"auto", JobSpec{N: 64, Scheme: "auto"}, "64|0.1|1|AUTO||4|0x0|1||false||"},
+		{"auto with pinned partition", JobSpec{N: 64, Scheme: "auto", Partition: "cyclic-mesh", Procs: 6}, "64|0.1|1|AUTO|cyclic-mesh|6|0x0|1||false||"},
+		{"stream from file", JobSpec{Scheme: "cfs", Method: "ccs", Stream: true, SourceFile: "/data/a.mtx", MemBudget: 1 << 20, Partition: "balanced-row", Procs: 8},
+			"200|0.1|1|CFS|balanced-row|8|0x0|1|CCS|true|/data/a.mtx|"},
+		{"op", JobSpec{N: 128, Ratio: 0.05, Seed: 7, Scheme: "ED", Partition: "brs", Block: 4, Op: "Jacobi", OpIters: 50}, "128|0.05|7|ED|brs|4|0x0|4|CRS|false||jacobi"},
+		{"descriptor with grid", JobSpec{N: 64, Partition: "(Block,Block)", Procs: 6, MeshRows: 2, MeshCols: 3}, "64|0.1|1|ED|(Block,Block)|6|2x3|1|CRS|false||"},
+	} {
+		if got := tc.spec.RouteKey(); got != tc.want {
+			t.Errorf("%s: RouteKey() = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestDefaultedSpecEcho pins the defaulted spec GET /jobs/{id} echoes
+// to what the parent returned: clients read their resolved request
+// back from it.
+func TestDefaultedSpecEcho(t *testing.T) {
+	s := newServer(Config{QueueDepth: 4}) // no workers: the jobs stay queued
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for body, want := range map[string]string{
+		`{"n":64}`:                 `{"n":64,"ratio":0.1,"seed":1,"scheme":"ED","partition":"row","procs":4,"block":1,"method":"CRS"}`,
+		`{"n":64,"scheme":"auto"}`: `{"n":64,"ratio":0.1,"seed":1,"scheme":"AUTO","procs":4,"block":1}`,
+	} {
+		resp, err := http.Get(ts.URL + "/jobs/" + decodeID(t, postJob(t, ts, body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			Spec json.RawMessage `json:"spec"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(st.Spec) != want {
+			t.Errorf("spec echoed for %s:\n got %s\nwant %s", body, st.Spec, want)
+		}
+	}
+}
+
+// FuzzJobSpec drives arbitrary bytes through the daemon's request path
+// — decode, defaults, validation under small limits — and, for every
+// accepted spec, on into the plan builder: nothing may panic, the
+// defaults are idempotent and leave the route key alone, and admission
+// is complete — what validate accepts, core.NewPlan builds (the bug
+// class where a 202 turned into a failure on a worker). Specs naming a
+// source_file stop at validation: the file is the operator's.
+func FuzzJobSpec(f *testing.F) {
+	for _, tc := range BadRequests {
+		f.Add([]byte(tc.Body))
+	}
+	for _, ok := range []string{
+		`{"n":24}`,
+		`{"n":24,"scheme":"auto","partition":"mesh","procs":6}`,
+		`{"n":24,"stream":true,"partition":"balanced-row","mem_budget":65536}`,
+		`{"n":16,"partition":"(Cyclic(2),*)","procs":3,"method":"jds"}`,
+		`{"n":16,"partition":"cyclic-mesh","mesh_rows":2,"mesh_cols":3,"block":2,"op":"jacobi","op_iters":5}`,
+	} {
+		f.Add([]byte(ok))
+	}
+	limits := Limits{MaxN: 48, MaxProcs: 16}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeSpec(body)
+		if err != nil {
+			return
+		}
+		d := spec.withDefaults()
+		if again := d.withDefaults(); again != d {
+			t.Fatalf("withDefaults is not idempotent: %+v then %+v", d, again)
+		}
+		if d.RouteKey() != spec.RouteKey() {
+			t.Fatalf("route key moves under defaults: %q then %q", spec.RouteKey(), d.RouteKey())
+		}
+		if d.validate(limits) != nil || d.SourceFile != "" {
+			return
+		}
+		cfg := d.config(Config{})
+		if d.Stream {
+			nnz := int(d.Ratio*float64(d.N)*float64(d.N) + 0.5)
+			src := sparse.NewUniformStream(d.N, d.N, nnz, d.Seed, sparse.DefaultChunkEntries)
+			if _, err := core.NewStreamPlan(src, cfg.Normalized()); err != nil {
+				t.Fatalf("accepted streamed spec %+v does not plan: %v", d, err)
+			}
+			return
+		}
+		g := sparse.UniformExact(d.N, d.N, d.Ratio, d.Seed)
+		if core.IsAutoScheme(cfg.Scheme) {
+			if cfg, _, err = core.ResolveAutoStats(costmodel.MeasureStats(g), cfg, nil); err != nil {
+				t.Fatalf("accepted auto spec %+v does not resolve: %v", d, err)
+			}
+		}
+		if _, err := core.NewPlan(g, cfg.Normalized()); err != nil {
+			t.Fatalf("accepted spec %+v does not plan: %v", d, err)
+		}
+	})
+}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/partition"
 )
 
 // Topology is a routed link graph over p ranks.
@@ -184,7 +185,7 @@ func buildStar(p int, base, hot Link) *Topology {
 // routing (move along the row to the target column, then along the
 // column). Self-delivery is free.
 func buildMesh(p int, l Link) *Topology {
-	pr, pc := squareGrid(p)
+	pr, pc := partition.SquareGrid(p)
 	t := newTopology("mesh", p)
 	// hlink[r][c] / vlink[r][c]: directed links between grid neighbours.
 	link := make(map[[2]int]int, 4*p)
@@ -281,15 +282,4 @@ func buildFatTree(p int, base, hot Link) *Topology {
 		}
 	}
 	return t
-}
-
-// squareGrid returns the most square pr × pc factorisation of p.
-func squareGrid(p int) (int, int) {
-	best := 1
-	for d := 1; d*d <= p; d++ {
-		if p%d == 0 {
-			best = d
-		}
-	}
-	return best, p / best
 }

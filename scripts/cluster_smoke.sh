@@ -48,6 +48,21 @@ for u in "$U1" "$U2" "$U3"; do
   done
 done
 
+# Membership: the loadgen learns the cluster from its first endpoint,
+# so n1 must have heard from both peers before the load starts — a
+# cluster of one routes nothing to the doomed node and the kill goes
+# unnoticed.
+i=0
+until nodes=$(curl -sf "$U1/cluster/nodes") &&
+  echo "$nodes" | grep -q '"id":"n2"' && echo "$nodes" | grep -q '"id":"n3"'; do
+  i=$((i + 1))
+  if [ "$i" -ge 50 ]; then
+    echo "cluster-smoke: n1 never learned its peers" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
+
 # Load in the background: 90 jobs over 8 clients, 12 distinct plan
 # keys per scheme (-spread) so the doomed node owns some hash ranges.
 # n=2048 sizes each job at a few hundred milliseconds, keeping the run
