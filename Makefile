@@ -27,13 +27,14 @@ lint:
 	else echo "staticcheck not installed; skipping"; fi
 
 # Short fuzz pass over the wire decoders, the end-to-end differential
-# target and the daemon's request path (go-native fuzzing runs one
-# target per invocation, so each gets its own line).
+# target, the daemon's request path and the file parsers (go-native
+# fuzzing runs one target per invocation, so each gets its own line).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartED -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzOpenStream -fuzztime 10s ./internal/sparse/
 
 # The differential correctness harness at full size: >= 200 adversarial
 # arrays through every scheme x partition x method combination, direct,

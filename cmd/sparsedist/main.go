@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -65,7 +66,8 @@ func main() {
 	var cli cliFlags
 	flag.IntVar(&cli.n, "n", 500, "square array size for synthetic input")
 	flag.Float64Var(&cli.ratio, "ratio", 0.1, "sparse ratio s for synthetic input")
-	flag.StringVar(&cli.input, "input", "", "read the array from a coordinate-format file instead of generating")
+	flag.StringVar(&cli.input, "input", "",
+		"read the array from a file instead of generating: text/Matrix-Market, Harwell-Boeing or binary COO, sniffed; with or without -stream")
 	flag.StringVar(&cli.batch, "batch", "",
 		"comma-separated schemes (e.g. SFC,CFS,ED) distributed concurrently over one shared machine; overrides -scheme")
 	flag.StringVar(&cli.op, "op", "",
@@ -421,26 +423,29 @@ func parseSize(s string) (int, error) {
 		mult, t = 1<<10, t[:len(t)-1]
 	}
 	v, err := strconv.Atoi(t)
-	if err != nil || v < 0 {
+	if err != nil || v < 0 || v > math.MaxInt/mult {
 		return 0, fmt.Errorf("bad size %q: want bytes with optional K/M/G suffix (e.g. 32M)", s)
 	}
 	return v * mult, nil
 }
 
+// loadArray materializes the input of a non-streamed run. A file goes
+// through the same sniffing stream parsers as -stream and the daemon's
+// source_file, so every door accepts and rejects the same files.
 func loadArray(path string, n int, ratio float64, seed int64) (*sparse.Dense, error) {
 	if path == "" {
 		return sparse.UniformExact(n, n, ratio, seed), nil
 	}
-	f, err := os.Open(path)
+	src, closeSrc, err := openSource(path, n, ratio, seed)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	coo, err := sparse.ReadText(f)
+	defer closeSrc()
+	g, err := sparse.Materialize(src)
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	return coo.ToDense(), nil
+	return g, nil
 }
 
 func fatal(err error) {

@@ -2,12 +2,16 @@ package main
 
 import (
 	"errors"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sparse"
 )
 
 func TestParseMesh(t *testing.T) {
@@ -51,10 +55,62 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("parseSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
 		}
 	}
-	for _, in := range []string{"", "M", "-1", "-4K", "3.5M", "12Q", "K8"} {
+	// The last two overflow the multiplication: 2^34 G wraps to 0, which
+	// core reads as "unset", and 2^33 G wraps negative.
+	for _, in := range []string{"", "M", "-1", "-4K", "3.5M", "12Q", "K8", "17179869184G", "8589934592G"} {
 		if _, err := parseSize(in); err == nil {
 			t.Errorf("parseSize(%q) accepted malformed size", in)
 		}
+	}
+}
+
+// TestLoadArrayFormats: one array written in each on-disk format loads
+// to the same dense array through the plain -input door (loadArray)
+// and the -stream door (openSource + Materialize).
+func TestLoadArrayFormats(t *testing.T) {
+	c := sparse.NewCOO(6, 5)
+	for k, e := range [][2]int{{0, 0}, {0, 4}, {2, 1}, {3, 3}, {5, 0}, {5, 4}} {
+		c.Add(e[0], e[1], float64(k)+0.5) // exact in Harwell-Boeing's E20.12
+	}
+	want := c.ToDense()
+	writers := map[string]func(io.Writer) error{
+		"text":   func(w io.Writer) error { return sparse.WriteText(w, c) },
+		"hb":     func(w io.Writer) error { return sparse.WriteHB(w, c, "load test", "LOAD") },
+		"binary": func(w io.Writer) error { return sparse.WriteBinary(w, c) },
+	}
+	for name, write := range writers {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), name)
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := write(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := loadArray(path, 0, 0, 0)
+			if err != nil {
+				t.Fatalf("loadArray: %v", err)
+			}
+			if !got.Equal(want) {
+				t.Error("loadArray changed the array")
+			}
+			src, closeSrc, err := openSource(path, 0, 0, 0)
+			if err != nil {
+				t.Fatalf("openSource: %v", err)
+			}
+			defer closeSrc()
+			streamed, err := sparse.Materialize(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !streamed.Equal(want) {
+				t.Error("openSource + Materialize changed the array")
+			}
+		})
 	}
 }
 

@@ -3,65 +3,17 @@ package compress
 // Format conversions between CRS and CCS. These are not needed by the
 // distribution schemes themselves but round out the library for
 // downstream sparse kernels (e.g. transposed SpMV) and give the tests a
-// second, independent construction path to verify against.
+// second, independent construction path to verify against. All three
+// are one counting sort, (lines).transpose, relabelled.
 
 // CRSToCCS converts a CRS array to CCS using a counting sort over
 // columns; O(nnz + cols).
-func CRSToCCS(m *CRS) *CCS {
-	out := &CCS{Rows: m.Rows, Cols: m.Cols,
-		ColPtr: make([]int, m.Cols+1),
-		RowIdx: make([]int, m.NNZ()),
-		Val:    make([]float64, m.NNZ())}
-	for _, j := range m.ColIdx {
-		out.ColPtr[j+1]++
-	}
-	for j := 0; j < m.Cols; j++ {
-		out.ColPtr[j+1] += out.ColPtr[j]
-	}
-	next := make([]int, m.Cols)
-	copy(next, out.ColPtr[:m.Cols])
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			pos := next[j]
-			next[j]++
-			out.RowIdx[pos] = i
-			out.Val[pos] = m.Val[k]
-		}
-	}
-	return out
-}
+func CRSToCCS(m *CRS) *CCS { return ccsOf(m.lines().transpose()) }
 
 // CCSToCRS converts a CCS array to CRS using a counting sort over rows;
 // O(nnz + rows).
-func CCSToCRS(m *CCS) *CRS {
-	out := &CRS{Rows: m.Rows, Cols: m.Cols,
-		RowPtr: make([]int, m.Rows+1),
-		ColIdx: make([]int, m.NNZ()),
-		Val:    make([]float64, m.NNZ())}
-	for _, i := range m.RowIdx {
-		out.RowPtr[i+1]++
-	}
-	for i := 0; i < m.Rows; i++ {
-		out.RowPtr[i+1] += out.RowPtr[i]
-	}
-	next := make([]int, m.Rows)
-	copy(next, out.RowPtr[:m.Rows])
-	for j := 0; j < m.Cols; j++ {
-		for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
-			i := m.RowIdx[k]
-			pos := next[i]
-			next[i]++
-			out.ColIdx[pos] = j
-			out.Val[pos] = m.Val[k]
-		}
-	}
-	return out
-}
+func CCSToCRS(m *CCS) *CRS { return crsOf(m.lines().transpose()) }
 
 // TransposeCRS returns the CRS of the transposed array. Because CCS of A
 // has the same layout as CRS of Aᵀ, this is a relabelling of CRSToCCS.
-func TransposeCRS(m *CRS) *CRS {
-	c := CRSToCCS(m)
-	return &CRS{Rows: c.Cols, Cols: c.Rows, RowPtr: c.ColPtr, ColIdx: c.RowIdx, Val: c.Val}
-}
+func TransposeCRS(m *CRS) *CRS { return crsOf(m.lines().transpose()) }

@@ -25,56 +25,18 @@ type JDS struct {
 // NNZ returns the stored nonzero count.
 func (m *JDS) NNZ() int { return len(m.Val) }
 
-// MaxRowNNZ returns the number of jagged diagonals.
+// MaxRowNNZ returns the number of jagged diagonals, len(JDPtr)-1 — the
+// value the sender puts in the message header.
 func (m *JDS) MaxRowNNZ() int { return len(m.JDPtr) - 1 }
 
-// CompressJDS compresses a dense array into JDS. Charging matches the
-// paper's convention for the other formats: one operation per scanned
-// element plus three per nonzero, plus one per row for the permutation
-// bookkeeping.
+// CompressJDS compresses a dense array into JDS: the CRS scan, re-laid
+// as jagged diagonals. Charging matches the paper's convention for the
+// other formats: one operation per scanned element plus three per
+// nonzero, plus one per row for the permutation bookkeeping.
 func CompressJDS(d *sparse.Dense, ctr *cost.Counter) *JDS {
-	rows, cols := d.Rows(), d.Cols()
-	counts := make([]int, rows)
-	rowsIdx := make([][]int, rows)
-	rowsVal := make([][]float64, rows)
-	for i := 0; i < rows; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				rowsIdx[i] = append(rowsIdx[i], j)
-				rowsVal[i] = append(rowsVal[i], v)
-				counts[i]++
-				ctr.AddOps(3)
-			}
-		}
-		ctr.AddOps(cols)
-	}
-	m := &JDS{Rows: rows, Cols: cols, Perm: make([]int, rows)}
-	for i := range m.Perm {
-		m.Perm[i] = i
-	}
-	// Stable sort by decreasing count keeps a deterministic permutation.
-	sort.SliceStable(m.Perm, func(a, b int) bool { return counts[m.Perm[a]] > counts[m.Perm[b]] })
-	ctr.AddOps(rows)
-
-	maxNNZ := 0
-	if rows > 0 {
-		maxNNZ = counts[m.Perm[0]]
-	}
-	m.JDPtr = make([]int, maxNNZ+1)
-	for k := 0; k < maxNNZ; k++ {
-		m.JDPtr[k] = len(m.Val)
-		for pos := 0; pos < rows; pos++ {
-			orig := m.Perm[pos]
-			if counts[orig] <= k {
-				break // rows are sorted: no later row has more nonzeros
-			}
-			m.ColIdx = append(m.ColIdx, rowsIdx[orig][k])
-			m.Val = append(m.Val, rowsVal[orig][k])
-		}
-	}
-	m.JDPtr[maxNNZ] = len(m.Val)
-	return m
+	crs := CompressCRS(d, ctr)
+	ctr.AddOps(d.Rows()) // permutation bookkeeping
+	return CRSToJDS(crs)
 }
 
 // Decompress materialises the JDS as a dense array.

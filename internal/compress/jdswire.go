@@ -24,10 +24,6 @@ func CompressJDSPartGlobal(at func(i, j int) float64, rowMap, colMap []int, ctr 
 	return CRSToJDS(crs)
 }
 
-// NumDiagonals returns len(JDPtr)-1, the value the sender puts in the
-// message header.
-func (m *JDS) NumDiagonals() int { return len(m.JDPtr) - 1 }
-
 // PackJDS serialises a JDS into a flat word buffer, charging one
 // operation per word.
 func PackJDS(m *JDS, ctr *cost.Counter) []float64 {
@@ -107,15 +103,7 @@ func UnpackJDS(buf []float64, rows, cols, diagonals int, ctr *cost.Counter) (*JD
 
 // ShiftCols subtracts delta from every column index (Cases 3.2.2/3.2.3
 // applied to JDS), charging one operation per index.
-func (m *JDS) ShiftCols(delta int, ctr *cost.Counter) {
-	if delta == 0 {
-		return
-	}
-	for k := range m.ColIdx {
-		m.ColIdx[k] -= delta
-	}
-	ctr.AddOps(len(m.ColIdx))
-}
+func (m *JDS) ShiftCols(delta int, ctr *cost.Counter) { shiftMinor(m.ColIdx, delta, ctr) }
 
 // ConvertColsToLocal rewrites global column indices into local ones via
 // the sorted ownership map; see (*CRS).ConvertColsToLocal.

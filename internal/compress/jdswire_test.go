@@ -12,7 +12,7 @@ func TestPackUnpackJDSRoundTrip(t *testing.T) {
 	m := CompressJDS(sparse.PaperFigure1(), nil)
 	var ctr cost.Counter
 	buf := PackJDS(m, &ctr)
-	got, err := UnpackJDS(buf, m.Rows, m.Cols, m.NumDiagonals(), nil)
+	got, err := UnpackJDS(buf, m.Rows, m.Cols, m.MaxRowNNZ(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestPackUnpackJDSProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		d := sparse.Uniform(10, 13, 0.3, seed)
 		m := CompressJDS(d, nil)
-		got, err := UnpackJDS(PackJDS(m, nil), m.Rows, m.Cols, m.NumDiagonals(), nil)
+		got, err := UnpackJDS(PackJDS(m, nil), m.Rows, m.Cols, m.MaxRowNNZ(), nil)
 		return err == nil && got.Equal(m) && got.Validate() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -40,22 +40,22 @@ func TestPackUnpackJDSProperty(t *testing.T) {
 func TestUnpackJDSErrors(t *testing.T) {
 	m := CompressJDS(sparse.PaperFigure1(), nil)
 	buf := PackJDS(m, nil)
-	if _, err := UnpackJDS(buf[:3], m.Rows, m.Cols, m.NumDiagonals(), nil); err == nil {
+	if _, err := UnpackJDS(buf[:3], m.Rows, m.Cols, m.MaxRowNNZ(), nil); err == nil {
 		t.Error("short buffer accepted")
 	}
 	if _, err := UnpackJDS(buf, -1, m.Cols, 1, nil); err == nil {
 		t.Error("negative rows accepted")
 	}
-	if _, err := UnpackJDS(buf[:len(buf)-1], m.Rows, m.Cols, m.NumDiagonals(), nil); err == nil {
+	if _, err := UnpackJDS(buf[:len(buf)-1], m.Rows, m.Cols, m.MaxRowNNZ(), nil); err == nil {
 		t.Error("truncated buffer accepted")
 	}
 	bad := append([]float64(nil), buf...)
 	bad[0] = 0.5
-	if _, err := UnpackJDS(bad, m.Rows, m.Cols, m.NumDiagonals(), nil); err == nil {
+	if _, err := UnpackJDS(bad, m.Rows, m.Cols, m.MaxRowNNZ(), nil); err == nil {
 		t.Error("non-integer perm accepted")
 	}
 	// Wrong diagonal count shifts all regions.
-	if _, err := UnpackJDS(buf, m.Rows, m.Cols, m.NumDiagonals()+1, nil); err == nil {
+	if _, err := UnpackJDS(buf, m.Rows, m.Cols, m.MaxRowNNZ()+1, nil); err == nil {
 		t.Error("wrong diagonal count accepted")
 	}
 }

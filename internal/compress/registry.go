@@ -128,10 +128,7 @@ func init() {
 			return CompressCRSRectGlobal(g, r0, c0, nr, nc, ctr)
 		},
 		HeaderExtra: func(PartArray) int64 { return 0 },
-		WireCap: func(a PartArray) int {
-			m := a.(*CRS)
-			return len(m.RowPtr) + 2*m.NNZ()
-		},
+		WireCap:     func(a PartArray) int { return a.(*CRS).lines().wireCap() },
 		PackInto: func(a PartArray, buf []float64, ctr *cost.Counter) []float64 {
 			return PackCRSInto(a.(*CRS), buf, ctr)
 		},
@@ -171,10 +168,7 @@ func init() {
 			return CompressCCSRectGlobal(g, r0, c0, nr, nc, ctr)
 		},
 		HeaderExtra: func(PartArray) int64 { return 0 },
-		WireCap: func(a PartArray) int {
-			m := a.(*CCS)
-			return len(m.ColPtr) + 2*m.NNZ()
-		},
+		WireCap:     func(a PartArray) int { return a.(*CCS).lines().wireCap() },
 		PackInto: func(a PartArray, buf []float64, ctr *cost.Counter) []float64 {
 			return PackCCSInto(a.(*CCS), buf, ctr)
 		},
@@ -222,7 +216,7 @@ func init() {
 			return CompressJDSRectGlobal(g, r0, c0, nr, nc, ctr)
 		},
 		HeaderExtra: func(a PartArray) int64 {
-			return int64(a.(*JDS).NumDiagonals())
+			return int64(a.(*JDS).MaxRowNNZ())
 		},
 		WireCap: func(a PartArray) int {
 			m := a.(*JDS)

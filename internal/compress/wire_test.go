@@ -121,18 +121,6 @@ func TestUnpackCCSErrors(t *testing.T) {
 	}
 }
 
-func TestCheckFinite(t *testing.T) {
-	if err := CheckFinite([]float64{1, 2, 3}); err != nil {
-		t.Errorf("finite buffer rejected: %v", err)
-	}
-	if err := CheckFinite([]float64{1, math.Inf(1)}); err == nil {
-		t.Error("Inf accepted")
-	}
-	if err := CheckFinite([]float64{math.NaN()}); err == nil {
-		t.Error("NaN accepted")
-	}
-}
-
 func TestPackedSizeMatchesPaperCFS(t *testing.T) {
 	// CFS wire size per part: (rows+1) + 2*nnz words for CRS — summed
 	// over parts this is the paper's 2n²s + n + p term.

@@ -101,28 +101,8 @@ func (b *BinaryWriter) Close() error {
 	return b.bw.Flush()
 }
 
-// ReadBinary materializes a binary COO container.
-func ReadBinary(rs io.ReadSeeker) (*COO, error) {
-	s, err := NewBinaryStream(rs, 0)
-	if err != nil {
-		return nil, err
-	}
-	c := NewCOO(s.rows, s.cols)
-	c.Entries = make([]Entry, 0, s.nnz)
-	for {
-		ch, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.Entries = append(c.Entries, ch.Entries...)
-	}
-	return c, nil
-}
-
-// BinaryStream is the chunked reader for the binary COO container.
+// BinaryStream is the chunked reader for the binary COO container. Its
+// buffers hold one chunk; the header's nnz only says when to stop.
 type BinaryStream struct {
 	rs         io.ReadSeeker
 	br         *bufio.Reader

@@ -1,0 +1,93 @@
+package sparse
+
+import (
+	"bytes"
+	"hash/fnv"
+	"io"
+	"runtime"
+	"testing"
+)
+
+// drainDigest reads src to the end and returns the number of entries
+// and a digest of them in order, without keeping them, so the caller's
+// own allocations stay out of FuzzOpenStream's budget.
+func drainDigest(src ChunkReader) (n int, digest uint64, err error) {
+	h := fnv.New64a()
+	var w [binaryRecordLen]byte
+	for {
+		ch, err := src.Next()
+		if err == io.EOF {
+			return n, h.Sum64(), nil
+		}
+		if err != nil {
+			return n, h.Sum64(), err
+		}
+		for _, e := range ch.Entries {
+			putBinaryRecord(&w, e)
+			h.Write(w[:])
+		}
+		n += len(ch.Entries)
+	}
+}
+
+// FuzzOpenStream aims arbitrary bytes at the three file parsers through
+// the sniff OpenStream uses — the path a client-named source_file and
+// the CLI's -input take. No input may panic; a stream that opened
+// rewinds, and a second pass yields the same entries and ends the same
+// way; and what the parser allocates is bounded by its fixed buffers
+// and the bytes on file, with 1 MiB of slack for anything a header
+// declares — a count in a header is a claim, not an allocation size.
+func FuzzOpenStream(f *testing.F) {
+	for _, c := range textErrorCases {
+		f.Add([]byte(c.in))
+	}
+	for _, c := range hbErrorCases {
+		f.Add([]byte(c.in))
+	}
+	f.Add([]byte(hbSymmetric))
+	f.Add([]byte(hbPattern))
+	f.Add([]byte("%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2\n2 1 -1\n3 3 4\n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate pattern general\n2 3 2\n1 2\n2 3\n"))
+	c := FromDense(PaperFigure1())
+	for _, write := range []func(io.Writer) error{
+		func(w io.Writer) error { return WriteText(w, c) },
+		func(w io.Writer) error { return WriteHB(w, c, "fuzz seed", "SEED") },
+		func(w io.Writer) error { return WriteBinary(w, c) },
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Fixed buffers: BinaryStream's 1 MiB bufio.Reader per Reset (two
+		// here), the scanners' 64 KiB, chunk-sized entry batches. Per
+		// byte on file: line strings, scanner growth, 8-byte pointers
+		// from one-character fields.
+		budget := uint64(3<<20 + 1<<20 + 64*len(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		defer func() {
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+				t.Errorf("%d-byte input made the parser allocate %d bytes, budget %d", len(data), got, budget)
+			}
+		}()
+
+		src, err := sniffStream(bytes.NewReader(data), 16)
+		if err != nil {
+			return
+		}
+		n1, d1, err1 := drainDigest(src)
+		if err := src.Reset(); err != nil {
+			t.Fatalf("Reset of a stream that opened: %v", err)
+		}
+		n2, d2, err2 := drainDigest(src)
+		if n1 != n2 || d1 != d2 || (err1 == nil) != (err2 == nil) {
+			t.Errorf("second pass differs: %d entries (digest %x, err %v), then %d (digest %x, err %v)",
+				n1, d1, err1, n2, d2, err2)
+		}
+	})
+}

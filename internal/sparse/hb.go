@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -146,180 +145,6 @@ func parseFortranFormat(s string) (fortranFormat, error) {
 		return fortranFormat{}, fmt.Errorf("sparse: non-positive count/width in %q", s)
 	}
 	return fortranFormat{count: count, width: width, kind: kind}, nil
-}
-
-// readFixed reads n fixed-width numeric fields laid out per the format.
-func readFixed(sc *bufio.Scanner, f fortranFormat, n int) ([]string, error) {
-	out := make([]string, 0, n)
-	for len(out) < n {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return nil, err
-			}
-			return nil, io.ErrUnexpectedEOF
-		}
-		line := sc.Text()
-		for k := 0; k < f.count && len(out) < n; k++ {
-			lo := k * f.width
-			hi := lo + f.width
-			if lo >= len(line) {
-				break
-			}
-			if hi > len(line) {
-				hi = len(line)
-			}
-			field := strings.TrimSpace(line[lo:hi])
-			if field == "" {
-				break
-			}
-			out = append(out, field)
-		}
-	}
-	return out, nil
-}
-
-// ReadHB parses a Harwell-Boeing file. Symmetric (xSA) matrices are
-// expanded to full storage; pattern (Pxx) matrices get unit values.
-func ReadHB(r io.Reader) (*COO, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-
-	// Header line 1 (title/key) — content unused.
-	if !sc.Scan() {
-		return nil, fmt.Errorf("sparse: HB: missing title line")
-	}
-	// Line 2: card counts; only RHSCRD matters (we skip RHS blocks).
-	if !sc.Scan() {
-		return nil, fmt.Errorf("sparse: HB: missing card-count line")
-	}
-	counts := strings.Fields(sc.Text())
-	if len(counts) < 4 {
-		return nil, fmt.Errorf("sparse: HB: bad card-count line %q", sc.Text())
-	}
-	valcrd, err := strconv.Atoi(counts[3])
-	if err != nil {
-		return nil, fmt.Errorf("sparse: HB: bad VALCRD: %w", err)
-	}
-	// Line 3: type and dimensions.
-	if !sc.Scan() {
-		return nil, fmt.Errorf("sparse: HB: missing type line")
-	}
-	line3 := sc.Text()
-	if len(line3) < 3 {
-		return nil, fmt.Errorf("sparse: HB: short type line %q", line3)
-	}
-	mxtype := strings.ToUpper(strings.TrimSpace(line3[:3]))
-	if len(mxtype) != 3 || (mxtype[0] != 'R' && mxtype[0] != 'P') || mxtype[2] != 'A' {
-		return nil, fmt.Errorf("sparse: HB: unsupported matrix type %q", mxtype)
-	}
-	dims := strings.Fields(line3[3:])
-	if len(dims) < 3 {
-		return nil, fmt.Errorf("sparse: HB: bad dimension fields in %q", line3)
-	}
-	nrow, err := strconv.Atoi(dims[0])
-	if err != nil {
-		return nil, fmt.Errorf("sparse: HB: bad NROW: %w", err)
-	}
-	ncol, err := strconv.Atoi(dims[1])
-	if err != nil {
-		return nil, fmt.Errorf("sparse: HB: bad NCOL: %w", err)
-	}
-	nnz, err := strconv.Atoi(dims[2])
-	if err != nil {
-		return nil, fmt.Errorf("sparse: HB: bad NNZERO: %w", err)
-	}
-	if nrow < 0 || ncol < 0 || nnz < 0 {
-		return nil, fmt.Errorf("sparse: HB: negative dimension")
-	}
-	// Line 4: formats.
-	if !sc.Scan() {
-		return nil, fmt.Errorf("sparse: HB: missing format line")
-	}
-	line4 := sc.Text()
-	ptrFmt, err := parseFortranFormat(fixedField(line4, 0, 16))
-	if err != nil {
-		return nil, err
-	}
-	indFmt, err := parseFortranFormat(fixedField(line4, 16, 16))
-	if err != nil {
-		return nil, err
-	}
-	var valFmt fortranFormat
-	if valcrd > 0 {
-		valFmt, err = parseFortranFormat(fixedField(line4, 32, 20))
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	ptrFields, err := readFixed(sc, ptrFmt, ncol+1)
-	if err != nil {
-		return nil, fmt.Errorf("sparse: HB: pointers: %w", err)
-	}
-	indFields, err := readFixed(sc, indFmt, nnz)
-	if err != nil {
-		return nil, fmt.Errorf("sparse: HB: indices: %w", err)
-	}
-	var valFields []string
-	if valcrd > 0 {
-		valFields, err = readFixed(sc, valFmt, nnz)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: HB: values: %w", err)
-		}
-	}
-
-	ptr := make([]int, ncol+1)
-	for k, f := range ptrFields {
-		ptr[k], err = strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: HB: pointer %q: %w", f, err)
-		}
-	}
-	if ptr[0] != 1 || ptr[ncol] != nnz+1 {
-		return nil, fmt.Errorf("sparse: HB: pointer array inconsistent (ptr[0]=%d, ptr[ncol]=%d, nnz=%d)", ptr[0], ptr[ncol], nnz)
-	}
-
-	symmetric := mxtype[1] == 'S'
-	out := NewCOO(nrow, ncol)
-	for j := 0; j < ncol; j++ {
-		if ptr[j+1] < ptr[j] {
-			return nil, fmt.Errorf("sparse: HB: pointer decreases at column %d", j)
-		}
-		for k := ptr[j] - 1; k < ptr[j+1]-1; k++ {
-			i, err := strconv.Atoi(indFields[k])
-			if err != nil {
-				return nil, fmt.Errorf("sparse: HB: index %q: %w", indFields[k], err)
-			}
-			if i < 1 || i > nrow {
-				return nil, fmt.Errorf("sparse: HB: row index %d out of range [1, %d]", i, nrow)
-			}
-			v := 1.0
-			if valcrd > 0 {
-				v, err = strconv.ParseFloat(fortranFloat(valFields[k]), 64)
-				if err != nil {
-					return nil, fmt.Errorf("sparse: HB: value %q: %w", valFields[k], err)
-				}
-			}
-			if v == 0 {
-				continue
-			}
-			out.Entries = append(out.Entries, Entry{Row: i - 1, Col: j, Val: v})
-			if symmetric && i-1 != j {
-				if j >= nrow || i-1 >= ncol {
-					return nil, fmt.Errorf("sparse: HB: symmetric entry (%d, %d) cannot be mirrored", i-1, j)
-				}
-				out.Entries = append(out.Entries, Entry{Row: j, Col: i - 1, Val: v})
-			}
-		}
-	}
-	sort.SliceStable(out.Entries, func(a, b int) bool {
-		ea, eb := out.Entries[a], out.Entries[b]
-		if ea.Row != eb.Row {
-			return ea.Row < eb.Row
-		}
-		return ea.Col < eb.Col
-	})
-	return out, nil
 }
 
 func fixedField(line string, lo, n int) string {

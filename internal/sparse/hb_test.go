@@ -13,7 +13,7 @@ func TestHBRoundTrip(t *testing.T) {
 	if err := WriteHB(&buf, c, "paper figure 1 worked example", "FIG1"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadHB(&buf)
+	got, err := readHB(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestHBRoundTripProperty(t *testing.T) {
 		if err := WriteHB(&buf, c, "prop", "K"); err != nil {
 			return false
 		}
-		got, err := ReadHB(&buf)
+		got, err := readHB(&buf)
 		if err != nil {
 			return false
 		}
@@ -73,7 +73,7 @@ RSA                         3             3             4             0
 `
 
 func TestReadHBSymmetricExpansion(t *testing.T) {
-	c, err := ReadHB(strings.NewReader(hbSymmetric))
+	c, err := readHB(strings.NewReader(hbSymmetric))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ PUA                         2             3             3             0
 `
 
 func TestReadHBPatternUnitValues(t *testing.T) {
-	c, err := ReadHB(strings.NewReader(hbPattern))
+	c, err := readHB(strings.NewReader(hbPattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,19 +124,33 @@ func TestReadHBPatternUnitValues(t *testing.T) {
 	}
 }
 
+// hbHostileHeader is a complete five-line file whose header declares
+// ncol columns. A parser that sizes its pointer read from NCOL alone
+// panics in makeslice at NCOL = MaxInt and asks for 32 GB at 2·10⁹ —
+// for a file the daemon opens by a client-supplied name.
+func hbHostileHeader(ncol string) string {
+	return "t\n1 1 1 1 0\nRUA            1 " + ncol + " 1 0\n" +
+		"(4I8)           (8I4)           (4E20.12)\n       1       2\n"
+}
+
+// hbErrorCases are the malformed Harwell-Boeing files TestReadHBErrors
+// rejects one by one; FuzzOpenStream starts from them too.
+var hbErrorCases = []struct {
+	name, in string
+}{
+	{"empty", ""},
+	{"missing counts", "title\n"},
+	{"bad counts", "title\na b c d e\nRUA 1 1 1 0\n"},
+	{"unsupported type", "t\n1 1 1 1 0\nCUA        1 1 1 0\n(4I8)           (4I8)           (4E20.12)\n"},
+	{"bad pointer total", "t\n3 1 1 1 0\nRUA            2 2 2 0\n(4I8)           (8I4)           (4E20.12)\n       1       2       9\n   1   2\n  1.0                 2.0\n"},
+	{"ncol overflows", hbHostileHeader("9223372036854775807")},
+	{"ncol beyond the file", hbHostileHeader("2000000000")},
+}
+
 func TestReadHBErrors(t *testing.T) {
-	cases := []struct {
-		name, in string
-	}{
-		{"empty", ""},
-		{"missing counts", "title\n"},
-		{"bad counts", "title\na b c d e\nRUA 1 1 1 0\n"},
-		{"unsupported type", "t\n1 1 1 1 0\nCUA        1 1 1 0\n(4I8)           (4I8)           (4E20.12)\n"},
-		{"bad pointer total", "t\n3 1 1 1 0\nRUA            2 2 2 0\n(4I8)           (8I4)           (4E20.12)\n       1       2       9\n   1   2\n  1.0                 2.0\n"},
-	}
-	for _, c := range cases {
+	for _, c := range hbErrorCases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ReadHB(strings.NewReader(c.in)); err == nil {
+			if _, err := readHB(strings.NewReader(c.in)); err == nil {
 				t.Error("malformed HB accepted")
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -109,6 +110,9 @@ func (h *HBStream) Reset() error {
 	if h.rows < 0 || h.cols < 0 || h.nnz < 0 {
 		return fmt.Errorf("sparse: HB: negative dimension")
 	}
+	if h.cols == math.MaxInt || h.nnz == math.MaxInt {
+		return fmt.Errorf("sparse: HB: NCOL+1 or NNZERO+1 overflows")
+	}
 	// Line 4: formats.
 	if !sc.Scan() {
 		return fmt.Errorf("sparse: HB: missing format line")
@@ -127,17 +131,25 @@ func (h *HBStream) Reset() error {
 		}
 	}
 
-	// Column pointers: small (ncol+1), kept resident. The scanner is
-	// now positioned right after them — that is the index cursor.
-	ptrFields, err := readFixed(sc, ptrFmt, h.cols+1)
-	if err != nil {
-		return fmt.Errorf("sparse: HB: pointers: %w", err)
-	}
-	h.ptr = make([]int, h.cols+1)
-	for k, f := range ptrFields {
-		if h.ptr[k], err = strconv.Atoi(f); err != nil {
+	// Column pointers: small (ncol+1), kept resident. They are read a
+	// field at a time and the array grows as fields arrive, so what a
+	// header can make this parser allocate is bounded by what the file
+	// holds, never by NCOL alone: a five-line file declaring 2·10⁹
+	// columns ends in ErrUnexpectedEOF, not in a 16 GB allocation. The
+	// scanner is left positioned right after them — that is the index
+	// cursor.
+	pr := &fixedFieldReader{sc: sc, f: ptrFmt}
+	h.ptr = h.ptr[:0]
+	for len(h.ptr) <= h.cols {
+		f, err := pr.next()
+		if err != nil {
+			return fmt.Errorf("sparse: HB: pointer %d of %d: %w", len(h.ptr)+1, h.cols+1, err)
+		}
+		p, err := strconv.Atoi(f)
+		if err != nil {
 			return fmt.Errorf("sparse: HB: pointer %q: %w", f, err)
 		}
+		h.ptr = append(h.ptr, p)
 	}
 	if h.ptr[0] != 1 || h.ptr[h.cols] != h.nnz+1 {
 		return fmt.Errorf("sparse: HB: pointer array inconsistent (ptr[0]=%d, ptr[ncol]=%d, nnz=%d)", h.ptr[0], h.ptr[h.cols], h.nnz)
@@ -227,9 +239,9 @@ func (h *HBStream) Next() (Chunk, error) {
 	return Chunk{Entries: h.buf}, nil
 }
 
-// fixedFieldReader yields fixed-width fields one at a time — the
-// incremental twin of readFixed, advancing to the next line when the
-// current one runs out of populated fields.
+// fixedFieldReader yields the fixed-width numeric fields of one section
+// one at a time, advancing to the next line when the current one runs
+// out of populated fields.
 type fixedFieldReader struct {
 	sc      *bufio.Scanner
 	f       fortranFormat
@@ -253,7 +265,7 @@ func (r *fixedFieldReader) next() (string, error) {
 				field := strings.TrimSpace(r.line[lo:hi])
 				r.k++
 				if field == "" {
-					// Mirror readFixed: a blank field ends the line.
+					// A blank field ends the line.
 					r.k = r.f.count
 					break
 				}

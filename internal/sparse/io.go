@@ -133,61 +133,6 @@ func parseTextEntry(line string, rows, cols int, pattern bool) (i, j int, v floa
 	return i, j, v, nil
 }
 
-// ReadText parses the text coordinate format produced by WriteText. A
-// file whose entry-line count disagrees with the header's nnz returns
-// *NNZMismatchError rather than silently truncating or accepting.
-func ReadText(r io.Reader) (*COO, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-
-	line, err := nextLine(sc)
-	if err != nil {
-		return nil, fmt.Errorf("sparse: reading header: %w", err)
-	}
-	banner, err := parseTextBanner(line)
-	if err != nil {
-		return nil, err
-	}
-
-	line, err = nextLine(sc)
-	if err != nil {
-		return nil, fmt.Errorf("sparse: reading size line: %w", err)
-	}
-	rows, cols, nnz, err := parseTextSize(line)
-	if err != nil {
-		return nil, err
-	}
-
-	c := NewCOO(rows, cols)
-	c.Entries = make([]Entry, 0, nnz)
-	for k := 0; k < nnz; k++ {
-		line, err = nextLine(sc)
-		if err == io.ErrUnexpectedEOF {
-			return nil, &NNZMismatchError{Header: nnz, Actual: k}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sparse: entry %d of %d: %w", k+1, nnz, err)
-		}
-		i, j, v, err := parseTextEntry(line, rows, cols, banner.pattern)
-		if err != nil {
-			return nil, err
-		}
-		if v != 0 {
-			c.Entries = append(c.Entries, Entry{Row: i - 1, Col: j - 1, Val: v})
-			if banner.symmetric && i != j {
-				if j > rows || i > cols {
-					return nil, fmt.Errorf("sparse: symmetric entry (%d, %d) cannot be mirrored", i, j)
-				}
-				c.Entries = append(c.Entries, Entry{Row: j - 1, Col: i - 1, Val: v})
-			}
-		}
-	}
-	if extra := countEntryLines(sc); extra > 0 {
-		return nil, &NNZMismatchError{Header: nnz, Actual: nnz + extra}
-	}
-	return c, nil
-}
-
 // nextLine returns the next non-empty, non-comment line.
 func nextLine(sc *bufio.Scanner) (string, error) {
 	for sc.Scan() {

@@ -13,7 +13,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteText(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadText(&buf)
+	got, err := readText(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestTextRoundTripProperty(t *testing.T) {
 		if err := WriteText(&buf, c); err != nil {
 			return false
 		}
-		got, err := ReadText(&buf)
+		got, err := readText(&buf)
 		if err != nil {
 			return false
 		}
@@ -50,7 +50,7 @@ func TestReadTextCommentsAndBlanks(t *testing.T) {
 % another comment
 3 3 -2
 `
-	c, err := ReadText(strings.NewReader(in))
+	c, err := readText(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestReadTextCommentsAndBlanks(t *testing.T) {
 
 func TestReadTextDropsExplicitZeros(t *testing.T) {
 	in := "%%SparseArray coordinate\n2 2 2\n1 1 0\n2 2 5\n"
-	c, err := ReadText(strings.NewReader(in))
+	c, err := readText(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestReadTextMatrixMarketSymmetric(t *testing.T) {
 2 1 -1
 3 3 4
 `
-	c, err := ReadText(strings.NewReader(in))
+	c, err := readText(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestReadTextMatrixMarketPattern(t *testing.T) {
 1 2
 2 3
 `
-	c, err := ReadText(strings.NewReader(in))
+	c, err := readText(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,29 +118,32 @@ func TestReadTextMatrixMarketPattern(t *testing.T) {
 
 func TestReadTextRejectsComplex(t *testing.T) {
 	in := "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n"
-	if _, err := ReadText(strings.NewReader(in)); err == nil {
+	if _, err := readText(strings.NewReader(in)); err == nil {
 		t.Error("complex banner accepted")
 	}
 }
 
+// textErrorCases are the malformed coordinate files TestReadTextErrors
+// rejects one by one; FuzzOpenStream starts from them too.
+var textErrorCases = []struct {
+	name, in string
+}{
+	{"empty", ""},
+	{"no header", "3 3 1\n1 1 1\n"},
+	{"short size", "%%X\n3 3\n"},
+	{"bad nnz", "%%X\n3 3 x\n"},
+	{"truncated entries", "%%X\n3 3 2\n1 1 1\n"},
+	{"out of range", "%%X\n2 2 1\n3 1 1\n"},
+	{"zero index", "%%X\n2 2 1\n0 1 1\n"},
+	{"bad value", "%%X\n2 2 1\n1 1 abc\n"},
+	{"negative size", "%%X\n-1 2 0\n"},
+}
+
 func TestReadTextErrors(t *testing.T) {
-	cases := []struct {
-		name, in string
-	}{
-		{"empty", ""},
-		{"no header", "3 3 1\n1 1 1\n"},
-		{"short size", "%%X\n3 3\n"},
-		{"bad nnz", "%%X\n3 3 x\n"},
-		{"truncated entries", "%%X\n3 3 2\n1 1 1\n"},
-		{"out of range", "%%X\n2 2 1\n3 1 1\n"},
-		{"zero index", "%%X\n2 2 1\n0 1 1\n"},
-		{"bad value", "%%X\n2 2 1\n1 1 abc\n"},
-		{"negative size", "%%X\n-1 2 0\n"},
-	}
-	for _, c := range cases {
+	for _, c := range textErrorCases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ReadText(strings.NewReader(c.in)); err == nil {
-				t.Errorf("ReadText(%q) succeeded, want error", c.in)
+			if _, err := readText(strings.NewReader(c.in)); err == nil {
+				t.Errorf("readText(%q) succeeded, want error", c.in)
 			}
 		})
 	}

@@ -256,25 +256,38 @@ func OpenStream(path string, chunkEntries int) (ChunkReader, io.Closer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	head := make([]byte, len(binaryMagic))
-	n, err := io.ReadFull(f, head)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		f.Close()
-		return nil, nil, fmt.Errorf("sparse: sniffing %s: %w", path, err)
-	}
-	head = head[:n]
-	var r ChunkReader
-	switch {
-	case bytes.Equal(head, []byte(binaryMagic)):
-		r, err = NewBinaryStream(f, chunkEntries)
-	case bytes.HasPrefix(head, []byte("%%")):
-		r, err = NewTextStream(f, chunkEntries)
-	default:
-		r, err = NewHBStream(f, chunkEntries)
-	}
+	r, err := sniffStream(f, chunkEntries)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
 	return r, f, nil
+}
+
+// seekerAt is what the three parsers need of a file between them:
+// TextStream and BinaryStream rewind by seeking, HBStream reads its
+// index and value sections through two cursors at once.
+type seekerAt interface {
+	io.ReadSeeker
+	io.ReaderAt
+}
+
+// sniffStream picks the parser for src by its first bytes; it is
+// OpenStream without the file, so arbitrary bytes can be aimed at all
+// three parsers (FuzzOpenStream).
+func sniffStream(src seekerAt, chunkEntries int) (ChunkReader, error) {
+	head := make([]byte, len(binaryMagic))
+	n, err := src.ReadAt(head, 0)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("sparse: sniffing format: %w", err)
+	}
+	head = head[:n]
+	switch {
+	case bytes.Equal(head, []byte(binaryMagic)):
+		return NewBinaryStream(src, chunkEntries)
+	case bytes.HasPrefix(head, []byte("%%")):
+		return NewTextStream(src, chunkEntries)
+	default:
+		return NewHBStream(src, chunkEntries)
+	}
 }

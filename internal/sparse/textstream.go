@@ -8,8 +8,8 @@ import (
 
 // TextStream is the chunked reader for the text coordinate format (and
 // Matrix-Market-style banners): one pass over the file, bounded entry
-// batches, symmetric mirroring applied on the fly. It shares the line
-// parsers with ReadText so the two paths accept exactly the same files.
+// batches, symmetric mirroring applied on the fly. Its buffers are sized
+// by the caller's chunk, never by the header's counts.
 type TextStream struct {
 	rs        io.ReadSeeker
 	sc        *bufio.Scanner

@@ -52,7 +52,7 @@ func TestPipelineQuickstart(t *testing.T) {
 	}
 }
 
-func TestPipelineCheckpointRedistribute(t *testing.T) {
+func TestPipelineRedistribute(t *testing.T) {
 	g := sparse.UniformExact(96, 96, 0.1, 2)
 	row, err := partition.NewRow(96, 96, 4)
 	if err != nil {
@@ -68,21 +68,13 @@ func TestPipelineCheckpointRedistribute(t *testing.T) {
 	}
 	defer m.Close()
 
-	// Distribute, checkpoint, restore, then redistribute the restored
-	// result onto a mesh and verify against ground truth.
+	// Distribute, then redistribute the result onto a mesh and verify
+	// against ground truth.
 	res, err := dist.CFS{}.Distribute(m, g, row, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := dist.SaveResult(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := dist.LoadResult(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, _, err := redist.Redistribute(m, row, restored, mesh)
+	moved, _, err := redist.Redistribute(m, row, res, mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +91,14 @@ func TestPipelineHBFileToSolver(t *testing.T) {
 	if err := sparse.WriteHB(&hb, coo, "poisson 7x7 grid", "POI7"); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := sparse.ReadHB(&hb)
+	src, err := sparse.NewHBStream(bytes.NewReader(hb.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := loaded.ToDense()
+	g, err := sparse.Materialize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !g.Equal(coo.ToDense()) {
 		t.Fatal("HB round trip changed the system")
 	}
