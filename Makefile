@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint fuzz-smoke check-diff bench bench-compare bench-kernels bench-gates tables examples serve-smoke cluster-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
+.PHONY: all build test test-race lint loc fuzz-smoke check-diff bench bench-compare bench-kernels bench-gates tables examples serve-smoke cluster-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
 
 all: build test
 
@@ -26,15 +26,22 @@ lint:
 		staticcheck ./...; \
 	else echo "staticcheck not installed; skipping"; fi
 
+# The ROADMAP's size metric: non-test Go outside the nested bench module.
+# CHANGES.md entries and re-anchors quote this number.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+
 # Short fuzz pass over the wire decoders, the end-to-end differential
-# target, the daemon's request path and the file parsers (go-native
-# fuzzing runs one target per invocation, so each gets its own line).
+# target, the daemon's request path, the file parsers and the partition
+# builders (go-native fuzzing runs one target per invocation, so each
+# gets its own line).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartED -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStream -fuzztime 10s ./internal/sparse/
+	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/partition/
 
 # The differential correctness harness at full size: >= 200 adversarial
 # arrays through every scheme x partition x method combination, direct,

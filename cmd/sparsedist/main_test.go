@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"io"
 	"math"
 	"os"
@@ -243,5 +244,54 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("errors.As(ConflictError) = %v, want %v (err %q)", got, f.wantConflict, err)
 			}
 		})
+	}
+}
+
+// TestHostileBlockSizeExitsZero runs the command line that used to end
+// the process: a brs block of 2^62 made the block-cyclic stride wrap to
+// zero for four parts, and the ownership map grew until the runtime
+// died. main returning is exit status 0; a failure calls os.Exit(1) and
+// takes the test binary with it, message on stderr. A block wider than
+// the array is one block, so the run distributes and verifies.
+func TestHostileBlockSizeExitsZero(t *testing.T) {
+	oldArgs, oldFlags, oldStdout := os.Args, flag.CommandLine, os.Stdout
+	defer func() { os.Args, flag.CommandLine, os.Stdout = oldArgs, oldFlags, oldStdout }()
+	outPath := filepath.Join(t.TempDir(), "stdout")
+	out, err := os.Create(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+
+	os.Args = []string{"sparsedist", "-n", "10", "-procs", "4", "-partition", "brs", "-block", "4611686018427387904", "-verify"}
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	os.Stdout = out
+	main()
+	os.Stdout = oldStdout
+
+	report, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"brs-b4611686018427387904", "verification: OK"} {
+		if !strings.Contains(string(report), want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+}
+
+// TestStreamHostileHeaderIsAnError: a two-line Matrix-Market file that
+// declares 2^62 rows used to panic in makeslice inside the locator on
+// the -stream door. The partition constructors now refuse a dimension
+// the owner tables cannot index, so the door returns an error naming it.
+func TestStreamHostileHeaderIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hostile.mtx")
+	header := "%%MatrixMarket matrix coordinate real general\n4611686018427387904 1 0\n"
+	if err := os.WriteFile(path, []byte(header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := runStream(core.Config{Procs: 4, MemBudget: 1 << 20}, path, 0, 0, 0, true)
+	if err == nil || !strings.Contains(err.Error(), "rows 4611686018427387904") {
+		t.Fatalf("runStream = %v, want an error naming the 2^62 rows", err)
 	}
 }

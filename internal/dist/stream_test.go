@@ -12,20 +12,16 @@ import (
 )
 
 // streamPartitionsFor builds the partition table for the parity sweep:
-// the paper's uniform row blocks plus the nnz-balanced variant, both
-// reachable from a stream (balanced via ScanStats + FromCounts).
+// every kind the stream serves — the seven shape-only kinds of
+// partitionsFor (strided maps included) plus the nnz-balanced variant,
+// reachable from a stream via ScanStats + FromCounts.
 func streamPartitionsFor(t *testing.T, g *sparse.Dense, p int) []partition.Partition {
 	t.Helper()
-	rows, cols := g.Rows(), g.Cols()
-	row, err := partition.NewRow(rows, cols, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bal, err := partition.NewBalancedRow(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []partition.Partition{row, bal}
+	return append(partitionsFor(t, g.Rows(), g.Cols(), p), bal)
 }
 
 // TestStreamParity is the tentpole's acceptance test: for every scheme

@@ -11,7 +11,8 @@ import (
 // non-positive number of parts.
 var ErrBadPartCount = errors.New("part count must be positive")
 
-// BalancedRow is a nonuniform row partition in the spirit of the
+// NewBalancedRow builds an nnz-balanced contiguous row partition of g
+// into p parts — a nonuniform row partition in the spirit of the
 // paper's reference [5] (Berger & Bokhari, "A Partitioning Strategy for
 // Nonuniform Problems on Multiprocessors"): contiguous row blocks whose
 // boundaries are chosen so every part holds roughly the same number of
@@ -20,16 +21,10 @@ var ErrBadPartCount = errors.New("part count must be positive")
 // shrinking the parallel compression/decode terms of every scheme.
 //
 // Because blocks stay contiguous and span all columns, the paper's
-// Case 3.2.1/3.3.1 index conversions apply unchanged.
-type BalancedRow struct {
-	rows, cols int
-	starts     []int // len p+1; part k owns rows [starts[k], starts[k+1])
-}
-
-// NewBalancedRow builds an nnz-balanced contiguous row partition of g
-// into p parts using a greedy prefix-sum sweep: a boundary is placed as
-// soon as the running nonzero count reaches the ideal share.
-func NewBalancedRow(g *sparse.Dense, p int) (*BalancedRow, error) {
+// Case 3.2.1/3.3.1 index conversions apply unchanged. The boundaries
+// come from a greedy prefix-sum sweep: one is placed as soon as the
+// running nonzero count reaches the ideal share.
+func NewBalancedRow(g *sparse.Dense, p int) (*Grid, error) {
 	if g == nil {
 		return nil, fmt.Errorf("partition: balanced-row: nil array")
 	}
@@ -47,11 +42,14 @@ func NewBalancedRow(g *sparse.Dense, p int) (*BalancedRow, error) {
 // leading empty parts, and a single huge row simply owns its block.
 // NumParts() == p always holds; p <= 0 returns an error wrapping
 // ErrBadPartCount, and a negative count is rejected.
-func NewBalancedRowFromCounts(rowNNZ []int, cols, p int) (*BalancedRow, error) {
+func NewBalancedRowFromCounts(rowNNZ []int, cols, p int) (*Grid, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("partition: balanced-row: part count %d: %w", p, ErrBadPartCount)
 	}
 	rows := len(rowNNZ)
+	if err := checkDims(rows, cols); err != nil {
+		return nil, fmt.Errorf("partition: balanced-row: %w", err)
+	}
 	total := 0
 	for i, n := range rowNNZ {
 		if n < 0 {
@@ -86,37 +84,5 @@ func NewBalancedRowFromCounts(rowNNZ []int, cols, p int) (*BalancedRow, error) {
 		}
 	}
 	starts[p] = rows
-	return &BalancedRow{rows: rows, cols: cols, starts: starts}, nil
-}
-
-// Name implements Partition.
-func (b *BalancedRow) Name() string { return "balanced-row" }
-
-// Shape implements Partition.
-func (b *BalancedRow) Shape() (int, int) { return b.rows, b.cols }
-
-// NumParts implements Partition.
-func (b *BalancedRow) NumParts() int { return len(b.starts) - 1 }
-
-// RowMap implements Partition.
-func (b *BalancedRow) RowMap(k int) []int {
-	checkPart(k, b.NumParts())
-	out := make([]int, 0, b.starts[k+1]-b.starts[k])
-	for i := b.starts[k]; i < b.starts[k+1]; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-
-// ColMap implements Partition.
-func (b *BalancedRow) ColMap(k int) []int {
-	checkPart(k, b.NumParts())
-	return fullRange(b.cols)
-}
-
-// Boundaries returns the row boundaries (len p+1).
-func (b *BalancedRow) Boundaries() []int {
-	out := make([]int, len(b.starts))
-	copy(out, b.starts)
-	return out
+	return &Grid{"balanced-row", cutAxis(starts), cutAxis([]int{0, cols})}, nil
 }

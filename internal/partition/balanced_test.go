@@ -8,6 +8,16 @@ import (
 	"repro/internal/sparse"
 )
 
+// rowBoundaries reads the p+1 row boundaries of a contiguous row
+// partition off its maps: part k owns rows [bounds[k], bounds[k+1]).
+func rowBoundaries(p Partition) []int {
+	bounds := make([]int, p.NumParts()+1)
+	for k := 0; k < p.NumParts(); k++ {
+		bounds[k+1] = bounds[k] + len(p.RowMap(k))
+	}
+	return bounds
+}
+
 func TestBalancedRowCoverage(t *testing.T) {
 	f := func(seed int64) bool {
 		g := sparse.Uniform(23, 11, 0.3, seed)
@@ -58,7 +68,7 @@ func TestBalancedRowContiguity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := b.Boundaries()
+	bounds := rowBoundaries(b)
 	if bounds[0] != 0 || bounds[5] != 40 {
 		t.Errorf("boundaries = %v", bounds)
 	}
@@ -140,7 +150,7 @@ func TestBalancedRowFromCountsDegenerate(t *testing.T) {
 			if err := Validate(b); err != nil {
 				t.Fatalf("invalid partition: %v", err)
 			}
-			bounds := b.Boundaries()
+			bounds := rowBoundaries(b)
 			if bounds[0] != 0 || bounds[tc.p] != len(tc.rowNNZ) {
 				t.Fatalf("boundaries %v do not span [0, %d]", bounds, len(tc.rowNNZ))
 			}

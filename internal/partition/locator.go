@@ -2,53 +2,28 @@ package partition
 
 import "fmt"
 
-// Locator answers "which part owns global cell (i, j)?" in O(parts
-// sharing row i) time — the inverse of the ownership maps, needed by
-// redistribution (every sender must route each of its nonzeros to its
-// new owner).
-type Locator struct {
-	p        Partition
-	rowParts [][]int  // rowParts[i] = parts owning global row i
-	colOwned [][]bool // colOwned[k][j] = part k owns global column j
-}
+// Locator answers "which part owns global cell (i, j)?" in O(1) — the
+// inverse of the ownership maps, needed by redistribution (every sender
+// must route each of its nonzeros to its new owner). It reads the owner
+// tables the Grid built at construction.
+type Locator struct{ g *Grid }
 
-// NewLocator precomputes the inverse ownership structures.
+// NewLocator returns the locator of p, which must be a *Grid (the
+// package's one implementation).
 func NewLocator(p Partition) (*Locator, error) {
-	rows, cols := p.Shape()
-	l := &Locator{
-		p:        p,
-		rowParts: make([][]int, rows),
-		colOwned: make([][]bool, p.NumParts()),
+	g, ok := p.(*Grid)
+	if !ok {
+		return nil, fmt.Errorf("partition: locator: %T is not a *Grid", p)
 	}
-	for k := 0; k < p.NumParts(); k++ {
-		for _, i := range p.RowMap(k) {
-			if i < 0 || i >= rows {
-				return nil, fmt.Errorf("partition: locator: part %d row %d out of range", k, i)
-			}
-			l.rowParts[i] = append(l.rowParts[i], k)
-		}
-		l.colOwned[k] = make([]bool, cols)
-		for _, j := range p.ColMap(k) {
-			if j < 0 || j >= cols {
-				return nil, fmt.Errorf("partition: locator: part %d col %d out of range", k, j)
-			}
-			l.colOwned[k][j] = true
-		}
-	}
-	return l, nil
+	return &Locator{g}, nil
 }
 
-// Owner returns the part owning global cell (i, j), or an error if no
-// part covers it (an invalid partition).
+// Owner returns the part owning global cell (i, j), or an error if the
+// cell lies outside the array.
 func (l *Locator) Owner(i, j int) (int, error) {
-	rows, cols := l.p.Shape()
-	if i < 0 || i >= rows || j < 0 || j >= cols {
-		return 0, fmt.Errorf("partition: locator: cell (%d, %d) out of range %dx%d", i, j, rows, cols)
+	rows, cols := l.g.rows, l.g.cols
+	if i < 0 || i >= len(rows.owner) || j < 0 || j >= len(cols.owner) {
+		return 0, fmt.Errorf("partition: locator: cell (%d, %d) out of range %dx%d", i, j, len(rows.owner), len(cols.owner))
 	}
-	for _, k := range l.rowParts[i] {
-		if l.colOwned[k][j] {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("partition: locator: cell (%d, %d) is not covered by %s", i, j, l.p.Name())
+	return int(rows.owner[i])*len(cols.maps) + int(cols.owner[j]), nil
 }

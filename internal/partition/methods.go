@@ -1,216 +1,181 @@
 package partition
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Row is the paper's row partition method (Block, *): part k owns
-// contiguous rows k*ceil(rows/p) .. and every column.
-type Row struct {
-	rows, cols, p int
+// Grid is the one partition type: a pr x pc processor grid in which
+// processor P_{i,j} (part index i*pc + j) owns row set i crossed with
+// column set j. Each axis is cut into contiguous ranges or dealt
+// cyclically; the 1-D methods are the degenerate grids p x 1 and 1 x p.
+// The ownership maps and their inverse are built once, at construction.
+type Grid struct {
+	name       string
+	rows, cols axis
 }
 
-// NewRow builds a row partition of a rows x cols array into p parts.
-func NewRow(rows, cols, p int) (*Row, error) {
+// axis is one dimension of a Grid: len(owner) global indices dealt to
+// len(maps) slots. maps[k] lists the indices slot k owns, ascending;
+// owner is the inverse. Both are read-only after construction.
+type axis struct {
+	maps  [][]int
+	owner []int32
+}
+
+// cutAxis builds the axis whose slot k owns the contiguous range
+// [cuts[k], cuts[k+1]): the paper's block rule (BlockCuts), the
+// nnz-balanced boundaries, and with a single slot the whole dimension.
+// The maps are slices of one [0, n) array, each capped at its own end
+// so an append by a caller cannot reach a neighbour's indices.
+func cutAxis(cuts []int) axis {
+	q := len(cuts) - 1
+	all := make([]int, cuts[q])
+	a := axis{maps: make([][]int, q), owner: make([]int32, cuts[q])}
+	for k := range a.maps {
+		lo, hi := cuts[k], cuts[k+1]
+		a.maps[k] = all[lo:hi:hi]
+		for i := lo; i < hi; i++ {
+			all[i] = i
+			a.owner[i] = int32(k)
+		}
+	}
+	return a
+}
+
+// cyclicAxis builds the axis that deals blocks of b consecutive indices
+// round-robin to q slots (b = 1 is the pure cyclic rule, larger b the
+// BRS rule). The owner of index i is i / b % q — no product of b and q
+// is ever formed, so a block wider than the dimension is simply one
+// block, whatever its size. A slot that is dealt nothing keeps an
+// empty, non-nil map.
+func cyclicAxis(n, q, b int) axis {
+	a := axis{maps: make([][]int, q), owner: make([]int32, n)}
+	for k := range a.maps {
+		a.maps[k] = []int{}
+	}
+	for i := range a.owner {
+		k := i / b % q
+		a.owner[i] = int32(k)
+		a.maps[k] = append(a.maps[k], i)
+	}
+	return a
+}
+
+// BlockCuts returns the paper's partition rule as q+1 boundaries: block
+// k of n items is [cuts[k], cuts[k+1]), every block ceil(n/q) long
+// except possibly trailing ones (which may be short or empty).
+func BlockCuts(n, q int) []int {
+	size := (n + q - 1) / q
+	cuts := make([]int, q+1)
+	for k := 1; k <= q; k++ {
+		cuts[k] = min(k*size, n)
+	}
+	return cuts
+}
+
+// Name implements Partition.
+func (g *Grid) Name() string { return g.name }
+
+// Shape implements Partition.
+func (g *Grid) Shape() (int, int) { return len(g.rows.owner), len(g.cols.owner) }
+
+// NumParts implements Partition.
+func (g *Grid) NumParts() int { return len(g.rows.maps) * len(g.cols.maps) }
+
+// Grid returns the processor grid dimensions.
+func (g *Grid) Grid() (pr, pc int) { return len(g.rows.maps), len(g.cols.maps) }
+
+// RowMap implements Partition.
+func (g *Grid) RowMap(k int) []int { return g.rows.maps[g.checkPart(k)/len(g.cols.maps)] }
+
+// ColMap implements Partition.
+func (g *Grid) ColMap(k int) []int { return g.cols.maps[g.checkPart(k)%len(g.cols.maps)] }
+
+func (g *Grid) checkPart(k int) int {
+	if k < 0 || k >= g.NumParts() {
+		panic(fmt.Sprintf("partition: part %d out of range [0, %d)", k, g.NumParts()))
+	}
+	return k
+}
+
+// NewRow builds the paper's row partition method (Block, *) of a
+// rows x cols array into p parts: part k owns contiguous rows
+// k*ceil(rows/p) .. and every column.
+func NewRow(rows, cols, p int) (*Grid, error) {
 	if err := checkShape(rows, cols, p); err != nil {
 		return nil, fmt.Errorf("partition: row: %w", err)
 	}
-	return &Row{rows: rows, cols: cols, p: p}, nil
+	return &Grid{"row", cutAxis(BlockCuts(rows, p)), cutAxis([]int{0, cols})}, nil
 }
 
-// Name implements Partition.
-func (r *Row) Name() string { return "row" }
-
-// Shape implements Partition.
-func (r *Row) Shape() (int, int) { return r.rows, r.cols }
-
-// NumParts implements Partition.
-func (r *Row) NumParts() int { return r.p }
-
-// RowMap implements Partition.
-func (r *Row) RowMap(k int) []int { return blockRange(r.rows, r.p, r.checkPart(k)) }
-
-// ColMap implements Partition.
-func (r *Row) ColMap(k int) []int { r.checkPart(k); return fullRange(r.cols) }
-
-func (r *Row) checkPart(k int) int { return checkPart(k, r.p) }
-
-// Col is the paper's column partition method (*, Block).
-type Col struct {
-	rows, cols, p int
-}
-
-// NewCol builds a column partition of a rows x cols array into p parts.
-func NewCol(rows, cols, p int) (*Col, error) {
+// NewCol builds the paper's column partition method (*, Block) of a
+// rows x cols array into p parts.
+func NewCol(rows, cols, p int) (*Grid, error) {
 	if err := checkShape(rows, cols, p); err != nil {
 		return nil, fmt.Errorf("partition: col: %w", err)
 	}
-	return &Col{rows: rows, cols: cols, p: p}, nil
+	return &Grid{"col", cutAxis([]int{0, rows}), cutAxis(BlockCuts(cols, p))}, nil
 }
 
-// Name implements Partition.
-func (c *Col) Name() string { return "col" }
-
-// Shape implements Partition.
-func (c *Col) Shape() (int, int) { return c.rows, c.cols }
-
-// NumParts implements Partition.
-func (c *Col) NumParts() int { return c.p }
-
-// RowMap implements Partition.
-func (c *Col) RowMap(k int) []int { c.checkPart(k); return fullRange(c.rows) }
-
-// ColMap implements Partition.
-func (c *Col) ColMap(k int) []int { return blockRange(c.cols, c.p, c.checkPart(k)) }
-
-func (c *Col) checkPart(k int) int { return checkPart(k, c.p) }
-
-// Mesh is the paper's 2D mesh partition method (Block, Block): a pr x pc
-// processor grid where processor P_{i,j} (part index i*pc + j) owns
-// contiguous row block i crossed with contiguous column block j.
-type Mesh struct {
-	rows, cols, pr, pc int
-}
-
-// NewMesh builds a 2D mesh partition over a pr x pc processor grid.
-func NewMesh(rows, cols, pr, pc int) (*Mesh, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("partition: mesh: negative shape %dx%d", rows, cols)
+// NewMesh builds the paper's 2D mesh partition method (Block, Block)
+// over a pr x pc processor grid: processor P_{i,j} owns contiguous row
+// block i crossed with contiguous column block j.
+func NewMesh(rows, cols, pr, pc int) (*Grid, error) {
+	if err := checkDims(rows, cols); err != nil {
+		return nil, fmt.Errorf("partition: mesh: %w", err)
 	}
 	if pr <= 0 || pc <= 0 {
 		return nil, fmt.Errorf("partition: mesh: grid %dx%d must be positive", pr, pc)
 	}
-	return &Mesh{rows: rows, cols: cols, pr: pr, pc: pc}, nil
+	name := fmt.Sprintf("mesh%dx%d", pr, pc)
+	return &Grid{name, cutAxis(BlockCuts(rows, pr)), cutAxis(BlockCuts(cols, pc))}, nil
 }
 
-// Name implements Partition.
-func (m *Mesh) Name() string { return fmt.Sprintf("mesh%dx%d", m.pr, m.pc) }
-
-// Shape implements Partition.
-func (m *Mesh) Shape() (int, int) { return m.rows, m.cols }
-
-// NumParts implements Partition.
-func (m *Mesh) NumParts() int { return m.pr * m.pc }
-
-// Grid returns the processor grid dimensions.
-func (m *Mesh) Grid() (pr, pc int) { return m.pr, m.pc }
-
-// RowMap implements Partition.
-func (m *Mesh) RowMap(k int) []int {
-	return blockRange(m.rows, m.pr, checkPart(k, m.pr*m.pc)/m.pc)
-}
-
-// ColMap implements Partition.
-func (m *Mesh) ColMap(k int) []int {
-	return blockRange(m.cols, m.pc, checkPart(k, m.pr*m.pc)%m.pc)
-}
-
-// CyclicRow deals single rows round-robin: part k owns rows
-// {k, k+p, k+2p, ...} and every column. This is the cyclic partition the
-// paper's introduction mentions; index conversion needs the map form.
-type CyclicRow struct {
-	rows, cols, p int
-}
-
-// NewCyclicRow builds a row-cyclic partition.
-func NewCyclicRow(rows, cols, p int) (*CyclicRow, error) {
+// NewCyclicRow builds a row-cyclic partition, dealing single rows
+// round-robin: part k owns rows {k, k+p, k+2p, ...} and every column.
+// This is the cyclic partition the paper's introduction mentions; index
+// conversion needs the map form.
+func NewCyclicRow(rows, cols, p int) (*Grid, error) {
 	if err := checkShape(rows, cols, p); err != nil {
 		return nil, fmt.Errorf("partition: cyclic-row: %w", err)
 	}
-	return &CyclicRow{rows: rows, cols: cols, p: p}, nil
+	return &Grid{"cyclic-row", cyclicAxis(rows, p, 1), cutAxis([]int{0, cols})}, nil
 }
 
-// Name implements Partition.
-func (c *CyclicRow) Name() string { return "cyclic-row" }
-
-// Shape implements Partition.
-func (c *CyclicRow) Shape() (int, int) { return c.rows, c.cols }
-
-// NumParts implements Partition.
-func (c *CyclicRow) NumParts() int { return c.p }
-
-// RowMap implements Partition.
-func (c *CyclicRow) RowMap(k int) []int { return strideRange(c.rows, c.p, checkPart(k, c.p)) }
-
-// ColMap implements Partition.
-func (c *CyclicRow) ColMap(k int) []int { checkPart(k, c.p); return fullRange(c.cols) }
-
-// CyclicCol deals single columns round-robin.
-type CyclicCol struct {
-	rows, cols, p int
-}
-
-// NewCyclicCol builds a column-cyclic partition.
-func NewCyclicCol(rows, cols, p int) (*CyclicCol, error) {
+// NewCyclicCol builds a column-cyclic partition, dealing single columns
+// round-robin.
+func NewCyclicCol(rows, cols, p int) (*Grid, error) {
 	if err := checkShape(rows, cols, p); err != nil {
 		return nil, fmt.Errorf("partition: cyclic-col: %w", err)
 	}
-	return &CyclicCol{rows: rows, cols: cols, p: p}, nil
+	return &Grid{"cyclic-col", cutAxis([]int{0, rows}), cyclicAxis(cols, p, 1)}, nil
 }
 
-// Name implements Partition.
-func (c *CyclicCol) Name() string { return "cyclic-col" }
-
-// Shape implements Partition.
-func (c *CyclicCol) Shape() (int, int) { return c.rows, c.cols }
-
-// NumParts implements Partition.
-func (c *CyclicCol) NumParts() int { return c.p }
-
-// RowMap implements Partition.
-func (c *CyclicCol) RowMap(k int) []int { checkPart(k, c.p); return fullRange(c.rows) }
-
-// ColMap implements Partition.
-func (c *CyclicCol) ColMap(k int) []int { return strideRange(c.cols, c.p, checkPart(k, c.p)) }
-
-// BlockCyclicRow deals row blocks of the given size round-robin — the
-// Block Row Scatter (BRS) distribution of Zapata et al. that the paper
-// uses as its SFC baseline.
-type BlockCyclicRow struct {
-	rows, cols, p, block int
-}
-
-// NewBlockCyclicRow builds a block-cyclic row partition with the given
-// block size.
-func NewBlockCyclicRow(rows, cols, p, block int) (*BlockCyclicRow, error) {
+// NewBlockCyclicRow builds a block-cyclic row partition, dealing row
+// blocks of the given size round-robin — the Block Row Scatter (BRS)
+// distribution of Zapata et al. that the paper uses as its SFC
+// baseline.
+func NewBlockCyclicRow(rows, cols, p, block int) (*Grid, error) {
 	if err := checkShape(rows, cols, p); err != nil {
 		return nil, fmt.Errorf("partition: block-cyclic-row: %w", err)
 	}
 	if block <= 0 {
 		return nil, fmt.Errorf("partition: block-cyclic-row: block size %d must be positive", block)
 	}
-	return &BlockCyclicRow{rows: rows, cols: cols, p: p, block: block}, nil
+	name := fmt.Sprintf("brs-b%d", block)
+	return &Grid{name, cyclicAxis(rows, p, block), cutAxis([]int{0, cols})}, nil
 }
 
-// Name implements Partition.
-func (b *BlockCyclicRow) Name() string { return fmt.Sprintf("brs-b%d", b.block) }
-
-// Shape implements Partition.
-func (b *BlockCyclicRow) Shape() (int, int) { return b.rows, b.cols }
-
-// NumParts implements Partition.
-func (b *BlockCyclicRow) NumParts() int { return b.p }
-
-// RowMap implements Partition.
-func (b *BlockCyclicRow) RowMap(k int) []int {
-	return blockCyclicRange(b.rows, b.p, b.block, checkPart(k, b.p))
-}
-
-// ColMap implements Partition.
-func (b *BlockCyclicRow) ColMap(k int) []int { checkPart(k, b.p); return fullRange(b.cols) }
-
-// CyclicMesh is the two-dimensional block-cyclic distribution used by
-// ScaLAPACK-style libraries: a pr x pc processor grid where processor
-// P_{i,j} owns rows {i, i+pr, ...} block-cyclically with block size br
-// and columns {j, j+pc, ...} with block size bc. With br = bc = 1 this
-// is the pure 2-D cyclic distribution; with blocks spanning the whole
-// dimension it degenerates to the mesh partition.
-type CyclicMesh struct {
-	rows, cols, pr, pc, br, bc int
-}
-
-// NewCyclicMesh builds a 2-D block-cyclic partition.
-func NewCyclicMesh(rows, cols, pr, pc, br, bc int) (*CyclicMesh, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("partition: cyclic-mesh: negative shape %dx%d", rows, cols)
+// NewCyclicMesh builds the two-dimensional block-cyclic distribution
+// used by ScaLAPACK-style libraries: a pr x pc processor grid where
+// processor P_{i,j} owns rows {i, i+pr, ...} block-cyclically with
+// block size br and columns {j, j+pc, ...} with block size bc. With
+// br = bc = 1 this is the pure 2-D cyclic distribution; with blocks
+// spanning the whole dimension it degenerates to the mesh partition.
+func NewCyclicMesh(rows, cols, pr, pc, br, bc int) (*Grid, error) {
+	if err := checkDims(rows, cols); err != nil {
+		return nil, fmt.Errorf("partition: cyclic-mesh: %w", err)
 	}
 	if pr <= 0 || pc <= 0 {
 		return nil, fmt.Errorf("partition: cyclic-mesh: grid %dx%d must be positive", pr, pc)
@@ -218,43 +183,31 @@ func NewCyclicMesh(rows, cols, pr, pc, br, bc int) (*CyclicMesh, error) {
 	if br <= 0 || bc <= 0 {
 		return nil, fmt.Errorf("partition: cyclic-mesh: block %dx%d must be positive", br, bc)
 	}
-	return &CyclicMesh{rows: rows, cols: cols, pr: pr, pc: pc, br: br, bc: bc}, nil
+	name := fmt.Sprintf("cyclic-mesh%dx%d-b%dx%d", pr, pc, br, bc)
+	return &Grid{name, cyclicAxis(rows, pr, br), cyclicAxis(cols, pc, bc)}, nil
 }
 
-// Name implements Partition.
-func (c *CyclicMesh) Name() string {
-	return fmt.Sprintf("cyclic-mesh%dx%d-b%dx%d", c.pr, c.pc, c.br, c.bc)
-}
-
-// Shape implements Partition.
-func (c *CyclicMesh) Shape() (int, int) { return c.rows, c.cols }
-
-// NumParts implements Partition.
-func (c *CyclicMesh) NumParts() int { return c.pr * c.pc }
-
-// RowMap implements Partition.
-func (c *CyclicMesh) RowMap(k int) []int {
-	return blockCyclicRange(c.rows, c.pr, c.br, checkPart(k, c.pr*c.pc)/c.pc)
-}
-
-// ColMap implements Partition.
-func (c *CyclicMesh) ColMap(k int) []int {
-	return blockCyclicRange(c.cols, c.pc, c.bc, checkPart(k, c.pr*c.pc)%c.pc)
+// checkDims is the shape validation every constructor shares. The
+// owner tables index with int32, so a dimension above math.MaxInt32 is
+// an error here instead of an allocation failure further down.
+func checkDims(rows, cols int) error {
+	switch {
+	case rows < 0 || cols < 0:
+		return fmt.Errorf("negative shape %dx%d", rows, cols)
+	case rows > math.MaxInt32:
+		return fmt.Errorf("rows %d exceed the indexable maximum %d", rows, math.MaxInt32)
+	case cols > math.MaxInt32:
+		return fmt.Errorf("cols %d exceed the indexable maximum %d", cols, math.MaxInt32)
+	}
+	return nil
 }
 
 func checkShape(rows, cols, p int) error {
-	if rows < 0 || cols < 0 {
-		return fmt.Errorf("negative shape %dx%d", rows, cols)
+	if err := checkDims(rows, cols); err != nil {
+		return err
 	}
 	if p <= 0 {
 		return fmt.Errorf("part count %d must be positive", p)
 	}
 	return nil
-}
-
-func checkPart(k, p int) int {
-	if k < 0 || k >= p {
-		panic(fmt.Sprintf("partition: part %d out of range [0, %d)", k, p))
-	}
-	return k
 }

@@ -2,8 +2,9 @@
 // splitting a global two-dimensional array among p processors.
 //
 // Every supported partition assigns each processor a *cross product* of a
-// set of global rows and a set of global columns. The paper's three
-// methods are block partitions whose sets are contiguous ranges:
+// set of global rows and a set of global columns — one type, Grid. The
+// paper's three methods are block partitions whose sets are contiguous
+// ranges:
 //
 //	Row  (Block, *)     – contiguous rows x all columns
 //	Col  (*, Block)     – all rows x contiguous columns
@@ -33,8 +34,11 @@ type Partition interface {
 	// NumParts returns the number of parts (processors).
 	NumParts() int
 	// RowMap returns the sorted global row indices owned by part k.
+	// The slice is built once and shared by every caller and every
+	// goroutine: callers must not write to it.
 	RowMap(k int) []int
-	// ColMap returns the sorted global column indices owned by part k.
+	// ColMap returns the sorted global column indices owned by part k
+	// (shared; callers must not write).
 	ColMap(k int) []int
 }
 
@@ -124,57 +128,4 @@ func checkSorted(m []int, limit int) error {
 		}
 	}
 	return nil
-}
-
-// blockRange returns the contiguous indices owned by block k of n items
-// split into p blocks of ceil(n/p), the paper's partition rule: all
-// blocks have ceil(n/p) items except possibly trailing ones (which may
-// be short or empty).
-func blockRange(n, p, k int) []int {
-	size := ceilDiv(n, p)
-	lo := k * size
-	hi := lo + size
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	out := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-
-// strideRange returns indices {k, k+p, k+2p, ...} below n (cyclic rule).
-func strideRange(n, p, k int) []int {
-	out := make([]int, 0, (n-k+p-1)/p)
-	for i := k; i < n; i += p {
-		out = append(out, i)
-	}
-	return out
-}
-
-// blockCyclicRange returns the indices owned by part k when blocks of
-// size b are dealt round-robin to p parts (the BRS rule).
-func blockCyclicRange(n, p, b, k int) []int {
-	var out []int
-	for start := k * b; start < n; start += p * b {
-		for i := start; i < start+b && i < n; i++ {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// fullRange returns [0, n).
-func fullRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

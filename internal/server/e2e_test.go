@@ -139,6 +139,35 @@ func TestSchemesAndPartitions(t *testing.T) {
 	}
 }
 
+// TestHostileBlockSizeJob: the request that used to end the daemon. No
+// validator bounds block, and 2^62 made the brs stride wrap to zero for
+// four parts, so the worker grew an ownership map until the runtime ran
+// out of memory — past any recover. A block wider than the array is one
+// block: the job runs, and the daemon is still there to say so.
+func TestHostileBlockSizeJob(t *testing.T) {
+	_, c, _ := startDaemon(t, server.Config{QueueDepth: 4, Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	id, err := c.Submit(ctx, server.JobSpec{N: 10, Procs: 4, Partition: "brs", Block: 1 << 62, Check: true})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	st, err := c.Wait(ctx, id, 2*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if st.State != server.StateDone {
+		t.Fatalf("job state = %q (error %q), want done", st.State, st.Error)
+	}
+	if want := "brs-b4611686018427387904"; st.Result.Partition != want {
+		t.Errorf("result partition = %q, want %q", st.Result.Partition, want)
+	}
+	if err := c.Health(ctx); err != nil {
+		t.Errorf("healthz after the job: %v", err)
+	}
+}
+
 // TestBadRequests mirrors the CLI's validateFlags table over HTTP:
 // every malformed or out-of-limits spec must be a 400 with a JSON
 // error, before anything is queued.

@@ -8,6 +8,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,6 +121,36 @@ func TestStreamedJobFromFile(t *testing.T) {
 	}
 	if st2.State != server.StateFailed {
 		t.Errorf("missing-file job state = %q, want failed", st2.State)
+	}
+}
+
+// TestStreamedJobHostileHeader: a source_file whose header declares
+// 2^62 rows used to panic in makeslice on the worker goroutine, where
+// no recover stands between it and the process. It now fails the job
+// with the partition constructor's error and the daemon keeps serving.
+func TestStreamedJobHostileHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hostile.mtx")
+	header := "%%MatrixMarket matrix coordinate real general\n4611686018427387904 1 0\n"
+	if err := os.WriteFile(path, []byte(header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, c, _ := startDaemon(t, server.Config{QueueDepth: 4, Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	id, err := c.Submit(ctx, server.JobSpec{Stream: true, SourceFile: path})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	st, err := c.Wait(ctx, id, 2*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if st.State != server.StateFailed || !strings.Contains(st.Error, "rows 4611686018427387904") {
+		t.Errorf("job state = %q (error %q), want failed naming the 2^62 rows", st.State, st.Error)
+	}
+	if err := c.Health(ctx); err != nil {
+		t.Errorf("healthz after the job: %v", err)
 	}
 }
 

@@ -208,8 +208,8 @@ func BuildCommPlan(part partition.Partition, res *dist.Result) (*CommPlan, error
 	// cuts coincide, which is what lets Jacobi/Power feed y straight
 	// back in as the next x without a remap.
 	na := len(pl.alive)
-	pl.xCut = blockCuts(cols, na)
-	pl.yCut = blockCuts(rows, na)
+	pl.xCut = partition.BlockCuts(cols, na)
+	pl.yCut = partition.BlockCuts(rows, na)
 	pl.xSeg = make([]int, p)
 	for r := range pl.xSeg {
 		pl.xSeg[r] = -1
@@ -230,21 +230,6 @@ func BuildCommPlan(part partition.Partition, res *dist.Result) (*CommPlan, error
 	}
 	pl.buildStats()
 	return pl, nil
-}
-
-// blockCuts returns n split into p ceil-div blocks: cut[i]..cut[i+1]
-// is block i, matching the partition package's block convention.
-func blockCuts(n, p int) []int {
-	b := (n + p - 1) / p
-	cuts := make([]int, p+1)
-	for i := 1; i <= p; i++ {
-		c := i * b
-		if c > n {
-			c = n
-		}
-		cuts[i] = c
-	}
-	return cuts
 }
 
 // xOwner returns the alive rank owning global column j.
