@@ -32,13 +32,14 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Short fuzz pass over the wire decoders, the end-to-end differential
-# target, the daemon's request path, the file parsers and the partition
+# targets (materializing and streaming), the daemon's request path, the file parsers and the partition
 # builders (go-native fuzzing runs one target per invocation, so each
 # gets its own line).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartED -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDiffStream -fuzztime 10s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStream -fuzztime 10s ./internal/sparse/
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/partition/

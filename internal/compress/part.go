@@ -13,6 +13,7 @@ import (
 // after unpacking. These constructors therefore emit local-shaped
 // compressed arrays whose minor indices are global. Charging matches
 // CompressCRS/CCS: one operation per scanned element, three per nonzero.
+// (*Format).CompressPartEntries is the entry-list twin.
 
 // CompressCRSPartGlobal compresses the cross product rowMap x colMap of
 // a global array (accessed through at) into a CRS of local shape whose
@@ -59,7 +60,8 @@ func CompressCCSPartGlobal(at func(i, j int) float64, rowMap, colMap []int, ctr 
 // pointer array and the exact nnz, the other fills ColIdx/Val (RowIdx/
 // Val) by index into exactly sized slabs. Results and charges are
 // identical to the accessor forms above, which remain the general path
-// for cyclic maps and the streaming replay.
+// for cyclic maps (a streamed part takes the entry-list twins,
+// entries.go).
 
 func checkRect(name string, g *sparse.Dense, r0, c0, nr, nc int) {
 	if r0 < 0 || c0 < 0 || nr < 0 || nc < 0 || r0+nr > g.Rows() || c0+nc > g.Cols() {

@@ -47,6 +47,9 @@ type Format struct {
 	// a part that is a rectangle of the materialised global array.
 	// Callers reach it through CompressRectGlobal.
 	compressRect func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray
+	// ofLines is the format's array over lines in its Major orientation
+	// (JDS re-lays the rows as diagonals and charges the permutation).
+	ofLines func(l lines, ctr *cost.Counter) PartArray
 	// HeaderExtra is the format-specific word the wire header carries
 	// beyond the part shape (JDS: diagonal count; otherwise 0).
 	HeaderExtra func(a PartArray) int64
@@ -127,6 +130,7 @@ func init() {
 		compressRect: func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
 			return CompressCRSRectGlobal(g, r0, c0, nr, nc, ctr)
 		},
+		ofLines:     func(l lines, _ *cost.Counter) PartArray { return crsOf(l) },
 		HeaderExtra: func(PartArray) int64 { return 0 },
 		WireCap:     func(a PartArray) int { return a.(*CRS).lines().wireCap() },
 		PackInto: func(a PartArray, buf []float64, ctr *cost.Counter) []float64 {
@@ -167,6 +171,7 @@ func init() {
 		compressRect: func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
 			return CompressCCSRectGlobal(g, r0, c0, nr, nc, ctr)
 		},
+		ofLines:     func(l lines, _ *cost.Counter) PartArray { return ccsOf(l) },
 		HeaderExtra: func(PartArray) int64 { return 0 },
 		WireCap:     func(a PartArray) int { return a.(*CCS).lines().wireCap() },
 		PackInto: func(a PartArray, buf []float64, ctr *cost.Counter) []float64 {
@@ -214,6 +219,10 @@ func init() {
 		},
 		compressRect: func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
 			return CompressJDSRectGlobal(g, r0, c0, nr, nc, ctr)
+		},
+		ofLines: func(l lines, ctr *cost.Counter) PartArray {
+			ctr.AddOps(l.n) // permutation bookkeeping
+			return CRSToJDS(crsOf(l))
 		},
 		HeaderExtra: func(a PartArray) int64 {
 			return int64(a.(*JDS).MaxRowNNZ())

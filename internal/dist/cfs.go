@@ -56,10 +56,8 @@ func (c CFS) EncodePart(run *runState, k int, pp *partPayload) error {
 	return c.packPart(run, k, nr, nc, a, pp)
 }
 
-// EncodePartAt implements canonicalEncoder: the same encode driven by a
-// cell accessor instead of the materialized global array, so a
-// streaming receiver can replay the root's canonical encode — with
-// byte-identical payload and charges — from its accumulated entries.
+// EncodePartAt is EncodePart driven by a cell accessor: the route of a
+// part that is not a rectangle.
 func (c CFS) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	start := time.Now()
@@ -68,7 +66,20 @@ func (c CFS) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *p
 	return c.packPart(run, k, len(rowMap), len(colMap), a, pp)
 }
 
-// packPart is the distribution-phase tail of both encode routes: the
+// EncodeEntries implements Codec: the part compressed out of its staged
+// entries, then packed as by the other routes.
+func (c CFS) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partPayload) error {
+	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
+	start := time.Now()
+	a, err := run.format.CompressPartEntries(st, rowMap, colMap, &pp.comp)
+	if err != nil {
+		return err
+	}
+	pp.wallComp = time.Since(start)
+	return c.packPart(run, k, len(rowMap), len(colMap), a, pp)
+}
+
+// packPart is the distribution-phase tail of every encode route: the
 // nr x nc compressed part a becomes part k's wire payload.
 func (CFS) packPart(run *runState, k, nr, nc int, a compress.PartArray, pp *partPayload) error {
 	f := run.format
@@ -110,7 +121,3 @@ func (CFS) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *
 func (s CFS) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
 	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }
-
-// replayMajor implements canonicalEncoder: CompressPartGlobal scans in
-// the target format's major order.
-func (CFS) replayMajor(run *runState) compress.Major { return run.format.Major }

@@ -60,6 +60,10 @@ type Codec interface {
 	// the scheme's costs to pp's local counters. Must be safe for
 	// concurrent calls with distinct k.
 	EncodePart(run *runState, k int, pp *partPayload) error
+	// EncodeEntries is EncodePart for part k handed over as its staged
+	// entries instead of cells of the global array — a streaming
+	// finalize: the same payload and the same charges. It consumes e.
+	EncodeEntries(run *runState, k int, e *compress.Entries, pp *partPayload) error
 	// DecodePart rebuilds part k's compressed local array from a
 	// received payload, charging ctr. Index conversion uses part k's
 	// maps (not the hosting rank's — under degradation a survivor
@@ -78,6 +82,10 @@ type runState struct {
 	// locals are SFC's pre-extracted dense parts (Prepare); nil for the
 	// compressed-wire schemes.
 	locals []*sparse.Dense
+	// finalizing bounds a RunStream's concurrent part finalizes to
+	// GOMAXPROCS, one token each (finalizeStreamPart); nil on the
+	// materializing path.
+	finalizing chan struct{}
 }
 
 // formatFor resolves a Method to its registered wire format.
@@ -115,8 +123,8 @@ func (r *Result) allocLocals(p int) {
 // root's encode route: a rectangle of the materialised global array is
 // scanned in place by the block kernels (compress.EncodeEDRectInto,
 // Format.CompressRectGlobal); every other part (cyclic, block-cyclic)
-// and the streaming replay, which has no dense array, go through the
-// accessor forms. The two routes produce identical payloads and charges.
+// goes through the accessor forms. The two routes produce identical
+// payloads and charges.
 func partRect(part partition.Partition, k int) (r0, c0, nr, nc int, ok bool) {
 	rowMap, colMap := part.RowMap(k), part.ColMap(k)
 	if !partition.Contiguous(rowMap) || !partition.Contiguous(colMap) {

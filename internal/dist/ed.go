@@ -64,15 +64,30 @@ func (e ED) EncodePart(run *runState, k int, pp *partPayload) error {
 	return e.checkEncoded(run, k, pp)
 }
 
-// EncodePartAt implements canonicalEncoder: the same encode driven by a
-// cell accessor instead of the materialized global array, so a
-// streaming receiver can replay the root's canonical encode — with
-// byte-identical payload and charges — from its accumulated entries.
+// EncodePartAt is EncodePart driven by a cell accessor: the route of a
+// part that is not a rectangle.
 func (e ED) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	pp.meta = [4]int64{int64(len(rowMap)), int64(len(colMap))}
 	start := time.Now()
 	pp.buf = compress.EncodeEDPartInto(at, rowMap, colMap, run.format.Major, machine.GetBuf(0), &pp.comp)
+	pp.pooled = true
+	pp.wallComp = time.Since(start)
+	return e.checkEncoded(run, k, pp)
+}
+
+// EncodeEntries implements Codec: the special buffer sorted out of the
+// part's staged entries, into a pooled buffer big enough for every
+// entry to survive.
+func (e ED) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partPayload) error {
+	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
+	pp.meta = [4]int64{int64(len(rowMap)), int64(len(colMap))}
+	start := time.Now()
+	buf := machine.GetBuf(len(rowMap) + len(colMap) + 2*st.Len())
+	var err error
+	if pp.buf, err = compress.EncodeEDPartEntries(st, rowMap, colMap, run.format.Major, buf, &pp.comp); err != nil {
+		return err
+	}
 	pp.pooled = true
 	pp.wallComp = time.Since(start)
 	return e.checkEncoded(run, k, pp)
@@ -108,7 +123,3 @@ func (ED) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *c
 func (s ED) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
 	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }
-
-// replayMajor implements canonicalEncoder: the ED special buffer is
-// built in the wire format's major order.
-func (ED) replayMajor(run *runState) compress.Major { return run.format.Major }

@@ -49,41 +49,37 @@ func (SFC) Prepare(run *runState) error {
 // thresholds. The payload aliases the local array, so it is never
 // pooled.
 func (SFC) EncodePart(run *runState, k int, pp *partPayload) error {
-	l := run.locals[k]
 	start := time.Now()
-	if !rowContiguousPart(run.part, k, run.global.Cols()) {
-		pp.dist.AddOps(l.Size())
-	}
-	pp.meta = [4]int64{int64(l.Rows()), int64(l.Cols())}
-	pp.buf = l.Data()
+	densePayload(run, k, run.locals[k], pp)
 	pp.wallDist = time.Since(start)
 	return nil
 }
 
-// EncodePartAt implements canonicalEncoder: build the dense local from
-// a cell accessor — the streaming receiver's replay of SFC's root
-// encode. The extraction itself is Prepare-time work on the
-// materializing path and charges nothing; only the non-contiguous
-// packing charge is booked, exactly as EncodePart does.
-func (SFC) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
-	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
+// EncodeEntries implements Codec: the dense local scattered out of the
+// part's staged entries. The scatter stands in for Prepare's
+// extraction, which charges nothing; only EncodePart's packing charge
+// is booked.
+func (SFC) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partPayload) error {
 	start := time.Now()
-	l := sparse.NewDense(len(rowMap), len(colMap))
-	for li, gi := range rowMap {
-		for lj, gj := range colMap {
-			if v := at(gi, gj); v != 0 {
-				l.Set(li, lj, v)
-			}
-		}
+	l, err := st.Dense(run.part.RowMap(k), run.part.ColMap(k))
+	if err != nil {
+		return err
 	}
+	densePayload(run, k, l, pp)
+	pp.wallDist = time.Since(start)
+	return nil
+}
+
+// densePayload makes the dense local l part k's payload, charging the
+// element-by-element packing of a part that is not a contiguous block
+// of whole rows.
+func densePayload(run *runState, k int, l *sparse.Dense, pp *partPayload) {
 	_, cols := run.part.Shape()
 	if !rowContiguousPart(run.part, k, cols) {
 		pp.dist.AddOps(l.Size())
 	}
 	pp.meta = [4]int64{int64(l.Rows()), int64(l.Cols())}
 	pp.buf = l.Data()
-	pp.wallDist = time.Since(start)
-	return nil
 }
 
 // DecodePart implements Codec: rebuild the dense local array from the
@@ -100,7 +96,3 @@ func (SFC) DecodePart(run *runState, _ int, data []float64, meta [4]int64, ctr *
 func (s SFC) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
 	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }
-
-// replayMajor implements canonicalEncoder: the dense-local build above
-// scans row-major regardless of the receive-side method.
-func (SFC) replayMajor(*runState) compress.Major { return compress.RowMajor }

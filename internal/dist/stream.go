@@ -10,15 +10,15 @@ package dist
 // accumulator that reaches the flush threshold — or the largest one,
 // when the total buffered bytes reach the memory budget — is flushed as
 // a COO-triplet *frame* to the part's owning rank on tag base+k.
-// Receivers bucket each frame's entries by major line in arrival
-// order (partAccum); at the root's *finalize* message they replay the
-// codec's canonical root encode locally through a line-scratch cell
-// accessor (canonicalEncoder.EncodePartAt over cellIndex), decode the
-// resulting payload exactly as the materializing path would, and
-// report the canonical root-side charges back on the stats tag.
-// Duplicate coordinates resolve keep-last and explicit zeros erase —
-// the scratch overwrite behaves exactly like writing the stream into
-// a dense array (matching COO.Dedup and ToDense), with no sort. Backpressure is
+// Receivers copy each frame's entries, in arrival order, into fixed-
+// size staging blocks (compress.Entries); at the root's *finalize*
+// message they build the codec's canonical payload from them in
+// O(nnz + rows + cols) (Codec.EncodeEntries: two counting sorts for CFS
+// and ED, a dense scatter for SFC), decode it exactly as the
+// materializing path would, and report the canonical root-side charges
+// back on the stats tag. Duplicate coordinates resolve keep-last and
+// explicit zeros erase, exactly like writing the stream into a dense
+// array, and an entry outside the part is an error. Backpressure is
 // credit-based: each frame a receiver consumes returns one credit, and
 // the root blocks once MaxInflight frames are unacknowledged, bounding
 // transport-queue memory too.
@@ -26,7 +26,7 @@ package dist
 // Virtual-counter parity. Frames, credits, finalizes and stats are
 // physical transport of the streaming implementation, not part of the
 // paper's model, so they charge nothing. Instead the root merges, per
-// part: the replayed encode's charges into RootComp/RootDist and one
+// part: the finalize encode's charges into RootComp/RootDist and one
 // AddSend of the canonical payload length into RootDist — exactly what
 // mergePart plus sendTo charge on the materializing path. Counters are
 // additive sums, so the totals are identical by construction; the
@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"repro/internal/compress"
@@ -56,21 +57,6 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/trace"
 )
-
-// canonicalEncoder is the streaming replay hook: produce part k's
-// canonical wire payload — byte- and charge-identical to EncodePart —
-// from a cell accessor instead of the materialized global array. All
-// three schemes implement it.
-type canonicalEncoder interface {
-	EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error
-	// replayMajor is the orientation EncodePartAt scans the accessor
-	// in — whole major lines, each visited at most once — so the
-	// receiver can stage its accumulated entries for O(1) lookups and
-	// release each line's storage once the scan moves off it. An
-	// encoder that re-reads an earlier line would see zeros; the parity
-	// table test holds every codec × method to this contract.
-	replayMajor(run *runState) compress.Major
-}
 
 // StreamOptions bound the root's memory and the pipeline depth.
 type StreamOptions struct {
@@ -157,9 +143,6 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	if c == nil {
 		return nil, fmt.Errorf("dist: RunStream: plan has no codec")
 	}
-	if _, ok := c.(canonicalEncoder); !ok {
-		return nil, fmt.Errorf("dist: RunStream: codec %s cannot replay its encode from a stream", c.Scheme())
-	}
 	if m == nil || plan.Source == nil || plan.Partition == nil {
 		return nil, fmt.Errorf("dist: RunStream: nil machine, source or partition")
 	}
@@ -177,9 +160,10 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 		return nil, err
 	}
 	// No codec.Prepare: SFC's Prepare extracts dense locals from the
-	// global array, which a streamed run never materializes — the replay
-	// encode builds locals from accumulated entries instead.
-	run := &runState{codec: c, part: plan.Partition, opts: plan.Options, format: f}
+	// global array, which a streamed run never materializes — the
+	// finalize builds locals from staged entries instead.
+	run := &runState{codec: c, part: plan.Partition, opts: plan.Options, format: f,
+		finalizing: make(chan struct{}, runtime.GOMAXPROCS(0))}
 	loc, err := partition.NewLocator(plan.Partition)
 	if err != nil {
 		return nil, err
@@ -325,8 +309,8 @@ type streamRoot struct {
 	p     int
 
 	ing        *streamIngester
-	selfAcc    []*partAccum // parts the root hosts: local store, no wire
-	framesSent []int        // frames delivered to the part's *current* owner
+	selfAcc    []*compress.Entries // parts the root hosts: local store, no wire
+	framesSent []int               // frames delivered to the part's *current* owner
 	finalized  []bool
 	needRescan []bool
 	uncredited []int // frames sent to each rank minus credits received
@@ -340,7 +324,7 @@ func newStreamRoot(pr *machine.Proc, run *runState, bd *Breakdown, res *Result,
 	p := pr.P()
 	sr := &streamRoot{pr: pr, run: run, bd: bd, res: res, src: src, remap: remap,
 		tags: tags, sopts: sopts, tr: tr, p: p,
-		selfAcc:    make([]*partAccum, p),
+		selfAcc:    make([]*compress.Entries, p),
 		framesSent: make([]int, p),
 		finalized:  make([]bool, p),
 		needRescan: make([]bool, p),
@@ -453,12 +437,11 @@ func (sr *streamRoot) emit(k int, entries []sparse.Entry) error {
 		if dst == 0 {
 			a := sr.selfAcc[k]
 			if a == nil {
-				rows, _ := sr.run.part.Shape()
-				a = newPartAccum(rows)
+				a = compress.NewEntries(sr.run.part.Shape())
 				sr.selfAcc[k] = a
 			}
 			for _, e := range entries {
-				a.add(e.Row, e.Col, e.Val)
+				a.Add(e.Row, e.Col, e.Val)
 			}
 			return nil
 		}
@@ -562,7 +545,7 @@ func (sr *streamRoot) sendFinalizes() error {
 }
 
 // finishSelfParts finalizes every part the root hosts, exactly as a
-// receiver would: dedup, replay the canonical encode, decode, and merge
+// receiver would: build the canonical payload, decode, and merge
 // the canonical charges (plus the synthetic loopback send the
 // materializing path performs for rank 0's part).
 func (sr *streamRoot) finishSelfParts() error {
@@ -687,56 +670,31 @@ type streamReport struct {
 	wire       int
 }
 
-// lineBucket holds one major line's streamed (minor index, value)
-// pairs in arrival order, as parallel arrays — 12 bytes per entry
-// instead of sparse.Entry's 24.
-type lineBucket struct {
-	minor []int32
-	vals  []float64
-}
-
-// partAccum is the receiver-side accumulator for one part: entries
-// bucketed by global row, arrival order preserved within each row.
-// Bucketing on arrival replaces the sort+dedup pass an entry-slice
-// accumulator would need at finalize — keep-last duplicate semantics
-// fall out of the cellIndex scratch overwrite instead — and sidesteps
-// the doubling growth of one huge slice, which mattered for peak heap
-// on 10M-entry parts.
-type partAccum struct {
-	rows []lineBucket // indexed by global row
-}
-
-func newPartAccum(rows int) *partAccum {
-	return &partAccum{rows: make([]lineBucket, rows)}
-}
-
-func (a *partAccum) add(row, col int, val float64) {
-	b := &a.rows[row]
-	b.minor = append(b.minor, int32(col))
-	b.vals = append(b.vals, val)
-}
-
-// finalizeStreamPart turns a part's accumulated entries into its
-// decoded local array: replay the canonical root encode through a
-// cell accessor over the buckets, and decode with the usual receive-
-// side charges. The replay's wall time lands on this rank's slot for
-// the policy's root-encode phase — on the streaming path that work
-// really does happen here, in parallel across receivers. The
-// accumulator is consumed: its buckets are released before the decode
-// so the entries and the decoded local never coexist.
-func finalizeStreamPart(run *runState, bd *Breakdown, rank, k int, acc *partAccum) (compress.PartArray, streamReport, error) {
-	enc := run.codec.(canonicalEncoder)
-	rows, cols := run.part.Shape()
-	if acc == nil {
-		acc = newPartAccum(rows)
+// finalizeStreamPart turns a part's staged entries into its decoded
+// local array: the codec builds the canonical payload from them
+// (Codec.EncodeEntries), which is decoded with the usual receive-side
+// charges. The encode's wall time lands on this rank's slot for the
+// policy's root-encode phase — on the streaming path that work really
+// does happen here, in parallel across receivers. The staging is
+// consumed, each block released as the encode reads it for the last
+// time, so no part holds its staging, its sort scratch and its payload
+// at once.
+//
+// The ranks share one process, so at most GOMAXPROCS finalizes run at
+// a time (run.finalizing): a finalize is local CPU work, and more of
+// them than there are Ps only interleave — every one holding its
+// scratch, payload and decoded array together — without finishing
+// sooner. The waiting parts hold nothing but their staging.
+func finalizeStreamPart(run *runState, bd *Breakdown, rank, k int, st *compress.Entries) (compress.PartArray, streamReport, error) {
+	if st == nil {
+		st = compress.NewEntries(run.part.Shape())
 	}
-	idx := newCellIndex(acc, enc.replayMajor(run), rows, cols)
+	run.finalizing <- struct{}{}
+	defer func() { <-run.finalizing }()
 	pp := &partPayload{k: k}
-	if err := enc.EncodePartAt(run, k, idx.at, pp); err != nil {
+	if err := run.codec.EncodeEntries(run, k, st, pp); err != nil {
 		return nil, streamReport{}, fmt.Errorf("dist: %s rank %d stream encode part %d: %w", run.codec.Scheme(), rank, k, err)
 	}
-	acc.rows = nil
-	idx.lines = nil
 	bd.addRankWall(run.codec.Policy().RootEncode, rank, pp.wallComp+pp.wallDist)
 	rep := streamReport{comp: pp.comp, dist: pp.dist, wire: len(pp.buf)}
 	a, err := decodeTimed(run, bd, rank, k, pp.buf, pp.meta)
@@ -749,80 +707,6 @@ func finalizeStreamPart(run *runState, bd *Breakdown, rank, k int, acc *partAccu
 	return a, rep, nil
 }
 
-// cellIndex adapts a part's accumulated entries to the dense cell-
-// accessor contract the canonical encoders replay against. Every
-// encoder scans whole major lines in order (rows for CRS/JDS and the
-// SFC dense build, columns for CCS), so the index materializes one
-// line at a time into a dense scratch and answers each at() with a
-// slice index — amortized O(1) per scanned cell, no sorting. Writing
-// a line's entries into the scratch in arrival order gives keep-last
-// duplicate semantics and lets explicit zeros erase, identical to
-// building a dense array from the same stream. A line switch clears
-// only the previous line's touched cells and releases its bucket —
-// encoders visit each line at most once (the canonicalEncoder
-// contract), so consumed lines are dead weight; dropping them as the
-// scan advances keeps the accumulated entries and the growing encoded
-// payload from ever fully coexisting.
-type cellIndex struct {
-	lines   []lineBucket
-	byCol   bool // lines are columns: at(i, j) selects line j, offset i
-	scratch []float64
-	cur     int
-}
-
-// newCellIndex stages the accessor in the codec's scan orientation. A
-// column-major replay transposes the row buckets once (counting pass,
-// exact-size placement); rows are visited in ascending order, so
-// duplicates of one cell stay adjacent in arrival order and still
-// resolve keep-last.
-func newCellIndex(acc *partAccum, major compress.Major, rows, cols int) *cellIndex {
-	if major == compress.RowMajor {
-		return &cellIndex{lines: acc.rows, scratch: make([]float64, cols), cur: -1}
-	}
-	cnt := make([]int, cols)
-	for r := range acc.rows {
-		for _, m := range acc.rows[r].minor {
-			cnt[m]++
-		}
-	}
-	lines := make([]lineBucket, cols)
-	for j, c := range cnt {
-		if c > 0 {
-			lines[j] = lineBucket{minor: make([]int32, 0, c), vals: make([]float64, 0, c)}
-		}
-	}
-	for r := range acc.rows {
-		b := acc.rows[r]
-		acc.rows[r] = lineBucket{} // consumed: the transpose owns the data now
-		for t, m := range b.minor {
-			lines[m].minor = append(lines[m].minor, int32(r))
-			lines[m].vals = append(lines[m].vals, b.vals[t])
-		}
-	}
-	return &cellIndex{lines: lines, byCol: true, scratch: make([]float64, rows), cur: -1}
-}
-
-func (c *cellIndex) at(i, j int) float64 {
-	maj, min := i, j
-	if c.byCol {
-		maj, min = j, i
-	}
-	if maj != c.cur {
-		if c.cur >= 0 {
-			for _, m := range c.lines[c.cur].minor {
-				c.scratch[m] = 0
-			}
-			c.lines[c.cur] = lineBucket{}
-		}
-		b := &c.lines[maj]
-		for t, m := range b.minor {
-			c.scratch[m] = b.vals[t]
-		}
-		c.cur = maj
-	}
-	return c.scratch[min]
-}
-
 // recvStream is every non-root rank's streaming receive loop: buffer
 // frames (crediting each), finalize parts on demand, report canonical
 // charges, and — under degrade — commit at assignment like the
@@ -830,7 +714,7 @@ func (c *cellIndex) at(i, j int) float64 {
 func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tags streamTags) error {
 	c := run.codec
 	rows, cols := run.part.Shape()
-	acc := make(map[int]*partAccum)
+	acc := make(map[int]*compress.Entries)
 	frames := make(map[int]int)
 	done := make(map[int]compress.PartArray)
 	for {
@@ -864,7 +748,7 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 			}
 			a, ok := acc[k]
 			if !ok {
-				a = newPartAccum(rows)
+				a = compress.NewEntries(rows, cols)
 				acc[k] = a
 			}
 			for i := 0; i < 3*n; i += 3 {
@@ -872,7 +756,7 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 				if r < 0 || r >= rows || cc < 0 || cc >= cols {
 					return fmt.Errorf("dist: %s rank %d part %d: streamed entry (%d,%d) outside the %dx%d array", c.Scheme(), pr.Rank, k, r, cc, rows, cols)
 				}
-				a.add(r, cc, msg.Data[i+2])
+				a.Add(r, cc, msg.Data[i+2])
 			}
 			frames[k]++
 			machine.ReleaseMessage(&msg)

@@ -3,6 +3,7 @@ package dist
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,38 +85,145 @@ func TestStreamParity(t *testing.T) {
 }
 
 // TestStreamDuplicateEntriesMatchMaterialized: a source with repeated
-// coordinates must reassemble exactly like the materialized array,
-// which keeps the last write — the dedup contract that also makes
-// degrade-mode re-streaming idempotent.
+// coordinates and explicit zeros must reassemble exactly like the
+// materialized array, which keeps the last write and lets a zero erase
+// a cell — the dedup contract that also makes degrade-mode re-streaming
+// idempotent — and charge what the materializing engine charges. The
+// entries go into COO.Entries directly (COO.Add drops zeros); with
+// FlushEntries 4, one cell's writes, erasures and re-sets arrive in
+// different frames.
 func TestStreamDuplicateEntriesMatchMaterialized(t *testing.T) {
 	const n, p = 20, 4
 	coo := sparse.NewCOO(n, n)
 	rng := uint64(1)
 	for i := 0; i < 400; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
-		r := int(rng>>33) % n
-		c := int(rng>>13) % n
-		coo.Add(r, c, float64(i%17)+1)
+		e := sparse.Entry{Row: int(rng>>33) % n, Col: int(rng>>13) % n, Val: float64(i%17) + 1}
+		if i%7 == 0 {
+			e.Val = 0
+		}
+		coo.Entries = append(coo.Entries, e)
+		// Cell (2,3) is set, erased and set again; cell (17,15) is set
+		// here and erased for good at the end.
+		switch i {
+		case 40:
+			coo.Entries = append(coo.Entries, sparse.Entry{Row: 2, Col: 3, Val: 40}, sparse.Entry{Row: 17, Col: 15, Val: 4})
+		case 170:
+			coo.Entries = append(coo.Entries, sparse.Entry{Row: 2, Col: 3, Val: 0})
+		case 300:
+			coo.Entries = append(coo.Entries, sparse.Entry{Row: 2, Col: 3, Val: 300})
+		}
 	}
+	coo.Entries = append(coo.Entries, sparse.Entry{Row: 17, Col: 15, Val: 0})
 	g, err := sparse.Materialize(sparse.NewStreamCOO(coo, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if g.At(2, 3) != 300 || g.At(17, 15) != 0 {
+		t.Fatalf("source does not set, erase and re-set: (2,3) = %g, (17,15) = %g", g.At(2, 3), g.At(17, 15))
+	}
+	for _, codec := range []Codec{SFC{}, CFS{}, ED{}} {
+		for _, method := range []Method{CRS, CCS, JDS} {
+			for _, part := range partitionsFor(t, n, n, p) {
+				t.Run(codec.Scheme()+"/"+method.String()+"/"+part.Name(), func(t *testing.T) {
+					opts := Options{Method: method}
+					want, err := Run(newMachine(t, p), Plan{Codec: codec, Global: g, Partition: part, Options: opts})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := RunStream(newMachine(t, p), StreamPlan{
+						Codec: codec, Source: sparse.NewStreamCOO(coo, 64), Partition: part,
+						Options: opts, Stream: StreamOptions{FlushEntries: 4},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := Verify(g, part, got); err != nil {
+						t.Errorf("duplicate-entry stream verify: %v", err)
+					}
+					sameLocals(t, codec.Scheme(), got, want)
+					sameBreakdownCounters(t, want.Breakdown, got.Breakdown)
+				})
+			}
+		}
+	}
+}
+
+// TestStreamRejectsMisroutedEntry: a frame that carries, inside the
+// array's bounds, an entry of another part's cross product fails the
+// receiver's finalize with an error naming the entry — it is neither
+// dropped nor kept. Row partition, receiver part 1 owns rows 4-7; the
+// foreign entry's row is the major index under CRS and the minor one
+// under CCS.
+func TestStreamRejectsMisroutedEntry(t *testing.T) {
+	const n, p = 8, 2
 	part, err := partition.NewRow(n, n, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t, p)
-	res, err := RunStream(m, StreamPlan{
-		Codec: ED{}, Source: sparse.NewStreamCOO(coo, 64), Partition: part,
-		Options: Options{Method: CRS},
-		Stream:  StreamOptions{FlushEntries: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, codec := range []Codec{SFC{}, CFS{}, ED{}} {
+		for _, method := range []Method{CRS, CCS} {
+			t.Run(codec.Scheme()+"/"+method.String(), func(t *testing.T) {
+				m := newMachine(t, p)
+				f, err := formatFor(method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := &runState{codec: codec, part: part, opts: Options{Method: method}, format: f,
+					finalizing: make(chan struct{}, 1)}
+				res := &Result{Method: method, Breakdown: newBreakdown(p)}
+				res.allocLocals(p)
+				tags := planStreamTags(m, p)
+				err = m.Run(func(pr *machine.Proc) error {
+					if pr.Rank == 1 {
+						return recvStream(pr, run, res, res.Breakdown, tags)
+					}
+					frame := []float64{5, 1, 2.5, 1, 3, 7.5} // (5,1) is part 1's, (1,3) part 0's
+					if err := pr.Send(1, tags.base+1, [4]int64{streamFrame, 2}, frame, nil); err != nil {
+						return err
+					}
+					return pr.Send(1, tags.base+1, [4]int64{streamFinalize, 1}, nil, nil)
+				})
+				if err == nil || !strings.Contains(err.Error(), "(1, 3)") {
+					t.Fatalf("misrouted entry: err = %v, want an error naming (1, 3)", err)
+				}
+			})
+		}
 	}
-	if err := Verify(g, part, res); err != nil {
-		t.Errorf("duplicate-entry stream verify: %v", err)
+}
+
+// TestStreamAllocsDoNotScaleWithRows: a receiver's finalize costs a
+// fixed number of allocations per part, whatever the array's line
+// count — the same nonzeros in an 8x larger array may not allocate more
+// than 1.5x. Per-line staging (a bucket per global line per part) fails
+// this.
+func TestStreamAllocsDoNotScaleWithRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	const p, nnz = 4, 20_000
+	allocs := func(n int, mk func(rows, cols, p int) (*partition.Grid, error)) float64 {
+		part, err := mk(n, n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newMachine(t, p)
+		return testing.AllocsPerRun(3, func() {
+			_, err := RunStream(m, StreamPlan{Codec: ED{}, Source: sparse.NewUniformStream(n, n, nnz, 5, 0),
+				Partition: part, Options: Options{Method: CRS}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for name, mk := range map[string]func(rows, cols, p int) (*partition.Grid, error){
+		"row": partition.NewRow, "col": partition.NewCol,
+	} {
+		small, large := allocs(500, mk), allocs(4000, mk)
+		t.Logf("%s: %.0f allocations at n=500, %.0f at n=4000", name, small, large)
+		if large > 1.5*small {
+			t.Errorf("%s: %.0f allocations per run at n=4000 against %.0f at n=500, above 1.5x", name, large, small)
+		}
 	}
 }
 
