@@ -32,8 +32,8 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Short fuzz pass over the wire decoders, the end-to-end differential
-# targets (materializing and streaming), the daemon's request path, the file parsers and the partition
-# builders (go-native fuzzing runs one target per invocation, so each
+# targets (materializing and streaming), the daemon's request path, the file parsers, the partition
+# builders and the TCP frame reader (go-native fuzzing runs one target per invocation, so each
 # gets its own line).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime 10s ./internal/compress/
@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStream -fuzztime 10s ./internal/sparse/
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/partition/
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/machine/
 
 # The differential correctness harness at full size: >= 200 adversarial
 # arrays through every scheme x partition x method combination, direct,

@@ -52,7 +52,8 @@ type Transport interface {
 	Recv(rank int, timeout time.Duration) (Message, error)
 	// Ranks returns the number of ranks the transport serves.
 	Ranks() int
-	// Close releases transport resources. Pending messages are dropped.
+	// Close releases transport resources. A receive blocked on the
+	// transport returns an error at once. Pending messages may be dropped.
 	Close() error
 }
 

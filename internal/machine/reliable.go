@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -128,9 +127,11 @@ const (
 
 const (
 	relHeaderWords = 3
-	relPoll        = 50 * time.Millisecond
-	ackOK          = 0
-	ackRejected    = 1
+	// relPoll: Close wakes a pump's inner Recv at once, but only its next
+	// poll shows it a rank that FaultTransport.KillRank crashed.
+	relPoll     = 50 * time.Millisecond
+	ackOK       = 0
+	ackRejected = 1
 )
 
 // relMagicBits marks a framed reliable data message ("RELIABLE" in
@@ -145,15 +146,13 @@ type waitKey struct {
 }
 
 // relEndpoint is one rank's receive side: the in-order delivery queue
-// plus per-source sequencing state.
+// plus per-source sequencing state, guarded by the queue's mutex. The
+// queue fails with the inner transport's error once the rank can never
+// receive again.
 type relEndpoint struct {
-	mu       sync.Mutex
-	queue    []Message
-	notify   chan struct{}
+	msgQueue
 	expected map[int]uint64
 	hold     map[int]map[uint64]Message
-	dead     bool
-	deadErr  error
 }
 
 // NewReliableTransport wraps inner with the given retry policy (zero
@@ -171,10 +170,10 @@ func NewReliableTransport(inner Transport, policy RetryPolicy) *ReliableTranspor
 	}
 	for i := range t.eps {
 		t.eps[i] = &relEndpoint{
-			notify:   make(chan struct{}, 1),
 			expected: make(map[int]uint64),
 			hold:     make(map[int]map[uint64]Message),
 		}
+		t.eps[i].init()
 	}
 	for rank := range t.eps {
 		t.wg.Add(1)
@@ -299,49 +298,17 @@ func (t *ReliableTransport) Recv(rank int, timeout time.Duration) (Message, erro
 	if rank < 0 || rank >= len(t.eps) {
 		return Message{}, fmt.Errorf("machine: reliable transport: invalid rank %d", rank)
 	}
-	ep := t.eps[rank]
-	deadline := time.Now().Add(timeout)
-	for {
-		ep.mu.Lock()
-		if len(ep.queue) > 0 {
-			msg := ep.queue[0]
-			ep.queue = ep.queue[1:]
-			ep.mu.Unlock()
-			return msg, nil
-		}
-		dead, deadErr := ep.dead, ep.deadErr
-		ep.mu.Unlock()
-		if dead {
-			return Message{}, deadErr
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return Message{}, fmt.Errorf("machine: reliable rank %d: %w", rank, ErrTimeout)
-		}
-		timer := time.NewTimer(remain)
-		select {
-		case <-ep.notify:
-			timer.Stop()
-		case <-timer.C:
-		case <-t.stop:
-			timer.Stop()
-			return Message{}, fmt.Errorf("machine: reliable transport closed")
-		}
+	msg, err := t.eps[rank].pop(timeout)
+	if err != nil {
+		return Message{}, fmt.Errorf("machine: reliable rank %d: %w", rank, err)
 	}
+	return msg, nil
 }
 
-// Close implements Transport: stops the pumps and closes the inner
-// transport.
+// Close implements Transport: closing the inner transport wakes every
+// pump out of its Recv poll to fail its rank's queue and exit.
 func (t *ReliableTransport) Close() error {
-	t.stopOnce.Do(func() {
-		close(t.stop)
-		// Nudge every pump out of its inner Recv poll: a stale-seq skip
-		// notice is dispatched as a no-op, so Close costs one control
-		// frame per rank instead of a full relPoll stall per pump.
-		for rank := 0; rank < t.inner.Ranks(); rank++ {
-			t.sendControl(rank, rank, tagSkip, 1<<62)
-		}
-	})
+	t.stopOnce.Do(func() { close(t.stop) })
 	err := t.inner.Close()
 	t.wg.Wait()
 	return err
@@ -354,29 +321,17 @@ var _ Transport = (*ReliableTransport)(nil)
 // control traffic through to the delivery queue.
 func (t *ReliableTransport) pump(rank int) {
 	defer t.wg.Done()
-	ep := t.eps[rank]
 	for {
-		select {
-		case <-t.stop:
-			return
-		default:
-		}
 		msg, err := t.inner.Recv(rank, relPoll)
-		if err != nil {
-			if errors.Is(err, ErrTimeout) {
-				continue
-			}
-			select {
-			case <-t.stop:
-				return
-			default:
-			}
-			// ErrRankDead or a closing transport: the rank will never
+		switch {
+		case err == nil:
+			t.dispatch(rank, msg)
+		case !errors.Is(err, ErrTimeout):
+			// ErrRankDead or the closed transport: the rank will never
 			// receive again; surface the error to its Recv callers.
-			ep.die(err)
+			t.eps[rank].fail(err)
 			return
 		}
-		t.dispatch(rank, msg)
 	}
 }
 
@@ -400,7 +355,7 @@ func (t *ReliableTransport) dispatch(rank int, msg Message) {
 		t.handleSkip(rank, msg)
 	case msg.Tag < 0:
 		// Collective control traffic: no sequencing, straight through.
-		t.eps[rank].deliver(msg)
+		t.eps[rank].push(msg)
 	default:
 		t.handleData(rank, msg)
 	}
@@ -429,7 +384,7 @@ func (t *ReliableTransport) handleData(rank int, msg Message) {
 		ep.mu.Unlock()
 		t.count(&t.stats.Duplicates, "reliable.duplicates")
 	case seq == exp:
-		ep.queue = append(ep.queue, clean)
+		ep.items = append(ep.items, clean)
 		ep.advanceLocked(msg.From, exp+1)
 		ep.mu.Unlock()
 		ep.wake()
@@ -481,56 +436,24 @@ func (ep *relEndpoint) advanceLocked(from int, exp uint64) {
 			break
 		}
 		delete(ep.hold[from], exp)
-		ep.queue = append(ep.queue, held)
+		ep.items = append(ep.items, held)
 		exp++
 	}
 	ep.expected[from] = exp
 }
 
-func (ep *relEndpoint) deliver(msg Message) {
-	ep.mu.Lock()
-	ep.queue = append(ep.queue, msg)
-	ep.mu.Unlock()
-	ep.wake()
-}
-
-func (ep *relEndpoint) die(err error) {
-	ep.mu.Lock()
-	ep.dead = true
-	ep.deadErr = err
-	ep.mu.Unlock()
-	ep.wake()
-}
-
-func (ep *relEndpoint) wake() {
-	select {
-	case ep.notify <- struct{}{}:
-	default:
-	}
-}
-
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // relChecksum covers routing header, metadata, sequence number and the
-// payload bit patterns, so damage anywhere in the frame is caught.
+// payload bit patterns, so damage anywhere in the frame is caught. The
+// words reach the CRC as little-endian bytes, a chunk at a time.
 func relChecksum(msg Message, seq uint64, payload []float64) uint32 {
-	h := crc32.New(crcTable)
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	put(uint64(int64(msg.From)))
-	put(uint64(int64(msg.To)))
-	put(uint64(int64(msg.Tag)))
-	for _, m := range msg.Meta {
-		put(uint64(m))
-	}
-	put(seq)
-	for _, w := range payload {
-		put(math.Float64bits(w))
-	}
-	return h.Sum32()
+	var crc uint32
+	encodeWords(msg, seq, payload, func(b []byte) error {
+		crc = crc32.Update(crc, crcTable, b)
+		return nil
+	})
+	return crc
 }
 
 // encodeRel prepends the reliability header — magic, sequence number,
@@ -564,8 +487,7 @@ func decodeRel(msg Message) (payload []float64, seq uint64, ok bool) {
 	// stores the CRC with zero upper bits, so damage anywhere in the
 	// checksum word itself must also fail the match.
 	want := math.Float64bits(msg.Data[2])
-	inner := msg
-	if uint64(relChecksum(inner, seq, payload)) != want {
+	if uint64(relChecksum(msg, seq, payload)) != want {
 		return nil, seq, false
 	}
 	return payload, seq, true

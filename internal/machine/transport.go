@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -12,8 +14,9 @@ import (
 // substrate for virtual-clock experiments.
 type ChanTransport struct {
 	inboxes   []chan Message
-	watchdogs []watchdog // per rank, for blocked receives
-	closed    atomic.Bool
+	watchdogs []watchdog    // per rank, for blocked receives
+	done      chan struct{} // closed by Close: wakes blocked senders and receivers
+	closeOnce sync.Once
 
 	// SendTimeout bounds how long a Send may block on a full inbox
 	// before reporting a deadlock (default 30s). A sender stuck here
@@ -84,7 +87,7 @@ func NewChanTransportDepth(p, depth int) *ChanTransport {
 		depth = 1
 	}
 	t := &ChanTransport{inboxes: make([]chan Message, p), watchdogs: make([]watchdog, p),
-		SendTimeout: 30 * time.Second}
+		done: make(chan struct{}), SendTimeout: 30 * time.Second}
 	for i := range t.inboxes {
 		t.inboxes[i] = make(chan Message, depth)
 	}
@@ -99,8 +102,10 @@ func (t *ChanTransport) Send(msg Message) error {
 	if msg.To < 0 || msg.To >= len(t.inboxes) {
 		return fmt.Errorf("machine: chan transport: invalid destination %d", msg.To)
 	}
-	if t.closed.Load() {
+	select {
+	case <-t.done:
 		return fmt.Errorf("machine: chan transport: send on closed transport")
+	default:
 	}
 	// Fast path: room in the inbox.
 	select {
@@ -119,6 +124,8 @@ func (t *ChanTransport) Send(msg Message) error {
 		return nil
 	case <-timer.C:
 		return fmt.Errorf("machine: chan transport: send to rank %d blocked %v on a full inbox: %w", msg.To, timeout, ErrTimeout)
+	case <-t.done:
+		return fmt.Errorf("machine: chan transport: send to rank %d: %w", msg.To, errClosed)
 	}
 }
 
@@ -143,11 +150,99 @@ func (t *ChanTransport) Recv(rank int, timeout time.Duration) (Message, error) {
 	case <-timer.C:
 		w.disarm(timer, shared)
 		return Message{}, fmt.Errorf("machine: rank %d: %w", rank, ErrTimeout)
+	case <-t.done:
+		w.disarm(timer, shared)
+		return Message{}, fmt.Errorf("machine: rank %d: %w", rank, errClosed)
 	}
 }
 
-// Close implements Transport. Buffered messages are dropped.
+// Close implements Transport: blocked receives and sends return at once.
 func (t *ChanTransport) Close() error {
-	t.closed.Store(true)
+	t.closeOnce.Do(func() { close(t.done) })
 	return nil
+}
+
+// errClosed is what a receive on a closed transport returns.
+var errClosed = errors.New("machine: transport closed")
+
+// msgQueue is an unbounded FIFO of messages whose producers never block:
+// the TCP read loop and the reliability pumps push, a rank's receiver
+// pops. notify holds at most one pending wake-up. A transport fails its
+// queues when it closes.
+type msgQueue struct {
+	mu     sync.Mutex
+	items  []Message
+	head   int   // items[:head] are taken and zeroed
+	err    error // set by fail; returned once the queue runs dry
+	notify chan struct{}
+	dog    watchdog
+}
+
+func (q *msgQueue) init() { q.notify = make(chan struct{}, 1) }
+
+func (q *msgQueue) push(msg Message) {
+	q.mu.Lock()
+	q.items = append(q.items, msg)
+	q.mu.Unlock()
+	q.wake()
+}
+
+// fail makes every later pop on the empty queue return err.
+func (q *msgQueue) fail(err error) {
+	q.mu.Lock()
+	q.err = err
+	q.mu.Unlock()
+	q.wake()
+}
+
+func (q *msgQueue) wake() {
+	select {
+	case q.notify <- struct{}{}:
+	default:
+	}
+}
+
+// take removes the oldest message. When there is none, ok is false and
+// err is the queue's failure, if any.
+func (q *msgQueue) take() (msg Message, ok bool, err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.head < len(q.items) {
+		msg, ok = q.items[q.head], true
+		q.items[q.head] = Message{} // the queue must not keep the payload reachable
+		if q.head++; 2*q.head >= len(q.items) {
+			// Half the slots are taken: slide the rest down, so the
+			// array grows with the backlog, not with the traffic.
+			n := copy(q.items, q.items[q.head:])
+			clear(q.items[n:])
+			q.items, q.head = q.items[:n], 0
+		}
+	} else {
+		err = q.err
+	}
+	if q.head < len(q.items) || q.err != nil {
+		q.wake() // a concurrent receiver must see what is left
+	}
+	return msg, ok, err
+}
+
+// pop returns the oldest message, waiting up to timeout for one. It
+// fails with ErrTimeout, or with the queue's failure once the queue is
+// empty.
+func (q *msgQueue) pop(timeout time.Duration) (Message, error) {
+	if msg, ok, err := q.take(); ok || err != nil {
+		return msg, err
+	}
+	timer, shared := q.dog.arm(timeout)
+	defer q.dog.disarm(timer, shared)
+	for {
+		select {
+		case <-q.notify:
+		case <-timer.C:
+			return Message{}, ErrTimeout
+		}
+		if msg, ok, err := q.take(); ok || err != nil {
+			return msg, err
+		}
+	}
 }
