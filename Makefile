@@ -31,13 +31,15 @@ lint:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
-# Short fuzz pass over the wire decoders, the end-to-end differential
-# targets (materializing and streaming), the daemon's request path, the file parsers, the partition
-# builders and the TCP frame reader (go-native fuzzing runs one target per invocation, so each
-# gets its own line).
+# Short fuzz pass over the wire decoders, the root's part encode against
+# its accessor-form reference, the end-to-end differential targets
+# (materializing and streaming), the daemon's request path, the file
+# parsers, the partition builders and the TCP frame reader (go-native
+# fuzzing runs one target per invocation, so each gets its own line).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartED -fuzztime 10s ./internal/compress/
+	$(GO) test -run '^$$' -fuzz FuzzEncodePart -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDiffStream -fuzztime 10s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/

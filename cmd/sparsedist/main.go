@@ -258,7 +258,7 @@ func validateFlags(cfg core.Config, f cliFlags) error {
 					Reason: "the batch table compares schemes under one pinned plan, but auto picks its own; run -scheme auto separately",
 				}
 			}
-			if _, err := dist.ByName(strings.ToUpper(name)); err != nil {
+			if _, err := dist.CodecByName(strings.ToUpper(name)); err != nil {
 				return fmt.Errorf("-batch: %w", err)
 			}
 		}

@@ -136,7 +136,7 @@ func TestInvariantsClassifyCorruption(t *testing.T) {
 
 func TestEDBufferInvariants(t *testing.T) {
 	g := sparse.Uniform(5, 8, 0.4, 11)
-	buf := compress.EncodeEDRect(g, 1, 2, 3, 4, compress.RowMajor, nil)
+	buf := compress.EncodeED(g, []int{1, 2, 3}, []int{2, 3, 4, 5}, compress.RowMajor, nil, nil)
 	if err := EDBuffer(buf, 3); err != nil {
 		t.Fatalf("well-formed buffer rejected: %v", err)
 	}
@@ -195,8 +195,8 @@ func compressPieces(t *testing.T, g *sparse.Dense, part partition.Partition, for
 	}
 	arrays := make([]compress.PartArray, part.NumParts())
 	for k := range arrays {
-		arrays[k] = f.CompressPartGlobal(g.At, part.RowMap(k), part.ColMap(k), nil)
-		// CompressPartGlobal stores global minor indices; localise them
+		arrays[k] = f.CompressPart(g, part.RowMap(k), part.ColMap(k), nil)
+		// CompressPart stores global minor indices; localise them
 		// through the part's minor ownership map as the engine does.
 		minor := part.ColMap(k)
 		if f.MinorIsRow {

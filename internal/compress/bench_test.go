@@ -20,31 +20,51 @@ func perUnit(b *testing.B, unit string, n int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), unit)
 }
 
-// BenchmarkEncodeED times both encode routes over the whole array into
-// a reused buffer; CompressCRS is the scan both are measured against.
+// benchParts are the two kinds of map the one route reads through: the
+// whole array (contiguous maps, as for every block partition) and the
+// part a 4-cyclic column partition gives one processor (a strided
+// column map).
+func benchParts() []struct {
+	name           string
+	rowMap, colMap []int
+} {
+	strided := make([]int, 0, benchN/4)
+	for j := 1; j < benchN; j += 4 {
+		strided = append(strided, j)
+	}
+	all := rangeIntsTest(0, benchN)
+	return []struct {
+		name           string
+		rowMap, colMap []int
+	}{{"contiguous", all, all}, {"strided", all, strided}}
+}
+
+// BenchmarkEncodeED times EncodeED over both kinds of map into a reused
+// buffer, per scanned cell; CompressCRS is the scan it is measured
+// against, and accessor/ED is the accessor form EncodeEDPartInto on the
+// strided part.
 func BenchmarkEncodeED(b *testing.B) {
 	g := benchArray()
-	all := rangeIntsTest(0, benchN)
-	majors := []struct {
-		name  string
-		major Major
-	}{{"row", RowMajor}, {"col", ColMajor}}
-	for _, m := range majors {
-		b.Run("block/"+m.name, func(b *testing.B) {
-			var buf []float64
-			for i := 0; i < b.N; i++ {
-				buf = EncodeEDRectInto(g, 0, 0, benchN, benchN, m.major, buf[:0], nil)
-			}
-			perUnit(b, "ns/cell", g.Size())
-		})
-		b.Run("accessor/"+m.name, func(b *testing.B) {
-			var buf []float64
-			for i := 0; i < b.N; i++ {
-				buf = EncodeEDPartInto(g.At, all, all, m.major, buf[:0], nil)
-			}
-			perUnit(b, "ns/cell", g.Size())
-		})
+	parts := benchParts()
+	for _, pt := range parts {
+		for _, m := range []Major{RowMajor, ColMajor} {
+			b.Run(pt.name+"/"+m.String(), func(b *testing.B) {
+				var buf []float64
+				for i := 0; i < b.N; i++ {
+					buf = EncodeED(g, pt.rowMap, pt.colMap, m, buf[:0], nil)
+				}
+				perUnit(b, "ns/cell", len(pt.rowMap)*len(pt.colMap))
+			})
+		}
 	}
+	strided := parts[1]
+	b.Run("accessor/ED", func(b *testing.B) {
+		var buf []float64
+		for i := 0; i < b.N; i++ {
+			buf = EncodeEDPartInto(g.At, strided.rowMap, strided.colMap, RowMajor, buf[:0], nil)
+		}
+		perUnit(b, "ns/cell", len(strided.rowMap)*len(strided.colMap))
+	})
 	b.Run("CompressCRS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			CompressCRS(g, nil)
@@ -53,29 +73,23 @@ func BenchmarkEncodeED(b *testing.B) {
 	})
 }
 
-// BenchmarkCompressPart is the CFS root compress of the whole array in
-// each of the three methods: the block route against the accessor form
-// it is pinned to.
+// BenchmarkCompressPart is the CFS root compress, CompressPart, in each
+// of the three methods over both kinds of map.
 func BenchmarkCompressPart(b *testing.B) {
 	g := benchArray()
-	all := rangeIntsTest(0, benchN)
-	for _, c := range []struct {
-		name     string
-		compress func()
-	}{
-		{"block/CRS", func() { CompressCRSRectGlobal(g, 0, 0, benchN, benchN, nil) }},
-		{"accessor/CRS", func() { CompressCRSPartGlobal(g.At, all, all, nil) }},
-		{"block/CCS", func() { CompressCCSRectGlobal(g, 0, 0, benchN, benchN, nil) }},
-		{"accessor/CCS", func() { CompressCCSPartGlobal(g.At, all, all, nil) }},
-		{"block/JDS", func() { CompressJDSRectGlobal(g, 0, 0, benchN, benchN, nil) }},
-		{"accessor/JDS", func() { CompressJDSPartGlobal(g.At, all, all, nil) }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.compress()
+	for _, pt := range benchParts() {
+		for _, name := range FormatNames() {
+			f, err := FormatByName(name)
+			if err != nil {
+				b.Fatal(err)
 			}
-			perUnit(b, "ns/cell", g.Size())
-		})
+			b.Run(pt.name+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					f.CompressPart(g, pt.rowMap, pt.colMap, nil)
+				}
+				perUnit(b, "ns/cell", len(pt.rowMap)*len(pt.colMap))
+			})
+		}
 	}
 }
 
@@ -85,7 +99,7 @@ func BenchmarkCompressPart(b *testing.B) {
 func BenchmarkDecodeED(b *testing.B) {
 	g := benchArray()
 	const c0, nc = 250, 250
-	buf := EncodeEDRect(g, 0, c0, benchN, nc, RowMajor, nil)
+	buf := encodeRect(g, 0, c0, benchN, nc, RowMajor, nil)
 	nnz := (len(buf) - benchN) / 2
 	for _, d := range []struct {
 		name   string
@@ -112,12 +126,16 @@ func BenchmarkConvertCols(b *testing.B) {
 	for j := 1; j < benchN; j += 4 {
 		strided = append(strided, j)
 	}
+	crs, err := FormatByName("CRS")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name   string
 		colMap []int
 	}{{"contiguous", rangeIntsTest(250, 500)}, {"strided", strided}} {
 		b.Run(c.name, func(b *testing.B) {
-			global := CompressCRSPartGlobal(g.At, all, c.colMap, nil)
+			global := crs.CompressPart(g, all, c.colMap, nil).(*CRS)
 			m := global.Clone()
 			for i := 0; i < b.N; i++ {
 				copy(m.ColIdx, global.ColIdx)

@@ -24,10 +24,10 @@ func (m *CCS) NNZ() int { return len(m.Val) }
 
 // CompressCCS compresses a dense array into CCS, charging the counter
 // one operation per scanned element plus three per nonzero (the paper's
-// rows*cols*(1+3s) accounting). It is the block kernel over the whole
-// array: the cells are read row by row, the order they lie in memory.
+// rows*cols*(1+3s) accounting). It is CompressPart's scan over the
+// whole array.
 func CompressCCS(d *sparse.Dense, ctr *cost.Counter) *CCS {
-	return CompressCCSRectGlobal(d, 0, 0, d.Rows(), d.Cols(), ctr)
+	return ccsOf(scanLines(d, wholeAxis(d.Rows()), wholeAxis(d.Cols()), ColMajor, ctr))
 }
 
 // CompressCCSFromCOO builds a CCS from a COO. The COO is sorted

@@ -78,16 +78,12 @@ func (m *CCS) ConvertRowsToLocal(rowMap []int, ctr *cost.Counter) error {
 	return nil
 }
 
-// EncodeEDPart is the generalisation of EncodeEDRect to cross-product
-// ownership maps, used with cyclic partitions. Stored C indices are
-// global, exactly as in the rectangular case.
-func EncodeEDPart(at func(i, j int) float64, rowMap, colMap []int, major Major, ctr *cost.Counter) []float64 {
-	return EncodeEDPartInto(at, rowMap, colMap, major, nil, ctr)
-}
-
-// EncodeEDPartInto is EncodeEDPart writing into buf's backing array when
-// it is large enough — pass a zero-length buffer from machine.GetBuf to
-// reuse one allocation across parts. Charging is identical.
+// EncodeEDPartInto is EncodeED driven by a cell accessor: the same
+// buffer and the same total charge, booked cell by cell. No kernel of
+// the distribution path calls it. It stays exported as the target of
+// the benchmark module's ED encode probe and as the tests' reference
+// for EncodeED, and goes once that probe moves to EncodeED (ROADMAP
+// item 1b).
 func EncodeEDPartInto(at func(i, j int) float64, rowMap, colMap []int, major Major, buf []float64, ctr *cost.Counter) []float64 {
 	var counts int
 	if major == RowMajor {

@@ -62,8 +62,8 @@ func TestConvertRowsToLocal(t *testing.T) {
 	}
 }
 
-// blockCases are the rectangles the block kernels are held to the
-// accessor forms on: random interior rectangles of a UniformExact array
+// blockCases are the rectangles the one route is held to the accessor
+// forms on: random interior rectangles of a UniformExact array
 // plus the degenerate shapes — no rows, no columns, an all-zero block
 // and a fully dense one (where the headroom check has no slack).
 func blockCases() (g *sparse.Dense, rects [][4]int) {
@@ -90,12 +90,12 @@ func blockCases() (g *sparse.Dense, rects [][4]int) {
 	return g, rects
 }
 
-// TestEncodeEDPartMatchesRect pins the two encode routes to each other:
-// for every rectangle and both layouts the block kernel and the accessor
-// form produce the same words and charge the same total, whether the
-// block kernel starts from no buffer or from a reused one full of
-// another part's words — too small, large enough only until the last
-// lines, or large.
+// TestEncodeEDPartMatchesRect pins EncodeED to its accessor-form
+// reference: for every rectangle and both layouts the two produce the
+// same words and charge the same total, whether EncodeED starts from no
+// buffer or from a reused one full of another part's words — too small,
+// large enough only until the last lines, or large. FuzzEncodePart
+// extends the pin to strided maps.
 func TestEncodeEDPartMatchesRect(t *testing.T) {
 	g, rects := blockCases()
 	garbage := func(n int) []float64 {
@@ -125,12 +125,12 @@ func TestEncodeEDPartMatchesRect(t *testing.T) {
 				"reused, large":        garbage(3 * 48 * 48),
 			} {
 				var ctr cost.Counter
-				got := EncodeEDRectInto(g, r0, c0, nr, nc, major, buf, &ctr)
+				got := EncodeED(g, rowMap, colMap, major, buf, &ctr)
 				if !slices.Equal(got, want) {
-					t.Errorf("%v %v %s: block kernel and accessor form differ\n got %v\nwant %v", rc, major, name, got, want)
+					t.Errorf("%v %v %s: EncodeED and accessor form differ\n got %v\nwant %v", rc, major, name, got, want)
 				}
 				if ctr != wantCtr {
-					t.Errorf("%v %v %s: block kernel charged %v, accessor form %v", rc, major, name, ctr, wantCtr)
+					t.Errorf("%v %v %s: EncodeED charged %v, accessor form %v", rc, major, name, ctr, wantCtr)
 				}
 			}
 		}
@@ -138,9 +138,9 @@ func TestEncodeEDPartMatchesRect(t *testing.T) {
 }
 
 // TestCompressRectMatchesPartGlobal is the same pin for CFS's root
-// compress, in every registered format: the block route returns the
-// array the accessor form returns, global minor indices included, for
-// the same charge.
+// compress, in every registered format: CompressPart returns the array
+// the accessor form returns, global minor indices included, for the
+// same charge.
 func TestCompressRectMatchesPartGlobal(t *testing.T) {
 	g, rects := blockCases()
 	for _, name := range FormatNames() {
@@ -150,14 +150,15 @@ func TestCompressRectMatchesPartGlobal(t *testing.T) {
 		}
 		for _, rc := range rects {
 			r0, c0, nr, nc := rc[0], rc[1], rc[2], rc[3]
+			rowMap, colMap := rangeIntsTest(r0, r0+nr), rangeIntsTest(c0, c0+nc)
 			var ctr, wantCtr cost.Counter
-			got := f.CompressRectGlobal(g, r0, c0, nr, nc, &ctr)
-			want := f.CompressPartGlobal(g.At, rangeIntsTest(r0, r0+nr), rangeIntsTest(c0, c0+nc), &wantCtr)
+			got := f.CompressPart(g, rowMap, colMap, &ctr)
+			want := compressPartGlobal(f, g.At, rowMap, colMap, &wantCtr)
 			if !partArraysEqual(got, want) {
-				t.Errorf("%s %v: block route and accessor form differ\n got %+v\nwant %+v", name, rc, got, want)
+				t.Errorf("%s %v: CompressPart and accessor form differ\n got %+v\nwant %+v", name, rc, got, want)
 			}
 			if ctr != wantCtr {
-				t.Errorf("%s %v: block route charged %v, accessor form %v", name, rc, ctr, wantCtr)
+				t.Errorf("%s %v: CompressPart charged %v, accessor form %v", name, rc, ctr, wantCtr)
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 
 // The ED scheme's special buffer (paper §3.3, Figure 6).
 //
-// Encoding walks one rectangular piece of the *global* array and produces
-// a flat word buffer
+// Encoding walks one part of the *global* array and produces a flat word
+// buffer
 //
 //	[ R_0, R_1, ..., R_{m-1},  C_0, V_0, C_1, V_1, ... ]
 //
@@ -48,79 +48,105 @@ func (m Major) String() string {
 	return "col"
 }
 
-// EncodeEDRect encodes the rectangle [r0, r0+nr) x [c0, c0+nc) of the
-// global array g into a special buffer. Stored C indices are global.
-// The counter is charged one operation per scanned element plus three per
-// nonzero — identical to CompressCRS/CCS accounting, which is why the
-// paper's encoding time equals its CFS compression time.
-func EncodeEDRect(g *sparse.Dense, r0, c0, nr, nc int, major Major, ctr *cost.Counter) []float64 {
-	return EncodeEDRectInto(g, r0, c0, nr, nc, major, nil, ctr)
-}
-
-// EncodeEDRectInto is EncodeEDRect writing into buf's backing array —
-// pass a zero-length buffer from machine.GetBuf to reuse one allocation
-// across parts. It is the encode kernel of the block partitions (row,
-// column, mesh: every part a rectangle): one scan of the dense cells,
-// row sub-slices for RowMajor and a strided walk for ColMajor, writing
-// each (C, V) pair by index. The buffer is never sized from a density
-// guess: before each line the kernel checks that a fully dense line
-// still fits, and when it does not — at line 0 for a fresh buffer — it
-// counts the nonzeros still to come and grows once, to exactly what the
-// part needs plus that one line of headroom. A pooled buffer that has
-// seen the run's largest part is therefore never grown again and the
-// whole encode is a single scan. The charge is booked once per part and
-// totals nr·nc + 3·nnz, word for word what EncodeEDPartInto charges
-// cell by cell; the two produce identical buffers
-// (TestEncodeEDPartMatchesRect).
-func EncodeEDRectInto(g *sparse.Dense, r0, c0, nr, nc int, major Major, buf []float64, ctr *cost.Counter) []float64 {
-	if r0 < 0 || c0 < 0 || nr < 0 || nc < 0 || r0+nr > g.Rows() || c0+nc > g.Cols() {
-		panic(fmt.Sprintf("compress: EncodeEDRect(%d,%d,%d,%d) out of range %dx%d",
-			r0, c0, nr, nc, g.Rows(), g.Cols()))
+// EncodeED encodes the part rowMap x colMap of the global array g into
+// a special buffer whose stored C indices are global, writing into
+// buf's backing array — pass a zero-length buffer from machine.GetBuf
+// to reuse one allocation across parts. It is the root's one scan for
+// every partition and both schemes that compress at the root
+// (CompressPart reads its lines back off the buffer): each owned line
+// is read at the owned minor indices — a row-major line is a row
+// gathered through the column map, a column-major line a strided walk
+// down the owned rows — and each (C, V) pair is written by index. The
+// buffer is never sized from a density guess: before each line the
+// kernel checks that a fully dense line still fits, and when it does
+// not — at line 0 for a fresh buffer — it counts the nonzeros still to
+// come and grows once, to exactly what the part needs plus that one
+// line of headroom. A pooled buffer that has seen the run's largest
+// part is therefore never grown again and the whole encode is a single
+// scan. The counter is charged one operation per scanned element plus
+// three per nonzero, nr·nc + 3·nnz booked once — identical to
+// CompressCRS/CCS accounting, which is why the paper's encoding time
+// equals its CFS compression time.
+func EncodeED(g *sparse.Dense, rowMap, colMap []int, major Major, buf []float64, ctr *cost.Counter) []float64 {
+	if outside(rowMap, g.Rows()) || outside(colMap, g.Cols()) {
+		panic(fmt.Sprintf("compress: EncodeED: part of %d rows x %d cols outside the %dx%d array",
+			len(rowMap), len(colMap), g.Rows(), g.Cols()))
 	}
-	lines, span := nr, nc // counts region first, then the pairs line by line
+	// Line l's cell at minor index m is data[majMap[l]*majStride + m*minStride].
+	majMap, minMap, majStride, minStride := rowMap, colMap, g.Cols(), 1
 	if major == ColMajor {
-		lines, span = nc, nr
+		majMap, minMap, majStride, minStride = colMap, rowMap, 1, g.Cols()
 	}
+	data := g.Data()
+	lines, span := len(majMap), len(minMap) // counts region first, then the pairs line by line
 	buf = buf[:cap(buf)]
 	if len(buf) < lines {
 		buf = make([]float64, lines)
 	}
-	data, stride := g.Data(), g.Cols()
 	w := lines
-	for l := 0; l < lines; l++ {
+	for l, gl := range majMap {
 		if len(buf)-w < 2*span {
-			var rest int // nonzeros of the lines still to come
-			if major == RowMajor {
-				rest = countNonzero(data, stride, r0+l, c0, nr-l, nc)
-			} else {
-				rest = countNonzero(data, stride, r0, c0+l, nr, nc-l)
+			rest := 0 // nonzeros of the lines still to come
+			for _, gr := range majMap[l:] {
+				for _, m := range minMap {
+					if data[gr*majStride+m*minStride] != 0 {
+						rest++
+					}
+				}
 			}
 			grown := make([]float64, w+2*rest+2*span)
 			copy(grown, buf[:w])
 			buf = grown
 		}
 		out := buf[w : w+2*span]
-		n := 0
+		var n int
 		if major == RowMajor {
-			at := (r0+l)*stride + c0
-			for j, v := range data[at : at+nc] {
-				out[n], out[n+1] = float64(c0+j), v // global column index
-				n += nonzero(v) << 1
-			}
+			n = gatherRow(out, data[gl*majStride:(gl+1)*majStride], minMap)
 		} else {
-			at := r0*stride + c0 + l
-			for i := 0; i < nr; i++ {
-				v := data[at]
-				out[n], out[n+1] = float64(r0+i), v // global row index
-				n += nonzero(v) << 1
-				at += stride
-			}
+			n = gatherCol(out, data, gl, minStride, minMap)
 		}
 		buf[l] = float64(n / 2)
 		w += n
 	}
-	ctr.AddOps(nr*nc + 3*(w-lines)/2)
+	ctr.AddOps(lines*span + 3*(w-lines)/2)
 	return buf[:w]
+}
+
+// gatherRow writes the (global column, value) pairs of row's nonzeros
+// at the columns of colMap to out and returns the words written. Every
+// cell is stored at the cursor, which advances only past a nonzero.
+// Both gathers stay out of line: inlined into EncodeED's line loop they
+// ran 10-20% slower per cell (BenchmarkEncodeED, 2-CPU Xeon).
+//
+//go:noinline
+func gatherRow(out, row []float64, colMap []int) int {
+	n := 0
+	for _, j := range colMap {
+		v := row[j]
+		out[n], out[n+1] = float64(j), v
+		n += nonzero(v) << 1
+	}
+	return n
+}
+
+// gatherCol is gatherRow down column j of a row-major array with the
+// given row stride.
+//
+//go:noinline
+func gatherCol(out, data []float64, j, stride int, rowMap []int) int {
+	n := 0
+	for _, i := range rowMap {
+		v := data[j+i*stride]
+		out[n], out[n+1] = float64(i), v
+		n += nonzero(v) << 1
+	}
+	return n
+}
+
+// outside reports whether the sorted map m names an index outside
+// [0, dim).
+func outside(m []int, dim int) bool {
+	return len(m) > 0 && (m[0] < 0 || m[len(m)-1] >= dim)
 }
 
 // AppendEDRows appends the row-major special buffer of rows [lo, hi) of
@@ -263,21 +289,6 @@ func decodeED(buf []float64, lines, span, offset int, idxMap []int, line, minor 
 	}
 	ctr.AddOps(lines + 1 + perPair*nnz) // RO entries, RO[0] included
 	return ptr, idx, val, nil
-}
-
-// countNonzero counts the nonzeros of the rectangle [r0, r0+nr) x
-// [c0, c0+nc) of a row-major array with the given row stride.
-func countNonzero(data []float64, stride, r0, c0, nr, nc int) int {
-	n := 0
-	for i := 0; i < nr; i++ {
-		at := (r0+i)*stride + c0
-		for _, v := range data[at : at+nc] {
-			if v != 0 {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // exactInt converts a wire word to the integer it holds exactly:

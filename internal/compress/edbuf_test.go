@@ -15,7 +15,7 @@ func TestFigure6BufferLayoutRowMajor(t *testing.T) {
 	// layout: counts [1 1 1], pairs (5,5) (3,6) (4,7) with global
 	// column indices.
 	g := sparse.PaperFigure1()
-	buf := EncodeEDRect(g, 3, 0, 3, 8, RowMajor, nil)
+	buf := encodeRect(g, 3, 0, 3, 8, RowMajor, nil)
 	want := []float64{1, 1, 1, 5, 5, 3, 6, 4, 7}
 	if len(buf) != len(want) {
 		t.Fatalf("buffer length = %d, want %d", len(buf), len(want))
@@ -32,7 +32,7 @@ func TestFigure7BufferColMajor(t *testing.T) {
 	// Counts per column: [0 0 0 1 1 1 0 0]; pairs carry *global* row
 	// indices: (4,6) for col 3, (5,7) for col 4, (3,5) for col 5.
 	g := sparse.PaperFigure1()
-	buf := EncodeEDRect(g, 3, 0, 3, 8, ColMajor, nil)
+	buf := encodeRect(g, 3, 0, 3, 8, ColMajor, nil)
 	want := []float64{0, 0, 0, 1, 1, 1, 0, 0, 4, 6, 5, 7, 3, 5}
 	if len(buf) != len(want) {
 		t.Fatalf("buffer length = %d, want %d", len(buf), len(want))
@@ -49,7 +49,7 @@ func TestFigure7EDDecode(t *testing.T) {
 	// row indices (Case 3.3.2), yielding the same CCS as compressing the
 	// local piece directly.
 	g := sparse.PaperFigure1()
-	buf := EncodeEDRect(g, 3, 0, 3, 8, ColMajor, nil)
+	buf := encodeRect(g, 3, 0, 3, 8, ColMajor, nil)
 	got, err := DecodeEDToCCS(buf, 3, 8, 3, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestFigure7EDDecode(t *testing.T) {
 func TestEDRowMajorRoundTripNoOffset(t *testing.T) {
 	// Case 3.3.1: row partition + CRS layout needs no conversion.
 	g := sparse.PaperFigure1()
-	buf := EncodeEDRect(g, 6, 0, 3, 8, RowMajor, nil)
+	buf := encodeRect(g, 6, 0, 3, 8, RowMajor, nil)
 	got, err := DecodeEDToCRS(buf, 3, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestEDMeshCase333(t *testing.T) {
 	// the number of columns to its left in the mesh row.
 	g := sparse.PaperFigure1()
 	// Mesh piece: rows 5-9, cols 4-7 (bottom-right of a 2x2 mesh).
-	buf := EncodeEDRect(g, 5, 4, 5, 4, RowMajor, nil)
+	buf := encodeRect(g, 5, 4, 5, 4, RowMajor, nil)
 	got, err := DecodeEDToCRS(buf, 5, 4, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -95,12 +95,12 @@ func TestEDRoundTripProperty(t *testing.T) {
 		g := sparse.Uniform(12, 10, 0.3, seed)
 		// Arbitrary interior rectangle.
 		r0, c0, nr, nc := 3, 2, 6, 7
-		rowBuf := EncodeEDRect(g, r0, c0, nr, nc, RowMajor, nil)
+		rowBuf := encodeRect(g, r0, c0, nr, nc, RowMajor, nil)
 		crs, err := DecodeEDToCRS(rowBuf, nr, nc, c0, nil)
 		if err != nil {
 			return false
 		}
-		colBuf := EncodeEDRect(g, r0, c0, nr, nc, ColMajor, nil)
+		colBuf := encodeRect(g, r0, c0, nr, nc, ColMajor, nil)
 		ccs, err := DecodeEDToCCS(colBuf, nr, nc, r0, nil)
 		if err != nil {
 			return false
@@ -117,7 +117,7 @@ func TestEDBufferSizeMatchesPaper(t *testing.T) {
 	// The ED wire size per part is (local rows + 2*local nnz) words for
 	// the row-major layout — the 2n²s + n total of Table 1.
 	g := sparse.Uniform(64, 64, 0.1, 3)
-	buf := EncodeEDRect(g, 0, 0, 16, 64, RowMajor, nil)
+	buf := encodeRect(g, 0, 0, 16, 64, RowMajor, nil)
 	nnz := g.SubMatrix(0, 0, 16, 64).NNZ()
 	if want := 16 + 2*nnz; len(buf) != want {
 		t.Errorf("buffer size = %d words, want %d", len(buf), want)
@@ -129,7 +129,7 @@ func TestEncodeEDCostAccounting(t *testing.T) {
 	// three per nonzero (n²(1+3s) over the whole array).
 	g := sparse.PaperFigure1()
 	var ctr cost.Counter
-	EncodeEDRect(g, 0, 0, 10, 8, RowMajor, &ctr)
+	encodeRect(g, 0, 0, 10, 8, RowMajor, &ctr)
 	want := int64(10*8 + 3*16)
 	if ctr.Ops != want {
 		t.Errorf("encode ops = %d, want %d", ctr.Ops, want)
@@ -140,7 +140,7 @@ func TestDecodeEDCostAccounting(t *testing.T) {
 	// Decoding charges (rows + 1) pointer ops plus 2 per nnz, plus 1 per
 	// nnz when an index conversion is needed.
 	g := sparse.PaperFigure1()
-	buf := EncodeEDRect(g, 3, 0, 3, 8, RowMajor, nil)
+	buf := encodeRect(g, 3, 0, 3, 8, RowMajor, nil)
 	nnz := 3
 
 	var ctr cost.Counter
@@ -151,7 +151,7 @@ func TestDecodeEDCostAccounting(t *testing.T) {
 		t.Errorf("decode ops (no conversion) = %d, want %d", ctr.Ops, want)
 	}
 
-	cbuf := EncodeEDRect(g, 3, 0, 3, 8, ColMajor, nil)
+	cbuf := encodeRect(g, 3, 0, 3, 8, ColMajor, nil)
 	ctr.Reset()
 	if _, err := DecodeEDToCCS(cbuf, 3, 8, 3, &ctr); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestDecodeEDCostAccounting(t *testing.T) {
 
 func TestDecodeEDErrors(t *testing.T) {
 	g := sparse.PaperFigure1()
-	buf := EncodeEDRect(g, 3, 0, 3, 8, RowMajor, nil)
+	buf := encodeRect(g, 3, 0, 3, 8, RowMajor, nil)
 
 	if _, err := DecodeEDToCRS(buf[:2], 3, 8, 0, nil); err == nil {
 		t.Error("short buffer accepted")
@@ -191,19 +191,30 @@ func TestDecodeEDErrors(t *testing.T) {
 	}
 
 	// Wrong offset pushes indices out of range; Validate must catch it.
-	cbuf := EncodeEDRect(g, 3, 0, 3, 8, ColMajor, nil)
+	cbuf := encodeRect(g, 3, 0, 3, 8, ColMajor, nil)
 	if _, err := DecodeEDToCCS(cbuf, 3, 8, 100, nil); err == nil {
 		t.Error("absurd offset accepted")
 	}
 }
 
+// TestEncodeEDRectPanicsOutOfRange: a part reaching past the array is a
+// programming error, caught before the scan reads a cell of the next
+// row.
 func TestEncodeEDRectPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EncodeEDRect out of range did not panic")
-		}
-	}()
-	EncodeEDRect(sparse.NewDense(4, 4), 2, 2, 3, 3, RowMajor, nil)
+	for _, c := range []struct{ rowMap, colMap []int }{
+		{[]int{2, 3, 4}, []int{2, 3}},
+		{[]int{0}, []int{3, 4}},
+		{[]int{-1, 0}, nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EncodeED(%v x %v) on a 4x4 array did not panic", c.rowMap, c.colMap)
+				}
+			}()
+			EncodeED(sparse.NewDense(4, 4), c.rowMap, c.colMap, RowMajor, nil, nil)
+		}()
+	}
 }
 
 func TestMajorString(t *testing.T) {
@@ -214,12 +225,12 @@ func TestMajorString(t *testing.T) {
 
 func TestAppendEDRowsRoundTrip(t *testing.T) {
 	// Figure 1's array as CRS: rows 3-5 encode to the same buffer
-	// EncodeEDRect builds from the dense array (Figure 6), and any row
+	// EncodeED builds from the dense array (Figure 6), and any row
 	// range or list decodes back to those rows.
 	g := sparse.PaperFigure1()
 	m := CompressCRS(g, nil)
 	got := m.AppendEDRows(nil, 3, 6)
-	want := EncodeEDRect(g, 3, 0, 3, 8, RowMajor, nil)
+	want := encodeRect(g, 3, 0, 3, 8, RowMajor, nil)
 	if len(got) != len(want) {
 		t.Fatalf("buffer %v, want %v", got, want)
 	}

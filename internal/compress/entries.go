@@ -9,12 +9,12 @@ import (
 
 // The entry-list kernels: a part handed over as its nonzeros, in the
 // order they arrived, instead of as cells of a dense array — what a
-// streaming receiver holds at finalize. Each kernel is the twin of an
-// accessor form and returns what that form returns from the dense array
-// the same entries would fill: a later entry for a cell overwrites an
-// earlier one, and an explicit zero erases the cell. The work is
-// O(nnz + rows + cols); the charges are the accessor form's closed
-// forms, booked once.
+// streaming receiver holds at finalize. Each kernel is the twin of a
+// dense-array kernel (EncodeED, CompressPart) and returns what that
+// kernel returns from the dense array the same entries would fill: a
+// later entry for a cell overwrites an earlier one, and an explicit
+// zero erases the cell. The work is O(nnz + rows + cols); the charges
+// are the dense kernel's closed forms, booked once.
 
 // entryBlockLen is the capacity of one staging block: 4096 entries,
 // 64 KiB.
@@ -107,8 +107,8 @@ func (e *Entries) foreign(rowMap, colMap []int) error {
 	return fmt.Errorf("compress: an entry lies outside the part")
 }
 
-// EncodeEDPartEntries is EncodeEDPartInto for a part handed over as its
-// staged entries: the same special buffer — counts per major line of
+// EncodeEDPartEntries is EncodeED for a part handed over as its staged
+// entries: the same special buffer — counts per major line of
 // rowMap x colMap in the given layout, then (global minor index, value)
 // pairs line by line — and the same charge, nr·nc + 3·nnz, booked once.
 // It writes into buf's backing array when that holds
@@ -229,25 +229,20 @@ func EncodeEDPartEntries(e *Entries, rowMap, colMap []int, major Major, buf []fl
 	return buf[:lines+2*w], nil
 }
 
-// CompressPartEntries is CompressPartGlobal for a part handed over as
-// its staged entries: the same array with global minor indices and the
-// same charges. The special buffer is the compressed part with its
-// pointer array as counts, so the array is read back off it, uncharged.
-// e is consumed.
+// CompressPartEntries is CompressPart for a part handed over as its
+// staged entries: the same array with global minor indices and the same
+// charges — the special buffer sorted out of the entries, its lines
+// read back as CompressPart reads EncodeED's. e is consumed.
 func (f *Format) CompressPartEntries(e *Entries, rowMap, colMap []int, ctr *cost.Counter) (PartArray, error) {
 	buf, err := EncodeEDPartEntries(e, rowMap, colMap, f.Major, nil, ctr)
 	if err != nil {
 		return nil, err
 	}
-	l := lines{n: len(rowMap), span: len(colMap)}
-	minDim := e.cols
+	n, span := len(rowMap), len(colMap)
 	if f.Major == ColMajor {
-		l.n, l.span, minDim = len(colMap), len(rowMap), e.rows
+		n, span = span, n
 	}
-	if l.ptr, l.idx, l.val, err = decodeED(buf, l.n, minDim, 0, nil, "line", "minor", nil); err != nil {
-		return nil, err
-	}
-	return f.ofLines(l, ctr), nil
+	return f.ofLines(linesOf(buf, n, span), ctr), nil
 }
 
 // Dense scatters the staged entries into the dense local array of the

@@ -90,13 +90,13 @@ func TestPartEntriesMatchAccessorForms(t *testing.T) {
 		for _, name := range FormatNames() {
 			f, _ := FormatByName(name)
 			var want, got cost.Counter
-			wa := f.CompressPartGlobal(d.At, pt.rowMap, pt.colMap, &want)
+			wa := compressPartGlobal(f, d.At, pt.rowMap, pt.colMap, &want)
 			ga, err := f.CompressPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, &got)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", pt.name, name, err)
 			}
 			if !reflect.DeepEqual(f.PackInto(ga, nil, nil), f.PackInto(wa, nil, nil)) || f.HeaderExtra(ga) != f.HeaderExtra(wa) || got != want {
-				t.Errorf("%s/%s: array or charge differs from CompressPartGlobal (%v vs %v)", pt.name, name, got, want)
+				t.Errorf("%s/%s: array or charge differs from the accessor form (%v vs %v)", pt.name, name, got, want)
 			}
 		}
 		l, err := stage(es, pt.rowMap, pt.colMap).Dense(pt.rowMap, pt.colMap)

@@ -20,12 +20,16 @@ func ExampleCompressCRS() {
 	// VL    1   2   3   4
 }
 
-// ExampleEncodeEDRect shows the ED scheme's special buffer for P1 of the
+// p1Rows and allCols are P1's ownership maps in the worked example's
+// row partition of Figure 1's 10 x 8 array.
+var p1Rows, allCols = []int{3, 4, 5}, []int{0, 1, 2, 3, 4, 5, 6, 7}
+
+// ExampleEncodeED shows the ED scheme's special buffer for P1 of the
 // worked example (Figure 6/7): per-row counts, then alternating
 // (global column, value) pairs.
-func ExampleEncodeEDRect() {
+func ExampleEncodeED() {
 	g := sparse.PaperFigure1()
-	buf := compress.EncodeEDRect(g, 3, 0, 3, 8, compress.RowMajor, nil)
+	buf := compress.EncodeED(g, p1Rows, allCols, compress.RowMajor, nil, nil)
 	fmt.Print(compress.FormatEDBuffer(buf, 3))
 	// Output:
 	// R :   1   1   1
@@ -37,7 +41,7 @@ func ExampleEncodeEDRect() {
 // (Case 3.3.2).
 func ExampleDecodeEDToCCS() {
 	g := sparse.PaperFigure1()
-	buf := compress.EncodeEDRect(g, 3, 0, 3, 8, compress.ColMajor, nil)
+	buf := compress.EncodeED(g, p1Rows, allCols, compress.ColMajor, nil, nil)
 	m, err := compress.DecodeEDToCCS(buf, 3, 8, 3, nil)
 	if err != nil {
 		fmt.Println(err)

@@ -36,7 +36,7 @@ func TestFormatPaperCCS(t *testing.T) {
 }
 
 func TestFormatEDBuffer(t *testing.T) {
-	buf := EncodeEDRect(sparse.PaperFigure1(), 3, 0, 3, 8, RowMajor, nil)
+	buf := encodeRect(sparse.PaperFigure1(), 3, 0, 3, 8, RowMajor, nil)
 	out := FormatEDBuffer(buf, 3)
 	if !strings.Contains(out, "R :   1   1   1") {
 		t.Errorf("counts region wrong:\n%s", out)

@@ -251,12 +251,12 @@ func FuzzDecodePartED(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	fuzzSeedWords(f, EncodeEDRect(d, 0, 0, 3, 4, RowMajor, &ctr), 3, 4)
-	fuzzSeedWords(f, EncodeEDRect(d, 0, 0, 3, 4, ColMajor, &ctr), 3, 4)
+	fuzzSeedWords(f, encodeRect(d, 0, 0, 3, 4, RowMajor, &ctr), 3, 4)
+	fuzzSeedWords(f, encodeRect(d, 0, 0, 3, 4, ColMajor, &ctr), 3, 4)
 	for _, g := range degenerateSeeds() {
 		r, c := int16(g.Rows()), int16(g.Cols())
-		fuzzSeedWords(f, EncodeEDRect(g, 0, 0, g.Rows(), g.Cols(), RowMajor, &ctr), r, c)
-		fuzzSeedWords(f, EncodeEDRect(g, 0, 0, g.Rows(), g.Cols(), ColMajor, &ctr), r, c)
+		fuzzSeedWords(f, encodeRect(g, 0, 0, g.Rows(), g.Cols(), RowMajor, &ctr), r, c)
+		fuzzSeedWords(f, encodeRect(g, 0, 0, g.Rows(), g.Cols(), ColMajor, &ctr), r, c)
 	}
 	good, bad := hostileED()
 	fuzzSeedWords(f, good, 3, 6)

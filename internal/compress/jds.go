@@ -2,7 +2,7 @@ package compress
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/sparse"
@@ -111,12 +111,13 @@ func CRSToJDS(c *CRS) *JDS {
 	for i := range m.Perm {
 		m.Perm[i] = i
 	}
-	sort.SliceStable(m.Perm, func(a, b int) bool { return c.RowNNZ(m.Perm[a]) > c.RowNNZ(m.Perm[b]) })
+	slices.SortStableFunc(m.Perm, func(a, b int) int { return c.RowNNZ(b) - c.RowNNZ(a) })
 	maxNNZ := 0
 	if c.Rows > 0 {
 		maxNNZ = c.RowNNZ(m.Perm[0])
 	}
 	m.JDPtr = make([]int, maxNNZ+1)
+	m.ColIdx, m.Val = make([]int, 0, c.NNZ()), make([]float64, 0, c.NNZ())
 	for k := 0; k < maxNNZ; k++ {
 		m.JDPtr[k] = len(m.Val)
 		for pos := 0; pos < c.Rows; pos++ {

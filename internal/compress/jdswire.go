@@ -13,17 +13,6 @@ import (
 // Val (nnz) ], with the diagonal count d carried in the message header
 // alongside the shape.
 
-// CompressJDSPartGlobal compresses the cross product rowMap x colMap of
-// a global array into a JDS of local shape whose ColIdx entries are
-// *global* column indices. Charging follows the other formats: one
-// operation per scanned element, three per nonzero, one per row for the
-// permutation.
-func CompressJDSPartGlobal(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) *JDS {
-	crs := CompressCRSPartGlobal(at, rowMap, colMap, ctr)
-	ctr.AddOps(len(rowMap)) // permutation bookkeeping
-	return CRSToJDS(crs)
-}
-
 // PackJDS serialises a JDS into a flat word buffer, charging one
 // operation per word.
 func PackJDS(m *JDS, ctr *cost.Counter) []float64 {

@@ -62,8 +62,8 @@ func TestUnpackJDSErrors(t *testing.T) {
 
 func TestJDSShiftAndConvert(t *testing.T) {
 	local := CompressJDS(sparse.PaperFigure1().SubMatrix(0, 4, 10, 4), nil)
-	global := CRSToJDS(CompressCRSPartGlobal(sparse.PaperFigure1().At,
-		rangeIntsTest(0, 10), rangeIntsTest(4, 8), nil))
+	f, _ := FormatByName("JDS")
+	global := f.CompressPart(sparse.PaperFigure1(), rangeIntsTest(0, 10), rangeIntsTest(4, 8), nil).(*JDS)
 	var ctr cost.Counter
 	global.ShiftCols(4, &ctr)
 	if !global.Equal(local) {
@@ -78,7 +78,7 @@ func TestJDSShiftAndConvert(t *testing.T) {
 	g.Set(0, 1, 1)
 	g.Set(1, 5, 2)
 	colMap := []int{1, 3, 5}
-	jds := CompressJDSPartGlobal(g.At, []int{0, 1}, colMap, nil)
+	jds := f.CompressPart(g, []int{0, 1}, colMap, nil).(*JDS)
 	if err := jds.ConvertColsToLocal(colMap, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,9 @@ func TestJDSShiftAndConvert(t *testing.T) {
 
 func TestCompressJDSPartGlobalMatchesDirect(t *testing.T) {
 	g := sparse.PaperFigure1()
+	f, _ := FormatByName("JDS")
 	var ctr cost.Counter
-	got := CompressJDSPartGlobal(g.At, rangeIntsTest(0, 3), rangeIntsTest(0, 8), &ctr)
+	got := f.CompressPart(g, rangeIntsTest(0, 3), rangeIntsTest(0, 8), &ctr).(*JDS)
 	got.ShiftCols(0, nil) // row partition: already local
 	want := CompressJDS(g.SubMatrix(0, 0, 3, 8), nil)
 	if !got.Equal(want) {

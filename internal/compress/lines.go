@@ -17,11 +17,10 @@ import (
 // crsOf and ccsOf turn one back into the named type, and the exported
 // twins in crs.go, ccs.go, wire.go and convert.go are one-line wrappers.
 //
-// What is not here, on purpose: the scans of a dense array
-// (CompressCRS, the RectGlobal and PartGlobal kernels, the ED encoders).
-// The order they touch memory in is the one thing the two formats do
-// not share, and a shared body would put a branch on the format inside
-// the per-cell loop.
+// What is not here: the scans of a dense array. The root's one scan is
+// EncodeED (edbuf.go), which walks a part in either Major through its
+// ownership maps; CompressPart and CompressCCS read their lines back off
+// its buffer (linesOf, part.go). CompressCRS keeps its own append scan.
 //
 // The kernels take the view by value and index plain slices: no
 // closure, interface method or function value is called per element.

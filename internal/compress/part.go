@@ -1,150 +1,87 @@
 package compress
 
 import (
-	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/sparse"
 )
 
-// Part compression for the CFS scheme (paper §3.2): the root compresses
-// each local piece *before* sending, and "the values stored in CO are
-// global array indices" — the receiver converts them to local indices
-// after unpacking. These constructors therefore emit local-shaped
-// compressed arrays whose minor indices are global. Charging matches
-// CompressCRS/CCS: one operation per scanned element, three per nonzero.
-// (*Format).CompressPartEntries is the entry-list twin.
+// The root's scan of one part (paper §3.2, §3.3). A part is the cross
+// product rowMap x colMap of the dense global array: sorted ownership
+// maps, contiguous for the row, column and mesh partitions, strided for
+// the cyclic and block-cyclic ones. CFS compresses it and ED encodes it
+// by the same rule — scan the owned cells line by line, keep the
+// nonzeros with their *global* minor indices — so there is one scan,
+// EncodeED (edbuf.go), and CFS's CompressPart reads its lines back off
+// the special buffer; only the receiver's index conversion depends on
+// whether a map is contiguous. Charging is the paper's: one operation
+// per scanned element, three per nonzero, booked once per part.
+// (*Format).CompressPartEntries and EncodeEDPartEntries (entries.go)
+// are the twins for a part handed over as its nonzeros.
 
-// CompressCRSPartGlobal compresses the cross product rowMap x colMap of
-// a global array (accessed through at) into a CRS of local shape whose
-// ColIdx entries are *global* column indices.
-func CompressCRSPartGlobal(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) *CRS {
-	m := &CRS{Rows: len(rowMap), Cols: len(colMap), RowPtr: make([]int, len(rowMap)+1)}
-	for li, gi := range rowMap {
-		for _, gj := range colMap {
-			if v := at(gi, gj); v != 0 {
-				m.ColIdx = append(m.ColIdx, gj)
-				m.Val = append(m.Val, v)
-				ctr.AddOps(3)
-			}
-		}
-		m.RowPtr[li+1] = len(m.Val)
-		ctr.AddOps(len(colMap))
+// CompressPart compresses the part rowMap x colMap of the global array
+// g into the format, keeping *global* minor indices — CFS's root-side
+// compression phase; the receiver localises them (Cases 3.2.1-3.2.3).
+// It is EncodeED's scan in the format's Major with the lines read back
+// off the special buffer, so it charges what EncodeED charges, cells +
+// 3·nnz (JDS adds one per row for its permutation).
+func (f *Format) CompressPart(g *sparse.Dense, rowMap, colMap []int, ctr *cost.Counter) PartArray {
+	return f.ofLines(scanLines(g, rowMap, colMap, f.Major, ctr), ctr)
+}
+
+// scratch holds the special buffers scanLines encodes into, each grown
+// to the largest part its user has scanned, so a scan allocates only the
+// arrays it returns.
+var scratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// scanLines is the lines of the part rowMap x colMap in the given Major:
+// EncodeED into a pooled buffer, read back by linesOf.
+func scanLines(g *sparse.Dense, rowMap, colMap []int, major Major, ctr *cost.Counter) lines {
+	sp := scratch.Get().(*[]float64)
+	buf := EncodeED(g, rowMap, colMap, major, (*sp)[:0], ctr)
+	n, span := len(rowMap), len(colMap)
+	if major == ColMajor {
+		n, span = span, n
 	}
+	l := linesOf(buf, n, span)
+	*sp = buf
+	scratch.Put(sp)
+	return l
+}
+
+// linesOf reads n lines of the given span off a special buffer this
+// package encoded: the counts become the pointer array by prefix sum,
+// the pairs the index and value arrays. Nothing is checked or charged.
+func linesOf(buf []float64, n, span int) lines {
+	nnz := (len(buf) - n) / 2
+	l := lines{n: n, span: span, val: make([]float64, nnz)}
+	l.ptr, l.idx = carveInts(n+1, nnz)
+	for i, c := range buf[:n] {
+		l.ptr[i+1] = l.ptr[i] + int(c)
+	}
+	pairs := buf[n:]
+	for k := range l.val {
+		l.idx[k], l.val[k] = int(pairs[2*k]), pairs[2*k+1]
+	}
+	return l
+}
+
+// axisMap holds 0, 1, 2, ...: the ownership map of a whole axis, shared
+// read-only and grown on demand, so a whole-array scan (CompressCCS)
+// allocates no map of its own once it has seen its size.
+var axisMap atomic.Pointer[[]int]
+
+// wholeAxis returns the map [0, n).
+func wholeAxis(n int) []int {
+	if p := axisMap.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
+	}
+	m := make([]int, n)
+	for i := range m {
+		m[i] = i
+	}
+	axisMap.Store(&m)
 	return m
-}
-
-// CompressCCSPartGlobal compresses the cross product rowMap x colMap
-// into a CCS of local shape whose RowIdx entries are *global* row
-// indices.
-func CompressCCSPartGlobal(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) *CCS {
-	m := &CCS{Rows: len(rowMap), Cols: len(colMap), ColPtr: make([]int, len(colMap)+1)}
-	for lj, gj := range colMap {
-		for _, gi := range rowMap {
-			if v := at(gi, gj); v != 0 {
-				m.RowIdx = append(m.RowIdx, gi)
-				m.Val = append(m.Val, v)
-				ctr.AddOps(3)
-			}
-		}
-		m.ColPtr[lj+1] = len(m.Val)
-		ctr.AddOps(len(rowMap))
-	}
-	return m
-}
-
-// The block route. For the paper's three block partitions (row, column,
-// mesh) every part is the rectangle [r0, r0+nr) x [c0, c0+nc) of the
-// dense global array, so the root scans row sub-slices of g directly —
-// no accessor call, no index lists — in two passes: one sizes the
-// pointer array and the exact nnz, the other fills ColIdx/Val (RowIdx/
-// Val) by index into exactly sized slabs. Results and charges are
-// identical to the accessor forms above, which remain the general path
-// for cyclic maps (a streamed part takes the entry-list twins,
-// entries.go).
-
-func checkRect(name string, g *sparse.Dense, r0, c0, nr, nc int) {
-	if r0 < 0 || c0 < 0 || nr < 0 || nc < 0 || r0+nr > g.Rows() || c0+nc > g.Cols() {
-		panic(fmt.Sprintf("compress: %s(%d,%d,%d,%d) out of range %dx%d",
-			name, r0, c0, nr, nc, g.Rows(), g.Cols()))
-	}
-}
-
-// CompressCRSRectGlobal is CompressCRSPartGlobal for a rectangular part
-// of a materialised global array.
-func CompressCRSRectGlobal(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) *CRS {
-	checkRect("CompressCRSRectGlobal", g, r0, c0, nr, nc)
-	data, stride := g.Data(), g.Cols()
-	m := &CRS{Rows: nr, Cols: nc, RowPtr: make([]int, nr+1)}
-	nnz := 0
-	for i := 0; i < nr; i++ {
-		at := (r0+i)*stride + c0
-		for _, v := range data[at : at+nc] {
-			if v != 0 {
-				nnz++
-			}
-		}
-		m.RowPtr[i+1] = nnz
-	}
-	// One slot of slack: the fill stores every cell at the cursor and
-	// advances it only past a nonzero (see nonzero), so the zeros after
-	// the last nonzero land on slot nnz.
-	idx, val := make([]int, nnz+1), make([]float64, nnz+1)
-	k := 0
-	for i := 0; i < nr; i++ {
-		at := (r0+i)*stride + c0
-		for j, v := range data[at : at+nc] {
-			idx[k], val[k] = c0+j, v
-			k += nonzero(v)
-		}
-	}
-	m.ColIdx, m.Val = idx[:nnz:nnz], val[:nnz:nnz]
-	ctr.AddOps(nr*nc + 3*nnz)
-	return m
-}
-
-// CompressCCSRectGlobal is CompressCCSPartGlobal for a rectangular part
-// of a materialised global array. Both passes read the cells row by row
-// — the order they lie in memory — and the fill scatters each nonzero
-// to its column's cursor; rows ascend within a column because the scan
-// visits them in order.
-func CompressCCSRectGlobal(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) *CCS {
-	checkRect("CompressCCSRectGlobal", g, r0, c0, nr, nc)
-	data, stride := g.Data(), g.Cols()
-	m := &CCS{Rows: nr, Cols: nc, ColPtr: make([]int, nc+1)}
-	for i := 0; i < nr; i++ {
-		at := (r0+i)*stride + c0
-		for j, v := range data[at : at+nc] {
-			if v != 0 {
-				m.ColPtr[j+1]++
-			}
-		}
-	}
-	for j := 0; j < nc; j++ {
-		m.ColPtr[j+1] += m.ColPtr[j]
-	}
-	nnz := m.ColPtr[nc]
-	m.RowIdx, m.Val = make([]int, nnz), make([]float64, nnz)
-	next := make([]int, nc)
-	copy(next, m.ColPtr)
-	for i := 0; i < nr; i++ {
-		at := (r0+i)*stride + c0
-		for j, v := range data[at : at+nc] {
-			if v != 0 {
-				k := next[j]
-				m.RowIdx[k], m.Val[k] = r0+i, v
-				next[j] = k + 1
-			}
-		}
-	}
-	ctr.AddOps(nr*nc + 3*nnz)
-	return m
-}
-
-// CompressJDSRectGlobal is CompressJDSPartGlobal for a rectangular part
-// of a materialised global array: the CRS block scan, re-laid.
-func CompressJDSRectGlobal(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) *JDS {
-	crs := CompressCRSRectGlobal(g, r0, c0, nr, nc, ctr)
-	ctr.AddOps(nr) // permutation bookkeeping
-	return CRSToJDS(crs)
 }

@@ -39,14 +39,6 @@ type Format struct {
 	// CompressDense compresses a dense local array (SFC's receiver-side
 	// compression phase).
 	CompressDense func(d *sparse.Dense, ctr *cost.Counter) PartArray
-	// CompressPartGlobal compresses one part straight from the global
-	// array through its row/column maps, keeping global minor indices
-	// (CFS's root-side compression phase).
-	CompressPartGlobal func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray
-	// compressRect is the format's block kernel: CompressPartGlobal for
-	// a part that is a rectangle of the materialised global array.
-	// Callers reach it through CompressRectGlobal.
-	compressRect func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray
 	// ofLines is the format's array over lines in its Major orientation
 	// (JDS re-lays the rows as diagonals and charges the permutation).
 	ofLines func(l lines, ctr *cost.Counter) PartArray
@@ -72,13 +64,6 @@ type Format struct {
 	// localising minor indices via idxMap when non-nil, else by offset
 	// (Cases 3.3.1-3.3.3).
 	DecodeED func(buf []float64, rows, cols, offset int, idxMap []int, ctr *cost.Counter) (PartArray, error)
-}
-
-// CompressRectGlobal is CompressPartGlobal for the part [r0, r0+nr) x
-// [c0, c0+nc) of the materialised global array g — the block route of
-// CFS's root compress (part.go): same array, same charges, no accessor.
-func (f *Format) CompressRectGlobal(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
-	return f.compressRect(g, r0, c0, nr, nc, ctr)
 }
 
 var formats = map[string]*Format{}
@@ -124,12 +109,6 @@ func init() {
 		CompressDense: func(d *sparse.Dense, ctr *cost.Counter) PartArray {
 			return CompressCRS(d, ctr)
 		},
-		CompressPartGlobal: func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
-			return CompressCRSPartGlobal(at, rowMap, colMap, ctr)
-		},
-		compressRect: func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
-			return CompressCRSRectGlobal(g, r0, c0, nr, nc, ctr)
-		},
 		ofLines:     func(l lines, _ *cost.Counter) PartArray { return crsOf(l) },
 		HeaderExtra: func(PartArray) int64 { return 0 },
 		WireCap:     func(a PartArray) int { return a.(*CRS).lines().wireCap() },
@@ -164,12 +143,6 @@ func init() {
 		MinorIsRow: true,
 		CompressDense: func(d *sparse.Dense, ctr *cost.Counter) PartArray {
 			return CompressCCS(d, ctr)
-		},
-		CompressPartGlobal: func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
-			return CompressCCSPartGlobal(at, rowMap, colMap, ctr)
-		},
-		compressRect: func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
-			return CompressCCSRectGlobal(g, r0, c0, nr, nc, ctr)
 		},
 		ofLines:     func(l lines, _ *cost.Counter) PartArray { return ccsOf(l) },
 		HeaderExtra: func(PartArray) int64 { return 0 },
@@ -213,12 +186,6 @@ func init() {
 		MinorIsRow: false,
 		CompressDense: func(d *sparse.Dense, ctr *cost.Counter) PartArray {
 			return CompressJDS(d, ctr)
-		},
-		CompressPartGlobal: func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
-			return CompressJDSPartGlobal(at, rowMap, colMap, ctr)
-		},
-		compressRect: func(g *sparse.Dense, r0, c0, nr, nc int, ctr *cost.Counter) PartArray {
-			return CompressJDSRectGlobal(g, r0, c0, nr, nc, ctr)
 		},
 		ofLines: func(l lines, ctr *cost.Counter) PartArray {
 			ctr.AddOps(l.n) // permutation bookkeeping

@@ -35,7 +35,7 @@ func TestFormatRegistryRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var comp, dist cost.Counter
-		a := f.CompressPartGlobal(d.At, rowMap, colMap, &comp)
+		a := f.CompressPart(d, rowMap, colMap, &comp)
 		cap := f.WireCap(a)
 		buf := f.PackInto(a, make([]float64, 0, cap), &dist)
 		if len(buf) != cap {
@@ -74,7 +74,7 @@ func TestFormatRegistryDecodeED(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ectr cost.Counter
-		buf := EncodeEDPart(d.At, rowMap, colMap, f.Major, &ectr)
+		buf := EncodeED(d, rowMap, colMap, f.Major, nil, &ectr)
 		rows, cols := len(rowMap), len(colMap)
 		offset := colMap[0]
 		if f.MinorIsRow {

@@ -28,11 +28,11 @@ func hashWords(buf []float64) uint64 {
 func TestWireFormatStability(t *testing.T) {
 	g := sparse.PaperFigure1()
 
-	ed := EncodeEDRect(g, 0, 0, 10, 8, RowMajor, nil)
+	ed := encodeRect(g, 0, 0, 10, 8, RowMajor, nil)
 	if got, want := hashWords(ed), uint64(0x04b26784f37a2890); got != want {
 		t.Errorf("ED row-major buffer hash = %#x, want %#x — wire layout changed", got, want)
 	}
-	edc := EncodeEDRect(g, 0, 0, 10, 8, ColMajor, nil)
+	edc := encodeRect(g, 0, 0, 10, 8, ColMajor, nil)
 	if got, want := hashWords(edc), uint64(0x5350218fff77c6ef); got != want {
 		t.Errorf("ED col-major buffer hash = %#x, want %#x — wire layout changed", got, want)
 	}

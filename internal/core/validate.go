@@ -50,7 +50,7 @@ func unknownTransport(name string) error {
 // field by its flag spelling. Success allocates nothing.
 func (c Config) Validate() error {
 	if c.Scheme != "" && !IsAutoScheme(c.Scheme) {
-		if _, err := dist.ByName(strings.ToUpper(c.Scheme)); err != nil {
+		if _, err := dist.CodecByName(strings.ToUpper(c.Scheme)); err != nil {
 			return fmt.Errorf("scheme %q: want SFC, CFS, ED or auto", c.Scheme)
 		}
 	}

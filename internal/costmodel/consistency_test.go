@@ -62,7 +62,7 @@ func TestModelMatchesMeasuredCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer m.Close()
-				res, err := s.Distribute(m, g, part, dist.Options{Method: c.method})
+				res, err := dist.Run(m, dist.Plan{Codec: s, Global: g, Partition: part, Options: dist.Options{Method: c.method}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -18,7 +18,7 @@ import (
 // reused across iterations. wdist-ms and wcomp-ms are the measured
 // phases of the paper's split (root time plus the slowest rank's),
 // vdist-ms and vcomp-ms the virtual clock's figures for the same run.
-func benchDistribute(b *testing.B, tcp bool, s Scheme, g *sparse.Dense, part partition.Partition, opts Options) {
+func benchDistribute(b *testing.B, tcp bool, s Codec, g *sparse.Dense, part partition.Partition, opts Options) {
 	b.Helper()
 	var mopts []machine.Option
 	if tcp {
@@ -38,7 +38,7 @@ func benchDistribute(b *testing.B, tcp bool, s Scheme, g *sparse.Dense, part par
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if last, err = s.Distribute(m, g, part, opts); err != nil {
+		if last, err = distribute(s, m, g, part, opts); err != nil {
 			b.Fatal(err)
 		}
 		wdist += last.Breakdown.WallDistribution()
@@ -53,10 +53,12 @@ func benchDistribute(b *testing.B, tcp bool, s Scheme, g *sparse.Dense, part par
 }
 
 // BenchmarkRun is one whole distribution of the Table-3 array (n=1000,
-// s=0.1, p=4, CRS) per scheme and block partition over the in-process
-// chan transport — the host column of EXPERIMENTS.md "Remarks on the
-// wall clock" and, with cmd/tables for the full grid, what stands for
-// the paper's Tables 3-5 on this host.
+// s=0.1, p=4, CRS) per scheme and partition over the in-process chan
+// transport: the paper's block partitions (row, col, mesh) — the host
+// column of EXPERIMENTS.md "Remarks on the wall clock" and, with
+// cmd/tables for the full grid, what stands for the paper's Tables 3-5
+// on this host — and the cyclic ones (cyclic-row, cyclic-col, brs with
+// 8-row blocks), whose parts the root reads through strided maps.
 func BenchmarkRun(b *testing.B) {
 	const n, p = 1000, 4
 	g := sparse.UniformExact(n, n, 0.1, 7)
@@ -72,10 +74,22 @@ func BenchmarkRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cycRow, err := partition.NewCyclicRow(n, n, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cycCol, err := partition.NewCyclicCol(n, n, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	brs, err := partition.NewBlockCyclicRow(n, n, p, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
 	parts := []struct {
 		name string
 		part partition.Partition
-	}{{"row", row}, {"col", col}, {"mesh", mesh}}
+	}{{"row", row}, {"col", col}, {"mesh", mesh}, {"cyclic-row", cycRow}, {"cyclic-col", cycCol}, {"brs", brs}}
 	for _, s := range Schemes() {
 		for _, pt := range parts {
 			b.Run(s.Name()+"/"+pt.name, func(b *testing.B) {
@@ -95,7 +109,7 @@ func BenchmarkAblationSparseRatio(b *testing.B) {
 	}
 	for _, s := range []float64{0.01, 0.05, 0.1, 0.2, 0.4} {
 		g := sparse.UniformExact(400, 400, s, 8)
-		for _, scheme := range []Scheme{SFC{}, ED{}} {
+		for _, scheme := range []Codec{SFC{}, ED{}} {
 			b.Run(fmt.Sprintf("%s/s=%g", scheme.Name(), s), func(b *testing.B) {
 				benchDistribute(b, false, scheme, g, part, Options{})
 			})

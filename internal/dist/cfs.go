@@ -22,11 +22,8 @@ import (
 // unpack/convert ops at the receivers.
 type CFS struct{}
 
-// Name implements Scheme.
+// Name implements Codec.
 func (CFS) Name() string { return "CFS" }
-
-// Scheme implements Codec.
-func (CFS) Scheme() string { return "CFS" }
 
 // Policy implements Codec: the root's compress step is compression
 // work; the receivers' unpack/convert is still distribution — the
@@ -40,34 +37,20 @@ func (CFS) Policy() PhasePolicy {
 func (CFS) Prepare(*runState) error { return nil }
 
 // EncodePart implements Codec: compress part k with global minor
-// indices (compression phase), then — under the CFSConvertAtRoot
+// indices (compression phase) by one scan of the global array through
+// the part's row and column maps, then — under the CFSConvertAtRoot
 // ablation — localise indices, and pack for the wire (distribution
-// phase). The wire buffer comes from the machine's pool. A rectangular
-// part (partRect) is compressed in place by the block kernel; any other
-// part goes through the accessor form.
+// phase). The wire buffer comes from the machine's pool.
 func (c CFS) EncodePart(run *runState, k int, pp *partPayload) error {
-	r0, c0, nr, nc, ok := partRect(run.part, k)
-	if !ok {
-		return c.EncodePartAt(run, k, run.global.At, pp)
-	}
-	start := time.Now()
-	a := run.format.CompressRectGlobal(run.global, r0, c0, nr, nc, &pp.comp)
-	pp.wallComp = time.Since(start)
-	return c.packPart(run, k, nr, nc, a, pp)
-}
-
-// EncodePartAt is EncodePart driven by a cell accessor: the route of a
-// part that is not a rectangle.
-func (c CFS) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	start := time.Now()
-	a := run.format.CompressPartGlobal(at, rowMap, colMap, &pp.comp)
+	a := run.format.CompressPart(run.global, rowMap, colMap, &pp.comp)
 	pp.wallComp = time.Since(start)
 	return c.packPart(run, k, len(rowMap), len(colMap), a, pp)
 }
 
 // EncodeEntries implements Codec: the part compressed out of its staged
-// entries, then packed as by the other routes.
+// entries, then packed as by EncodePart.
 func (c CFS) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	start := time.Now()
@@ -79,7 +62,7 @@ func (c CFS) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partP
 	return c.packPart(run, k, len(rowMap), len(colMap), a, pp)
 }
 
-// packPart is the distribution-phase tail of every encode route: the
+// packPart is the distribution-phase tail of both encode steps: the
 // nr x nc compressed part a becomes part k's wire payload.
 func (CFS) packPart(run *runState, k, nr, nc int, a compress.PartArray, pp *partPayload) error {
 	f := run.format
@@ -117,7 +100,8 @@ func (CFS) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *
 	return a, nil
 }
 
-// Distribute implements Scheme over the shared engine.
+// Distribute runs the scheme over the shared engine: Run with a Plan
+// of g, part and opts.
 func (s CFS) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
 	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }

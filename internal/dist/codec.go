@@ -49,8 +49,8 @@ type PhasePolicy struct {
 // unexported — codecs are defined in this package, next to the engine
 // that drives them.
 type Codec interface {
-	// Scheme returns the scheme label ("SFC", "CFS", "ED").
-	Scheme() string
+	// Name returns the scheme label ("SFC", "CFS", "ED").
+	Name() string
 	// Policy returns the scheme's cost bookkeeping split.
 	Policy() PhasePolicy
 	// Prepare runs once per plan before the SPMD region, outside the
@@ -117,28 +117,6 @@ func (r *Result) allocLocals(p int) {
 	}
 }
 
-// partRect reports whether part k is a rectangle of the global array —
-// both ownership maps contiguous, as in the paper's row, column and mesh
-// partitions — and returns it. It is the one rule that selects the
-// root's encode route: a rectangle of the materialised global array is
-// scanned in place by the block kernels (compress.EncodeEDRectInto,
-// Format.CompressRectGlobal); every other part (cyclic, block-cyclic)
-// goes through the accessor forms. The two routes produce identical
-// payloads and charges.
-func partRect(part partition.Partition, k int) (r0, c0, nr, nc int, ok bool) {
-	rowMap, colMap := part.RowMap(k), part.ColMap(k)
-	if !partition.Contiguous(rowMap) || !partition.Contiguous(colMap) {
-		return 0, 0, 0, 0, false
-	}
-	if len(rowMap) > 0 {
-		r0 = rowMap[0]
-	}
-	if len(colMap) > 0 {
-		c0 = colMap[0]
-	}
-	return r0, c0, len(rowMap), len(colMap), true
-}
-
 // localiseMinor converts an array's global minor indices to part-local
 // ones: contiguous ownership maps subtract the map origin (Cases
 // x.2/x.3 of the paper; a zero origin is Case x.1 and charges nothing),
@@ -188,7 +166,7 @@ func decodeTimed(run *runState, bd *Breakdown, rank, k int, data []float64, meta
 	start := time.Now()
 	a, err := run.codec.DecodePart(run, k, data, meta, ctr)
 	if err != nil {
-		return nil, fmt.Errorf("dist: %s rank %d decode part %d: %w", run.codec.Scheme(), rank, k, err)
+		return nil, fmt.Errorf("dist: %s rank %d decode part %d: %w", run.codec.Name(), rank, k, err)
 	}
 	bd.addRankWall(pol.Receive, rank, time.Since(start))
 	if net := run.opts.Net; net != nil {
@@ -206,10 +184,10 @@ func decodeTimed(run *runState, bd *Breakdown, rank, k int, data []float64, meta
 	if run.opts.Check {
 		// Outside the timed window: checks are diagnostics, not protocol.
 		if err := check.Array(a); err != nil {
-			return nil, fmt.Errorf("dist: %s rank %d part %d: %w", run.codec.Scheme(), rank, k, err)
+			return nil, fmt.Errorf("dist: %s rank %d part %d: %w", run.codec.Name(), rank, k, err)
 		}
 		if err := check.ArrayShape(a, len(run.part.RowMap(k)), len(run.part.ColMap(k))); err != nil {
-			return nil, fmt.Errorf("dist: %s rank %d part %d: %w", run.codec.Scheme(), rank, k, err)
+			return nil, fmt.Errorf("dist: %s rank %d part %d: %w", run.codec.Name(), rank, k, err)
 		}
 	}
 	return a, nil

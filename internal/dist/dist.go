@@ -258,48 +258,20 @@ func (r *Result) PartArrays() []compress.PartArray {
 	}
 }
 
-// Scheme is one data distribution scheme.
-type Scheme interface {
-	// Name returns "SFC", "CFS" or "ED".
-	Name() string
-	// Distribute partitions g per part, distributes it over the
-	// machine's processors, and returns each rank's compressed local
-	// array plus the phase breakdown. part.NumParts() must equal m.P(),
-	// and rank 0 acts as the root holding g.
-	Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error)
-}
-
 // MethodNames lists the compression method names for CLI help strings.
 func MethodNames() string { return "CRS, CCS, JDS" }
 
 // Schemes returns the three schemes in paper order: SFC, CFS, ED.
-func Schemes() []Scheme { return []Scheme{SFC{}, CFS{}, ED{}} }
+func Schemes() []Codec { return []Codec{SFC{}, CFS{}, ED{}} }
 
-// Every scheme is a Codec over the shared engine.
-var (
-	_ Codec = SFC{}
-	_ Codec = CFS{}
-	_ Codec = ED{}
-)
-
-// ByName returns the scheme with the given (case-sensitive) name.
-func ByName(name string) (Scheme, error) {
+// CodecByName returns the scheme with the given (case-sensitive) name.
+func CodecByName(name string) (Codec, error) {
 	for _, s := range Schemes() {
 		if s.Name() == name {
 			return s, nil
 		}
 	}
 	return nil, fmt.Errorf("dist: unknown scheme %q (want SFC, CFS or ED)", name)
-}
-
-// CodecByName returns the named scheme as a Codec for direct engine use
-// (building a Plan by hand or batching through a Session).
-func CodecByName(name string) (Codec, error) {
-	s, err := ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.(Codec), nil
 }
 
 // checkSetup validates the common preconditions of Distribute.

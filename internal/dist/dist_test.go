@@ -29,6 +29,11 @@ func newMachine(t *testing.T, p int) *machine.Machine {
 	return m
 }
 
+// distribute is the Distribute method of the scheme behind c.
+func distribute(c Codec, m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
+	return Run(m, Plan{Codec: c, Global: g, Partition: part, Options: opts})
+}
+
 func partitionsFor(t *testing.T, rows, cols, p int) []partition.Partition {
 	t.Helper()
 	row, err := partition.NewRow(rows, cols, p)
@@ -82,7 +87,7 @@ func TestAllSchemesAllPartitionsEquivalent(t *testing.T) {
 				name := s.Name() + "/" + part.Name() + "/" + method.String()
 				t.Run(name, func(t *testing.T) {
 					m := newMachine(t, 4)
-					res, err := s.Distribute(m, g, part, Options{Method: method})
+					res, err := distribute(s, m, g, part, Options{Method: method})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -112,7 +117,7 @@ func TestSchemesOverTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			res, err := s.Distribute(m, g, part, Options{})
+			res, err := distribute(s, m, g, part, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +137,7 @@ func TestEmptyPartsMoreProcsThanRows(t *testing.T) {
 	for _, s := range Schemes() {
 		t.Run(s.Name(), func(t *testing.T) {
 			m := newMachine(t, 6)
-			res, err := s.Distribute(m, g, part, Options{})
+			res, err := distribute(s, m, g, part, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,13 +155,13 @@ func TestDistributeSetupErrors(t *testing.T) {
 
 	m := newMachine(t, 2)
 	for _, s := range Schemes() {
-		if _, err := s.Distribute(m, g, part4, Options{}); err == nil {
+		if _, err := distribute(s, m, g, part4, Options{}); err == nil {
 			t.Errorf("%s accepted partition with wrong part count", s.Name())
 		}
-		if _, err := s.Distribute(m, g, partWrongShape, Options{}); err == nil {
+		if _, err := distribute(s, m, g, partWrongShape, Options{}); err == nil {
 			t.Errorf("%s accepted partition with wrong shape", s.Name())
 		}
-		if _, err := s.Distribute(nil, g, part4, Options{}); err == nil {
+		if _, err := distribute(s, nil, g, part4, Options{}); err == nil {
 			t.Errorf("%s accepted nil machine", s.Name())
 		}
 	}
@@ -164,12 +169,12 @@ func TestDistributeSetupErrors(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	for _, want := range []string{"SFC", "CFS", "ED"} {
-		s, err := ByName(want)
+		s, err := CodecByName(want)
 		if err != nil || s.Name() != want {
-			t.Errorf("ByName(%q) = %v, %v", want, s, err)
+			t.Errorf("CodecByName(%q) = %v, %v", want, s, err)
 		}
 	}
-	if _, err := ByName("BOGUS"); err == nil {
+	if _, err := CodecByName("BOGUS"); err == nil {
 		t.Error("ByName accepted unknown scheme")
 	}
 	if !strings.Contains(MethodNames(), "CRS") {
@@ -326,7 +331,7 @@ func TestRemark1EDDistributionFastest(t *testing.T) {
 		times := map[string]time.Duration{}
 		for _, s := range Schemes() {
 			m := newMachine(t, 4)
-			res, err := s.Distribute(m, g, part, Options{})
+			res, err := distribute(s, m, g, part, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +357,7 @@ func TestRemark3CompressionOrdering(t *testing.T) {
 	times := map[string]time.Duration{}
 	for _, s := range Schemes() {
 		m := newMachine(t, 4)
-		res, err := s.Distribute(m, g, part, Options{})
+		res, err := distribute(s, m, g, part, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,9 +374,9 @@ func TestRemark4EDBeatsCFSOverall(t *testing.T) {
 	params := cost.DefaultParams
 	for _, part := range partitionsFor(t, 48, 48, 4) {
 		var ed, cfs time.Duration
-		for _, s := range []Scheme{ED{}, CFS{}} {
+		for _, s := range []Codec{ED{}, CFS{}} {
 			m := newMachine(t, 4)
-			res, err := s.Distribute(m, g, part, Options{})
+			res, err := distribute(s, m, g, part, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,11 +29,8 @@ import (
 // to T_Operation (Remark 5).
 type ED struct{}
 
-// Name implements Scheme.
+// Name implements Codec.
 func (ED) Name() string { return "ED" }
-
-// Scheme implements Codec.
-func (ED) Scheme() string { return "ED" }
 
 // Policy implements Codec: encode and decode are both compression
 // work; only the bare transfer is distribution — the split that buys
@@ -46,31 +43,15 @@ func (ED) Policy() PhasePolicy {
 func (ED) Prepare(*runState) error { return nil }
 
 // EncodePart implements Codec: encode part k's special buffer
-// (compression phase). The buffer itself is the wire message — no
-// separate packing step. JDS rides the row-major buffer (Format.Major)
-// and re-lays diagonals at the receiver. A rectangular part (partRect)
-// is scanned in place by the block kernel; any other part goes through
-// the accessor form.
+// (compression phase) by one scan of the global array through the
+// part's row and column maps. The buffer itself is the wire message —
+// no separate packing step. JDS rides the row-major buffer
+// (Format.Major) and re-lays diagonals at the receiver.
 func (e ED) EncodePart(run *runState, k int, pp *partPayload) error {
-	r0, c0, nr, nc, ok := partRect(run.part, k)
-	if !ok {
-		return e.EncodePartAt(run, k, run.global.At, pp)
-	}
-	pp.meta = [4]int64{int64(nr), int64(nc)}
-	start := time.Now()
-	pp.buf = compress.EncodeEDRectInto(run.global, r0, c0, nr, nc, run.format.Major, machine.GetBuf(0), &pp.comp)
-	pp.pooled = true
-	pp.wallComp = time.Since(start)
-	return e.checkEncoded(run, k, pp)
-}
-
-// EncodePartAt is EncodePart driven by a cell accessor: the route of a
-// part that is not a rectangle.
-func (e ED) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	pp.meta = [4]int64{int64(len(rowMap)), int64(len(colMap))}
 	start := time.Now()
-	pp.buf = compress.EncodeEDPartInto(at, rowMap, colMap, run.format.Major, machine.GetBuf(0), &pp.comp)
+	pp.buf = compress.EncodeED(run.global, rowMap, colMap, run.format.Major, machine.GetBuf(0), &pp.comp)
 	pp.pooled = true
 	pp.wallComp = time.Since(start)
 	return e.checkEncoded(run, k, pp)
@@ -119,7 +100,8 @@ func (ED) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *c
 	return run.format.DecodeED(data, int(meta[0]), int(meta[1]), offset, idxMap, ctr)
 }
 
-// Distribute implements Scheme over the shared engine.
+// Distribute runs the scheme over the shared engine: Run with a Plan
+// of g, part and opts.
 func (s ED) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
 	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }

@@ -53,7 +53,7 @@ func TestEndToEndRandomised(t *testing.T) {
 			return false
 		}
 		defer m.Close()
-		res, err := scheme.Distribute(m, g, part, Options{Method: method})
+		res, err := distribute(scheme, m, g, part, Options{Method: method})
 		if err != nil {
 			return false
 		}

@@ -93,11 +93,11 @@ func Run(m *machine.Machine, plan Plan) (*Result, error) {
 		m.SetNetwork(run.opts.Net)
 	}
 	if err := c.Prepare(run); err != nil {
-		return nil, fmt.Errorf("dist: %s prepare: %w", c.Scheme(), err)
+		return nil, fmt.Errorf("dist: %s prepare: %w", c.Name(), err)
 	}
 	p := m.P()
 	bd := newBreakdown(p)
-	res := &Result{Scheme: c.Scheme(), Partition: plan.Partition.Name(), Method: plan.Options.Method, Breakdown: bd}
+	res := &Result{Scheme: c.Name(), Partition: plan.Partition.Name(), Method: plan.Options.Method, Breakdown: bd}
 	res.allocLocals(p)
 	tags := planTags(m, plan.Options, p)
 	if plan.Options.Degrade {
@@ -119,12 +119,12 @@ func runDirect(m *machine.Machine, run *runState, res *Result, bd *Breakdown, ta
 				cancellableEncode(ctx, func(k int, pp *partPayload) error { return c.EncodePart(run, k, pp) }),
 				sendTo(pr, tags.base, bd))
 			if err != nil {
-				return fmt.Errorf("dist: %s root: %w", c.Scheme(), err)
+				return fmt.Errorf("dist: %s root: %w", c.Name(), err)
 			}
 		}
 		msg, err := pr.RecvFromCtx(ctx, 0, tags.base)
 		if err != nil {
-			return fmt.Errorf("dist: %s rank %d receive: %w", c.Scheme(), pr.Rank, err)
+			return fmt.Errorf("dist: %s rank %d receive: %w", c.Name(), pr.Rank, err)
 		}
 		a, err := decodeTimed(run, bd, pr.Rank, pr.Rank, msg.Data, msg.Meta)
 		if err != nil {
@@ -196,7 +196,7 @@ func rootDegradable(pr *machine.Proc, p int, run *runState, remap *partition.Rem
 	for len(queue) > 0 {
 		if ctx := run.opts.Ctx; ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("dist: %s root delivery: %w", c.Scheme(), err)
+				return fmt.Errorf("dist: %s root delivery: %w", c.Name(), err)
 			}
 		}
 		k := queue[0]
@@ -209,11 +209,11 @@ func rootDegradable(pr *machine.Proc, p int, run *runState, remap *partition.Rem
 				break
 			}
 			if !errors.Is(err, machine.ErrRetriesExhausted) {
-				return fmt.Errorf("dist: %s send part %d to rank %d: %w", c.Scheme(), k, dst, err)
+				return fmt.Errorf("dist: %s send part %d to rank %d: %w", c.Name(), k, dst, err)
 			}
 			moved, ferr := remap.Fail(dst)
 			if ferr != nil {
-				return fmt.Errorf("dist: %s: rank %d unreachable and no survivors left: %v (send: %w)", c.Scheme(), dst, ferr, err)
+				return fmt.Errorf("dist: %s: rank %d unreachable and no survivors left: %v (send: %w)", c.Name(), dst, ferr, err)
 			}
 			tr.Count("dist.dead_ranks", 1)
 			tr.Count("dist.degraded_parts", int64(len(moved)))
@@ -241,18 +241,18 @@ func rootDegradable(pr *machine.Proc, p int, run *runState, remap *partition.Rem
 		if err := sendAssignment(pr, remap, rank, tags.assign, bd); err == nil {
 			continue
 		} else if !errors.Is(err, machine.ErrRetriesExhausted) {
-			return fmt.Errorf("dist: %s assign to rank %d: %w", c.Scheme(), rank, err)
+			return fmt.Errorf("dist: %s assign to rank %d: %w", c.Name(), rank, err)
 		}
 		moved, ferr := remap.FailTo(rank, 0)
 		if ferr != nil {
-			return fmt.Errorf("dist: %s: rank %d died at commit: %v", c.Scheme(), rank, ferr)
+			return fmt.Errorf("dist: %s: rank %d died at commit: %v", c.Name(), rank, ferr)
 		}
 		tr.Count("dist.dead_ranks", 1)
 		tr.Count("dist.degraded_parts", int64(len(moved)))
 		for _, k := range moved {
 			tr.Count("dist.resends", 1)
 			if err := pr.Send(0, tags.base+k, retained[k].meta, retained[k].buf, &bd.RootDist); err != nil {
-				return fmt.Errorf("dist: %s re-home part %d to root: %w", c.Scheme(), k, err)
+				return fmt.Errorf("dist: %s re-home part %d to root: %w", c.Name(), k, err)
 			}
 		}
 	}
@@ -298,17 +298,17 @@ func recvDegradable(pr *machine.Proc, run *runState, res *Result, bd *Breakdown,
 			if errors.Is(err, machine.ErrRankDead) {
 				return nil // crashed: contribute nothing, fail nothing
 			}
-			return fmt.Errorf("dist: %s rank %d receive: %w", c.Scheme(), pr.Rank, err)
+			return fmt.Errorf("dist: %s rank %d receive: %w", c.Name(), pr.Rank, err)
 		}
 		if msg.Tag == tags.assign {
 			if int(msg.Meta[0]) != len(msg.Data) {
-				return fmt.Errorf("dist: %s rank %d: malformed assignment (%d ids, header says %d)", c.Scheme(), pr.Rank, len(msg.Data), msg.Meta[0])
+				return fmt.Errorf("dist: %s rank %d: malformed assignment (%d ids, header says %d)", c.Name(), pr.Rank, len(msg.Data), msg.Meta[0])
 			}
 			for _, w := range msg.Data {
 				k := int(w)
 				la, ok := got[k]
 				if !ok {
-					return fmt.Errorf("dist: %s rank %d assigned part %d it never received", c.Scheme(), pr.Rank, k)
+					return fmt.Errorf("dist: %s rank %d assigned part %d it never received", c.Name(), pr.Rank, k)
 				}
 				res.setLocal(k, la)
 			}

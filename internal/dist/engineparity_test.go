@@ -60,7 +60,7 @@ func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part parti
 	case "CFS":
 		for k := 0; k < p; k++ {
 			rowMap, colMap := part.RowMap(k), part.ColMap(k)
-			a := f.CompressPartGlobal(g.At, rowMap, colMap, &bd.RootComp)
+			a := f.CompressPart(g, rowMap, colMap, &bd.RootComp)
 			buf := f.PackInto(a, nil, &bd.RootDist)
 			bd.RootDist.AddSend(len(buf))
 			got, err := f.Unpack(buf, len(rowMap), len(colMap), f.HeaderExtra(a), &bd.RankDist[k])
@@ -130,7 +130,7 @@ func TestEngineParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, scheme := range []Scheme{SFC{}, CFS{}, ED{}} {
+	for _, scheme := range []Codec{SFC{}, CFS{}, ED{}} {
 		for _, part := range []partition.Partition{row, col, mesh, cyc} {
 			for _, method := range []Method{CRS, CCS, JDS} {
 				for _, degrade := range []bool{false, true} {
@@ -145,7 +145,7 @@ func TestEngineParity(t *testing.T) {
 							} else {
 								m = newMachine(t, p)
 							}
-							res, err := scheme.Distribute(m, g, part,
+							res, err := distribute(scheme, m, g, part,
 								Options{Method: method, Degrade: degrade, Workers: workers})
 							if err != nil {
 								t.Fatal(err)

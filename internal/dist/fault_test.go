@@ -31,7 +31,7 @@ func TestSchemesDetectDroppedMessage(t *testing.T) {
 		t.Run(s.Name(), func(t *testing.T) {
 			m, ft := faultMachine(t, 4, 300*time.Millisecond)
 			ft.DropNext(1) // rank 0's first data message vanishes
-			_, err := s.Distribute(m, g, part, Options{})
+			_, err := distribute(s, m, g, part, Options{})
 			if !errors.Is(err, machine.ErrTimeout) {
 				t.Errorf("dropped message surfaced as %v, want ErrTimeout", err)
 			}
@@ -44,11 +44,11 @@ func TestCFSAndEDDetectCorruptedPayload(t *testing.T) {
 	// buffer a count; NaN in either must be rejected by unpack/decode.
 	g := sparse.Uniform(16, 16, 0.2, 2)
 	part, _ := partition.NewRow(16, 16, 2)
-	for _, s := range []Scheme{CFS{}, ED{}} {
+	for _, s := range []Codec{CFS{}, ED{}} {
 		t.Run(s.Name(), func(t *testing.T) {
 			m, ft := faultMachine(t, 2, 2*time.Second)
 			ft.CorruptPayloads(true)
-			_, err := s.Distribute(m, g, part, Options{})
+			_, err := distribute(s, m, g, part, Options{})
 			if err == nil {
 				t.Fatal("corrupted payload accepted")
 			}

@@ -134,7 +134,7 @@ func TestFigureEDvsCFSvsSFCIdenticalResults(t *testing.T) {
 		var results []*Result
 		for _, s := range Schemes() {
 			m := newMachine(t, 4)
-			res, err := s.Distribute(m, g, part, Options{Method: method})
+			res, err := distribute(s, m, g, part, Options{Method: method})
 			if err != nil {
 				t.Fatal(err)
 			}

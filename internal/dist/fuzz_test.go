@@ -60,9 +60,9 @@ func FuzzDiffStream(f *testing.F) {
 		got, err := RunStream(m, StreamPlan{Codec: codec, Source: sparse.NewStreamCOO(coo, 5), Partition: part, Options: opts,
 			Stream: StreamOptions{FlushEntries: 1 + w%4, MemBudget: 24 * (1 + w/4%8), MaxInflight: 1 + w/32%3}})
 		if err != nil {
-			t.Fatalf("streaming %s/%s/%s: %v", codec.Scheme(), method, part.Name(), err)
+			t.Fatalf("streaming %s/%s/%s: %v", codec.Name(), method, part.Name(), err)
 		}
-		sameLocals(t, codec.Scheme()+"/"+method.String()+"/"+part.Name(), got, want)
+		sameLocals(t, codec.Name()+"/"+method.String()+"/"+part.Name(), got, want)
 		sameBreakdownCounters(t, want.Breakdown, got.Breakdown)
 	})
 }

@@ -34,7 +34,7 @@ func TestWallOrderingUnderModelTransport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Distribute(m, g, part, Options{})
+		res, err := distribute(s, m, g, part, Options{})
 		m.Close()
 		if err != nil {
 			t.Fatal(err)

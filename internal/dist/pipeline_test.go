@@ -43,17 +43,17 @@ func TestRootPipelineParity(t *testing.T) {
 	row, _ := partition.NewRow(n, n, p)
 	col, _ := partition.NewCol(n, n, p)
 	mesh, _ := partition.NewMesh(n, n, 2, 2)
-	for _, scheme := range []Scheme{SFC{}, CFS{}, ED{}} {
+	for _, scheme := range []Codec{SFC{}, CFS{}, ED{}} {
 		for _, part := range []partition.Partition{row, col, mesh} {
 			for _, method := range []Method{CRS, CCS, JDS} {
 				t.Run(scheme.Name()+"/"+part.Name()+"/"+method.String(), func(t *testing.T) {
 					m1 := newMachine(t, p)
-					seq, err := scheme.Distribute(m1, g, part, Options{Method: method, Workers: 1})
+					seq, err := distribute(scheme, m1, g, part, Options{Method: method, Workers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
 					m2 := newMachine(t, p)
-					par, err := scheme.Distribute(m2, g, part, Options{Method: method, Workers: 8})
+					par, err := distribute(scheme, m2, g, part, Options{Method: method, Workers: 8})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -84,7 +84,7 @@ func TestRootPipelineDegradedParity(t *testing.T) {
 			want := baselineLocals(t, scheme, g, part, Options{Method: CRS, Workers: 1})
 			m, ft, _, _ := faultyMachine(t, p, "chan")
 			ft.KillRank(2)
-			res, err := scheme.Distribute(m, g, part, Options{Method: CRS, Degrade: true, Workers: 8})
+			res, err := distribute(scheme, m, g, part, Options{Method: CRS, Degrade: true, Workers: 8})
 			if err != nil {
 				t.Fatalf("%s degraded: %v", scheme.Name(), err)
 			}
@@ -136,7 +136,7 @@ func TestRootPipelineSendFailureDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []Scheme{SFC{}, CFS{}, ED{}} {
+	for _, scheme := range []Codec{SFC{}, CFS{}, ED{}} {
 		t.Run(scheme.Name(), func(t *testing.T) {
 			ft := &failingTransport{Transport: machine.NewChanTransport(p), after: 2}
 			m, err := machine.New(p, machine.WithTransport(ft),
@@ -145,7 +145,7 @@ func TestRootPipelineSendFailureDrains(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			_, err = scheme.Distribute(m, g, part, Options{Workers: 4})
+			_, err = distribute(scheme, m, g, part, Options{Workers: 4})
 			if err == nil {
 				t.Fatal("failed sends went unnoticed")
 			}

@@ -43,14 +43,14 @@ func faultyMachine(t *testing.T, p int, transport string) (*machine.Machine, *ma
 	return m, ft, rt, tracer
 }
 
-var recoverSchemes = []Scheme{SFC{}, CFS{}, ED{}}
+var recoverSchemes = []Codec{SFC{}, CFS{}, ED{}}
 
 // baselineLocals runs scheme fault-free and returns the result for
 // byte-level comparison.
-func baselineLocals(t *testing.T, scheme Scheme, g *sparse.Dense, part partition.Partition, opts Options) *Result {
+func baselineLocals(t *testing.T, scheme Codec, g *sparse.Dense, part partition.Partition, opts Options) *Result {
 	t.Helper()
 	m := newMachine(t, part.NumParts())
-	res, err := scheme.Distribute(m, g, part, opts)
+	res, err := distribute(scheme, m, g, part, opts)
 	if err != nil {
 		t.Fatalf("fault-free %s: %v", scheme.Name(), err)
 	}
@@ -90,7 +90,7 @@ func TestSchemesRecoverFromTransientFaults(t *testing.T) {
 				m, ft, rt, _ := faultyMachine(t, p, transport)
 				ft.DropNext(3)
 				ft.CorruptNext(2)
-				res, err := scheme.Distribute(m, g, part, opts)
+				res, err := distribute(scheme, m, g, part, opts)
 				if err != nil {
 					t.Fatalf("%s under faults: %v", scheme.Name(), err)
 				}
@@ -133,7 +133,7 @@ func TestSchemesDegradeAroundDeadRank(t *testing.T) {
 			t.Run(scheme.Name()+"/"+method.String(), func(t *testing.T) {
 				m, ft, rt, tracer := faultyMachine(t, p, "chan")
 				ft.KillRank(dead)
-				res, err := scheme.Distribute(m, g, part, Options{Method: method, Degrade: true})
+				res, err := distribute(scheme, m, g, part, Options{Method: method, Degrade: true})
 				if err != nil {
 					t.Fatalf("%s with dead rank: %v", scheme.Name(), err)
 				}
@@ -213,7 +213,7 @@ func TestDegradePathMatchesLegacyWhenHealthy(t *testing.T) {
 				t.Run(scheme.Name()+"/"+part.Name()+"/"+method.String(), func(t *testing.T) {
 					want := baselineLocals(t, scheme, g, part, Options{Method: method})
 					m, _, _, _ := faultyMachine(t, p, "chan")
-					res, err := scheme.Distribute(m, g, part, Options{Method: method, Degrade: true})
+					res, err := distribute(scheme, m, g, part, Options{Method: method, Degrade: true})
 					if err != nil {
 						t.Fatal(err)
 					}

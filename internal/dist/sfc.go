@@ -20,11 +20,8 @@ import (
 // is ⌈n/p⌉·n·(1+3s')·T_Operation, incurred in parallel at the receivers.
 type SFC struct{}
 
-// Name implements Scheme.
+// Name implements Codec.
 func (SFC) Name() string { return "SFC" }
-
-// Scheme implements Codec.
-func (SFC) Scheme() string { return "SFC" }
 
 // Policy implements Codec: extraction/packing at the root is
 // distribution work (so pipeline stall stays on that side too), and
@@ -92,7 +89,8 @@ func (SFC) DecodePart(run *runState, _ int, data []float64, meta [4]int64, ctr *
 	return run.format.CompressDense(local, ctr), nil
 }
 
-// Distribute implements Scheme over the shared engine.
+// Distribute runs the scheme over the shared engine: Run with a Plan
+// of g, part and opts.
 func (s SFC) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
 	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }

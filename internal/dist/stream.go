@@ -169,7 +169,7 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 		return nil, err
 	}
 	bd := newBreakdown(p)
-	res := &Result{Scheme: c.Scheme(), Partition: plan.Partition.Name(), Method: plan.Options.Method, Breakdown: bd}
+	res := &Result{Scheme: c.Name(), Partition: plan.Partition.Name(), Method: plan.Options.Method, Breakdown: bd}
 	res.allocLocals(p)
 	tags := planStreamTags(m, p)
 	sopts := plan.Stream.withDefaults(p)
@@ -419,7 +419,7 @@ func (sr *streamRoot) recoveryPass() error {
 		sr.needRescan[k] = false
 	}
 	if err := sr.src.Reset(); err != nil {
-		return fmt.Errorf("dist: %s stream rescan: %w", sr.run.codec.Scheme(), err)
+		return fmt.Errorf("dist: %s stream rescan: %w", sr.run.codec.Name(), err)
 	}
 	if err := sr.ing.run(sr.src, sr.run.opts, func(k int) bool { return rescan[k] }); err != nil {
 		return err
@@ -461,7 +461,7 @@ func (sr *streamRoot) emit(k int, entries []sparse.Entry) error {
 			return nil
 		}
 		if sr.remap == nil || !errors.Is(err, machine.ErrRetriesExhausted) {
-			return fmt.Errorf("dist: %s stream part %d to rank %d: %w", sr.run.codec.Scheme(), k, dst, err)
+			return fmt.Errorf("dist: %s stream part %d to rank %d: %w", sr.run.codec.Name(), k, dst, err)
 		}
 		if err := sr.rankDied(dst); err != nil {
 			return err
@@ -482,7 +482,7 @@ func (sr *streamRoot) waitCredits() error {
 func (sr *streamRoot) recvCredit() error {
 	msg, err := sr.pr.RecvFromCtx(sr.run.opts.Ctx, -1, sr.tags.credit)
 	if err != nil {
-		return fmt.Errorf("dist: %s stream credit: %w", sr.run.codec.Scheme(), err)
+		return fmt.Errorf("dist: %s stream credit: %w", sr.run.codec.Name(), err)
 	}
 	// A credit from a rank already written off (its uncredited count was
 	// zeroed when it died) must not unbalance the window.
@@ -499,7 +499,7 @@ func (sr *streamRoot) recvCredit() error {
 func (sr *streamRoot) rankDied(dst int) error {
 	moved, ferr := sr.remap.Fail(dst)
 	if ferr != nil {
-		return fmt.Errorf("dist: %s: rank %d unreachable and no survivors left: %v", sr.run.codec.Scheme(), dst, ferr)
+		return fmt.Errorf("dist: %s: rank %d unreachable and no survivors left: %v", sr.run.codec.Name(), dst, ferr)
 	}
 	sr.tr.Count("dist.dead_ranks", 1)
 	sr.tr.Count("dist.degraded_parts", int64(len(moved)))
@@ -535,7 +535,7 @@ func (sr *streamRoot) sendFinalizes() error {
 			continue
 		}
 		if sr.remap == nil || !errors.Is(err, machine.ErrRetriesExhausted) {
-			return fmt.Errorf("dist: %s stream finalize part %d to rank %d: %w", sr.run.codec.Scheme(), k, dst, err)
+			return fmt.Errorf("dist: %s stream finalize part %d to rank %d: %w", sr.run.codec.Name(), k, dst, err)
 		}
 		if err := sr.rankDied(dst); err != nil {
 			return err
@@ -599,11 +599,11 @@ func (sr *streamRoot) collectStats() error {
 	for want > 0 {
 		msg, err := sr.pr.RecvFromCtx(sr.run.opts.Ctx, -1, sr.tags.stats)
 		if err != nil {
-			return fmt.Errorf("dist: %s stream stats: %w", sr.run.codec.Scheme(), err)
+			return fmt.Errorf("dist: %s stream stats: %w", sr.run.codec.Name(), err)
 		}
 		k := int(msg.Meta[0])
 		if k < 0 || k >= sr.p || len(msg.Data) != 7 {
-			return fmt.Errorf("dist: %s stream: malformed stats report (part %d, %d fields)", sr.run.codec.Scheme(), k, len(msg.Data))
+			return fmt.Errorf("dist: %s stream: malformed stats report (part %d, %d fields)", sr.run.codec.Name(), k, len(msg.Data))
 		}
 		if sr.statsSeen[k] {
 			continue
@@ -633,11 +633,11 @@ func (sr *streamRoot) commitAssignments() error {
 			continue
 		}
 		if !errors.Is(err, machine.ErrRetriesExhausted) {
-			return fmt.Errorf("dist: %s stream assign to rank %d: %w", sr.run.codec.Scheme(), rank, err)
+			return fmt.Errorf("dist: %s stream assign to rank %d: %w", sr.run.codec.Name(), rank, err)
 		}
 		moved, ferr := sr.remap.FailTo(rank, 0)
 		if ferr != nil {
-			return fmt.Errorf("dist: %s: rank %d died at commit: %v", sr.run.codec.Scheme(), rank, ferr)
+			return fmt.Errorf("dist: %s: rank %d died at commit: %v", sr.run.codec.Name(), rank, ferr)
 		}
 		sr.tr.Count("dist.dead_ranks", 1)
 		sr.tr.Count("dist.degraded_parts", int64(len(moved)))
@@ -693,7 +693,7 @@ func finalizeStreamPart(run *runState, bd *Breakdown, rank, k int, st *compress.
 	defer func() { <-run.finalizing }()
 	pp := &partPayload{k: k}
 	if err := run.codec.EncodeEntries(run, k, st, pp); err != nil {
-		return nil, streamReport{}, fmt.Errorf("dist: %s rank %d stream encode part %d: %w", run.codec.Scheme(), rank, k, err)
+		return nil, streamReport{}, fmt.Errorf("dist: %s rank %d stream encode part %d: %w", run.codec.Name(), rank, k, err)
 	}
 	bd.addRankWall(run.codec.Policy().RootEncode, rank, pp.wallComp+pp.wallDist)
 	rep := streamReport{comp: pp.comp, dist: pp.dist, wire: len(pp.buf)}
@@ -723,17 +723,17 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 			if errors.Is(err, machine.ErrRankDead) {
 				return nil // crashed: contribute nothing, fail nothing
 			}
-			return fmt.Errorf("dist: %s rank %d stream receive: %w", c.Scheme(), pr.Rank, err)
+			return fmt.Errorf("dist: %s rank %d stream receive: %w", c.Name(), pr.Rank, err)
 		}
 		if msg.Tag == tags.assign {
 			if int(msg.Meta[0]) != len(msg.Data) {
-				return fmt.Errorf("dist: %s rank %d: malformed assignment (%d ids, header says %d)", c.Scheme(), pr.Rank, len(msg.Data), msg.Meta[0])
+				return fmt.Errorf("dist: %s rank %d: malformed assignment (%d ids, header says %d)", c.Name(), pr.Rank, len(msg.Data), msg.Meta[0])
 			}
 			for _, w := range msg.Data {
 				k := int(w)
 				a, ok := done[k]
 				if !ok {
-					return fmt.Errorf("dist: %s rank %d assigned part %d it never finalized", c.Scheme(), pr.Rank, k)
+					return fmt.Errorf("dist: %s rank %d assigned part %d it never finalized", c.Name(), pr.Rank, k)
 				}
 				res.setLocal(k, a)
 			}
@@ -744,7 +744,7 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 		case streamFrame:
 			n := int(msg.Meta[1])
 			if n < 0 || len(msg.Data) != 3*n {
-				return fmt.Errorf("dist: %s rank %d part %d: malformed frame (%d words for %d entries)", c.Scheme(), pr.Rank, k, len(msg.Data), n)
+				return fmt.Errorf("dist: %s rank %d part %d: malformed frame (%d words for %d entries)", c.Name(), pr.Rank, k, len(msg.Data), n)
 			}
 			a, ok := acc[k]
 			if !ok {
@@ -754,18 +754,18 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 			for i := 0; i < 3*n; i += 3 {
 				r, cc := int(msg.Data[i]), int(msg.Data[i+1])
 				if r < 0 || r >= rows || cc < 0 || cc >= cols {
-					return fmt.Errorf("dist: %s rank %d part %d: streamed entry (%d,%d) outside the %dx%d array", c.Scheme(), pr.Rank, k, r, cc, rows, cols)
+					return fmt.Errorf("dist: %s rank %d part %d: streamed entry (%d,%d) outside the %dx%d array", c.Name(), pr.Rank, k, r, cc, rows, cols)
 				}
 				a.Add(r, cc, msg.Data[i+2])
 			}
 			frames[k]++
 			machine.ReleaseMessage(&msg)
 			if err := pr.Send(0, tags.credit, [4]int64{int64(k)}, nil, nil); err != nil {
-				return fmt.Errorf("dist: %s rank %d stream credit: %w", c.Scheme(), pr.Rank, err)
+				return fmt.Errorf("dist: %s rank %d stream credit: %w", c.Name(), pr.Rank, err)
 			}
 		case streamFinalize:
 			if frames[k] != int(msg.Meta[1]) {
-				return fmt.Errorf("dist: %s rank %d part %d: finalize expects %d frames, received %d", c.Scheme(), pr.Rank, k, msg.Meta[1], frames[k])
+				return fmt.Errorf("dist: %s rank %d part %d: finalize expects %d frames, received %d", c.Name(), pr.Rank, k, msg.Meta[1], frames[k])
 			}
 			fa := acc[k]
 			delete(acc, k) // consumed by the finalize; release before decode
@@ -780,7 +780,7 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 				float64(rep.wire),
 			}
 			if err := pr.Send(0, tags.stats, [4]int64{int64(k)}, report, nil); err != nil {
-				return fmt.Errorf("dist: %s rank %d stream stats: %w", c.Scheme(), pr.Rank, err)
+				return fmt.Errorf("dist: %s rank %d stream stats: %w", c.Name(), pr.Rank, err)
 			}
 			if !run.opts.Degrade {
 				// Direct path: this rank hosts exactly its own part.
@@ -789,7 +789,7 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 			}
 			done[k] = a
 		default:
-			return fmt.Errorf("dist: %s rank %d part %d: unknown stream frame kind %d", c.Scheme(), pr.Rank, k, msg.Meta[0])
+			return fmt.Errorf("dist: %s rank %d part %d: unknown stream frame kind %d", c.Name(), pr.Rank, k, msg.Meta[0])
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestStreamParity(t *testing.T) {
 		for _, method := range []Method{CRS, CCS, JDS} {
 			for _, codec := range []Codec{SFC{}, CFS{}, ED{}} {
 				for _, degrade := range []bool{false, true} {
-					name := codec.Scheme() + "/" + part.Name() + "/" + method.String() + "/degrade=" + map[bool]string{false: "no", true: "yes"}[degrade]
+					name := codec.Name() + "/" + part.Name() + "/" + method.String() + "/degrade=" + map[bool]string{false: "no", true: "yes"}[degrade]
 					t.Run(name, func(t *testing.T) {
 						opts := Options{Method: method, Degrade: degrade}
 						var mw *machine.Machine
@@ -75,7 +75,7 @@ func TestStreamParity(t *testing.T) {
 						if err := Verify(g, part, got); err != nil {
 							t.Fatalf("streamed result verify: %v", err)
 						}
-						sameLocals(t, codec.Scheme(), got, want)
+						sameLocals(t, codec.Name(), got, want)
 						sameBreakdownCounters(t, want.Breakdown, got.Breakdown)
 					})
 				}
@@ -125,7 +125,7 @@ func TestStreamDuplicateEntriesMatchMaterialized(t *testing.T) {
 	for _, codec := range []Codec{SFC{}, CFS{}, ED{}} {
 		for _, method := range []Method{CRS, CCS, JDS} {
 			for _, part := range partitionsFor(t, n, n, p) {
-				t.Run(codec.Scheme()+"/"+method.String()+"/"+part.Name(), func(t *testing.T) {
+				t.Run(codec.Name()+"/"+method.String()+"/"+part.Name(), func(t *testing.T) {
 					opts := Options{Method: method}
 					want, err := Run(newMachine(t, p), Plan{Codec: codec, Global: g, Partition: part, Options: opts})
 					if err != nil {
@@ -141,7 +141,7 @@ func TestStreamDuplicateEntriesMatchMaterialized(t *testing.T) {
 					if err := Verify(g, part, got); err != nil {
 						t.Errorf("duplicate-entry stream verify: %v", err)
 					}
-					sameLocals(t, codec.Scheme(), got, want)
+					sameLocals(t, codec.Name(), got, want)
 					sameBreakdownCounters(t, want.Breakdown, got.Breakdown)
 				})
 			}
@@ -163,7 +163,7 @@ func TestStreamRejectsMisroutedEntry(t *testing.T) {
 	}
 	for _, codec := range []Codec{SFC{}, CFS{}, ED{}} {
 		for _, method := range []Method{CRS, CCS} {
-			t.Run(codec.Scheme()+"/"+method.String(), func(t *testing.T) {
+			t.Run(codec.Name()+"/"+method.String(), func(t *testing.T) {
 				m := newMachine(t, p)
 				f, err := formatFor(method)
 				if err != nil {
@@ -240,7 +240,7 @@ func TestStreamDegradeDeadRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, scheme := range []Codec{SFC{}, CFS{}, ED{}} {
-		t.Run(scheme.Scheme(), func(t *testing.T) {
+		t.Run(scheme.Name(), func(t *testing.T) {
 			m, ft, _, tracer := faultyMachine(t, p, "chan")
 			ft.KillRank(dead)
 			res, err := RunStream(m, StreamPlan{
@@ -249,7 +249,7 @@ func TestStreamDegradeDeadRank(t *testing.T) {
 				Stream:  StreamOptions{FlushEntries: 8, MaxInflight: 3},
 			})
 			if err != nil {
-				t.Fatalf("%s with dead rank: %v", scheme.Scheme(), err)
+				t.Fatalf("%s with dead rank: %v", scheme.Name(), err)
 			}
 			if !res.Degraded {
 				t.Fatal("result not flagged Degraded")

@@ -51,15 +51,14 @@ func (w *watchdog) arm(d time.Duration) (*time.Timer, bool) {
 	return w.timer, true
 }
 
-// disarm stops the timer and drains an expiry the caller has not
-// received, so that the next Reset cannot deliver a stale one (go.mod
-// says go 1.22: timer channels are buffered).
-func (w *watchdog) disarm(t *time.Timer, shared bool) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
+// disarm stops the timer and, unless the caller received its expiry
+// (fired), drains it, so that the next Reset cannot deliver a stale one.
+// go.mod says go 1.22: timer channels are buffered, and an expiry Stop
+// reports as past may not have reached the channel yet, so the drain
+// waits for it rather than polling.
+func (w *watchdog) disarm(t *time.Timer, shared, fired bool) {
+	if !t.Stop() && !fired {
+		<-t.C
 	}
 	if shared {
 		w.taken.Store(false)
@@ -145,13 +144,13 @@ func (t *ChanTransport) Recv(rank int, timeout time.Duration) (Message, error) {
 	timer, shared := w.arm(timeout)
 	select {
 	case msg := <-t.inboxes[rank]:
-		w.disarm(timer, shared)
+		w.disarm(timer, shared, false)
 		return msg, nil
 	case <-timer.C:
-		w.disarm(timer, shared)
+		w.disarm(timer, shared, true)
 		return Message{}, fmt.Errorf("machine: rank %d: %w", rank, ErrTimeout)
 	case <-t.done:
-		w.disarm(timer, shared)
+		w.disarm(timer, shared, false)
 		return Message{}, fmt.Errorf("machine: rank %d: %w", rank, errClosed)
 	}
 }
@@ -234,14 +233,15 @@ func (q *msgQueue) pop(timeout time.Duration) (Message, error) {
 		return msg, err
 	}
 	timer, shared := q.dog.arm(timeout)
-	defer q.dog.disarm(timer, shared)
 	for {
 		select {
 		case <-q.notify:
 		case <-timer.C:
+			q.dog.disarm(timer, shared, true)
 			return Message{}, ErrTimeout
 		}
 		if msg, ok, err := q.take(); ok || err != nil {
+			q.dog.disarm(timer, shared, false)
 			return msg, err
 		}
 	}

@@ -65,16 +65,16 @@ func TestMapsSharedNeverWritten(t *testing.T) {
 					opts := dist.Options{Method: method}
 					res, err := dist.Run(m, dist.Plan{Codec: codec, Global: g, Partition: part, Options: opts})
 					if err != nil {
-						t.Errorf("%s/%s/%s: Run: %v", codec.Scheme(), part.Name(), method, err)
+						t.Errorf("%s/%s/%s: Run: %v", codec.Name(), part.Name(), method, err)
 						return
 					}
 					if _, err := dist.RunStream(m, dist.StreamPlan{
 						Codec: codec, Source: sparse.NewStreamCOO(coo, 64), Partition: part, Options: opts,
 					}); err != nil {
-						t.Errorf("%s/%s/%s: RunStream: %v", codec.Scheme(), part.Name(), method, err)
+						t.Errorf("%s/%s/%s: RunStream: %v", codec.Name(), part.Name(), method, err)
 						return
 					}
-					if method != dist.CRS || codec.Scheme() != "ED" {
+					if method != dist.CRS || codec.Name() != "ED" {
 						continue
 					}
 					pl, err := spops.BuildCommPlan(part, res)

@@ -39,7 +39,8 @@ import (
 
 // Limits are the admission caps enforced on every JobSpec.
 type Limits struct {
-	// MaxN caps the synthetic array size (default 4096).
+	// MaxN caps the synthetic array size and each dimension of a
+	// source_file (default 4096).
 	MaxN int
 	// MaxProcs caps the processor count (default 64).
 	MaxProcs int
@@ -466,6 +467,13 @@ func (s *Server) executeStream(j *job) (*JobResult, error) {
 			return nil, fmt.Errorf("opening stream source: %w", err)
 		}
 		defer closer.Close()
+		// The header alone sizes the plan: the partition's maps and the
+		// locator are O(rows + cols), so a hostile shape is refused here,
+		// before streamPlanFor allocates them.
+		if rows, cols := sr.Shape(); rows > s.cfg.Limits.MaxN || cols > s.cfg.Limits.MaxN {
+			return nil, fmt.Errorf("source_file: rows %d, cols %d: exceeds the server's limit of %d per dimension",
+				rows, cols, s.cfg.Limits.MaxN)
+		}
 		src = sr
 	} else {
 		// Same rounding as the materializing path's UniformExact, so a

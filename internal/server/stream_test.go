@@ -154,6 +154,47 @@ func TestStreamedJobHostileHeader(t *testing.T) {
 	}
 }
 
+// TestStreamedJobHeaderOverLimit: a source_file whose header declares
+// 2^31-1 rows passes the parser's int32 bound, but a plan for it would
+// ask for a 16 GiB ownership map and end the process in a fatal out of
+// memory that no recover contains. The header is held to Limits.MaxN
+// before any plan is built: the job fails naming the limit, and the
+// next ordinary job runs.
+func TestStreamedJobHeaderOverLimit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.mtx")
+	header := "%%MatrixMarket matrix coordinate real general\n2147483647 1000 0\n"
+	if err := os.WriteFile(path, []byte(header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, c, _ := startDaemon(t, server.Config{QueueDepth: 4, Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	id, err := c.Submit(ctx, server.JobSpec{Stream: true, SourceFile: path})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	st, err := c.Wait(ctx, id, 2*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if st.State != server.StateFailed || !strings.Contains(st.Error, "exceeds the server's limit of 4096") {
+		t.Errorf("job state = %q (error %q), want failed naming the limit", st.State, st.Error)
+	}
+
+	id2, err := c.Submit(ctx, server.JobSpec{N: 32, Ratio: 0.1, Procs: 2})
+	if err != nil {
+		t.Fatalf("submit after the refused header: %v", err)
+	}
+	st2, err := c.Wait(ctx, id2, 2*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if st2.State != server.StateDone {
+		t.Errorf("ordinary job after the refused header: state %q (error %q), want done", st2.State, st2.Error)
+	}
+}
+
 // TestStreamSpecValidation: the new spec fields reject incoherent
 // combinations at admission.
 func TestStreamSpecValidation(t *testing.T) {

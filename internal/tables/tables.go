@@ -161,7 +161,7 @@ func (e Experiment) Run(params cost.Params) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				r, err := s.Distribute(m, g, part, dist.Options{Method: e.Method})
+				r, err := dist.Run(m, dist.Plan{Codec: s, Global: g, Partition: part, Options: dist.Options{Method: e.Method}})
 				m.Close()
 				if err != nil {
 					return nil, fmt.Errorf("tables: %s %s p=%s n=%d: %w", e.Name, s.Name(), ps.Label, n, err)
