@@ -448,7 +448,10 @@ func loadArray(path string, n int, ratio float64, seed int64) (*sparse.Dense, er
 	return g, nil
 }
 
+// exit ends the process; tests that run main in-process replace it.
+var exit = os.Exit
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sparsedist:", err)
-	os.Exit(1)
+	exit(1)
 }

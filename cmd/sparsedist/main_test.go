@@ -247,36 +247,83 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
+// exited is what the exit hook panics with while runMain runs main.
+type exited struct{ code int }
+
+// runMain runs main in-process with the given arguments and returns its
+// exit status with what it wrote to stdout and stderr. A panic other
+// than the exit hook's fails the test: the process would have died.
+func runMain(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	oldArgs, oldFlags, oldStdout, oldStderr, oldExit := os.Args, flag.CommandLine, os.Stdout, os.Stderr, exit
+	defer func() {
+		os.Args, flag.CommandLine, os.Stdout, os.Stderr, exit = oldArgs, oldFlags, oldStdout, oldStderr, oldExit
+	}()
+	dir := t.TempDir()
+	files := [2]*os.File{}
+	for i, name := range []string{"stdout", "stderr"} {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files[i] = f
+	}
+	os.Args = append([]string{"sparsedist"}, args...)
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	os.Stdout, os.Stderr = files[0], files[1]
+	exit = func(code int) { panic(exited{code}) }
+	var crash any
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if e, ok := r.(exited); ok {
+					code = e.code
+				} else {
+					crash = r
+				}
+			}
+		}()
+		main()
+	}()
+	os.Stdout, os.Stderr = oldStdout, oldStderr
+	if crash != nil {
+		t.Fatalf("sparsedist %s panicked: %v", strings.Join(args, " "), crash)
+	}
+	out, _ := os.ReadFile(files[0].Name())
+	errOut, _ := os.ReadFile(files[1].Name())
+	return code, string(out), string(errOut)
+}
+
 // TestHostileBlockSizeExitsZero runs the command line that used to end
 // the process: a brs block of 2^62 made the block-cyclic stride wrap to
 // zero for four parts, and the ownership map grew until the runtime
-// died. main returning is exit status 0; a failure calls os.Exit(1) and
-// takes the test binary with it, message on stderr. A block wider than
-// the array is one block, so the run distributes and verifies.
+// died. A block wider than the array is one block, so the run
+// distributes and verifies.
 func TestHostileBlockSizeExitsZero(t *testing.T) {
-	oldArgs, oldFlags, oldStdout := os.Args, flag.CommandLine, os.Stdout
-	defer func() { os.Args, flag.CommandLine, os.Stdout = oldArgs, oldFlags, oldStdout }()
-	outPath := filepath.Join(t.TempDir(), "stdout")
-	out, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-
-	os.Args = []string{"sparsedist", "-n", "10", "-procs", "4", "-partition", "brs", "-block", "4611686018427387904", "-verify"}
-	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
-	os.Stdout = out
-	main()
-	os.Stdout = oldStdout
-
-	report, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
+	code, report, stderr := runMain(t, "-n", "10", "-procs", "4", "-partition", "brs", "-block", "4611686018427387904", "-verify")
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr)
 	}
 	for _, want := range []string{"brs-b4611686018427387904", "verification: OK"} {
-		if !strings.Contains(string(report), want) {
+		if !strings.Contains(report, want) {
 			t.Errorf("report lacks %q:\n%s", want, report)
 		}
+	}
+}
+
+// TestInputHostileHeaderIsAnError: the plain -input door on a two-line
+// Matrix-Market file that declares 2^62 rows used to panic in makeslice
+// inside sparse.NewDense. It must exit 1 with an error naming the shape.
+func TestInputHostileHeaderIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hostile.mtx")
+	header := "%%MatrixMarket matrix coordinate real general\n4611686018427387904 1 0\n"
+	if err := os.WriteFile(path, []byte(header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runMain(t, "-input", path, "-procs", "4")
+	if code != 1 || !strings.Contains(stderr, "4611686018427387904x1") {
+		t.Fatalf("exit status %d, stderr %q; want 1 and an error naming the 2^62x1 shape", code, stderr)
 	}
 }
 

@@ -167,7 +167,7 @@ func TestEngineParity(t *testing.T) {
 // to race on the fixed data tag (and the degradable path's wildcard
 // receive could steal any frame). With allocator-drawn tag ranges both
 // runs must complete, verify, and charge exactly what they charge when
-// run alone. Run under -race this also exercises the mailbox demux.
+// run alone. Run under -race this also exercises the inbox's matching.
 func TestSessionConcurrentDistributions(t *testing.T) {
 	const n, p = 40, 4
 	gA := sparse.Uniform(n, n, 0.12, 21)

@@ -5,9 +5,9 @@ package dist
 // A machine.Machine is a fixed set of p emulated processors; nothing
 // about it is specific to one array. A Session lets several arrays be
 // distributed over the same processors at once — each plan's frames
-// travel on a tag range drawn from the machine's allocator, and the
-// per-rank mailboxes demultiplex them, so concurrent runs can never
-// steal each other's messages. Virtual costs are per-plan and
+// travel on a tag range drawn from the machine's allocator, and a rank's
+// inbox hands each receive only the frames it matches, so concurrent
+// runs can never steal each other's messages. Virtual costs are per-plan and
 // unaffected by the interleaving: each Result's Breakdown counts
 // exactly the messages, elements and operations of its own plan.
 

@@ -331,61 +331,6 @@ func TestTransportCloseRejectsSend(t *testing.T) {
 	}
 }
 
-func TestDepthOneInboxBackpressure(t *testing.T) {
-	// A depth-1 inbox forces the root to block on each send until the
-	// receiver drains. Ranks 1..3 consume concurrently, so the pattern
-	// makes progress; rank 0 never sends to itself here.
-	tr := NewChanTransportDepth(4, 1)
-	m, err := New(4, WithTransport(tr), WithRecvTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	err = m.Run(func(p *Proc) error {
-		if p.Rank == 0 {
-			for k := 1; k < 4; k++ {
-				for rep := 0; rep < 3; rep++ {
-					if err := p.Send(k, 1, [4]int64{}, []float64{float64(rep)}, nil); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		for rep := 0; rep < 3; rep++ {
-			if _, err := p.RecvFrom(0, 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendOnFullInboxTimesOut(t *testing.T) {
-	// A self-send into a full depth-1 inbox with nobody draining is a
-	// deadlock; the send watchdog must surface it as an error instead
-	// of hanging forever.
-	tr := NewChanTransportDepth(1, 1)
-	tr.SendTimeout = 50 * time.Millisecond
-	m, err := New(1, WithTransport(tr), WithRecvTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	err = m.Run(func(p *Proc) error {
-		if err := p.Send(0, 1, [4]int64{}, []float64{1}, nil); err != nil {
-			return err
-		}
-		return p.Send(0, 1, [4]int64{}, []float64{2}, nil) // inbox full
-	})
-	if !errors.Is(err, ErrTimeout) {
-		t.Errorf("blocked send returned %v, want ErrTimeout", err)
-	}
-}
-
 func TestPairwiseFIFOAllTransports(t *testing.T) {
 	// Messages between a fixed (sender, receiver) pair must arrive in
 	// send order on every transport — the property the schemes' "send in

@@ -65,10 +65,7 @@ func (t *ModelTransport) Send(msg Message) error {
 	return t.Inner.Send(msg)
 }
 
-// Recv implements Transport.
-func (t *ModelTransport) Recv(rank int, timeout time.Duration) (Message, error) {
-	return t.Inner.Recv(rank, timeout)
-}
+func (t *ModelTransport) inbox(rank int) *msgQueue { return t.Inner.inbox(rank) }
 
 // Close implements Transport.
 func (t *ModelTransport) Close() error { return t.Inner.Close() }

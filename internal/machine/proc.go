@@ -73,6 +73,19 @@ func (p *Proc) traceRecv(msg Message) {
 	}
 }
 
+// recvMatch returns the oldest message in this rank's inbox that w
+// matches, waiting up to the machine's receive timeout. A non-nil ctx
+// aborts the wait when cancelled (the ctx variants of the receive
+// methods).
+func (p *Proc) recvMatch(ctx context.Context, w want) (Message, error) {
+	msg, err := p.m.transport.inbox(p.Rank).recv(ctx, w, p.m.timeout)
+	if err != nil {
+		return Message{}, fmt.Errorf("machine: rank %d waiting for %s: %w", p.Rank, w, err)
+	}
+	p.traceRecv(msg)
+	return msg, nil
+}
+
 // Recv returns the next message addressed to this rank, regardless of
 // source or tag. Only safe while a single session uses the machine —
 // with concurrent sessions it can swallow another session's frame; use
@@ -82,7 +95,7 @@ func (p *Proc) Recv() (Message, error) {
 }
 
 // RecvFrom returns the next message from the given source with the given
-// tag, buffering any other messages that arrive first (MPI_Recv
+// tag, leaving any other messages that arrive first in the inbox (MPI_Recv
 // semantics with explicit source and tag). A negative source or tag
 // matches anything (MPI_ANY_SOURCE / MPI_ANY_TAG).
 func (p *Proc) RecvFrom(from, tag int) (Message, error) {

@@ -9,10 +9,16 @@ import (
 	"time"
 )
 
-// TestTakeZeroesVacatedSlot parks two frames in a rank's mailbox, takes
+// recvAny takes the oldest message from rank's inbox on tr, waiting up
+// to timeout: the receive side a transport offers without a machine.
+func recvAny(tr Transport, rank int, timeout time.Duration) (Message, error) {
+	return tr.inbox(rank).recv(nil, want{}, timeout)
+}
+
+// TestTakeZeroesVacatedSlot parks two frames in a rank's inbox, takes
 // both and then looks at the backing array: a slot past the new length
 // that still held its Message would keep that payload reachable from
-// the mailbox after the receiver released it to the pool.
+// the inbox after the receiver released it to the pool.
 func TestTakeZeroesVacatedSlot(t *testing.T) {
 	m, err := New(1)
 	if err != nil {
@@ -35,11 +41,11 @@ func TestTakeZeroesVacatedSlot(t *testing.T) {
 			t.Fatalf("tag %d delivered payload %v", tag, msg.Data)
 		}
 	}
-	b := m.boxes[0]
-	if len(b.pending) != 0 {
-		t.Fatalf("%d frames still pending", len(b.pending))
+	q := m.transport.inbox(0)
+	if n := len(q.items) - q.head; n != 0 {
+		t.Fatalf("%d frames still pending", n)
 	}
-	for i, slot := range b.pending[:cap(b.pending)] {
+	for i, slot := range q.items[:cap(q.items)] {
 		if slot.Data != nil {
 			t.Errorf("backing slot %d still references payload %v", i, slot.Data)
 		}
@@ -165,33 +171,33 @@ func TestWatchdogNoStaleExpiry(t *testing.T) {
 	sendAfter := func(d time.Duration) {
 		time.AfterFunc(d, func() { tr.Send(Message{To: 0, Tag: 1}) })
 	}
-	if _, err := tr.Recv(0, time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := recvAny(tr, 0, time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("empty inbox: err = %v, want ErrTimeout", err)
 	}
 	for i := 0; i < 40; i++ {
 		// The message and the expiry race; whichever loses must leave
 		// nothing behind.
 		sendAfter(500 * time.Microsecond)
-		if _, err := tr.Recv(0, 500*time.Microsecond); err != nil {
+		if _, err := recvAny(tr, 0, 500*time.Microsecond); err != nil {
 			if !errors.Is(err, ErrTimeout) {
 				t.Fatal(err)
 			}
-			if _, err := tr.Recv(0, 5*time.Second); err != nil {
+			if _, err := recvAny(tr, 0, 5*time.Second); err != nil {
 				t.Fatalf("round %d: collecting the late message: %v", i, err)
 			}
 		}
 		sendAfter(2 * time.Millisecond)
 		start := time.Now()
-		if _, err := tr.Recv(0, 5*time.Second); err != nil {
+		if _, err := recvAny(tr, 0, 5*time.Second); err != nil {
 			t.Fatalf("round %d: receive after %v: %v (stale expiry?)", i, time.Since(start), err)
 		}
 	}
 }
 
-// TestChanRecvConcurrentSameRank has several goroutines block in Recv
-// on one rank at once, as Drain or a direct transport user may: only
-// one can hold the rank's watchdog, the others must still time out or
-// deliver correctly on timers of their own.
+// TestChanRecvConcurrentSameRank has several goroutines block on one
+// rank's inbox at once, as concurrent sessions may: only one can hold
+// the inbox's spare waiter, the others must still time out or deliver
+// correctly on timers of their own.
 func TestChanRecvConcurrentSameRank(t *testing.T) {
 	const receivers = 4
 	tr := NewChanTransport(1)
@@ -203,7 +209,7 @@ func TestChanRecvConcurrentSameRank(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				if _, err := tr.Recv(0, 5*time.Second); err != nil {
+				if _, err := recvAny(tr, 0, 5*time.Second); err != nil {
 					errs[i] = err
 					return
 				}
@@ -222,7 +228,7 @@ func TestChanRecvConcurrentSameRank(t *testing.T) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Recv(0, time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := recvAny(tr, 0, time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("drained inbox: err = %v, want ErrTimeout", err)
 	}
 }

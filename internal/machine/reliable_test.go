@@ -23,7 +23,7 @@ func sendRecv(t *testing.T, rt *ReliableTransport, from, to int, n int) {
 		done <- nil
 	}()
 	for i := 0; i < n; i++ {
-		msg, err := rt.Recv(to, 2*time.Second)
+		msg, err := recvAny(rt, to, 2*time.Second)
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
@@ -89,7 +89,7 @@ func TestReliableExactlyOnceUnderDuplicates(t *testing.T) {
 
 	// The extra copies must have been absorbed, not queued: no further
 	// message may be pending.
-	if msg, err := rt.Recv(1, 50*time.Millisecond); err == nil {
+	if msg, err := recvAny(rt, 1, 50*time.Millisecond); err == nil {
 		t.Fatalf("duplicate leaked through dedup: %+v", msg)
 	}
 	if st := rt.Stats(); st.Duplicates < 3 {
@@ -134,7 +134,7 @@ func TestReliableHoldsGapFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []float64{10, 11} {
-		msg, err := rt.Recv(1, time.Second)
+		msg, err := recvAny(rt, 1, time.Second)
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
@@ -183,7 +183,7 @@ func TestReliableControlTrafficBypasses(t *testing.T) {
 	if err := rt.Send(Message{From: 0, To: 1, Tag: -2, Data: []float64{42}}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := rt.Recv(1, time.Second)
+	msg, err := recvAny(rt, 1, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFaultTransportTransientModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := ft.Recv(1, time.Second); err != nil {
+		if _, err := recvAny(ft, 1, time.Second); err != nil {
 			t.Fatalf("duplicate copy %d missing: %v", i, err)
 		}
 	}
@@ -240,8 +240,8 @@ func TestFaultTransportTransientModes(t *testing.T) {
 	if err := ft.Send(Message{From: 0, To: 1, Tag: 1, Meta: [4]int64{2}}); err != nil {
 		t.Fatal(err)
 	}
-	first, _ := ft.Recv(1, time.Second)
-	second, _ := ft.Recv(1, time.Second)
+	first, _ := recvAny(ft, 1, time.Second)
+	second, _ := recvAny(ft, 1, time.Second)
 	if first.Meta[0] != 2 || second.Meta[0] != 1 {
 		t.Errorf("reorder not applied: got %d then %d, want 2 then 1", first.Meta[0], second.Meta[0])
 	}
@@ -251,7 +251,7 @@ func TestFaultTransportTransientModes(t *testing.T) {
 	if err := ft.Send(Message{From: 0, To: 1, Tag: 1, Data: append([]float64(nil), orig...)}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := ft.Recv(1, time.Second)
+	msg, err := recvAny(ft, 1, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestFaultTransportKilledRankRecv(t *testing.T) {
 	ft := NewFaultTransport(NewChanTransport(2))
 	defer ft.Close()
 	ft.KillRank(1)
-	if _, err := ft.Recv(1, 10*time.Millisecond); !errors.Is(err, ErrRankDead) {
+	if _, err := recvAny(ft, 1, 10*time.Millisecond); !errors.Is(err, ErrRankDead) {
 		t.Fatalf("recv on killed rank: err = %v, want ErrRankDead", err)
 	}
 	st := ft.FullStats()
@@ -287,13 +287,12 @@ func TestFaultTransportKilledRankRecv(t *testing.T) {
 	}
 }
 
-// TestReliableCloseIsPrompt pins the Close fast path: Close nudges
-// every pump out of its inner Recv poll with a stale skip notice, so
-// tearing down a reliable transport costs microseconds, not a full
-// relPoll (50ms) stall per machine. The regression this pins made
-// every reliable run ~2000x slower to tear down than to execute,
-// which a differential sweep over thousands of machines turns into
-// hours.
+// TestReliableCloseIsPrompt pins the Close fast path: closing the inner
+// transport fails every inner inbox, which wakes each pump at once, so
+// tearing down a reliable transport costs microseconds, not a 50ms
+// stall per machine. The regression this pins made every reliable run
+// ~2000x slower to tear down than to execute, which a differential
+// sweep over thousands of machines turns into hours.
 func TestReliableCloseIsPrompt(t *testing.T) {
 	const machines = 10
 	start := time.Now()
@@ -304,10 +303,10 @@ func TestReliableCloseIsPrompt(t *testing.T) {
 			t.Fatalf("close %d: %v", i, err)
 		}
 	}
-	// Unfixed, each Close stalls >= relPoll, so the loop takes >=
-	// machines*relPoll; half that still leaves ~50x headroom over the
-	// fixed path for a loaded CI host.
-	if elapsed := time.Since(start); elapsed > relPoll*machines/2 {
+	// A Close that stalled 50ms would take the loop to >= 500ms; half
+	// that still leaves ~50x headroom over the fixed path for a loaded
+	// CI host.
+	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Fatalf("%d reliable transports took %v to close; Close is stalling on the pump poll", machines, elapsed)
 	}
 }

@@ -150,7 +150,7 @@ func TestTCPOneRankCannotStallAnother(t *testing.T) {
 	if err := tr.Send(Message{From: 3, To: 2, Tag: 2, Data: []float64{42}}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := tr.Recv(2, time.Second)
+	msg, err := recvAny(tr, 2, time.Second)
 	if err != nil {
 		t.Fatalf("rank 2 stalled behind rank 1's backlog: %v", err)
 	}
@@ -199,10 +199,10 @@ func TestTCPHandshakeIgnoresStrangers(t *testing.T) {
 	}
 }
 
-// TestReliablePumpSeesLateKill crashes a rank while its pump waits in
-// the inner Recv. KillRank wakes no one, so the pump's repeated wait is
-// what notices: the rank's Recv must fail with ErrRankDead within a few
-// polls, not at its own timeout.
+// TestReliablePumpSeesLateKill crashes a rank while its pump waits on
+// the inner inbox. KillRank fails that inbox, which wakes the pump: the
+// rank's receive must fail with ErrRankDead at once, not at its own
+// timeout.
 func TestReliablePumpSeesLateKill(t *testing.T) {
 	ft := NewFaultTransport(NewChanTransport(2))
 	rt := NewReliableTransport(ft, fastPolicy)
@@ -210,10 +210,10 @@ func TestReliablePumpSeesLateKill(t *testing.T) {
 	sendRecv(t, rt, 0, 1, 1) // rank 1's pump is running and now idle
 	ft.KillRank(1)
 	start := time.Now()
-	if _, err := rt.Recv(1, 10*time.Second); !errors.Is(err, ErrRankDead) {
+	if _, err := recvAny(rt, 1, 10*time.Second); !errors.Is(err, ErrRankDead) {
 		t.Fatalf("Recv on the killed rank: %v, want ErrRankDead", err)
 	}
-	if d := time.Since(start); d > 20*relPoll {
+	if d := time.Since(start); d > time.Second {
 		t.Errorf("killed rank noticed after %v", d)
 	}
 }
@@ -279,11 +279,10 @@ func TestAllToAllPairOrder(t *testing.T) {
 // of the backlog, in FIFO order, and hold no taken payload.
 func TestQueueGrowsWithBacklog(t *testing.T) {
 	var q msgQueue
-	q.init()
 	q.push(Message{Tag: 0, Data: []float64{0}})
 	for i := 1; i <= 10000; i++ {
 		q.push(Message{Tag: i, Data: []float64{float64(i)}})
-		msg, err := q.pop(time.Second)
+		msg, err := q.recv(nil, want{}, time.Second)
 		if err != nil || msg.Tag != i-1 {
 			t.Fatalf("pop %d: tag %d, %v", i, msg.Tag, err)
 		}
@@ -307,7 +306,7 @@ func TestChanCloseWakesBlockedRecv(t *testing.T) {
 	tr := NewChanTransport(1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.Recv(0, time.Minute)
+		_, err := recvAny(tr, 0, time.Minute)
 		done <- err
 	}()
 	tr.Close()

@@ -8,8 +8,8 @@ import (
 )
 
 // machinePool recycles emulated machines between jobs. Building a
-// machine is cheap but not free (p mailboxes, a channel transport with
-// p inboxes), and under sustained load the same few processor counts
+// machine is cheap but not free (a channel transport with p inboxes),
+// and under sustained load the same few processor counts
 // repeat — so workers check machines out by processor count and return
 // them drained. A machine that served a cancelled or failed job is
 // drained the same way; dist.Run joins every rank goroutine before

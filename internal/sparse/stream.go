@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -86,11 +87,21 @@ func ScanStats(src ChunkReader) (*StreamStats, error) {
 	return st, nil
 }
 
+// maxDenseCells is the most cells a Dense can hold: the runtime refuses
+// a slice above 2^48 bytes on 64-bit hosts, and above the address space
+// on 32-bit ones.
+const maxDenseCells = min(1<<45, math.MaxInt/8)
+
 // Materialize drains src into a dense array (last write wins for
 // duplicate coordinates) and rewinds it. It is the differential oracle
 // for streamed runs and deliberately costs the memory streaming avoids.
+// A shape with more cells than a dense array can hold is an error that
+// names it, returned before anything is allocated.
 func Materialize(src ChunkReader) (*Dense, error) {
 	rows, cols := src.Shape()
+	if rows > 0 && cols > maxDenseCells/rows {
+		return nil, fmt.Errorf("sparse: a %dx%d array has more cells than a dense array can hold (%d)", rows, cols, maxDenseCells)
+	}
 	d := NewDense(rows, cols)
 	for {
 		ch, err := src.Next()

@@ -188,6 +188,28 @@ func TestNNZMismatchError(t *testing.T) {
 	}
 }
 
+// TestMaterializeRefusesHugeShapes: a two-line file whose header
+// declares more cells than a dense array can hold must be an error that
+// names the shape, not a makeslice panic. 2^62 x 1 exceeds the largest
+// []float64; 2^32 x 2^32 overflows int and would wrap to 0 cells.
+func TestMaterializeRefusesHugeShapes(t *testing.T) {
+	const banner = "%%MatrixMarket matrix coordinate real general\n"
+	for _, c := range []struct{ header, shape string }{
+		{"4611686018427387904 1 0", "4611686018427387904x1"},
+		{"4294967296 4294967296 0", "4294967296x4294967296"},
+	} {
+		t.Run(c.shape, func(t *testing.T) {
+			ts, err := NewTextStream(strings.NewReader(banner+c.header+"\n"), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Materialize(ts); err == nil || !strings.Contains(err.Error(), c.shape) {
+				t.Fatalf("Materialize: %v; want an error naming %s", err, c.shape)
+			}
+		})
+	}
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		c := FromDense(Uniform(13, 7, 0.3, seed))
