@@ -89,9 +89,9 @@ func TestRecvRange(t *testing.T) {
 
 // TestConcurrentRunsSharedMailbox runs two SPMD executions on one
 // machine at once, each on its own allocated tag. The shared per-rank
-// mailbox must route every frame to the session that owns its tag even
-// when the "wrong" session's goroutine pulls it off the transport.
-// Run with -race this also exercises the demux's locking.
+// inbox must hand every frame to the session that owns its tag, whichever
+// session's receiver is waiting when it arrives. Run with -race this
+// also exercises the inbox's locking.
 func TestConcurrentRunsSharedMailbox(t *testing.T) {
 	const p, rounds = 3, 20
 	m, err := New(p, WithRecvTimeout(5*time.Second))
