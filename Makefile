@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint loc fuzz-smoke check-diff bench bench-compare bench-kernels bench-gates tables examples serve-smoke cluster-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
+.PHONY: all build test test-race lint loc reach fuzz-smoke check-diff bench bench-compare bench-kernels bench-gates tables examples serve-smoke cluster-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
 
 all: build test
 
@@ -30,6 +30,12 @@ lint:
 # CHANGES.md entries and re-anchors quote this number.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+
+# DESIGN §8's reachability check with its ledger: the lines no door
+# (cmd/*, examples/*, bench/) reaches, per allowlist reason. Tier-1
+# already runs the test; this prints what it counted.
+reach:
+	$(GO) test -count=1 -run TestEveryDeclarationHasADoor -v .
 
 # Short fuzz pass over the wire decoders, the root's part encode against
 # its accessor-form reference, the end-to-end differential targets

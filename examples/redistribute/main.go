@@ -46,7 +46,7 @@ func main() {
 	defer m.Close()
 
 	// Phase 1: initial distribution by rows (a solver ran this way).
-	src, err := dist.ED{}.Distribute(m, g, row, dist.Options{})
+	src, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: row})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer m2.Close()
-	again, err := dist.ED{}.Distribute(m2, g, mesh, dist.Options{})
+	again, err := dist.Run(m2, dist.Plan{Codec: dist.ED{}, Global: g, Partition: mesh})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -89,10 +89,3 @@ func (b *Breaker) Failure() {
 		b.probing = false
 	}
 }
-
-// Open reports whether the breaker is currently open.
-func (b *Breaker) Open() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
-}

@@ -182,34 +182,6 @@ func (r *Registry) Snapshot(now time.Time) []Node {
 	return out
 }
 
-// Routable returns the members a router should keep on the ring: self
-// plus every peer not declared dead.
-func (r *Registry) Routable() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := []string{r.cfg.Self}
-	for id, e := range r.peers {
-		if e.state != Dead {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Endpoint returns a member's advertised endpoint ("" if unknown).
-func (r *Registry) Endpoint(id string) string {
-	if id == r.cfg.Self {
-		return r.cfg.SelfEndpoint
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.peers[id]; ok {
-		return e.endpoint
-	}
-	return ""
-}
-
 // CountByState tallies members per state, self included.
 func (r *Registry) CountByState() map[State]int {
 	r.mu.Lock()

@@ -51,18 +51,10 @@ func TestRegistryAliveSuspectDead(t *testing.T) {
 		t.Fatalf("silent 6s (> dead): %s, want dead", got)
 	}
 
-	// Dead nodes are off the routing set; self stays.
-	if got := r.Routable(); len(got) != 1 || got[0] != "self" {
-		t.Fatalf("routable with n1 dead = %v, want [self]", got)
-	}
-
 	// A returning heartbeat revives it.
 	r.Heartbeat("n1", "http://n1", t0.Add(7*time.Second))
 	if got := stateOf(t, r, "n1", t0); got != "alive" {
 		t.Fatalf("after revival heartbeat: %s, want alive", got)
-	}
-	if got := r.Routable(); len(got) != 2 {
-		t.Fatalf("routable after revival = %v, want self+n1", got)
 	}
 }
 
@@ -115,13 +107,17 @@ func TestRegistrySelfIgnoredAndCounts(t *testing.T) {
 	if counts[Alive] != 2 || counts[Suspect] != 1 {
 		t.Fatalf("counts = %v, want 2 alive (self+n1), 1 suspect", counts)
 	}
-	if got := r.Endpoint("self"); got != "http://self" {
+	endpoints := map[string]string{}
+	for _, n := range r.Snapshot(t0) {
+		endpoints[n.ID] = n.Endpoint
+	}
+	if got := endpoints["self"]; got != "http://self" {
 		t.Fatalf("self endpoint = %q, want the configured one", got)
 	}
-	if got := r.Endpoint("n2"); got != "http://n2" {
+	if got := endpoints["n2"]; got != "http://n2" {
 		t.Fatalf("n2 endpoint = %q", got)
 	}
-	if got := r.Endpoint("unknown"); got != "" {
-		t.Fatalf("unknown endpoint = %q, want empty", got)
+	if len(endpoints) != 3 {
+		t.Fatalf("snapshot endpoints = %v, want self, n1 and n2", endpoints)
 	}
 }

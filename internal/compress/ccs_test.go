@@ -87,16 +87,6 @@ func TestCCSAt(t *testing.T) {
 	}
 }
 
-func TestCCSColNNZ(t *testing.T) {
-	m := CompressCCS(sparse.PaperFigure1(), nil)
-	want := []int{2, 2, 1, 2, 3, 1, 3, 2}
-	for j, w := range want {
-		if got := m.ColNNZ(j); got != w {
-			t.Errorf("ColNNZ(%d) = %d, want %d", j, got, w)
-		}
-	}
-}
-
 func TestCCSValidateCatchesCorruption(t *testing.T) {
 	fresh := func() *CCS { return CompressCCS(sparse.PaperFigure1(), nil) }
 
@@ -173,16 +163,5 @@ func TestConvertCRSCCSRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTransposeCRS(t *testing.T) {
-	d := sparse.PaperFigure1()
-	tr := TransposeCRS(CompressCRS(d, nil))
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Decompress().Equal(d.Transpose()) {
-		t.Error("TransposeCRS disagrees with dense transpose")
 	}
 }

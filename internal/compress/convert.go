@@ -13,7 +13,3 @@ func CRSToCCS(m *CRS) *CCS { return ccsOf(m.lines().transpose()) }
 // CCSToCRS converts a CCS array to CRS using a counting sort over rows;
 // O(nnz + rows).
 func CCSToCRS(m *CCS) *CRS { return crsOf(m.lines().transpose()) }
-
-// TransposeCRS returns the CRS of the transposed array. Because CCS of A
-// has the same layout as CRS of Aᵀ, this is a relabelling of CRSToCCS.
-func TransposeCRS(m *CRS) *CRS { return crsOf(m.lines().transpose()) }

@@ -472,9 +472,6 @@ type Batch struct {
 	m *machine.Machine
 }
 
-// Machine exposes the shared emulated multicomputer.
-func (b *Batch) Machine() *machine.Machine { return b.m }
-
 // Close releases the shared machine. The compressed local arrays of
 // every member distribution remain usable.
 func (b *Batch) Close() error { return b.m.Close() }

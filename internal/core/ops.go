@@ -68,16 +68,6 @@ func (d *Distribution) CG(b []float64, tol float64, maxIter int) (*ops.CGResult,
 	}, b, tol, maxIter)
 }
 
-// PowerIteration estimates the dominant eigenvalue and eigenvector of
-// the distributed square array by power iteration over the halo plan.
-func (d *Distribution) PowerIteration(tol float64, maxIter int) (float64, []float64, spops.OpStats, error) {
-	pl, err := d.CommPlan()
-	if err != nil {
-		return 0, nil, spops.OpStats{}, err
-	}
-	return spops.Power(d.m, pl, tol, maxIter)
-}
-
 // SpGEMM computes C = A·B where A is the distributed array and B a
 // compressed global operand: each rank fetches only the B-rows its
 // local A-part references (Gustavson's algorithm locally).

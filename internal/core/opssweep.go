@@ -11,16 +11,16 @@ import (
 )
 
 // The ops differential sweep: the distributed compute layer (halo
-// SpMV, Jacobi, CG, power iteration, row-fetch SpGEMM) is run under
-// every scheme x partition x method combination and each result is
-// diffed against the sequential oracle — a dense mat-vec, the residual
-// of the linear system, sequential CG, the eigenpair equation, or the
-// sequential Gustavson SpGEMM. One failing combination is one
-// OpsSweepFailure; the sweep never stops early.
+// SpMV, Jacobi, CG, row-fetch SpGEMM) is run under every scheme x
+// partition x method combination and each result is diffed against the
+// sequential oracle — a dense mat-vec, the residual of the linear
+// system, sequential CG, or the sequential Gustavson SpGEMM. One
+// failing combination is one OpsSweepFailure; the sweep never stops
+// early.
 
 // OpsSweepConfig selects the axes of an OpsSweep. The zero value
 // sweeps SFC/CFS/ED over row/col/mesh/cyclic-row/balanced-row with
-// CRS/CCS/JDS for all five ops on the direct engine path.
+// CRS/CCS/JDS for all four ops on the direct engine path.
 type OpsSweepConfig struct {
 	// Seed drives the input generators (default 1).
 	Seed int64
@@ -29,7 +29,7 @@ type OpsSweepConfig struct {
 	Schemes    []string
 	Partitions []string
 	Methods    []string
-	// Ops defaults to spmv, jacobi, cg, power and spgemm.
+	// Ops defaults to spmv, jacobi, cg and spgemm.
 	Ops []string
 	// Kill additionally runs every combination with one rank crashed
 	// before distribution: the plan must exclude the dead rank and the
@@ -53,7 +53,7 @@ func (sc OpsSweepConfig) withDefaults() OpsSweepConfig {
 		sc.Methods = []string{"CRS", "CCS", "JDS"}
 	}
 	if len(sc.Ops) == 0 {
-		sc.Ops = []string{"spmv", "jacobi", "cg", "power", "spgemm"}
+		sc.Ops = []string{"spmv", "jacobi", "cg", "spgemm"}
 	}
 	return sc
 }
@@ -146,25 +146,20 @@ func opsSweepOne(op, scheme, part, method, mode string, seed int64) error {
 		return opsSweepJacobi(d, g)
 	case "cg":
 		return opsSweepCG(d, g)
-	case "power":
-		return opsSweepPower(d, g)
 	case "spgemm":
 		return opsSweepSpGEMM(d, g, seed)
 	default:
-		return fmt.Errorf("core: unknown op %q (want spmv, jacobi, cg, power or spgemm)", op)
+		return fmt.Errorf("core: unknown op %q (want spmv, jacobi, cg or spgemm)", op)
 	}
 }
 
 // opsSweepInput builds the op's deterministic test matrix: a
 // rectangular uniform array for spmv/spgemm, a strictly diagonally
-// dominant square one for jacobi, the SPD 2-D Poisson matrix for cg, a
-// non-negative irreducible one for power.
+// dominant square one for jacobi, the SPD 2-D Poisson matrix for cg.
 func opsSweepInput(op string, seed int64) *sparse.Dense {
 	switch op {
 	case "jacobi":
 		return diagDominant(sparse.Uniform(40, 40, 0.12, seed))
-	case "power":
-		return perronInput(sparse.Uniform(40, 40, 0.12, seed))
 	case "cg":
 		return sparse.Poisson2D(6).ToDense()
 	case "spgemm":
@@ -185,20 +180,6 @@ func diagDominant(g *sparse.Dense) *sparse.Dense {
 			}
 		}
 		g.Set(i, i, sum+1)
-	}
-	return g
-}
-
-// perronInput adds the identity and a ring i -> i+1 to a non-negative
-// square array in place and returns it. The ring makes the array
-// irreducible, so its dominant eigenvector is strictly positive and
-// unique (Perron-Frobenius); the unit diagonal makes it aperiodic, so
-// power iteration converges, in tens of sweeps at this density.
-func perronInput(g *sparse.Dense) *sparse.Dense {
-	n := g.Rows()
-	for i := 0; i < n; i++ {
-		g.Set(i, i, g.At(i, i)+1)
-		g.Set(i, (i+1)%n, g.At(i, (i+1)%n)+1)
 	}
 	return g
 }
@@ -255,30 +236,6 @@ func opsSweepCG(d *Distribution, g *sparse.Dense) error {
 		return fmt.Errorf("core: cg converged distributed=%v sequential=%v", got.Converged, want.Converged)
 	}
 	return vecsClose("cg", got.X, want.X, 1e-8)
-}
-
-// opsSweepPower checks the eigenpair equation A·v = lambda·v and that
-// v is strictly positive: the input is entrywise non-negative, so a
-// positive eigenvector can only belong to the spectral radius
-// (Perron-Frobenius) — the pair is the dominant one, not just any.
-func opsSweepPower(d *Distribution, g *sparse.Dense) error {
-	lam, v, st, err := d.PowerIteration(1e-10, 2000)
-	if err != nil {
-		return err
-	}
-	if !st.Converged {
-		return fmt.Errorf("core: power iteration did not converge in %d iterations", st.Iterations)
-	}
-	for i, vi := range v {
-		if vi <= 0 {
-			return fmt.Errorf("core: power eigenvector[%d] = %g, want > 0 (dominant mode)", i, vi)
-		}
-	}
-	av := denseMatVec(g, v)
-	for i := range av {
-		av[i] -= lam * v[i]
-	}
-	return vecsClose("power residual", av, make([]float64, len(av)), 1e-6)
 }
 
 func opsSweepSpGEMM(d *Distribution, g *sparse.Dense, seed int64) error {

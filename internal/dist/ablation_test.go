@@ -19,12 +19,12 @@ func TestCFSConvertAtRootEquivalent(t *testing.T) {
 		for _, method := range []Method{CRS, CCS} {
 			t.Run(part.Name()+"/"+method.String(), func(t *testing.T) {
 				m1 := newMachine(t, 4)
-				base, err := CFS{}.Distribute(m1, g, part, Options{Method: method})
+				base, err := Run(m1, Plan{Codec: CFS{}, Global: g, Partition: part, Options: Options{Method: method}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				m2 := newMachine(t, 4)
-				abl, err := CFS{}.Distribute(m2, g, part, Options{Method: method, CFSConvertAtRoot: true})
+				abl, err := Run(m2, Plan{Codec: CFS{}, Global: g, Partition: part, Options: Options{Method: method, CFSConvertAtRoot: true}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,12 +65,12 @@ func TestCFSConvertAtRootCostShift(t *testing.T) {
 	}
 
 	m1 := newMachine(t, 4)
-	base, err := CFS{}.Distribute(m1, g, part, Options{})
+	base, err := Run(m1, Plan{Codec: CFS{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := newMachine(t, 4)
-	abl, err := CFS{}.Distribute(m2, g, part, Options{CFSConvertAtRoot: true})
+	abl, err := Run(m2, Plan{Codec: CFS{}, Global: g, Partition: part, Options: Options{CFSConvertAtRoot: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,12 @@ func TestCFSConvertAtRootNoConversionCase(t *testing.T) {
 	g := sparse.UniformExact(32, 32, 0.1, 14)
 	part, _ := partition.NewRow(32, 32, 4)
 	m1 := newMachine(t, 4)
-	base, err := CFS{}.Distribute(m1, g, part, Options{})
+	base, err := Run(m1, Plan{Codec: CFS{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := newMachine(t, 4)
-	abl, err := CFS{}.Distribute(m2, g, part, Options{CFSConvertAtRoot: true})
+	abl, err := Run(m2, Plan{Codec: CFS{}, Global: g, Partition: part, Options: Options{CFSConvertAtRoot: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

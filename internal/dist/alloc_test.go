@@ -45,7 +45,7 @@ func TestEDEncodeSendSteadyStateAllocs(t *testing.T) {
 		if err := pr.SendBuf(0, 1, pp.meta, pp.buf, pp.pooled, nil); err != nil {
 			return err
 		}
-		msg, err := pr.Recv()
+		msg, err := pr.RecvFrom(0, 1)
 		if err != nil {
 			return err
 		}

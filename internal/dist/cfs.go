@@ -7,8 +7,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/machine"
-	"repro/internal/partition"
-	"repro/internal/sparse"
 )
 
 // CFS is the Compress Followed Send scheme (paper §3.2): the root
@@ -98,10 +96,4 @@ func (CFS) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *
 		return nil, err
 	}
 	return a, nil
-}
-
-// Distribute runs the scheme over the shared engine: Run with a Plan
-// of g, part and opts.
-func (s CFS) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
-	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }

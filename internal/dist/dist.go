@@ -274,7 +274,7 @@ func CodecByName(name string) (Codec, error) {
 	return nil, fmt.Errorf("dist: unknown scheme %q (want SFC, CFS or ED)", name)
 }
 
-// checkSetup validates the common preconditions of Distribute.
+// checkSetup validates the common preconditions of Run.
 func checkSetup(m *machine.Machine, g *sparse.Dense, part partition.Partition) error {
 	if m == nil || g == nil || part == nil {
 		return fmt.Errorf("dist: nil machine, array or partition")

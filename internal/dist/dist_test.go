@@ -207,7 +207,7 @@ func TestSFCCountersMatchTable1(t *testing.T) {
 	const n, p = 40, 4
 	g, part, _, _ := exactCase(t, n, p)
 	m := newMachine(t, p)
-	res, err := SFC{}.Distribute(m, g, part, Options{})
+	res, err := Run(m, Plan{Codec: SFC{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCFSCountersMatchTable1(t *testing.T) {
 	const n, p = 40, 4
 	g, part, nnz, _ := exactCase(t, n, p)
 	m := newMachine(t, p)
-	res, err := CFS{}.Distribute(m, g, part, Options{})
+	res, err := Run(m, Plan{Codec: CFS{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestEDCountersMatchTable1(t *testing.T) {
 	const n, p = 40, 4
 	g, part, nnz, _ := exactCase(t, n, p)
 	m := newMachine(t, p)
-	res, err := ED{}.Distribute(m, g, part, Options{})
+	res, err := Run(m, Plan{Codec: ED{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestBreakdownWallTimesPopulated(t *testing.T) {
 	g := sparse.Uniform(64, 64, 0.1, 6)
 	part, _ := partition.NewRow(64, 64, 4)
 	m := newMachine(t, 4)
-	res, err := ED{}.Distribute(m, g, part, Options{})
+	res, err := Run(m, Plan{Codec: ED{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	for _, part := range []partition.Partition{row, cyc} {
 		for _, method := range []Method{CRS, CCS, JDS} {
 			fresh := func() *Result {
-				res, err := ED{}.Distribute(newMachine(t, 4), g, part, Options{Method: method})
+				res, err := Run(newMachine(t, 4), Plan{Codec: ED{}, Global: g, Partition: part, Options: Options{Method: method}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,8 +8,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/machine"
-	"repro/internal/partition"
-	"repro/internal/sparse"
 )
 
 // ED is the Encoding-Decoding scheme (paper §3.3), the paper's novel
@@ -98,10 +96,4 @@ func (ED) checkEncoded(run *runState, k int, pp *partPayload) error {
 func (ED) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *cost.Counter) (compress.PartArray, error) {
 	offset, idxMap := minorOffsetAndMap(run.part, k, run.format)
 	return run.format.DecodeED(data, int(meta[0]), int(meta[1]), offset, idxMap, ctr)
-}
-
-// Distribute runs the scheme over the shared engine: Run with a Plan
-// of g, part and opts.
-func (s ED) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
-	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }

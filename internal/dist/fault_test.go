@@ -65,7 +65,7 @@ func TestSFCSurvivesDelays(t *testing.T) {
 	part, _ := partition.NewRow(12, 12, 2)
 	m, ft := faultMachine(t, 2, 5*time.Second)
 	ft.Delay(10 * time.Millisecond)
-	res, err := SFC{}.Distribute(m, g, part, Options{})
+	res, err := Run(m, Plan{Codec: SFC{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}

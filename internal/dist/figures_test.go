@@ -38,7 +38,7 @@ func TestFigures1to4SFCWithCRS(t *testing.T) {
 	// shows for P0 and P1 — [1 2 3 5] and [1 2 3 4] — match these).
 	g, part := figureSetup(t)
 	m := newMachine(t, 4)
-	res, err := SFC{}.Distribute(m, g, part, Options{Method: CRS})
+	res, err := Run(m, Plan{Codec: SFC{}, Global: g, Partition: part, Options: Options{Method: CRS}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFigure5CFSWithCCS(t *testing.T) {
 	// values 6, 7, 5 in columns 3, 4, 5 at local rows 1, 2, 0.
 	g, part := figureSetup(t)
 	m := newMachine(t, 4)
-	res, err := CFS{}.Distribute(m, g, part, Options{Method: CCS})
+	res, err := Run(m, Plan{Codec: CFS{}, Global: g, Partition: part, Options: Options{Method: CCS}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFigure7EDWithCCS(t *testing.T) {
 	// as direct compression; P1's decode subtracts 3 per Case 3.3.2.
 	g, part := figureSetup(t)
 	m := newMachine(t, 4)
-	res, err := ED{}.Distribute(m, g, part, Options{Method: CCS})
+	res, err := Run(m, Plan{Codec: ED{}, Global: g, Partition: part, Options: Options{Method: CCS}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,12 +21,12 @@ func TestEDOverlapEquivalent(t *testing.T) {
 		for _, method := range []Method{CRS, CCS} {
 			t.Run(part.Name()+"/"+method.String(), func(t *testing.T) {
 				m1 := newMachine(t, 4)
-				base, err := ED{}.Distribute(m1, g, part, Options{Method: method, Workers: 1})
+				base, err := Run(m1, Plan{Codec: ED{}, Global: g, Partition: part, Options: Options{Method: method, Workers: 1}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				m2 := newMachine(t, 4)
-				over, err := ED{}.Distribute(m2, g, part, Options{Method: method, Workers: 2})
+				over, err := Run(m2, Plan{Codec: ED{}, Global: g, Partition: part, Options: Options{Method: method, Workers: 2}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +65,7 @@ func TestEDOverlapOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	res, err := ED{}.Distribute(m, g, part, Options{Workers: 2})
+	res, err := Run(m, Plan{Codec: ED{}, Global: g, Partition: part, Options: Options{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestEDOverlapSendFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := (ED{}).Distribute(m, g, part, Options{Workers: 2}); err == nil {
+	if _, err := Run(m, Plan{Codec: ED{}, Global: g, Partition: part, Options: Options{Workers: 2}}); err == nil {
 		t.Fatal("dropped messages went unnoticed")
 	}
 }

@@ -54,8 +54,8 @@ type partPayload struct {
 // safe for concurrent calls with distinct k.
 type encodePartFunc func(k int, pp *partPayload) error
 
-// sendPartFunc consumes one completed part: transmit it (the schemes'
-// Distribute) or retain it (the degradable driver). Called from a
+// sendPartFunc consumes one completed part: transmit it (the direct
+// driver) or retain it (the degradable driver). Called from a
 // single goroutine, strictly in part order.
 type sendPartFunc func(pp *partPayload) error
 

@@ -158,11 +158,11 @@ func TestSchemesDegradeAroundDeadRank(t *testing.T) {
 				if rt.Stats().Failed == 0 {
 					t.Error("no send ever exhausted retries, yet the rank was dead")
 				}
-				if tracer.Counter("dist.dead_ranks") < 1 {
-					t.Errorf("dist.dead_ranks = %d, want >= 1", tracer.Counter("dist.dead_ranks"))
+				if tracer.Counters()["dist.dead_ranks"] < 1 {
+					t.Errorf("dist.dead_ranks = %d, want >= 1", tracer.Counters()["dist.dead_ranks"])
 				}
-				if tracer.Counter("dist.degraded_parts") < 1 {
-					t.Errorf("dist.degraded_parts = %d, want >= 1", tracer.Counter("dist.degraded_parts"))
+				if tracer.Counters()["dist.degraded_parts"] < 1 {
+					t.Errorf("dist.degraded_parts = %d, want >= 1", tracer.Counters()["dist.degraded_parts"])
 				}
 			})
 		}
@@ -189,7 +189,7 @@ func TestDegradeDeadRankOverTCP(t *testing.T) {
 	}
 	m, ft, _, _ := faultyMachine(t, p, "tcp")
 	ft.KillRank(dead)
-	res, err := ED{}.Distribute(m, g, part, Options{Method: CRS, Degrade: true})
+	res, err := Run(m, Plan{Codec: ED{}, Global: g, Partition: part, Options: Options{Method: CRS, Degrade: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,13 +27,6 @@ type Session struct {
 // NewSession wraps a machine for concurrent distributions.
 func NewSession(m *machine.Machine) *Session { return &Session{m: m} }
 
-// Machine returns the underlying machine.
-func (s *Session) Machine() *machine.Machine { return s.m }
-
-// Distribute plans and runs one distribution on the shared machine.
-// Safe to call from multiple goroutines.
-func (s *Session) Distribute(plan Plan) (*Result, error) { return Run(s.m, plan) }
-
 // DistributeAll runs every plan concurrently over the shared machine
 // and returns the results in plan order. Plans fail or succeed
 // independently; the joined error reports every failure. This is the

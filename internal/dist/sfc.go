@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/cost"
-	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 )
@@ -87,10 +86,4 @@ func (SFC) DecodePart(run *runState, _ int, data []float64, meta [4]int64, ctr *
 		return nil, err
 	}
 	return run.format.CompressDense(local, ctr), nil
-}
-
-// Distribute runs the scheme over the shared engine: Run with a Plan
-// of g, part and opts.
-func (s SFC) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
-	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }

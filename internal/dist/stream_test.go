@@ -263,8 +263,8 @@ func TestStreamDegradeDeadRank(t *testing.T) {
 			if err := Verify(g, part, res); err != nil {
 				t.Errorf("degraded streamed result verify: %v", err)
 			}
-			if tracer.Counter("dist.dead_ranks") < 1 {
-				t.Errorf("dist.dead_ranks = %d, want >= 1", tracer.Counter("dist.dead_ranks"))
+			if tracer.Counters()["dist.dead_ranks"] < 1 {
+				t.Errorf("dist.dead_ranks = %d, want >= 1", tracer.Counters()["dist.dead_ranks"])
 			}
 		})
 	}

@@ -8,10 +8,8 @@
 // by folding dimensions into the row and column axes the way a Karnaugh
 // map folds boolean variables:
 //
-//	EKMR(3): A[k][i][j], dims (l, m, n)      -> 2D (m) x (n·l),
+//	EKMR(3): A[k][i][j], dims (l, m, n) -> 2D (m) x (n·l),
 //	         row = i, col = j·l + k
-//	EKMR(4): A[h][k][i][j], dims (l', l, m, n) -> 2D (m·l') x (n·l),
-//	         row = i·l' + h, col = j·l + k
 //
 // Once in EKMR form, a multi-dimensional sparse array distributes with
 // the unchanged 2-D SFC/CFS/ED machinery: that is exactly why the paper
@@ -22,7 +20,6 @@ package ekmr
 import (
 	"fmt"
 
-	"repro/internal/compress"
 	"repro/internal/sparse"
 )
 
@@ -73,109 +70,6 @@ func (a *Array3) NNZ() int { return a.plane.NNZ() }
 
 // SparseRatio returns nnz / (l·m·n).
 func (a *Array3) SparseRatio() float64 { return a.plane.SparseRatio() }
-
-// FromSlices3 builds an Array3 from data[k][i][j].
-func FromSlices3(data [][][]float64) (*Array3, error) {
-	l := len(data)
-	m, n := 0, 0
-	if l > 0 {
-		m = len(data[0])
-		if m > 0 {
-			n = len(data[0][0])
-		}
-	}
-	a, err := NewArray3(l, m, n)
-	if err != nil {
-		return nil, err
-	}
-	for k := range data {
-		if len(data[k]) != m {
-			return nil, fmt.Errorf("ekmr: slab %d has %d rows, want %d", k, len(data[k]), m)
-		}
-		for i := range data[k] {
-			if len(data[k][i]) != n {
-				return nil, fmt.Errorf("ekmr: slab %d row %d has %d cols, want %d", k, i, len(data[k][i]), n)
-			}
-			for j, v := range data[k][i] {
-				if v != 0 {
-					a.Set(k, i, j, v)
-				}
-			}
-		}
-	}
-	return a, nil
-}
-
-// Array4 is a four-dimensional array in EKMR(4) form.
-type Array4 struct {
-	LP, L, M, N int // l', l, m, n
-	plane       *sparse.Dense
-}
-
-// NewArray4 allocates an all-zero l' x l x m x n array (indexed
-// A[h][k][i][j]).
-func NewArray4(lp, l, m, n int) (*Array4, error) {
-	if lp < 0 || l < 0 || m < 0 || n < 0 {
-		return nil, fmt.Errorf("ekmr: NewArray4(%d, %d, %d, %d): negative dimension", lp, l, m, n)
-	}
-	return &Array4{LP: lp, L: l, M: m, N: n, plane: sparse.NewDense(m*lp, n*l)}, nil
-}
-
-func (a *Array4) index(h, k, i, j int) (int, int) {
-	if h < 0 || h >= a.LP || k < 0 || k >= a.L || i < 0 || i >= a.M || j < 0 || j >= a.N {
-		panic(fmt.Sprintf("ekmr: index (%d, %d, %d, %d) out of range %dx%dx%dx%d", h, k, i, j, a.LP, a.L, a.M, a.N))
-	}
-	return i*a.LP + h, j*a.L + k
-}
-
-// At returns A[h][k][i][j].
-func (a *Array4) At(h, k, i, j int) float64 {
-	r, c := a.index(h, k, i, j)
-	return a.plane.At(r, c)
-}
-
-// Set assigns A[h][k][i][j].
-func (a *Array4) Set(h, k, i, j int, v float64) {
-	r, c := a.index(h, k, i, j)
-	a.plane.Set(r, c, v)
-}
-
-// Plane returns the EKMR 2-D representation (not a copy).
-func (a *Array4) Plane() *sparse.Dense { return a.plane }
-
-// NNZ counts the nonzero elements.
-func (a *Array4) NNZ() int { return a.plane.NNZ() }
-
-// SlabSpMVLocal computes y = A[k]·x for one slab of an EKMR(3) array
-// whose plane has been compressed to CRS with local row indices and
-// plane-local column indices: the slab's entries sit in plane columns
-// {j·L + k}. The result has one entry per local plane row.
-func SlabSpMVLocal(crs *compress.CRS, l, k int, x []float64) ([]float64, error) {
-	if l <= 0 {
-		return nil, fmt.Errorf("ekmr: SlabSpMVLocal: L = %d must be positive", l)
-	}
-	if k < 0 || k >= l {
-		return nil, fmt.Errorf("ekmr: SlabSpMVLocal: slab %d out of range %d", k, l)
-	}
-	if crs.Cols%l != 0 {
-		return nil, fmt.Errorf("ekmr: SlabSpMVLocal: plane has %d columns, not a multiple of L = %d", crs.Cols, l)
-	}
-	if len(x) != crs.Cols/l {
-		return nil, fmt.Errorf("ekmr: SlabSpMVLocal: x has %d entries, want %d", len(x), crs.Cols/l)
-	}
-	y := make([]float64, crs.Rows)
-	for i := 0; i < crs.Rows; i++ {
-		sum := 0.0
-		for t := crs.RowPtr[i]; t < crs.RowPtr[i+1]; t++ {
-			c := crs.ColIdx[t]
-			if c%l == k {
-				sum += crs.Val[t] * x[c/l]
-			}
-		}
-		y[i] = sum
-	}
-	return y, nil
-}
 
 // Slab returns slab k (the m x n matrix A[k][.][.]) as a dense array.
 func (a *Array3) Slab(k int) *sparse.Dense {

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/partition"
@@ -72,57 +71,6 @@ func TestNewArrayErrors(t *testing.T) {
 	if _, err := NewArray3(-1, 2, 2); err == nil {
 		t.Error("negative dim accepted")
 	}
-	if _, err := NewArray4(1, 1, -1, 1); err == nil {
-		t.Error("negative dim accepted")
-	}
-}
-
-func TestFromSlices3(t *testing.T) {
-	data := [][][]float64{
-		{{1, 0}, {0, 2}},
-		{{0, 3}, {4, 0}},
-	}
-	a, err := FromSlices3(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0, 0, 0) != 1 || a.At(1, 0, 1) != 3 || a.At(1, 1, 0) != 4 {
-		t.Error("FromSlices3 misplaced values")
-	}
-	if a.NNZ() != 4 {
-		t.Errorf("NNZ = %d, want 4", a.NNZ())
-	}
-	if _, err := FromSlices3([][][]float64{{{1}}, {{1}, {2}}}); err == nil {
-		t.Error("ragged input accepted")
-	}
-}
-
-func TestArray4IndexBijection(t *testing.T) {
-	a, err := NewArray4(2, 3, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := 1.0
-	for h := 0; h < 2; h++ {
-		for k := 0; k < 3; k++ {
-			for i := 0; i < 2; i++ {
-				for j := 0; j < 3; j++ {
-					a.Set(h, k, i, j, v)
-					v++
-				}
-			}
-		}
-	}
-	want := 2 * 3 * 2 * 3
-	if a.NNZ() != want {
-		t.Fatalf("NNZ = %d, want %d", a.NNZ(), want)
-	}
-	if a.Plane().Rows() != 4 || a.Plane().Cols() != 9 {
-		t.Errorf("plane shape %dx%d, want 4x9", a.Plane().Rows(), a.Plane().Cols())
-	}
-	if a.At(1, 2, 1, 2) != v-1 {
-		t.Errorf("last element = %g, want %g", a.At(1, 2, 1, 2), v-1)
-	}
 }
 
 func TestUniformArray3Deterministic(t *testing.T) {
@@ -163,47 +111,6 @@ func TestArray3RoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestSlabSpMVLocal(t *testing.T) {
-	a, err := UniformArray3(3, 8, 6, 0.3, 44)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crs := compress.CompressCRS(a.Plane(), nil)
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = float64(i + 1)
-	}
-	for k := 0; k < 3; k++ {
-		y, err := SlabSpMVLocal(crs, 3, k, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reference: dense slab product.
-		slab := a.Slab(k)
-		for i := 0; i < 8; i++ {
-			want := 0.0
-			for j := 0; j < 6; j++ {
-				want += slab.At(i, j) * x[j]
-			}
-			if diff := y[i] - want; diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("slab %d row %d: %g, want %g", k, i, y[i], want)
-			}
-		}
-	}
-	if _, err := SlabSpMVLocal(crs, 3, 5, x); err == nil {
-		t.Error("slab out of range accepted")
-	}
-	if _, err := SlabSpMVLocal(crs, 0, 0, x); err == nil {
-		t.Error("L=0 accepted")
-	}
-	if _, err := SlabSpMVLocal(crs, 3, 0, x[:2]); err == nil {
-		t.Error("wrong x length accepted")
-	}
-	if _, err := SlabSpMVLocal(crs, 5, 0, x); err == nil {
-		t.Error("non-divisible plane width accepted")
-	}
-}
-
 func TestSlab(t *testing.T) {
 	a, _ := NewArray3(3, 2, 2)
 	a.Set(1, 0, 1, 5)
@@ -241,7 +148,7 @@ func TestDistributeEKMR3WithED(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	res, err := dist.ED{}.Distribute(m, plane, part, dist.Options{})
+	res, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: plane, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,15 +18,6 @@ func SumOp(acc, in []float64) {
 	}
 }
 
-// MaxOp keeps the elementwise maximum in acc.
-func MaxOp(acc, in []float64) {
-	for i := range acc {
-		if in[i] > acc[i] {
-			acc[i] = in[i]
-		}
-	}
-}
-
 // Reduce combines every rank's data at root with op; the reduced vector
 // is returned at root, nil elsewhere. All contributions must have the
 // same length.

@@ -30,16 +30,16 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
-func TestAllreduceMax(t *testing.T) {
+func TestAllreduceSum(t *testing.T) {
 	m, _ := New(3, WithRecvTimeout(5*time.Second))
 	defer m.Close()
 	err := m.Run(func(p *Proc) error {
-		acc, err := p.Allreduce([]float64{float64(p.Rank * p.Rank)}, MaxOp)
+		acc, err := p.Allreduce([]float64{float64(p.Rank * p.Rank)}, SumOp)
 		if err != nil {
 			return err
 		}
-		if acc[0] != 4 {
-			return fmt.Errorf("rank %d allreduce max = %g, want 4", p.Rank, acc[0])
+		if acc[0] != 5 {
+			return fmt.Errorf("rank %d allreduce sum = %g, want 5", p.Rank, acc[0])
 		}
 		return nil
 	})

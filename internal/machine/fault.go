@@ -33,7 +33,7 @@ type FaultTransport struct {
 	reorderNext int  // hold the next n data messages behind their successor
 	corrupt     bool // permanently NaN word 0 of every data message
 	delay       time.Duration
-	held        *Message // message stashed by reorder injection
+	held        []Message // copies stashed by reorder injection (two if also duplicated)
 	killed      map[int]bool
 	rng         *rand.Rand
 
@@ -161,7 +161,7 @@ func (t *FaultTransport) Send(msg Message) error {
 	}
 	delay := t.delay
 	drop, dup := false, false
-	var release *Message
+	var release []Message
 	if msg.Tag >= 0 {
 		switch {
 		case t.dropNext > 0:
@@ -191,8 +191,10 @@ func (t *FaultTransport) Send(msg Message) error {
 			} else if t.reorderNext > 0 {
 				t.reorderNext--
 				t.reordered++
-				held := msg
-				t.held = &held
+				t.held = append(t.held, msg)
+				if dup {
+					t.held = append(t.held, msg)
+				}
 				t.mu.Unlock()
 				return nil // delivered later, behind its successor
 			}
@@ -214,8 +216,10 @@ func (t *FaultTransport) Send(msg Message) error {
 			return err
 		}
 	}
-	if release != nil {
-		return t.Inner.Send(*release)
+	for _, held := range release {
+		if err := t.Inner.Send(held); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -244,8 +248,8 @@ func (t *FaultTransport) Close() error {
 	release := t.held
 	t.held = nil
 	t.mu.Unlock()
-	if release != nil {
-		t.Inner.Send(*release) // best effort; transport may already be closing
+	for _, held := range release {
+		t.Inner.Send(held) // best effort; transport may already be closing
 	}
 	return t.Inner.Close()
 }

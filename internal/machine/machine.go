@@ -40,9 +40,6 @@ type Message struct {
 	Pooled bool
 }
 
-// Words returns the payload size in array elements.
-func (m Message) Words() int { return len(m.Data) }
-
 // Transport moves messages between ranks. Its receive side is one
 // inbox per rank (inbox.go), which only this package's transports
 // provide: a wrapper defined elsewhere embeds a Transport and overrides

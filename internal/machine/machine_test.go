@@ -74,7 +74,7 @@ func TestSendChargesCounter(t *testing.T) {
 		if p.Rank == 0 {
 			return p.Send(1, 1, [4]int64{}, make([]float64, 10), &ctr)
 		}
-		_, err := p.Recv()
+		_, err := p.RecvFrom(0, 1)
 		return err
 	})
 	if err != nil {
@@ -125,7 +125,7 @@ func TestRecvTimeout(t *testing.T) {
 	}
 	defer m.Close()
 	err = m.Run(func(p *Proc) error {
-		_, err := p.Recv()
+		_, err := p.RecvFrom(0, 1)
 		return err
 	})
 	if !errors.Is(err, ErrTimeout) {
@@ -367,11 +367,5 @@ func TestPairwiseFIFOAllTransports(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestMessageWords(t *testing.T) {
-	if (Message{Data: make([]float64, 5)}).Words() != 5 {
-		t.Error("Words() wrong")
 	}
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/trace"
@@ -43,16 +42,6 @@ func (p *Proc) SendBuf(to, tag int, meta [4]int64, data []float64, pooled bool, 
 		Pooled: pooled && !p.m.retains})
 }
 
-// TraceSpan records a labelled compute span started at `start` into the
-// machine's tracer (no-op without one). SPMD kernels use it to mark
-// compression/decoding phases on the timeline.
-func (p *Proc) TraceSpan(label string, start time.Time) {
-	if p.m.tracer != nil {
-		p.m.tracer.Record(trace.Event{Kind: trace.Span, Rank: p.Rank, Peer: -1,
-			Label: label, At: start, Dur: time.Since(start)})
-	}
-}
-
 func (p *Proc) traceRecv(msg Message) {
 	if msg.Tag < 0 {
 		// Data-bearing collectives are recorded into the network model
@@ -86,14 +75,6 @@ func (p *Proc) recvMatch(ctx context.Context, w want) (Message, error) {
 	return msg, nil
 }
 
-// Recv returns the next message addressed to this rank, regardless of
-// source or tag. Only safe while a single session uses the machine —
-// with concurrent sessions it can swallow another session's frame; use
-// RecvFrom or RecvRange there.
-func (p *Proc) Recv() (Message, error) {
-	return p.recvMatch(nil, want{kind: wantAny})
-}
-
 // RecvFrom returns the next message from the given source with the given
 // tag, leaving any other messages that arrive first in the inbox (MPI_Recv
 // semantics with explicit source and tag). A negative source or tag
@@ -110,16 +91,11 @@ func (p *Proc) RecvFromCtx(ctx context.Context, from, tag int) (Message, error) 
 	return p.recvMatch(ctx, want{kind: wantTag, from: from, lo: tag})
 }
 
-// RecvRange returns the next message from the given source whose tag
-// lies in [lo, hi) — the session-scoped wildcard: a protocol that owns
-// an allocated tag range (AllocTags) can accept any of its own frames
-// without ever stealing a concurrent session's. A negative source
-// matches any sender.
-func (p *Proc) RecvRange(from, lo, hi int) (Message, error) {
-	return p.RecvRangeCtx(nil, from, lo, hi)
-}
-
-// RecvRangeCtx is RecvRange with cancellation, like RecvFromCtx.
+// RecvRangeCtx returns the next message from the given source whose
+// tag lies in [lo, hi) — the session-scoped wildcard: a protocol that
+// owns an allocated tag range (AllocTags) can accept any of its own
+// frames without ever stealing a concurrent session's. A negative
+// source matches any sender; ctx cancels the wait like RecvFromCtx's.
 func (p *Proc) RecvRangeCtx(ctx context.Context, from, lo, hi int) (Message, error) {
 	return p.recvMatch(ctx, want{kind: wantRange, from: from, lo: lo, hi: hi})
 }

@@ -271,6 +271,40 @@ func TestFaultTransportTransientModes(t *testing.T) {
 	}
 }
 
+// TestFaultDuplicateSurvivesReorder arms a duplicate and a reordering
+// at once: the message picked for both is held back, and when released
+// it must still go out twice, so every counted duplicate is delivered.
+func TestFaultDuplicateSurvivesReorder(t *testing.T) {
+	ft := NewFaultTransport(NewChanTransport(2))
+	defer ft.Close()
+	ft.DuplicateNext(1)
+	ft.ReorderNext(1)
+	const sent = 2
+	for i := 0; i < sent; i++ {
+		if err := ft.Send(Message{From: 0, To: 1, Tag: 1, Meta: [4]int64{int64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var order []int64
+	for {
+		msg, err := recvAny(ft, 1, 20*time.Millisecond)
+		if err != nil {
+			break
+		}
+		order = append(order, msg.Meta[0])
+	}
+	st := ft.FullStats()
+	if st.Duplicated != 1 || st.Reordered != 1 {
+		t.Fatalf("FullStats = %+v, want one duplicate and one reordering", st)
+	}
+	if len(order) != sent+st.Duplicated {
+		t.Fatalf("delivered %v: %d messages, want %d sent + %d duplicated", order, len(order), sent, st.Duplicated)
+	}
+	if order[0] != 1 || order[1] != 0 || order[2] != 0 {
+		t.Errorf("delivery order %v, want [1 0 0]", order)
+	}
+}
+
 func TestFaultTransportKilledRankRecv(t *testing.T) {
 	ft := NewFaultTransport(NewChanTransport(2))
 	defer ft.Close()

@@ -64,7 +64,7 @@ func TestRecvRange(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < 2; i++ {
-			msg, err := p.RecvRange(0, 10, 12)
+			msg, err := p.RecvRangeCtx(nil, 0, 10, 12)
 			if err != nil {
 				return err
 			}

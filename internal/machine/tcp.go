@@ -9,7 +9,6 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -35,21 +34,6 @@ type TCPTransport struct {
 	writeMu  sync.Mutex
 	inboxes  []msgQueue
 	readDone chan struct{} // closed when the read loop returns
-
-	badDest atomic.Int64 // frames discarded for an out-of-range destination
-}
-
-// TCPStats counts the transport's abnormal traffic.
-type TCPStats struct {
-	// MalformedDest is the number of received frames discarded because
-	// their destination rank was out of range — damaged or hostile
-	// traffic that previously vanished without a trace.
-	MalformedDest int64
-}
-
-// Stats returns a snapshot of the transport's abnormal-traffic counters.
-func (t *TCPTransport) Stats() TCPStats {
-	return TCPStats{MalformedDest: t.badDest.Load()}
 }
 
 // tcpBufBytes sizes the connection's reader and writer: a typical frame
@@ -123,9 +107,8 @@ func (t *TCPTransport) readLoop() {
 	r := bufio.NewReaderSize(t.hub, tcpBufBytes)
 	msg, err := readFrame(r)
 	for ; err == nil; msg, err = readFrame(r) {
-		if msg.To < 0 || msg.To >= t.p {
-			t.badDest.Add(1) // counted, not silently vanished
-		} else {
+		// A frame for an out-of-range rank is damaged or hostile: drop it.
+		if msg.To >= 0 && msg.To < t.p {
 			t.inboxes[msg.To].push(msg) // a killed rank's inbox drops it
 		}
 	}

@@ -19,12 +19,8 @@ func TestMachineTracesMessages(t *testing.T) {
 		if p.Rank == 0 {
 			return p.Send(1, 3, [4]int64{}, []float64{1, 2}, nil)
 		}
-		start := time.Now()
-		if _, err := p.RecvFrom(0, 3); err != nil {
-			return err
-		}
-		p.TraceSpan("decode", start)
-		return nil
+		_, err := p.RecvFrom(0, 3)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +29,11 @@ func TestMachineTracesMessages(t *testing.T) {
 		t.Error("Tracer() did not return the installed tracer")
 	}
 	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("events = %d, want 3 (send, recv, span)", len(evs))
+	if len(evs) != 2 {
+		t.Fatalf("events = %d, want 2 (send, recv)", len(evs))
 	}
 	out := tr.Timeline()
-	for _, want := range []string{"P0 send -> P1", "P1 recv <- P0", "2 words", "decode"} {
+	for _, want := range []string{"P0 send -> P1", "P1 recv <- P0", "2 words"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q:\n%s", want, out)
 		}

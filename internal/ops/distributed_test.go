@@ -34,7 +34,7 @@ func TestDistributedSpMVAllPartitions(t *testing.T) {
 		for _, method := range []dist.Method{dist.CRS, dist.CCS} {
 			t.Run(part.Name()+"/"+method.String(), func(t *testing.T) {
 				m := newMachine(t, 4)
-				res, err := dist.ED{}.Distribute(m, g, part, dist.Options{Method: method})
+				res, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: part, Options: dist.Options{Method: method}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,7 +54,7 @@ func TestDistributedSpMVErrors(t *testing.T) {
 	g := sparse.Uniform(8, 8, 0.3, 2)
 	part, _ := partition.NewRow(8, 8, 2)
 	m := newMachine(t, 2)
-	res, err := dist.SFC{}.Distribute(m, g, part, dist.Options{})
+	res, err := dist.Run(m, dist.Plan{Codec: dist.SFC{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDistributedSpMVWithBalancedRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newMachine(t, 4)
-	res, err := dist.ED{}.Distribute(m, g, part, dist.Options{})
+	res, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestBroadcastSpMVAppearsInTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := netMachine(t, 4, "star")
-	res, err := dist.SFC{}.Distribute(m, g, part, dist.Options{})
+	res, err := dist.Run(m, dist.Plan{Codec: dist.SFC{}, Global: g, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,100 +93,14 @@ func TestSpMVJDSDimensionError(t *testing.T) {
 	}
 }
 
-func TestSpMVTMatchesTranspose(t *testing.T) {
-	d := sparse.PaperFigure1()
-	x := vec(10, func(i int) float64 { return float64(i) - 4 })
-	a := compress.CompressCRS(d, nil)
-	y, err := SpMVT(a, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := denseSpMV(d.Transpose(), x)
-	if !vecsEqual(y, want, 1e-12) {
-		t.Errorf("SpMVT = %v, want %v", y, want)
-	}
-}
-
 func TestSpMVDimensionErrors(t *testing.T) {
 	a := compress.CompressCRS(sparse.NewDense(3, 4), nil)
 	if _, err := SpMV(a, make([]float64, 3)); err == nil {
 		t.Error("wrong x length accepted")
 	}
-	if _, err := SpMVT(a, make([]float64, 4)); err == nil {
-		t.Error("SpMVT wrong x length accepted")
-	}
 	c := compress.CompressCCS(sparse.NewDense(3, 4), nil)
 	if _, err := SpMVCCS(c, make([]float64, 5)); err == nil {
 		t.Error("SpMVCCS wrong x length accepted")
-	}
-}
-
-func TestAddMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		da := sparse.Uniform(8, 11, 0.3, seed)
-		db := sparse.Uniform(8, 11, 0.3, seed+1)
-		sum, err := Add(compress.CompressCRS(da, nil), compress.CompressCRS(db, nil))
-		if err != nil || sum.Validate() != nil {
-			return false
-		}
-		want := sparse.NewDense(8, 11)
-		for i := 0; i < 8; i++ {
-			for j := 0; j < 11; j++ {
-				want.Set(i, j, da.At(i, j)+db.At(i, j))
-			}
-		}
-		return sum.Decompress().Equal(want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAddCancellationDropsZeros(t *testing.T) {
-	d := sparse.NewDense(2, 2)
-	d.Set(0, 0, 5)
-	d.Set(1, 1, 3)
-	a := compress.CompressCRS(d, nil)
-	b := Scale(a, -1)
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.NNZ() != 0 {
-		t.Errorf("a + (-a) has %d nonzeros, want 0", sum.NNZ())
-	}
-	if err := sum.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAddShapeMismatch(t *testing.T) {
-	a := compress.CompressCRS(sparse.NewDense(2, 2), nil)
-	b := compress.CompressCRS(sparse.NewDense(3, 2), nil)
-	if _, err := Add(a, b); err == nil {
-		t.Error("shape mismatch accepted")
-	}
-}
-
-func TestScale(t *testing.T) {
-	d := sparse.PaperFigure1()
-	a := compress.CompressCRS(d, nil)
-	s := Scale(a, 2.5)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for k := range s.Val {
-		if s.Val[k] != 2.5*a.Val[k] {
-			t.Fatalf("Val[%d] = %g, want %g", k, s.Val[k], 2.5*a.Val[k])
-		}
-	}
-	z := Scale(a, 0)
-	if z.NNZ() != 0 || z.Validate() != nil {
-		t.Error("Scale by 0 must produce a valid empty array")
-	}
-	// Scale must not mutate the input.
-	if a.Val[0] != 1 {
-		t.Error("Scale mutated its input")
 	}
 }
 

@@ -42,31 +42,3 @@ func SpGEMM(a, b *compress.CRS) (*compress.CRS, error) {
 	}
 	return out, nil
 }
-
-// Kron computes the Kronecker product C = A ⊗ B of two CRS arrays:
-// C[(ia*bRows + ib), (ja*bCols + jb)] = A[ia][ja] * B[ib][jb]. The
-// classic constructor for multi-dimensional operators: the 2-D Poisson
-// matrix is kron(I, T) + kron(T, I) for the 1-D stencil T.
-func Kron(a, b *compress.CRS) *compress.CRS {
-	out := &compress.CRS{
-		Rows:   a.Rows * b.Rows,
-		Cols:   a.Cols * b.Cols,
-		RowPtr: make([]int, a.Rows*b.Rows+1),
-		ColIdx: make([]int, 0, a.NNZ()*b.NNZ()),
-		Val:    make([]float64, 0, a.NNZ()*b.NNZ()),
-	}
-	for ia := 0; ia < a.Rows; ia++ {
-		for ib := 0; ib < b.Rows; ib++ {
-			for ka := a.RowPtr[ia]; ka < a.RowPtr[ia+1]; ka++ {
-				av := a.Val[ka]
-				jaOff := a.ColIdx[ka] * b.Cols
-				for kb := b.RowPtr[ib]; kb < b.RowPtr[ib+1]; kb++ {
-					out.ColIdx = append(out.ColIdx, jaOff+b.ColIdx[kb])
-					out.Val = append(out.Val, av*b.Val[kb])
-				}
-			}
-			out.RowPtr[ia*b.Rows+ib+1] = len(out.Val)
-		}
-	}
-	return out
-}

@@ -73,63 +73,3 @@ func TestSpGEMMCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestKronAgainstPoisson(t *testing.T) {
-	// kron(I, T) + kron(T, I) must equal the 5-point Poisson matrix,
-	// where T is the 1-D stencil tridiag(-1, 2, -1).
-	const g = 5
-	tt := sparse.NewDense(g, g)
-	for i := 0; i < g; i++ {
-		tt.Set(i, i, 2)
-		if i > 0 {
-			tt.Set(i, i-1, -1)
-		}
-		if i < g-1 {
-			tt.Set(i, i+1, -1)
-		}
-	}
-	tcrs := compress.CompressCRS(tt, nil)
-	eye := compress.CompressCRS(sparse.Diagonal(g, 1), nil)
-	sum, err := Add(Kron(eye, tcrs), Kron(tcrs, eye))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := compress.CompressCRSFromCOO(sparse.Poisson2D(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sum.Equal(want) {
-		t.Error("kron(I,T) + kron(T,I) != Poisson2D")
-	}
-}
-
-func TestKronProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		da := sparse.Uniform(4, 3, 0.5, seed)
-		db := sparse.Uniform(3, 5, 0.5, seed+1)
-		c := Kron(compress.CompressCRS(da, nil), compress.CompressCRS(db, nil))
-		if c.Validate() != nil {
-			return false
-		}
-		// Spot-check the definition at every coordinate.
-		for ia := 0; ia < 4; ia++ {
-			for ja := 0; ja < 3; ja++ {
-				for ib := 0; ib < 3; ib++ {
-					for jb := 0; jb < 5; jb++ {
-						want := da.At(ia, ja) * db.At(ib, jb)
-						if c.At(ia*3+ib, ja*5+jb) != want {
-							return false
-						}
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}

@@ -54,11 +54,6 @@ func Contiguous(m []int) bool {
 	return true
 }
 
-// LocalShape returns the local array shape of part k.
-func LocalShape(p Partition, k int) (rows, cols int) {
-	return len(p.RowMap(k)), len(p.ColMap(k))
-}
-
 // Extract copies part k of the global array into a new local dense
 // array. This is the data partition phase proper: the root materialises
 // the local sparse array that will be sent (SFC) or compressed/encoded

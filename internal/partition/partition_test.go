@@ -57,7 +57,7 @@ func TestColPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 4; k++ {
-		if nr, nc := LocalShape(p, k); nr != 10 || nc != 2 {
+		if nr, nc := len(p.RowMap(k)), len(p.ColMap(k)); nr != 10 || nc != 2 {
 			t.Errorf("part %d shape %dx%d, want 10x2", k, nr, nc)
 		}
 		if !Contiguous(p.ColMap(k)) {

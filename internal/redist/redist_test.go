@@ -77,7 +77,7 @@ func TestRedistributeRowToMesh(t *testing.T) {
 	mesh, _ := partition.NewMesh(24, 24, 2, 2)
 
 	m := newMachine(t, 4)
-	src, err := dist.ED{}.Distribute(m, g, row, dist.Options{})
+	src, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: row})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRedistributeAllPairs(t *testing.T) {
 			for _, method := range []dist.Method{dist.CRS, dist.CCS} {
 				t.Run(from.Name()+"->"+to.Name()+"/"+method.String(), func(t *testing.T) {
 					m := newMachine(t, 4)
-					src, err := dist.CFS{}.Distribute(m, g, from, dist.Options{Method: method})
+					src, err := dist.Run(m, dist.Plan{Codec: dist.CFS{}, Global: g, Partition: from, Options: dist.Options{Method: method}})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -132,7 +132,7 @@ func TestRedistributeIdentityIsLossless(t *testing.T) {
 	g := sparse.Uniform(16, 16, 0.25, 7)
 	row, _ := partition.NewRow(16, 16, 4)
 	m := newMachine(t, 4)
-	src, err := dist.SFC{}.Distribute(m, g, row, dist.Options{})
+	src, err := dist.Run(m, dist.Plan{Codec: dist.SFC{}, Global: g, Partition: row})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRedistributeErrors(t *testing.T) {
 	row, _ := partition.NewRow(12, 12, 4)
 	other, _ := partition.NewRow(10, 12, 4)
 	m := newMachine(t, 4)
-	src, err := dist.ED{}.Distribute(m, g, row, dist.Options{})
+	src, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: row})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestRedistributeEmptyParts(t *testing.T) {
 	rowA, _ := partition.NewRow(3, 10, 5)
 	colB, _ := partition.NewCol(3, 10, 5)
 	m := newMachine(t, 5)
-	src, err := dist.ED{}.Distribute(m, g, rowA, dist.Options{})
+	src, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: rowA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func BenchmarkRedistribute(b *testing.B) {
 	row, _ := partition.NewRow(480, 480, 4)
 	mesh, _ := partition.NewMesh(480, 480, 2, 2)
 	m := newMachine(b, 4)
-	src, err := (dist.ED{}).Distribute(m, g, row, dist.Options{})
+	src, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: row})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func BenchmarkRedistribute(b *testing.B) {
 	b.Run("via-root", func(b *testing.B) {
 		var bd *dist.Breakdown
 		for i := 0; i < b.N; i++ {
-			res, err := (dist.ED{}).Distribute(m, g, mesh, dist.Options{})
+			res, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: mesh})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -212,9 +212,6 @@ func (s *Server) start() {
 	}
 }
 
-// Handler returns the server's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -261,13 +258,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // serving traffic.
 func (s *Server) LoadRefineState(path string) error {
 	return s.refiner.Load(path)
-}
-
-// SaveRefineState snapshots the refiner to path atomically, for
-// callers managing persistence themselves instead of via
-// Config.RefineStatePath.
-func (s *Server) SaveRefineState(path string) error {
-	return s.refiner.Save(path)
 }
 
 // Close force-stops: every pending job is cancelled, then the drain

@@ -87,9 +87,6 @@ type Breakdown struct {
 	Makespan     time.Duration
 }
 
-// Total returns distribution + compression.
-func (b Breakdown) Total() time.Duration { return b.Distribution + b.Compression }
-
 // PaperBreakdown folds the per-class busy times with the paper's rule:
 //
 //	T_Distribution = wire(root) + root-dist(root) + max_k rank-dist(k)

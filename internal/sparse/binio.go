@@ -29,8 +29,13 @@ const (
 // WriteBinary writes the COO to w in the binary container format.
 func WriteBinary(w io.Writer, c *COO) error {
 	bw := bufio.NewWriter(w)
-	if err := writeBinaryHeader(bw, c.Rows, c.Cols, len(c.Entries)); err != nil {
-		return err
+	var hdr [binaryHeaderLen]byte
+	copy(hdr[:8], binaryMagic)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(c.Rows))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(c.Cols))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(c.Entries)))
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return fmt.Errorf("sparse: writing binary header: %w", err)
 	}
 	var rec [binaryRecordLen]byte
 	for _, e := range c.Entries {
@@ -42,63 +47,10 @@ func WriteBinary(w io.Writer, c *COO) error {
 	return bw.Flush()
 }
 
-func writeBinaryHeader(w io.Writer, rows, cols, nnz int) error {
-	var hdr [binaryHeaderLen]byte
-	copy(hdr[:8], binaryMagic)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(rows))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(cols))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(nnz))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("sparse: writing binary header: %w", err)
-	}
-	return nil
-}
-
 func putBinaryRecord(rec *[binaryRecordLen]byte, e Entry) {
 	binary.LittleEndian.PutUint64(rec[0:8], uint64(e.Row))
 	binary.LittleEndian.PutUint64(rec[8:16], uint64(e.Col))
 	binary.LittleEndian.PutUint64(rec[16:24], math.Float64bits(e.Val))
-}
-
-// BinaryWriter writes a binary COO container incrementally, so a
-// generator can produce a file bigger than memory. The entry count must
-// be declared up front (it lives in the header).
-type BinaryWriter struct {
-	bw      *bufio.Writer
-	declare int
-	written int
-}
-
-// NewBinaryWriter writes the header for a rows x cols array with
-// exactly nnz entries and returns a writer for the records.
-func NewBinaryWriter(w io.Writer, rows, cols, nnz int) (*BinaryWriter, error) {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := writeBinaryHeader(bw, rows, cols, nnz); err != nil {
-		return nil, err
-	}
-	return &BinaryWriter{bw: bw, declare: nnz}, nil
-}
-
-// Write appends one entry record.
-func (b *BinaryWriter) Write(e Entry) error {
-	if b.written == b.declare {
-		return fmt.Errorf("sparse: binary writer declared %d entries, got more", b.declare)
-	}
-	var rec [binaryRecordLen]byte
-	putBinaryRecord(&rec, e)
-	if _, err := b.bw.Write(rec[:]); err != nil {
-		return fmt.Errorf("sparse: writing binary entry: %w", err)
-	}
-	b.written++
-	return nil
-}
-
-// Close flushes and verifies the declared count was met.
-func (b *BinaryWriter) Close() error {
-	if b.written != b.declare {
-		return &NNZMismatchError{Header: b.declare, Actual: b.written}
-	}
-	return b.bw.Flush()
 }
 
 // BinaryStream is the chunked reader for the binary COO container. Its

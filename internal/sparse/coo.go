@@ -62,44 +62,6 @@ func (c *COO) SortRowMajor() {
 	})
 }
 
-// SortColMajor orders entries by (col, row). CCS compression and the
-// column-major ED buffer require this order.
-func (c *COO) SortColMajor() {
-	sort.Slice(c.Entries, func(a, b int) bool {
-		ea, eb := c.Entries[a], c.Entries[b]
-		if ea.Col != eb.Col {
-			return ea.Col < eb.Col
-		}
-		return ea.Row < eb.Row
-	})
-}
-
-// Dedup removes duplicate coordinates, keeping the last value written for
-// each coordinate. The receiver is left sorted row-major.
-func (c *COO) Dedup() {
-	if len(c.Entries) == 0 {
-		return
-	}
-	// Stable sort keeps insertion order within equal coordinates, so the
-	// last inserted duplicate wins.
-	sort.SliceStable(c.Entries, func(a, b int) bool {
-		ea, eb := c.Entries[a], c.Entries[b]
-		if ea.Row != eb.Row {
-			return ea.Row < eb.Row
-		}
-		return ea.Col < eb.Col
-	})
-	out := c.Entries[:0]
-	for _, e := range c.Entries {
-		if n := len(out); n > 0 && out[n-1].Row == e.Row && out[n-1].Col == e.Col {
-			out[n-1].Val = e.Val
-			continue
-		}
-		out = append(out, e)
-	}
-	c.Entries = out
-}
-
 // ToDense materialises the COO as a dense array.
 func (c *COO) ToDense() *Dense {
 	d := NewDense(c.Rows, c.Cols)

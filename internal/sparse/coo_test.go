@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -63,28 +64,12 @@ func TestFromDenseRowMajorOrder(t *testing.T) {
 	}
 }
 
-func TestSortColMajor(t *testing.T) {
-	c := FromDense(PaperFigure1())
-	c.SortColMajor()
-	if !sort.SliceIsSorted(c.Entries, func(a, b int) bool {
-		ea, eb := c.Entries[a], c.Entries[b]
-		if ea.Col != eb.Col {
-			return ea.Col < eb.Col
-		}
-		return ea.Row < eb.Row
-	}) {
-		t.Error("SortColMajor did not order entries column-major")
-	}
-	// Column-major order of Figure 1: first entries are column 0 rows 2, 9.
-	if c.Entries[0].Val != 3 || c.Entries[1].Val != 14 {
-		t.Errorf("first column entries = %g, %g; want 3, 14", c.Entries[0].Val, c.Entries[1].Val)
-	}
-}
-
 func TestSortRowMajorProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		c := FromDense(Uniform(8, 8, 0.4, seed))
-		c.SortColMajor()
+		rand.New(rand.NewSource(seed)).Shuffle(len(c.Entries), func(a, b int) {
+			c.Entries[a], c.Entries[b] = c.Entries[b], c.Entries[a]
+		})
 		c.SortRowMajor()
 		want := FromDense(c.ToDense())
 		if len(want.Entries) != len(c.Entries) {
@@ -99,20 +84,6 @@ func TestSortRowMajorProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDedupKeepsLast(t *testing.T) {
-	c := NewCOO(4, 4)
-	c.Add(1, 1, 3)
-	c.Add(0, 0, 1)
-	c.Add(1, 1, 7) // overwrites the 3
-	c.Dedup()
-	if c.NNZ() != 2 {
-		t.Fatalf("NNZ after Dedup = %d, want 2", c.NNZ())
-	}
-	if got := c.ToDense().At(1, 1); got != 7 {
-		t.Errorf("deduped (1,1) = %g, want 7 (last write wins)", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,7 +31,13 @@ func WriteHB(w io.Writer, c *COO, title, key string) error {
 		return err
 	}
 	s := c.Clone()
-	s.SortColMajor()
+	sort.Slice(s.Entries, func(a, b int) bool {
+		ea, eb := s.Entries[a], s.Entries[b]
+		if ea.Col != eb.Col {
+			return ea.Col < eb.Col
+		}
+		return ea.Row < eb.Row
+	})
 
 	// Column pointers (1-based, ncol+1 of them).
 	ptr := make([]int, s.Cols+1)

@@ -22,19 +22,6 @@ func RowNNZ(d *Dense) []int {
 	return counts
 }
 
-// ColNNZ returns the number of nonzeros in each column.
-func ColNNZ(d *Dense) []int {
-	counts := make([]int, d.Cols())
-	for i := 0; i < d.Rows(); i++ {
-		for j, v := range d.Row(i) {
-			if v != 0 {
-				counts[j]++
-			}
-		}
-	}
-	return counts
-}
-
 // Spy renders the sparsity pattern as ASCII art (the classic "spy
 // plot"), downsampling the array onto a width x height character grid:
 // ' ' for an all-zero cell block, '.' for sparse blocks, 'o' for

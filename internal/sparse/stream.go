@@ -29,9 +29,9 @@ type Chunk struct {
 //
 // Next returns io.EOF after the last chunk. Readers may repeat a
 // coordinate (e.g. a file listing duplicates); consumers that need
-// set-semantics must dedup with last-write-wins, matching COO.Dedup and
-// ToDense. Reset rewinds the stream to the beginning so it can be
-// scanned again (e.g. a stats count pass before the distribution pass).
+// set-semantics must dedup with last-write-wins, matching ToDense.
+// Reset rewinds the stream to the beginning so it can be scanned again
+// (e.g. a stats count pass before the distribution pass).
 type ChunkReader interface {
 	// Shape returns the declared array dimensions.
 	Shape() (rows, cols int)
@@ -122,17 +122,6 @@ func Materialize(src ChunkReader) (*Dense, error) {
 		return nil, fmt.Errorf("sparse: rewinding stream after materialize: %w", err)
 	}
 	return d, nil
-}
-
-// DedupEntries sorts entries row-major (stable) and drops duplicate
-// coordinates keeping the last occurrence — the same semantics as
-// COO.Dedup and ToDense, so a streamed receiver reconstructs exactly
-// the array a materializing run would have seen. The slice is modified
-// in place and the deduped prefix returned.
-func DedupEntries(entries []Entry) []Entry {
-	c := COO{Entries: entries}
-	c.Dedup()
-	return c.Entries
 }
 
 // StreamCOO adapts an in-memory COO to the ChunkReader interface,

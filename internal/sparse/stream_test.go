@@ -250,36 +250,6 @@ func TestBinaryStreamMatchesReadBinary(t *testing.T) {
 	}
 }
 
-// TestBinaryWriterNNZContract: the incremental writer enforces the
-// declared count on both sides — writes past it fail, and closing short
-// yields the typed mismatch error.
-func TestBinaryWriterNNZContract(t *testing.T) {
-	var buf bytes.Buffer
-	bw, err := NewBinaryWriter(&buf, 4, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Write(Entry{Row: 0, Col: 0, Val: 1}); err != nil {
-		t.Fatal(err)
-	}
-	var mism *NNZMismatchError
-	if err := bw.Close(); !errors.As(err, &mism) {
-		t.Fatalf("short close error %v, want *NNZMismatchError", err)
-	}
-
-	buf.Reset()
-	bw, err = NewBinaryWriter(&buf, 4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Write(Entry{Row: 0, Col: 0, Val: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Write(Entry{Row: 1, Col: 1, Val: 2}); err == nil {
-		t.Error("write past declared nnz succeeded")
-	}
-}
-
 // TestBinaryStreamDetectsTruncationAndTrailing: corrupt lengths surface
 // as NNZMismatchError, not a silent short read.
 func TestBinaryStreamDetectsTruncationAndTrailing(t *testing.T) {
@@ -437,26 +407,6 @@ func TestUniformStreamProperties(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Error("seed change produced identical stream")
-	}
-}
-
-func TestDedupEntriesKeepsLast(t *testing.T) {
-	in := []Entry{
-		{Row: 1, Col: 1, Val: 1},
-		{Row: 0, Col: 2, Val: 9},
-		{Row: 1, Col: 1, Val: 5},
-		{Row: 0, Col: 2, Val: 3},
-		{Row: 2, Col: 0, Val: 4},
-	}
-	out := DedupEntries(in)
-	want := []Entry{{Row: 0, Col: 2, Val: 3}, {Row: 1, Col: 1, Val: 5}, {Row: 2, Col: 0, Val: 4}}
-	if len(out) != len(want) {
-		t.Fatalf("deduped to %d entries, want %d", len(out), len(want))
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("entry %d = %+v, want %+v", i, out[i], want[i])
-		}
 	}
 }
 

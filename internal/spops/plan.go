@@ -11,9 +11,9 @@
 // position the execution engine touches. Executing the plan is then a
 // halo exchange: each x-owner sends each consumer exactly the owned
 // values that consumer's nonzeros reference, point to point, instead
-// of the root broadcasting the whole vector to everyone. Iterative
-// solvers (Jacobi, Power) keep vector segments resident and reuse the
-// plan every sweep, so per-iteration traffic is O(halo), not O(n·p).
+// of the root broadcasting the whole vector to everyone. The iterative
+// solver (Jacobi) keeps vector segments resident and reuses the plan
+// every sweep, so per-iteration traffic is O(halo), not O(n·p).
 //
 // The same needed-index sets double as the row-fetch lists of the
 // distributed SpGEMM (Hong et al., arXiv:2408.14558): the B-rows a
@@ -112,7 +112,7 @@ type CommPlan struct {
 	gemmOnce sync.Once
 	gemm     *gemmView
 	// sweep is what only the SpMV-family kernel reads, derived on the
-	// first SpMV, Jacobi or Power.
+	// first SpMV or Jacobi.
 	sweepOnce sync.Once
 	sweep     []sweepPart
 }
@@ -205,7 +205,7 @@ func BuildCommPlan(part partition.Partition, res *dist.Result) (*CommPlan, error
 
 	// Vector ownership: contiguous ceil-div blocks over the alive
 	// ranks — x over columns, y over rows. For square arrays the two
-	// cuts coincide, which is what lets Jacobi/Power feed y straight
+	// cuts coincide, which is what lets Jacobi feed y straight
 	// back in as the next x without a remap.
 	na := len(pl.alive)
 	pl.xCut = partition.BlockCuts(cols, na)

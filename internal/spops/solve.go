@@ -7,18 +7,12 @@ import (
 	"repro/internal/machine"
 )
 
-// maxOp and sumOp fold scalar reduction operands.
+// maxOp folds scalar reduction operands.
 func maxOp(acc, in []float64) {
 	for i := range acc {
 		if in[i] > acc[i] {
 			acc[i] = in[i]
 		}
-	}
-}
-
-func sumOp(acc, in []float64) {
-	for i := range acc {
-		acc[i] += in[i]
 	}
 }
 
@@ -126,91 +120,6 @@ func Jacobi(m *machine.Machine, pl *CommPlan, b, x0 []float64, tol float64, maxI
 	stats := e.stats("jacobi", iters)
 	stats.Converged = converged
 	return x, stats, nil
-}
-
-// Power runs power iteration on the distributed square array:
-// repeated resident-segment SpMV sweeps with a two-scalar allreduce
-// per iteration (norm² and Rayleigh numerator). Returns the dominant
-// eigenvalue estimate and its normalised eigenvector.
-func Power(m *machine.Machine, pl *CommPlan, tol float64, maxIter int) (float64, []float64, OpStats, error) {
-	if err := requireSquare(pl, "Power"); err != nil {
-		return 0, nil, OpStats{}, err
-	}
-	if maxIter <= 0 {
-		return 0, nil, OpStats{}, fmt.Errorf("spops: Power: maxIter %d", maxIter)
-	}
-	x0 := make([]float64, pl.Cols)
-	for i := range x0 {
-		x0[i] = 1 / math.Sqrt(float64(pl.Cols))
-	}
-
-	e := newExec(m, pl)
-	x := make([]float64, pl.Cols)
-	var lambda float64
-	var iters int
-	var converged bool
-	err := e.run(func(pr *machine.Proc) error {
-		st := e.st[pr.Rank]
-		if err := e.scatterX(pr, x0); err != nil {
-			return err
-		}
-		it, conv := 0, false
-		prev := math.Inf(1)
-		lam := 0.0
-		for it < maxIter {
-			if err := e.halo(pr); err != nil {
-				return err
-			}
-			e.compute(pr)
-			if err := e.yRoute(pr); err != nil {
-				return err
-			}
-			// Rayleigh numerator x·y and norm² of y over the owned
-			// conformal segment.
-			dot, nsq := 0.0, 0.0
-			for i, v := range st.ySeg {
-				dot += st.xSeg[i] * v
-				nsq += v * v
-			}
-			red := st.red[:2]
-			red[0], red[1] = dot, nsq
-			if err := e.allreduce(pr, red, sumOp); err != nil {
-				return err
-			}
-			it++
-			lam = red[0]
-			norm := math.Sqrt(red[1])
-			if norm == 0 {
-				// A annihilated x: eigenvalue 0, keep the zero vector.
-				for i := range st.xSeg {
-					st.xSeg[i] = 0
-				}
-				conv = true
-				break
-			}
-			for i := range st.xSeg {
-				st.xSeg[i] = st.ySeg[i] / norm
-			}
-			if math.Abs(lam-prev) < tol*math.Max(1, math.Abs(lam)) {
-				conv = true
-				break
-			}
-			prev = lam
-		}
-		if err := e.gatherXSeg(pr, x); err != nil {
-			return err
-		}
-		if pr.Rank == pl.IO {
-			lambda, iters, converged = lam, it, conv
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, nil, OpStats{}, err
-	}
-	stats := e.stats("power", iters)
-	stats.Converged = converged
-	return lambda, x, stats, nil
 }
 
 // scatterSeg ships each owner its y-cut slice of v from the IO rank

@@ -26,7 +26,7 @@ const (
 
 // OpStats reports what one plan execution moved and did.
 type OpStats struct {
-	// Op names the operation ("spmv", "spgemm", "jacobi", "power").
+	// Op names the operation ("spmv", "spgemm", "jacobi").
 	Op string
 	// Iterations is the number of sweeps an iterative solver ran (1
 	// for one-shot SpMV / SpGEMM).

@@ -258,33 +258,6 @@ func TestJacobiSolves(t *testing.T) {
 	}
 }
 
-// TestPowerIteration recovers the dominant eigenpair of a diagonal
-// array, where the answer is exact.
-func TestPowerIteration(t *testing.T) {
-	g := sparse.Diagonal(12, 1, 2, 3, 9, 4, 5, 1, 2, 3, 4, 5, 6)
-	d, pl := distribute(t, g, core.Config{Partition: "row", Procs: 4})
-	defer d.Close()
-	lambda, vec, st, err := spops.Power(d.Machine(), pl, 1e-12, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatalf("power iteration did not converge in %d iterations", st.Iterations)
-	}
-	if math.Abs(lambda-9) > 1e-6 {
-		t.Fatalf("lambda = %g, want 9", lambda)
-	}
-	for i, v := range vec {
-		want := 0.0
-		if i == 3 {
-			want = 1
-		}
-		if math.Abs(math.Abs(v)-want) > 1e-4 {
-			t.Fatalf("eigenvector[%d] = %g, want ±%g", i, v, want)
-		}
-	}
-}
-
 // TestDistSpGEMMOracle verifies the row-fetch SpGEMM element-wise
 // against the sequential Gustavson kernel.
 func TestDistSpGEMMOracle(t *testing.T) {

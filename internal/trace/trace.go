@@ -183,16 +183,6 @@ func (t *Tracer) Count(name string, delta int64) {
 	t.counters[name] += delta
 }
 
-// Counter returns the named counter's value (zero if never counted).
-func (t *Tracer) Counter(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counters[name]
-}
-
 // Counters returns a copy of all counters.
 func (t *Tracer) Counters() map[string]int64 {
 	if t == nil {

@@ -9,11 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/machine"
-	"repro/internal/ops"
 	"repro/internal/partition"
 	"repro/internal/redist"
 	"repro/internal/sparse"
@@ -70,7 +68,7 @@ func TestPipelineRedistribute(t *testing.T) {
 
 	// Distribute, then redistribute the result onto a mesh and verify
 	// against ground truth.
-	res, err := dist.CFS{}.Distribute(m, g, row, dist.Options{})
+	res, err := dist.Run(m, dist.Plan{Codec: dist.CFS{}, Global: g, Partition: row})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,54 +123,6 @@ func TestPipelineHBFileToSolver(t *testing.T) {
 	for i := range b {
 		if diff := ax[i] - b[i]; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("residual at %d: %g", i, diff)
-		}
-	}
-}
-
-func TestPipelineRCMThenBalancedDistribution(t *testing.T) {
-	// Scrambled banded system -> RCM reorder -> balanced partition ->
-	// distribute -> halo Jacobi.
-	const n = 32
-	band := sparse.Banded(n, n, 1, 1.0, 3)
-	for i := 0; i < n; i++ {
-		band.Set(i, i, 6) // make it diagonally dominant and nonzero
-	}
-	perm, err := ops.RCM(compress.CompressCRS(band, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordered, err := ops.PermuteSym(band, perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw := ops.Bandwidth(ordered); bw > n/4 {
-		t.Fatalf("RCM left bandwidth %d", bw)
-	}
-	d, err := core.Distribute(ordered, core.Config{Scheme: "ED", Partition: "balanced-row", Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = float64(i%3) + 1
-	}
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b[i] += ordered.At(i, j) * want[j]
-		}
-	}
-	x, st, err := d.Jacobi(b, 1e-12, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatalf("Jacobi did not converge in %d iterations", st.Iterations)
-	}
-	for i := range want {
-		if diff := x[i] - want[i]; diff > 1e-8 || diff < -1e-8 {
-			t.Fatalf("x[%d] = %g, want %g", i, x[i], want[i])
 		}
 	}
 }
