@@ -342,3 +342,22 @@ func TestStreamHostileHeaderIsAnError(t *testing.T) {
 		t.Fatalf("runStream = %v, want an error naming the 2^62 rows", err)
 	}
 }
+
+// TestStreamWideHeaderIsAnError: a header of 2^31-1 rows fits the
+// int32 owner tables, yet the row partition's maps alone asked for a
+// 16 GiB block and the -stream door died in a fatal out of memory,
+// which no recover contains. sparse.CheckIndexSpan bounds the shape
+// before any map is built, so the command exits 1 naming it.
+func TestStreamWideHeaderIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.mtx")
+	header := "%%MatrixMarket matrix coordinate real general\n2147483647 1000 0\n"
+	if err := os.WriteFile(path, []byte(header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, partition := range []string{"row", "balanced-row"} {
+		code, _, stderr := runMain(t, "-stream", "-input", path, "-procs", "4", "-partition", partition)
+		if code != 1 || !strings.Contains(stderr, "2147483647x1000") {
+			t.Fatalf("-partition %s: exit status %d, stderr %q; want 1 and an error naming the 2147483647x1000 shape", partition, code, stderr)
+		}
+	}
+}

@@ -726,22 +726,18 @@ func (d *Distribution) Report() string {
 			d.Auto.Scheme, d.Auto.Partition, d.Auto.Method, d.Auto.Workers,
 			d.Auto.Predicted.Distribution, d.Auto.Predicted.Compression)
 	}
+	// The parts hold every nonzero, so their count is the array's,
+	// whether or not the global array was ever held.
 	rows, cols := d.Partition.Shape()
-	if d.Global != nil {
-		fmt.Fprintf(&b, "array %dx%d, nnz %d (s = %.4f)\n",
-			d.Global.Rows(), d.Global.Cols(), d.Global.NNZ(), d.Global.SparseRatio())
-	} else {
-		// Streamed run: the global array was never held; count what the
-		// parts actually store.
-		nnz := 0
-		for _, a := range d.Result.PartArrays() {
-			if a != nil {
-				nnz += a.NNZ()
-			}
-		}
-		fmt.Fprintf(&b, "array %dx%d (streamed), nnz %d (s = %.4f)\n",
-			rows, cols, nnz, float64(nnz)/float64(rows*cols))
+	nnz, ratio := d.Result.NNZ(), 0.0
+	if rows*cols > 0 {
+		ratio = float64(nnz) / float64(rows*cols)
 	}
+	streamed := ""
+	if d.Global == nil {
+		streamed = " (streamed)"
+	}
+	fmt.Fprintf(&b, "array %dx%d%s, nnz %d (s = %.4f)\n", rows, cols, streamed, nnz, ratio)
 	b.WriteString(trace.PhaseTable([]trace.PhaseStat{
 		{Name: "T_Distribution", Virtual: d.DistributionTime(), Wall: bd.WallDistribution()},
 		{Name: "T_Compression", Virtual: d.CompressionTime(), Wall: bd.WallCompression()},

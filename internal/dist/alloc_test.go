@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -75,5 +77,155 @@ func TestEDEncodeSendSteadyStateAllocs(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSFCEncodeSendSteadyStateAllocs is the SFC twin of the ED guard:
+// once the pool is warm, one dense part's extract (Prepare) + send +
+// receive + release cycle reuses the wire buffer instead of allocating
+// and zeroing a fresh n² array — only the locals slice and a few fixed
+// words remain. A fresh array is a single allocation, so the guard
+// bounds bytes as well as counts.
+func TestSFCEncodeSendSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	const n = 64
+	g := sparse.Uniform(n, n, 0.1, 3)
+	part, err := partition.NewMesh(n, n, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.New(1) // loopback: rank 0 sends to itself
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	f, err := formatFor(CRS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &runState{codec: SFC{}, global: g, part: part, opts: Options{Method: CRS}, format: f}
+	cycle := func(pr *machine.Proc) error {
+		if err := (SFC{}).Prepare(run); err != nil {
+			return err
+		}
+		pp := partPayload{k: 0}
+		if err := (SFC{}).EncodePart(run, 0, &pp); err != nil {
+			return err
+		}
+		if !pp.pooled {
+			return errors.New("SFC payload is not marked pooled")
+		}
+		if err := pr.SendBuf(0, 1, pp.meta, pp.buf, pp.pooled, nil); err != nil {
+			return err
+		}
+		msg, err := pr.RecvFrom(0, 1)
+		if err != nil {
+			return err
+		}
+		machine.ReleaseMessage(&msg)
+		return nil
+	}
+
+	err = m.Run(func(pr *machine.Proc) error {
+		for i := 0; i < 3; i++ { // warm the pool to steady state
+			if err := cycle(pr); err != nil {
+				return err
+			}
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		avg := testing.AllocsPerRun(runs, func() {
+			if err := cycle(pr); err != nil {
+				t.Error(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		// One allocation is Prepare's locals slice; the bounds leave a
+		// little slack for runtime noise but are far below the
+		// one-array-per-part regime (n²·8 bytes a cycle).
+		if avg > 4 {
+			t.Errorf("SFC extract+send steady state allocates %.1f times per part, want <= 4", avg)
+		}
+		// AllocsPerRun makes one warm-up call besides the measured runs.
+		if perCycle := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perCycle > n*n*8/16 {
+			t.Errorf("SFC extract+send steady state allocates %d bytes per part, want <= %d", perCycle, n*n*8/16)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSFCRetainingTransportUnpooled runs SFC end to end over the two
+// transports that may still read a payload after Send returns (the
+// reliability layer's retransmissions, fault injection's duplicates)
+// and checks that no rank is handed a payload it may recycle, while
+// the fault-free transport hands every rank its pooled buffer.
+func TestSFCRetainingTransportUnpooled(t *testing.T) {
+	const n, p = 24, 4
+	g := sparse.UniformExact(n, n, 0.2, 9)
+	part, err := partition.NewRow(n, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := formatFor(CRS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		tr     func() machine.Transport
+		pooled bool
+	}{
+		{"chan", func() machine.Transport { return machine.NewChanTransport(p) }, true},
+		{"reliable", func() machine.Transport {
+			return machine.NewReliableTransport(machine.NewChanTransport(p), machine.RetryPolicy{})
+		}, false},
+		{"fault", func() machine.Transport { return machine.NewFaultTransport(machine.NewChanTransport(p)) }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := machine.New(p, machine.WithTransport(c.tr()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			run := &runState{codec: SFC{}, global: g, part: part, opts: Options{Method: CRS}, format: f}
+			if err := (SFC{}).Prepare(run); err != nil {
+				t.Fatal(err)
+			}
+			err = m.Run(func(pr *machine.Proc) error {
+				if pr.Rank == 0 {
+					for k := 0; k < p; k++ {
+						pp := partPayload{k: k}
+						if err := (SFC{}).EncodePart(run, k, &pp); err != nil {
+							return err
+						}
+						if err := pr.SendBuf(k, 1, pp.meta, pp.buf, pp.pooled, nil); err != nil {
+							return err
+						}
+					}
+				}
+				msg, err := pr.RecvFrom(0, 1)
+				if err != nil {
+					return err
+				}
+				if msg.Pooled != c.pooled {
+					t.Errorf("rank %d received a payload with Pooled = %t, want %t", pr.Rank, msg.Pooled, c.pooled)
+				}
+				if _, err := (SFC{}).DecodePart(run, pr.Rank, msg.Data, msg.Meta, nil); err != nil {
+					return err
+				}
+				machine.ReleaseMessage(&msg)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -79,9 +79,10 @@ type runState struct {
 	part   partition.Partition
 	opts   Options
 	format *compress.Format
-	// locals are SFC's pre-extracted dense parts (Prepare); nil for the
-	// compressed-wire schemes.
-	locals []*sparse.Dense
+	// locals are SFC's pre-extracted dense parts (Prepare), row-major
+	// in pooled wire buffers, each handed to its payload by EncodePart;
+	// nil for the compressed-wire schemes.
+	locals [][]float64
 	// finalizing bounds a RunStream's concurrent part finalizes to
 	// GOMAXPROCS, one token each (finalizeStreamPart); nil on the
 	// materializing path.

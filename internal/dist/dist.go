@@ -232,6 +232,19 @@ type Result struct {
 	Reassigned map[int]int
 }
 
+// NNZ returns the number of nonzeros the parts hold, an O(p) sum: every
+// nonzero of the array lands in exactly one part, degraded runs
+// included, so it is the array's count without a scan of the array.
+func (r *Result) NNZ() int {
+	n := 0
+	for _, a := range r.PartArrays() {
+		if a != nil {
+			n += a.NNZ()
+		}
+	}
+	return n
+}
+
 // PartArrays returns the populated per-part arrays as the generic
 // PartArray interface, indexed by part — the shape the check package's
 // differential oracle consumes.

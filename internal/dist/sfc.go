@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/cost"
+	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 )
@@ -30,9 +31,15 @@ func (SFC) Policy() PhasePolicy {
 }
 
 // Prepare implements Codec: materialise the dense local arrays up
-// front — the paper's analysis excludes partition time.
+// front — the paper's analysis excludes partition time — each in a
+// wire buffer from the pool, which needs no zeroing because every cell
+// is written.
 func (SFC) Prepare(run *runState) error {
-	run.locals = partition.ExtractAll(run.global, run.part)
+	run.locals = make([][]float64, run.part.NumParts())
+	for k := range run.locals {
+		n := len(run.part.RowMap(k)) * len(run.part.ColMap(k))
+		run.locals[k] = partition.AppendPart(machine.GetBuf(n), run.global, run.part, k)
+	}
 	return nil
 }
 
@@ -42,11 +49,12 @@ func (SFC) Prepare(run *runState) error {
 // strided in memory and must be packed element-by-element first — the
 // cost that makes SFC's measured column/mesh distribution times much
 // larger than its row ones (paper Tables 4-5) and lowers the Remark 5
-// thresholds. The payload aliases the local array, so it is never
-// pooled.
+// thresholds. The payload takes the part's pooled buffer over from
+// Prepare, and the receiver releases it once compressed.
 func (SFC) EncodePart(run *runState, k int, pp *partPayload) error {
 	start := time.Now()
 	densePayload(run, k, run.locals[k], pp)
+	run.locals[k] = nil // the payload owns the buffer now
 	pp.wallDist = time.Since(start)
 	return nil
 }
@@ -61,21 +69,23 @@ func (SFC) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partPay
 	if err != nil {
 		return err
 	}
-	densePayload(run, k, l, pp)
+	densePayload(run, k, l.Data(), pp)
 	pp.wallDist = time.Since(start)
 	return nil
 }
 
-// densePayload makes the dense local l part k's payload, charging the
-// element-by-element packing of a part that is not a contiguous block
-// of whole rows.
-func densePayload(run *runState, k int, l *sparse.Dense, pp *partPayload) {
+// densePayload makes part k's dense local data, row-major, its
+// payload, charging the element-by-element packing of a part that is
+// not a contiguous block of whole rows. The data must be the payload's
+// alone: the receiver recycles it.
+func densePayload(run *runState, k int, data []float64, pp *partPayload) {
 	_, cols := run.part.Shape()
 	if !rowContiguousPart(run.part, k, cols) {
-		pp.dist.AddOps(l.Size())
+		pp.dist.AddOps(len(data))
 	}
-	pp.meta = [4]int64{int64(l.Rows()), int64(l.Cols())}
-	pp.buf = l.Data()
+	pp.meta = [4]int64{int64(len(run.part.RowMap(k))), int64(len(run.part.ColMap(k)))}
+	pp.buf = data
+	pp.pooled = true
 }
 
 // DecodePart implements Codec: rebuild the dense local array from the

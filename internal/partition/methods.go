@@ -2,7 +2,8 @@ package partition
 
 import (
 	"fmt"
-	"math"
+
+	"repro/internal/sparse"
 )
 
 // Grid is the one partition type: a pr x pc processor grid in which
@@ -188,18 +189,14 @@ func NewCyclicMesh(rows, cols, pr, pc, br, bc int) (*Grid, error) {
 }
 
 // checkDims is the shape validation every constructor shares. The
-// owner tables index with int32, so a dimension above math.MaxInt32 is
-// an error here instead of an allocation failure further down.
+// ownership maps and int32 owner tables are O(rows + cols) words, so a
+// shape sparse.CheckIndexSpan refuses is an error here instead of a fatal
+// allocation failure further down.
 func checkDims(rows, cols int) error {
-	switch {
-	case rows < 0 || cols < 0:
+	if rows < 0 || cols < 0 {
 		return fmt.Errorf("negative shape %dx%d", rows, cols)
-	case rows > math.MaxInt32:
-		return fmt.Errorf("rows %d exceed the indexable maximum %d", rows, math.MaxInt32)
-	case cols > math.MaxInt32:
-		return fmt.Errorf("cols %d exceed the indexable maximum %d", cols, math.MaxInt32)
 	}
-	return nil
+	return sparse.CheckIndexSpan(rows, cols)
 }
 
 func checkShape(rows, cols, p int) error {

@@ -54,20 +54,27 @@ func Contiguous(m []int) bool {
 	return true
 }
 
-// Extract copies part k of the global array into a new local dense
+// AppendPart appends part k of the global array to buf in row-major
+// order and returns the extended slice: the data of the local dense
 // array. This is the data partition phase proper: the root materialises
-// the local sparse array that will be sent (SFC) or compressed/encoded
-// (CFS, ED).
-func Extract(g *sparse.Dense, p Partition, k int) *sparse.Dense {
+// the local sparse array that will be sent (SFC). Every cell is written,
+// so buf (a pooled wire buffer, say) need not be zeroed.
+func AppendPart(buf []float64, g *sparse.Dense, p Partition, k int) []float64 {
 	rm, cm := p.RowMap(k), p.ColMap(k)
-	out := sparse.NewDense(len(rm), len(cm))
-	for li, gi := range rm {
+	for _, gi := range rm {
 		row := g.Row(gi)
-		outRow := out.Row(li)
-		for lj, gj := range cm {
-			outRow[lj] = row[gj]
+		for _, gj := range cm {
+			buf = append(buf, row[gj])
 		}
 	}
+	return buf
+}
+
+// Extract copies part k of the global array into a new local dense
+// array.
+func Extract(g *sparse.Dense, p Partition, k int) *sparse.Dense {
+	out := sparse.NewDense(len(p.RowMap(k)), len(p.ColMap(k)))
+	AppendPart(out.Data()[:0], g, p, k)
 	return out
 }
 

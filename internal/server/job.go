@@ -237,7 +237,9 @@ type JobResult struct {
 	Procs     int    `json:"procs"`
 	Rows      int    `json:"rows"`
 	Cols      int    `json:"cols"`
-	NNZ       int    `json:"nnz"`
+	// NNZ counts what the parts hold (dist.Result.NNZ), on the
+	// materialized and streamed paths alike.
+	NNZ int `json:"nnz"`
 
 	// The paper's phase split: virtual (cost-model) and wall durations,
 	// plus the rendered phase table.
@@ -253,7 +255,7 @@ type JobResult struct {
 	Degraded bool `json:"degraded,omitempty"`
 
 	// Streamed marks an out-of-core run (JobSpec.Stream): the server
-	// never materialized the array, and NNZ counts what the parts store.
+	// never materialized the array.
 	Streamed bool `json:"streamed,omitempty"`
 
 	// Network-model timing, populated when the server runs with a

@@ -361,7 +361,7 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 	}
 
 	out := s.newJobResult(res, pl, planHit)
-	out.Rows, out.Cols, out.NNZ, out.ArrayCacheHit = g.Rows(), g.Cols(), g.NNZ(), arrayHit
+	out.Rows, out.Cols, out.NNZ, out.ArrayCacheHit = g.Rows(), g.Cols(), res.NNZ(), arrayHit
 	if auto != nil {
 		s.recordAuto(out, auto)
 	}
@@ -496,11 +496,7 @@ func (s *Server) executeStream(j *job) (*JobResult, error) {
 
 	out := s.newJobResult(res, pl, planHit)
 	out.Rows, out.Cols = pl.Partition.Shape()
-	for _, a := range res.PartArrays() {
-		if a != nil {
-			out.NNZ += a.NNZ()
-		}
-	}
+	out.NNZ = res.NNZ()
 	out.Streamed = true
 	attachMachineReport(out, m)
 	return out, nil

@@ -41,13 +41,13 @@ func UniformExact(rows, cols int, ratio float64, seed int64) *Dense {
 	rng := rand.New(rand.NewSource(seed))
 	d := NewDense(rows, cols)
 	// Floyd's sampling: choose `want` distinct positions out of `size`.
-	chosen := make(map[int]struct{}, want)
+	// A chosen cell holds a value in (0, 1], never 0, so the array itself
+	// is the set of positions already taken.
 	for k := size - want; k < size; k++ {
 		pos := rng.Intn(k + 1)
-		if _, dup := chosen[pos]; dup {
+		if d.data[pos] != 0 {
 			pos = k
 		}
-		chosen[pos] = struct{}{}
 		d.data[pos] = 1 - rng.Float64()
 	}
 	return d

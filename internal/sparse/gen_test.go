@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -50,6 +52,41 @@ func TestUniformExactCount(t *testing.T) {
 	}
 	if !d.Equal(UniformExact(100, 100, 0.1, 7)) {
 		t.Error("UniformExact not deterministic for fixed seed")
+	}
+}
+
+// TestUniformExactGolden pins UniformExact's output cell for cell: the
+// hash is FNV-1a over the little-endian bits of Data(). The values were
+// computed with the map-based Floyd sampler the generator replaced, so
+// any rewrite that moves an array — and with it every benchmark and
+// paper table built on one — fails here.
+func TestUniformExactGolden(t *testing.T) {
+	cases := []struct {
+		rows, cols int
+		ratio      float64
+		seed       int64
+		want       uint64
+	}{
+		{20, 20, 0, 1, 0x13f631ef6a6fdd25},
+		{20, 20, 1, 1, 0xa8b575b2a5305065},
+		{1, 500, 0.3, 3, 0x5a610d9650bf9873},
+		{500, 1, 0.3, 4, 0xa61fb9614449d4e9},
+		{100, 100, 0.1, 7, 0xb6c4fbb27065bb40},
+		{37, 53, 0.5, 11, 0x5711c5a28994c529},
+		{64, 64, 0.02, 5, 0x36c46c137be8d56d},
+		{888, 888, 0.1, 7, 0xf668d9491fc8fab0},
+	}
+	for _, c := range cases {
+		d := UniformExact(c.rows, c.cols, c.ratio, c.seed)
+		h := fnv.New64a()
+		var w [8]byte
+		for _, v := range d.Data() {
+			binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
+			h.Write(w[:])
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("UniformExact(%d, %d, %g, %d) hash = %#x, want %#x", c.rows, c.cols, c.ratio, c.seed, got, c.want)
+		}
 	}
 }
 

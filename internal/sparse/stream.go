@@ -62,6 +62,9 @@ type StreamStats struct {
 // without materializing the array.
 func ScanStats(src ChunkReader) (*StreamStats, error) {
 	rows, cols := src.Shape()
+	if err := CheckIndexSpan(rows, cols); err != nil {
+		return nil, fmt.Errorf("sparse: %w", err)
+	}
 	st := &StreamStats{Rows: rows, Cols: cols,
 		RowNNZ: make([]int, rows), ColNNZ: make([]int, cols)}
 	for {
@@ -91,6 +94,25 @@ func ScanStats(src ChunkReader) (*StreamStats, error) {
 // a slice above 2^48 bytes on 64-bit hosts, and above the address space
 // on 32-bit ones.
 const maxDenseCells = min(1<<45, math.MaxInt/8)
+
+// maxIndexSpan is the most rows plus columns a shape may have. A plan
+// builds tables of O(rows + cols) words before it reads one entry — a
+// partition's ownership maps and owner index (12 bytes an index),
+// ScanStats' histograms — so a file header alone could otherwise ask
+// for gigabytes and end the process in a fatal out of memory. At the
+// bound a partition's tables take 3 GiB; it is also far below the
+// int32 range those owner indices are stored in.
+const maxIndexSpan = 1 << 28
+
+// CheckIndexSpan returns an error naming the shape if its rows plus
+// columns exceed maxIndexSpan. Each dimension is checked before they
+// are added, so the sum cannot overflow.
+func CheckIndexSpan(rows, cols int) error {
+	if rows > maxIndexSpan || cols > maxIndexSpan || rows+cols > maxIndexSpan {
+		return fmt.Errorf("a %dx%d array: rows %d plus cols %d exceed the %d indices a plan may tabulate", rows, cols, rows, cols, maxIndexSpan)
+	}
+	return nil
+}
 
 // Materialize drains src into a dense array (last write wins for
 // duplicate coordinates) and rewinds it. It is the differential oracle

@@ -66,6 +66,7 @@ var reachAllow = map[string]string{
 	"core.Distribution.Machine":          reasonFixture,
 	"machine.SettledGoroutines":          reasonFixture,
 	"machine.wantAny":                    reasonFixture, // the zero want every test's recvAny matches with
+	"partition.ExtractAll":               reasonFixture, // every part's dense local for TestEngineParity's SFC reference, the partition and cost-model consistency tests
 	"partition.Grid.Grid":                reasonFixture,
 	"partition.Validate":                 reasonFixture,
 	"partition.checkSorted":              reasonFixture,
