@@ -39,7 +39,8 @@ reach:
 
 # Short fuzz pass over the wire decoders, the root's part encode against
 # its accessor-form reference, the end-to-end differential targets
-# (materializing and streaming), the daemon's request path, the file
+# (materializing, streaming, and job sequences through one daemon with
+# its caches and pooled machines), the daemon's request path, the file
 # parsers, the partition builders, the TCP frame reader, the SpGEMM row
 # buffers and the cluster heartbeat handler (go-native
 # fuzzing runs one target per invocation, so each gets its own line).
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDiffStream -fuzztime 10s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzDiffJob -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStream -fuzztime 10s ./internal/sparse/
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/partition/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/machine/

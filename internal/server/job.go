@@ -54,9 +54,10 @@ type JobSpec struct {
 	// the halo-exchange engine: "spmv" (y = A·x), "jacobi" (solve
 	// A·x = b; the synthetic array is made diagonally dominant so the
 	// iteration converges) or "spgemm" (C = A·A, row-fetch). The
-	// communication plan is cached next to the distribution plan and
-	// the traffic comes back in the result's ops_* fields. Streamed
-	// jobs cannot carry an op.
+	// communication plan is cached next to the distribution plan, with
+	// the distribution it indexes: a repeat of the same array and plan
+	// runs only the op (op_plan_cache_hit). The traffic comes back in
+	// the result's ops_* fields. Streamed jobs cannot carry an op.
 	Op string `json:"op,omitempty"`
 	// OpIters caps the Jacobi sweep count (default 500). Only valid
 	// with op "jacobi".
@@ -242,7 +243,8 @@ type JobResult struct {
 	NNZ int `json:"nnz"`
 
 	// The paper's phase split: virtual (cost-model) and wall durations,
-	// plus the rendered phase table.
+	// plus the rendered phase table. Wall is 0 when the job reused a
+	// cached distribution (OpPlanCacheHit): it distributed nothing.
 	Phases     []trace.PhaseStat `json:"phases"`
 	PhaseTable string            `json:"phase_table"`
 
@@ -261,7 +263,8 @@ type JobResult struct {
 	// Network-model timing, populated when the server runs with a
 	// topology (Config.Topology): the discrete-event replay's phase
 	// estimates in nanoseconds, which unlike the flat virtual clock see
-	// link contention and queueing.
+	// link contention and queueing. They replay what this job's machine
+	// carried, which on an OpPlanCacheHit is the op alone.
 	Topology        string        `json:"topology,omitempty"`
 	NetDistribution time.Duration `json:"net_distribution_ns,omitempty"`
 	NetCompression  time.Duration `json:"net_compression_ns,omitempty"`
@@ -292,15 +295,20 @@ type JobResult struct {
 	// traffic actually charged; OpBcastWords is the per-sweep
 	// broadcast-equivalent payload it replaced, so wire < bcast is the
 	// sparsity win made visible per job.
-	Op             string `json:"op,omitempty"`
-	OpIterations   int    `json:"op_iterations,omitempty"`
-	OpConverged    bool   `json:"op_converged,omitempty"`
-	OpMessages     int64  `json:"op_messages,omitempty"`
-	OpWireWords    int64  `json:"op_wire_words,omitempty"`
-	OpHaloWords    int64  `json:"op_halo_words,omitempty"`
-	OpBcastWords   int64  `json:"op_bcast_words,omitempty"`
-	OpFlops        int64  `json:"op_flops,omitempty"`
-	OpPlanCacheHit bool   `json:"op_plan_cache_hit,omitempty"`
+	Op           string `json:"op,omitempty"`
+	OpIterations int    `json:"op_iterations,omitempty"`
+	OpConverged  bool   `json:"op_converged,omitempty"`
+	OpMessages   int64  `json:"op_messages,omitempty"`
+	OpWireWords  int64  `json:"op_wire_words,omitempty"`
+	OpHaloWords  int64  `json:"op_halo_words,omitempty"`
+	OpBcastWords int64  `json:"op_bcast_words,omitempty"`
+	OpFlops      int64  `json:"op_flops,omitempty"`
+	// OpPlanCacheHit reports that the comm plan came from the cache,
+	// and with it the distribution it indexes: the distribution was not
+	// re-run. The counts above (phases' Virtual, messages, elements,
+	// nnz) are the cached run's, bit-identical to a re-run of the same
+	// spec; only the phases' Wall (0) and the net_* replay differ.
+	OpPlanCacheHit bool `json:"op_plan_cache_hit,omitempty"`
 
 	// Cache provenance of this run's plan.
 	PlanCacheHit  bool `json:"plan_cache_hit"`

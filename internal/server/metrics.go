@@ -29,7 +29,8 @@ type metrics struct {
 	failed   atomic.Int64
 	canceled atomic.Int64
 
-	inflight atomic.Int64 // jobs currently inside a worker
+	inflight  atomic.Int64 // jobs currently inside a worker
+	jobPanics atomic.Int64 // jobs failed by a panic the worker recovered
 
 	machinesCreated atomic.Int64
 	machinesReused  atomic.Int64
@@ -181,6 +182,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "sparsedistd_jobs_total{state=\"done\"} %d\n", m.done.Load())
 	fmt.Fprintf(w, "sparsedistd_jobs_total{state=\"failed\"} %d\n", m.failed.Load())
 	fmt.Fprintf(w, "sparsedistd_jobs_total{state=\"canceled\"} %d\n", m.canceled.Load())
+	counter("sparsedistd_job_panics_total", "Jobs failed by a panic the worker recovered.", m.jobPanics.Load())
 
 	counter("sparsedistd_plan_cache_hits_total", "Plan cache hits (partition + codec reused).", g.planHits)
 	counter("sparsedistd_plan_cache_misses_total", "Plan cache misses (partition built).", g.planMisses)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/compress"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/sparse"
@@ -11,33 +12,67 @@ import (
 )
 
 // The distributed compute layer of the service: a job carrying an "op"
-// distributes its array as usual and then runs a sparsity-aware kernel
-// on the distributed result — halo-exchange SpMV, Jacobi iteration or
-// row-fetch SpGEMM (see internal/spops). The communication plan is
-// derived from the local arrays' nonzero structure, so it is cached
-// next to the distribution plan and reused across jobs with the same
-// array and plan; the pooled machine executing it changes per job (the
-// plan is machine-free by construction).
+// runs a sparsity-aware kernel on its distributed array — halo-exchange
+// SpMV, Jacobi iteration or row-fetch SpGEMM (see internal/spops). The
+// communication plan is derived from the local arrays' nonzero
+// structure and holds the distribution it indexes (CommPlan.Res), so
+// it is cached next to the distribution plan and one entry is the op
+// job's whole setup: a later job with the same array and plan takes
+// both and runs only its op, on whatever pooled machine it holds (the
+// plan is machine-free by construction). Distribution happens once,
+// before any computation, as in the paper.
 
 // defaultOpIters caps Jacobi sweeps when the spec leaves op_iters zero.
 const defaultOpIters = 500
 
-// runOp executes spec.Op on the freshly distributed array, fills the
-// result's ops_* fields and counts the traffic into the metrics.
-func (s *Server) runOp(spec JobSpec, g *sparse.Dense, pl *plan, m *machine.Machine, res *dist.Result, out *JobResult) error {
-	// The comm plan is cached under the plan's key plus, always, the
-	// array identity: it indexes the array's nonzero structure, so two
-	// arrays of equal shape must not share one.
-	key := pl.key
-	key.array = specArrayKey(spec)
-	cpl, hit, err := s.opPlans.getOrFill(key, func() (*spops.CommPlan, error) {
-		return spops.BuildCommPlan(pl.Partition, res)
-	})
-	if err != nil {
-		return fmt.Errorf("building comm plan: %w", err)
+// distribute runs the job's distribution on m, or, for an op job,
+// takes it from the op-plan cache. A hit (reused) distributed nothing:
+// the cached run's result is a function of the array and the plan, so
+// its counts are bit-identical to a re-run's. A check job never reads
+// the cache, because the invariant checker checks a run: it
+// distributes and builds its own comm plan. A job without an op gets
+// no comm plan.
+func (s *Server) distribute(j *job, cfg core.Config, pl *plan, g *sparse.Dense, m *machine.Machine) (res *dist.Result, cpl *spops.CommPlan, reused bool, err error) {
+	run := pl.Plan
+	run.Global = g
+	run.Options.Workers, run.Options.Check, run.Options.Ctx = cfg.Workers, cfg.Check, j.ctx
+	if j.spec.Op == "" {
+		res, err = dist.Run(m, run)
+		return res, nil, false, err
 	}
+	withPlan := func() (*spops.CommPlan, error) {
+		res, err := dist.Run(m, run)
+		if err != nil {
+			return nil, err
+		}
+		cpl, err := spops.BuildCommPlan(pl.Partition, res)
+		if err != nil {
+			return nil, fmt.Errorf("building comm plan: %w", err)
+		}
+		return cpl, nil
+	}
+	if cfg.Check {
+		cpl, err = withPlan()
+	} else {
+		// Keyed by the plan's key plus, always, the array identity: the
+		// comm plan indexes the array's nonzero structure, so two arrays
+		// of equal shape must not share one.
+		key := pl.key
+		key.array = specArrayKey(j.spec)
+		cpl, reused, err = s.opPlans.getOrFill(key, withPlan)
+	}
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return cpl.Res, cpl, reused, nil
+}
 
+// runOp executes spec.Op on the distributed array through its comm
+// plan, fills the result's ops_* fields and counts the traffic into
+// the metrics. hit reports that the plan came from the cache.
+func (s *Server) runOp(spec JobSpec, g *sparse.Dense, cpl *spops.CommPlan, hit bool, m *machine.Machine, out *JobResult) error {
 	var st spops.OpStats
+	var err error
 	switch spec.Op {
 	case "spmv":
 		_, st, err = spops.SpMV(m, cpl, spops.OpVector(g.Cols(), spec.Seed))

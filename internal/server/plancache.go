@@ -16,7 +16,10 @@ import (
 // processor grid, scheme), which core.NewPlan builds. Both are
 // immutable once built — partitions only answer ownership queries,
 // codecs are stateless — so concurrent jobs share cached entries
-// freely. The per-run half (machine, tags, breakdown) is never cached.
+// freely. The run itself (local arrays and breakdown) is cached only
+// for op jobs, inside their comm plan (ops.go): it is a function of
+// the array and the plan too, and an op job reads its parts anyway.
+// A job without an op re-runs its distribution.
 
 // arrayKey identifies one synthetic input array. diagDominant marks
 // the Jacobi variant: op=jacobi jobs run on the array with its
@@ -45,16 +48,21 @@ const (
 	planCacheCap  = 1024
 )
 
+// generate builds the array the key identifies.
+func (k arrayKey) generate() *sparse.Dense {
+	g := sparse.UniformExact(k.n, k.n, math.Float64frombits(k.ratio), k.seed)
+	if k.diagDominant {
+		sparse.MakeDiagDominant(g)
+	}
+	return g
+}
+
 // arrayFor returns the input array for the spec, generating it on a
 // miss.
 func (s *Server) arrayFor(spec JobSpec) (g *sparse.Dense, hit bool) {
 	key := specArrayKey(spec)
 	g, hit, _ = s.arrays.getOrFill(key, func() (*sparse.Dense, error) {
-		g := sparse.UniformExact(spec.N, spec.N, spec.Ratio, spec.Seed)
-		if key.diagDominant {
-			sparse.MakeDiagDominant(g)
-		}
-		return g, nil
+		return key.generate(), nil
 	})
 	return g, hit
 }

@@ -292,7 +292,8 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job end to end: cached array, cached plan, pooled
-// machine, dist.Run with the job's context, terminal bookkeeping.
+// machine, dist.Run with the job's context (or, for an op job, the
+// cached distribution), terminal bookkeeping. A panic fails the job.
 func (s *Server) runJob(j *job) {
 	if !j.tryStart() {
 		return // cancelled while queued; already counted
@@ -300,7 +301,7 @@ func (s *Server) runJob(j *job) {
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
 
-	res, err := s.execute(j)
+	res, err := s.contained(j)
 	var state JobState
 	var errMsg string
 	switch {
@@ -320,7 +321,22 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// execute runs the distribution itself and shapes the result payload.
+// contained runs execute and turns a panic into the job's error, so a
+// bad job fails alone instead of ending the daemon. Deferred cleanup
+// inside execute (a pooled machine's return through pool.put's drain)
+// runs while the panic unwinds, before it is recovered here.
+func (s *Server) contained(j *job) (res *JobResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.metrics.jobPanics.Add(1)
+			res, err = nil, fmt.Errorf("job panicked: %v", p)
+		}
+	}()
+	return s.execute(j)
+}
+
+// execute runs the distribution (an op job's may come from the op-plan
+// cache, see distribute) and the op, and shapes the result payload.
 func (s *Server) execute(j *job) (*JobResult, error) {
 	if j.spec.Stream {
 		return s.executeStream(j)
@@ -352,15 +368,12 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 	}
 	defer s.pool.put(m)
 
-	run := pl.Plan
-	run.Global = g
-	run.Options.Workers, run.Options.Check, run.Options.Ctx = cfg.Workers, cfg.Check, j.ctx
-	res, err := dist.Run(m, run)
+	res, cpl, reused, err := s.distribute(j, cfg, pl, g, m)
 	if err != nil {
 		return nil, err
 	}
 
-	out := s.newJobResult(res, pl, planHit)
+	out := s.newJobResult(res, pl, planHit, !reused)
 	out.Rows, out.Cols, out.NNZ, out.ArrayCacheHit = g.Rows(), g.Cols(), res.NNZ(), arrayHit
 	if auto != nil {
 		s.recordAuto(out, auto)
@@ -368,8 +381,8 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 	// The compute op runs on the same pooled machine while it is still
 	// held, before the network timing snapshot, so the op's halo traffic
 	// shows up in the job's timeline.
-	if spec.Op != "" {
-		if err := s.runOp(spec, g, pl, m, res, out); err != nil {
+	if cpl != nil {
+		if err := s.runOp(spec, g, cpl, reused, m, out); err != nil {
 			return nil, err
 		}
 	}
@@ -379,12 +392,17 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 
 // newJobResult shapes the part of the payload every finished job
 // shares: the plan as run, the paper's phase split and the root's wire
-// totals. The caller adds the array's shape and cache provenance.
-func (s *Server) newJobResult(res *dist.Result, pl *plan, planHit bool) *JobResult {
+// totals. distributed is false when res was reused from the cache:
+// the counts are the run's, but this job spent no wall time on it.
+// The caller adds the array's shape and cache provenance.
+func (s *Server) newJobResult(res *dist.Result, pl *plan, planHit, distributed bool) *JobResult {
 	bd := res.Breakdown
 	phases := []trace.PhaseStat{
-		{Name: "T_Distribution", Virtual: bd.DistributionTime(s.cfg.Params), Wall: bd.WallDistribution()},
-		{Name: "T_Compression", Virtual: bd.CompressionTime(s.cfg.Params), Wall: bd.WallCompression()},
+		{Name: "T_Distribution", Virtual: bd.DistributionTime(s.cfg.Params)},
+		{Name: "T_Compression", Virtual: bd.CompressionTime(s.cfg.Params)},
+	}
+	if distributed {
+		phases[0].Wall, phases[1].Wall = bd.WallDistribution(), bd.WallCompression()
 	}
 	return &JobResult{
 		Scheme:       res.Scheme,
@@ -494,7 +512,7 @@ func (s *Server) executeStream(j *job) (*JobResult, error) {
 		return nil, err
 	}
 
-	out := s.newJobResult(res, pl, planHit)
+	out := s.newJobResult(res, pl, planHit, true)
 	out.Rows, out.Cols = pl.Partition.Shape()
 	out.NNZ = res.NNZ()
 	out.Streamed = true

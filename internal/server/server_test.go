@@ -340,3 +340,50 @@ func TestNoTopologyJobOmitsNetTiming(t *testing.T) {
 		t.Errorf("unexpected net timing without topology: %+v", r)
 	}
 }
+
+// TestJobPanicFailsOnlyItsJob: a panic while a job executes fails that
+// job with the panic text and leaves its worker serving. A nil cached
+// array panics before a machine is checked out; a nil cached comm plan
+// panics while one is held, and that machine must still go back to the
+// pool.
+func TestJobPanicFailsOnlyItsJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+
+	noArray := JobSpec{N: 32, Seed: 7}.withDefaults()
+	noPlan := JobSpec{N: 32, Seed: 8, Op: "spmv"}.withDefaults()
+	planKey := newPlanKey(noPlan.config(s.cfg).Normalized(), noPlan.N, noPlan.N)
+	planKey.array = specArrayKey(noPlan)
+	s.arrays.mu.Lock()
+	s.arrays.entries[specArrayKey(noArray)] = nil
+	s.arrays.mu.Unlock()
+	s.opPlans.mu.Lock()
+	s.opPlans.entries[planKey] = nil
+	s.opPlans.mu.Unlock()
+
+	for _, body := range []string{`{"n":32,"seed":7}`, `{"n":32,"seed":8,"op":"spmv"}`} {
+		st := waitTerminal(t, s, decodeID(t, postJob(t, ts, body)), 30*time.Second)
+		if st.State != StateFailed || !strings.Contains(st.Error, "panicked") || !strings.Contains(st.Error, "nil pointer") {
+			t.Fatalf("%s: state %s, error %q; want failed with the panic text", body, st.State, st.Error)
+		}
+	}
+	if idle := s.pool.idleCount(); idle != 1 {
+		t.Errorf("%d idle machines after the comm-plan panic, want the one it held back", idle)
+	}
+	if st := waitTerminal(t, s, decodeID(t, postJob(t, ts, `{"n":32,"seed":9,"op":"spmv"}`)), 30*time.Second); st.State != StateDone {
+		t.Fatalf("job after the panics: state %s, error %q", st.State, st.Error)
+	}
+	m := scrape(t, ts)
+	if m["sparsedistd_job_panics_total"] != 2 || m[`sparsedistd_jobs_total{state="failed"}`] != 2 {
+		t.Errorf("panics %g, failed %g; want 2 and 2",
+			m["sparsedistd_job_panics_total"], m[`sparsedistd_jobs_total{state="failed"}`])
+	}
+}
