@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint loc reach fuzz-smoke check-diff bench bench-compare bench-kernels bench-gates tables examples serve-smoke cluster-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
+.PHONY: all build test test-race lint loc reach fuzz-smoke check-diff bench bench-compare bench-kernels bench-gates tables examples serve-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
 
 all: build test
 
@@ -41,9 +41,9 @@ reach:
 # its accessor-form reference, the end-to-end differential targets
 # (materializing, streaming, and job sequences through one daemon with
 # its caches and pooled machines), the daemon's request path, the file
-# parsers, the partition builders, the TCP frame reader, the SpGEMM row
-# buffers and the cluster heartbeat handler (go-native
-# fuzzing runs one target per invocation, so each gets its own line).
+# parsers, the partition builders, the TCP frame reader and the SpGEMM
+# row buffers (go-native fuzzing runs one target per invocation, so each
+# gets its own line).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartED -fuzztime 10s ./internal/compress/
@@ -56,7 +56,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/partition/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/machine/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRows -fuzztime 10s ./internal/spops/
-	$(GO) test -run '^$$' -fuzz FuzzHeartbeat -fuzztime 10s ./internal/server/
 
 # The differential correctness harness at full size: >= 200 adversarial
 # arrays through every scheme x partition x method combination, direct,
@@ -127,12 +126,6 @@ examples:
 # across all three schemes with metrics assertions, SIGTERM drain.
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-# Kill-a-node survival: boot a 3-daemon cluster, SIGKILL one node
-# mid-load, require zero lost / zero duplicated jobs plus observed
-# failover and dead-peer detection, then drain the survivors.
-cluster-smoke:
-	./scripts/cluster_smoke.sh
 
 # Auto-tuning smoke: sparsedist -scheme auto picks and reports a plan
 # that survives the differential oracle, then a daemon under loadgen

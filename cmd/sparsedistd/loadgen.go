@@ -1,16 +1,9 @@
 package main
 
 // The load generator: N concurrent clients submit jobs against a live
-// daemon (or a daemon cluster), honouring backpressure (429 → jittered
-// backoff and retry), then wait for every accepted job to finish. It
-// proves the serving path end to end — zero lost, zero duplicated.
-//
-// In cluster mode (-targets) every logical job carries a
-// client-generated idempotency ID and goes through the cluster client:
-// consistent-hash routing by plan key, circuit-breaker failover, and
-// resubmission on node death — so the run succeeds even if a node is
-// SIGKILLed mid-load, which is exactly what scripts/cluster_smoke.sh
-// does in CI.
+// daemon, honouring backpressure (429 → jittered backoff and retry),
+// then wait for every accepted job to finish. It proves the serving
+// path end to end — zero lost, zero duplicated.
 
 import (
 	"context"
@@ -25,38 +18,30 @@ import (
 )
 
 type loadgenConfig struct {
-	target          string
-	targets         string // comma-separated: cluster mode
-	jobs            int
-	clients         int
-	schemes         string
-	n               int
-	spread          int
-	procs           int
-	op              string // distributed compute op attached to every job
-	assertMetrics   bool
-	assertFailover  bool
-	assertDeadNodes int
-	assertAuto      bool
-	assertOps       bool
+	target        string
+	jobs          int
+	clients       int
+	schemes       string
+	n             int
+	procs         int
+	op            string // distributed compute op attached to every job
+	assertMetrics bool
+	assertAuto    bool
+	assertOps     bool
 }
 
 type loadgenResult struct {
 	id    string
-	node  string
 	state server.JobState
 	err   error
 }
 
 func runLoadgen(cfg loadgenConfig) error {
-	if (cfg.target == "") == (cfg.targets == "") {
-		return fmt.Errorf("-loadgen needs exactly one of -target (single daemon) or -targets (cluster)")
+	if cfg.target == "" {
+		return fmt.Errorf("-loadgen needs -target, the daemon's base URL")
 	}
 	if cfg.jobs < 1 || cfg.clients < 1 {
 		return fmt.Errorf("-jobs and -clients must be positive")
-	}
-	if cfg.spread < 1 {
-		cfg.spread = 1
 	}
 	schemes := splitList(cfg.schemes)
 	for i := range schemes {
@@ -69,20 +54,6 @@ func runLoadgen(cfg loadgenConfig) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
-	specFor := func(i int) server.JobSpec {
-		return server.JobSpec{
-			N:      cfg.n + i%cfg.spread, // spread plan keys across the ring
-			Scheme: schemes[i%len(schemes)],
-			Procs:  cfg.procs,
-			Seed:   1, // shared seed: repeated shapes exercise the caches
-			Op:     cfg.op,
-		}
-	}
-
-	if cfg.targets != "" {
-		return runClusterLoadgen(ctx, cfg, specFor)
-	}
-
 	c := client.New(cfg.target)
 	if err := c.Health(ctx); err != nil {
 		return fmt.Errorf("daemon not healthy at %s: %w", cfg.target, err)
@@ -90,7 +61,13 @@ func runLoadgen(cfg loadgenConfig) error {
 
 	start := time.Now()
 	results := runWorkers(cfg, func(i int) loadgenResult {
-		id, err := c.SubmitRetry(ctx, specFor(i))
+		id, err := c.SubmitRetry(ctx, server.JobSpec{
+			N:      cfg.n,
+			Scheme: schemes[i%len(schemes)],
+			Procs:  cfg.procs,
+			Seed:   1, // shared seed: repeated shapes exercise the caches
+			Op:     cfg.op,
+		})
 		if err != nil {
 			return loadgenResult{err: fmt.Errorf("job %d submit: %w", i, err)}
 		}
@@ -109,55 +86,6 @@ func runLoadgen(cfg loadgenConfig) error {
 			return err
 		}
 		fmt.Println("loadgen: metrics assertions passed")
-	}
-	return nil
-}
-
-// runClusterLoadgen drives a cluster through the failover-aware
-// client: every logical job is idempotent (client job ID), so a node
-// dying after acceptance costs a resubmission, never a lost or
-// double-counted job.
-func runClusterLoadgen(ctx context.Context, cfg loadgenConfig, specFor func(int) server.JobSpec) error {
-	cc := client.NewCluster(client.ClusterConfig{Endpoints: splitList(cfg.targets)})
-	if err := cc.Refresh(ctx); err != nil {
-		return err
-	}
-	members := cc.Members()
-	fmt.Printf("loadgen: cluster of %d nodes:", len(members))
-	for _, m := range members {
-		fmt.Printf(" %s", m.ID)
-	}
-	fmt.Println()
-
-	runID := client.NewClientJobID()
-	start := time.Now()
-	results := runWorkers(cfg, func(i int) loadgenResult {
-		spec := specFor(i)
-		spec.ClientID = fmt.Sprintf("%s-%d", runID, i)
-		st, node, err := cc.SubmitWait(ctx, spec, 5*time.Millisecond)
-		if err != nil {
-			return loadgenResult{err: fmt.Errorf("job %d (%s): %w", i, spec.ClientID, err)}
-		}
-		// Key results by client ID: that is the logical job identity
-		// across resubmissions (server job IDs differ per node).
-		return loadgenResult{id: spec.ClientID, node: node, state: st.State}
-	})
-	if err := tallyResults(cfg, results, start); err != nil {
-		return err
-	}
-
-	stats := cc.Stats()
-	fmt.Printf("loadgen: cluster stats: failovers %d, resubmits %d, dedups %d, refreshes %d\n",
-		stats.Failovers, stats.Resubmits, stats.Dedups, stats.Refreshes)
-	if cfg.assertFailover && stats.Failovers+stats.Resubmits == 0 {
-		return fmt.Errorf("expected at least one failover or resubmission; none happened")
-	}
-
-	if cfg.assertMetrics || cfg.assertDeadNodes > 0 || cfg.assertAuto {
-		if err := assertClusterMetrics(ctx, cc, cfg); err != nil {
-			return err
-		}
-		fmt.Println("loadgen: cluster metrics assertions passed")
 	}
 	return nil
 }
@@ -303,63 +231,5 @@ func assertAutoMetrics(m map[string]float64) error {
 	}
 	fmt.Printf("loadgen: auto assertions: %g auto jobs, %g observations, %d error gauges all < 1\n",
 		autoJobs, observations, errGauges)
-	return nil
-}
-
-// assertClusterMetrics scrapes every reachable member and checks the
-// cluster-level story: the survivors collectively did the work with a
-// warm plan cache (sticky routing), idempotent resubmissions were
-// deduplicated rather than double-run, and — after a kill — some
-// survivor's failure detector reports the dead peer.
-func assertClusterMetrics(ctx context.Context, cc *client.Cluster, cfg loadgenConfig) error {
-	var sumDone, sumPlanHits, sumPlanMisses, sumDedup, maxDead, sumAuto float64
-	reachable := 0
-	for _, m := range cc.Members() {
-		mm, err := client.New(m.Endpoint).Metrics(ctx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: member %s unreachable for metrics (%v); skipping\n", m.ID, err)
-			continue
-		}
-		reachable++
-		sumDone += mm[`sparsedistd_jobs_total{state="done"}`]
-		sumPlanHits += mm[`sparsedistd_plan_cache_hits_total`]
-		sumPlanMisses += mm[`sparsedistd_plan_cache_misses_total`]
-		sumDedup += mm[`sparsedistd_dedup_hits_total`]
-		if d := mm[`sparsedistd_cluster_nodes{state="dead"}`]; d > maxDead {
-			maxDead = d
-		}
-		for k, v := range mm {
-			if strings.HasPrefix(k, `sparsedistd_auto_jobs_total{`) {
-				sumAuto += v
-			}
-		}
-	}
-	if reachable == 0 {
-		return fmt.Errorf("no cluster member reachable for metrics")
-	}
-	hitRate := 0.0
-	if sumPlanHits+sumPlanMisses > 0 {
-		hitRate = sumPlanHits / (sumPlanHits + sumPlanMisses)
-	}
-	fmt.Printf("loadgen: cluster metrics over %d members: done %g, plan hit rate %.0f%% (%g/%g), dedup hits %g, max dead peers %g\n",
-		reachable, sumDone, 100*hitRate, sumPlanHits, sumPlanHits+sumPlanMisses, sumDedup, maxDead)
-
-	if cfg.assertMetrics {
-		if sumDone < float64(cfg.jobs)/2 {
-			return fmt.Errorf("survivors completed only %g jobs of %d; work did not land on the cluster", sumDone, cfg.jobs)
-		}
-		// Sticky routing keeps repeat plan keys on the same node, so
-		// hits must dominate misses (each distinct key misses roughly
-		// once per node that ever owned it).
-		if hitRate < 0.5 {
-			return fmt.Errorf("plan cache hit rate %.0f%% (< 50%%): routing is not keeping repeat keys warm", 100*hitRate)
-		}
-	}
-	if cfg.assertDeadNodes > 0 && maxDead < float64(cfg.assertDeadNodes) {
-		return fmt.Errorf("no survivor reports %d dead peer(s) (max seen %g)", cfg.assertDeadNodes, maxDead)
-	}
-	if cfg.assertAuto && sumAuto < 1 {
-		return fmt.Errorf("no cluster member resolved an auto job (AUTO in -schemes?)")
-	}
 	return nil
 }

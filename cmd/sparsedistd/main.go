@@ -1,33 +1,23 @@
 // Command sparsedistd is the distribution-as-a-service daemon: it
 // serves the paper's SFC/CFS/ED pipeline over an HTTP JSON API with a
 // bounded job queue, a worker pool over pooled emulated machines, a
-// plan cache, and a Prometheus-format /metrics endpoint. Several
-// daemons join into a fault-tolerant cluster: heartbeat gossip tracks
-// membership (alive -> suspect -> dead), and the cluster-aware client
-// routes jobs by plan key on a consistent-hash ring with failover.
+// plan cache, and a Prometheus-format /metrics endpoint. It is one
+// process on one host: a job lives in memory, so a killed daemon loses
+// its queued and running jobs (DESIGN §11).
 //
-// Serve standalone (SIGINT/SIGTERM drains gracefully):
+// Serve (SIGINT/SIGTERM drains gracefully):
 //
 //	sparsedistd -addr 127.0.0.1:8477 -queue 256 -workers 4
-//
-// Serve as a 3-node cluster (each node lists the others):
-//
-//	sparsedistd -addr 127.0.0.1:8477 -node-id n1 -peers http://127.0.0.1:8478,http://127.0.0.1:8479
-//	sparsedistd -addr 127.0.0.1:8478 -node-id n2 -join http://127.0.0.1:8477
-//	sparsedistd -addr 127.0.0.1:8479 -node-id n3 -join http://127.0.0.1:8477
 //
 // Submit and inspect:
 //
 //	curl -s -X POST localhost:8477/jobs -d '{"n":500,"scheme":"ED","procs":8}'
 //	curl -s localhost:8477/jobs/j-000001
-//	curl -s localhost:8477/cluster/nodes
 //	curl -s localhost:8477/metrics
 //
-// Load-generate against one daemon (-target) or a cluster (-targets;
-// idempotent client job IDs, consistent-hash routing, failover):
+// Load-generate against it:
 //
 //	sparsedistd -loadgen -target http://127.0.0.1:8477 -jobs 60 -clients 8 -schemes SFC,CFS,ED
-//	sparsedistd -loadgen -targets http://127.0.0.1:8477,http://127.0.0.1:8478 -jobs 60
 package main
 
 import (
@@ -70,34 +60,20 @@ func main() {
 		refineState = flag.String("refine-state", "",
 			"auto-tuning: persist the refiner's learned corrections to this file on drain and restore them on boot (empty: state dies with the process)")
 
-		nodeID    = flag.String("node-id", "", "cluster node name (default: the advertise URL)")
-		advertise = flag.String("advertise", "", "base URL peers reach this node at (default http://<addr>)")
-		peers     = flag.String("peers", "", "comma-separated peer base URLs to gossip with")
-		join      = flag.String("join", "", "one bootstrap peer URL; membership is learned by gossip")
-		hbEvery   = flag.Duration("hb-interval", 500*time.Millisecond, "cluster heartbeat period")
-		suspectT  = flag.Duration("suspect-after", 0, "heartbeat silence before a peer is suspect (default 4x interval)")
-		deadT     = flag.Duration("dead-after", 0, "silence before a peer is dead and its hash ranges remap (default 10x interval)")
-
-		loadgen = flag.Bool("loadgen", false, "run as a load generator against -target/-targets instead of serving")
+		loadgen = flag.Bool("loadgen", false, "run as a load generator against -target instead of serving")
 		target  = flag.String("target", "", "daemon base URL for -loadgen (e.g. http://127.0.0.1:8477)")
-		targets = flag.String("targets", "", "comma-separated cluster base URLs for -loadgen (cluster mode: routing, failover, idempotent retry)")
 		jobs    = flag.Int("jobs", 60, "loadgen: total jobs to submit")
 		clients = flag.Int("clients", 8, "loadgen: concurrent client goroutines")
 		schemes = flag.String("schemes", "SFC,CFS,ED", "loadgen: comma-separated schemes to rotate through (SFC, CFS, ED, AUTO)")
 		size    = flag.Int("n", 200, "loadgen: array size per job")
-		spread  = flag.Int("spread", 1, "loadgen: rotate over this many distinct array sizes (n..n+spread-1) to spread plan keys across the ring")
 		procs   = flag.Int("procs", 4, "loadgen: processors per job")
 		op      = flag.String("op", "", "loadgen: attach a distributed compute op to every job (spmv, jacobi or spgemm)")
 		assertM = flag.Bool("assert-metrics", false,
 			"loadgen: after the run, scrape /metrics and fail unless job counters moved and the plan cache hit")
-		assertF = flag.Bool("assert-failover", false,
-			"loadgen (cluster): fail unless at least one failover or resubmission happened")
 		assertA = flag.Bool("assert-auto", false,
 			"loadgen: fail unless auto jobs resolved plans and the refiner folded observations in (needs AUTO in -schemes)")
 		assertO = flag.Bool("assert-ops", false,
 			"loadgen: fail unless every job's distributed op executed with the comm-plan cache hitting (needs -op)")
-		assertD = flag.Int("assert-dead-nodes", 0,
-			"loadgen (cluster): fail unless some survivor reports at least this many dead peers")
 	)
 	flag.Parse()
 
@@ -114,24 +90,15 @@ func main() {
 
 	if *loadgen {
 		if err := runLoadgen(loadgenConfig{
-			target: *target, targets: *targets, jobs: *jobs, clients: *clients,
-			schemes: *schemes, n: *size, spread: *spread, procs: *procs, op: *op,
-			assertMetrics: *assertM, assertFailover: *assertF, assertDeadNodes: *assertD,
-			assertAuto: *assertA, assertOps: *assertO,
+			target: *target, jobs: *jobs, clients: *clients,
+			schemes: *schemes, n: *size, procs: *procs, op: *op,
+			assertMetrics: *assertM, assertAuto: *assertA, assertOps: *assertO,
 		}); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	peerList := splitList(*peers)
-	if *join != "" {
-		peerList = append(peerList, *join)
-	}
-	adv := *advertise
-	if adv == "" {
-		adv = "http://" + *addr
-	}
 	srv := server.New(server.Config{
 		QueueDepth:      *queue,
 		Workers:         *workers,
@@ -141,14 +108,6 @@ func main() {
 		LinkLatency:     *linkLatency,
 		RefineAlpha:     *refineAlpha,
 		RefineStatePath: *refineState,
-		Cluster: server.ClusterConfig{
-			NodeID:         *nodeID,
-			Advertise:      adv,
-			Peers:          peerList,
-			HeartbeatEvery: *hbEvery,
-			SuspectAfter:   *suspectT,
-			DeadAfter:      *deadT,
-		},
 	})
 
 	// Restore learned corrections before the first job can observe:
@@ -164,12 +123,7 @@ func main() {
 		fatal(err)
 	}
 	hs := newHTTPServer(srv)
-	if len(peerList) > 0 {
-		fmt.Fprintf(os.Stderr, "sparsedistd: serving on http://%s (queue %d, workers %d, %d peers)\n",
-			ln.Addr(), *queue, *workers, len(peerList))
-	} else {
-		fmt.Fprintf(os.Stderr, "sparsedistd: serving on http://%s (queue %d, workers %d)\n", ln.Addr(), *queue, *workers)
-	}
+	fmt.Fprintf(os.Stderr, "sparsedistd: serving on http://%s (queue %d, workers %d)\n", ln.Addr(), *queue, *workers)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
@@ -237,7 +191,7 @@ type daemonFlags struct {
 // validateFlags rejects bad flag values up front with one clear error
 // each — the daemon twin of sparsedist's validateFlags. Loadgen knobs
 // are validated too: their defaults are valid in serve mode, and a
-// typo'd loadgen run should die before hammering a live cluster.
+// typo'd loadgen run should die before hammering a live daemon.
 func validateFlags(f daemonFlags) error {
 	if f.queue < 1 {
 		return fmt.Errorf("-queue %d: queue depth must be positive", f.queue)

@@ -91,52 +91,38 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // custom transports).
 func (c *Client) SetHTTPClient(hc *http.Client) { c.hc = hc }
 
-// SubmitReply is the accepted-submission payload: the job ID, its
-// state at acceptance, and whether the server answered from its
-// client-job-ID dedup table instead of enqueuing a new job.
-type SubmitReply struct {
-	ID      string `json:"id"`
-	State   string `json:"state"`
-	Deduped bool   `json:"deduped"`
-}
-
 // Submit enqueues one job and returns its id. A full queue returns
-// *QueueFullError; invalid specs return *APIError with status 400.
+// *QueueFullError; invalid specs return *APIError with status 400, and
+// a client_id already naming a different spec *APIError with 409.
 func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (string, error) {
-	reply, err := c.SubmitDetailed(ctx, spec)
-	return reply.ID, err
-}
-
-// SubmitDetailed is Submit exposing the full acceptance payload —
-// cluster clients need the Deduped flag to tell a fresh acceptance
-// from an idempotent replay.
-func (c *Client) SubmitDetailed(ctx context.Context, spec server.JobSpec) (SubmitReply, error) {
-	var out SubmitReply
 	body, err := json.Marshal(spec)
 	if err != nil {
-		return out, err
+		return "", err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/jobs", bytes.NewReader(body))
 	if err != nil {
-		return out, err
+		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return out, err
+		return "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusTooManyRequests {
 		io.Copy(io.Discard, resp.Body)
-		return out, &QueueFullError{RetryAfter: retryAfter(resp)}
+		return "", &QueueFullError{RetryAfter: retryAfter(resp)}
 	}
 	if resp.StatusCode != http.StatusAccepted {
-		return out, apiError(resp)
+		return "", apiError(resp)
+	}
+	var out struct {
+		ID string `json:"id"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("sparsedistd: malformed submit response: %w", err)
+		return "", fmt.Errorf("sparsedistd: malformed submit response: %w", err)
 	}
-	return out, nil
+	return out.ID, nil
 }
 
 // SubmitRetry submits, backing off and retrying while the queue is

@@ -35,7 +35,7 @@ func allKinds(t testing.TB, rows, cols int) []*partition.Grid {
 }
 
 // TestGoldenNamesAndGrids pins what the rest of the system keys on:
-// plan-cache keys, RouteKey, JobResult.partition and bench/ all carry
+// plan-cache keys, JobResult.partition and bench/ all carry
 // the Name() strings, and Grid() is the processor grid behind them.
 func TestGoldenNamesAndGrids(t *testing.T) {
 	want := []struct {

@@ -1,7 +1,7 @@
 package server_test
 
 // End-to-end auto-tuning: a real httptest daemon driven through the
-// typed client, the way a cluster client would submit scheme=auto work.
+// typed client, the way a remote caller would submit scheme=auto work.
 
 import (
 	"context"

@@ -1,9 +1,9 @@
 package server
 
-// White-box auto-tuning tests: route-key stability, plan-cache array
-// identity, idempotent dedup of auto retries, concurrent submit +
-// refine (run under -race in CI), and the online-refinement loop
-// shrinking the served prediction error.
+// White-box auto-tuning tests: plan-cache array identity, idempotent
+// dedup of auto retries, concurrent submit + refine (run under -race in
+// CI), and the online-refinement loop shrinking the served prediction
+// error.
 
 import (
 	"encoding/json"
@@ -51,35 +51,6 @@ func mustJobDone(t *testing.T, ts *httptest.Server, id string) *JobResult {
 		t.Fatalf("job %s done with no result", id)
 	}
 	return st.Result
-}
-
-// TestAutoRouteKeyStable is the bugfix contract for retries: every
-// resubmission of one auto job — whatever its ClientID, and however the
-// refiner has drifted since — must produce the same routing key, built
-// from the literal AUTO spec with the model-picked fields left empty.
-func TestAutoRouteKeyStable(t *testing.T) {
-	spec := JobSpec{N: 64, Scheme: "auto", Procs: 4}
-	key := spec.RouteKey()
-	if !strings.Contains(key, "|AUTO||") {
-		t.Errorf("auto route key %q does not route on the literal AUTO spec", key)
-	}
-	for i := 0; i < 100; i++ {
-		if got := spec.RouteKey(); got != key {
-			t.Fatalf("run %d: route key changed: %q != %q", i, got, key)
-		}
-	}
-	retry := spec
-	retry.ClientID = "retry-attempt-2"
-	if retry.RouteKey() != key {
-		t.Error("ClientID leaked into the route key; retries would scatter across nodes")
-	}
-	// The key must NOT equal any resolved spec's key: routing happens
-	// before resolution and must not depend on what the node would pick.
-	resolved := spec
-	resolved.Scheme, resolved.Partition, resolved.Method = "ED", "row", "CRS"
-	if resolved.RouteKey() == key {
-		t.Error("auto and resolved specs share a route key")
-	}
 }
 
 // TestAutoPlanCacheArrayIdentity is the bugfix contract for the plan
@@ -144,7 +115,7 @@ func TestPlanCacheBounded(t *testing.T) {
 
 // TestAutoDedupIdempotent proves the retry loop cannot double-run an
 // auto job: a resubmission with the same ClientID maps to the original
-// job even though the spec's plan is only resolved on-node.
+// job even though the spec's plan is only resolved in the worker.
 func TestAutoDedupIdempotent(t *testing.T) {
 	s := New(Config{QueueDepth: 8, Workers: 1})
 	ts := httptest.NewServer(s)

@@ -22,12 +22,12 @@ type JobSpec struct {
 	Ratio float64 `json:"ratio,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
 
-	// Scheme is SFC, CFS or ED (default ED), or "auto" to let the node
+	// Scheme is SFC, CFS or ED (default ED), or "auto" to let the server
 	// pick the plan from the array's measured statistics with the cost
 	// model, refined online from observed phase times. Auto jobs must
 	// leave Method empty (the model picks it; Partition may still pin a
-	// partition) and cannot stream. The job routes and dedups on the
-	// literal "auto" spec; the resolved plan comes back in the result's
+	// partition) and cannot stream. The job dedups on the literal
+	// "auto" spec; the resolved plan comes back in the result's
 	// chosen_* fields.
 	Scheme string `json:"scheme,omitempty"`
 	// Partition is row, col, mesh, cyclic-row, cyclic-col, brs,
@@ -76,26 +76,13 @@ type JobSpec struct {
 	MemBudget int `json:"mem_budget,omitempty"`
 
 	// ClientID is an optional client-generated idempotency key. A
-	// resubmission carrying a ClientID this node already accepted maps
-	// to the existing job instead of enqueuing a duplicate — how a
-	// cluster client retries on a survivor without double-running work
-	// the original node already finished.
+	// resubmission of the same spec carrying a ClientID the server
+	// already accepted maps to the existing job instead of enqueuing a
+	// duplicate, for as long as that job is in the history (see
+	// Config.MaxJobHistory) — how a client retries a lost response
+	// without running the job twice. The same ClientID with a different
+	// spec is refused with 409 Conflict.
 	ClientID string `json:"client_id,omitempty"`
-}
-
-// RouteKey is the consistent-hash routing key for this spec: every
-// field the plan cache keys by, so repeated submissions of the same
-// logical job land on the node whose plan and array caches are already
-// warm. ClientID is deliberately excluded — retries of one job must
-// route the same way. Auto jobs route on the literal "AUTO" spec (with
-// empty method/partition segments): the resolved scheme is only known
-// on-node and may even drift as the refiner learns, so keying on it
-// would send retries of one job to different nodes.
-func (s JobSpec) RouteKey() string {
-	d := s.withDefaults()
-	return fmt.Sprintf("%d|%g|%d|%s|%s|%d|%dx%d|%d|%s|%t|%s|%s",
-		d.N, d.Ratio, d.Seed, d.Scheme, d.Partition, d.Procs,
-		d.MeshRows, d.MeshCols, d.Block, d.Method, d.Stream, d.SourceFile, d.Op)
 }
 
 // config is the one translation of a JobSpec into the core.Config
@@ -125,8 +112,8 @@ func (s JobSpec) config(node Config) core.Config {
 // withDefaults resolves the spec's zero values to the service defaults:
 // the input array's here, the plan's from core's default table (under
 // AUTO an empty partition/method stays empty — "the model picks"). The
-// mesh grid is echoed as sent: the route key carries it verbatim, so it
-// is kept out of the normalisation, which would fold it into procs.
+// mesh grid is echoed as sent: the job status carries it verbatim, so
+// it is kept out of the normalisation, which would fold it into procs.
 func (s JobSpec) withDefaults() JobSpec {
 	if s.N == 0 {
 		s.N = 200

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/calibrate"
-	"repro/internal/cluster"
 )
 
 // Hand-rolled metrics in the Prometheus text exposition format — no
@@ -41,13 +40,6 @@ type metrics struct {
 	opsWireWords  atomic.Int64 // point-to-point words the compute ops moved
 	opsBcastWords atomic.Int64 // broadcast-equivalent words those ops replaced
 
-	heartbeatsSent  atomic.Int64
-	heartbeatsRecv  atomic.Int64
-	heartbeatErrors atomic.Int64
-	toAlive         atomic.Int64 // peer transitions into each state
-	toSuspect       atomic.Int64
-	toDead          atomic.Int64
-
 	histMu sync.Mutex
 	hists  map[string]*histogram // per-scheme job latency
 
@@ -56,18 +48,6 @@ type metrics struct {
 
 	opsMu   sync.Mutex
 	opsJobs map[string]int64 // distributed ops executed, by op
-}
-
-// clusterTransition is the registry's OnTransition hook.
-func (m *metrics) clusterTransition(id string, from, to cluster.State) {
-	switch to {
-	case cluster.Alive:
-		m.toAlive.Add(1)
-	case cluster.Suspect:
-		m.toSuspect.Add(1)
-	case cluster.Dead:
-		m.toDead.Add(1)
-	}
 }
 
 func newMetrics() *metrics {
@@ -154,7 +134,6 @@ type gauges struct {
 	workers       int
 	poolIdle      int
 	draining      bool
-	nodes         map[cluster.State]int // cluster members by state, self included
 	// auto is the refiner's per-scheme snapshot (already sorted by
 	// scheme), sampled at scrape time.
 	auto []calibrate.RefineSchemeStats
@@ -249,14 +228,6 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		}
 	}
 
-	counter("sparsedistd_cluster_heartbeats_sent_total", "Heartbeats this node delivered to peers.", m.heartbeatsSent.Load())
-	counter("sparsedistd_cluster_heartbeats_received_total", "Heartbeats received from peers.", m.heartbeatsRecv.Load())
-	counter("sparsedistd_cluster_heartbeat_errors_total", "Heartbeat deliveries that failed.", m.heartbeatErrors.Load())
-	fmt.Fprintf(w, "# HELP sparsedistd_cluster_transitions_total Peer health-state transitions observed by the failure detector.\n# TYPE sparsedistd_cluster_transitions_total counter\n")
-	fmt.Fprintf(w, "sparsedistd_cluster_transitions_total{to=\"alive\"} %d\n", m.toAlive.Load())
-	fmt.Fprintf(w, "sparsedistd_cluster_transitions_total{to=\"suspect\"} %d\n", m.toSuspect.Load())
-	fmt.Fprintf(w, "sparsedistd_cluster_transitions_total{to=\"dead\"} %d\n", m.toDead.Load())
-
 	gauge("sparsedistd_queue_depth", "Jobs waiting in the queue.", int64(g.queueDepth))
 	gauge("sparsedistd_queue_capacity", "Queue capacity.", int64(g.queueCapacity))
 	gauge("sparsedistd_workers", "Worker goroutines.", int64(g.workers))
@@ -267,10 +238,6 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		dr = 1
 	}
 	gauge("sparsedistd_draining", "1 while the server is draining for shutdown.", dr)
-	fmt.Fprintf(w, "# HELP sparsedistd_cluster_nodes Cluster members by health state, self included.\n# TYPE sparsedistd_cluster_nodes gauge\n")
-	for _, st := range []cluster.State{cluster.Alive, cluster.Suspect, cluster.Dead} {
-		fmt.Fprintf(w, "sparsedistd_cluster_nodes{state=%q} %d\n", st.String(), g.nodes[st])
-	}
 
 	m.histMu.Lock()
 	schemes := make([]string, 0, len(m.hists))

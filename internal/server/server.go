@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/calibrate"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/costmodel"
@@ -88,9 +87,6 @@ type Config struct {
 	// Load it at boot with LoadRefineState — the daemon wires both
 	// ends to its -refine-state flag.
 	RefineStatePath string
-	// Cluster joins this server to a daemon cluster (zero value: a
-	// standalone node whose membership endpoints still answer).
-	Cluster ClusterConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -118,7 +114,6 @@ func (c Config) withDefaults() Config {
 	if c.Params == (cost.Params{}) {
 		c.Params = cost.DefaultParams
 	}
-	c.Cluster = c.Cluster.withDefaults()
 	return c
 }
 
@@ -144,13 +139,6 @@ type Server struct {
 	queue  chan *job
 	wg     sync.WaitGroup
 	nextID atomic.Int64
-
-	// Cluster membership: always present (a standalone node is a
-	// cluster of one); the gossip goroutine runs only with peers.
-	registry    *cluster.Registry
-	hbClient    *http.Client
-	clusterStop context.CancelFunc
-	clusterWG   sync.WaitGroup
 }
 
 // New builds a server and starts its worker pool.
@@ -165,29 +153,21 @@ func New(cfg Config) *Server {
 func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		mux:      http.NewServeMux(),
-		metrics:  newMetrics(),
-		plans:    newCache[planKey, *plan](planCacheCap),
-		arrays:   newCache[arrayKey, *sparse.Dense](arrayCacheCap),
-		stats:    newCache[arrayKey, costmodel.ArrayStats](arrayCacheCap),
-		opPlans:  newCache[planKey, *spops.CommPlan](arrayCacheCap),
-		refiner:  calibrate.NewRefiner(cfg.RefineAlpha),
-		jobs:     make(map[string]*job),
-		dedup:    make(map[string]string),
-		queue:    make(chan *job, cfg.QueueDepth),
-		hbClient: &http.Client{Timeout: 2 * cfg.Cluster.HeartbeatEvery},
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		metrics: newMetrics(),
+		plans:   newCache[planKey, *plan](planCacheCap),
+		arrays:  newCache[arrayKey, *sparse.Dense](arrayCacheCap),
+		stats:   newCache[arrayKey, costmodel.ArrayStats](arrayCacheCap),
+		opPlans: newCache[planKey, *spops.CommPlan](arrayCacheCap),
+		refiner: calibrate.NewRefiner(cfg.RefineAlpha),
+		jobs:    make(map[string]*job),
+		dedup:   make(map[string]string),
+		queue:   make(chan *job, cfg.QueueDepth),
 	}
 	// The zero spec's config is the node-level half alone: what every
 	// pooled machine is built from, whatever job it later serves.
 	s.pool = newMachinePool(cfg.PoolIdle, JobSpec{}.config(cfg), s.metrics)
-	s.registry = cluster.NewRegistry(cluster.RegistryConfig{
-		Self:         cfg.Cluster.NodeID,
-		SelfEndpoint: cfg.Cluster.Advertise,
-		SuspectAfter: cfg.Cluster.SuspectAfter,
-		DeadAfter:    cfg.Cluster.DeadAfter,
-		OnTransition: s.metrics.clusterTransition,
-	})
 
 	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /jobs", s.handleList)
@@ -195,20 +175,14 @@ func newServer(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /cluster/nodes", s.handleClusterNodes)
-	s.mux.HandleFunc("POST /cluster/heartbeat", s.handleClusterHeartbeat)
 	return s
 }
 
-// start launches the worker pool and, when peers are configured, the
-// cluster gossip loop.
+// start launches the worker pool.
 func (s *Server) start() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	if len(s.cfg.Cluster.Peers) > 0 {
-		s.startCluster()
 	}
 }
 
@@ -228,7 +202,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		close(s.queue)
 	}
 	s.mu.Unlock()
-	s.stopCluster()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -343,9 +316,9 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 	}
 	spec := j.spec
 	g, arrayHit := s.arrayFor(spec)
-	// scheme=auto resolves here, on-node: the spec routed and deduped on
-	// the literal "AUTO", and only the worker knows the array's measured
-	// statistics and this node's refined corrections.
+	// scheme=auto resolves here, in the worker: the spec deduped on the
+	// literal "AUTO", and only the worker knows the array's measured
+	// statistics and the refiner's corrections.
 	cfg := spec.config(s.cfg)
 	var auto *core.AutoChoice
 	if core.IsAutoScheme(cfg.Scheme) {
@@ -543,19 +516,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Idempotent resubmission: a client job ID already accepted maps to
-	// its existing job instead of enqueuing a duplicate — the dedup half
-	// of the cluster client's at-least-once retry loop.
+	// its existing job instead of enqueuing a duplicate, so a client
+	// retrying a lost response does not run the job twice. The entry
+	// lives exactly as long as its job (evictHistoryLocked drops both),
+	// so the job is always there to answer from. The same ID with a
+	// different spec is a client bug, not a retry: answering it with
+	// the held job would hand back another array's result.
 	if spec.ClientID != "" {
 		if id, ok := s.dedup[spec.ClientID]; ok {
-			j, tracked := s.jobs[id]
+			j := s.jobs[id]
 			s.mu.Unlock()
-			s.metrics.dedupHits.Add(1)
-			state := StateDone // evicted from history: it finished long ago
-			if tracked {
-				j.mu.Lock()
-				state = j.state
-				j.mu.Unlock()
+			if j.spec != spec {
+				writeError(w, http.StatusConflict, fmt.Errorf(
+					"client_id %q: already names job %s, submitted with a different spec", spec.ClientID, id))
+				return
 			}
+			s.metrics.dedupHits.Add(1)
+			j.mu.Lock()
+			state := j.state
+			j.mu.Unlock()
 			writeJSON(w, http.StatusAccepted, map[string]any{
 				"id": id, "state": string(state), "deduped": true,
 			})
@@ -656,7 +635,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // can take the node out of rotation before requests start bouncing.
 type HealthReply struct {
 	Status        string `json:"status"`
-	Node          string `json:"node"`
 	QueueDepth    int    `json:"queue_depth"`
 	QueueCapacity int    `json:"queue_capacity"`
 }
@@ -668,7 +646,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	reply := HealthReply{
 		Status:        "ok",
-		Node:          s.cfg.Cluster.NodeID,
 		QueueDepth:    len(s.queue),
 		QueueCapacity: s.cfg.QueueDepth,
 	}
@@ -696,7 +673,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		workers:       s.cfg.Workers,
 		poolIdle:      s.pool.idleCount(),
 		draining:      draining,
-		nodes:         s.registry.CountByState(),
 		auto:          s.refiner.Stats(),
 		planHits:      s.plans.hits.Load(),
 		planMisses:    s.plans.misses.Load(),

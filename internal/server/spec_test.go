@@ -2,9 +2,8 @@ package server
 
 // The request path, white-box: the shared bad-request table, the
 // agreement between JobSpec.validate and core.Config.Validate, the
-// routing and echo contracts a mixed-version cluster depends on, and
-// the fuzz target over the whole decode → defaults → validate → plan
-// chain.
+// defaulted-spec echo clients read back, and the fuzz target over the
+// whole decode → defaults → validate → plan chain.
 
 import (
 	"bytes"
@@ -93,32 +92,6 @@ func TestValidateAgreesWithCore(t *testing.T) {
 	}
 }
 
-// TestRouteKeyUnchanged pins RouteKey to strings computed at the
-// parent of the one-request-path change (78e80fa): routing must not
-// move when a cluster runs mixed versions, so the defaults may come
-// from core's table but the key they produce may not change.
-func TestRouteKeyUnchanged(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		spec JobSpec
-		want string
-	}{
-		{"defaults", JobSpec{}, "200|0.1|1|ED|row|4|0x0|1|CRS|false||"},
-		{"mesh without grid", JobSpec{N: 96, Partition: "mesh", Procs: 6}, "96|0.1|1|ED|mesh|6|0x0|1|CRS|false||"},
-		{"mesh with grid", JobSpec{N: 96, Partition: "mesh", MeshRows: 3, MeshCols: 2}, "96|0.1|1|ED|mesh|4|3x2|1|CRS|false||"},
-		{"auto", JobSpec{N: 64, Scheme: "auto"}, "64|0.1|1|AUTO||4|0x0|1||false||"},
-		{"auto with pinned partition", JobSpec{N: 64, Scheme: "auto", Partition: "cyclic-mesh", Procs: 6}, "64|0.1|1|AUTO|cyclic-mesh|6|0x0|1||false||"},
-		{"stream from file", JobSpec{Scheme: "cfs", Method: "ccs", Stream: true, SourceFile: "/data/a.mtx", MemBudget: 1 << 20, Partition: "balanced-row", Procs: 8},
-			"200|0.1|1|CFS|balanced-row|8|0x0|1|CCS|true|/data/a.mtx|"},
-		{"op", JobSpec{N: 128, Ratio: 0.05, Seed: 7, Scheme: "ED", Partition: "brs", Block: 4, Op: "Jacobi", OpIters: 50}, "128|0.05|7|ED|brs|4|0x0|4|CRS|false||jacobi"},
-		{"descriptor with grid", JobSpec{N: 64, Partition: "(Block,Block)", Procs: 6, MeshRows: 2, MeshCols: 3}, "64|0.1|1|ED|(Block,Block)|6|2x3|1|CRS|false||"},
-	} {
-		if got := tc.spec.RouteKey(); got != tc.want {
-			t.Errorf("%s: RouteKey() = %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestDefaultedSpecEcho pins the defaulted spec GET /jobs/{id} echoes
 // to what the parent returned: clients read their resolved request
 // back from it.
@@ -151,7 +124,7 @@ func TestDefaultedSpecEcho(t *testing.T) {
 // FuzzJobSpec drives arbitrary bytes through the daemon's request path
 // — decode, defaults, validation under small limits — and, for every
 // accepted spec, on into the plan builder: nothing may panic, the
-// defaults are idempotent and leave the route key alone, and admission
+// defaults are idempotent, and admission
 // is complete — what validate accepts, core.NewPlan builds (the bug
 // class where a 202 turned into a failure on a worker). Specs naming a
 // source_file stop at validation: the file is the operator's.
@@ -177,9 +150,6 @@ func FuzzJobSpec(f *testing.F) {
 		d := spec.withDefaults()
 		if again := d.withDefaults(); again != d {
 			t.Fatalf("withDefaults is not idempotent: %+v then %+v", d, again)
-		}
-		if d.RouteKey() != spec.RouteKey() {
-			t.Fatalf("route key moves under defaults: %q then %q", spec.RouteKey(), d.RouteKey())
 		}
 		if d.validate(limits) != nil || d.SourceFile != "" {
 			return

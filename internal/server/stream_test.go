@@ -213,17 +213,3 @@ func TestStreamSpecValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamRouteKeyDiscriminates: streamed and materializing jobs of
-// the same shape must route (and dedup) differently.
-func TestStreamRouteKeyDiscriminates(t *testing.T) {
-	a := server.JobSpec{N: 64}
-	b := server.JobSpec{N: 64, Stream: true}
-	cfile := server.JobSpec{N: 64, Stream: true, SourceFile: "x.mtx"}
-	if a.RouteKey() == b.RouteKey() {
-		t.Error("streamed and materializing specs share a route key")
-	}
-	if b.RouteKey() == cfile.RouteKey() {
-		t.Error("synthetic and file-sourced streamed specs share a route key")
-	}
-}

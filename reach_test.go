@@ -53,6 +53,7 @@ var reachAllow = map[string]string{
 	"internal/machine/fault.go":          reasonFixture,
 	"calibrate.Refiner.Observations":     reasonFixture,
 	"client.Client.Cancel":               reasonFixture, // drives DELETE /jobs/{id} in TestCancelRunningJob
+	"client.Client.SetHTTPClient":        reasonFixture, // the widened connection pool of TestLoad500ConcurrentSubmissions
 	"compress.CRS.At":                    reasonFixture,
 	"compress.CRS.Clone":                 reasonFixture,
 	"compress.CRS.Equal":                 reasonFixture,
