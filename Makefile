@@ -58,10 +58,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRows -fuzztime 10s ./internal/spops/
 
 # The differential correctness harness at full size: >= 200 adversarial
-# arrays through every scheme x partition x method combination, direct,
-# degraded and killed-rank engine paths, invariant checks on the hot
-# path and the element-wise reassembly oracle on every result; then an
-# extended run of the end-to-end differential fuzz target.
+# arrays through every scheme x partition x method combination, direct
+# and over the ARQ reliability layer (reliable), invariant checks on the
+# hot path and the element-wise reassembly oracle on every result; then
+# an extended run of the end-to-end differential fuzz target.
 check-diff:
 	$(GO) test -run 'TestDiffSweep' -count=1 -v ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime 2m ./internal/core/

@@ -56,11 +56,8 @@ func main() {
 		"retransmission budget per message; > 0 enables the reliable transport (seq numbers, checksums, ACK/retransmit)")
 	flag.DurationVar(&cfg.RetryBackoff, "retry-backoff", 0,
 		"initial ACK wait for the reliable transport, doubling per retry (0: library default 5ms)")
-	flag.BoolVar(&cfg.Degrade, "degrade", false,
-		"survive dead ranks by remapping their partition parts onto survivors (implies the reliable transport)")
 	flag.IntVar(&cfg.FaultDrops, "fault-drop", 0, "inject: drop the next N data messages on the wire")
 	flag.IntVar(&cfg.FaultCorrupt, "fault-corrupt", 0, "inject: flip a random payload bit in the next N data messages")
-	flag.IntVar(&cfg.KillRank, "kill", 0, "inject: permanently crash this rank (needs -degrade; rank 0 cannot be killed)")
 	flag.IntVar(&cfg.FlushEntries, "flush", 0, "streaming per-part flush threshold in entries (0: library default 8192)")
 
 	var cli cliFlags
@@ -225,7 +222,7 @@ type cliFlags struct {
 
 // validateFlags rejects bad flag values and combinations up front with
 // one clear error each, instead of a downstream panic (-ratio out of
-// range), a hang (-kill without -degrade), a half-run batch (unknown
+// range), a half-run batch (unknown
 // -batch scheme), or a silently pinned auto plan (-scheme auto with an
 // explicit -method). What a valid plan is comes from cfg.Validate, in
 // its words; the rules here are the ones only the CLI knows: the input

@@ -138,23 +138,6 @@ func TestValidateFlags(t *testing.T) {
 		{"ratio-ignored-with-input", func(f *flags) { f.ratio = 9; f.input = "m.txt" }},
 		{"zero-procs", func(f *flags) { f.cfg.Procs = 0; f.wantErrSub = "-procs" }},
 		{"negative-procs", func(f *flags) { f.cfg.Procs = -3; f.wantErrSub = "procs -3" }},
-		{"kill-negative", func(f *flags) { f.cfg.KillRank = -1; f.cfg.Degrade = true; f.wantErrSub = "kill -1" }},
-		{"kill-without-degrade", func(f *flags) { f.cfg.KillRank = 2; f.wantErrSub = "degrade"; f.wantConflict = true }},
-		{"kill-with-degrade", func(f *flags) { f.cfg.KillRank = 2; f.cfg.Degrade = true }},
-		{"kill-out-of-range", func(f *flags) { f.cfg.KillRank = 4; f.cfg.Degrade = true; f.wantErrSub = "out of range" }},
-		{"kill-range-uses-mesh", func(f *flags) {
-			f.cfg.KillRank = 5
-			f.cfg.Degrade = true
-			f.cfg.Partition = "mesh"
-			f.cfg.MeshRows, f.cfg.MeshCols = 2, 3
-		}},
-		{"kill-out-of-mesh-range", func(f *flags) {
-			f.cfg.KillRank = 6
-			f.cfg.Degrade = true
-			f.cfg.Partition = "mesh"
-			f.cfg.MeshRows, f.cfg.MeshCols = 2, 3
-			f.wantErrSub = "out of range"
-		}},
 		{"batch-ok", func(f *flags) { f.batch = "SFC, cfs,ED" }},
 		{"batch-unknown", func(f *flags) { f.batch = "SFC,BOGUS"; f.wantErrSub = "-batch" }},
 		{"batch-empty-entry", func(f *flags) { f.batch = "SFC,,ED"; f.wantErrSub = "-batch" }},

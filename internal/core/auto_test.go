@@ -178,8 +178,8 @@ func TestDistributeAllAuto(t *testing.T) {
 
 // TestDiffSweepAuto is the acceptance gate: the auto column of the
 // differential sweep, over adversarial inputs (including the degenerate
-// balanced-row seeds), with the degraded engine path, must be
-// violation-free. CI runs it under -race.
+// balanced-row seeds), over the bare transport and the ARQ stack, must
+// be violation-free. CI runs it under -race.
 func TestDiffSweepAuto(t *testing.T) {
 	cases := 40
 	if testing.Short() {
@@ -188,7 +188,7 @@ func TestDiffSweepAuto(t *testing.T) {
 	res := DiffSweep(SweepConfig{
 		Cases:    cases,
 		Schemes:  []string{"auto"},
-		Degraded: true,
+		Reliable: true,
 	})
 	for _, f := range res.Failures {
 		t.Errorf("%s", f)

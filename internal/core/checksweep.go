@@ -2,15 +2,14 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/check"
 )
 
 // The differential sweep: every adversarial input from the check
 // package's generator is distributed under every scheme x partition x
-// method combination (optionally also through the degradable engine
-// path and over several transports), with the invariant checker on the
+// method combination (optionally also over the ARQ reliability layer
+// and over several transports), with the invariant checker on the
 // hot path and the differential oracle on the result. One failing
 // combination is one SweepFailure — the harness reports them all
 // instead of stopping at the first.
@@ -32,17 +31,10 @@ type SweepConfig struct {
 	Partitions []string
 	Methods    []string
 	Transports []string
-	// Degraded additionally runs every combination through the
-	// degradable engine path (retained payloads, per-part tags,
-	// assignment commits) with all ranks healthy — the protocol detour
-	// has to be exact too, not just survive.
-	Degraded bool
-	// Kill additionally runs every multi-rank combination with the last
-	// rank crashed before distribution, so its parts are re-homed onto
-	// survivors; the oracle then proves the re-homed distribution is
-	// still exact. Kill runs pay real retry latency (a fast retry policy
-	// keeps it small) — budget roughly 10ms per combination.
-	Kill bool
+	// Reliable additionally runs every combination over the ARQ
+	// reliability layer (sequence numbers, checksums, ACKs) — the stack
+	// a lossy link runs on has to be exact too, not just arrive.
+	Reliable bool
 	// Progress, when non-nil, is called after every completed run.
 	Progress func(done, total int)
 }
@@ -76,8 +68,8 @@ type SweepFailure struct {
 	Partition string
 	Method    string
 	Transport string
-	// Mode is the engine path: "direct", "degraded" (healthy degradable
-	// protocol) or "killed" (one rank crashed, parts re-homed).
+	// Mode is the transport stack: "direct" or "reliable" (the same
+	// engine over the ARQ layer).
 	Mode string
 	Err  error
 }
@@ -107,11 +99,8 @@ func DiffSweep(sc SweepConfig) *SweepResult {
 	sc = sc.withDefaults()
 	cases := check.Adversarial(sc.Cases, sc.Seed)
 	modes := []string{"direct"}
-	if sc.Degraded {
-		modes = append(modes, "degraded")
-	}
-	if sc.Kill {
-		modes = append(modes, "killed")
+	if sc.Reliable {
+		modes = append(modes, "reliable")
 	}
 	total := len(cases) * len(sc.Schemes) * len(sc.Partitions) * len(sc.Methods) * len(sc.Transports) * len(modes)
 	res := &SweepResult{Cases: len(cases)}
@@ -121,9 +110,6 @@ func DiffSweep(sc SweepConfig) *SweepResult {
 				for _, part := range sc.Partitions {
 					for _, method := range sc.Methods {
 						for _, mode := range modes {
-							if mode == "killed" && c.Procs < 2 {
-								continue // rank 0 cannot be killed
-							}
 							err := sweepOne(c, scheme, part, method, transport, mode)
 							res.Runs++
 							if err != nil {
@@ -155,23 +141,12 @@ func sweepOne(c check.Case, scheme, part, method, transport, mode string) error 
 		Transport: transport,
 		Procs:     c.Procs,
 		Check:     true,
-		Degrade:   mode != "direct",
-	}
-	if mode == "killed" {
-		// The dead rank is only discovered by exhausting its retry
-		// budget; a small budget keeps the sweep fast without changing
-		// what is proved.
-		cfg.KillRank = c.Procs - 1
-		cfg.Retries = 2
-		cfg.RetryBackoff = 2 * time.Millisecond
+		Reliable:  mode == "reliable",
 	}
 	d, err := Distribute(c.G, cfg)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if mode == "killed" && !d.Result.Degraded {
-		return fmt.Errorf("core: killed rank %d but result not degraded", cfg.KillRank)
-	}
 	return d.DiffCheck()
 }

@@ -21,11 +21,11 @@ func reportSweep(t *testing.T, name string, res *SweepResult) {
 
 // TestDiffSweep is the differential correctness harness: >= 200
 // adversarial arrays through the full scheme x partition x method
-// matrix, direct and (healthy) degraded engine paths, invariant checks
-// on the hot path and the oracle on every result. Short mode trims the
+// matrix, over the bare transport and over the ARQ stack, invariant
+// checks on the hot path and the oracle on every result. Short mode trims the
 // case count; `make check-diff` runs the full sweep.
 func TestDiffSweep(t *testing.T) {
-	sc := SweepConfig{Degraded: true}
+	sc := SweepConfig{Reliable: true}
 	if testing.Short() {
 		sc.Cases = 60
 	}
@@ -39,22 +39,7 @@ func TestDiffSweepMorePartitions(t *testing.T) {
 	reportSweep(t, "partitions sweep", DiffSweep(SweepConfig{
 		Cases:      60,
 		Partitions: []string{"brs", "cyclic-col", "cyclic-mesh", "balanced-row", "(Block,Block)", "(Cyclic(2),*)"},
-		Degraded:   true,
-	}))
-}
-
-// TestDiffSweepKilled proves distributions stay exact when a rank
-// actually dies and its parts are re-homed onto survivors. Kill runs
-// pay real retry latency, so the axes are trimmed.
-func TestDiffSweepKilled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("kill runs pay real retry latency")
-	}
-	reportSweep(t, "kill sweep", DiffSweep(SweepConfig{
-		Cases:      10, // the generator still emits its full corner corpus
-		Partitions: []string{"row"},
-		Methods:    []string{"CRS", "JDS"},
-		Kill:       true,
+		Reliable:   true,
 	}))
 }
 

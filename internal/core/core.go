@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -99,8 +98,9 @@ type Config struct {
 
 	// Reliable wraps the transport in the ARQ reliability layer
 	// (sequence numbers, CRC32C checksums, ACK/NACK, retransmission
-	// with exponential backoff). Implied by Degrade and by any of the
-	// retry or fault-injection settings below.
+	// with exponential backoff). Implied by any of the retry or
+	// fault-injection settings below. A message whose retry budget is
+	// spent fails the distribution with machine.ErrRetriesExhausted.
 	Reliable bool
 	// Retries is the retransmission budget per message (0 takes the
 	// library default of 4).
@@ -108,10 +108,6 @@ type Config struct {
 	// RetryBackoff is the initial ACK wait; each retry doubles it (0
 	// takes the library default of 5ms).
 	RetryBackoff time.Duration
-	// Degrade lets a distribution survive dead ranks: the root remaps a
-	// dead rank's partition parts onto survivors and the result comes
-	// back flagged Degraded.
-	Degrade bool
 
 	// MemBudget caps the streaming root's routing-accumulator memory in
 	// bytes (DistributeStream only; 0 takes the dist default of 32 MiB).
@@ -125,9 +121,6 @@ type Config struct {
 	// have a random payload bit flipped.
 	FaultDrops   int
 	FaultCorrupt int
-	// KillRank permanently crashes the given rank before distribution
-	// (0 or negative: nobody; rank 0, the root, cannot be killed).
-	KillRank int
 }
 
 // withDefaults is the one default table: every front door (the library
@@ -171,14 +164,14 @@ func (c Config) withDefaults() Config {
 	if c.BlockSize == 0 {
 		c.BlockSize = 1
 	}
-	if c.Degrade || c.Retries > 0 || c.RetryBackoff > 0 || c.injectsFaults() {
+	if c.Retries > 0 || c.RetryBackoff > 0 || c.injectsFaults() {
 		c.Reliable = true
 	}
 	return c
 }
 
 func (c Config) injectsFaults() bool {
-	return c.FaultDrops > 0 || c.FaultCorrupt > 0 || c.KillRank > 0
+	return c.FaultDrops > 0 || c.FaultCorrupt > 0
 }
 
 // Normalized returns the config with every defaultable field resolved —
@@ -189,8 +182,8 @@ func (c Config) injectsFaults() bool {
 func (c Config) Normalized() Config { return c.withDefaults() }
 
 // NewPlan turns a config into the dist.Plan that distributes g: the
-// partition, the scheme's codec and Options{Method, Degrade, Workers,
-// Check, Ctx}. It is the one plan builder — Distribute and DistributeAll
+// partition, the scheme's codec and Options{Method, Workers, Check,
+// Ctx}. It is the one plan builder — Distribute and DistributeAll
 // run what it returns, and a serving layer caches it (minus Global and
 // the per-job options) to drive dist.Run on a pooled machine. cfg must
 // be valid (Validate), concrete (scheme auto already resolved, see
@@ -235,7 +228,7 @@ func (c Config) codecOptions() (dist.Codec, dist.Options, error) {
 	if err != nil {
 		return nil, dist.Options{}, err
 	}
-	return codec, dist.Options{Method: method, Degrade: c.Degrade, Workers: c.Workers, Check: c.Check, Ctx: c.Ctx}, nil
+	return codec, dist.Options{Method: method, Workers: c.Workers, Check: c.Check, Ctx: c.Ctx}, nil
 }
 
 // concrete is the one path from a request to the config a plan is built
@@ -387,9 +380,6 @@ func newMachineStack(cfg Config) (*machineStack, error) {
 		if cfg.FaultCorrupt > 0 {
 			ft.CorruptNext(cfg.FaultCorrupt)
 		}
-		if cfg.KillRank > 0 {
-			ft.KillRank(cfg.KillRank)
-		}
 	}
 	return &machineStack{m: m, rel: rt, faults: ft, net: net}, nil
 }
@@ -483,7 +473,6 @@ func (c Config) perPlanZeroed() Config {
 	c.MeshRows, c.MeshCols = 0, 0
 	c.BlockSize = 0
 	c.Workers = 0
-	c.Degrade = false
 	c.Ctx = nil // cancellation is per plan, not a machine-level setting
 	return c
 }
@@ -493,7 +482,7 @@ func (c Config) perPlanZeroed() Config {
 // on a tag range drawn from the machine's allocator, so the runs
 // interleave without stealing each other's messages and every
 // Breakdown counts exactly its own plan's costs. Scheme, partition,
-// method, workers and Degrade may differ per config; the machine-level
+// method and workers may differ per config; the machine-level
 // settings (Procs, Transport, Params, RecvTimeout, Trace, reliability
 // and fault injection) must agree across all configs, since there is
 // only one machine.
@@ -509,8 +498,8 @@ func DistributeAll(g *sparse.Dense, cfgs []Config) (*Batch, error) {
 		}
 	}
 	ref := cfgs[0].perPlanZeroed()
-	// A Degrade plan needs the reliable transport, so any config asking
-	// for it forces the shared stack to be reliable.
+	// Any config asking for the reliable transport forces the shared
+	// stack to be reliable.
 	for _, cfg := range cfgs {
 		if cfg.Reliable {
 			ref.Reliable = true
@@ -525,7 +514,6 @@ func DistributeAll(g *sparse.Dense, cfgs []Config) (*Batch, error) {
 	}
 	shared := cfgs[0]
 	shared.Reliable = ref.Reliable
-	shared.Degrade = anyDegrade(cfgs)
 
 	plans := make([]dist.Plan, len(cfgs))
 	for i, cfg := range cfgs {
@@ -553,15 +541,6 @@ func DistributeAll(g *sparse.Dense, cfgs []Config) (*Batch, error) {
 		}
 	}
 	return b, nil
-}
-
-func anyDegrade(cfgs []Config) bool {
-	for _, cfg := range cfgs {
-		if cfg.Degrade {
-			return true
-		}
-	}
-	return false
 }
 
 // NewPartition builds the partition cfg describes for g — the
@@ -749,15 +728,8 @@ func (d *Distribution) Report() string {
 			st.DataSent, st.Retransmits, st.Nacks, st.Corrupt, st.Duplicates, st.Failed)
 	}
 	if st, ok := d.FaultStats(); ok {
-		fmt.Fprintf(&b, "injected faults: %d dropped, %d corrupted, %d duplicated, %d reordered, %d swallowed\n",
-			st.Dropped, st.Corrupted, st.Duplicated, st.Reordered, st.Swallowed)
-	}
-	if d.Result.Degraded {
-		fmt.Fprintf(&b, "DEGRADED: dead ranks %v; reassigned parts", d.Result.DeadRanks)
-		for _, k := range sortedKeys(d.Result.Reassigned) {
-			fmt.Fprintf(&b, " %d->rank%d", k, d.Result.Reassigned[k])
-		}
-		fmt.Fprintln(&b)
+		fmt.Fprintf(&b, "injected faults: %d dropped, %d corrupted, %d duplicated, %d reordered\n",
+			st.Dropped, st.Corrupted, st.Duplicated, st.Reordered)
 	}
 	if tr := d.m.Tracer(); tr != nil && len(tr.Counters()) > 0 {
 		fmt.Fprintf(&b, "counters:\n")
@@ -769,15 +741,6 @@ func (d *Distribution) Report() string {
 		b.WriteString(tl.Report())
 	}
 	return b.String()
-}
-
-func sortedKeys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func maxRankOps(bd *dist.Breakdown) int64 {

@@ -259,9 +259,6 @@ func TestDistributeRecoversFromInjectedFaults(t *testing.T) {
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Result.Degraded {
-		t.Error("transient faults flagged Degraded")
-	}
 	st, ok := d.ReliableStats()
 	if !ok {
 		t.Fatal("reliability stats missing despite Retries > 0")
@@ -274,42 +271,5 @@ func TestDistributeRecoversFromInjectedFaults(t *testing.T) {
 	}
 	if !strings.Contains(d.Report(), "reliability:") {
 		t.Error("report missing reliability line")
-	}
-}
-
-func TestDistributeDegradesAroundKilledRank(t *testing.T) {
-	g := sparse.Uniform(32, 32, 0.15, 4)
-	d, err := Distribute(g, Config{
-		Scheme:       "CFS",
-		Procs:        4,
-		Degrade:      true,
-		RetryBackoff: time.Millisecond,
-		KillRank:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if !d.Result.Degraded {
-		t.Fatal("result not flagged Degraded")
-	}
-	if len(d.Result.DeadRanks) != 1 || d.Result.DeadRanks[0] != 2 {
-		t.Errorf("DeadRanks = %v, want [2]", d.Result.DeadRanks)
-	}
-	if err := d.Verify(); err != nil {
-		t.Fatalf("degraded result does not cover all nonzeros: %v", err)
-	}
-	if !strings.Contains(d.Report(), "DEGRADED") {
-		t.Error("report missing DEGRADED line")
-	}
-}
-
-func TestDistributeRejectsKillWithoutDegrade(t *testing.T) {
-	g := sparse.Uniform(16, 16, 0.2, 5)
-	if _, err := Distribute(g, Config{Procs: 4, KillRank: 2}); err == nil {
-		t.Fatal("KillRank without Degrade accepted")
-	}
-	if _, err := Distribute(g, Config{Procs: 4, Degrade: true, KillRank: 9}); err == nil {
-		t.Fatal("out-of-range KillRank accepted")
 	}
 }

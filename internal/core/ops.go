@@ -28,8 +28,7 @@ func (d *Distribution) CommPlan() (*spops.CommPlan, error) {
 }
 
 // SpMV computes y = A·x with point-to-point halo exchange and reports
-// the wire traffic it moved. On a degraded distribution the surviving
-// ranks compute over the re-homed parts.
+// the wire traffic it moved.
 func (d *Distribution) SpMV(x []float64) ([]float64, spops.OpStats, error) {
 	pl, err := d.CommPlan()
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/compress"
 	"repro/internal/ops"
@@ -20,7 +19,7 @@ import (
 
 // OpsSweepConfig selects the axes of an OpsSweep. The zero value
 // sweeps SFC/CFS/ED over row/col/mesh/cyclic-row/balanced-row with
-// CRS/CCS/JDS for all four ops on the direct engine path.
+// CRS/CCS/JDS for all four ops.
 type OpsSweepConfig struct {
 	// Seed drives the input generators (default 1).
 	Seed int64
@@ -31,10 +30,6 @@ type OpsSweepConfig struct {
 	Methods    []string
 	// Ops defaults to spmv, jacobi, cg and spgemm.
 	Ops []string
-	// Kill additionally runs every combination with one rank crashed
-	// before distribution: the plan must exclude the dead rank and the
-	// survivors' answers must still match the oracle exactly.
-	Kill bool
 	// Progress, when non-nil, is called after every completed run.
 	Progress func(done, total int)
 }
@@ -64,14 +59,12 @@ type OpsSweepFailure struct {
 	Scheme    string
 	Partition string
 	Method    string
-	// Mode is "direct" or "killed" (one rank crashed, parts re-homed).
-	Mode string
-	Err  error
+	Err       error
 }
 
 // String renders the failing combination with its error.
 func (f OpsSweepFailure) String() string {
-	return fmt.Sprintf("%s: %s/%s/%s/%s: %v", f.Op, f.Scheme, f.Partition, f.Method, f.Mode, f.Err)
+	return fmt.Sprintf("%s: %s/%s/%s: %v", f.Op, f.Scheme, f.Partition, f.Method, f.Err)
 }
 
 // OpsSweepResult is the outcome of an OpsSweep.
@@ -90,28 +83,22 @@ type OpsSweepResult struct {
 // other combination it breaks.
 func OpsSweep(sc OpsSweepConfig) *OpsSweepResult {
 	sc = sc.withDefaults()
-	modes := []string{"direct"}
-	if sc.Kill {
-		modes = append(modes, "killed")
-	}
-	total := len(sc.Ops) * len(sc.Schemes) * len(sc.Partitions) * len(sc.Methods) * len(modes)
+	total := len(sc.Ops) * len(sc.Schemes) * len(sc.Partitions) * len(sc.Methods)
 	res := &OpsSweepResult{}
 	for _, op := range sc.Ops {
 		for _, scheme := range sc.Schemes {
 			for _, part := range sc.Partitions {
 				for _, method := range sc.Methods {
-					for _, mode := range modes {
-						err := opsSweepOne(op, scheme, part, method, mode, sc.Seed)
-						res.Runs++
-						if err != nil {
-							res.Failures = append(res.Failures, OpsSweepFailure{
-								Op: op, Scheme: scheme, Partition: part,
-								Method: method, Mode: mode, Err: err,
-							})
-						}
-						if sc.Progress != nil {
-							sc.Progress(res.Runs, total)
-						}
+					err := opsSweepOne(op, scheme, part, method, sc.Seed)
+					res.Runs++
+					if err != nil {
+						res.Failures = append(res.Failures, OpsSweepFailure{
+							Op: op, Scheme: scheme, Partition: part,
+							Method: method, Err: err,
+						})
+					}
+					if sc.Progress != nil {
+						sc.Progress(res.Runs, total)
 					}
 				}
 			}
@@ -122,23 +109,14 @@ func OpsSweep(sc OpsSweepConfig) *OpsSweepResult {
 
 // opsSweepOne distributes the op's input matrix under one combination,
 // runs the distributed op and checks it against the sequential oracle.
-func opsSweepOne(op, scheme, part, method, mode string, seed int64) error {
+func opsSweepOne(op, scheme, part, method string, seed int64) error {
 	cfg := Config{Scheme: scheme, Partition: part, Method: method, Procs: 4, Check: true}
-	if mode == "killed" {
-		cfg.Degrade = true
-		cfg.KillRank = 2
-		cfg.Retries = 2
-		cfg.RetryBackoff = 2 * time.Millisecond
-	}
 	g := opsSweepInput(op, seed)
 	d, err := Distribute(g, cfg)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if mode == "killed" && !d.Result.Degraded {
-		return fmt.Errorf("core: killed rank %d but result not degraded", cfg.KillRank)
-	}
 	switch op {
 	case "spmv":
 		return opsSweepSpMV(d, g, seed)

@@ -28,20 +28,6 @@ func TestOpsSweep(t *testing.T) {
 	reportOpsSweep(t, "ops sweep", OpsSweep(sc))
 }
 
-// TestOpsSweepKilled re-runs the matrix with a crashed rank: the
-// communication plan must route around the dead rank and the
-// survivors' answers must still match the oracle. The kill path pays
-// real retry latency, so the matrix is trimmed to one method.
-func TestOpsSweepKilled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("kill sweep pays real retry latency")
-	}
-	reportOpsSweep(t, "ops sweep (killed)", OpsSweep(OpsSweepConfig{
-		Methods: []string{"CRS"},
-		Kill:    true,
-	}))
-}
-
 // TestDistributionOpsConvenience exercises the Distribution-level
 // wrappers end to end on one distribution: the plan is built once and
 // shared across SpMV and Jacobi calls.

@@ -16,7 +16,7 @@ import (
 // combined. Distinct from a plain bad value so callers (and tests) can
 // tell "fix this field" from "drop one of these fields".
 type ConflictError struct {
-	Fields string // the offending combination, e.g. "kill 2 without degrade"
+	Fields string // the offending combination, e.g. "link-bw/link-latency without topology"
 	Reason string
 }
 
@@ -87,7 +87,7 @@ func (c Config) Validate() error {
 	}{
 		{"procs", c.Procs}, {"block", c.BlockSize}, {"workers", c.Workers}, {"retries", c.Retries},
 		{"mem-budget", c.MemBudget}, {"flush", c.FlushEntries},
-		{"fault-drop", c.FaultDrops}, {"fault-corrupt", c.FaultCorrupt}, {"kill", c.KillRank},
+		{"fault-drop", c.FaultDrops}, {"fault-corrupt", c.FaultCorrupt},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%s %d: cannot be negative", f.name, f.v)
@@ -112,20 +112,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("params: %w", err)
-	}
-
-	if c.KillRank > 0 {
-		if !c.Degrade {
-			return &ConflictError{
-				Fields: fmt.Sprintf("kill %d without degrade", c.KillRank),
-				Reason: "the run cannot complete with a dead rank; set degrade",
-			}
-		}
-		// The processor count the run will really have: the default, or
-		// the mesh grid where it overrides procs.
-		if p := c.withDefaults().Procs; c.KillRank >= p {
-			return fmt.Errorf("kill %d: rank out of range for %d processors", c.KillRank, p)
-		}
 	}
 	return nil
 }

@@ -62,14 +62,6 @@ func TestConfigValidate(t *testing.T) {
 		{name: "link-latency without topology", cfg: Config{LinkLatency: time.Millisecond}, want: "without topology", conflict: true},
 		{name: "params zero is unset", cfg: Config{Params: cost.Params{}}},
 		{name: "params negative", cfg: Config{Params: cost.Params{TStartup: time.Microsecond, TData: -1}}, want: "params"},
-
-		{name: "kill zero kills nobody", cfg: Config{KillRank: 0}},
-		{name: "kill negative", cfg: Config{KillRank: -1, Degrade: true}, want: "kill -1"},
-		{name: "kill without degrade", cfg: Config{KillRank: 2}, want: "kill 2 without degrade", conflict: true},
-		{name: "kill with degrade", cfg: Config{KillRank: 2, Degrade: true}},
-		{name: "kill beyond default procs", cfg: Config{KillRank: 4, Degrade: true}, want: "out of range for 4 processors"},
-		{name: "kill range uses mesh grid", cfg: Config{Partition: "mesh", MeshRows: 2, MeshCols: 3, KillRank: 5, Degrade: true}},
-		{name: "kill beyond mesh grid", cfg: Config{Partition: "mesh", MeshRows: 2, MeshCols: 3, KillRank: 6, Degrade: true}, want: "out of range for 6 processors"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,7 +86,7 @@ func TestConfigValidate(t *testing.T) {
 // TestValidateAllocatesNothing: every Distribute call validates, so the
 // accepting path must stay off the heap.
 func TestValidateAllocatesNothing(t *testing.T) {
-	cfg := Config{Scheme: "ED", Partition: "mesh", Procs: 6, Method: "CRS", Transport: "tcp", Topology: "mesh", KillRank: 2, Degrade: true}
+	cfg := Config{Scheme: "ED", Partition: "mesh", Procs: 6, Method: "CRS", Transport: "tcp", Topology: "mesh", Retries: 2}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
@@ -116,7 +108,6 @@ func TestEntryPointsValidateFirst(t *testing.T) {
 		{BlockSize: -3},
 		{Retries: -2},
 		{MemBudget: -1},
-		{KillRank: 2},
 	} {
 		want := cfg.Validate()
 		if want == nil {

@@ -140,31 +140,3 @@ func TestCancelBeforeStart(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCancelDegradableRun covers the failure-recovery driver: the
-// degradable receive loop and delivery queue observe the context too.
-func TestCancelDegradableRun(t *testing.T) {
-	base := machine.NewChanTransport(4)
-	rel := machine.NewReliableTransport(base, machine.RetryPolicy{})
-	m, err := machine.New(4, machine.WithTransport(rel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	g := sparse.UniformExact(40, 40, 0.2, 5)
-	part, err := partition.NewRow(40, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := CodecByName("ED")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = Run(m, Plan{Codec: codec, Global: g, Partition: part,
-		Options: Options{Method: CRS, Degrade: true, Ctx: ctx}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}

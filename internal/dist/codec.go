@@ -66,8 +66,7 @@ type Codec interface {
 	EncodeEntries(run *runState, k int, e *compress.Entries, pp *partPayload) error
 	// DecodePart rebuilds part k's compressed local array from a
 	// received payload, charging ctr. Index conversion uses part k's
-	// maps (not the hosting rank's — under degradation a survivor
-	// decodes foreign parts).
+	// maps.
 	DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *cost.Counter) (compress.PartArray, error)
 }
 
@@ -154,29 +153,29 @@ func (b *Breakdown) addRankWall(ph Phase, rank int, d time.Duration) {
 	}
 }
 
-// decodeTimed runs one part's decode, charging the policy's receive
-// counter and wall slot — the shared receiver step of both engine
-// paths. The decode's counter delta is mirrored into the network
-// recorder on the hosting rank, on the class the policy's receive
-// phase maps to, so the replayed timeline books decode work exactly
-// where the paper's breakdown does.
-func decodeTimed(run *runState, bd *Breakdown, rank, k int, data []float64, meta [4]int64) (compress.PartArray, error) {
+// decodeTimed runs part k's decode on rank k, charging the policy's
+// receive counter and wall slot — the shared receiver step of Run and
+// RunStream. The decode's counter delta is mirrored into the network
+// recorder on rank k, on the class the policy's receive phase maps to,
+// so the replayed timeline books decode work exactly where the paper's
+// breakdown does.
+func decodeTimed(run *runState, bd *Breakdown, k int, data []float64, meta [4]int64) (compress.PartArray, error) {
 	pol := run.codec.Policy()
-	ctr := bd.rankCounter(pol.Receive, rank)
+	ctr := bd.rankCounter(pol.Receive, k)
 	before := ctr.Snapshot()
 	start := time.Now()
 	a, err := run.codec.DecodePart(run, k, data, meta, ctr)
 	if err != nil {
-		return nil, fmt.Errorf("dist: %s rank %d decode part %d: %w", run.codec.Name(), rank, k, err)
+		return nil, fmt.Errorf("dist: %s rank %d decode: %w", run.codec.Name(), k, err)
 	}
-	bd.addRankWall(pol.Receive, rank, time.Since(start))
+	bd.addRankWall(pol.Receive, k, time.Since(start))
 	if net := run.opts.Net; net != nil {
 		after := ctr.Snapshot()
 		class := simnet.ClassRankComp
 		if pol.Receive == PhaseDistribution {
 			class = simnet.ClassRankDist
 		}
-		net.Charge(rank, class, cost.Counter{
+		net.Charge(k, class, cost.Counter{
 			Messages: after.Messages - before.Messages,
 			Elements: after.Elements - before.Elements,
 			Ops:      after.Ops - before.Ops,
@@ -185,10 +184,10 @@ func decodeTimed(run *runState, bd *Breakdown, rank, k int, data []float64, meta
 	if run.opts.Check {
 		// Outside the timed window: checks are diagnostics, not protocol.
 		if err := check.Array(a); err != nil {
-			return nil, fmt.Errorf("dist: %s rank %d part %d: %w", run.codec.Name(), rank, k, err)
+			return nil, fmt.Errorf("dist: %s rank %d: %w", run.codec.Name(), k, err)
 		}
 		if err := check.ArrayShape(a, len(run.part.RowMap(k)), len(run.part.ColMap(k))); err != nil {
-			return nil, fmt.Errorf("dist: %s rank %d part %d: %w", run.codec.Name(), rank, k, err)
+			return nil, fmt.Errorf("dist: %s rank %d: %w", run.codec.Name(), k, err)
 		}
 	}
 	return a, nil

@@ -107,15 +107,6 @@ type Options struct {
 	// concurrent plans (Session.DistributeAll) interleave their per-rank
 	// recordings nondeterministically and are not replayed.
 	Net *simnet.Network
-	// Degrade runs the failure-recovery protocol (see recover.go): the
-	// root retains every encoded payload until acknowledged and, when a
-	// rank exhausts the reliable transport's retry budget, re-homes its
-	// parts onto surviving ranks instead of aborting; the Result comes
-	// back flagged Degraded with the reassignment recorded. Requires
-	// the machine's transport to be (or wrap) a
-	// machine.ReliableTransport — without ACKs a dead rank cannot be
-	// told apart from a slow one.
-	Degrade bool
 }
 
 // workerCount resolves Options.Workers: zero and negative mean "one per
@@ -210,9 +201,8 @@ func maxDur(ds []time.Duration) time.Duration {
 
 // Result carries the distributed compressed arrays plus the cost
 // breakdown. Exactly one of LocalCRS/LocalCCS/LocalJDS is populated,
-// per the chosen method; entries are indexed by *part* — which under a
-// degraded run may live on a different rank than the part number (see
-// Reassigned).
+// per the chosen method; entries are indexed by part, and part k lives
+// on rank k.
 type Result struct {
 	Scheme    string
 	Partition string
@@ -221,20 +211,11 @@ type Result struct {
 	LocalCCS  []*compress.CCS
 	LocalJDS  []*compress.JDS
 	Breakdown *Breakdown
-
-	// Degraded is set when one or more ranks died during the run and
-	// their parts were re-homed onto survivors (Options.Degrade). All
-	// nonzeros are still covered; only the part→rank placement changed.
-	Degraded bool
-	// DeadRanks lists the ranks that failed, ascending.
-	DeadRanks []int
-	// Reassigned maps each re-homed part to the rank now hosting it.
-	Reassigned map[int]int
 }
 
 // NNZ returns the number of nonzeros the parts hold, an O(p) sum: every
-// nonzero of the array lands in exactly one part, degraded runs
-// included, so it is the array's count without a scan of the array.
+// nonzero of the array lands in exactly one part, so it is the array's
+// count without a scan of the array.
 func (r *Result) NNZ() int {
 	n := 0
 	for _, a := range r.PartArrays() {

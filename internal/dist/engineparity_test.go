@@ -17,9 +17,8 @@ import (
 // virtual counters. It is the pre-refactor per-scheme loop written out
 // straight-line: root encodes part 0..p-1 in order (one message +
 // len(buf) elements per send), each receiver decodes on the side the
-// paper books it. A healthy degradable run adds exactly the p
-// assignment commits of one part id each.
-func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part partition.Partition, method Method, degraded bool) *Breakdown {
+// paper books it.
+func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part partition.Partition, method Method) *Breakdown {
 	t.Helper()
 	f, err := compress.FormatByName(method.String())
 	if err != nil {
@@ -95,17 +94,13 @@ func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part parti
 		t.Fatalf("unknown scheme %q", scheme)
 	}
 
-	if degraded {
-		for k := 0; k < p; k++ {
-			bd.RootDist.AddSend(1)
-		}
-	}
 	return bd
 }
 
 // TestEngineParity proves the codec engine is cost-transparent: for
-// every scheme x partition x method, on both the direct and the
-// (healthy) degradable path, at both worker counts, the engine's
+// every scheme x partition x method, over the bare channel transport
+// and over the ARQ stack (Reliable(Fault(chan)), healthy), at both
+// worker counts, the engine's
 // virtual counters are byte-identical to the straight-line sequential
 // reference computed without any of its machinery. A refactor that
 // moves a charge between phases, drops a send, or double-charges a
@@ -133,20 +128,23 @@ func TestEngineParity(t *testing.T) {
 	for _, scheme := range []Codec{SFC{}, CFS{}, ED{}} {
 		for _, part := range []partition.Partition{row, col, mesh, cyc} {
 			for _, method := range []Method{CRS, CCS, JDS} {
-				for _, degrade := range []bool{false, true} {
+				for _, reliable := range []bool{false, true} {
 					for _, workers := range []int{1, 8} {
+						// The reliable rows keep the "degrade=" label of
+						// the rows they replace, so the subtest names
+						// stay stable.
 						name := fmt.Sprintf("%s/%s/%s/degrade=%v/workers=%d",
-							scheme.Name(), part.Name(), method, degrade, workers)
+							scheme.Name(), part.Name(), method, reliable, workers)
 						t.Run(name, func(t *testing.T) {
-							want := referenceBreakdown(t, scheme.Name(), g, part, method, degrade)
+							want := referenceBreakdown(t, scheme.Name(), g, part, method)
 							var m *machine.Machine
-							if degrade {
+							if reliable {
 								m, _, _, _ = faultyMachine(t, p, "chan")
 							} else {
 								m = newMachine(t, p)
 							}
 							res, err := distribute(scheme, m, g, part,
-								Options{Method: method, Degrade: degrade, Workers: workers})
+								Options{Method: method, Workers: workers})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -164,8 +162,7 @@ func TestEngineParity(t *testing.T) {
 
 // TestSessionConcurrentDistributions is the tag-collision regression:
 // two different arrays distributed *concurrently* over one machine used
-// to race on the fixed data tag (and the degradable path's wildcard
-// receive could steal any frame). With allocator-drawn tag ranges both
+// to race on the fixed data tag. With allocator-drawn tag ranges both
 // runs must complete, verify, and charge exactly what they charge when
 // run alone. Run under -race this also exercises the inbox's matching.
 func TestSessionConcurrentDistributions(t *testing.T) {

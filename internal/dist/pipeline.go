@@ -1,7 +1,6 @@
 package dist
 
-// Root-side encode pipeline, shared by all three schemes and by the
-// degradable recovery driver.
+// Root-side encode pipeline, shared by all three schemes.
 //
 // The root's work per part is encode (compress/pack/extract, CPU bound)
 // followed by send (transport bound). The sequential path interleaves
@@ -54,29 +53,27 @@ type partPayload struct {
 // safe for concurrent calls with distinct k.
 type encodePartFunc func(k int, pp *partPayload) error
 
-// sendPartFunc consumes one completed part: transmit it (the direct
-// driver) or retain it (the degradable driver). Called from a
-// single goroutine, strictly in part order.
-type sendPartFunc func(pp *partPayload) error
-
 // rootSendParts runs the root side of one scheme: encode parts 0..p-1
-// and hand each to send in part order. One worker runs the strictly
-// sequential legacy loop, more run the pipeline — same counts, encode
-// overlapped with send.
-func rootSendParts(p int, opts Options, bd *Breakdown, stallToComp bool,
-	encode encodePartFunc, send sendPartFunc) error {
+// and send each to its own rank on tag, in part order, from a single
+// goroutine. One worker runs the strictly sequential legacy loop, more
+// run the pipeline — same counts, encode overlapped with send.
+func rootSendParts(pr *machine.Proc, tag int, opts Options, bd *Breakdown, stallToComp bool,
+	encode encodePartFunc) error {
+	send := func(pp *partPayload) error {
+		return pr.SendBuf(pp.k, tag, pp.meta, pp.buf, pp.pooled, &bd.RootDist)
+	}
 	workers := opts.workerCount()
 	if workers <= 1 {
-		return runRootSequential(p, opts.Net, bd, encode, send)
+		return runRootSequential(pr.P(), opts.Net, bd, encode, send)
 	}
-	return runRootPipeline(p, workers, opts.Net, bd, stallToComp, encode, send)
+	return runRootPipeline(pr.P(), workers, opts.Net, bd, stallToComp, encode, send)
 }
 
 // runRootSequential is the reference loop: encode part k, merge its
 // charges, send it, repeat. Per-part encode wall time lands on the side
 // the encoder measured it (wallComp/wallDist), send wall on
 // WallRootDist — exactly the legacy per-scheme loops.
-func runRootSequential(p int, net *simnet.Network, bd *Breakdown, encode encodePartFunc, send sendPartFunc) error {
+func runRootSequential(p int, net *simnet.Network, bd *Breakdown, encode encodePartFunc, send func(*partPayload) error) error {
 	for k := 0; k < p; k++ {
 		pp := partPayload{k: k}
 		if err := encode(k, &pp); err != nil {
@@ -99,7 +96,7 @@ func runRootSequential(p int, net *simnet.Network, bd *Breakdown, encode encodeP
 // an encoder's or the sender's — the pool is stopped and fully drained
 // before returning, so no goroutine outlives the call.
 func runRootPipeline(p, workers int, net *simnet.Network, bd *Breakdown, stallToComp bool,
-	encode encodePartFunc, send sendPartFunc) error {
+	encode encodePartFunc, send func(*partPayload) error) error {
 	if workers > p {
 		workers = p
 	}
@@ -199,12 +196,4 @@ func mergePart(net *simnet.Network, bd *Breakdown, pp *partPayload) {
 	bd.RootDist.Add(pp.dist)
 	net.Charge(0, simnet.ClassRootComp, pp.comp)
 	net.Charge(0, simnet.ClassRootDist, pp.dist)
-}
-
-// sendTo returns the sendPartFunc that transmits each part to its own
-// rank on the plan's data tag — the direct engine path's consumer.
-func sendTo(pr *machine.Proc, tag int, bd *Breakdown) sendPartFunc {
-	return func(pp *partPayload) error {
-		return pr.SendBuf(pp.k, tag, pp.meta, pp.buf, pp.pooled, &bd.RootDist)
-	}
 }

@@ -68,37 +68,6 @@ func TestRootPipelineParity(t *testing.T) {
 	}
 }
 
-// TestRootPipelineDegradedParity runs the recovery protocol with a dead
-// rank and the full worker pool: the up-front encode now happens
-// concurrently, and the re-homed result must still match a fault-free
-// sequential run exactly.
-func TestRootPipelineDegradedParity(t *testing.T) {
-	const n, p = 40, 4
-	g := sparse.Uniform(n, n, 0.15, 9)
-	part, err := partition.NewRow(n, n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scheme := range recoverSchemes {
-		t.Run(scheme.Name(), func(t *testing.T) {
-			want := baselineLocals(t, scheme, g, part, Options{Method: CRS, Workers: 1})
-			m, ft, _, _ := faultyMachine(t, p, "chan")
-			ft.KillRank(2)
-			res, err := distribute(scheme, m, g, part, Options{Method: CRS, Degrade: true, Workers: 8})
-			if err != nil {
-				t.Fatalf("%s degraded: %v", scheme.Name(), err)
-			}
-			if !res.Degraded {
-				t.Fatal("dead rank went unnoticed")
-			}
-			if err := Verify(g, part, res); err != nil {
-				t.Fatal(err)
-			}
-			sameLocals(t, scheme.Name(), res, want)
-		})
-	}
-}
-
 // errInjected is the sentinel a failingTransport returns from Send.
 var errInjected = errors.New("injected send failure")
 

@@ -28,23 +28,12 @@ package dist
 // paper's model, so they charge nothing. Instead the root merges, per
 // part: the finalize encode's charges into RootComp/RootDist and one
 // AddSend of the canonical payload length into RootDist — exactly what
-// mergePart plus sendTo charge on the materializing path. Counters are
-// additive sums, so the totals are identical by construction; the
-// parity table test (stream_test.go) asserts it for every scheme ×
-// partition × method × engine path.
-//
-// Degrade mode mirrors the materializing protocol: frames travel on
-// per-part tags, a dead rank's parts are re-homed via partition.Remap,
-// and assignments commit on base+p. The root cannot re-send retained
-// payloads — it never held them — so it instead *rescans* the source
-// (ChunkReader.Reset) routing only the parts whose frames died with
-// their host; receivers dedup re-streamed duplicates for free. A source
-// with duplicate coordinates therefore reassembles identically even
-// under recovery, because dedup is keep-last over a re-streamed prefix
-// of identical entries.
+// mergePart plus the root's SendBuf charge on the materializing path.
+// Counters are additive sums, so the totals are identical by
+// construction; the parity table test (stream_test.go) asserts it for
+// every scheme × partition × method × transport stack.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -55,7 +44,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 // StreamOptions bound the root's memory and the pipeline depth.
@@ -116,28 +104,26 @@ type StreamPlan struct {
 // Frame kinds on the per-part data tags.
 const (
 	streamFrame    = 1 // meta[1] = entry count; data = row,col,val triplets
-	streamFinalize = 2 // meta[1] = frames delivered to the current owner
+	streamFinalize = 2 // meta[1] = frames delivered to the part's rank
 )
 
-// streamTags is the streaming wire layout: frames and finalizes on
-// base+k, assignment commits on base+p (degrade only), credits on
-// base+p+1 and stats reports on base+p+2.
+// streamTags is the streaming wire layout: part k's frames and
+// finalize on base+k, credits on base+p and stats reports on base+p+1.
 type streamTags struct {
 	base   int
-	assign int
 	credit int
 	stats  int
 }
 
 func planStreamTags(m *machine.Machine, p int) streamTags {
-	base := m.AllocTags(p + 3)
-	return streamTags{base: base, assign: base + p, credit: base + p + 1, stats: base + p + 2}
+	base := m.AllocTags(p + 2)
+	return streamTags{base: base, credit: base + p, stats: base + p + 1}
 }
 
 // RunStream executes one streaming distribution plan on the machine.
 // The partition's shape must match the source's; rank 0 acts as the
-// root reading the stream. The source is consumed to EOF (and rescanned
-// via Reset under degrade recovery); it is left positioned at EOF.
+// root reading the stream. The source is consumed to EOF and left
+// positioned there.
 func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	c := plan.Codec
 	if c == nil {
@@ -173,24 +159,14 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	res.allocLocals(p)
 	tags := planStreamTags(m, p)
 	sopts := plan.Stream.withDefaults(p)
-	var remap *partition.Remap
-	if plan.Options.Degrade {
-		remap = partition.NewRemap(p)
-	}
-	err = m.Run(func(pr *machine.Proc) error {
+	err = runRanks(m, run, func(pr *machine.Proc) error {
 		if pr.Rank == 0 {
-			root := newStreamRoot(pr, run, bd, res, plan.Source, loc, remap, tags, sopts, m.Tracer())
-			return root.rootRun()
+			return newStreamRoot(pr, run, bd, res, plan.Source, loc, tags, sopts).rootRun()
 		}
 		return recvStream(pr, run, res, bd, tags)
 	})
 	if err != nil {
 		return nil, err
-	}
-	if remap != nil {
-		res.Degraded = remap.AnyDead()
-		res.DeadRanks = remap.Dead()
-		res.Reassigned = remap.Moves()
 	}
 	return res, nil
 }
@@ -213,9 +189,8 @@ func newStreamIngester(loc *partition.Locator, p, flushEntries, budgetEntries in
 		flushEntries: flushEntries, budgetEntries: budgetEntries, emit: emit}
 }
 
-// run consumes src to EOF, routing every entry whose part passes filter
-// (nil accepts all — the recovery pass narrows it to re-homed parts).
-func (si *streamIngester) run(src sparse.ChunkReader, opts Options, filter func(k int) bool) error {
+// run consumes src to EOF, routing every entry to its part.
+func (si *streamIngester) run(src sparse.ChunkReader, opts Options) error {
 	for {
 		if ctx := opts.Ctx; ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -233,9 +208,6 @@ func (si *streamIngester) run(src sparse.ChunkReader, opts Options, filter func(
 			k, err := si.loc.Owner(e.Row, e.Col)
 			if err != nil {
 				return fmt.Errorf("dist: stream route: %w", err)
-			}
-			if filter != nil && !filter(k) {
-				continue
 			}
 			si.acc[k] = append(si.acc[k], e)
 			si.buffered++
@@ -285,7 +257,7 @@ func (si *streamIngester) flushLargest() error {
 	return si.flush(best)
 }
 
-// drain flushes every non-empty accumulator (end of a pass).
+// drain flushes every non-empty accumulator (end of the stream).
 func (si *streamIngester) drain() error {
 	for k := range si.acc {
 		if err := si.flush(k); err != nil {
@@ -295,58 +267,38 @@ func (si *streamIngester) drain() error {
 	return nil
 }
 
-// streamRoot is rank 0's driver state for one streaming run.
+// streamRoot is rank 0's driver state for one streaming run. Part k
+// lives on rank k, so part 0's entries stay at the root.
 type streamRoot struct {
 	pr    *machine.Proc
 	run   *runState
 	bd    *Breakdown
 	res   *Result
 	src   sparse.ChunkReader
-	remap *partition.Remap // nil on the direct path
 	tags  streamTags
 	sopts StreamOptions
-	tr    *trace.Tracer
 	p     int
 
 	ing        *streamIngester
-	selfAcc    []*compress.Entries // parts the root hosts: local store, no wire
-	framesSent []int               // frames delivered to the part's *current* owner
-	finalized  []bool
-	needRescan []bool
-	uncredited []int // frames sent to each rank minus credits received
-	inflight   int
-	statsSeen  []bool
+	selfAcc    *compress.Entries // part 0: local store, no wire
+	framesSent []int             // frames delivered to each part's rank
+	inflight   int               // frames sent minus credits received
 }
 
 func newStreamRoot(pr *machine.Proc, run *runState, bd *Breakdown, res *Result,
-	src sparse.ChunkReader, loc *partition.Locator, remap *partition.Remap,
-	tags streamTags, sopts StreamOptions, tr *trace.Tracer) *streamRoot {
+	src sparse.ChunkReader, loc *partition.Locator, tags streamTags, sopts StreamOptions) *streamRoot {
 	p := pr.P()
-	sr := &streamRoot{pr: pr, run: run, bd: bd, res: res, src: src, remap: remap,
-		tags: tags, sopts: sopts, tr: tr, p: p,
-		selfAcc:    make([]*compress.Entries, p),
+	sr := &streamRoot{pr: pr, run: run, bd: bd, res: res, src: src,
+		tags: tags, sopts: sopts, p: p,
 		framesSent: make([]int, p),
-		finalized:  make([]bool, p),
-		needRescan: make([]bool, p),
-		uncredited: make([]int, p),
-		statsSeen:  make([]bool, p),
 	}
 	sr.ing = newStreamIngester(loc, p, sopts.FlushEntries, sopts.budgetEntries(p), sr.emit)
 	return sr
 }
 
-// owner is part k's current host.
-func (sr *streamRoot) owner(k int) int {
-	if sr.remap == nil {
-		return k
-	}
-	return sr.remap.Owner(k)
-}
-
 // rootRun is the root's whole streaming protocol: ingest+deliver (wall
 // booked to the distribution phase — this is the root's wire work),
-// finalize self-hosted parts, merge receiver stats, and commit
-// assignments under degrade.
+// finalize its own part, and merge receiver stats.
 func (sr *streamRoot) rootRun() error {
 	start := time.Now()
 	err := sr.distribute()
@@ -354,41 +306,23 @@ func (sr *streamRoot) rootRun() error {
 	if err != nil {
 		return err
 	}
-	if err := sr.finishSelfParts(); err != nil {
+	if err := sr.finalizeSelf(); err != nil {
 		return err
 	}
-	if err := sr.collectStats(); err != nil {
-		return err
-	}
-	if sr.remap != nil {
-		return sr.commitAssignments()
-	}
-	return nil
+	return sr.collectStats()
 }
 
-// distribute streams the source through the ingester, runs recovery
-// passes until no rank death leaves data unhomed, finalizes every
+// distribute streams the source through the ingester, finalizes every
 // wire-delivered part, and drains outstanding credits.
 func (sr *streamRoot) distribute() error {
-	if err := sr.ing.run(sr.src, sr.run.opts, nil); err != nil {
+	if err := sr.ing.run(sr.src, sr.run.opts); err != nil {
 		return err
 	}
 	if err := sr.ing.drain(); err != nil {
 		return err
 	}
-	for {
-		if sr.anyRescan() {
-			if err := sr.recoveryPass(); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := sr.sendFinalizes(); err != nil {
-			return err
-		}
-		if !sr.anyRescan() {
-			break
-		}
+	if err := sr.sendFinalizes(); err != nil {
+		return err
 	}
 	for sr.inflight > 0 {
 		if err := sr.recvCredit(); err != nil {
@@ -398,75 +332,33 @@ func (sr *streamRoot) distribute() error {
 	return nil
 }
 
-func (sr *streamRoot) anyRescan() bool {
-	for _, b := range sr.needRescan {
-		if b {
-			return true
+// emit delivers one flushed batch to part k's rank: part 0 appends to
+// the local store, everything else ships as a frame (uncharged —
+// physical transport, not the paper's model) under the credit window.
+func (sr *streamRoot) emit(k int, entries []sparse.Entry) error {
+	if k == 0 {
+		if sr.selfAcc == nil {
+			sr.selfAcc = compress.NewEntries(sr.run.part.Shape())
 		}
+		for _, e := range entries {
+			sr.selfAcc.Add(e.Row, e.Col, e.Val)
+		}
+		return nil
 	}
-	return false
-}
-
-// recoveryPass re-streams the source, routing only the parts whose
-// frames died with their host. Receivers dedup the duplicates a partial
-// earlier delivery may have left. Deaths during the pass re-mark parts;
-// the caller loops until quiescent (each iteration kills at least one
-// more rank, so it terminates).
-func (sr *streamRoot) recoveryPass() error {
-	rescan := make([]bool, sr.p)
-	copy(rescan, sr.needRescan)
-	for k := range sr.needRescan {
-		sr.needRescan[k] = false
-	}
-	if err := sr.src.Reset(); err != nil {
-		return fmt.Errorf("dist: %s stream rescan: %w", sr.run.codec.Name(), err)
-	}
-	if err := sr.ing.run(sr.src, sr.run.opts, func(k int) bool { return rescan[k] }); err != nil {
+	if err := sr.waitCredits(); err != nil {
 		return err
 	}
-	return sr.ing.drain()
-}
-
-// emit delivers one flushed batch to part k's current owner: root-
-// hosted parts append to the local store, everything else ships as a
-// frame (uncharged — physical transport, not the paper's model) under
-// the credit window. A dead owner re-homes the part and retries.
-func (sr *streamRoot) emit(k int, entries []sparse.Entry) error {
-	for {
-		dst := sr.owner(k)
-		if dst == 0 {
-			a := sr.selfAcc[k]
-			if a == nil {
-				a = compress.NewEntries(sr.run.part.Shape())
-				sr.selfAcc[k] = a
-			}
-			for _, e := range entries {
-				a.Add(e.Row, e.Col, e.Val)
-			}
-			return nil
-		}
-		if err := sr.waitCredits(); err != nil {
-			return err
-		}
-		buf := machine.GetBuf(3 * len(entries))
-		for _, e := range entries {
-			buf = append(buf, float64(e.Row), float64(e.Col), e.Val)
-		}
-		meta := [4]int64{streamFrame, int64(len(entries))}
-		err := sr.pr.SendBuf(dst, sr.tags.base+k, meta, buf, true, nil)
-		if err == nil {
-			sr.framesSent[k]++
-			sr.uncredited[dst]++
-			sr.inflight++
-			return nil
-		}
-		if sr.remap == nil || !errors.Is(err, machine.ErrRetriesExhausted) {
-			return fmt.Errorf("dist: %s stream part %d to rank %d: %w", sr.run.codec.Name(), k, dst, err)
-		}
-		if err := sr.rankDied(dst); err != nil {
-			return err
-		}
+	buf := machine.GetBuf(3 * len(entries))
+	for _, e := range entries {
+		buf = append(buf, float64(e.Row), float64(e.Col), e.Val)
 	}
+	meta := [4]int64{streamFrame, int64(len(entries))}
+	if err := sr.pr.SendBuf(k, sr.tags.base+k, meta, buf, true, nil); err != nil {
+		return fmt.Errorf("dist: %s stream part %d to rank %d: %w", sr.run.codec.Name(), k, k, err)
+	}
+	sr.framesSent[k]++
+	sr.inflight++
+	return nil
 }
 
 // waitCredits blocks until the in-flight window has room.
@@ -480,186 +372,68 @@ func (sr *streamRoot) waitCredits() error {
 }
 
 func (sr *streamRoot) recvCredit() error {
-	msg, err := sr.pr.RecvFromCtx(sr.run.opts.Ctx, -1, sr.tags.credit)
-	if err != nil {
+	if _, err := sr.pr.RecvFromCtx(sr.run.opts.Ctx, -1, sr.tags.credit); err != nil {
 		return fmt.Errorf("dist: %s stream credit: %w", sr.run.codec.Name(), err)
 	}
-	// A credit from a rank already written off (its uncredited count was
-	// zeroed when it died) must not unbalance the window.
-	if sr.uncredited[msg.From] > 0 {
-		sr.uncredited[msg.From]--
-		sr.inflight--
-	}
+	sr.inflight--
 	return nil
 }
 
-// rankDied re-homes a dead rank's parts. Parts that already had frames
-// delivered to the dead host lost data and are marked for rescan; parts
-// re-homed onto the root will collect into the local store from now on.
-func (sr *streamRoot) rankDied(dst int) error {
-	moved, ferr := sr.remap.Fail(dst)
-	if ferr != nil {
-		return fmt.Errorf("dist: %s: rank %d unreachable and no survivors left: %v", sr.run.codec.Name(), dst, ferr)
-	}
-	sr.tr.Count("dist.dead_ranks", 1)
-	sr.tr.Count("dist.degraded_parts", int64(len(moved)))
-	sr.inflight -= sr.uncredited[dst]
-	sr.uncredited[dst] = 0
-	for _, mk := range moved {
-		sr.finalized[mk] = false
-		if sr.framesSent[mk] > 0 {
-			sr.needRescan[mk] = true
-			sr.tr.Count("dist.resends", 1)
-		}
-		sr.framesSent[mk] = 0
-	}
-	return nil
-}
-
-// sendFinalizes tells each wire part's owner how many frames to expect
-// and that the part is complete. Parts awaiting rescan are skipped —
-// their data hasn't been re-delivered yet.
+// sendFinalizes tells each wire part's rank how many frames to expect
+// and that the part is complete.
 func (sr *streamRoot) sendFinalizes() error {
-	for k := 0; k < sr.p; k++ {
-		if sr.finalized[k] || sr.needRescan[k] {
-			continue
-		}
-		dst := sr.owner(k)
-		if dst == 0 {
-			sr.finalized[k] = true // local store; finalized in finishSelfParts
-			continue
-		}
-		err := sr.pr.Send(dst, sr.tags.base+k, [4]int64{streamFinalize, int64(sr.framesSent[k])}, nil, nil)
-		if err == nil {
-			sr.finalized[k] = true
-			continue
-		}
-		if sr.remap == nil || !errors.Is(err, machine.ErrRetriesExhausted) {
-			return fmt.Errorf("dist: %s stream finalize part %d to rank %d: %w", sr.run.codec.Name(), k, dst, err)
-		}
-		if err := sr.rankDied(dst); err != nil {
-			return err
+	for k := 1; k < sr.p; k++ {
+		err := sr.pr.Send(k, sr.tags.base+k, [4]int64{streamFinalize, int64(sr.framesSent[k])}, nil, nil)
+		if err != nil {
+			return fmt.Errorf("dist: %s stream finalize part %d to rank %d: %w", sr.run.codec.Name(), k, k, err)
 		}
 	}
 	return nil
 }
 
-// finishSelfParts finalizes every part the root hosts, exactly as a
-// receiver would: build the canonical payload, decode, and merge
-// the canonical charges (plus the synthetic loopback send the
-// materializing path performs for rank 0's part).
-func (sr *streamRoot) finishSelfParts() error {
-	for k := 0; k < sr.p; k++ {
-		if sr.owner(k) != 0 {
-			continue
-		}
-		if err := sr.finalizeSelf(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (sr *streamRoot) finalizeSelf(k int) error {
-	acc := sr.selfAcc[k]
-	sr.selfAcc[k] = nil // consumed by the finalize; release before decode
-	a, rep, err := finalizeStreamPart(sr.run, sr.bd, 0, k, acc)
+// finalizeSelf finalizes part 0 exactly as a receiver would: build the
+// canonical payload, decode, and merge the canonical charges (plus the
+// synthetic loopback send the materializing path performs for rank 0's
+// part).
+func (sr *streamRoot) finalizeSelf() error {
+	acc := sr.selfAcc
+	sr.selfAcc = nil // consumed by the finalize; release before decode
+	a, rep, err := finalizeStreamPart(sr.run, sr.bd, 0, acc)
 	if err != nil {
 		return err
 	}
-	sr.res.setLocal(k, a)
-	sr.mergeReport(k, rep)
+	sr.res.setLocal(0, a)
+	sr.mergeReport(rep)
 	return nil
 }
 
 // mergeReport folds one part's canonical root-side charges into the
-// breakdown — the streaming twin of mergePart + sendTo's AddSend. First
-// report per part wins; a re-finalized part (its first finalizer died
-// at commit) charges nothing new, since the canonical charges are
-// deterministic and already booked.
-func (sr *streamRoot) mergeReport(k int, rep streamReport) {
-	if sr.statsSeen[k] {
-		return
-	}
-	sr.statsSeen[k] = true
+// breakdown — the streaming twin of mergePart plus the root's SendBuf.
+func (sr *streamRoot) mergeReport(rep streamReport) {
 	sr.bd.RootComp.Add(rep.comp)
 	sr.bd.RootDist.Add(rep.dist)
 	sr.bd.RootDist.AddSend(rep.wire)
 }
 
-// collectStats waits for every wire-finalized part's canonical charge
-// report.
+// collectStats waits for every wire part's canonical charge report.
 func (sr *streamRoot) collectStats() error {
-	want := 0
-	for k := 0; k < sr.p; k++ {
-		if !sr.statsSeen[k] && sr.owner(k) != 0 {
-			want++
-		}
-	}
-	for want > 0 {
+	seen := make([]bool, sr.p)
+	for want := sr.p - 1; want > 0; want-- {
 		msg, err := sr.pr.RecvFromCtx(sr.run.opts.Ctx, -1, sr.tags.stats)
 		if err != nil {
 			return fmt.Errorf("dist: %s stream stats: %w", sr.run.codec.Name(), err)
 		}
 		k := int(msg.Meta[0])
-		if k < 0 || k >= sr.p || len(msg.Data) != 7 {
+		if k < 1 || k >= sr.p || seen[k] || len(msg.Data) != 7 {
 			return fmt.Errorf("dist: %s stream: malformed stats report (part %d, %d fields)", sr.run.codec.Name(), k, len(msg.Data))
 		}
-		if sr.statsSeen[k] {
-			continue
-		}
-		sr.mergeReport(k, streamReport{
+		seen[k] = true
+		sr.mergeReport(streamReport{
 			comp: cost.Counter{Messages: int64(msg.Data[0]), Elements: int64(msg.Data[1]), Ops: int64(msg.Data[2])},
 			dist: cost.Counter{Messages: int64(msg.Data[3]), Elements: int64(msg.Data[4]), Ops: int64(msg.Data[5])},
 			wire: int(msg.Data[6]),
 		})
-		want--
 	}
-	return nil
-}
-
-// commitAssignments mirrors the materializing commit phase: survivors
-// first, a commit-phase death forces the dead rank's parts onto the
-// root (rescanned from the source into the local store), and the root
-// commits last with the same synthetic charge sendAssignment books for
-// a real rank.
-func (sr *streamRoot) commitAssignments() error {
-	for rank := 1; rank < sr.p; rank++ {
-		if !sr.remap.Alive(rank) {
-			continue
-		}
-		err := sendAssignment(sr.pr, sr.remap, rank, sr.tags.assign, sr.bd)
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, machine.ErrRetriesExhausted) {
-			return fmt.Errorf("dist: %s stream assign to rank %d: %w", sr.run.codec.Name(), rank, err)
-		}
-		moved, ferr := sr.remap.FailTo(rank, 0)
-		if ferr != nil {
-			return fmt.Errorf("dist: %s: rank %d died at commit: %v", sr.run.codec.Name(), rank, ferr)
-		}
-		sr.tr.Count("dist.dead_ranks", 1)
-		sr.tr.Count("dist.degraded_parts", int64(len(moved)))
-		for _, mk := range moved {
-			sr.tr.Count("dist.resends", 1)
-			sr.needRescan[mk] = true
-			sr.framesSent[mk] = 0
-		}
-		for sr.anyRescan() {
-			if err := sr.recoveryPass(); err != nil {
-				return err
-			}
-		}
-		for _, mk := range moved {
-			if err := sr.finalizeSelf(mk); err != nil {
-				return err
-			}
-		}
-	}
-	// The root's own assignment needs no wire hop; charge it exactly
-	// like sendAssignment for counter parity with the materializing path.
-	sr.bd.RootDist.AddSend(len(sr.remap.Hosted(0)))
 	return nil
 }
 
@@ -670,13 +444,13 @@ type streamReport struct {
 	wire       int
 }
 
-// finalizeStreamPart turns a part's staged entries into its decoded
-// local array: the codec builds the canonical payload from them
-// (Codec.EncodeEntries), which is decoded with the usual receive-side
-// charges. The encode's wall time lands on this rank's slot for the
-// policy's root-encode phase — on the streaming path that work really
-// does happen here, in parallel across receivers. The staging is
-// consumed, each block released as the encode reads it for the last
+// finalizeStreamPart turns part k's staged entries into its decoded
+// local array on rank k: the codec builds the canonical payload from
+// them (Codec.EncodeEntries), which is decoded with the usual
+// receive-side charges. The encode's wall time lands on rank k's slot
+// for the policy's root-encode phase — on the streaming path that work
+// really does happen here, in parallel across receivers. The staging
+// is consumed, each block released as the encode reads it for the last
 // time, so no part holds its staging, its sort scratch and its payload
 // at once.
 //
@@ -685,7 +459,7 @@ type streamReport struct {
 // them than there are Ps only interleave — every one holding its
 // scratch, payload and decoded array together — without finishing
 // sooner. The waiting parts hold nothing but their staging.
-func finalizeStreamPart(run *runState, bd *Breakdown, rank, k int, st *compress.Entries) (compress.PartArray, streamReport, error) {
+func finalizeStreamPart(run *runState, bd *Breakdown, k int, st *compress.Entries) (compress.PartArray, streamReport, error) {
 	if st == nil {
 		st = compress.NewEntries(run.part.Shape())
 	}
@@ -693,11 +467,11 @@ func finalizeStreamPart(run *runState, bd *Breakdown, rank, k int, st *compress.
 	defer func() { <-run.finalizing }()
 	pp := &partPayload{k: k}
 	if err := run.codec.EncodeEntries(run, k, st, pp); err != nil {
-		return nil, streamReport{}, fmt.Errorf("dist: %s rank %d stream encode part %d: %w", run.codec.Name(), rank, k, err)
+		return nil, streamReport{}, fmt.Errorf("dist: %s rank %d stream encode: %w", run.codec.Name(), k, err)
 	}
-	bd.addRankWall(run.codec.Policy().RootEncode, rank, pp.wallComp+pp.wallDist)
+	bd.addRankWall(run.codec.Policy().RootEncode, k, pp.wallComp+pp.wallDist)
 	rep := streamReport{comp: pp.comp, dist: pp.dist, wire: len(pp.buf)}
-	a, err := decodeTimed(run, bd, rank, k, pp.buf, pp.meta)
+	a, err := decodeTimed(run, bd, k, pp.buf, pp.meta)
 	if pp.pooled {
 		machine.PutBuf(pp.buf)
 	}
@@ -708,69 +482,44 @@ func finalizeStreamPart(run *runState, bd *Breakdown, rank, k int, st *compress.
 }
 
 // recvStream is every non-root rank's streaming receive loop: buffer
-// frames (crediting each), finalize parts on demand, report canonical
-// charges, and — under degrade — commit at assignment like the
-// materializing path. A rank declared dead exits quietly.
+// the frames of its own part (crediting each), finalize it on the
+// root's word, and report the canonical charges.
 func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tags streamTags) error {
-	c := run.codec
+	c, k := run.codec, pr.Rank
 	rows, cols := run.part.Shape()
-	acc := make(map[int]*compress.Entries)
-	frames := make(map[int]int)
-	done := make(map[int]compress.PartArray)
+	var acc *compress.Entries
+	frames := 0
 	for {
-		msg, err := pr.RecvRangeCtx(run.opts.Ctx, 0, tags.base, tags.assign+1)
+		msg, err := pr.RecvFromCtx(run.opts.Ctx, 0, tags.base+k)
 		if err != nil {
-			if errors.Is(err, machine.ErrRankDead) {
-				return nil // crashed: contribute nothing, fail nothing
-			}
-			return fmt.Errorf("dist: %s rank %d stream receive: %w", c.Name(), pr.Rank, err)
+			return fmt.Errorf("dist: %s rank %d stream receive: %w", c.Name(), k, err)
 		}
-		if msg.Tag == tags.assign {
-			if int(msg.Meta[0]) != len(msg.Data) {
-				return fmt.Errorf("dist: %s rank %d: malformed assignment (%d ids, header says %d)", c.Name(), pr.Rank, len(msg.Data), msg.Meta[0])
-			}
-			for _, w := range msg.Data {
-				k := int(w)
-				a, ok := done[k]
-				if !ok {
-					return fmt.Errorf("dist: %s rank %d assigned part %d it never finalized", c.Name(), pr.Rank, k)
-				}
-				res.setLocal(k, a)
-			}
-			return nil
-		}
-		k := msg.Tag - tags.base
 		switch msg.Meta[0] {
 		case streamFrame:
 			n := int(msg.Meta[1])
 			if n < 0 || len(msg.Data) != 3*n {
-				return fmt.Errorf("dist: %s rank %d part %d: malformed frame (%d words for %d entries)", c.Name(), pr.Rank, k, len(msg.Data), n)
+				return fmt.Errorf("dist: %s rank %d part %d: malformed frame (%d words for %d entries)", c.Name(), k, k, len(msg.Data), n)
 			}
-			a, ok := acc[k]
-			if !ok {
-				a = compress.NewEntries(rows, cols)
-				acc[k] = a
+			if acc == nil {
+				acc = compress.NewEntries(rows, cols)
 			}
 			for i := 0; i < 3*n; i += 3 {
 				r, cc := int(msg.Data[i]), int(msg.Data[i+1])
 				if r < 0 || r >= rows || cc < 0 || cc >= cols {
-					return fmt.Errorf("dist: %s rank %d part %d: streamed entry (%d,%d) outside the %dx%d array", c.Name(), pr.Rank, k, r, cc, rows, cols)
+					return fmt.Errorf("dist: %s rank %d part %d: streamed entry (%d,%d) outside the %dx%d array", c.Name(), k, k, r, cc, rows, cols)
 				}
-				a.Add(r, cc, msg.Data[i+2])
+				acc.Add(r, cc, msg.Data[i+2])
 			}
-			frames[k]++
+			frames++
 			machine.ReleaseMessage(&msg)
 			if err := pr.Send(0, tags.credit, [4]int64{int64(k)}, nil, nil); err != nil {
-				return fmt.Errorf("dist: %s rank %d stream credit: %w", c.Name(), pr.Rank, err)
+				return fmt.Errorf("dist: %s rank %d stream credit: %w", c.Name(), k, err)
 			}
 		case streamFinalize:
-			if frames[k] != int(msg.Meta[1]) {
-				return fmt.Errorf("dist: %s rank %d part %d: finalize expects %d frames, received %d", c.Name(), pr.Rank, k, msg.Meta[1], frames[k])
+			if frames != int(msg.Meta[1]) {
+				return fmt.Errorf("dist: %s rank %d part %d: finalize expects %d frames, received %d", c.Name(), k, k, msg.Meta[1], frames)
 			}
-			fa := acc[k]
-			delete(acc, k) // consumed by the finalize; release before decode
-			delete(frames, k)
-			a, rep, err := finalizeStreamPart(run, bd, pr.Rank, k, fa)
+			a, rep, err := finalizeStreamPart(run, bd, k, acc)
 			if err != nil {
 				return err
 			}
@@ -780,16 +529,12 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 				float64(rep.wire),
 			}
 			if err := pr.Send(0, tags.stats, [4]int64{int64(k)}, report, nil); err != nil {
-				return fmt.Errorf("dist: %s rank %d stream stats: %w", c.Name(), pr.Rank, err)
+				return fmt.Errorf("dist: %s rank %d stream stats: %w", c.Name(), k, err)
 			}
-			if !run.opts.Degrade {
-				// Direct path: this rank hosts exactly its own part.
-				res.setLocal(k, a)
-				return nil
-			}
-			done[k] = a
+			res.setLocal(k, a)
+			return nil
 		default:
-			return fmt.Errorf("dist: %s rank %d part %d: unknown stream frame kind %d", c.Name(), pr.Rank, k, msg.Meta[0])
+			return fmt.Errorf("dist: %s rank %d part %d: unknown stream frame kind %d", c.Name(), k, k, msg.Meta[0])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,9 +25,10 @@ func streamPartitionsFor(t *testing.T, g *sparse.Dense, p int) []partition.Parti
 }
 
 // TestStreamParity is the tentpole's acceptance test: for every scheme
-// x partition x method, on both the direct and the degradable engine
-// path, a streamed run must reassemble byte-identical local arrays AND
-// charge byte-identical virtual counters to the materializing engine.
+// x partition x method, over the bare channel transport and over the
+// ARQ stack (Reliable(Fault(chan)), healthy), a streamed run must
+// reassemble byte-identical local arrays AND charge byte-identical
+// virtual counters to the materializing engine on the bare transport.
 // Tiny flush/backpressure windows force many frames per part and a
 // saturated credit window, so the bounded-memory machinery is fully
 // exercised, not bypassed. Run under -race in CI.
@@ -39,23 +39,19 @@ func TestStreamParity(t *testing.T) {
 	for _, part := range streamPartitionsFor(t, g, p) {
 		for _, method := range []Method{CRS, CCS, JDS} {
 			for _, codec := range []Codec{SFC{}, CFS{}, ED{}} {
-				for _, degrade := range []bool{false, true} {
-					name := codec.Name() + "/" + part.Name() + "/" + method.String() + "/degrade=" + map[bool]string{false: "no", true: "yes"}[degrade]
+				for _, reliable := range []bool{false, true} {
+					// The reliable rows keep the "degrade=" label of the
+					// rows they replace, so the subtest names stay stable.
+					name := codec.Name() + "/" + part.Name() + "/" + method.String() + "/degrade=" + map[bool]string{false: "no", true: "yes"}[reliable]
 					t.Run(name, func(t *testing.T) {
-						opts := Options{Method: method, Degrade: degrade}
-						var mw *machine.Machine
-						if degrade {
-							mw, _, _, _ = faultyMachine(t, p, "chan")
-						} else {
-							mw = newMachine(t, p)
-						}
-						want, err := Run(mw, Plan{Codec: codec, Global: g, Partition: part, Options: opts})
+						opts := Options{Method: method}
+						want, err := Run(newMachine(t, p), Plan{Codec: codec, Global: g, Partition: part, Options: opts})
 						if err != nil {
 							t.Fatalf("materializing: %v", err)
 						}
 
 						var ms *machine.Machine
-						if degrade {
+						if reliable {
 							ms, _, _, _ = faultyMachine(t, p, "chan")
 						} else {
 							ms = newMachine(t, p)
@@ -87,8 +83,7 @@ func TestStreamParity(t *testing.T) {
 // TestStreamDuplicateEntriesMatchMaterialized: a source with repeated
 // coordinates and explicit zeros must reassemble exactly like the
 // materialized array, which keeps the last write and lets a zero erase
-// a cell — the dedup contract that also makes degrade-mode re-streaming
-// idempotent — and charge what the materializing engine charges. The
+// a cell — and charge what the materializing engine charges. The
 // entries go into COO.Entries directly (COO.Add drops zeros); with
 // FlushEntries 4, one cell's writes, erasures and re-sets arrive in
 // different frames.
@@ -224,49 +219,6 @@ func TestStreamAllocsDoNotScaleWithRows(t *testing.T) {
 		if large > 1.5*small {
 			t.Errorf("%s: %.0f allocations per run at n=4000 against %.0f at n=500, above 1.5x", name, large, small)
 		}
-	}
-}
-
-// TestStreamDegradeDeadRank: a permanently dead rank mid-stream. The
-// root must re-home the dead rank's part, rescan the source for the
-// frames that died with it, and the reassembled result must still cover
-// every nonzero.
-func TestStreamDegradeDeadRank(t *testing.T) {
-	const n, p, dead = 24, 4, 2
-	g := sparse.Uniform(n, n, 0.3, 7)
-	coo := sparse.FromDense(g)
-	part, err := partition.NewRow(n, n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scheme := range []Codec{SFC{}, CFS{}, ED{}} {
-		t.Run(scheme.Name(), func(t *testing.T) {
-			m, ft, _, tracer := faultyMachine(t, p, "chan")
-			ft.KillRank(dead)
-			res, err := RunStream(m, StreamPlan{
-				Codec: scheme, Source: sparse.NewStreamCOO(coo, 32), Partition: part,
-				Options: Options{Method: CRS, Degrade: true},
-				Stream:  StreamOptions{FlushEntries: 8, MaxInflight: 3},
-			})
-			if err != nil {
-				t.Fatalf("%s with dead rank: %v", scheme.Name(), err)
-			}
-			if !res.Degraded {
-				t.Fatal("result not flagged Degraded")
-			}
-			if !reflect.DeepEqual(res.DeadRanks, []int{dead}) {
-				t.Errorf("DeadRanks = %v, want [%d]", res.DeadRanks, dead)
-			}
-			if _, ok := res.Reassigned[dead]; !ok {
-				t.Fatalf("part %d not reassigned: %v", dead, res.Reassigned)
-			}
-			if err := Verify(g, part, res); err != nil {
-				t.Errorf("degraded streamed result verify: %v", err)
-			}
-			if tracer.Counters()["dist.dead_ranks"] < 1 {
-				t.Errorf("dist.dead_ranks = %d, want >= 1", tracer.Counters()["dist.dead_ranks"])
-			}
-		})
 	}
 }
 
@@ -412,7 +364,7 @@ func TestStreamIngesterBoundedMemory(t *testing.T) {
 	si := newStreamIngester(loc, p, opts.FlushEntries, opts.budgetEntries(p), sink)
 	src := sparse.NewUniformStream(n, n, nnz, 42, sparse.DefaultChunkEntries)
 	high, err := heapHighWater(func() error {
-		if err := si.run(src, Options{}, nil); err != nil {
+		if err := si.run(src, Options{}); err != nil {
 			return err
 		}
 		return si.drain()

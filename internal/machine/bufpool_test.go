@@ -60,7 +60,7 @@ func TestBufPoolOwnershipConcurrentSessions(t *testing.T) {
 					return nil
 				}
 				for r := 0; r < rounds; r++ {
-					msg, err := p.RecvRangeCtx(nil, 0, base, base+1)
+					msg, err := p.RecvFrom(0, base)
 					if err != nil {
 						return err
 					}

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,20 +8,12 @@ import (
 	"time"
 )
 
-// ErrRankDead is what a receive on a rank killed by fault injection
-// returns: the emulated process has crashed and will never see another
-// message. Higher layers treat it as "this process is
-// gone" and exit quietly so the survivors can degrade around it.
-var ErrRankDead = errors.New("machine: rank is dead")
-
 // FaultTransport wraps another transport and injects failures for
 // testing: dropping, corrupting, duplicating, reordering or delaying
-// messages, and permanently killing ranks. Drop/corrupt/duplicate/
-// reorder come in *transient* form (the next n data messages) so a
-// reliability layer can recover; CorruptPayloads and KillRank are the
-// permanent forms that must surface as validation errors or degraded
-// results. Control traffic (negative tags) always passes, except to and
-// from killed ranks.
+// messages. Drop/corrupt/duplicate/reorder come in *transient* form
+// (the next n data messages) so a reliability layer can recover;
+// CorruptPayloads is the permanent form that must surface as a
+// validation error. Control traffic (negative tags) always passes.
 type FaultTransport struct {
 	Inner Transport
 
@@ -34,14 +25,12 @@ type FaultTransport struct {
 	corrupt     bool // permanently NaN word 0 of every data message
 	delay       time.Duration
 	held        []Message // copies stashed by reorder injection (two if also duplicated)
-	killed      map[int]bool
 	rng         *rand.Rand
 
 	dropped    int
 	corruptedN int
 	duplicated int
 	reordered  int
-	swallowed  int // messages to/from killed ranks
 }
 
 // FaultStats is the full injection account.
@@ -50,15 +39,13 @@ type FaultStats struct {
 	Corrupted  int // messages damaged by CorruptNext or CorruptPayloads
 	Duplicated int // extra copies delivered by DuplicateNext
 	Reordered  int // messages delivered behind a later one by ReorderNext
-	Swallowed  int // messages to or from killed ranks
 }
 
 // NewFaultTransport wraps inner.
 func NewFaultTransport(inner Transport) *FaultTransport {
 	return &FaultTransport{
-		Inner:  inner,
-		killed: make(map[int]bool),
-		rng:    rand.New(rand.NewSource(1)),
+		Inner: inner,
+		rng:   rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -112,19 +99,6 @@ func (t *FaultTransport) Delay(d time.Duration) {
 	t.delay = d
 }
 
-// KillRank permanently crashes a rank: everything addressed to it or
-// sent by it is swallowed, its inbox is emptied, and its receives fail
-// with ErrRankDead. This models a process failure, not a lossy link —
-// no retry can reach it.
-func (t *FaultTransport) KillRank(rank int) {
-	t.mu.Lock()
-	t.killed[rank] = true
-	t.mu.Unlock()
-	if rank >= 0 && rank < t.Ranks() {
-		t.Inner.inbox(rank).fail(ErrRankDead, true)
-	}
-}
-
 // Stats reports how many messages were dropped and corrupted (legacy
 // two-counter form; see FullStats for everything).
 func (t *FaultTransport) Stats() (dropped, corrupted int) {
@@ -142,7 +116,6 @@ func (t *FaultTransport) FullStats() FaultStats {
 		Corrupted:  t.corruptedN,
 		Duplicated: t.duplicated,
 		Reordered:  t.reordered,
-		Swallowed:  t.swallowed,
 	}
 }
 
@@ -150,15 +123,9 @@ func (t *FaultTransport) FullStats() FaultStats {
 func (t *FaultTransport) Ranks() int { return t.Inner.Ranks() }
 
 // Send implements Transport with fault injection. Control messages
-// (negative tags) pass undamaged so collectives still terminate, but
-// nothing passes to or from a killed rank.
+// (negative tags) pass undamaged so collectives still terminate.
 func (t *FaultTransport) Send(msg Message) error {
 	t.mu.Lock()
-	if t.killed[msg.To] || t.killed[msg.From] {
-		t.swallowed++
-		t.mu.Unlock()
-		return nil // the void accepts everything
-	}
 	delay := t.delay
 	drop, dup := false, false
 	var release []Message
@@ -260,6 +227,6 @@ var _ Transport = (*FaultTransport)(nil)
 func (t *FaultTransport) String() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return fmt.Sprintf("fault{dropNext:%d corruptNext:%d dupNext:%d reorderNext:%d corrupt:%v delay:%v killed:%d}",
-		t.dropNext, t.corruptNext, t.dupNext, t.reorderNext, t.corrupt, t.delay, len(t.killed))
+	return fmt.Sprintf("fault{dropNext:%d corruptNext:%d dupNext:%d reorderNext:%d corrupt:%v delay:%v}",
+		t.dropNext, t.corruptNext, t.dupNext, t.reorderNext, t.corrupt, t.delay)
 }

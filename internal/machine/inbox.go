@@ -79,17 +79,11 @@ func (wt *waiter) signal() {
 }
 
 // fail wakes every waiter and makes every later push return err. The
-// first failure stays: a rank killed and then closed still reads as
-// dead. What the queue holds stays readable — a receive takes what it
-// wants while it is there and returns err once it is not — unless drop
-// is set: a kill drops it in the same step, so a crashed rank never
-// sees another message.
-func (q *msgQueue) fail(err error, drop bool) {
+// first failure stays. What the queue holds stays readable — a receive
+// takes what it wants while it is there and returns err once it is not.
+func (q *msgQueue) fail(err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if drop {
-		q.dropLocked()
-	}
 	if q.err != nil {
 		return
 	}
@@ -104,10 +98,6 @@ func (q *msgQueue) fail(err error, drop bool) {
 func (q *msgQueue) drain() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.dropLocked()
-}
-
-func (q *msgQueue) dropLocked() int {
 	n := len(q.items) - q.head
 	clear(q.items)
 	q.items, q.head = q.items[:0], 0
@@ -243,9 +233,7 @@ func (q *msgQueue) unpark(wt *waiter, fired bool) {
 type want struct {
 	kind wantKind
 	from int // negative matches any sender
-	// wantTag: the tag is lo, negative matching any tag. wantRange: the
-	// tag lies in [lo, hi).
-	lo, hi int
+	tag  int // negative matches any tag
 }
 
 type wantKind uint8
@@ -253,26 +241,19 @@ type wantKind uint8
 const (
 	wantAny wantKind = iota
 	wantTag
-	wantRange
 )
 
 func (w want) matches(m *Message) bool {
-	switch w.kind {
-	case wantTag:
-		return (w.from < 0 || m.From == w.from) && (w.lo < 0 || m.Tag == w.lo)
-	case wantRange:
-		return (w.from < 0 || m.From == w.from) && m.Tag >= w.lo && m.Tag < w.hi
+	if w.kind == wantTag {
+		return (w.from < 0 || m.From == w.from) && (w.tag < 0 || m.Tag == w.tag)
 	}
 	return true
 }
 
 // String is the text operators read in a receive timeout.
 func (w want) String() string {
-	switch w.kind {
-	case wantTag:
-		return fmt.Sprintf("(src %d, tag %d)", w.from, w.lo)
-	case wantRange:
-		return fmt.Sprintf("(src %d, tags [%d,%d))", w.from, w.lo, w.hi)
+	if w.kind == wantTag {
+		return fmt.Sprintf("(src %d, tag %d)", w.from, w.tag)
 	}
 	return "any message"
 }

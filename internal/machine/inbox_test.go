@@ -147,19 +147,13 @@ func TestRecvWaitersDoNotSpin(t *testing.T) {
 
 // TestCloseLeavesNoGoroutines builds each transport stack, moves a
 // little traffic over it and closes it: afterwards the goroutine count
-// must settle back where it was. The reliable-fault stack kills rank 1
-// first, so its pump exits through the dead inbox, not through Close.
+// must settle back where it was.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	const p = 3
 	for name, build := range stacks(t, p) {
 		t.Run(name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			tr := build()
-			if rt, ok := tr.(*ReliableTransport); ok {
-				if ft, ok := rt.inner.(*FaultTransport); ok {
-					ft.KillRank(1)
-				}
-			}
 			m, err := New(p, WithTransport(tr), WithRecvTimeout(5*time.Second))
 			if err != nil {
 				t.Fatal(err)
@@ -208,19 +202,5 @@ func TestCloseKeepsQueuedMessages(t *testing.T) {
 	}
 	if _, err := recvAny(tr, 0, time.Second); !errors.Is(err, errClosed) {
 		t.Fatalf("empty inbox after Close: %v, want errClosed", err)
-	}
-}
-
-// TestKillDropsQueuedMessages: a rank crashed with messages waiting for
-// it sees none of them, only ErrRankDead, even once it is also closed.
-func TestKillDropsQueuedMessages(t *testing.T) {
-	ft := NewFaultTransport(NewChanTransport(2))
-	if err := ft.Send(Message{From: 0, To: 1, Tag: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ft.KillRank(1)
-	ft.Close()
-	if msg, err := recvAny(ft, 1, time.Second); !errors.Is(err, ErrRankDead) {
-		t.Fatalf("killed rank received tag %d, err %v; want ErrRankDead", msg.Tag, err)
 	}
 }

@@ -132,6 +132,14 @@ func (m *Machine) P() int { return m.p }
 // Close releases the transport.
 func (m *Machine) Close() error { return m.transport.Close() }
 
+// SendsCanFail reports whether a Send on this machine can fail while
+// its transport is open: only the reliability layer gives up on a
+// message, once its retry budget is spent (ErrRetriesExhausted).
+func (m *Machine) SendsCanFail() bool {
+	_, ok := m.transport.(*ReliableTransport)
+	return ok
+}
+
 // Drain discards every message waiting in the ranks' inboxes and
 // returns the number dropped. A machine pool calls it between jobs so a
 // cancelled or failed run cannot leak stale frames into the next one;

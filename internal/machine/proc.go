@@ -88,16 +88,7 @@ func (p *Proc) RecvFrom(from, tag int) (Message, error) {
 // caller (a job server, a request handler) can abandon a distribution
 // mid-flight instead of waiting out the machine's receive timeout.
 func (p *Proc) RecvFromCtx(ctx context.Context, from, tag int) (Message, error) {
-	return p.recvMatch(ctx, want{kind: wantTag, from: from, lo: tag})
-}
-
-// RecvRangeCtx returns the next message from the given source whose
-// tag lies in [lo, hi) — the session-scoped wildcard: a protocol that
-// owns an allocated tag range (AllocTags) can accept any of its own
-// frames without ever stealing a concurrent session's. A negative
-// source matches any sender; ctx cancels the wait like RecvFromCtx's.
-func (p *Proc) RecvRangeCtx(ctx context.Context, from, lo, hi int) (Message, error) {
-	return p.recvMatch(ctx, want{kind: wantRange, from: from, lo: lo, hi: hi})
+	return p.recvMatch(ctx, want{kind: wantTag, from: from, tag: tag})
 }
 
 // P returns the machine's processor count.

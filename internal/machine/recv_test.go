@@ -74,8 +74,6 @@ func TestRecvErrorTexts(t *testing.T) {
 	}{
 		{"RecvFrom", func() (Message, error) { return pr.RecvFrom(2, 7) },
 			"machine: rank 0 waiting for (src 2, tag 7): machine: receive timed out", ErrTimeout},
-		{"RecvRange", func() (Message, error) { return pr.RecvRangeCtx(nil, 2, 8, 15) },
-			"machine: rank 0 waiting for (src 2, tags [8,15)): machine: receive timed out", ErrTimeout},
 		{"RecvFromCtx", func() (Message, error) { return pr.RecvFromCtx(cancelled, 2, 7) },
 			"machine: rank 0 waiting for (src 2, tag 7): context canceled", context.Canceled},
 	}

@@ -24,22 +24,19 @@ import (
 //   - the sender retains the payload and retransmits on NACK or ACK
 //     timeout with exponential backoff plus jitter, up to
 //     RetryPolicy.MaxRetries retransmissions, then fails the Send with
-//     ErrRetriesExhausted so higher layers can degrade around the
-//     unreachable rank.
+//     ErrRetriesExhausted, which fails the job.
 //
 // Sends are stop-and-wait per message: Send returns once the receiver
-// has acknowledged (or the retry budget is spent), which is exactly the
-// "root retains each payload until acked" contract the distribution
-// schemes rely on. Control traffic (negative tags) bypasses the layer
-// untouched, mirroring FaultTransport's contract that control always
-// passes.
+// has acknowledged (or the retry budget is spent). Control traffic
+// (negative tags) bypasses the layer untouched, mirroring
+// FaultTransport's contract that control always passes.
 //
 // A goroutine per rank ("pump") drains the rank's inner inbox so that
 // acknowledgements flow even while the application is busy computing —
 // without it, a root looping over reliable sends to itself would
 // deadlock waiting for its own ACK. The pump blocks on that inbox with
-// no deadline: closing the inner transport, or killing the rank, fails
-// the inbox and so ends the pump.
+// no deadline: closing the inner transport fails the inbox and so ends
+// the pump.
 type ReliableTransport struct {
 	inner  Transport
 	policy RetryPolicy
@@ -109,9 +106,8 @@ type ReliableStats struct {
 }
 
 // ErrRetriesExhausted is wrapped by Send when a message stays
-// unacknowledged after the full retry budget: the destination rank is
-// unreachable (dead, or the link loses everything). Scheme-level
-// recovery keys on this error to trigger degradation.
+// unacknowledged after the full retry budget: the link to the
+// destination rank loses everything. The distribution fails with it.
 var ErrRetriesExhausted = errors.New("machine: reliable send retries exhausted")
 
 // Reserved control tags for the reliability protocol; like the
@@ -289,8 +285,7 @@ func (t *ReliableTransport) ackWait(attempt int) time.Duration {
 	return d
 }
 
-// inbox is the rank's in-order delivery queue. ErrRankDead reaches it
-// when the inner transport declared the rank crashed.
+// inbox is the rank's in-order delivery queue.
 func (t *ReliableTransport) inbox(rank int) *msgQueue { return &t.eps[rank].msgQueue }
 
 // Close implements Transport: closing the inner transport fails every
@@ -313,9 +308,9 @@ func (t *ReliableTransport) pump(rank int) {
 	for {
 		msg, err := in.recv(nil, want{}, forever)
 		if err != nil {
-			// ErrRankDead or the closed transport: the rank will never
-			// receive again; surface the error to its receivers.
-			t.eps[rank].fail(err, false)
+			// The closed transport: the rank will never receive again;
+			// surface the error to its receivers.
+			t.eps[rank].fail(err)
 			return
 		}
 		t.dispatch(rank, msg)

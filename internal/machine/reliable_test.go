@@ -155,15 +155,17 @@ func TestReliableSelfSendDoesNotDeadlock(t *testing.T) {
 	sendRecv(t, rt, 0, 0, 3)
 }
 
+// TestReliableGivesUpOnDeadRank: a link that loses every frame, so the
+// peer is unreachable, spends the whole retry budget and fails the send.
 func TestReliableGivesUpOnDeadRank(t *testing.T) {
 	ft := NewFaultTransport(NewChanTransport(2))
 	rt := NewReliableTransport(ft, RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond})
 	defer rt.Close()
 
-	ft.KillRank(1)
+	ft.DropNext(1 << 20) // the link loses everything
 	err := rt.Send(Message{From: 0, To: 1, Tag: 3, Data: []float64{1}})
 	if !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("send to dead rank: err = %v, want ErrRetriesExhausted", err)
+		t.Fatalf("send over a lost link: err = %v, want ErrRetriesExhausted", err)
 	}
 	st := rt.Stats()
 	if st.Failed != 1 {
@@ -302,22 +304,6 @@ func TestFaultDuplicateSurvivesReorder(t *testing.T) {
 	}
 	if order[0] != 1 || order[1] != 0 || order[2] != 0 {
 		t.Errorf("delivery order %v, want [1 0 0]", order)
-	}
-}
-
-func TestFaultTransportKilledRankRecv(t *testing.T) {
-	ft := NewFaultTransport(NewChanTransport(2))
-	defer ft.Close()
-	ft.KillRank(1)
-	if _, err := recvAny(ft, 1, 10*time.Millisecond); !errors.Is(err, ErrRankDead) {
-		t.Fatalf("recv on killed rank: err = %v, want ErrRankDead", err)
-	}
-	st := ft.FullStats()
-	if err := ft.Send(Message{From: 0, To: 1, Tag: 1, Data: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ft.FullStats().Swallowed - st.Swallowed; got != 1 {
-		t.Errorf("swallowed delta = %d, want 1", got)
 	}
 }
 

@@ -44,49 +44,6 @@ func TestAllocTagsDisjoint(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRecvRange checks the session-scoped wildcard: only tags inside
-// [lo, hi) are delivered, frames outside the range stay buffered for
-// their own receiver.
-func TestRecvRange(t *testing.T) {
-	m, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	err = m.Run(func(p *Proc) error {
-		if p.Rank == 0 {
-			// An out-of-range frame first, then two in-range ones.
-			for _, tag := range []int{99, 10, 11} {
-				if err := p.Send(1, tag, [4]int64{}, []float64{float64(tag)}, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for i := 0; i < 2; i++ {
-			msg, err := p.RecvRangeCtx(nil, 0, 10, 12)
-			if err != nil {
-				return err
-			}
-			if msg.Tag < 10 || msg.Tag >= 12 {
-				return fmt.Errorf("RecvRange delivered tag %d", msg.Tag)
-			}
-		}
-		// The tag-99 frame must still be waiting, unharmed.
-		msg, err := p.RecvFrom(0, 99)
-		if err != nil {
-			return err
-		}
-		if msg.Data[0] != 99 {
-			return fmt.Errorf("buffered frame corrupted: %v", msg.Data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestConcurrentRunsSharedMailbox runs two SPMD executions on one
 // machine at once, each on its own allocated tag. The shared per-rank
 // inbox must hand every frame to the session that owns its tag, whichever

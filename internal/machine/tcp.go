@@ -109,11 +109,11 @@ func (t *TCPTransport) readLoop() {
 	for ; err == nil; msg, err = readFrame(r) {
 		// A frame for an out-of-range rank is damaged or hostile: drop it.
 		if msg.To >= 0 && msg.To < t.p {
-			t.inboxes[msg.To].push(msg) // a killed rank's inbox drops it
+			t.inboxes[msg.To].push(msg)
 		}
 	}
 	for i := range t.inboxes {
-		t.inboxes[i].fail(errClosed, false)
+		t.inboxes[i].fail(errClosed)
 	}
 	close(t.readDone)
 }

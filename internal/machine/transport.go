@@ -37,7 +37,7 @@ func (t *ChanTransport) inbox(rank int) *msgQueue { return &t.inboxes[rank] }
 // stay readable.
 func (t *ChanTransport) Close() error {
 	for i := range t.inboxes {
-		t.inboxes[i].fail(errClosed, false)
+		t.inboxes[i].fail(errClosed)
 	}
 	return nil
 }

@@ -199,25 +199,6 @@ func TestTCPHandshakeIgnoresStrangers(t *testing.T) {
 	}
 }
 
-// TestReliablePumpSeesLateKill crashes a rank while its pump waits on
-// the inner inbox. KillRank fails that inbox, which wakes the pump: the
-// rank's receive must fail with ErrRankDead at once, not at its own
-// timeout.
-func TestReliablePumpSeesLateKill(t *testing.T) {
-	ft := NewFaultTransport(NewChanTransport(2))
-	rt := NewReliableTransport(ft, fastPolicy)
-	defer rt.Close()
-	sendRecv(t, rt, 0, 1, 1) // rank 1's pump is running and now idle
-	ft.KillRank(1)
-	start := time.Now()
-	if _, err := recvAny(rt, 1, 10*time.Second); !errors.Is(err, ErrRankDead) {
-		t.Fatalf("Recv on the killed rank: %v, want ErrRankDead", err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Errorf("killed rank noticed after %v", d)
-	}
-}
-
 // TestAllToAllPairOrder has 16 ranks send to every rank at once, over
 // tcp and over the reliability layer on tcp: every pair's messages must
 // arrive intact and in send order. Run it under -race.

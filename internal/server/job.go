@@ -239,10 +239,6 @@ type JobResult struct {
 	Messages int64 `json:"messages"`
 	Elements int64 `json:"elements"`
 
-	// Degraded reporting (unused on the fault-free service path today,
-	// carried for forward compatibility of the wire format).
-	Degraded bool `json:"degraded,omitempty"`
-
 	// Streamed marks an out-of-core run (JobSpec.Stream): the server
 	// never materialized the array.
 	Streamed bool `json:"streamed,omitempty"`

@@ -29,7 +29,6 @@ type jobCounts struct {
 	NNZ                       int
 	VDist, VComp              time.Duration
 	Messages, Elements        int64
-	Degraded                  bool
 
 	Op                                                          string
 	OpIterations                                                int
@@ -41,7 +40,7 @@ func countsOf(r *JobResult) jobCounts {
 	return jobCounts{
 		Scheme: r.Scheme, Partition: r.Partition, Method: r.Method, NNZ: r.NNZ,
 		VDist: r.Phases[0].Virtual, VComp: r.Phases[1].Virtual,
-		Messages: r.Messages, Elements: r.Elements, Degraded: r.Degraded,
+		Messages: r.Messages, Elements: r.Elements,
 		Op: r.Op, OpIterations: r.OpIterations, OpConverged: r.OpConverged,
 		OpMessages: r.OpMessages, OpWireWords: r.OpWireWords, OpHaloWords: r.OpHaloWords,
 		OpBcastWords: r.OpBcastWords, OpFlops: r.OpFlops,
@@ -67,7 +66,7 @@ func oracleCounts(spec JobSpec, node Config, got *JobResult) (jobCounts, error) 
 	c := jobCounts{
 		Scheme: d.Result.Scheme, Partition: d.Result.Partition, Method: d.Result.Method.String(),
 		NNZ: d.Result.NNZ(), VDist: d.DistributionTime(), VComp: d.CompressionTime(),
-		Messages: bd.RootDist.Messages, Elements: bd.RootDist.Elements, Degraded: d.Result.Degraded,
+		Messages: bd.RootDist.Messages, Elements: bd.RootDist.Elements,
 	}
 	var st spops.OpStats
 	switch spec.Op {

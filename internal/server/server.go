@@ -386,7 +386,6 @@ func (s *Server) newJobResult(res *dist.Result, pl *plan, planHit, distributed b
 		PhaseTable:   trace.PhaseTable(phases),
 		Messages:     bd.RootDist.Messages,
 		Elements:     bd.RootDist.Elements,
-		Degraded:     res.Degraded,
 		PlanCacheHit: planHit,
 	}
 }

@@ -53,19 +53,10 @@ type CommPlan struct {
 	// Rows, Cols are the global array shape.
 	Rows, Cols int
 	// P is the machine size; parts and ranks coincide (part k lives
-	// at rank k unless the run degraded and re-homed it).
+	// at rank k).
 	P int
-	// IO is the rank that sources and sinks global vectors — the
-	// first alive rank (rank 0 unless it died).
-	IO int
-	// Alive[r] reports whether rank r survived the distribution.
-	Alive []bool
 
-	// Host maps part k to the rank hosting its local arrays
-	// (identity unless the degraded engine re-homed it).
-	Host []int
-
-	// Need[r] lists, ascending, the global columns rank r's hosted
+	// Need[r] lists, ascending, the global columns rank r's
 	// nonzeros reference. This is the needed-index set: the only x
 	// values rank r ever has to see.
 	Need [][]int
@@ -86,10 +77,8 @@ type CommPlan struct {
 
 	// --- precomputed execution positions (see plan build) ---
 
-	alive []int // alive ranks, ascending; alive[i] owns segment i
-	xCut  []int // len(alive)+1 cuts over Cols
-	yCut  []int // len(alive)+1 cuts over Rows
-	xSeg  []int // rank -> its segment index in alive order, -1 if dead
+	xCut []int // P+1 cuts over Cols; rank r owns segment r
+	yCut []int // P+1 cuts over Rows
 	// recvPos[r][s][i] is the slot in rank r's need-value buffer for
 	// SendIdx[s][r][i].
 	recvPos [][][]int32
@@ -97,7 +86,7 @@ type CommPlan struct {
 	// need-value buffer: needVal[ownDst[i]] = xSeg[ownSrc[i]].
 	ownSrc [][]int32
 	ownDst [][]int32
-	// parts[k] maps part k's local indices into its host's buffers.
+	// parts[k] maps part k's local indices into rank k's buffers.
 	parts []partComp
 	// ySendPos[r][o][i] is the index into rank r's contribution
 	// buffer of the value destined for row ySendRows[r][o][i].
@@ -119,11 +108,10 @@ type CommPlan struct {
 
 // partComp holds part k's precomputed index translations.
 type partComp struct {
-	host int
-	// colNeed[lj] is the slot in the host's need-value buffer for
+	// colNeed[lj] is the slot in rank k's need-value buffer for
 	// local column lj, or -1 when the column has no local support.
 	colNeed []int32
-	// rowOut[li] is the slot in the host's contribution buffer for
+	// rowOut[li] is the slot in rank k's contribution buffer for
 	// local row li, or -1 when the row has no local nonzeros.
 	rowOut []int32
 }
@@ -131,8 +119,8 @@ type partComp struct {
 // PlanStats summarises the traffic a plan moves, in words (one word =
 // one float64 element, the unit of the paper's T_Data accounting).
 type PlanStats struct {
-	// Ranks and AliveRanks are the machine size and survivor count.
-	Ranks, AliveRanks int
+	// Ranks is the machine size.
+	Ranks int
 	// HaloWords is the per-sweep halo payload: the total number of x
 	// values exchanged point to point each time the plan executes.
 	HaloWords int
@@ -149,7 +137,7 @@ type PlanStats struct {
 	// segments back at the IO rank.
 	GatherWords int
 	// BcastWords is the broadcast-equivalent per-sweep cost the halo
-	// exchange replaces: Cols x values to each non-root alive rank.
+	// exchange replaces: Cols x values to each non-root rank.
 	BcastWords int
 	// MaxNeed and TotalNeed size the needed-index sets.
 	MaxNeed, TotalNeed int
@@ -157,9 +145,7 @@ type PlanStats struct {
 
 // BuildCommPlan derives the communication plan for one distributed
 // array. part must be the partition res was produced with; res must
-// hold one local array per part. Degraded results are supported: dead
-// ranks are excluded from vector ownership and re-homed parts compute
-// at their hosting rank.
+// hold one local array per part.
 func BuildCommPlan(part partition.Partition, res *dist.Result) (*CommPlan, error) {
 	if part == nil || res == nil {
 		return nil, fmt.Errorf("spops: BuildCommPlan: nil partition or result")
@@ -174,48 +160,12 @@ func BuildCommPlan(part partition.Partition, res *dist.Result) (*CommPlan, error
 	pl := &CommPlan{
 		Part: part, Res: res,
 		Rows: rows, Cols: cols, P: p,
-		Alive: make([]bool, p),
-		Host:  make([]int, p),
-	}
-	dead := map[int]bool{}
-	for _, r := range res.DeadRanks {
-		dead[r] = true
-	}
-	for r := 0; r < p; r++ {
-		pl.Alive[r] = !dead[r]
-		if pl.Alive[r] {
-			pl.alive = append(pl.alive, r)
-		}
-	}
-	if len(pl.alive) == 0 {
-		return nil, fmt.Errorf("spops: BuildCommPlan: no alive ranks")
-	}
-	pl.IO = pl.alive[0]
-	for k := 0; k < p; k++ {
-		pl.Host[k] = k
-		if res.Reassigned != nil {
-			if h, ok := res.Reassigned[k]; ok {
-				pl.Host[k] = h
-			}
-		}
-		if dead[pl.Host[k]] {
-			return nil, fmt.Errorf("spops: BuildCommPlan: part %d hosted at dead rank %d", k, pl.Host[k])
-		}
-	}
-
-	// Vector ownership: contiguous ceil-div blocks over the alive
-	// ranks — x over columns, y over rows. For square arrays the two
-	// cuts coincide, which is what lets Jacobi feed y straight
-	// back in as the next x without a remap.
-	na := len(pl.alive)
-	pl.xCut = partition.BlockCuts(cols, na)
-	pl.yCut = partition.BlockCuts(rows, na)
-	pl.xSeg = make([]int, p)
-	for r := range pl.xSeg {
-		pl.xSeg[r] = -1
-	}
-	for i, r := range pl.alive {
-		pl.xSeg[r] = i
+		// Vector ownership: contiguous ceil-div blocks over the ranks —
+		// x over columns, y over rows. For square arrays the two cuts
+		// coincide, which is what lets Jacobi feed y straight back in
+		// as the next x without a remap.
+		xCut: partition.BlockCuts(cols, p),
+		yCut: partition.BlockCuts(rows, p),
 	}
 
 	if err := pl.buildNeedSets(); err != nil {
@@ -232,15 +182,11 @@ func BuildCommPlan(part partition.Partition, res *dist.Result) (*CommPlan, error
 	return pl, nil
 }
 
-// xOwner returns the alive rank owning global column j.
-func (pl *CommPlan) xOwner(j int) int {
-	return pl.alive[searchCuts(pl.xCut, j)]
-}
+// xOwner returns the rank owning global column j.
+func (pl *CommPlan) xOwner(j int) int { return searchCuts(pl.xCut, j) }
 
-// yOwner returns the alive rank owning global row i.
-func (pl *CommPlan) yOwner(i int) int {
-	return pl.alive[searchCuts(pl.yCut, i)]
-}
+// yOwner returns the rank owning global row i.
+func (pl *CommPlan) yOwner(i int) int { return searchCuts(pl.yCut, i) }
 
 // searchCuts returns the block index of position j in cuts.
 func searchCuts(cuts []int, j int) int {
@@ -255,22 +201,10 @@ func searchCuts(cuts []int, j int) int {
 	return i
 }
 
-// xRange / yRange return rank r's owned spans ([0,0) for dead ranks).
-func (pl *CommPlan) xRange(r int) (int, int) {
-	s := pl.xSeg[r]
-	if s < 0 {
-		return 0, 0
-	}
-	return pl.xCut[s], pl.xCut[s+1]
-}
+// xRange / yRange return rank r's owned spans.
+func (pl *CommPlan) xRange(r int) (int, int) { return pl.xCut[r], pl.xCut[r+1] }
 
-func (pl *CommPlan) yRange(r int) (int, int) {
-	s := pl.xSeg[r]
-	if s < 0 {
-		return 0, 0
-	}
-	return pl.yCut[s], pl.yCut[s+1]
-}
+func (pl *CommPlan) yRange(r int) (int, int) { return pl.yCut[r], pl.yCut[r+1] }
 
 // buildNeedSets computes Need[r] from the local compressed arrays'
 // column support, plus the per-part colNeed position maps.
@@ -280,10 +214,7 @@ func (pl *CommPlan) buildNeedSets() error {
 	// Transient per-rank mask over global columns.
 	masks := make([][]bool, pl.P)
 	for k := 0; k < pl.P; k++ {
-		h := pl.Host[k]
-		if masks[h] == nil {
-			masks[h] = make([]bool, pl.Cols)
-		}
+		masks[k] = make([]bool, pl.Cols)
 		colMap := pl.Part.ColMap(k)
 		sup, err := colSupport(pl.Res, k, len(colMap))
 		if err != nil {
@@ -291,14 +222,11 @@ func (pl *CommPlan) buildNeedSets() error {
 		}
 		for lj, has := range sup {
 			if has {
-				masks[h][colMap[lj]] = true
+				masks[k][colMap[lj]] = true
 			}
 		}
 	}
 	for r := 0; r < pl.P; r++ {
-		if masks[r] == nil {
-			continue
-		}
 		for j, has := range masks[r] {
 			if has {
 				pl.Need[r] = append(pl.Need[r], j)
@@ -320,16 +248,14 @@ func (pl *CommPlan) buildNeedSets() error {
 		}
 	}
 	for k := 0; k < pl.P; k++ {
-		h := pl.Host[k]
 		colMap := pl.Part.ColMap(k)
 		cn := make([]int32, len(colMap))
 		for lj, j := range colMap {
 			cn[lj] = -1
-			if needPos[h] != nil {
-				cn[lj] = needPos[h][j]
+			if needPos[k] != nil {
+				cn[lj] = needPos[k][j]
 			}
 		}
-		pl.parts[k].host = h
 		pl.parts[k].colNeed = cn
 	}
 	return nil
@@ -366,10 +292,7 @@ func (pl *CommPlan) buildHalo() {
 func (pl *CommPlan) buildContrib() error {
 	masks := make([][]bool, pl.P)
 	for k := 0; k < pl.P; k++ {
-		h := pl.Host[k]
-		if masks[h] == nil {
-			masks[h] = make([]bool, pl.Rows)
-		}
+		masks[k] = make([]bool, pl.Rows)
 		rowMap := pl.Part.RowMap(k)
 		sup, err := rowSupport(pl.Res, k, len(rowMap))
 		if err != nil {
@@ -377,16 +300,13 @@ func (pl *CommPlan) buildContrib() error {
 		}
 		for li, has := range sup {
 			if has {
-				masks[h][rowMap[li]] = true
+				masks[k][rowMap[li]] = true
 			}
 		}
 	}
 	pl.Contrib = make([][]int, pl.P)
 	contribPos := make([][]int32, pl.P)
 	for r := 0; r < pl.P; r++ {
-		if masks[r] == nil {
-			continue
-		}
 		for i, has := range masks[r] {
 			if has {
 				pl.Contrib[r] = append(pl.Contrib[r], i)
@@ -403,13 +323,12 @@ func (pl *CommPlan) buildContrib() error {
 		}
 	}
 	for k := 0; k < pl.P; k++ {
-		h := pl.Host[k]
 		rowMap := pl.Part.RowMap(k)
 		ro := make([]int32, len(rowMap))
 		for li, g := range rowMap {
 			ro[li] = -1
-			if contribPos[h] != nil {
-				ro[li] = contribPos[h][g]
+			if contribPos[k] != nil {
+				ro[li] = contribPos[k][g]
 			}
 		}
 		pl.parts[k].rowOut = ro
@@ -455,7 +374,6 @@ func (pl *CommPlan) buildDiag() {
 func (pl *CommPlan) buildStats() {
 	st := &pl.Stats
 	st.Ranks = pl.P
-	st.AliveRanks = len(pl.alive)
 	for s := 0; s < pl.P; s++ {
 		for r := 0; r < pl.P; r++ {
 			if n := len(pl.SendIdx[s][r]); n > 0 {
@@ -464,8 +382,8 @@ func (pl *CommPlan) buildStats() {
 			}
 		}
 	}
-	for _, r := range pl.alive {
-		if r == pl.IO {
+	for r := 0; r < pl.P; r++ {
+		if r == ioRank {
 			continue
 		}
 		lo, hi := pl.xRange(r)
@@ -478,7 +396,7 @@ func (pl *CommPlan) buildStats() {
 			st.YRouteWords += len(pl.ySendRows[r][o])
 		}
 	}
-	st.BcastWords = pl.Cols * (len(pl.alive) - 1)
+	st.BcastWords = pl.Cols * (pl.P - 1)
 	for r := 0; r < pl.P; r++ {
 		if n := len(pl.Need[r]); n > 0 {
 			st.TotalNeed += n
@@ -497,8 +415,8 @@ func (pl *CommPlan) buildStats() {
 // cached by core.Distribution and by the server, so no op pays for it.
 type sweepPart struct {
 	// slot has one entry per stored nonzero, in storage order. CRS and
-	// JDS: the nonzero's slot in the host's need-value buffer
-	// (colNeed[ColIdx[q]]). CCS: its slot in the host's contribution
+	// JDS: the nonzero's slot in rank k's need-value buffer
+	// (colNeed[ColIdx[q]]). CCS: its slot in rank k's contribution
 	// buffer (rowOut[RowIdx[q]]); the need slot stays per column.
 	slot []int32
 	// lines lists, ascending, the local rows (CRS) or columns (CCS) that
@@ -569,8 +487,7 @@ type gemmView struct {
 	rows []*compress.CRS
 	// feed[r][feedPtr[r][c]:feedPtr[r][c+1]] lists the (part, local
 	// row) pairs that accumulate into rank r's contribution slot c: the
-	// inverse of partComp.rowOut. Several parts hosted at one rank
-	// (re-homed after a rank died) meet in the same slot here.
+	// inverse of partComp.rowOut.
 	feedPtr [][]int32
 	feed    [][]rowRef
 	// prod[prodPtr[g]:prodPtr[g+1]] lists the (rank, contribution slot)
@@ -602,22 +519,17 @@ func (pl *CommPlan) buildGemmView() *gemmView {
 			gv.rows[k] = compress.JDSToCRS(pl.Res.LocalJDS[k])
 		}
 	}
-	for _, r := range pl.alive {
+	for r := 0; r < pl.P; r++ {
 		gv.feedPtr[r], gv.feed[r] = groupRefs(len(pl.Contrib[r]), func(emit func(int32, rowRef)) {
-			for k := 0; k < pl.P; k++ {
-				if pl.Host[k] != r {
-					continue
-				}
-				for li, c := range pl.parts[k].rowOut {
-					if c >= 0 {
-						emit(c, rowRef{owner: int32(k), row: int32(li)})
-					}
+			for li, c := range pl.parts[r].rowOut {
+				if c >= 0 {
+					emit(c, rowRef{owner: int32(r), row: int32(li)})
 				}
 			}
 		})
 	}
 	gv.prodPtr, gv.prod = groupRefs(pl.Rows, func(emit func(int32, rowRef)) {
-		for _, r := range pl.alive {
+		for r := 0; r < pl.P; r++ {
 			for c, g := range pl.Contrib[r] {
 				emit(int32(g), rowRef{owner: int32(r), row: int32(c)})
 			}

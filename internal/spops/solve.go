@@ -26,7 +26,7 @@ func requireSquare(pl *CommPlan, op string) error {
 
 // Jacobi solves A·x = b by Jacobi iteration on the distributed
 // array. Vector segments stay resident at their owners: each sweep
-// is one halo exchange, local multiplies of the hosted parts, a
+// is one halo exchange, a local multiply of each rank's part, a
 // partial-sum route to the row owners, the pointwise Jacobi update
 // x_i ← (b_i − (Ax)_i + A_ii·x_i)/A_ii, and a two-message-per-rank
 // scalar allreduce for the convergence test — per-iteration traffic
@@ -60,7 +60,7 @@ func Jacobi(m *machine.Machine, pl *CommPlan, b, x0 []float64, tol float64, maxI
 	x := make([]float64, pl.Cols)
 	var iters int
 	var converged bool
-	err := e.run(func(pr *machine.Proc) error {
+	err := e.m.Run(func(pr *machine.Proc) error {
 		st := e.st[pr.Rank]
 		// Resident b segment: shipped once, like the x segments. The
 		// diagonal segment comes from the plan (root-side metadata,
@@ -109,7 +109,7 @@ func Jacobi(m *machine.Machine, pl *CommPlan, b, x0 []float64, tol float64, maxI
 		if err := e.gatherXSeg(pr, x); err != nil {
 			return err
 		}
-		if pr.Rank == pl.IO {
+		if pr.Rank == ioRank {
 			iters, converged = it, conv
 		}
 		return nil
@@ -126,10 +126,10 @@ func Jacobi(m *machine.Machine, pl *CommPlan, b, x0 []float64, tol float64, maxI
 // into dst (used for the Jacobi right-hand side).
 func (e *exec) scatterSeg(pr *machine.Proc, v, dst []float64, tagOff int) error {
 	pl, st := e.pl, e.st[pr.Rank]
-	if pr.Rank == pl.IO {
-		for _, r := range pl.alive {
+	if pr.Rank == ioRank {
+		for r := 0; r < pl.P; r++ {
 			lo, hi := pl.yRange(r)
-			if r == pl.IO {
+			if r == ioRank {
 				copy(dst, v[lo:hi])
 				continue
 			}
@@ -145,7 +145,7 @@ func (e *exec) scatterSeg(pr *machine.Proc, v, dst []float64, tagOff int) error 
 	if st.yhi-st.ylo == 0 {
 		return nil
 	}
-	msg, err := pr.RecvFrom(pl.IO, e.tag(tagOff))
+	msg, err := pr.RecvFrom(ioRank, e.tag(tagOff))
 	if err != nil {
 		return fmt.Errorf("spops: rank %d scatter seg recv: %w", pr.Rank, err)
 	}
@@ -156,16 +156,16 @@ func (e *exec) scatterSeg(pr *machine.Proc, v, dst []float64, tagOff int) error 
 // gatherXSeg collects the resident x segments at the IO rank into x.
 func (e *exec) gatherXSeg(pr *machine.Proc, x []float64) error {
 	pl, st := e.pl, e.st[pr.Rank]
-	if pr.Rank != pl.IO {
+	if pr.Rank != ioRank {
 		if st.xhi-st.xlo == 0 {
 			return nil
 		}
-		return pr.Send(pl.IO, e.tag(tagGather), [4]int64{int64(st.xlo)}, st.xSeg, &st.wire)
+		return pr.Send(ioRank, e.tag(tagGather), [4]int64{int64(st.xlo)}, st.xSeg, &st.wire)
 	}
 	copy(x[st.xlo:st.xhi], st.xSeg)
-	for _, r := range pl.alive {
+	for r := 0; r < pl.P; r++ {
 		lo, hi := pl.xRange(r)
-		if r == pl.IO || hi-lo == 0 {
+		if r == ioRank || hi-lo == 0 {
 			continue
 		}
 		msg, err := pr.RecvFrom(r, e.tag(tagGather))

@@ -15,7 +15,7 @@ import (
 // fetches, point to point, exactly the B-rows its local A-nonzeros
 // reference: the plan's needed-index sets are the fetch lists, because
 // the columns A touches are the rows of B the product reads
-// (Gustavson's identity). Each rank multiplies its hosted parts with a
+// (Gustavson's identity). Each rank multiplies its part with a
 // two-pass Gustavson and ships its rows of C back to the IO rank, which
 // sums the rows several ranks produced (col- and mesh-partitioned parts
 // yield partial sums for the same output entry) into the returned CRS.
@@ -40,7 +40,7 @@ func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CR
 	gv := pl.gemmView()
 	e := bindExec(m, pl)
 	var c *compress.CRS
-	err := e.run(func(pr *machine.Proc) error {
+	err := e.m.Run(func(pr *machine.Proc) error {
 		// Phase 1: block-scatter B's rows to the x-owners (owner of
 		// column j of A owns row j of B).
 		block, off, err := e.scatterB(pr, b)
@@ -52,17 +52,17 @@ func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CR
 		if err != nil {
 			return err
 		}
-		// Phase 3: local Gustavson over the hosted parts.
+		// Phase 3: local Gustavson over the rank's part.
 		out := e.multiply(pr.Rank, gv, need)
 		// Phase 4: C rows to the IO rank; merge.
-		if pr.Rank != pl.IO {
-			return e.sendRows(pr, pl.IO, tagGather, out.Rows,
+		if pr.Rank != ioRank {
+			return e.sendRows(pr, ioRank, tagGather, out.Rows,
 				out.AppendEDRows(machine.GetBuf(out.Rows+2*out.NNZ()), 0, out.Rows))
 		}
 		produced := make([]*compress.CRS, pl.P)
-		produced[pl.IO] = out
-		for _, r := range pl.alive {
-			if r == pl.IO {
+		produced[ioRank] = out
+		for r := 0; r < pl.P; r++ {
+			if r == ioRank {
 				continue
 			}
 			msg, err := pr.RecvFrom(r, e.tag(tagGather))
@@ -82,7 +82,7 @@ func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CR
 	stats := e.stats("spgemm", 1)
 	// The broadcast-equivalent for SpGEMM ships all of B, in the same
 	// row-buffer encoding, to every non-root rank.
-	stats.BcastWords = (b.Rows + 2*b.NNZ()) * (len(pl.alive) - 1)
+	stats.BcastWords = (b.Rows + 2*b.NNZ()) * (pl.P - 1)
 	return c, stats, nil
 }
 
@@ -122,10 +122,10 @@ func decodeRows(phase string, msg *machine.Message, rows, cols int) (*compress.C
 // B in place.
 func (e *exec) scatterB(pr *machine.Proc, b *compress.CRS) (*compress.CRS, int, error) {
 	pl, st := e.pl, e.st[pr.Rank]
-	if pr.Rank == pl.IO {
-		for _, r := range pl.alive {
+	if pr.Rank == ioRank {
+		for r := 0; r < pl.P; r++ {
 			lo, hi := pl.xRange(r)
-			if r == pl.IO || hi-lo == 0 {
+			if r == ioRank || hi-lo == 0 {
 				continue
 			}
 			buf := machine.GetBuf(hi - lo + 2*(b.RowPtr[hi]-b.RowPtr[lo]))
@@ -139,7 +139,7 @@ func (e *exec) scatterB(pr *machine.Proc, b *compress.CRS) (*compress.CRS, int, 
 		// Owns no rows, so no send list names this rank.
 		return &compress.CRS{Cols: b.Cols, RowPtr: []int{0}}, 0, nil
 	}
-	msg, err := pr.RecvFrom(pl.IO, e.tag(tagScatter))
+	msg, err := pr.RecvFrom(ioRank, e.tag(tagScatter))
 	if err != nil {
 		return nil, 0, fmt.Errorf("spops: rank %d scatter B recv: %w", pr.Rank, err)
 	}
@@ -155,7 +155,7 @@ func (e *exec) scatterB(pr *machine.Proc, b *compress.CRS) (*compress.CRS, int, 
 func (e *exec) fetchB(pr *machine.Proc, block *compress.CRS, off, cols int) (*compress.CRS, error) {
 	pl, st := e.pl, e.st[pr.Rank]
 	me := pr.Rank
-	for _, r := range pl.alive {
+	for r := 0; r < pl.P; r++ {
 		idx := pl.SendIdx[me][r]
 		if len(idx) == 0 || r == me {
 			continue
@@ -170,7 +170,7 @@ func (e *exec) fetchB(pr *machine.Proc, block *compress.CRS, off, cols int) (*co
 		}
 	}
 	fetched := make([]*compress.CRS, pl.P)
-	for _, s := range pl.alive {
+	for s := 0; s < pl.P; s++ {
 		pos := pl.recvPos[me][s]
 		if len(pos) == 0 || s == me {
 			continue
@@ -274,7 +274,7 @@ func (a *spa) flush(m *compress.CRS, row, start int) {
 	a.gen++
 }
 
-// multiply runs Gustavson's algorithm over every part hosted at rank r
+// multiply runs Gustavson's algorithm over rank r's part
 // against the need-slot-indexed B rows and returns the rank's rows of
 // C, indexed by contribution slot (Contrib[r] order). The symbolic
 // pass sizes the slabs exactly; the numeric pass fills them in place.

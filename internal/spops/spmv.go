@@ -18,11 +18,15 @@ const (
 	tagHalo           // owner -> consumer: needed x values
 	tagYRoute         // contributor -> owner: partial y sums
 	tagGather         // owner -> IO: owned y segments / C rows
-	tagRedUp          // alive rank -> IO: scalar reduction operands
-	tagRedDown        // IO -> alive rank: reduced scalars
+	tagRedUp          // rank -> IO: scalar reduction operands
+	tagRedDown        // IO -> rank: reduced scalars
 	tagFetch          // B-row owner -> consumer: fetched B rows
 	tagCount
 )
+
+// ioRank sources and sinks global vectors: the root, which held the
+// global array the plan's distribution came from.
+const ioRank = 0
 
 // OpStats reports what one plan execution moved and did.
 type OpStats struct {
@@ -75,7 +79,7 @@ type exec struct {
 // bindExec allocates the tags and the per-rank counters of one run.
 func bindExec(m *machine.Machine, pl *CommPlan) *exec {
 	e := &exec{pl: pl, m: m, base: m.AllocTags(tagCount), st: make([]*rankState, pl.P)}
-	for _, r := range pl.alive {
+	for r := 0; r < pl.P; r++ {
 		st := &rankState{rank: r}
 		st.xlo, st.xhi = pl.xRange(r)
 		st.ylo, st.yhi = pl.yRange(r)
@@ -88,7 +92,7 @@ func bindExec(m *machine.Machine, pl *CommPlan) *exec {
 func newExec(m *machine.Machine, pl *CommPlan) *exec {
 	e := bindExec(m, pl)
 	e.sweep = pl.sweepView()
-	for _, r := range pl.alive {
+	for r := 0; r < pl.P; r++ {
 		st := e.st[r]
 		st.xSeg = make([]float64, st.xhi-st.xlo)
 		st.ySeg = make([]float64, st.yhi-st.ylo)
@@ -115,10 +119,10 @@ func (e *exec) chargeComp(st *rankState, delta cost.Counter) {
 // rank: the one-time setup the halo exchange then amortises.
 func (e *exec) scatterX(pr *machine.Proc, x []float64) error {
 	pl, st := e.pl, e.st[pr.Rank]
-	if pr.Rank == pl.IO {
-		for _, r := range pl.alive {
+	if pr.Rank == ioRank {
+		for r := 0; r < pl.P; r++ {
 			lo, hi := pl.xRange(r)
-			if r == pl.IO {
+			if r == ioRank {
 				copy(st.xSeg, x[lo:hi])
 				continue
 			}
@@ -134,7 +138,7 @@ func (e *exec) scatterX(pr *machine.Proc, x []float64) error {
 	if st.xhi-st.xlo == 0 {
 		return nil
 	}
-	msg, err := pr.RecvFrom(pl.IO, e.tag(tagScatter))
+	msg, err := pr.RecvFrom(ioRank, e.tag(tagScatter))
 	if err != nil {
 		return fmt.Errorf("spops: rank %d scatter recv: %w", pr.Rank, err)
 	}
@@ -157,7 +161,7 @@ func (e *exec) halo(pr *machine.Proc) error {
 		st.needVal[ownDst[i]] = st.xSeg[src]
 	}
 	// Sends: pack owned values for each consumer.
-	for _, r := range pl.alive {
+	for r := 0; r < pl.P; r++ {
 		idx := pl.SendIdx[me][r]
 		if len(idx) == 0 || r == me {
 			continue
@@ -171,7 +175,7 @@ func (e *exec) halo(pr *machine.Proc) error {
 		}
 	}
 	// Receives: exactly the senders the plan says will ship to us.
-	for _, s := range pl.alive {
+	for s := 0; s < pl.P; s++ {
 		pos := pl.recvPos[me][s]
 		if len(pos) == 0 || s == me {
 			continue
@@ -191,20 +195,15 @@ func (e *exec) halo(pr *machine.Proc) error {
 	return nil
 }
 
-// compute runs the local multiply for every part hosted at this rank,
-// accumulating partial row sums into contribVal.
+// compute runs the local multiply of this rank's part, accumulating
+// partial row sums into contribVal.
 func (e *exec) compute(pr *machine.Proc) {
-	pl, st := e.pl, e.st[pr.Rank]
+	st := e.st[pr.Rank]
 	for i := range st.contribVal {
 		st.contribVal[i] = 0
 	}
 	var delta cost.Counter
-	for k := 0; k < pl.P; k++ {
-		if pl.Host[k] != pr.Rank {
-			continue
-		}
-		delta.AddOps(2 * e.computePart(k, st.needVal, st.contribVal))
-	}
+	delta.AddOps(2 * e.computePart(pr.Rank, st.needVal, st.contribVal))
 	e.chargeComp(st, delta)
 }
 
@@ -276,7 +275,7 @@ func (e *exec) yRoute(pr *machine.Proc) error {
 		st.ySeg[selfDst[i]] += st.contribVal[src]
 	}
 	// Sends to other owners.
-	for _, o := range pl.alive {
+	for o := 0; o < pl.P; o++ {
 		pos := pl.ySendPos[me][o]
 		if len(pos) == 0 || o == me {
 			continue
@@ -290,7 +289,7 @@ func (e *exec) yRoute(pr *machine.Proc) error {
 		}
 	}
 	// Receives from contributing ranks.
-	for _, r := range pl.alive {
+	for r := 0; r < pl.P; r++ {
 		rows := pl.ySendRows[r][me]
 		if len(rows) == 0 || r == me {
 			continue
@@ -313,16 +312,16 @@ func (e *exec) yRoute(pr *machine.Proc) error {
 // gatherY collects the owned y segments at the IO rank into y.
 func (e *exec) gatherY(pr *machine.Proc, y []float64) error {
 	pl, st := e.pl, e.st[pr.Rank]
-	if pr.Rank != pl.IO {
+	if pr.Rank != ioRank {
 		if st.yhi-st.ylo == 0 {
 			return nil
 		}
-		return pr.Send(pl.IO, e.tag(tagGather), [4]int64{int64(st.ylo)}, st.ySeg, &st.wire)
+		return pr.Send(ioRank, e.tag(tagGather), [4]int64{int64(st.ylo)}, st.ySeg, &st.wire)
 	}
 	copy(y[st.ylo:st.yhi], st.ySeg)
-	for _, r := range pl.alive {
+	for r := 0; r < pl.P; r++ {
 		lo, hi := pl.yRange(r)
-		if r == pl.IO || hi-lo == 0 {
+		if r == ioRank || hi-lo == 0 {
 			continue
 		}
 		msg, err := pr.RecvFrom(r, e.tag(tagGather))
@@ -334,10 +333,11 @@ func (e *exec) gatherY(pr *machine.Proc, y []float64) error {
 	return nil
 }
 
-// allreduce folds each alive rank's operand vector with op at the IO
-// rank and redistributes the result into vals, in place — a tiny
-// point-to-point reduction on plan tags, so it works on degraded
-// machines where the built-in collectives would wait on dead ranks.
+// allreduce folds each rank's operand vector with op at the IO rank
+// and redistributes the result into vals, in place — a tiny
+// point-to-point reduction on plan tags, so its messages are charged
+// to the op's counters like the rest of its traffic, which the
+// built-in collectives' control messages are not.
 //
 // vals is the caller's rankState.red, reused every sweep. It goes up
 // as it is: its rank does not touch it again before the reply, which
@@ -346,11 +346,11 @@ func (e *exec) gatherY(pr *machine.Proc, y []float64) error {
 // which the peer copies into vals and releases.
 func (e *exec) allreduce(pr *machine.Proc, vals []float64, op func(acc, in []float64)) error {
 	pl, st := e.pl, e.st[pr.Rank]
-	if pr.Rank != pl.IO {
-		if err := pr.Send(pl.IO, e.tag(tagRedUp), [4]int64{}, vals, &st.wire); err != nil {
+	if pr.Rank != ioRank {
+		if err := pr.Send(ioRank, e.tag(tagRedUp), [4]int64{}, vals, &st.wire); err != nil {
 			return err
 		}
-		msg, err := pr.RecvFrom(pl.IO, e.tag(tagRedDown))
+		msg, err := pr.RecvFrom(ioRank, e.tag(tagRedDown))
 		if err != nil {
 			return err
 		}
@@ -361,8 +361,8 @@ func (e *exec) allreduce(pr *machine.Proc, vals []float64, op func(acc, in []flo
 		machine.ReleaseMessage(&msg)
 		return nil
 	}
-	for _, r := range pl.alive {
-		if r == pl.IO {
+	for r := 0; r < pl.P; r++ {
+		if r == ioRank {
 			continue
 		}
 		msg, err := pr.RecvFrom(r, e.tag(tagRedUp))
@@ -375,8 +375,8 @@ func (e *exec) allreduce(pr *machine.Proc, vals []float64, op func(acc, in []flo
 		op(vals, msg.Data)
 		machine.ReleaseMessage(&msg)
 	}
-	for _, r := range pl.alive {
-		if r == pl.IO {
+	for r := 0; r < pl.P; r++ {
+		if r == ioRank {
 			continue
 		}
 		down := append(machine.GetBuf(len(vals)), vals...)
@@ -387,25 +387,11 @@ func (e *exec) allreduce(pr *machine.Proc, vals []float64, op func(acc, in []flo
 	return nil
 }
 
-// run executes fn as an SPMD region over the plan's alive ranks; dead
-// ranks return immediately.
-func (e *exec) run(fn func(pr *machine.Proc) error) error {
-	return e.m.Run(func(pr *machine.Proc) error {
-		if !e.pl.Alive[pr.Rank] {
-			return nil
-		}
-		return fn(pr)
-	})
-}
-
 // stats sums the per-rank counters into an OpStats.
 func (e *exec) stats(op string, iters int) OpStats {
 	out := OpStats{Op: op, Iterations: iters,
 		HaloWords: e.pl.Stats.HaloWords, BcastWords: e.pl.Stats.BcastWords}
 	for _, st := range e.st {
-		if st == nil {
-			continue
-		}
 		out.Messages += int(st.wire.Messages)
 		out.WireWords += int(st.wire.Elements)
 		out.Ops += int(st.comp.Ops)
@@ -416,7 +402,7 @@ func (e *exec) stats(op string, iters int) OpStats {
 // SpMV computes y = A·x for the plan's distributed array: x is
 // scattered from the IO rank to its block owners, one halo exchange
 // assembles each rank's needed values, every rank multiplies its
-// hosted parts locally, partial sums are routed to the row owners,
+// part locally, partial sums are routed to the row owners,
 // and the owned y segments are gathered back. Total traffic is
 // O(n + halo) instead of the broadcast path's O(n·p).
 func SpMV(m *machine.Machine, pl *CommPlan, x []float64) ([]float64, OpStats, error) {
@@ -425,7 +411,7 @@ func SpMV(m *machine.Machine, pl *CommPlan, x []float64) ([]float64, OpStats, er
 	}
 	e := newExec(m, pl)
 	y := make([]float64, pl.Rows)
-	err := e.run(func(pr *machine.Proc) error {
+	err := e.m.Run(func(pr *machine.Proc) error {
 		if err := e.scatterX(pr, x); err != nil {
 			return err
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -288,59 +287,6 @@ func TestDistSpGEMMOracle(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestDegradedOps runs SpMV, Jacobi and SpGEMM on a degraded
-// distribution (rank killed, parts re-homed) and checks the oracles
-// still hold.
-func TestDegradedOps(t *testing.T) {
-	n := 32
-	g := sparse.Uniform(n, n, 0.12, 31).Clone()
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for j := 0; j < n; j++ {
-			if j != i {
-				sum += math.Abs(g.At(i, j))
-			}
-		}
-		g.Set(i, i, sum+1)
-	}
-	cfg := core.Config{Partition: "row", Procs: 4, Degrade: true, KillRank: 2,
-		Retries: 2, RetryBackoff: 2 * time.Millisecond}
-	d, pl := distribute(t, g, cfg)
-	defer d.Close()
-	if !d.Result.Degraded {
-		t.Fatal("expected a degraded distribution")
-	}
-
-	x := randVec(n, 17)
-	y, _, err := spops.SpMV(d.Machine(), pl, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecClose(t, y, denseMatVec(g, x), 1e-12, "degraded SpMV")
-
-	b := randVec(n, 18)
-	xs, st, err := spops.Jacobi(d.Machine(), pl, b, nil, 1e-12, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatal("degraded Jacobi did not converge")
-	}
-	vecClose(t, denseMatVec(g, xs), b, 1e-8, "degraded Jacobi A·x")
-
-	gb := sparse.Uniform(n, 10, 0.2, 19)
-	bcrs := compress.CompressCRS(gb, nil)
-	want, err := ops.SpGEMM(compress.CompressCRS(g, nil), bcrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _, err := spops.DistSpGEMM(d.Machine(), pl, bcrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCRSEqual(t, c, want)
 }
 
 // TestPlanReuse executes the same plan several times on one machine

@@ -60,9 +60,8 @@ type Event struct {
 
 // Tracer collects events; safe for concurrent use. The zero value is
 // ready. Besides timeline events, a tracer carries named counters so
-// infrastructure layers (reliable transport retries, scheme-level
-// degradations) can surface occurrence counts without their own
-// reporting channel.
+// infrastructure layers (reliable transport retries) can surface
+// occurrence counts without their own reporting channel.
 type Tracer struct {
 	mu       sync.Mutex
 	events   []Event
