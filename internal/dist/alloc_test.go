@@ -162,10 +162,11 @@ func TestSFCEncodeSendSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSFCRetainingTransportUnpooled runs SFC end to end over the two
-// transports that may still read a payload after Send returns (the
-// reliability layer's retransmissions, fault injection's duplicates)
-// and checks that no rank is handed a payload it may recycle, while
-// the fault-free transport hands every rank its pooled buffer.
+// transports that do not hand a receiver the sender's buffer as its
+// own (the reliability layer delivers a frame of its own, fault
+// injection may deliver a payload twice) and checks that no rank is
+// handed a payload it may recycle, while the fault-free transport
+// hands every rank its pooled buffer.
 func TestSFCRetainingTransportUnpooled(t *testing.T) {
 	const n, p = 24, 4
 	g := sparse.UniformExact(n, n, 0.2, 9)

@@ -10,8 +10,8 @@ package dist
 // so does the engine: a part is sent once, to its own rank. Over a
 // lossy link the machine's ReliableTransport plays MPI's role,
 // retransmitting lost or damaged frames itself; when it spends a
-// message's retry budget the send fails with ErrRetriesExhausted and
-// the job fails with that error, promptly (see runRanks).
+// frame's retry budget the link fails with ErrRetriesExhausted and the
+// job fails with that error, promptly (see runRanks).
 
 import (
 	"context"
@@ -100,14 +100,18 @@ func Run(m *machine.Machine, plan Plan) (*Result, error) {
 var errRankFailed = errors.New("dist: another rank failed")
 
 // runRanks runs body on every rank of m. A rank that fails leaves the
-// others waiting on receives that will never be matched; when the
-// machine's sends can fail (the ARQ gives up on a message once its
-// retry budget is spent), the first rank to fail therefore cancels
-// run.opts.Ctx, the others' pending receives return at once instead of
-// on the receive watchdog, and the run fails with that first error
-// alone. Elsewhere it is m.Run and allocates nothing more.
+// others waiting on receives that will never be matched, and so does a
+// frame the ARQ gives up on once its retry budget is spent. When the
+// machine's sends can fail (Machine.LinkFailed is not nil), the first
+// rank or the first link to fail therefore cancels run.opts.Ctx:
+// the others' pending receives return at once instead of on the
+// receive watchdog, and the run fails with that first error alone. A
+// link's error reaches the run through its sender's flush at the end
+// of Machine.Run. Elsewhere runRanks is m.Run and allocates nothing
+// more.
 func runRanks(m *machine.Machine, run *runState, body func(pr *machine.Proc) error) error {
-	if !m.SendsCanFail() {
+	failed := m.LinkFailed()
+	if failed == nil {
 		return m.Run(body)
 	}
 	parent := run.opts.Ctx
@@ -116,12 +120,13 @@ func runRanks(m *machine.Machine, run *runState, body func(pr *machine.Proc) err
 	}
 	ctx, cancel := context.WithCancelCause(parent)
 	defer cancel(nil)
+	defer context.AfterFunc(failed, func() { cancel(context.Cause(failed)) })()
 	run.opts.Ctx = ctx
 	return m.Run(func(pr *machine.Proc) error {
 		err := body(pr)
 		if err != nil {
-			if context.Cause(ctx) == errRankFailed {
-				return nil // released by the failure already reported
+			if context.Cause(ctx) != nil && parent.Err() == nil {
+				return nil // released by a failure reported elsewhere
 			}
 			cancel(errRankFailed)
 		}

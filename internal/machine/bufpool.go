@@ -14,10 +14,12 @@ import "sync"
 //     not touch the slice afterwards.
 //   - The receiver releases it with ReleaseMessage once it has fully
 //     decoded the payload (decoders copy data out, never alias it).
-//   - Transports that may retain or re-deliver a sent payload
-//     (reliability/fault layers, see PayloadRetainer) strip the pooled
-//     mark at send time, so such payloads are never recycled while a
-//     retransmission could still read them.
+//   - Transports that may retain or re-deliver a sent payload (fault
+//     injection, see PayloadRetainer) strip the pooled mark at send
+//     time, so such payloads are never recycled while a duplicate could
+//     still read them. The reliability layer is not one of them: it
+//     copies the payload into a frame of its own and returns a pooled
+//     one to the pool at once.
 //
 // Two sync.Pools cooperate so the steady state allocates nothing: one
 // holds slice headers with live backing arrays, the other recycles the
@@ -72,10 +74,10 @@ func ReleaseMessage(msg *Message) {
 }
 
 // PayloadRetainer is implemented by transports that may retain or
-// re-deliver a sent payload slice after Send returns (retransmission,
-// duplication, in-place corruption). Proc.SendBuf consults it: over a
-// retaining transport the pooled mark is dropped, so receivers never
-// recycle a buffer a retransmission could still read.
+// re-deliver a sent payload slice after Send returns (duplication,
+// reordering). Proc.SendBuf consults it: over a retaining transport the
+// pooled mark is dropped, so receivers never recycle a buffer a second
+// delivery could still read.
 type PayloadRetainer interface {
 	RetainsPayloads() bool
 }
@@ -84,10 +86,6 @@ func transportRetainsPayloads(t Transport) bool {
 	r, ok := t.(PayloadRetainer)
 	return ok && r.RetainsPayloads()
 }
-
-// RetainsPayloads implements PayloadRetainer: the reliability layer
-// keeps every unacknowledged message for retransmission.
-func (t *ReliableTransport) RetainsPayloads() bool { return true }
 
 // RetainsPayloads implements PayloadRetainer: fault injection may
 // duplicate or mutate payloads after Send returns.

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -151,35 +152,139 @@ func TestReleaseMessageNonPooled(t *testing.T) {
 }
 
 // TestSendBufStripsPooledOverRetainingTransport pins the guard that
-// keeps retransmission-capable transports safe: the reliability layer
-// keeps sent payloads for replay, so the pooled mark must not survive
-// to the receiver — otherwise ReleaseMessage would recycle a buffer a
-// retransmission could still read.
+// keeps payload-retaining transports safe: fault injection may deliver
+// a sent payload twice, so the pooled mark must not survive to the
+// receiver — otherwise ReleaseMessage would recycle a buffer the
+// duplicate could still read.
 func TestSendBufStripsPooledOverRetainingTransport(t *testing.T) {
-	rel := NewReliableTransport(NewChanTransport(2), RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond})
-	m, err := New(2, WithTransport(rel), WithRecvTimeout(10*time.Second))
+	ft := NewFaultTransport(NewChanTransport(2))
+	m, err := New(2, WithTransport(ft), WithRecvTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	if !m.retains {
-		t.Fatal("machine over ReliableTransport should mark retains")
+		t.Fatal("machine over FaultTransport should mark retains")
 	}
+	ft.DuplicateNext(1)
 	err = m.Run(func(p *Proc) error {
 		if p.Rank == 0 {
 			buf := append(GetBuf(4), 1, 2, 3, 4)
 			return p.SendBuf(1, 7, [4]int64{}, buf, true, nil)
 		}
-		msg, err := p.RecvFrom(0, 7)
-		if err != nil {
-			return err
-		}
-		if msg.Pooled {
-			return fmt.Errorf("pooled mark survived a retaining transport")
+		for copy := 0; copy < 2; copy++ {
+			msg, err := p.RecvFrom(0, 7)
+			if err != nil {
+				return err
+			}
+			if msg.Pooled {
+				return fmt.Errorf("pooled mark survived a retaining transport")
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReliablePooledSendReturnsBuffer: the reliability layer copies a
+// payload into a frame of its own, so a pooled send hands the caller's
+// buffer straight back to the pool — reused by the next GetBuf — and
+// the receiver still gets every payload intact, once, through
+// duplicated and damaged frames.
+func TestReliablePooledSendReturnsBuffer(t *testing.T) {
+	ft := NewFaultTransport(NewChanTransport(2))
+	rt := NewReliableTransport(ft, fastPolicy)
+	defer rt.Close()
+	if transportRetainsPayloads(rt) {
+		t.Fatal("the reliability layer copies payloads; it must not strip the pooled mark")
+	}
+	// One P: the pool hands back the buffer this goroutine just put.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ft.DuplicateNext(2)
+	ft.CorruptNext(2)
+	const n, words = 6, 16
+	for i := 0; i < n; i++ {
+		buf := GetBuf(words)
+		for w := 0; w < words; w++ {
+			buf = append(buf, fingerprint(0, i, w))
+		}
+		if err := rt.Send(Message{From: 0, To: 1, Tag: 7, Meta: [4]int64{int64(i)}, Data: buf, Pooled: true}); err != nil {
+			t.Fatal(err)
+		}
+		again := GetBuf(words)
+		// The race detector drops a random share of pool puts.
+		if !raceEnabled && &again[:1][0] != &buf[0] {
+			t.Errorf("send %d: the caller's pooled buffer did not come back to the pool", i)
+		}
+		// Overwrite it: the frame on the wire must not depend on it.
+		again = again[:words]
+		for w := range again {
+			again[w] = -1
+		}
+		PutBuf(again)
+	}
+	for i := 0; i < n; i++ {
+		msg, err := recvAny(rt, 1, 2*time.Second)
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if msg.Meta[0] != int64(i) || msg.Pooled || len(msg.Data) != words {
+			t.Fatalf("recv %d: message %d, pooled %t, %d words", i, msg.Meta[0], msg.Pooled, len(msg.Data))
+		}
+		for w, v := range msg.Data {
+			if v != fingerprint(0, i, w) {
+				t.Fatalf("recv %d word %d: %v", i, w, v)
+			}
+		}
+	}
+	if msg, err := recvAny(rt, 1, 20*time.Millisecond); err == nil {
+		t.Fatalf("a duplicate got through: %+v", msg)
+	}
+	if st := rt.Stats(); st.Corrupt < 2 || st.Duplicates < 2 {
+		t.Errorf("stats %+v, want >= 2 corrupt frames and >= 2 duplicates", st)
+	}
+}
+
+// TestReliableTCPDeliversWholeFrame: over TCP a reliable frame arrives
+// in a pooled buffer, and the payload handed to the receiver must start
+// where that frame does, with the reliability trailer after it. Then
+// the buffer ReleaseMessage returns to the pool is the whole frame: its
+// capacity equals the frame's, and no words are lost to the pool on
+// each trip.
+func TestReliableTCPDeliversWholeFrame(t *testing.T) {
+	tcp, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewReliableTransport(tcp, fastPolicy)
+	defer rt.Close()
+	payload := []float64{1, 2, 3, 4, 5}
+	if err := rt.Send(Message{From: 0, To: 1, Tag: 7, Meta: [4]int64{9}, Data: payload}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := recvAny(rt, 1, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !msg.Pooled {
+		t.Fatal("a TCP frame should arrive in a pooled buffer")
+	}
+	n := len(msg.Data)
+	if cap(msg.Data) < n+relTrailerWords {
+		t.Fatalf("payload of %d words has capacity %d: it does not start at its frame's start", n, cap(msg.Data))
+	}
+	frame := msg
+	frame.Data = msg.Data[:n+relTrailerWords]
+	got, seq, ok := decodeRel(frame)
+	if !ok || seq != 0 || len(got) != len(payload) {
+		t.Fatalf("the released buffer is not the frame: ok %t, seq %d, payload %v", ok, seq, got)
+	}
+	for i, v := range payload {
+		if got[i] != v {
+			t.Fatalf("payload %v, want %v", got, payload)
+		}
+	}
+	ReleaseMessage(&msg)
 }

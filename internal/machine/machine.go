@@ -16,6 +16,7 @@
 package machine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -132,12 +133,18 @@ func (m *Machine) P() int { return m.p }
 // Close releases the transport.
 func (m *Machine) Close() error { return m.transport.Close() }
 
-// SendsCanFail reports whether a Send on this machine can fail while
-// its transport is open: only the reliability layer gives up on a
-// message, once its retry budget is spent (ErrRetriesExhausted).
-func (m *Machine) SendsCanFail() bool {
-	_, ok := m.transport.(*ReliableTransport)
-	return ok
+// LinkFailed returns a context that is done once a link of the
+// machine's reliability layer has spent a retry budget; its cause is
+// that link's error. The failure surfaces at the sender's next Send on
+// the link and at its flush when its Run body returns, but a rank
+// waiting for the lost frame learns of it only here. It is nil where
+// sends cannot fail while the transport is open: only the reliability
+// layer gives up on a message (ErrRetriesExhausted).
+func (m *Machine) LinkFailed() context.Context {
+	if rt, ok := m.transport.(*ReliableTransport); ok {
+		return rt.failed
+	}
+	return nil
 }
 
 // Drain discards every message waiting in the ranks' inboxes and
@@ -167,10 +174,15 @@ type Proc struct {
 // Run executes fn on every rank concurrently (SPMD style, like
 // mpirun -np p) and waits for all to finish. The first error or panic
 // from any rank is returned; remaining goroutines are still joined so
-// the transport is quiescent afterwards.
+// the transport is quiescent afterwards. Over the reliability layer,
+// whose sends do not wait for their ACKs, each rank's body ends by
+// waiting for its own frames to be acknowledged: a rank whose link
+// spent its retry budget returns that link's error if fn returned
+// none.
 func (m *Machine) Run(fn func(p *Proc) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, m.p)
+	rt, _ := m.transport.(*ReliableTransport)
 	for rank := 0; rank < m.p; rank++ {
 		wg.Add(1)
 		go func(rank int) {
@@ -181,6 +193,11 @@ func (m *Machine) Run(fn func(p *Proc) error) error {
 				}
 			}()
 			errs[rank] = fn(&Proc{Rank: rank, m: m})
+			if rt != nil {
+				if err := rt.flush(rank); errs[rank] == nil {
+					errs[rank] = err
+				}
+			}
 		}(rank)
 	}
 	wg.Wait()

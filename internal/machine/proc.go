@@ -22,8 +22,8 @@ func (p *Proc) Send(to, tag int, meta [4]int64, data []float64, ctr *cost.Counte
 // (ReleaseMessage) once it has fully decoded it. Ownership of a pooled
 // buffer transfers with the message — the sender must not touch it
 // after SendBuf returns. The mark is stripped when the transport may
-// retain or re-deliver payloads (reliability or fault layers), where a
-// receiver-side release could recycle a buffer mid-retransmission.
+// retain or re-deliver payloads (fault injection), where a
+// receiver-side release could recycle a buffer a duplicate still reads.
 func (p *Proc) SendBuf(to, tag int, meta [4]int64, data []float64, pooled bool, ctr *cost.Counter) error {
 	if to < 0 || to >= p.m.p {
 		return fmt.Errorf("machine: rank %d sending to invalid rank %d of %d", p.Rank, to, p.m.p)

@@ -103,9 +103,10 @@ func TestReliableRestoresOrderUnderReordering(t *testing.T) {
 	defer rt.Close()
 
 	ft.ReorderNext(2)
-	// sendRecv asserts in-order arrival by Meta[0]. Under stop-and-wait
-	// the held frame is released by its own retransmission, so recovery
-	// shows up as duplicates absorbed, not as a sequence gap.
+	// sendRecv asserts in-order arrival by Meta[0]. A link keeps one
+	// frame unacknowledged, so the next Send waits and the held frame is
+	// released by its own retransmission: recovery shows up as
+	// duplicates absorbed, not as a sequence gap.
 	sendRecv(t, rt, 0, 1, 6)
 
 	if st := ft.FullStats(); st.Reordered < 1 {
@@ -156,14 +157,18 @@ func TestReliableSelfSendDoesNotDeadlock(t *testing.T) {
 }
 
 // TestReliableGivesUpOnDeadRank: a link that loses every frame, so the
-// peer is unreachable, spends the whole retry budget and fails the send.
+// peer is unreachable, spends the whole retry budget and fails. The
+// send itself does not wait for its ACK; the sender's flush reports it.
 func TestReliableGivesUpOnDeadRank(t *testing.T) {
 	ft := NewFaultTransport(NewChanTransport(2))
 	rt := NewReliableTransport(ft, RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond})
 	defer rt.Close()
 
 	ft.DropNext(1 << 20) // the link loses everything
-	err := rt.Send(Message{From: 0, To: 1, Tag: 3, Data: []float64{1}})
+	if err := rt.Send(Message{From: 0, To: 1, Tag: 3, Data: []float64{1}}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	err := rt.flush(0)
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("send over a lost link: err = %v, want ErrRetriesExhausted", err)
 	}
