@@ -427,8 +427,8 @@ func parseSize(s string) (int, error) {
 }
 
 // loadArray materializes the input of a non-streamed run. A file goes
-// through the same sniffing stream parsers as -stream and the daemon's
-// source_file, so every door accepts and rejects the same files.
+// through the same sniffing stream parsers as -stream, so both modes
+// accept and reject the same files.
 func loadArray(path string, n int, ratio float64, seed int64) (*sparse.Dense, error) {
 	if path == "" {
 		return sparse.UniformExact(n, n, ratio, seed), nil

@@ -230,6 +230,23 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
+// TestStreamWithTopologyIsAConflict: a streamed run's network replay
+// priced its frames and stats replies as the paper's messages and none
+// of its compute. core.DistributeStream now refuses the pairing with a
+// *ConflictError, so the command exits 1 in core's words, naming both
+// settings, before anything is distributed.
+func TestStreamWithTopologyIsAConflict(t *testing.T) {
+	code, stdout, stderr := runMain(t, "-stream", "-n", "200", "-procs", "4", "-topology", "mesh")
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "stream") || !strings.Contains(stderr, "topology") {
+		t.Fatalf("exit status %d, stdout %q, stderr %q; want 1, nothing distributed and an error naming stream and topology", code, stdout, stderr)
+	}
+	err := runStream(core.Config{Procs: 4, Topology: "mesh"}, "", 200, 0.1, 1, true)
+	var conflict *core.ConflictError
+	if !errors.As(err, &conflict) {
+		t.Errorf("runStream with a topology = %v, want *core.ConflictError", err)
+	}
+}
+
 // exited is what the exit hook panics with while runMain runs main.
 type exited struct{ code int }
 

@@ -153,6 +153,22 @@ func TestDistributeStreamRejectsAuto(t *testing.T) {
 	}
 }
 
+// TestDistributeStreamRejectsTopology: the network model replays the
+// materializing engine's messages; a streamed run's frames, credits and
+// stats are not the paper's, so the pairing is a *ConflictError naming
+// both settings, not a replay that disagrees with the counters.
+func TestDistributeStreamRejectsTopology(t *testing.T) {
+	src := sparse.NewUniformStream(40, 40, 80, 1, sparse.DefaultChunkEntries)
+	_, err := DistributeStream(src, Config{Scheme: "ED", Procs: 4, Topology: "uniform"})
+	var conflict *ConflictError
+	if !errors.As(err, &conflict) {
+		t.Fatalf("err = %v, want *ConflictError", err)
+	}
+	if !strings.Contains(err.Error(), "stream") || !strings.Contains(err.Error(), "topology") {
+		t.Errorf("err %q does not name both stream and topology", err)
+	}
+}
+
 func TestDistributeAllAuto(t *testing.T) {
 	g := sparse.Uniform(50, 50, 0.1, 2)
 	b, err := DistributeAll(g, []Config{

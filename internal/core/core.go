@@ -70,6 +70,8 @@ type Config struct {
 	// flat counter totals exactly (the parity contract); the others
 	// price the same traffic under link contention. With Transport
 	// "model", the wire sleeps are priced by topology routes too.
+	// DistributeStream refuses it (a *ConflictError): a streamed run
+	// moves frames, credits and stats the paper's model does not have.
 	Topology string
 	// LinkBW, in payload words per second, overrides the bandwidth of
 	// the topology's bottleneck links (see simnet.Build). Zero keeps the
@@ -435,6 +437,12 @@ func DistributeStream(src sparse.ChunkReader, cfg Config) (*Distribution, error)
 	if IsAutoScheme(cfg.Scheme) {
 		return nil, ErrAutoStream
 	}
+	if cfg.Topology != "" {
+		return nil, &ConflictError{
+			Fields: "topology with stream",
+			Reason: "the network model replays the paper's messages, but a streamed run sends frames, credits and stats instead; drop topology or stream",
+		}
+	}
 	cfg = cfg.withDefaults()
 	plan, err := NewStreamPlan(src, cfg)
 	if err != nil {
@@ -618,8 +626,8 @@ func (d *Distribution) Trace() *trace.Tracer { return d.m.Tracer() }
 
 // NetTimeline replays the recorded network activity into the virtual
 // timeline; nil when no Config.Topology was set. Deterministic for a
-// single-plan run (Distribute/DistributeStream): the timeline is a pure
-// function of the per-rank operation sequences. A DistributeAll batch
+// single-plan run (Distribute): the timeline is a pure function of the
+// per-rank operation sequences. A DistributeAll batch
 // shares one recorder across concurrently interleaving plans, so its
 // timeline is complete but not run-to-run stable.
 func (d *Distribution) NetTimeline() *simnet.Timeline {

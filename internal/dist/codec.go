@@ -78,6 +78,14 @@ type runState struct {
 	part   partition.Partition
 	opts   Options
 	format *compress.Format
+	// net is the machine's network recorder (machine.WithNetwork), nil
+	// without one. The engine mirrors its compute charges into it (root
+	// encode in part order, per-rank decode) so Finalize replays the
+	// whole distribution on the network's topology. The replay is
+	// deterministic for a single plan per machine; concurrent plans
+	// (Session.DistributeAll) interleave their per-rank recordings
+	// nondeterministically and are not replayed.
+	net *simnet.Network
 	// locals are SFC's pre-extracted dense parts (Prepare), row-major
 	// in pooled wire buffers, each handed to its payload by EncodePart;
 	// nil for the compressed-wire schemes.
@@ -169,7 +177,7 @@ func decodeTimed(run *runState, bd *Breakdown, k int, data []float64, meta [4]in
 		return nil, fmt.Errorf("dist: %s rank %d decode: %w", run.codec.Name(), k, err)
 	}
 	bd.addRankWall(pol.Receive, k, time.Since(start))
-	if net := run.opts.Net; net != nil {
+	if net := run.net; net != nil {
 		after := ctr.Snapshot()
 		class := simnet.ClassRankComp
 		if pol.Receive == PhaseDistribution {

@@ -29,7 +29,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/partition"
-	"repro/internal/simnet"
 	"repro/internal/sparse"
 )
 
@@ -96,17 +95,6 @@ type Options struct {
 	// no virtual cost, but they cost real time — a debugging and
 	// harness option, not a production default.
 	Check bool
-	// Net attaches a discrete-event network recorder to the run: the
-	// machine records every data message into it, and the engine mirrors
-	// its compute charges (root encode in part order, per-rank decode) so
-	// Finalize replays the whole distribution on the network's topology.
-	// Nil uses the machine's own attached network (machine.WithNetwork),
-	// if any; when the plan carries a network and the machine has none,
-	// Run attaches it to the machine for the duration of the run. The
-	// replayed timeline is deterministic for a single plan per machine;
-	// concurrent plans (Session.DistributeAll) interleave their per-rank
-	// recordings nondeterministically and are not replayed.
-	Net *simnet.Network
 }
 
 // workerCount resolves Options.Workers: zero and negative mean "one per

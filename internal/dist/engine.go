@@ -51,15 +51,7 @@ func Run(m *machine.Machine, plan Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := &runState{codec: c, global: plan.Global, part: plan.Partition, opts: plan.Options, format: f}
-	// Resolve the network recorder: an explicit plan network wins, else
-	// the machine's own. Wire recording happens in the machine layer, so
-	// a plan-supplied network must be attached there too.
-	if run.opts.Net == nil {
-		run.opts.Net = m.Network()
-	} else if m.Network() == nil {
-		m.SetNetwork(run.opts.Net)
-	}
+	run := &runState{codec: c, global: plan.Global, part: plan.Partition, opts: plan.Options, format: f, net: m.Network()}
 	if err := c.Prepare(run); err != nil {
 		return nil, fmt.Errorf("dist: %s prepare: %w", c.Name(), err)
 	}
@@ -72,7 +64,7 @@ func Run(m *machine.Machine, plan Plan) (*Result, error) {
 	err = runRanks(m, run, func(pr *machine.Proc) error {
 		ctx := run.opts.Ctx
 		if pr.Rank == 0 {
-			err := rootSendParts(pr, tag, run.opts, bd, stallToComp,
+			err := rootSendParts(pr, tag, run, bd, stallToComp,
 				cancellableEncode(ctx, func(k int, pp *partPayload) error { return c.EncodePart(run, k, pp) }))
 			if err != nil {
 				return fmt.Errorf("dist: %s root: %w", c.Name(), err)

@@ -57,16 +57,16 @@ type encodePartFunc func(k int, pp *partPayload) error
 // and send each to its own rank on tag, in part order, from a single
 // goroutine. One worker runs the strictly sequential legacy loop, more
 // run the pipeline — same counts, encode overlapped with send.
-func rootSendParts(pr *machine.Proc, tag int, opts Options, bd *Breakdown, stallToComp bool,
+func rootSendParts(pr *machine.Proc, tag int, run *runState, bd *Breakdown, stallToComp bool,
 	encode encodePartFunc) error {
 	send := func(pp *partPayload) error {
 		return pr.SendBuf(pp.k, tag, pp.meta, pp.buf, pp.pooled, &bd.RootDist)
 	}
-	workers := opts.workerCount()
+	workers := run.opts.workerCount()
 	if workers <= 1 {
-		return runRootSequential(pr.P(), opts.Net, bd, encode, send)
+		return runRootSequential(pr.P(), run.net, bd, encode, send)
 	}
-	return runRootPipeline(pr.P(), workers, opts.Net, bd, stallToComp, encode, send)
+	return runRootPipeline(pr.P(), workers, run.net, bd, stallToComp, encode, send)
 }
 
 // runRootSequential is the reference loop: encode part k, merge its

@@ -123,7 +123,8 @@ func planStreamTags(m *machine.Machine, p int) streamTags {
 // RunStream executes one streaming distribution plan on the machine.
 // The partition's shape must match the source's; rank 0 acts as the
 // root reading the stream. The source is consumed to EOF and left
-// positioned there.
+// positioned there. A machine that records a network model
+// (machine.WithNetwork) is refused.
 func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	c := plan.Codec
 	if c == nil {
@@ -131,6 +132,12 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	}
 	if m == nil || plan.Source == nil || plan.Partition == nil {
 		return nil, fmt.Errorf("dist: RunStream: nil machine, source or partition")
+	}
+	// Frames, credits, finalizes and stats are not the paper's messages,
+	// and no compute charge is mirrored: a replay of what the machine
+	// recorded would not be this distribution.
+	if m.Network() != nil {
+		return nil, fmt.Errorf("dist: RunStream: the machine records a network model, which replays only the materializing engine's messages; stream on a machine without one")
 	}
 	p := m.P()
 	if plan.Partition.NumParts() != p {

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/partition"
+	"repro/internal/simnet"
 	"repro/internal/sparse"
 )
 
@@ -298,6 +300,37 @@ func TestStreamSetupErrors(t *testing.T) {
 		if _, err := RunStream(m, tc.plan); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+}
+
+// TestStreamRefusesNetwork: a streamed run's wire is frames, credits,
+// finalizes and stats, and it mirrors no compute, so a network model's
+// replay of it is not the paper's distribution (on uniform it read
+// T_Compression 0 and listed the stats replies as links). RunStream
+// refuses a recording machine before any goroutine spawns, and the
+// recorder stays empty.
+func TestStreamRefusesNetwork(t *testing.T) {
+	const p = 4
+	top, err := simnet.Build("uniform", p, cost.DefaultParams, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.NewNetwork(top, cost.DefaultParams)
+	m, err := machine.New(p, machine.WithNetwork(net), machine.WithRecvTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	part, err := partition.NewRow(24, 24, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunStream(m, StreamPlan{Codec: ED{}, Source: sparse.NewUniformStream(24, 24, 60, 1, 8), Partition: part})
+	if err == nil || !strings.Contains(err.Error(), "network model") {
+		t.Fatalf("RunStream on a recording machine = %v, want an error naming the network model", err)
+	}
+	if tl := net.Finalize(); len(tl.Events) != 0 {
+		t.Errorf("refused run recorded %d events", len(tl.Events))
 	}
 }
 

@@ -102,11 +102,6 @@ func WithNetwork(n *simnet.Network) Option { return func(m *Machine) { m.net = n
 // Network returns the machine's simnet recorder, or nil.
 func (m *Machine) Network() *simnet.Network { return m.net }
 
-// SetNetwork attaches (or replaces) the simnet recorder. Only call
-// while no Run is in flight: recording starts with the next send. A
-// machine pool uses it to equip pooled machines lazily.
-func (m *Machine) SetNetwork(n *simnet.Network) { m.net = n }
-
 // New creates a machine with p processors.
 func New(p int, opts ...Option) (*Machine, error) {
 	if p <= 0 {

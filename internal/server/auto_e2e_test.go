@@ -76,12 +76,9 @@ func TestAutoJobE2E(t *testing.T) {
 		t.Error("no sparsedistd_auto_scale gauge after an auto job")
 	}
 
-	// The typed client rejects the same conflicts the server does.
-	if _, err := c.Submit(ctx, server.JobSpec{N: 64, Scheme: "auto", Method: "CRS"}); err == nil {
-		t.Error("auto + explicit method accepted")
-	}
+	// The typed client surfaces the server's conflicts as *APIError.
 	var apiErr *client.APIError
-	if _, err := c.Submit(ctx, server.JobSpec{N: 64, Scheme: "auto", Stream: true}); !asAPIError(err, &apiErr) {
-		t.Errorf("auto + stream: got %v, want *APIError", err)
+	if _, err := c.Submit(ctx, server.JobSpec{N: 64, Scheme: "auto", Method: "CRS"}); !asAPIError(err, &apiErr) {
+		t.Errorf("auto + explicit method: got %v, want *APIError", err)
 	}
 }

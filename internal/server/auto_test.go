@@ -144,7 +144,8 @@ func TestAutoDedupIdempotent(t *testing.T) {
 }
 
 // TestAutoValidation mirrors the CLI conflicts over HTTP: auto with an
-// explicit method, or on the streaming path, is a 400 before queuing;
+// explicit method, or with the stream fields the daemon does not know,
+// is a 400 before queuing;
 // an auto job that only pins the partition is legal and honours it.
 func TestAutoValidation(t *testing.T) {
 	s := New(Config{QueueDepth: 8, Workers: 1})

@@ -5,9 +5,13 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +214,48 @@ func TestBadRequests(t *testing.T) {
 	}
 	if _, err := c.Cancel(ctx, "j-999999"); !asAPIError(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Errorf("cancel of unknown job: got %v, want 404", err)
+	}
+}
+
+// TestStreamFieldsAreUnknown: the daemon serves no streamed jobs, so
+// stream, source_file and mem_budget are fields it does not know. A
+// request carrying one is a 400 naming the field, and a file named in
+// it is never opened: its contents cannot reach the response.
+func TestStreamFieldsAreUnknown(t *testing.T) {
+	const marker = "% marker line 5d1c9a"
+	path := filepath.Join(t.TempDir(), "a.mtx")
+	mtx := "%%MatrixMarket matrix coordinate real general\n" + marker + "\n2 2 1\n1 1 1.5\n"
+	if err := os.WriteFile(path, []byte(mtx), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	quoted, err := json.Marshal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, ts := startDaemon(t, server.Config{QueueDepth: 4, Workers: 1})
+	for _, tc := range []struct{ body, field string }{
+		{`{"stream":true,"source_file":` + string(quoted) + `}`, "stream"},
+		{`{"source_file":` + string(quoted) + `}`, "source_file"},
+		{`{"mem_budget":1}`, "mem_budget"},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.body, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), `\"`+tc.field+`\"`) {
+			t.Errorf("%s: body %s does not name %q", tc.body, body, tc.field)
+		}
+		if strings.Contains(string(body), "marker line") {
+			t.Errorf("%s: body %s carries the file's contents", tc.body, body)
+		}
 	}
 }
 

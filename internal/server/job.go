@@ -26,9 +26,8 @@ type JobSpec struct {
 	// pick the plan from the array's measured statistics with the cost
 	// model, refined online from observed phase times. Auto jobs must
 	// leave Method empty (the model picks it; Partition may still pin a
-	// partition) and cannot stream. The job dedups on the literal
-	// "auto" spec; the resolved plan comes back in the result's
-	// chosen_* fields.
+	// partition). The job dedups on the literal "auto" spec; the
+	// resolved plan comes back in the result's chosen_* fields.
 	Scheme string `json:"scheme,omitempty"`
 	// Partition is row, col, mesh, cyclic-row, cyclic-col, brs,
 	// cyclic-mesh, balanced-row or an HPF descriptor (default row;
@@ -57,23 +56,11 @@ type JobSpec struct {
 	// communication plan is cached next to the distribution plan, with
 	// the distribution it indexes: a repeat of the same array and plan
 	// runs only the op (op_plan_cache_hit). The traffic comes back in
-	// the result's ops_* fields. Streamed jobs cannot carry an op.
+	// the result's ops_* fields.
 	Op string `json:"op,omitempty"`
 	// OpIters caps the Jacobi sweep count (default 500). Only valid
 	// with op "jacobi".
 	OpIters int `json:"op_iters,omitempty"`
-
-	// Stream runs the job out-of-core: the input reaches the receivers
-	// in bounded chunks and the root's memory stays within MemBudget —
-	// the global array is never materialized on the server.
-	Stream bool `json:"stream,omitempty"`
-	// SourceFile streams the array from an on-disk file (Matrix Market,
-	// Harwell-Boeing or binary COO, sniffed by content) instead of the
-	// synthetic generator. Requires Stream; N/Ratio/Seed are ignored.
-	SourceFile string `json:"source_file,omitempty"`
-	// MemBudget caps the streaming root's routing-buffer memory in bytes
-	// (0: the library default of 32 MiB). Streamed jobs only.
-	MemBudget int `json:"mem_budget,omitempty"`
 
 	// ClientID is an optional client-generated idempotency key. A
 	// resubmission of the same spec carrying a ClientID the server
@@ -100,7 +87,6 @@ func (s JobSpec) config(node Config) core.Config {
 		Method:      s.Method,
 		Workers:     s.Workers,
 		Check:       s.Check,
-		MemBudget:   s.MemBudget,
 		Params:      node.Params,
 		Topology:    node.Topology,
 		LinkBW:      node.LinkBW,
@@ -135,8 +121,8 @@ func (s JobSpec) withDefaults() JobSpec {
 // validate rejects bad requests up front with one clear error each:
 // what a valid plan request is comes from core.Config.Validate, in its
 // words; what only the service knows — the input array, the admission
-// limits, file and budget needing stream, the op rules, and the policy
-// that auto picks its own method — is checked here.
+// limits, the op rules, and the policy that auto picks its own method —
+// is checked here.
 func (s JobSpec) validate(limits Limits) error {
 	if err := s.config(Config{}).Validate(); err != nil {
 		return err
@@ -162,27 +148,12 @@ func (s JobSpec) validate(limits Limits) error {
 		if s.Method != "" {
 			return fmt.Errorf("method %q with scheme auto: auto picks the method; omit it or pick the scheme explicitly", s.Method)
 		}
-		if s.Stream {
-			return fmt.Errorf("scheme auto with stream: selection needs full array statistics, which a streamed job never materializes; pick a scheme explicitly")
-		}
 	}
 	if len(s.ClientID) > 128 {
 		return fmt.Errorf("client_id %d bytes long: limit is 128", len(s.ClientID))
 	}
-	if s.SourceFile != "" && !s.Stream {
-		return fmt.Errorf("source_file without stream: file input is only served out-of-core; set stream")
-	}
-	if len(s.SourceFile) > 512 {
-		return fmt.Errorf("source_file %d bytes long: limit is 512", len(s.SourceFile))
-	}
-	if s.MemBudget > 0 && !s.Stream {
-		return fmt.Errorf("mem_budget without stream: the budget only bounds streamed jobs; set stream")
-	}
 	if !spops.ValidOp(s.Op) {
 		return fmt.Errorf("op %q: want %s", s.Op, spops.OpNames())
-	}
-	if s.Op != "" && s.Stream {
-		return fmt.Errorf("op %q with stream: compute ops need the materialized array server-side; drop stream", s.Op)
 	}
 	if s.OpIters < 0 {
 		return fmt.Errorf("op_iters %d: cannot be negative", s.OpIters)
@@ -225,8 +196,7 @@ type JobResult struct {
 	Procs     int    `json:"procs"`
 	Rows      int    `json:"rows"`
 	Cols      int    `json:"cols"`
-	// NNZ counts what the parts hold (dist.Result.NNZ), on the
-	// materialized and streamed paths alike.
+	// NNZ counts what the parts hold (dist.Result.NNZ).
 	NNZ int `json:"nnz"`
 
 	// The paper's phase split: virtual (cost-model) and wall durations,
@@ -239,10 +209,6 @@ type JobResult struct {
 	Messages int64 `json:"messages"`
 	Elements int64 `json:"elements"`
 
-	// Streamed marks an out-of-core run (JobSpec.Stream): the server
-	// never materialized the array.
-	Streamed bool `json:"streamed,omitempty"`
-
 	// Network-model timing, populated when the server runs with a
 	// topology (Config.Topology): the discrete-event replay's phase
 	// estimates in nanoseconds, which unlike the flat virtual clock see
@@ -253,10 +219,6 @@ type JobResult struct {
 	NetCompression  time.Duration `json:"net_compression_ns,omitempty"`
 	NetMakespan     time.Duration `json:"net_makespan_ns,omitempty"`
 	NetQueued       time.Duration `json:"net_queued_ns,omitempty"`
-
-	// Trace is the tracer snapshot (event count, named counters) when
-	// the run was traced.
-	Trace *trace.Snapshot `json:"trace,omitempty"`
 
 	// Auto-tuning provenance (JobSpec.Scheme "auto"): the plan the cost
 	// model chose and what it predicted, to be read against the actual

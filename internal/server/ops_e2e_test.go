@@ -100,7 +100,6 @@ func TestOpJobValidation(t *testing.T) {
 		want string
 	}{
 		{"unknown op", server.JobSpec{N: 32, Op: "qr"}, "op"},
-		{"op with stream", server.JobSpec{N: 32, Op: "spmv", Stream: true}, "stream"},
 		{"negative iters", server.JobSpec{N: 32, Op: "jacobi", OpIters: -1}, "op_iters"},
 		{"iters without jacobi", server.JobSpec{N: 32, Op: "spmv", OpIters: 10}, "op_iters"},
 	}

@@ -91,16 +91,10 @@ type planKey struct {
 	scheme     string
 	method     string
 	array      arrayKey // zero unless the partition is value-dependent
-	// stream discriminates streamed plans: a balanced partition planned
-	// from the synthetic *stream* covers a different array than one
-	// planned from the synthetic dense generator with the same seed.
-	stream bool
-	source string // file-backed stream source, "" for synthetic
 }
 
 // newPlanKey resolves the shape-pure half of a plan key from a
-// normalized config; callers add the array identity or the stream
-// marker.
+// normalized config; callers add the array identity.
 func newPlanKey(cfg core.Config, rows, cols int) planKey {
 	return planKey{
 		rows: rows, cols: cols,
@@ -144,33 +138,4 @@ func (s *Server) planFor(spec JobSpec, cfg core.Config, g *sparse.Dense, valueDe
 		}
 		return cachedPlan(key, built.Codec, built.Partition, built.Options.Method), nil
 	})
-}
-
-// streamPlanFor is planFor for a streamed job: the partition is
-// planned from the chunked source (a counting pass for balanced-row,
-// shape only for the rest). File-backed balanced plans are never
-// cached — the file can change on disk between jobs, and a stale
-// boundary sweep would silently skew the load balance.
-func (s *Server) streamPlanFor(spec JobSpec, cfg core.Config, src sparse.ChunkReader) (*plan, bool, error) {
-	rows, cols := src.Shape()
-	key := newPlanKey(cfg, rows, cols)
-	key.stream, key.source = true, spec.SourceFile
-	build := func() (*plan, error) {
-		built, err := core.NewStreamPlan(src, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return cachedPlan(key, built.Codec, built.Partition, built.Options.Method), nil
-	}
-	if cfg.Partition == "balanced-row" {
-		if spec.SourceFile != "" {
-			pl, err := build()
-			if err == nil {
-				s.plans.misses.Add(1)
-			}
-			return pl, false, err
-		}
-		key.array = specArrayKey(spec)
-	}
-	return s.plans.getOrFill(key, build)
 }

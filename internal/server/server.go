@@ -38,8 +38,7 @@ import (
 
 // Limits are the admission caps enforced on every JobSpec.
 type Limits struct {
-	// MaxN caps the synthetic array size and each dimension of a
-	// source_file (default 4096).
+	// MaxN caps the synthetic array size (default 4096).
 	MaxN int
 	// MaxProcs caps the processor count (default 64).
 	MaxProcs int
@@ -311,9 +310,6 @@ func (s *Server) contained(j *job) (res *JobResult, err error) {
 // execute runs the distribution (an op job's may come from the op-plan
 // cache, see distribute) and the op, and shapes the result payload.
 func (s *Server) execute(j *job) (*JobResult, error) {
-	if j.spec.Stream {
-		return s.executeStream(j)
-	}
 	spec := j.spec
 	g, arrayHit := s.arrayFor(spec)
 	// scheme=auto resolves here, in the worker: the spec deduped on the
@@ -412,14 +408,9 @@ func (s *Server) recordAuto(out *JobResult, auto *core.AutoChoice) {
 }
 
 // attachMachineReport copies what the pooled machine recorded of the
-// job into the result: the tracer snapshot when the run was traced,
-// and the network model's replayed phase estimates when the machine
-// carries one (Config.Topology).
+// job into the result: the network model's replayed phase estimates
+// when the machine carries one (Config.Topology).
 func attachMachineReport(out *JobResult, m *machine.Machine) {
-	if tr := m.Tracer(); tr != nil {
-		snap := tr.Snapshot()
-		out.Trace = &snap
-	}
 	net := m.Network()
 	if net == nil {
 		return
@@ -431,65 +422,6 @@ func attachMachineReport(out *JobResult, m *machine.Machine) {
 	out.NetCompression = pb.Compression
 	out.NetMakespan = tl.Makespan
 	out.NetQueued = tl.TotalQueue()
-}
-
-// executeStream runs an out-of-core job: the array is never
-// materialized server-side. The array cache plays no part (bounded
-// memory is the point); the plan cache still serves partitions and
-// codecs. Virtual counters are identical to a materializing run of the
-// same plan by dist.RunStream's parity contract.
-func (s *Server) executeStream(j *job) (*JobResult, error) {
-	spec := j.spec
-	var src sparse.ChunkReader
-	if spec.SourceFile != "" {
-		sr, closer, err := sparse.OpenStream(spec.SourceFile, sparse.DefaultChunkEntries)
-		if err != nil {
-			return nil, fmt.Errorf("opening stream source: %w", err)
-		}
-		defer closer.Close()
-		// The header alone sizes the plan: the partition's maps and the
-		// locator are O(rows + cols), so a hostile shape is refused here,
-		// before streamPlanFor allocates them.
-		if rows, cols := sr.Shape(); rows > s.cfg.Limits.MaxN || cols > s.cfg.Limits.MaxN {
-			return nil, fmt.Errorf("source_file: rows %d, cols %d: exceeds the server's limit of %d per dimension",
-				rows, cols, s.cfg.Limits.MaxN)
-		}
-		src = sr
-	} else {
-		// Same rounding as the materializing path's UniformExact, so a
-		// streamed job covers the same nonzero count.
-		want := int(spec.Ratio*float64(spec.N)*float64(spec.N) + 0.5)
-		src = sparse.NewUniformStream(spec.N, spec.N, want, spec.Seed, sparse.DefaultChunkEntries)
-	}
-
-	cfg := spec.config(s.cfg).Normalized()
-	pl, planHit, err := s.streamPlanFor(spec, cfg, src)
-	if err != nil {
-		return nil, err
-	}
-
-	m, err := s.pool.get(pl.Partition.NumParts())
-	if err != nil {
-		return nil, err
-	}
-	defer s.pool.put(m)
-
-	opts := pl.Options
-	opts.Check, opts.Ctx = cfg.Check, j.ctx
-	res, err := dist.RunStream(m, dist.StreamPlan{
-		Codec: pl.Codec, Source: src, Partition: pl.Partition, Options: opts,
-		Stream: dist.StreamOptions{MemBudget: cfg.MemBudget},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := s.newJobResult(res, pl, planHit, true)
-	out.Rows, out.Cols = pl.Partition.Shape()
-	out.NNZ = res.NNZ()
-	out.Streamed = true
-	attachMachineReport(out, m)
-	return out, nil
 }
 
 // handleSubmit is POST /jobs.

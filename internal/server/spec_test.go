@@ -45,7 +45,8 @@ var BadRequests = []struct{ Name, Body string }{
 	{"descriptor distributes nothing", `{"n":32,"partition":"(*,*)"}`},
 	{"descriptor block-cyclic columns", `{"n":32,"partition":"(*,Cyclic(2))"}`},
 	{"descriptor unterminated", `{"n":32,"partition":"(Block"}`},
-	// The bodies of TestAutoValidation and TestStreamSpecValidation.
+	// The bodies of TestAutoValidation, then the fields of the streamed
+	// jobs the daemon does not serve: unknown, so a decode error.
 	{"auto with method", `{"n":64,"scheme":"auto","method":"CRS"}`},
 	{"auto with stream", `{"n":64,"scheme":"auto","stream":true}`},
 	{"auto with stream and file", `{"n":64,"scheme":"auto","stream":true,"source_file":"x.mtx"}`},
@@ -126,8 +127,7 @@ func TestDefaultedSpecEcho(t *testing.T) {
 // accepted spec, on into the plan builder: nothing may panic, the
 // defaults are idempotent, and admission
 // is complete — what validate accepts, core.NewPlan builds (the bug
-// class where a 202 turned into a failure on a worker). Specs naming a
-// source_file stop at validation: the file is the operator's.
+// class where a 202 turned into a failure on a worker).
 func FuzzJobSpec(f *testing.F) {
 	for _, tc := range BadRequests {
 		f.Add([]byte(tc.Body))
@@ -135,7 +135,7 @@ func FuzzJobSpec(f *testing.F) {
 	for _, ok := range []string{
 		`{"n":24}`,
 		`{"n":24,"scheme":"auto","partition":"mesh","procs":6}`,
-		`{"n":24,"stream":true,"partition":"balanced-row","mem_budget":65536}`,
+		`{"n":24,"partition":"balanced-row","op":"spmv"}`,
 		`{"n":16,"partition":"(Cyclic(2),*)","procs":3,"method":"jds"}`,
 		`{"n":16,"partition":"cyclic-mesh","mesh_rows":2,"mesh_cols":3,"block":2,"op":"jacobi","op_iters":5}`,
 	} {
@@ -151,18 +151,10 @@ func FuzzJobSpec(f *testing.F) {
 		if again := d.withDefaults(); again != d {
 			t.Fatalf("withDefaults is not idempotent: %+v then %+v", d, again)
 		}
-		if d.validate(limits) != nil || d.SourceFile != "" {
+		if d.validate(limits) != nil {
 			return
 		}
 		cfg := d.config(Config{})
-		if d.Stream {
-			nnz := int(d.Ratio*float64(d.N)*float64(d.N) + 0.5)
-			src := sparse.NewUniformStream(d.N, d.N, nnz, d.Seed, sparse.DefaultChunkEntries)
-			if _, err := core.NewStreamPlan(src, cfg.Normalized()); err != nil {
-				t.Fatalf("accepted streamed spec %+v does not plan: %v", d, err)
-			}
-			return
-		}
 		g := sparse.UniformExact(d.N, d.N, d.Ratio, d.Seed)
 		if core.IsAutoScheme(cfg.Scheme) {
 			if cfg, _, err = core.ResolveAutoStats(costmodel.MeasureStats(g), cfg, nil); err != nil {

@@ -31,8 +31,8 @@ func drainDigest(src ChunkReader) (n int, digest uint64, err error) {
 }
 
 // FuzzOpenStream aims arbitrary bytes at the three file parsers through
-// the sniff OpenStream uses — the path a client-named source_file and
-// the CLI's -input take. No input may panic; a stream that opened
+// the sniff OpenStream uses — the path the CLI's -input takes, with or
+// without -stream. No input may panic; a stream that opened
 // rewinds, and a second pass yields the same entries and ends the same
 // way; and what the parser allocates is bounded by its fixed buffers
 // and the bytes on file, with 1 MiB of slack for anything a header

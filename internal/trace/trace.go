@@ -150,24 +150,6 @@ func (t *Tracer) Reset() {
 	t.start = time.Now()
 }
 
-// Snapshot is a tracer's exportable summary: the event count plus a
-// copy of every named counter, in a shape that marshals directly to
-// JSON for service endpoints (sparsedistd job results) without
-// exposing the tracer's internals or its lock.
-type Snapshot struct {
-	Events   int              `json:"events"`
-	Counters map[string]int64 `json:"counters,omitempty"`
-}
-
-// Snapshot captures the tracer's current state. Nil-safe: a nil tracer
-// snapshots to the zero Snapshot.
-func (t *Tracer) Snapshot() Snapshot {
-	if t == nil {
-		return Snapshot{}
-	}
-	return Snapshot{Events: t.Len(), Counters: t.Counters()}
-}
-
 // Count adds delta to the named counter. Nil-safe, like Record, so
 // layers can count unconditionally whether or not a tracer is attached.
 func (t *Tracer) Count(name string, delta int64) {

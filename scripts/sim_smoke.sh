@@ -4,7 +4,9 @@
 # twice on a mesh and on a bandwidth-starved star and requires (a) the
 # deterministic network-model section of the report to be byte-identical
 # across runs, and (b) the congested star to show non-zero link
-# utilization. `make sim-smoke` and CI run this.
+# utilization. A streamed run with a topology must be refused: its
+# frames and stats replies are not the paper's messages, so a replay of
+# them would not be the distribution. `make sim-smoke` and CI run this.
 set -eu
 
 BIN="${TMPDIR:-/tmp}/sparsedist-smoke"
@@ -47,4 +49,14 @@ for scheme in SFC CFS ED; do
     exit 1
   fi
 done
+# -stream with a topology exits non-zero, naming both settings.
+if "$BIN" -stream -n 200 -procs 4 -topology mesh >"$OUT/s.txt" 2>"$OUT/s.err"; then
+  echo "sim-smoke: -stream -topology mesh exited 0; want a refusal" >&2
+  exit 1
+fi
+if ! grep -q stream "$OUT/s.err" || ! grep -q topology "$OUT/s.err"; then
+  echo "sim-smoke: -stream -topology mesh: stderr does not name stream and topology:" >&2
+  cat "$OUT/s.err" >&2
+  exit 1
+fi
 echo "sim-smoke: OK"
