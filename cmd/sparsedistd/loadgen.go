@@ -158,7 +158,8 @@ func tallyResults(cfg loadgenConfig, results []loadgenResult, start time.Time) e
 
 // assertMetrics scrapes /metrics and checks the counters a healthy run
 // must have moved: all jobs done, plan cache hits observed (the whole
-// point of the cache), machines reused — and, with -assert-auto, that
+// point of the cache), machines reused, the array cache holding arrays
+// within its byte budget — and, with -assert-auto, that
 // auto jobs resolved plans, the refiner folded observations in, and the
 // served prediction error converged under the repeated shapes.
 func assertMetrics(ctx context.Context, c *client.Client, cfg loadgenConfig) error {
@@ -179,6 +180,7 @@ func assertMetrics(ctx context.Context, c *client.Client, cfg loadgenConfig) err
 			atLeast(`sparsedistd_jobs_total{state="done"}`, float64(cfg.jobs)),
 			atLeast(`sparsedistd_plan_cache_hits_total`, 1),
 			atLeast(`sparsedistd_machines_reused_total`, 1),
+			arraysWithinBudget(m),
 		)
 	}
 	if cfg.assertAuto {
@@ -195,6 +197,16 @@ func assertMetrics(ctx context.Context, c *client.Client, cfg loadgenConfig) err
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// arraysWithinBudget checks that the array cache holds something and
+// no more than its budget.
+func arraysWithinBudget(m map[string]float64) error {
+	held, budget := m[`sparsedistd_cache_bytes{cache="arrays"}`], m[`sparsedistd_cache_budget_bytes{cache="arrays"}`]
+	if held <= 0 || held > budget {
+		return fmt.Errorf("array cache holds %g bytes, want > 0 and <= its budget %g", held, budget)
 	}
 	return nil
 }

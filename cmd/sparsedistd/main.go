@@ -69,7 +69,7 @@ func main() {
 		procs   = flag.Int("procs", 4, "loadgen: processors per job")
 		op      = flag.String("op", "", "loadgen: attach a distributed compute op to every job (spmv, jacobi or spgemm)")
 		assertM = flag.Bool("assert-metrics", false,
-			"loadgen: after the run, scrape /metrics and fail unless job counters moved and the plan cache hit")
+			"loadgen: after the run, scrape /metrics and fail unless job counters moved, the plan cache hit and the array cache holds arrays within its budget")
 		assertA = flag.Bool("assert-auto", false,
 			"loadgen: fail unless auto jobs resolved plans and the refiner folded observations in (needs AUTO in -schemes)")
 		assertO = flag.Bool("assert-ops", false,

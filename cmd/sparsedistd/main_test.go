@@ -130,3 +130,23 @@ func TestHTTPServerDeadlines(t *testing.T) {
 		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v, which covers the headers too", hs.ReadHeaderTimeout, hs.ReadTimeout)
 	}
 }
+
+// TestArraysWithinBudget: -assert-metrics fails an empty array cache,
+// one over its budget, and a daemon that exports no budget.
+func TestArraysWithinBudget(t *testing.T) {
+	const held, budget = `sparsedistd_cache_bytes{cache="arrays"}`, `sparsedistd_cache_budget_bytes{cache="arrays"}`
+	for _, tc := range []struct {
+		m  map[string]float64
+		ok bool
+	}{
+		{map[string]float64{held: 1 << 20, budget: 32 << 20}, true},
+		{map[string]float64{held: 32 << 20, budget: 32 << 20}, true},
+		{map[string]float64{held: 0, budget: 32 << 20}, false},
+		{map[string]float64{held: 33 << 20, budget: 32 << 20}, false},
+		{map[string]float64{held: 1 << 20}, false},
+	} {
+		if err := arraysWithinBudget(tc.m); (err == nil) != tc.ok {
+			t.Errorf("%v: err %v, want ok=%v", tc.m, err, tc.ok)
+		}
+	}
+}

@@ -137,10 +137,18 @@ type gauges struct {
 	// auto is the refiner's per-scheme snapshot (already sorted by
 	// scheme), sampled at scrape time.
 	auto []calibrate.RefineSchemeStats
-	// Cache hit/miss counters, owned by the server's caches.
-	planHits, planMisses       int64
-	arrayHits, arrayMisses     int64
-	opsPlanHits, opsPlanMisses int64
+	// The server's caches, sampled at scrape time.
+	arrays, stats, plans, opPlans cacheSnapshot
+}
+
+// cacheSnapshot is one cache's counters and occupancy. bytes and budget
+// are in the cache's size unit: bytes for arrays and op_plans, entries
+// for stats and plans.
+type cacheSnapshot struct {
+	name                string
+	bytes, budget       int64
+	hits, misses        int64
+	evictions, uncached int64
 }
 
 // write renders the full exposition. The format is the Prometheus text
@@ -163,10 +171,21 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "sparsedistd_jobs_total{state=\"canceled\"} %d\n", m.canceled.Load())
 	counter("sparsedistd_job_panics_total", "Jobs failed by a panic the worker recovered.", m.jobPanics.Load())
 
-	counter("sparsedistd_plan_cache_hits_total", "Plan cache hits (partition + codec reused).", g.planHits)
-	counter("sparsedistd_plan_cache_misses_total", "Plan cache misses (partition built).", g.planMisses)
-	counter("sparsedistd_array_cache_hits_total", "Input array cache hits.", g.arrayHits)
-	counter("sparsedistd_array_cache_misses_total", "Input array cache misses (array generated).", g.arrayMisses)
+	counter("sparsedistd_plan_cache_hits_total", "Plan cache hits (partition + codec reused).", g.plans.hits)
+	counter("sparsedistd_plan_cache_misses_total", "Plan cache misses (partition built).", g.plans.misses)
+	counter("sparsedistd_array_cache_hits_total", "Input array cache hits.", g.arrays.hits)
+	counter("sparsedistd_array_cache_misses_total", "Input array cache misses (array generated).", g.arrays.misses)
+	caches := []cacheSnapshot{g.arrays, g.stats, g.plans, g.opPlans}
+	perCache := func(name, typ, help string, v func(cacheSnapshot) int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for _, c := range caches {
+			fmt.Fprintf(w, "%s{cache=%q} %d\n", name, c.name, v(c))
+		}
+	}
+	perCache("sparsedistd_cache_evictions_total", "counter", "Entries evicted to make room for a new one.",
+		func(c cacheSnapshot) int64 { return c.evictions })
+	perCache("sparsedistd_cache_uncached_total", "counter", "Fills served but not stored because they alone exceed the budget.",
+		func(c cacheSnapshot) int64 { return c.uncached })
 	counter("sparsedistd_machines_created_total", "Emulated machines built for the pool.", m.machinesCreated.Load())
 	counter("sparsedistd_machines_reused_total", "Jobs served by a pooled machine.", m.machinesReused.Load())
 	counter("sparsedistd_machine_drained_frames_total", "Stale frames dropped when returning machines to the pool.", m.drainedFrames.Load())
@@ -189,8 +208,8 @@ func (m *metrics) write(w io.Writer, g gauges) {
 			fmt.Fprintf(w, "sparsedistd_ops_total{op=%q} %d\n", op, opCounts[i])
 		}
 	}
-	counter("sparsedistd_ops_plan_cache_hits_total", "Comm-plan cache hits (halo plan reused).", g.opsPlanHits)
-	counter("sparsedistd_ops_plan_cache_misses_total", "Comm-plan cache misses (halo plan derived).", g.opsPlanMisses)
+	counter("sparsedistd_ops_plan_cache_hits_total", "Comm-plan cache hits (halo plan reused).", g.opPlans.hits)
+	counter("sparsedistd_ops_plan_cache_misses_total", "Comm-plan cache misses (halo plan derived).", g.opPlans.misses)
 	counter("sparsedistd_ops_wire_words_total", "Point-to-point words moved by distributed compute ops.", m.opsWireWords.Load())
 	counter("sparsedistd_ops_broadcast_equiv_words_total", "Broadcast-equivalent words the halo exchange replaced.", m.opsBcastWords.Load())
 
@@ -238,6 +257,10 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		dr = 1
 	}
 	gauge("sparsedistd_draining", "1 while the server is draining for shutdown.", dr)
+	perCache("sparsedistd_cache_bytes", "gauge", "What each cache holds, in bytes for arrays and op_plans and in entries for stats and plans.",
+		func(c cacheSnapshot) int64 { return c.bytes })
+	perCache("sparsedistd_cache_budget_bytes", "gauge", "Each cache's bound, in the unit of sparsedistd_cache_bytes.",
+		func(c cacheSnapshot) int64 { return c.budget })
 
 	m.histMu.Lock()
 	schemes := make([]string, 0, len(m.hists))

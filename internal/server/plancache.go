@@ -8,6 +8,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/partition"
 	"repro/internal/sparse"
+	"repro/internal/spops"
 )
 
 // The plan cache. A distribution plan has two reusable halves that are
@@ -38,15 +39,42 @@ func specArrayKey(s JobSpec) arrayKey {
 		diagDominant: s.Op == "jacobi"}
 }
 
-// arrayCacheCap bounds the array, statistics and comm-plan caches,
-// whose entries are O(n²) or O(nnz) each. planCacheCap bounds the plan
-// cache: a plan is small, but scheme=auto and balanced-row key it by
-// array identity, so without a bound every new seed pins a partition
-// for the life of the daemon.
+// The caches' budgets. An input array is dense, 8·n² bytes, and a comm
+// plan holds the compressed distribution of one, so those two caches
+// count bytes (denseBytes, commPlanBytes): an entry count would let 32
+// arrays at the default -max-n 4096 pin 4 GiB. arrayCacheBytes holds a
+// few arrays of the sizes the benchmark serves (n ≤ 900, ≤ 6.2 MiB
+// each) and any number of small ones; an array over the budget
+// (n > 2048) is generated for its job and not kept. opPlanCacheBytes holds one comm
+// plan of an n = 4096, s = 0.1 array (≈ 32 MiB), or hundreds at
+// n = 400 (≈ 0.35 MiB each). The statistics and plan caches count
+// entries: a statistics entry is O(n) and a plan small, but
+// scheme=auto and balanced-row key plans by array identity, so without
+// a bound every new seed pins a partition for the life of the daemon.
 const (
-	arrayCacheCap = 32
-	planCacheCap  = 1024
+	arrayCacheBytes  = 32 << 20
+	opPlanCacheBytes = 64 << 20
+	statsCacheCap    = 32
+	planCacheCap     = 1024
 )
+
+// denseBytes is the size of an array's dense values.
+func denseBytes(g *sparse.Dense) int64 { return 8 * int64(g.Rows()) * int64(g.Cols()) }
+
+// commPlanBytes estimates what a comm plan pins from lengths it already
+// holds: a value and an index per nonzero of its local arrays, a
+// pointer per row and column of every part (an upper bound on their
+// local shapes), the index lists and the diagonal at a word per entry,
+// and the 4-byte slot per nonzero its sweep view adds on the first
+// SpMV.
+func commPlanBytes(cpl *spops.CommPlan) int64 {
+	nnz := cpl.Res.NNZ()
+	words := 2*nnz + cpl.P*(cpl.Rows+cpl.Cols) + cpl.Stats.TotalNeed + cpl.Stats.HaloWords + len(cpl.Diag)
+	for _, rows := range cpl.Contrib {
+		words += len(rows)
+	}
+	return 8*int64(words) + 4*int64(nnz)
+}
 
 // generate builds the array the key identifies.
 func (k arrayKey) generate() *sparse.Dense {

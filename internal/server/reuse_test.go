@@ -363,7 +363,7 @@ func BenchmarkExecuteOpJob(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if !warm {
 					b.StopTimer()
-					s.opPlans = newCache[planKey, *spops.CommPlan](arrayCacheCap)
+					s.opPlans = newCache[planKey](opPlanCacheBytes, commPlanBytes)
 					b.StartTimer()
 				}
 				run()

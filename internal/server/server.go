@@ -155,10 +155,10 @@ func newServer(cfg Config) *Server {
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		metrics: newMetrics(),
-		plans:   newCache[planKey, *plan](planCacheCap),
-		arrays:  newCache[arrayKey, *sparse.Dense](arrayCacheCap),
-		stats:   newCache[arrayKey, costmodel.ArrayStats](arrayCacheCap),
-		opPlans: newCache[planKey, *spops.CommPlan](arrayCacheCap),
+		plans:   newCache[planKey](planCacheCap, one[*plan]),
+		arrays:  newCache[arrayKey](arrayCacheBytes, denseBytes),
+		stats:   newCache[arrayKey](statsCacheCap, one[costmodel.ArrayStats]),
+		opPlans: newCache[planKey](opPlanCacheBytes, commPlanBytes),
 		refiner: calibrate.NewRefiner(cfg.RefineAlpha),
 		jobs:    make(map[string]*job),
 		dedup:   make(map[string]string),
@@ -605,12 +605,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		poolIdle:      s.pool.idleCount(),
 		draining:      draining,
 		auto:          s.refiner.Stats(),
-		planHits:      s.plans.hits.Load(),
-		planMisses:    s.plans.misses.Load(),
-		arrayHits:     s.arrays.hits.Load(),
-		arrayMisses:   s.arrays.misses.Load(),
-		opsPlanHits:   s.opPlans.hits.Load(),
-		opsPlanMisses: s.opPlans.misses.Load(),
+		arrays:        s.arrays.snapshot("arrays"),
+		stats:         s.stats.snapshot("stats"),
+		plans:         s.plans.snapshot("plans"),
+		opPlans:       s.opPlans.snapshot("op_plans"),
 	})
 }
 
