@@ -113,7 +113,9 @@ bench-gates:
 tables:
 	$(GO) run ./cmd/tables -predicted
 
-# Run every example program.
+# Run every example program, then the two commands that compare
+# distributions of one array: cmd/redist's reference runs and
+# sparsedist's -batch table.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/spmv
@@ -122,6 +124,8 @@ examples:
 	$(GO) run ./examples/redistribute
 	$(GO) run ./examples/ekmr3d
 	$(GO) run ./examples/pagerank
+	$(GO) run ./cmd/redist
+	$(GO) run ./cmd/sparsedist -n 120 -batch SFC,CFS,ED -verify -check
 
 # End-to-end daemon smoke: build sparsedistd, serve, load-generate
 # across all three schemes with metrics assertions, SIGTERM drain.

@@ -48,18 +48,17 @@ func main() {
 	defer m.Close()
 
 	params := cost.DefaultParams
-	// Both reference distributions — the initial array under the source
-	// partition and the root re-distribution under the target, which the
-	// direct move is compared against — run concurrently over the same
-	// machine: a Session gives each plan its own tag range.
-	results, err := dist.NewSession(m).DistributeAll([]dist.Plan{
-		{Codec: dist.ED{}, Global: g, Partition: src},
-		{Codec: dist.ED{}, Global: g, Partition: dst},
-	})
+	// Two reference distributions run one after the other: the initial
+	// array under the source partition, and the root re-distribution
+	// under the target that the direct move is compared against.
+	initial, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: src})
 	if err != nil {
 		fatal(err)
 	}
-	initial, again := results[0], results[1]
+	again, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: dst})
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("initial ED distribution onto %s: T_dist %v, T_comp %v\n", src.Name(),
 		initial.Breakdown.DistributionTime(params), initial.Breakdown.CompressionTime(params))
 

@@ -66,7 +66,7 @@ func main() {
 	flag.StringVar(&cli.input, "input", "",
 		"read the array from a file instead of generating: text/Matrix-Market, Harwell-Boeing or binary COO, sniffed; with or without -stream")
 	flag.StringVar(&cli.batch, "batch", "",
-		"comma-separated schemes (e.g. SFC,CFS,ED) distributed concurrently over one shared machine; overrides -scheme")
+		"comma-separated schemes (e.g. SFC,CFS,ED) each distributed in turn and compared in one table; overrides -scheme")
 	flag.StringVar(&cli.op, "op", "",
 		"run a distributed compute op on the finished distribution: spmv (halo-exchange y = A·x), jacobi (solve A·x = b; synthetic inputs are made diagonally dominant) or spgemm (row-fetch C = A·A)")
 	flag.BoolVar(&cli.stream, "stream", false,
@@ -294,38 +294,35 @@ func validateFlags(cfg core.Config, f cliFlags) error {
 	return nil
 }
 
-// runBatch distributes the array under every scheme in the -batch list
-// concurrently over one shared machine and prints a comparison table:
-// the schemes' tag ranges are disjoint, so the runs interleave without
-// stealing each other's frames and each breakdown counts its own plan.
+// runBatch distributes the array under every scheme in the -batch list,
+// one after the other, each on a machine of its own, and prints a
+// comparison table.
 func runBatch(g *sparse.Dense, cfg core.Config, batch string, verify, spy bool) error {
-	names := strings.Split(batch, ",")
-	cfgs := make([]core.Config, len(names))
-	for i, s := range names {
+	var ds []*core.Distribution
+	for _, s := range strings.Split(batch, ",") {
 		c := cfg
 		c.Scheme = strings.TrimSpace(s)
-		cfgs[i] = c
+		d, err := core.Distribute(g, c)
+		if err != nil {
+			return err
+		}
+		d.Close() // the local arrays outlive the machine
+		ds = append(ds, d)
 	}
-	b, err := core.DistributeAll(g, cfgs)
-	if err != nil {
-		return err
-	}
-	defer b.Close()
 
 	if spy {
 		fmt.Print(sparse.Spy(g, 64, 24))
 		fmt.Println()
 	}
-	fmt.Printf("batched %d concurrent distributions over one machine (p = %d):\n\n",
-		len(b.Distributions), b.Distributions[0].Partition.NumParts())
+	fmt.Printf("%d distributions of one array (p = %d):\n\n", len(ds), ds[0].Partition.NumParts())
 	fmt.Printf("%-8s %14s %14s %14s\n", "scheme", "T_dist", "T_comp", "T_total")
-	for _, d := range b.Distributions {
+	for _, d := range ds {
 		bd := d.Result.Breakdown
 		fmt.Printf("%-8s %14v %14v %14v\n", d.Result.Scheme,
 			d.DistributionTime(), d.CompressionTime(), bd.TotalTime(d.Params))
 	}
 	if verify {
-		for _, d := range b.Distributions {
+		for _, d := range ds {
 			if err := d.Verify(); err != nil {
 				return fmt.Errorf("%s verification FAILED: %w", d.Result.Scheme, err)
 			}
@@ -333,7 +330,7 @@ func runBatch(g *sparse.Dense, cfg core.Config, batch string, verify, spy bool) 
 		fmt.Println("\nverification: OK (every scheme's local arrays match direct compression)")
 	}
 	if cfg.Check {
-		for _, d := range b.Distributions {
+		for _, d := range ds {
 			if err := d.DiffCheck(); err != nil {
 				return fmt.Errorf("%s differential check FAILED: %w", d.Result.Scheme, err)
 			}

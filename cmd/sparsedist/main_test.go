@@ -295,6 +295,43 @@ func runMain(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, string(out), string(errOut)
 }
 
+// TestBatchMatchesSoloRuns runs -batch over the three schemes with
+// -verify and -check on: every row's T_dist and T_comp must equal a
+// solo core.Distribute of that scheme on the same array, so a batch
+// charges each scheme exactly its own plan's costs.
+func TestBatchMatchesSoloRuns(t *testing.T) {
+	code, report, stderr := runMain(t, "-n", "120", "-ratio", "0.1", "-seed", "3", "-batch", "SFC,CFS,ED", "-verify", "-check")
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr)
+	}
+	for _, want := range []string{"verification: OK", "differential check: OK"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	g, err := loadArray("", 120, 0.1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(report, "\n") {
+		if f := strings.Fields(line); len(f) == 4 {
+			rows[f[0]] = f[1:3]
+		}
+	}
+	for _, scheme := range []string{"SFC", "CFS", "ED"} {
+		d, err := core.Distribute(g, core.Config{Scheme: scheme, Procs: 4, Check: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		want := []string{d.DistributionTime().String(), d.CompressionTime().String()}
+		if got := rows[scheme]; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("%s: batch row T_dist, T_comp = %v, solo run %v\n%s", scheme, got, want, report)
+		}
+	}
+}
+
 // TestHostileBlockSizeExitsZero runs the command line that used to end
 // the process: a brs block of 2^62 made the block-cyclic stride wrap to
 // zero for four parts, and the ownership map grew until the runtime

@@ -202,7 +202,7 @@ func compressPieces(t *testing.T, g *sparse.Dense, part partition.Partition, for
 		if f.MinorIsRow {
 			minor = part.RowMap(k)
 		}
-		if err := f.ConvertMinor(arrays[k], minor, nil); err != nil {
+		if err := arrays[k].ConvertMinor(minor, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // PackJDS serialises a JDS into a flat word buffer, charging one
 // operation per word.
 func PackJDS(m *JDS, ctr *cost.Counter) []float64 {
-	return PackJDSInto(m, make([]float64, 0, len(m.Perm)+len(m.JDPtr)+2*m.NNZ()), ctr)
+	return PackJDSInto(m, make([]float64, 0, m.WireCap()), ctr)
 }
 
 // PackJDSInto is the caller-supplied-buffer variant of PackJDS; see

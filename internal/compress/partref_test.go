@@ -180,7 +180,7 @@ func FuzzEncodePart(f *testing.F) {
 			var got, want cost.Counter
 			a := fm.CompressPart(g, rowMap, colMap, &got)
 			ref := compressPartGlobal(fm, g.At, rowMap, colMap, &want)
-			if !sameBits(fm.PackInto(a, nil, nil), fm.PackInto(ref, nil, nil)) || fm.HeaderExtra(a) != fm.HeaderExtra(ref) || got != want {
+			if !sameBits(a.PackInto(nil, nil), ref.PackInto(nil, nil)) || a.HeaderExtra() != ref.HeaderExtra() || got != want {
 				t.Fatalf("%s CompressPart %v x %v: %+v charged %v, reference %+v charged %v", name, rowMap, colMap, a, got, ref, want)
 			}
 		}

@@ -36,13 +36,13 @@ func TestFormatRegistryRoundTrip(t *testing.T) {
 		}
 		var comp, dist cost.Counter
 		a := f.CompressPart(d, rowMap, colMap, &comp)
-		cap := f.WireCap(a)
-		buf := f.PackInto(a, make([]float64, 0, cap), &dist)
+		cap := a.WireCap()
+		buf := a.PackInto(make([]float64, 0, cap), &dist)
 		if len(buf) != cap {
 			t.Errorf("%s: WireCap %d but packed %d words", name, cap, len(buf))
 		}
 		var rctr cost.Counter
-		got, err := f.Unpack(buf, len(rowMap), len(colMap), f.HeaderExtra(a), &rctr)
+		got, err := f.Unpack(buf, len(rowMap), len(colMap), a.HeaderExtra(), &rctr)
 		if err != nil {
 			t.Fatalf("%s: unpack: %v", name, err)
 		}
@@ -50,7 +50,7 @@ func TestFormatRegistryRoundTrip(t *testing.T) {
 		if f.MinorIsRow {
 			idxMap = rowMap
 		}
-		if err := f.ConvertMinor(got, idxMap, &rctr); err != nil {
+		if err := got.ConvertMinor(idxMap, &rctr); err != nil {
 			t.Fatalf("%s: convert: %v", name, err)
 		}
 		if err := got.Validate(); err != nil {

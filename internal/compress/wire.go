@@ -16,7 +16,7 @@ import "repro/internal/cost"
 
 // PackCRS serialises a CRS into a flat word buffer.
 func PackCRS(m *CRS, ctr *cost.Counter) []float64 {
-	return PackCRSInto(m, make([]float64, 0, m.lines().wireCap()), ctr)
+	return PackCRSInto(m, make([]float64, 0, m.WireCap()), ctr)
 }
 
 // PackCRSInto serialises a CRS by appending to buf, growing it only
@@ -42,7 +42,7 @@ func UnpackCRS(buf []float64, rows, cols int, ctr *cost.Counter) (*CRS, error) {
 
 // PackCCS serialises a CCS into a flat word buffer.
 func PackCCS(m *CCS, ctr *cost.Counter) []float64 {
-	return PackCCSInto(m, make([]float64, 0, m.lines().wireCap()), ctr)
+	return PackCCSInto(m, make([]float64, 0, m.WireCap()), ctr)
 }
 
 // PackCCSInto is the caller-supplied-buffer variant of PackCCS; see

@@ -169,25 +169,22 @@ func TestDistributeStreamRejectsTopology(t *testing.T) {
 	}
 }
 
-func TestDistributeAllAuto(t *testing.T) {
+// TestDistributeAutoRecordOnlyUnderAuto: the same array under scheme
+// auto and under an explicit scheme — only the auto run carries an
+// Auto record, and both reassemble to the input.
+func TestDistributeAutoRecordOnlyUnderAuto(t *testing.T) {
 	g := sparse.Uniform(50, 50, 0.1, 2)
-	b, err := DistributeAll(g, []Config{
-		{Scheme: "auto", Procs: 4},
-		{Scheme: "ED", Procs: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if b.Distributions[0].Auto == nil {
-		t.Error("auto config's Distribution.Auto not populated")
-	}
-	if b.Distributions[1].Auto != nil {
-		t.Error("explicit config grew an Auto record")
-	}
-	for i, d := range b.Distributions {
+	for _, scheme := range []string{"auto", "ED"} {
+		d, err := Distribute(g, Config{Scheme: scheme, Procs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if (d.Auto != nil) != (scheme == "auto") {
+			t.Errorf("scheme %s: Auto record %+v", scheme, d.Auto)
+		}
 		if err := d.DiffCheck(); err != nil {
-			t.Errorf("distribution %d: %v", i, err)
+			t.Errorf("scheme %s: %v", scheme, err)
 		}
 	}
 }

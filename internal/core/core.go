@@ -185,11 +185,11 @@ func (c Config) Normalized() Config { return c.withDefaults() }
 
 // NewPlan turns a config into the dist.Plan that distributes g: the
 // partition, the scheme's codec and Options{Method, Workers, Check,
-// Ctx}. It is the one plan builder — Distribute and DistributeAll
-// run what it returns, and a serving layer caches it (minus Global and
-// the per-job options) to drive dist.Run on a pooled machine. cfg must
-// be valid (Validate), concrete (scheme auto already resolved, see
-// ResolveAutoStats) and Normalized.
+// Ctx}. It is the one plan builder — Distribute runs what it returns,
+// and a serving layer caches it (minus Global and the per-job options)
+// to drive dist.Run on a pooled machine. cfg must be valid (Validate),
+// concrete (scheme auto already resolved, see ResolveAutoStats) and
+// Normalized.
 func NewPlan(g *sparse.Dense, cfg Config) (dist.Plan, error) {
 	part, err := NewPartition(g, cfg)
 	if err != nil {
@@ -347,7 +347,7 @@ func newMachineStack(cfg Config) (*machineStack, error) {
 		base = ft
 	}
 	var tracer *trace.Tracer
-	if cfg.Trace || cfg.Reliable {
+	if cfg.Trace {
 		tracer = trace.New()
 	}
 	var rt *machine.ReliableTransport
@@ -460,97 +460,6 @@ func DistributeStream(src sparse.ChunkReader, cfg Config) (*Distribution, error)
 	return &Distribution{Partition: plan.Partition, Result: res, Params: cfg.Params, Streamed: true, m: st.m, rel: st.rel, faults: st.faults, net: st.net}, nil
 }
 
-// Batch is a set of distributions sharing one emulated machine,
-// produced by DistributeAll. Close the batch once when done — the
-// member Distributions all point at the shared machine, so do not
-// additionally call their individual Close methods.
-type Batch struct {
-	Distributions []*Distribution
-
-	m *machine.Machine
-}
-
-// Close releases the shared machine. The compressed local arrays of
-// every member distribution remain usable.
-func (b *Batch) Close() error { return b.m.Close() }
-
-// perPlanZeroed returns cfg with the per-plan fields cleared, leaving
-// only the fields that determine the machine and transport stack.
-func (c Config) perPlanZeroed() Config {
-	c.Scheme, c.Partition, c.Method = "", "", ""
-	c.MeshRows, c.MeshCols = 0, 0
-	c.BlockSize = 0
-	c.Workers = 0
-	c.Ctx = nil // cancellation is per plan, not a machine-level setting
-	return c
-}
-
-// DistributeAll distributes g under every config concurrently over one
-// shared emulated machine (a dist.Session). Each plan's frames travel
-// on a tag range drawn from the machine's allocator, so the runs
-// interleave without stealing each other's messages and every
-// Breakdown counts exactly its own plan's costs. Scheme, partition,
-// method and workers may differ per config; the machine-level
-// settings (Procs, Transport, Params, RecvTimeout, Trace, reliability
-// and fault injection) must agree across all configs, since there is
-// only one machine.
-func DistributeAll(g *sparse.Dense, cfgs []Config) (*Batch, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("core: DistributeAll needs at least one config")
-	}
-	autos := make([]*AutoChoice, len(cfgs))
-	for i := range cfgs {
-		var err error
-		if cfgs[i], autos[i], err = cfgs[i].concrete(g); err != nil {
-			return nil, fmt.Errorf("core: DistributeAll config %d: %w", i, err)
-		}
-	}
-	ref := cfgs[0].perPlanZeroed()
-	// Any config asking for the reliable transport forces the shared
-	// stack to be reliable.
-	for _, cfg := range cfgs {
-		if cfg.Reliable {
-			ref.Reliable = true
-		}
-	}
-	for i, cfg := range cfgs {
-		got := cfg.perPlanZeroed()
-		got.Reliable = ref.Reliable
-		if got != ref {
-			return nil, fmt.Errorf("core: DistributeAll config %d differs from config 0 in machine-level settings (procs, transport, params, timeouts, faults)", i)
-		}
-	}
-	shared := cfgs[0]
-	shared.Reliable = ref.Reliable
-
-	plans := make([]dist.Plan, len(cfgs))
-	for i, cfg := range cfgs {
-		var err error
-		if plans[i], err = NewPlan(g, cfg); err != nil {
-			return nil, fmt.Errorf("core: DistributeAll config %d: %w", i, err)
-		}
-	}
-
-	st, err := newMachineStack(shared)
-	if err != nil {
-		return nil, err
-	}
-	results, err := dist.NewSession(st.m).DistributeAll(plans)
-	if err != nil {
-		st.m.Close()
-		return nil, err
-	}
-
-	b := &Batch{Distributions: make([]*Distribution, len(cfgs)), m: st.m}
-	for i, res := range results {
-		b.Distributions[i] = &Distribution{
-			Global: g, Partition: plans[i].Partition, Result: res, Params: cfgs[i].Params, Auto: autos[i],
-			m: st.m, rel: st.rel, faults: st.faults, net: st.net,
-		}
-	}
-	return b, nil
-}
-
 // NewPartition builds the partition cfg describes for g — the
 // partition half of NewPlan, exported for callers that drive the dist
 // engine themselves. Call it on a Normalized config.
@@ -625,11 +534,8 @@ func (d *Distribution) Machine() *machine.Machine { return d.m }
 func (d *Distribution) Trace() *trace.Tracer { return d.m.Tracer() }
 
 // NetTimeline replays the recorded network activity into the virtual
-// timeline; nil when no Config.Topology was set. Deterministic for a
-// single-plan run (Distribute): the timeline is a pure function of the
-// per-rank operation sequences. A DistributeAll batch
-// shares one recorder across concurrently interleaving plans, so its
-// timeline is complete but not run-to-run stable.
+// timeline; nil when no Config.Topology was set. Deterministic: the
+// timeline is a pure function of the per-rank operation sequences.
 func (d *Distribution) NetTimeline() *simnet.Timeline {
 	if d.net == nil {
 		return nil

@@ -41,8 +41,8 @@ func unknownTransport(name string) error {
 }
 
 // Validate reports the first rule the request breaks, or nil. It is
-// the one statement of what a valid plan request is: Distribute,
-// DistributeStream and DistributeAll call it first, sparsedist and the
+// the one statement of what a valid plan request is: Distribute and
+// DistributeStream call it first, sparsedist and the
 // daemon's JobSpec call it from their own validators, and those keep
 // only the rules about things Config does not describe (the input
 // array, admission limits, flag combinations that are an edge's

@@ -120,9 +120,6 @@ func TestEntryPointsValidateFirst(t *testing.T) {
 		if _, err := DistributeStream(src, cfg); err == nil || err.Error() != want.Error() {
 			t.Errorf("DistributeStream(%+v) = %v, want %v", cfg, err, want)
 		}
-		if _, err := DistributeAll(g, []Config{{}, cfg}); err == nil || !strings.Contains(err.Error(), want.Error()) {
-			t.Errorf("DistributeAll(..., %+v) = %v, want mention of %v", cfg, err, want)
-		}
 	}
 }
 

@@ -275,30 +275,22 @@ func clamp01(r, floor float64) float64 {
 // KindFor maps a core partition name (or HPF descriptor) to the model's
 // partition kind: the axis the partition blocks determines which
 // histogram drives s'. Cyclic variants share their blocked axis's kind.
-func KindFor(partition string) PartitionKind {
-	switch partition {
+func KindFor(name string) PartitionKind {
+	switch name {
 	case "col", "cyclic-col":
 		return ColPart
 	case "mesh", "cyclic-mesh":
 		return MeshPart
 	}
-	if strings.HasPrefix(partition, "(") {
-		inner := strings.TrimSuffix(strings.TrimPrefix(partition, "("), ")")
-		parts := strings.SplitN(inner, ",", 2)
-		if len(parts) == 2 {
-			rowFree := strings.TrimSpace(parts[0]) == "*"
-			colFree := strings.TrimSpace(parts[1]) == "*"
-			switch {
-			case colFree && !rowFree:
-				return RowPart
-			case rowFree && !colFree:
-				return ColPart
-			case !rowFree && !colFree:
-				return MeshPart
-			}
+	if rows, cols, err := partition.DescriptorAxes(name); err == nil {
+		switch {
+		case !rows:
+			return ColPart
+		case cols:
+			return MeshPart
 		}
 	}
-	return RowPart // row, cyclic-row, brs, balanced-row, (*,*), unknown
+	return RowPart // row, cyclic-row, brs, balanced-row, (Block,*), unknown
 }
 
 // MethodFor maps a core method name to the model's method. JDS has no

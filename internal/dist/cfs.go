@@ -63,16 +63,15 @@ func (c CFS) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partP
 // packPart is the distribution-phase tail of both encode steps: the
 // nr x nc compressed part a becomes part k's wire payload.
 func (CFS) packPart(run *runState, k, nr, nc int, a compress.PartArray, pp *partPayload) error {
-	f := run.format
 	pp.meta = [4]int64{int64(nr), int64(nc)}
 	start := time.Now()
 	if run.opts.CFSConvertAtRoot {
-		if err := localiseMinor(f, a, run.part.RowMap(k), run.part.ColMap(k), &pp.dist); err != nil {
+		if err := localiseMinor(run, k, a, &pp.dist); err != nil {
 			return fmt.Errorf("dist: CFS root convert for %d: %w", k, err)
 		}
 	}
-	pp.meta[2] = f.HeaderExtra(a)
-	pp.buf = f.PackInto(a, machine.GetBuf(f.WireCap(a)), &pp.dist)
+	pp.meta[2] = a.HeaderExtra()
+	pp.buf = a.PackInto(machine.GetBuf(a.WireCap()), &pp.dist)
 	pp.pooled = true
 	pp.wallDist = time.Since(start)
 	return nil
@@ -82,13 +81,12 @@ func (CFS) packPart(run *runState, k, nr, nc int, a compress.PartArray, pp *part
 // already localised them, convert the global minor indices to local
 // ones (Cases 3.2.1-3.2.3), then validate.
 func (CFS) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *cost.Counter) (compress.PartArray, error) {
-	f := run.format
-	a, err := f.Unpack(data, int(meta[0]), int(meta[1]), meta[2], ctr)
+	a, err := run.format.Unpack(data, int(meta[0]), int(meta[1]), meta[2], ctr)
 	if err != nil {
 		return nil, fmt.Errorf("unpack: %w", err)
 	}
 	if !run.opts.CFSConvertAtRoot {
-		if err := localiseMinor(f, a, run.part.RowMap(k), run.part.ColMap(k), ctr); err != nil {
+		if err := localiseMinor(run, k, a, ctr); err != nil {
 			return nil, fmt.Errorf("convert: %w", err)
 		}
 	}

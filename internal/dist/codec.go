@@ -81,10 +81,7 @@ type runState struct {
 	// net is the machine's network recorder (machine.WithNetwork), nil
 	// without one. The engine mirrors its compute charges into it (root
 	// encode in part order, per-rank decode) so Finalize replays the
-	// whole distribution on the network's topology. The replay is
-	// deterministic for a single plan per machine; concurrent plans
-	// (Session.DistributeAll) interleave their per-rank recordings
-	// nondeterministically and are not replayed.
+	// whole distribution on the network's topology.
 	net *simnet.Network
 	// locals are SFC's pre-extracted dense parts (Prepare), row-major
 	// in pooled wire buffers, each handed to its payload by EncodePart;
@@ -94,11 +91,23 @@ type runState struct {
 	// GOMAXPROCS, one token each (finalizeStreamPart); nil on the
 	// materializing path.
 	finalizing chan struct{}
+	// reports holds each part's canonical root-side charges, stored by
+	// its finalizing rank and folded in by RunStream after the run; nil
+	// on the materializing path.
+	reports []streamReport
 }
 
-// formatFor resolves a Method to its registered wire format.
+// formatFor resolves a Method to its storage format.
 func formatFor(m Method) (*compress.Format, error) {
-	return compress.FormatByName(m.String())
+	switch m {
+	case CRS:
+		return compress.CRSFormat, nil
+	case CCS:
+		return compress.CCSFormat, nil
+	case JDS:
+		return compress.JDSFormat, nil
+	}
+	return nil, fmt.Errorf("dist: unknown method %v", m)
 }
 
 // setLocal stores a decoded part into the result's per-part slot.
@@ -125,22 +134,18 @@ func (r *Result) allocLocals(p int) {
 	}
 }
 
-// localiseMinor converts an array's global minor indices to part-local
-// ones: contiguous ownership maps subtract the map origin (Cases
-// x.2/x.3 of the paper; a zero origin is Case x.1 and charges nothing),
-// non-contiguous maps convert by search (cyclic partitions).
-func localiseMinor(f *compress.Format, a compress.PartArray, rowMap, colMap []int, ctr *cost.Counter) error {
-	m := colMap
-	if f.MinorIsRow {
-		m = rowMap
+// localiseMinor converts an array's global minor indices to part k's
+// local ones, as minorOffsetAndMap resolves them: a contiguous map
+// subtracts its origin (Cases x.2/x.3 of the paper; a zero origin is
+// Case x.1 and charges nothing), a non-contiguous one converts by
+// search (cyclic partitions).
+func localiseMinor(run *runState, k int, a compress.PartArray, ctr *cost.Counter) error {
+	offset, idxMap := minorOffsetAndMap(run.part, k, run.format)
+	if idxMap != nil {
+		return a.ConvertMinor(idxMap, ctr)
 	}
-	if partition.Contiguous(m) {
-		if len(m) > 0 {
-			f.ShiftMinor(a, m[0], ctr)
-		}
-		return nil
-	}
-	return f.ConvertMinor(a, m, ctr)
+	a.ShiftMinor(offset, ctr)
+	return nil
 }
 
 // rankCounter picks the per-rank counter for work booked to the given

@@ -36,11 +36,11 @@ func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part parti
 		}
 		if partition.Contiguous(m) {
 			if len(m) > 0 {
-				f.ShiftMinor(a, m[0], ctr)
+				a.ShiftMinor(m[0], ctr)
 			}
 			return
 		}
-		if err := f.ConvertMinor(a, m, ctr); err != nil {
+		if err := a.ConvertMinor(m, ctr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,9 +60,9 @@ func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part parti
 		for k := 0; k < p; k++ {
 			rowMap, colMap := part.RowMap(k), part.ColMap(k)
 			a := f.CompressPart(g, rowMap, colMap, &bd.RootComp)
-			buf := f.PackInto(a, nil, &bd.RootDist)
+			buf := a.PackInto(nil, &bd.RootDist)
 			bd.RootDist.AddSend(len(buf))
-			got, err := f.Unpack(buf, len(rowMap), len(colMap), f.HeaderExtra(a), &bd.RankDist[k])
+			got, err := f.Unpack(buf, len(rowMap), len(colMap), a.HeaderExtra(), &bd.RankDist[k])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,50 +157,5 @@ func TestEngineParity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSessionConcurrentDistributions is the tag-collision regression:
-// two different arrays distributed *concurrently* over one machine used
-// to race on the fixed data tag. With allocator-drawn tag ranges both
-// runs must complete, verify, and charge exactly what they charge when
-// run alone. Run under -race this also exercises the inbox's matching.
-func TestSessionConcurrentDistributions(t *testing.T) {
-	const n, p = 40, 4
-	gA := sparse.Uniform(n, n, 0.12, 21)
-	gB := sparse.Uniform(n, n, 0.3, 22)
-	row, err := partition.NewRow(n, n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := partition.NewCol(n, n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans := []Plan{
-		{Codec: ED{}, Global: gA, Partition: row, Options: Options{Method: CRS}},
-		{Codec: CFS{}, Global: gB, Partition: col, Options: Options{Method: CCS}},
-	}
-
-	m := newMachine(t, p)
-	results, err := NewSession(m).DistributeAll(plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(gA, row, results[0]); err != nil {
-		t.Fatalf("plan 0: %v", err)
-	}
-	if err := Verify(gB, col, results[1]); err != nil {
-		t.Fatalf("plan 1: %v", err)
-	}
-
-	// Interleaving must not leak charges across plans: each breakdown
-	// equals a solo run of the same plan on a fresh machine.
-	for i, plan := range plans {
-		solo, err := Run(newMachine(t, p), plan)
-		if err != nil {
-			t.Fatalf("solo plan %d: %v", i, err)
-		}
-		sameBreakdownCounters(t, solo.Breakdown, results[i].Breakdown)
 	}
 }

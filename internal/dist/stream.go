@@ -15,23 +15,24 @@ package dist
 // message they build the codec's canonical payload from them in
 // O(nnz + rows + cols) (Codec.EncodeEntries: two counting sorts for CFS
 // and ED, a dense scatter for SFC), decode it exactly as the
-// materializing path would, and report the canonical root-side charges
-// back on the stats tag. Duplicate coordinates resolve keep-last and
-// explicit zeros erase, exactly like writing the stream into a dense
-// array, and an entry outside the part is an error. Backpressure is
-// credit-based: each frame a receiver consumes returns one credit, and
-// the root blocks once MaxInflight frames are unacknowledged, bounding
-// transport-queue memory too.
+// materializing path would, and store the canonical root-side charges
+// in the part's slot (runState.reports). Duplicate coordinates resolve
+// keep-last and explicit zeros erase, exactly like writing the stream
+// into a dense array, and an entry outside the part is an error.
+// Backpressure is credit-based: each frame a receiver consumes returns
+// one credit, and the root blocks once MaxInflight frames are
+// unacknowledged, bounding transport-queue memory too.
 //
-// Virtual-counter parity. Frames, credits, finalizes and stats are
-// physical transport of the streaming implementation, not part of the
-// paper's model, so they charge nothing. Instead the root merges, per
-// part: the finalize encode's charges into RootComp/RootDist and one
-// AddSend of the canonical payload length into RootDist — exactly what
-// mergePart plus the root's SendBuf charge on the materializing path.
-// Counters are additive sums, so the totals are identical by
-// construction; the parity table test (stream_test.go) asserts it for
-// every scheme × partition × method × transport stack.
+// Virtual-counter parity. Frames, credits and finalizes are physical
+// transport of the streaming implementation, not part of the paper's
+// model, so they charge nothing. Instead RunStream folds in, per part
+// and in part order once the ranks have joined: the finalize encode's
+// charges into RootComp/RootDist and one AddSend of the canonical
+// payload length into RootDist — exactly what mergePart plus the root's
+// SendBuf charge on the materializing path. Counters are additive sums,
+// so the totals are identical by construction; the parity table test
+// (stream_test.go) asserts it for every scheme × partition × method ×
+// transport stack.
 
 import (
 	"fmt"
@@ -108,16 +109,15 @@ const (
 )
 
 // streamTags is the streaming wire layout: part k's frames and
-// finalize on base+k, credits on base+p and stats reports on base+p+1.
+// finalize on base+k, credits on base+p.
 type streamTags struct {
 	base   int
 	credit int
-	stats  int
 }
 
 func planStreamTags(m *machine.Machine, p int) streamTags {
-	base := m.AllocTags(p + 2)
-	return streamTags{base: base, credit: base + p, stats: base + p + 1}
+	base := m.AllocTags(p + 1)
+	return streamTags{base: base, credit: base + p}
 }
 
 // RunStream executes one streaming distribution plan on the machine.
@@ -133,7 +133,7 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	if m == nil || plan.Source == nil || plan.Partition == nil {
 		return nil, fmt.Errorf("dist: RunStream: nil machine, source or partition")
 	}
-	// Frames, credits, finalizes and stats are not the paper's messages,
+	// Frames, credits and finalizes are not the paper's messages,
 	// and no compute charge is mirrored: a replay of what the machine
 	// recorded would not be this distribution.
 	if m.Network() != nil {
@@ -156,7 +156,7 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	// global array, which a streamed run never materializes — the
 	// finalize builds locals from staged entries instead.
 	run := &runState{codec: c, part: plan.Partition, opts: plan.Options, format: f,
-		finalizing: make(chan struct{}, runtime.GOMAXPROCS(0))}
+		finalizing: make(chan struct{}, runtime.GOMAXPROCS(0)), reports: make([]streamReport, p)}
 	loc, err := partition.NewLocator(plan.Partition)
 	if err != nil {
 		return nil, err
@@ -174,6 +174,11 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, rep := range run.reports {
+		bd.RootComp.Add(rep.comp)
+		bd.RootDist.Add(rep.dist)
+		bd.RootDist.AddSend(rep.wire)
 	}
 	return res, nil
 }
@@ -305,7 +310,7 @@ func newStreamRoot(pr *machine.Proc, run *runState, bd *Breakdown, res *Result,
 
 // rootRun is the root's whole streaming protocol: ingest+deliver (wall
 // booked to the distribution phase — this is the root's wire work),
-// finalize its own part, and merge receiver stats.
+// then finalize part 0 exactly as a receiver would.
 func (sr *streamRoot) rootRun() error {
 	start := time.Now()
 	err := sr.distribute()
@@ -313,10 +318,14 @@ func (sr *streamRoot) rootRun() error {
 	if err != nil {
 		return err
 	}
-	if err := sr.finalizeSelf(); err != nil {
+	acc := sr.selfAcc
+	sr.selfAcc = nil // consumed by the finalize; release before decode
+	a, err := finalizeStreamPart(sr.run, sr.bd, 0, acc)
+	if err != nil {
 		return err
 	}
-	return sr.collectStats()
+	sr.res.setLocal(0, a)
+	return nil
 }
 
 // distribute streams the source through the ingester, finalizes every
@@ -398,54 +407,8 @@ func (sr *streamRoot) sendFinalizes() error {
 	return nil
 }
 
-// finalizeSelf finalizes part 0 exactly as a receiver would: build the
-// canonical payload, decode, and merge the canonical charges (plus the
-// synthetic loopback send the materializing path performs for rank 0's
-// part).
-func (sr *streamRoot) finalizeSelf() error {
-	acc := sr.selfAcc
-	sr.selfAcc = nil // consumed by the finalize; release before decode
-	a, rep, err := finalizeStreamPart(sr.run, sr.bd, 0, acc)
-	if err != nil {
-		return err
-	}
-	sr.res.setLocal(0, a)
-	sr.mergeReport(rep)
-	return nil
-}
-
-// mergeReport folds one part's canonical root-side charges into the
-// breakdown — the streaming twin of mergePart plus the root's SendBuf.
-func (sr *streamRoot) mergeReport(rep streamReport) {
-	sr.bd.RootComp.Add(rep.comp)
-	sr.bd.RootDist.Add(rep.dist)
-	sr.bd.RootDist.AddSend(rep.wire)
-}
-
-// collectStats waits for every wire part's canonical charge report.
-func (sr *streamRoot) collectStats() error {
-	seen := make([]bool, sr.p)
-	for want := sr.p - 1; want > 0; want-- {
-		msg, err := sr.pr.RecvFromCtx(sr.run.opts.Ctx, -1, sr.tags.stats)
-		if err != nil {
-			return fmt.Errorf("dist: %s stream stats: %w", sr.run.codec.Name(), err)
-		}
-		k := int(msg.Meta[0])
-		if k < 1 || k >= sr.p || seen[k] || len(msg.Data) != 7 {
-			return fmt.Errorf("dist: %s stream: malformed stats report (part %d, %d fields)", sr.run.codec.Name(), k, len(msg.Data))
-		}
-		seen[k] = true
-		sr.mergeReport(streamReport{
-			comp: cost.Counter{Messages: int64(msg.Data[0]), Elements: int64(msg.Data[1]), Ops: int64(msg.Data[2])},
-			dist: cost.Counter{Messages: int64(msg.Data[3]), Elements: int64(msg.Data[4]), Ops: int64(msg.Data[5])},
-			wire: int(msg.Data[6]),
-		})
-	}
-	return nil
-}
-
-// streamReport is one part's canonical root-side charges, computed at
-// the finalizing rank and merged at the root.
+// streamReport is one part's canonical root-side charges, stored by
+// the finalizing rank in run.reports[k] and folded in by RunStream.
 type streamReport struct {
 	comp, dist cost.Counter
 	wire       int
@@ -466,7 +429,7 @@ type streamReport struct {
 // them than there are Ps only interleave — every one holding its
 // scratch, payload and decoded array together — without finishing
 // sooner. The waiting parts hold nothing but their staging.
-func finalizeStreamPart(run *runState, bd *Breakdown, k int, st *compress.Entries) (compress.PartArray, streamReport, error) {
+func finalizeStreamPart(run *runState, bd *Breakdown, k int, st *compress.Entries) (compress.PartArray, error) {
 	if st == nil {
 		st = compress.NewEntries(run.part.Shape())
 	}
@@ -474,23 +437,20 @@ func finalizeStreamPart(run *runState, bd *Breakdown, k int, st *compress.Entrie
 	defer func() { <-run.finalizing }()
 	pp := &partPayload{k: k}
 	if err := run.codec.EncodeEntries(run, k, st, pp); err != nil {
-		return nil, streamReport{}, fmt.Errorf("dist: %s rank %d stream encode: %w", run.codec.Name(), k, err)
+		return nil, fmt.Errorf("dist: %s rank %d stream encode: %w", run.codec.Name(), k, err)
 	}
 	bd.addRankWall(run.codec.Policy().RootEncode, k, pp.wallComp+pp.wallDist)
-	rep := streamReport{comp: pp.comp, dist: pp.dist, wire: len(pp.buf)}
+	run.reports[k] = streamReport{comp: pp.comp, dist: pp.dist, wire: len(pp.buf)}
 	a, err := decodeTimed(run, bd, k, pp.buf, pp.meta)
 	if pp.pooled {
 		machine.PutBuf(pp.buf)
 	}
-	if err != nil {
-		return nil, streamReport{}, err
-	}
-	return a, rep, nil
+	return a, err
 }
 
 // recvStream is every non-root rank's streaming receive loop: buffer
-// the frames of its own part (crediting each), finalize it on the
-// root's word, and report the canonical charges.
+// the frames of its own part (crediting each) and finalize it on the
+// root's word.
 func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tags streamTags) error {
 	c, k := run.codec, pr.Rank
 	rows, cols := run.part.Shape()
@@ -526,17 +486,9 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 			if frames != int(msg.Meta[1]) {
 				return fmt.Errorf("dist: %s rank %d part %d: finalize expects %d frames, received %d", c.Name(), k, k, msg.Meta[1], frames)
 			}
-			a, rep, err := finalizeStreamPart(run, bd, k, acc)
+			a, err := finalizeStreamPart(run, bd, k, acc)
 			if err != nil {
 				return err
-			}
-			report := []float64{
-				float64(rep.comp.Messages), float64(rep.comp.Elements), float64(rep.comp.Ops),
-				float64(rep.dist.Messages), float64(rep.dist.Elements), float64(rep.dist.Ops),
-				float64(rep.wire),
-			}
-			if err := pr.Send(0, tags.stats, [4]int64{int64(k)}, report, nil); err != nil {
-				return fmt.Errorf("dist: %s rank %d stream stats: %w", c.Name(), k, err)
 			}
 			res.setLocal(k, a)
 			return nil

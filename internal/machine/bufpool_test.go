@@ -17,79 +17,102 @@ func fingerprint(session, round, word int) float64 {
 
 // TestBufPoolOwnershipConcurrentSessions drives the full ownership
 // protocol — GetBuf, fill, SendBuf(pooled), decode, ReleaseMessage —
-// from several concurrent sessions sharing one machine, the way
-// dist.Session.DistributeAll runs concurrent plans. Run under -race:
-// if a release ever handed a live payload back to the pool (released
-// while still in flight, or released twice), the next GetBuf would give
-// two goroutines the same backing array and the detector flags the
-// unsynchronised write/read; the fingerprint check catches the same bug
-// as torn data even without -race.
+// from several concurrent sessions over the process-wide pool, in two
+// layouts: all sessions on one machine, each on its own tag range, and
+// each session on a machine of its own, the way the daemon runs
+// concurrent jobs on pooled machines. Run under -race: if a release
+// ever handed a live payload back to the pool (released while still in
+// flight, or released twice), the next GetBuf would give two goroutines
+// the same backing array and the detector flags the unsynchronised
+// write/read; the fingerprint check catches the same bug as torn data
+// even without -race.
 func TestBufPoolOwnershipConcurrentSessions(t *testing.T) {
 	const (
 		sessions = 6
 		rounds   = 50
 		words    = 64
 	)
-	m, err := New(2, WithRecvTimeout(10*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	var wg sync.WaitGroup
-	errs := make([]error, sessions)
-	for s := 0; s < sessions; s++ {
-		base := m.AllocTags(1)
-		wg.Add(1)
-		go func(s, base int) {
-			defer wg.Done()
-			errs[s] = m.Run(func(p *Proc) error {
-				if p.Rank == 0 {
-					for r := 0; r < rounds; r++ {
-						buf := GetBuf(words)
-						if len(buf) != 0 {
-							return fmt.Errorf("session %d: GetBuf returned len %d, want 0", s, len(buf))
-						}
-						for w := 0; w < words; w++ {
-							buf = append(buf, fingerprint(s, r, w))
-						}
-						// Ownership transfers here; rank 0 must not touch buf again.
-						if err := p.SendBuf(1, base, [4]int64{int64(s), int64(r)}, buf, true, nil); err != nil {
-							return err
-						}
-					}
-					return nil
-				}
+	session := func(m *Machine, s, base int) error {
+		return m.Run(func(p *Proc) error {
+			if p.Rank == 0 {
 				for r := 0; r < rounds; r++ {
-					msg, err := p.RecvFrom(0, base)
-					if err != nil {
+					buf := GetBuf(words)
+					if len(buf) != 0 {
+						return fmt.Errorf("session %d: GetBuf returned len %d, want 0", s, len(buf))
+					}
+					for w := 0; w < words; w++ {
+						buf = append(buf, fingerprint(s, r, w))
+					}
+					// Ownership transfers here; rank 0 must not touch buf again.
+					if err := p.SendBuf(1, base, [4]int64{int64(s), int64(r)}, buf, true, nil); err != nil {
 						return err
-					}
-					if msg.Meta[0] != int64(s) || msg.Meta[1] != int64(r) {
-						return fmt.Errorf("session %d round %d: got frame meta %v", s, r, msg.Meta)
-					}
-					if len(msg.Data) != words {
-						return fmt.Errorf("session %d round %d: payload %d words, want %d", s, r, len(msg.Data), words)
-					}
-					for w, v := range msg.Data {
-						if v != fingerprint(s, r, w) {
-							return fmt.Errorf("session %d round %d word %d: %v (payload recycled while live?)", s, r, w, v)
-						}
-					}
-					ReleaseMessage(&msg)
-					if msg.Data != nil || msg.Pooled {
-						return fmt.Errorf("session %d: ReleaseMessage left Data=%v Pooled=%v", s, msg.Data, msg.Pooled)
 					}
 				}
 				return nil
-			})
-		}(s, base)
+			}
+			for r := 0; r < rounds; r++ {
+				msg, err := p.RecvFrom(0, base)
+				if err != nil {
+					return err
+				}
+				if msg.Meta[0] != int64(s) || msg.Meta[1] != int64(r) {
+					return fmt.Errorf("session %d round %d: got frame meta %v", s, r, msg.Meta)
+				}
+				if len(msg.Data) != words {
+					return fmt.Errorf("session %d round %d: payload %d words, want %d", s, r, len(msg.Data), words)
+				}
+				for w, v := range msg.Data {
+					if v != fingerprint(s, r, w) {
+						return fmt.Errorf("session %d round %d word %d: %v (payload recycled while live?)", s, r, w, v)
+					}
+				}
+				ReleaseMessage(&msg)
+				if msg.Data != nil || msg.Pooled {
+					return fmt.Errorf("session %d: ReleaseMessage left Data=%v Pooled=%v", s, msg.Data, msg.Pooled)
+				}
+			}
+			return nil
+		})
 	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			t.Errorf("session %d: %v", s, err)
+	for _, shared := range []bool{true, false} {
+		name := "machine-per-session"
+		if shared {
+			name = "one-machine"
 		}
+		t.Run(name, func(t *testing.T) {
+			newMachine := func() *Machine {
+				m, err := New(2, WithRecvTimeout(10*time.Second))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { m.Close() })
+				return m
+			}
+			var one *Machine
+			if shared {
+				one = newMachine()
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, sessions)
+			for s := 0; s < sessions; s++ {
+				m := one
+				if m == nil {
+					m = newMachine()
+				}
+				base := m.AllocTags(1)
+				wg.Add(1)
+				go func(s, base int) {
+					defer wg.Done()
+					errs[s] = session(m, s, base)
+				}(s, base)
+			}
+			wg.Wait()
+			for s, err := range errs {
+				if err != nil {
+					t.Errorf("session %d: %v", s, err)
+				}
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // transport, the TCP read loop, a reliability pump — append and never
 // block. A receive takes the oldest message its want matches, so
 // matching is FIFO per (source, tag) and several receivers on one rank
-// (concurrent dist.Session runs on disjoint tag ranges) each find their
+// (say, concurrent runs on disjoint tag ranges) each find their
 // own frames, whichever order they arrive in.
 //
 // A receiver with nothing to take parks a waiter carrying its want. A

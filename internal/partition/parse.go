@@ -52,6 +52,13 @@ func CheckDescriptor(desc string) error {
 	return err
 }
 
+// DescriptorAxes reports which axes a descriptor Parse accepts
+// distributes: rows (cols) is false when that axis is "*".
+func DescriptorAxes(desc string) (rows, cols bool, err error) {
+	rk, _, ck, _, err := parseAxes(desc)
+	return rk != "*", ck != "*", err
+}
+
 // parseAxes is the shape-independent front half of Parse: it splits the
 // descriptor into its row and column axes — kind "*", "block" or
 // "cyclic", with the cyclic block size — and rejects the combinations
