@@ -134,16 +134,14 @@ serve-smoke:
 
 # Auto-tuning smoke: sparsedist -scheme auto picks and reports a plan
 # that survives the differential oracle, then a daemon under loadgen
-# (AUTO rotated with the explicit schemes) must resolve plans, fold
-# predicted-vs-actual observations into the refiner, and settle the
-# /metrics prediction-error gauges below 1.
+# (AUTO rotated with the explicit schemes) must resolve plans and count
+# them in /metrics.
 auto-smoke:
 	./scripts/auto_smoke.sh
 
 # Compute-layer smoke: every op through the CLI with its sequential
 # oracle, then op-carrying jobs through the daemon under loadgen with
-# ops metrics assertions, plus refiner-state persistence across the
-# drain.
+# ops metrics assertions, then a clean SIGTERM drain.
 compute-smoke:
 	./scripts/compute_smoke.sh
 

@@ -64,7 +64,7 @@ func main() {
 	flag.IntVar(&cli.n, "n", 500, "square array size for synthetic input")
 	flag.Float64Var(&cli.ratio, "ratio", 0.1, "sparse ratio s for synthetic input")
 	flag.StringVar(&cli.input, "input", "",
-		"read the array from a file instead of generating: text/Matrix-Market, Harwell-Boeing or binary COO, sniffed; with or without -stream")
+		"read the array from a file instead of generating: text/Matrix-Market or Harwell-Boeing, sniffed; with or without -stream")
 	flag.StringVar(&cli.batch, "batch", "",
 		"comma-separated schemes (e.g. SFC,CFS,ED) each distributed in turn and compared in one table; overrides -scheme")
 	flag.StringVar(&cli.op, "op", "",

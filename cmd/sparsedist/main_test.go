@@ -75,9 +75,8 @@ func TestLoadArrayFormats(t *testing.T) {
 	}
 	want := c.ToDense()
 	writers := map[string]func(io.Writer) error{
-		"text":   func(w io.Writer) error { return sparse.WriteText(w, c) },
-		"hb":     func(w io.Writer) error { return sparse.WriteHB(w, c, "load test", "LOAD") },
-		"binary": func(w io.Writer) error { return sparse.WriteBinary(w, c) },
+		"text": func(w io.Writer) error { return sparse.WriteText(w, c) },
+		"hb":   func(w io.Writer) error { return sparse.WriteHB(w, c, "load test", "LOAD") },
 	}
 	for name, write := range writers {
 		t.Run(name, func(t *testing.T) {

@@ -159,9 +159,8 @@ func tallyResults(cfg loadgenConfig, results []loadgenResult, start time.Time) e
 // assertMetrics scrapes /metrics and checks the counters a healthy run
 // must have moved: all jobs done, plan cache hits observed (the whole
 // point of the cache), machines reused, the array cache holding arrays
-// within its byte budget — and, with -assert-auto, that
-// auto jobs resolved plans, the refiner folded observations in, and the
-// served prediction error converged under the repeated shapes.
+// within its byte budget — and, with -assert-auto, that auto jobs
+// resolved plans.
 func assertMetrics(ctx context.Context, c *client.Client, cfg loadgenConfig) error {
 	m, err := c.Metrics(ctx)
 	if err != nil {
@@ -211,37 +210,17 @@ func arraysWithinBudget(m map[string]float64) error {
 	return nil
 }
 
-// assertAutoMetrics checks the auto-tuning loop closed: jobs resolved,
-// observations folded in, and the per-scheme prediction-error gauges —
-// EWMAs of |served-actual|/actual — settled below 1 (the loadgen's
-// repeated shapes are stationary, so an error that large means the
-// refinement is not being applied).
+// assertAutoMetrics checks that auto jobs resolved plans.
 func assertAutoMetrics(m map[string]float64) error {
-	var autoJobs, observations float64
-	errGauges := 0
+	var autoJobs float64
 	for k, v := range m {
-		switch {
-		case strings.HasPrefix(k, `sparsedistd_auto_jobs_total{`):
+		if strings.HasPrefix(k, `sparsedistd_auto_jobs_total{`) {
 			autoJobs += v
-		case strings.HasPrefix(k, `sparsedistd_auto_observations_total{`):
-			observations += v
-		case strings.HasPrefix(k, `sparsedistd_auto_prediction_error{`):
-			errGauges++
-			if v >= 1 {
-				return fmt.Errorf("auto prediction error gauge %s = %g: refinement is not converging", k, v)
-			}
 		}
 	}
 	if autoJobs < 1 {
 		return fmt.Errorf("no auto jobs resolved (sparsedistd_auto_jobs_total absent)")
 	}
-	if observations < 1 {
-		return fmt.Errorf("refiner folded no observations in (sparsedistd_auto_observations_total absent)")
-	}
-	if errGauges == 0 {
-		return fmt.Errorf("no sparsedistd_auto_prediction_error gauges exposed")
-	}
-	fmt.Printf("loadgen: auto assertions: %g auto jobs, %g observations, %d error gauges all < 1\n",
-		autoJobs, observations, errGauges)
+	fmt.Printf("loadgen: auto assertions: %g auto jobs resolved\n", autoJobs)
 	return nil
 }

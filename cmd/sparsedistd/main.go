@@ -25,7 +25,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -55,10 +54,6 @@ func main() {
 			"bottleneck link bandwidth in payload words/s (0: the cost model's 1/T_Data)")
 		linkLatency = flag.Duration("link-latency", 0,
 			"bottleneck link per-message latency (0: the cost model's T_Startup)")
-		refineAlpha = flag.Float64("refine-alpha", 0,
-			"auto-tuning: EWMA weight of one observed job when refining scheme=auto predictions, in (0, 1] (0: the library default)")
-		refineState = flag.String("refine-state", "",
-			"auto-tuning: persist the refiner's learned corrections to this file on drain and restore them on boot (empty: state dies with the process)")
 
 		loadgen = flag.Bool("loadgen", false, "run as a load generator against -target instead of serving")
 		target  = flag.String("target", "", "daemon base URL for -loadgen (e.g. http://127.0.0.1:8477)")
@@ -71,7 +66,7 @@ func main() {
 		assertM = flag.Bool("assert-metrics", false,
 			"loadgen: after the run, scrape /metrics and fail unless job counters moved, the plan cache hit and the array cache holds arrays within its budget")
 		assertA = flag.Bool("assert-auto", false,
-			"loadgen: fail unless auto jobs resolved plans and the refiner folded observations in (needs AUTO in -schemes)")
+			"loadgen: fail unless auto jobs resolved plans (needs AUTO in -schemes)")
 		assertO = flag.Bool("assert-ops", false,
 			"loadgen: fail unless every job's distributed op executed with the comm-plan cache hitting (needs -op)")
 	)
@@ -80,8 +75,7 @@ func main() {
 	if err := validateFlags(daemonFlags{
 		queue: *queue, workers: *workers, maxN: *maxN, maxProcs: *maxP,
 		topology: *topology, linkBW: *linkBW, linkLatency: *linkLatency,
-		refineAlpha: *refineAlpha,
-		jobs:        *jobs, clients: *clients, schemes: *schemes,
+		jobs: *jobs, clients: *clients, schemes: *schemes,
 		loadgen: *loadgen, assertAuto: *assertA,
 		op: *op, assertOps: *assertO,
 	}); err != nil {
@@ -100,23 +94,13 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		QueueDepth:      *queue,
-		Workers:         *workers,
-		Limits:          server.Limits{MaxN: *maxN, MaxProcs: *maxP},
-		Topology:        *topology,
-		LinkBW:          *linkBW,
-		LinkLatency:     *linkLatency,
-		RefineAlpha:     *refineAlpha,
-		RefineStatePath: *refineState,
+		QueueDepth:  *queue,
+		Workers:     *workers,
+		Limits:      server.Limits{MaxN: *maxN, MaxProcs: *maxP},
+		Topology:    *topology,
+		LinkBW:      *linkBW,
+		LinkLatency: *linkLatency,
 	})
-
-	// Restore learned corrections before the first job can observe:
-	// a corrupt file is fatal here rather than a silent cold start.
-	if *refineState != "" {
-		if err := srv.LoadRefineState(*refineState); err != nil {
-			fatal(err)
-		}
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -179,7 +163,6 @@ type daemonFlags struct {
 	topology       string
 	linkBW         float64
 	linkLatency    time.Duration
-	refineAlpha    float64
 	jobs, clients  int
 	schemes        string
 	loadgen        bool
@@ -209,9 +192,6 @@ func validateFlags(f daemonFlags) error {
 	// is valid, in its words.
 	if err := (core.Config{Topology: f.topology, LinkBW: f.linkBW, LinkLatency: f.linkLatency}).Validate(); err != nil {
 		return err
-	}
-	if f.refineAlpha < 0 || f.refineAlpha > 1 || math.IsNaN(f.refineAlpha) {
-		return fmt.Errorf("-refine-alpha %g: EWMA weight must be in (0, 1], or 0 for the library default", f.refineAlpha)
 	}
 	if f.jobs < 1 {
 		return fmt.Errorf("-jobs %d: need at least one job", f.jobs)

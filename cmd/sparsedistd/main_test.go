@@ -61,11 +61,6 @@ func TestValidateFlags(t *testing.T) {
 		{"link-overrides-without-topology", func(f *flags) { f.linkLatency = time.Millisecond; f.wantErrSub = "without topology" }},
 		{"zero-jobs", func(f *flags) { f.jobs = 0; f.wantErrSub = "-jobs" }},
 		{"zero-clients", func(f *flags) { f.clients = 0; f.wantErrSub = "-clients" }},
-		{"refine-alpha-ok", func(f *flags) { f.refineAlpha = 0.5 }},
-		{"refine-alpha-one", func(f *flags) { f.refineAlpha = 1 }},
-		{"refine-alpha-negative", func(f *flags) { f.refineAlpha = -0.1; f.wantErrSub = "-refine-alpha" }},
-		{"refine-alpha-above-one", func(f *flags) { f.refineAlpha = 1.5; f.wantErrSub = "-refine-alpha" }},
-		{"refine-alpha-nan", func(f *flags) { f.refineAlpha = math.NaN(); f.wantErrSub = "-refine-alpha" }},
 		{"schemes-auto-ok", func(f *flags) { f.schemes = "SFC,auto" }},
 		{"schemes-auto-only", func(f *flags) { f.schemes = "AUTO" }},
 		{"schemes-unknown", func(f *flags) { f.schemes = "SFC,BOGUS"; f.wantErrSub = "-schemes" }},

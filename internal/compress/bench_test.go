@@ -100,11 +100,8 @@ func BenchmarkEncodeED(b *testing.B) {
 func BenchmarkCompressPart(b *testing.B) {
 	g, band := benchArray(), benchBanded()
 	whole := rangeIntsTest(0, band.Rows())
-	for _, name := range FormatNames() {
-		f, err := FormatByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, f := range testFormats {
+		name := f.Name
 		run := func(label string, g *sparse.Dense, rowMap, colMap []int) {
 			b.Run(label+"/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -153,10 +150,7 @@ func BenchmarkConvertCols(b *testing.B) {
 	for j := 1; j < benchN; j += 4 {
 		strided = append(strided, j)
 	}
-	crs, err := FormatByName("CRS")
-	if err != nil {
-		b.Fatal(err)
-	}
+	crs := CRSFormat
 	for _, c := range []struct {
 		name   string
 		colMap []int

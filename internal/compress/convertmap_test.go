@@ -143,11 +143,8 @@ func TestEncodeEDPartMatchesRect(t *testing.T) {
 // same charge.
 func TestCompressRectMatchesPartGlobal(t *testing.T) {
 	g, rects := blockCases()
-	for _, name := range FormatNames() {
-		f, err := FormatByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range testFormats {
+		name := f.Name
 		for _, rc := range rects {
 			r0, c0, nr, nc := rc[0], rc[1], rc[2], rc[3]
 			rowMap, colMap := rangeIntsTest(r0, r0+nr), rangeIntsTest(c0, c0+nc)

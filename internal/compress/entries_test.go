@@ -87,8 +87,8 @@ func TestPartEntriesMatchAccessorForms(t *testing.T) {
 				t.Errorf("%s/%s: staging not consumed: %d entries left", pt.name, major, st.Len())
 			}
 		}
-		for _, name := range FormatNames() {
-			f, _ := FormatByName(name)
+		for _, f := range testFormats {
+			name := f.Name
 			var want, got cost.Counter
 			wa := compressPartGlobal(f, d.At, pt.rowMap, pt.colMap, &want)
 			ga, err := f.CompressPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, &got)

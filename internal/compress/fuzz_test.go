@@ -101,11 +101,7 @@ func FuzzDecodePartCFS(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, r16, c16, extra16 int16) {
 		buf := wordsFromBytes(raw)
 		rows, cols := fuzzShape(r16, c16)
-		for _, name := range FormatNames() {
-			fm, err := FormatByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, fm := range testFormats {
 			var ctr cost.Counter
 			a, err := fm.Unpack(buf, rows, cols, int64(extra16), &ctr)
 			if err != nil {
@@ -278,11 +274,8 @@ func FuzzDecodePartED(f *testing.F) {
 			idxMap[i] = 2 * i
 		}
 		diffDecodeEDAll(t, buf, rows, cols, int(off16), idxMap)
-		for _, name := range FormatNames() {
-			fm, err := FormatByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, fm := range testFormats {
+			name := fm.Name
 			for _, m := range [][]int{nil, idxMap} {
 				var ctr cost.Counter
 				a, err := fm.DecodeED(buf, rows, cols, int(off16), m, &ctr)

@@ -62,7 +62,7 @@ func TestUnpackJDSErrors(t *testing.T) {
 
 func TestJDSShiftAndConvert(t *testing.T) {
 	local := CompressJDS(sparse.PaperFigure1().SubMatrix(0, 4, 10, 4), nil)
-	f, _ := FormatByName("JDS")
+	f := JDSFormat
 	global := f.CompressPart(sparse.PaperFigure1(), rangeIntsTest(0, 10), rangeIntsTest(4, 8), nil).(*JDS)
 	var ctr cost.Counter
 	global.ShiftCols(4, &ctr)
@@ -95,7 +95,7 @@ func TestJDSShiftAndConvert(t *testing.T) {
 
 func TestCompressJDSPartGlobalMatchesDirect(t *testing.T) {
 	g := sparse.PaperFigure1()
-	f, _ := FormatByName("JDS")
+	f := JDSFormat
 	var ctr cost.Counter
 	got := f.CompressPart(g, rangeIntsTest(0, 3), rangeIntsTest(0, 8), &ctr).(*JDS)
 	got.ShiftCols(0, nil) // row partition: already local

@@ -172,11 +172,8 @@ func FuzzEncodePart(f *testing.F) {
 				}
 			}
 		}
-		for _, name := range FormatNames() {
-			fm, err := FormatByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, fm := range testFormats {
+			name := fm.Name
 			var got, want cost.Counter
 			a := fm.CompressPart(g, rowMap, colMap, &got)
 			ref := compressPartGlobal(fm, g.At, rowMap, colMap, &want)

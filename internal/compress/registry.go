@@ -1,8 +1,6 @@
 package compress
 
 import (
-	"fmt"
-
 	"repro/internal/cost"
 	"repro/internal/sparse"
 )
@@ -84,28 +82,6 @@ var (
 	CCSFormat = &Format{Name: "CCS", Major: ColMajor, MinorIsRow: true}
 	JDSFormat = &Format{Name: "JDS", Major: RowMajor}
 )
-
-// formats lists the storage formats in name order.
-var formats = []*Format{CCSFormat, CRSFormat, JDSFormat}
-
-// FormatByName looks up a storage format.
-func FormatByName(name string) (*Format, error) {
-	for _, f := range formats {
-		if f.Name == name {
-			return f, nil
-		}
-	}
-	return nil, fmt.Errorf("compress: unknown storage format %q (have %v)", name, FormatNames())
-}
-
-// FormatNames lists the storage formats in sorted order.
-func FormatNames() []string {
-	names := make([]string, len(formats))
-	for i, f := range formats {
-		names[i] = f.Name
-	}
-	return names
-}
 
 // CompressDense compresses a dense local array (SFC's receiver-side
 // compression phase).

@@ -7,6 +7,9 @@ import (
 	"repro/internal/sparse"
 )
 
+// testFormats are the storage formats the per-format tests range over.
+var testFormats = []*Format{CRSFormat, CCSFormat, JDSFormat}
+
 func registryFixture(t *testing.T) *sparse.Dense {
 	t.Helper()
 	d, err := sparse.DenseFromSlice(4, 5, []float64{
@@ -29,11 +32,8 @@ func TestFormatRegistryRoundTrip(t *testing.T) {
 	d := registryFixture(t)
 	rowMap := []int{1, 2, 3}
 	colMap := []int{0, 2, 4} // non-contiguous: exercises ConvertMinor
-	for _, name := range FormatNames() {
-		f, err := FormatByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range testFormats {
+		name := f.Name
 		var comp, dist cost.Counter
 		a := f.CompressPart(d, rowMap, colMap, &comp)
 		cap := a.WireCap()
@@ -68,11 +68,8 @@ func TestFormatRegistryDecodeED(t *testing.T) {
 	d := registryFixture(t)
 	rowMap := []int{0, 1, 2, 3}
 	colMap := []int{1, 2, 3, 4}
-	for _, name := range FormatNames() {
-		f, err := FormatByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range testFormats {
+		name := f.Name
 		var ectr cost.Counter
 		buf := EncodeED(d, rowMap, colMap, f.Major, nil, &ectr)
 		rows, cols := len(rowMap), len(colMap)
@@ -108,22 +105,6 @@ func TestFormatRegistryDecodeED(t *testing.T) {
 			if got.NNZ() != want {
 				t.Errorf("%s map=%v: decoded %d nonzeros, want %d", name, useMap, got.NNZ(), want)
 			}
-		}
-	}
-}
-
-func TestFormatByNameUnknown(t *testing.T) {
-	if _, err := FormatByName("COO"); err == nil {
-		t.Fatal("expected error for unregistered format")
-	}
-	names := FormatNames()
-	want := []string{"CCS", "CRS", "JDS"}
-	if len(names) != len(want) {
-		t.Fatalf("registered formats %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("registered formats %v, want %v", names, want)
 		}
 	}
 }

@@ -73,15 +73,14 @@ func AutoSelectOptions(cfg Config) (costmodel.SelectOptions, error) {
 }
 
 // ResolveAutoStats resolves a scheme=auto config against already
-// measured statistics, applying the optional adjust hook (a serving
-// layer's online refiner). The returned config is concrete — Scheme,
-// Partition and Method all set — and ready for withDefaults.
-func ResolveAutoStats(st costmodel.ArrayStats, cfg Config, adjust func(string, costmodel.Estimate) costmodel.Estimate) (Config, *AutoChoice, error) {
+// measured statistics. It is a pure function of its arguments. The
+// returned config is concrete — Scheme, Partition and Method all set —
+// and ready for withDefaults.
+func ResolveAutoStats(st costmodel.ArrayStats, cfg Config) (Config, *AutoChoice, error) {
 	opts, err := AutoSelectOptions(cfg)
 	if err != nil {
 		return Config{}, nil, err
 	}
-	opts.Adjust = adjust
 	choice, err := costmodel.Select(st, opts)
 	if err != nil {
 		return Config{}, nil, fmt.Errorf("core: auto selection: %w", err)
@@ -114,5 +113,5 @@ func ResolveAutoStats(st costmodel.ArrayStats, cfg Config, adjust func(string, c
 // ResolveAuto measures g and resolves a scheme=auto config to the
 // model-predicted best concrete config.
 func ResolveAuto(g *sparse.Dense, cfg Config) (Config, *AutoChoice, error) {
-	return ResolveAutoStats(costmodel.MeasureStats(g), cfg, nil)
+	return ResolveAutoStats(costmodel.MeasureStats(g), cfg)
 }

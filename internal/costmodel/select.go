@@ -87,12 +87,6 @@ type SelectOptions struct {
 	// closed-form workload through the discrete-event simulator instead
 	// of the flat model. Topology.Ranks() must equal Procs.
 	Topology *simnet.Topology
-	// Adjust, when non-nil, rescales each candidate's estimate just
-	// before ranking — the hook the daemon's online refiner uses to
-	// fold observed prediction error back into selection. It must be
-	// a pure function of its arguments for Select to stay
-	// deterministic.
-	Adjust func(scheme string, e Estimate) Estimate
 }
 
 // Candidate is one ranked (scheme, kind, method) point.
@@ -109,7 +103,7 @@ type Choice struct {
 	Kind    PartitionKind
 	Method  Method
 	Workers int // suggested root encode workers; 0 = engine default
-	// Predicted is the winner's estimate (after Adjust).
+	// Predicted is the winner's estimate.
 	Predicted Estimate
 	// Ranked lists every candidate in enumeration order (not sorted),
 	// so callers can audit how close the decision was.
@@ -173,9 +167,6 @@ func Select(st ArrayStats, opts SelectOptions) (Choice, error) {
 				est, err := estimateFor(scheme, in, opts)
 				if err != nil {
 					return Choice{}, err
-				}
-				if opts.Adjust != nil {
-					est = opts.Adjust(scheme, est)
 				}
 				cand := Candidate{Scheme: scheme, Kind: kind, Method: method, Estimate: est}
 				choice.Ranked = append(choice.Ranked, cand)

@@ -141,33 +141,6 @@ func TestSelectPinning(t *testing.T) {
 	}
 }
 
-func TestSelectAdjustMovesWinner(t *testing.T) {
-	g := sparse.Uniform(100, 100, 0.1, 1)
-	st := MeasureStats(g)
-	kind := RowPart
-	method := CRS
-	opts := SelectOptions{Procs: 4, Kind: &kind, Method: &method}
-	base, err := Select(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Penalise the baseline winner enormously; the choice must move.
-	loser := base.Scheme
-	opts.Adjust = func(scheme string, e Estimate) Estimate {
-		if scheme == loser {
-			return Estimate{Distribution: e.Distribution * 1000, Compression: e.Compression * 1000}
-		}
-		return e
-	}
-	moved, err := Select(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved.Scheme == loser {
-		t.Errorf("winner stayed %s despite 1000x penalty", loser)
-	}
-}
-
 func TestSelectTopologyMismatch(t *testing.T) {
 	top, err := simnet.Build("star", 8, cost.DefaultParams, 0, 0)
 	if err != nil {

@@ -20,7 +20,7 @@ import (
 // paper books it.
 func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part partition.Partition, method Method) *Breakdown {
 	t.Helper()
-	f, err := compress.FormatByName(method.String())
+	f, err := formatFor(method)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 package server
 
 // White-box auto-tuning tests: plan-cache array identity, idempotent
-// dedup of auto retries, concurrent submit + refine (run under -race in
-// CI), and the online-refinement loop shrinking the served prediction
-// error.
+// dedup of auto retries, the resolved plan's independence from the
+// jobs served before it (run under -race in CI), and the prediction
+// error read against the clock that priced it.
 
 import (
 	"encoding/json"
@@ -176,111 +176,122 @@ func TestAutoValidation(t *testing.T) {
 	}
 }
 
-// TestAutoConcurrentSubmitRefine floods the pool with auto jobs over
-// distinct arrays while scraping /metrics: selection reads the refiner
-// as finished jobs write it. CI runs this under -race; any unsynchronised
-// access between Select's Adjust hook and recordAuto's Observe fails it.
-func TestAutoConcurrentSubmitRefine(t *testing.T) {
-	s := New(Config{QueueDepth: 64, Workers: 4})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	defer s.Close()
+// autoProbeSpec is a spec whose flat-clock and replayed costs differ
+// on a mesh (1.878 ms replayed, 2.504 ms flat): a selection that
+// learned from the flat clock would drift off its first pick.
+const autoProbeSpec = `{"n":160,"ratio":0.1,"scheme":"auto","procs":4,"partition":"row","seed":3,"workers":1}`
 
-	const clients, each = 4, 6
-	ids := make(chan string, clients*each)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				body := fmt.Sprintf(`{"n":40,"scheme":"auto","procs":4,"seed":%d}`, c*each+i+1)
-				resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
-				if err != nil {
-					t.Errorf("POST: %v", err)
-					return
+// TestAutoPureAcrossHistory pins scheme=auto as a pure function of the
+// array and the config: a server that has already served 50 auto jobs
+// resolves the probe spec to the same plan as a fresh one, with and
+// without a network model. The 50 jobs arrive from concurrent clients
+// while /metrics is scraped, so under -race it also checks the auto
+// path shares no unsynchronised state between workers.
+func TestAutoPureAcrossHistory(t *testing.T) {
+	for _, topology := range []string{"", "mesh"} {
+		t.Run("topology="+topology, func(t *testing.T) {
+			cfg := Config{QueueDepth: 64, Workers: 4, Topology: topology}
+			fresh := New(cfg)
+			fts := httptest.NewServer(fresh)
+			defer fts.Close()
+			defer fresh.Close()
+			want := mustJobDone(t, fts, decodeID(t, postJob(t, fts, autoProbeSpec)))
+			if !want.Auto || want.ChosenScheme == "" {
+				t.Fatalf("fresh server resolved no plan: %+v", want)
+			}
+
+			s := New(cfg)
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+			defer s.Close()
+			const clients, each = 5, 10
+			ids := make(chan string, clients*each)
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(autoProbeSpec))
+						if err != nil {
+							t.Errorf("POST: %v", err)
+							return
+						}
+						ids <- decodeID(t, resp)
+					}
+				}()
+			}
+			stop := make(chan struct{})
+			var scrapeWG sync.WaitGroup
+			scrapeWG.Add(1)
+			go func() {
+				defer scrapeWG.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						scrape(t, ts)
+						time.Sleep(time.Millisecond)
+					}
 				}
-				ids <- decodeID(t, resp)
+			}()
+			wg.Wait()
+			close(ids)
+			var served []*JobResult
+			for id := range ids {
+				served = append(served, mustJobDone(t, ts, id))
 			}
-		}(c)
-	}
-	stop := make(chan struct{})
-	var scrapeWG sync.WaitGroup
-	scrapeWG.Add(1)
-	go func() {
-		defer scrapeWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				scrape(t, ts)
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-	wg.Wait()
-	close(ids)
-	for id := range ids {
-		mustJobDone(t, ts, id)
-	}
-	close(stop)
-	scrapeWG.Wait()
+			close(stop)
+			scrapeWG.Wait()
+			served = append(served, mustJobDone(t, ts, decodeID(t, postJob(t, ts, autoProbeSpec))))
 
-	m := scrape(t, ts)
-	var autoJobs float64
-	for k, v := range m {
-		if strings.HasPrefix(k, "sparsedistd_auto_jobs_total{") {
-			autoJobs += v
-		}
-	}
-	if autoJobs != clients*each {
-		t.Errorf("auto jobs counter sums to %g, want %d", autoJobs, clients*each)
+			plan := func(r *JobResult) string {
+				return fmt.Sprintf("%s/%s/%s/%d", r.ChosenScheme, r.ChosenPartition, r.ChosenMethod, r.ChosenWorkers)
+			}
+			for i, r := range served {
+				if plan(r) != plan(want) {
+					t.Errorf("job %d of %d resolved %s, a fresh server %s", i+1, len(served), plan(r), plan(want))
+				}
+			}
+			var autoJobs float64
+			for k, v := range scrape(t, ts) {
+				if strings.HasPrefix(k, "sparsedistd_auto_jobs_total{") {
+					autoJobs += v
+				}
+			}
+			if autoJobs != clients*each+1 {
+				t.Errorf("auto jobs counter sums to %g, want %d", autoJobs, clients*each+1)
+			}
+		})
 	}
 }
 
-// TestAutoPredictionErrorShrinks is the refinement loop's acceptance
-// test: serving the same auto job repeatedly, the reported prediction
-// error (served vs actual virtual time) must decay — the EWMA folds the
-// observed ratio back into the next prediction.
-func TestAutoPredictionErrorShrinks(t *testing.T) {
-	s := New(Config{QueueDepth: 8, Workers: 1})
+// TestAutoPredictionErrorMesh reads the prediction against the clock
+// that priced it: under a network model the job's own replay, not the
+// flat virtual phases. An op job whose distribution came from the
+// op-plan cache replayed only its op, so it reports no error.
+func TestAutoPredictionErrorMesh(t *testing.T) {
+	s := New(Config{QueueDepth: 8, Workers: 1, Topology: "mesh"})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	defer s.Close()
 
-	spec := `{"n":64,"scheme":"auto","procs":4,"seed":2,"workers":1}`
-	const rounds = 25
-	errs := make([]float64, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		res := mustJobDone(t, ts, decodeID(t, postJob(t, ts, spec)))
-		errs = append(errs, res.PredictionError)
+	first := mustJobDone(t, ts, decodeID(t, postJob(t, ts, autoProbeSpec)))
+	if first.NetDistribution == 0 {
+		t.Fatal("mesh-topology job reported no replay")
 	}
-	first, last := errs[0], errs[rounds-1]
-	if last > 0.02 && last >= first {
-		t.Errorf("prediction error did not shrink: first %g, last %g (%v)", first, last, errs)
+	if first.PredictionError > 0.03 {
+		t.Errorf("first auto job on a mesh: prediction_error %g, want <= 0.03", first.PredictionError)
 	}
 
-	m := scrape(t, ts)
-	found := false
-	for k, v := range m {
-		if strings.HasPrefix(k, "sparsedistd_auto_prediction_error{") {
-			found = true
-			if v > 1 {
-				t.Errorf("gauge %s = %g after %d stationary rounds", k, v, rounds)
-			}
-		}
+	op := strings.Replace(autoProbeSpec, `"workers":1`, `"workers":1,"op":"spmv"`, 1)
+	miss := mustJobDone(t, ts, decodeID(t, postJob(t, ts, op)))
+	if miss.OpPlanCacheHit || miss.PredictionError > 0.03 {
+		t.Errorf("op job on a cache miss: hit %t, prediction_error %g, want a miss within 0.03", miss.OpPlanCacheHit, miss.PredictionError)
 	}
-	if !found {
-		t.Error("/metrics exposes no sparsedistd_auto_prediction_error gauge")
-	}
-	obs := false
-	for k, v := range m {
-		if strings.HasPrefix(k, "sparsedistd_auto_observations_total{") && v > 0 {
-			obs = true
-		}
-	}
-	if !obs {
-		t.Error("/metrics exposes no refiner observations")
+	hit := mustJobDone(t, ts, decodeID(t, postJob(t, ts, op)))
+	if !hit.OpPlanCacheHit || hit.PredictionError != 0 {
+		t.Errorf("op job on a cache hit: hit %t, prediction_error %g, want a hit with no error", hit.OpPlanCacheHit, hit.PredictionError)
 	}
 }

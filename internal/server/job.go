@@ -24,9 +24,9 @@ type JobSpec struct {
 
 	// Scheme is SFC, CFS or ED (default ED), or "auto" to let the server
 	// pick the plan from the array's measured statistics with the cost
-	// model, refined online from observed phase times. Auto jobs must
-	// leave Method empty (the model picks it; Partition may still pin a
-	// partition). The job dedups on the literal "auto" spec; the
+	// model: a pure function of the array and the server's config. Auto
+	// jobs must leave Method empty (the model picks it; Partition may
+	// still pin a partition). The job dedups on the literal "auto" spec; the
 	// resolved plan comes back in the result's chosen_* fields.
 	Scheme string `json:"scheme,omitempty"`
 	// Partition is row, col, mesh, cyclic-row, cyclic-col, brs,
@@ -222,7 +222,8 @@ type JobResult struct {
 
 	// Auto-tuning provenance (JobSpec.Scheme "auto"): the plan the cost
 	// model chose and what it predicted, to be read against the actual
-	// virtual phase times in Phases.
+	// virtual phase times in Phases, or under a topology against the
+	// Net* replay.
 	Auto                  bool          `json:"auto,omitempty"`
 	ChosenScheme          string        `json:"chosen_scheme,omitempty"`
 	ChosenPartition       string        `json:"chosen_partition,omitempty"`
@@ -231,8 +232,10 @@ type JobResult struct {
 	PredictedDistribution time.Duration `json:"predicted_distribution_ns,omitempty"`
 	PredictedCompression  time.Duration `json:"predicted_compression_ns,omitempty"`
 	// PredictionError is |predicted - actual| / actual over the total
-	// virtual time of this run (prediction as served, i.e. after the
-	// refiner's correction).
+	// time of this run, on the clock the prediction was priced on: the
+	// flat virtual phases, or under a topology the job's replay of its
+	// distribution. Unset on an op job that reused its distribution,
+	// which replayed only its op.
 	PredictionError float64 `json:"prediction_error,omitempty"`
 
 	// Distributed-op results (JobSpec.Op): what the halo-exchange

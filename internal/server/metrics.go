@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/calibrate"
 )
 
 // Hand-rolled metrics in the Prometheus text exposition format — no
@@ -134,9 +132,6 @@ type gauges struct {
 	workers       int
 	poolIdle      int
 	draining      bool
-	// auto is the refiner's per-scheme snapshot (already sorted by
-	// scheme), sampled at scrape time.
-	auto []calibrate.RefineSchemeStats
 	// The server's caches, sampled at scrape time.
 	arrays, stats, plans, opPlans cacheSnapshot
 }
@@ -228,22 +223,6 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		fmt.Fprintf(w, "# HELP sparsedistd_auto_jobs_total Auto-tuned jobs by the scheme the cost model resolved.\n# TYPE sparsedistd_auto_jobs_total counter\n")
 		for i, sc := range autoSchemes {
 			fmt.Fprintf(w, "sparsedistd_auto_jobs_total{scheme=%q} %d\n", sc, autoCounts[i])
-		}
-	}
-	if len(g.auto) > 0 {
-		fmt.Fprintf(w, "# HELP sparsedistd_auto_prediction_error EWMA relative error of the served auto predictions, per scheme and phase.\n# TYPE sparsedistd_auto_prediction_error gauge\n")
-		for _, st := range g.auto {
-			fmt.Fprintf(w, "sparsedistd_auto_prediction_error{scheme=%q,phase=\"distribution\"} %g\n", st.Scheme, st.ErrDist)
-			fmt.Fprintf(w, "sparsedistd_auto_prediction_error{scheme=%q,phase=\"compression\"} %g\n", st.Scheme, st.ErrComp)
-		}
-		fmt.Fprintf(w, "# HELP sparsedistd_auto_scale Current multiplicative correction the refiner applies to raw model estimates.\n# TYPE sparsedistd_auto_scale gauge\n")
-		for _, st := range g.auto {
-			fmt.Fprintf(w, "sparsedistd_auto_scale{scheme=%q,phase=\"distribution\"} %g\n", st.Scheme, st.ScaleDist)
-			fmt.Fprintf(w, "sparsedistd_auto_scale{scheme=%q,phase=\"compression\"} %g\n", st.Scheme, st.ScaleComp)
-		}
-		fmt.Fprintf(w, "# HELP sparsedistd_auto_observations_total Predicted-vs-actual observations folded into the refiner, per scheme.\n# TYPE sparsedistd_auto_observations_total counter\n")
-		for _, st := range g.auto {
-			fmt.Fprintf(w, "sparsedistd_auto_observations_total{scheme=%q} %d\n", st.Scheme, st.Observations)
 		}
 	}
 

@@ -49,8 +49,7 @@ func countsOf(r *JobResult) jobCounts {
 
 // oracleCounts distributes the spec's array with core.Distribute on a
 // fresh machine and runs the spec's op there. An auto job is replayed
-// on the plan its result reports (got, when non-nil), because which
-// plan auto picks depends on the serving node's refiner.
+// on the plan its result reports (got, when non-nil).
 func oracleCounts(spec JobSpec, node Config, got *JobResult) (jobCounts, error) {
 	g := specArrayKey(spec).generate()
 	cfg := spec.config(node)

@@ -25,12 +25,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/calibrate"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/costmodel"
 	"repro/internal/dist"
 	"repro/internal/machine"
+	"repro/internal/simnet"
 	"repro/internal/sparse"
 	"repro/internal/spops"
 	"repro/internal/trace"
@@ -75,17 +75,6 @@ type Config struct {
 	// LinkLatency overrides the bottleneck links' per-message latency
 	// (0: the cost model's T_Startup).
 	LinkLatency time.Duration
-	// RefineAlpha is the EWMA weight of one observation in the auto-
-	// tuning refiner: each served scheme=auto job folds its
-	// actual-vs-predicted phase ratio into future predictions with this
-	// weight (0 or out of (0, 1]: calibrate.DefaultRefineAlpha).
-	RefineAlpha float64
-	// RefineStatePath, when set, persists the refiner's learned
-	// corrections across restarts: Drain atomically writes the EWMA
-	// state there (temp file + rename) after the last worker exits.
-	// Load it at boot with LoadRefineState — the daemon wires both
-	// ends to its -refine-state flag.
-	RefineStatePath string
 }
 
 func (c Config) withDefaults() Config {
@@ -126,7 +115,6 @@ type Server struct {
 	arrays  *cache[arrayKey, *sparse.Dense]
 	stats   *cache[arrayKey, costmodel.ArrayStats]
 	opPlans *cache[planKey, *spops.CommPlan]
-	refiner *calibrate.Refiner
 	pool    *machinePool
 
 	mu       sync.Mutex
@@ -159,7 +147,6 @@ func newServer(cfg Config) *Server {
 		arrays:  newCache[arrayKey](arrayCacheBytes, denseBytes),
 		stats:   newCache[arrayKey](statsCacheCap, one[costmodel.ArrayStats]),
 		opPlans: newCache[planKey](opPlanCacheBytes, commPlanBytes),
-		refiner: calibrate.NewRefiner(cfg.RefineAlpha),
 		jobs:    make(map[string]*job),
 		dedup:   make(map[string]string),
 		queue:   make(chan *job, cfg.QueueDepth),
@@ -209,27 +196,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 		s.pool.close()
-		// Every worker has exited, so the refiner is quiescent: this
-		// is the one moment the EWMA state can be snapshotted without
-		// racing an Observe.
-		if s.cfg.RefineStatePath != "" {
-			if err := s.refiner.Save(s.cfg.RefineStatePath); err != nil {
-				return fmt.Errorf("server: persist refine state: %w", err)
-			}
-		}
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("server: drain interrupted: %w", ctx.Err())
 	}
-}
-
-// LoadRefineState restores refiner corrections saved by a previous
-// run's Drain (see Config.RefineStatePath). A missing file is a cold
-// start, not an error; a corrupt file is an error so a bad state
-// never silently degrades predictions. Call it at boot, before
-// serving traffic.
-func (s *Server) LoadRefineState(path string) error {
-	return s.refiner.Load(path)
 }
 
 // Close force-stops: every pending job is cancelled, then the drain
@@ -314,12 +284,12 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 	g, arrayHit := s.arrayFor(spec)
 	// scheme=auto resolves here, in the worker: the spec deduped on the
 	// literal "AUTO", and only the worker knows the array's measured
-	// statistics and the refiner's corrections.
+	// statistics.
 	cfg := spec.config(s.cfg)
 	var auto *core.AutoChoice
 	if core.IsAutoScheme(cfg.Scheme) {
 		var err error
-		cfg, auto, err = core.ResolveAutoStats(s.statsFor(spec, g), cfg, s.refiner.Adjust)
+		cfg, auto, err = core.ResolveAutoStats(s.statsFor(spec, g), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("auto plan selection: %w", err)
 		}
@@ -345,7 +315,7 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 	out := s.newJobResult(res, pl, planHit, !reused)
 	out.Rows, out.Cols, out.NNZ, out.ArrayCacheHit = g.Rows(), g.Cols(), res.NNZ(), arrayHit
 	if auto != nil {
-		s.recordAuto(out, auto)
+		recordAuto(out, auto, m.Network(), reused)
 	}
 	// The compute op runs on the same pooled machine while it is still
 	// held, before the network timing snapshot, so the op's halo traffic
@@ -386,9 +356,13 @@ func (s *Server) newJobResult(res *dist.Result, pl *plan, planHit, distributed b
 	}
 }
 
-// recordAuto pins the chosen plan and its prediction into the result
-// and folds the observed virtual phase times back into the refiner.
-func (s *Server) recordAuto(out *JobResult, auto *core.AutoChoice) {
+// recordAuto pins the chosen plan and its prediction into the result,
+// with the prediction's error against the clock that priced it: the
+// flat virtual phases, or under a network model the job's own replay
+// of its distribution. A reused distribution was not replayed (the
+// recording holds the op alone), so its error stays unset. It runs
+// before the op records anything, so the replay is the distribution's.
+func recordAuto(out *JobResult, auto *core.AutoChoice, net *simnet.Network, reused bool) {
 	out.Auto = true
 	out.ChosenScheme = auto.Scheme
 	out.ChosenPartition = auto.Partition
@@ -396,15 +370,21 @@ func (s *Server) recordAuto(out *JobResult, auto *core.AutoChoice) {
 	out.ChosenWorkers = auto.Workers
 	out.PredictedDistribution = auto.Predicted.Distribution
 	out.PredictedCompression = auto.Predicted.Compression
-	actual := costmodel.Estimate{Distribution: out.Phases[0].Virtual, Compression: out.Phases[1].Virtual}
-	if actual.Total() > 0 {
-		diff := auto.Predicted.Total() - actual.Total()
+	actual := out.Phases[0].Virtual + out.Phases[1].Virtual
+	if net != nil {
+		if reused {
+			return
+		}
+		pb := net.Finalize().PaperBreakdown()
+		actual = pb.Distribution + pb.Compression
+	}
+	if actual > 0 {
+		diff := auto.Predicted.Total() - actual
 		if diff < 0 {
 			diff = -diff
 		}
-		out.PredictionError = float64(diff) / float64(actual.Total())
+		out.PredictionError = float64(diff) / float64(actual)
 	}
-	s.refiner.Observe(auto.Scheme, auto.Predicted, actual)
 }
 
 // attachMachineReport copies what the pooled machine recorded of the
@@ -604,7 +584,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		workers:       s.cfg.Workers,
 		poolIdle:      s.pool.idleCount(),
 		draining:      draining,
-		auto:          s.refiner.Stats(),
 		arrays:        s.arrays.snapshot("arrays"),
 		stats:         s.stats.snapshot("stats"),
 		plans:         s.plans.snapshot("plans"),

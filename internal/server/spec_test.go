@@ -157,7 +157,7 @@ func FuzzJobSpec(f *testing.F) {
 		cfg := d.config(Config{})
 		g := sparse.UniformExact(d.N, d.N, d.Ratio, d.Seed)
 		if core.IsAutoScheme(cfg.Scheme) {
-			if cfg, _, err = core.ResolveAutoStats(costmodel.MeasureStats(g), cfg, nil); err != nil {
+			if cfg, _, err = core.ResolveAutoStats(costmodel.MeasureStats(g), cfg); err != nil {
 				t.Fatalf("accepted auto spec %+v does not resolve: %v", d, err)
 			}
 		}

@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -269,9 +268,9 @@ func gcd(a, b uint64) uint64 {
 	return a
 }
 
-// OpenStream opens path as a ChunkReader, sniffing the format: the
-// binary COO magic, then a "%%" banner (text coordinate/Matrix-Market),
-// and otherwise Harwell-Boeing. The caller owns closing the returned
+// OpenStream opens path as a ChunkReader, sniffing the format: a "%%"
+// banner is text coordinate/Matrix-Market, anything else
+// Harwell-Boeing. The caller owns closing the returned
 // io.Closer (the underlying file).
 func OpenStream(path string, chunkEntries int) (ChunkReader, io.Closer, error) {
 	f, err := os.Open(path)
@@ -286,30 +285,25 @@ func OpenStream(path string, chunkEntries int) (ChunkReader, io.Closer, error) {
 	return r, f, nil
 }
 
-// seekerAt is what the three parsers need of a file between them:
-// TextStream and BinaryStream rewind by seeking, HBStream reads its
-// index and value sections through two cursors at once.
+// seekerAt is what the two parsers need of a file between them:
+// TextStream rewinds by seeking, HBStream reads its index and value
+// sections through two cursors at once.
 type seekerAt interface {
 	io.ReadSeeker
 	io.ReaderAt
 }
 
 // sniffStream picks the parser for src by its first bytes; it is
-// OpenStream without the file, so arbitrary bytes can be aimed at all
-// three parsers (FuzzOpenStream).
+// OpenStream without the file, so arbitrary bytes can be aimed at both
+// parsers (FuzzOpenStream).
 func sniffStream(src seekerAt, chunkEntries int) (ChunkReader, error) {
-	head := make([]byte, len(binaryMagic))
+	head := make([]byte, 2)
 	n, err := src.ReadAt(head, 0)
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("sparse: sniffing format: %w", err)
 	}
-	head = head[:n]
-	switch {
-	case bytes.Equal(head, []byte(binaryMagic)):
-		return NewBinaryStream(src, chunkEntries)
-	case bytes.HasPrefix(head, []byte("%%")):
+	if string(head[:n]) == "%%" {
 		return NewTextStream(src, chunkEntries)
-	default:
-		return NewHBStream(src, chunkEntries)
 	}
+	return NewHBStream(src, chunkEntries)
 }

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // streamAll drains a ChunkReader into one entry slice.
@@ -63,10 +62,6 @@ func readText(r io.Reader) (*COO, error) {
 
 func readHB(r io.Reader) (*COO, error) {
 	return readCOO(r, func(b *bytes.Reader) (ChunkReader, error) { return NewHBStream(b, 256) })
-}
-
-func readBinary(r io.Reader) (*COO, error) {
-	return readCOO(r, func(b *bytes.Reader) (ChunkReader, error) { return NewBinaryStream(b, 256) })
 }
 
 // sameArray asserts a streamed source materializes to exactly the array
@@ -210,75 +205,6 @@ func TestMaterializeRefusesHugeShapes(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		c := FromDense(Uniform(13, 7, 0.3, seed))
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, c); err != nil {
-			return false
-		}
-		got, err := readBinary(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return false
-		}
-		return got.ToDense().Equal(c.ToDense())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBinaryStreamMatchesReadBinary(t *testing.T) {
-	c := FromDense(Uniform(20, 20, 0.25, 11))
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 7, 4096} {
-		bs, err := NewBinaryStream(bytes.NewReader(buf.Bytes()), chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bs.NNZHint() != c.NNZ() {
-			t.Errorf("NNZHint %d, want %d", bs.NNZHint(), c.NNZ())
-		}
-		sameArray(t, bs, c)
-		if err := bs.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		sameArray(t, bs, c)
-	}
-}
-
-// TestBinaryStreamDetectsTruncationAndTrailing: corrupt lengths surface
-// as NNZMismatchError, not a silent short read.
-func TestBinaryStreamDetectsTruncationAndTrailing(t *testing.T) {
-	c := FromDense(Uniform(10, 10, 0.3, 5))
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-
-	var mism *NNZMismatchError
-	bs, err := NewBinaryStream(bytes.NewReader(whole[:len(whole)-binaryRecordLen]), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Materialize(bs); !errors.As(err, &mism) {
-		t.Errorf("truncated stream error %v, want *NNZMismatchError", err)
-	}
-
-	padded := append(append([]byte{}, whole...), make([]byte, binaryRecordLen)...)
-	bs, err = NewBinaryStream(bytes.NewReader(padded), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Materialize(bs); !errors.As(err, &mism) {
-		t.Errorf("padded stream error %v, want *NNZMismatchError", err)
-	}
-}
-
 func TestHBStreamMatchesReadHB(t *testing.T) {
 	for _, seed := range []int64{1, 9} {
 		c := FromDense(Uniform(15, 12, 0.2, seed))
@@ -319,7 +245,6 @@ func TestOpenStreamSniffsFormats(t *testing.T) {
 		same       func(*testing.T, ChunkReader, *COO)
 	}{
 		{"text", write("a.mtx", func(b *bytes.Buffer) error { return WriteText(b, c) }), sameArray},
-		{"binary", write("a.bin", func(b *bytes.Buffer) error { return WriteBinary(b, c) }), sameArray},
 		{"hb", write("a.rua", func(b *bytes.Buffer) error { return WriteHB(b, c, "t", "K") }), nearArray},
 	}
 	for _, tc := range cases {

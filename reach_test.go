@@ -42,16 +42,14 @@ var reachAllow = map[string]string{
 	"sparse.PaperFigure1":           reasonPaper,
 
 	// Writers whose output the live parsers and wire decoders read back.
-	"internal/sparse/binio.go": reasonWriter,
-	"internal/sparse/hb.go":    reasonWriter,
-	"compress.PackCRS":         reasonWriter,
-	"compress.PackCCS":         reasonWriter,
-	"compress.PackJDS":         reasonWriter,
+	"internal/sparse/hb.go": reasonWriter,
+	"compress.PackCRS":      reasonWriter,
+	"compress.PackCCS":      reasonWriter,
+	"compress.PackJDS":      reasonWriter,
 
 	// What tests of live code build on.
 	"internal/benchgate/benchgate.go":    reasonFixture,
 	"internal/machine/fault.go":          reasonFixture,
-	"calibrate.Refiner.Observations":     reasonFixture,
 	"client.Client.Cancel":               reasonFixture, // drives DELETE /jobs/{id} in TestCancelRunningJob
 	"client.Client.SetHTTPClient":        reasonFixture, // the widened connection pool of TestLoad500ConcurrentSubmissions
 	"compress.CRS.At":                    reasonFixture,
@@ -61,8 +59,6 @@ var reachAllow = map[string]string{
 	"compress.CCS.Clone":                 reasonFixture,
 	"compress.CCS.Equal":                 reasonFixture,
 	"compress.CRSToCCS":                  reasonFixture,
-	"compress.FormatByName":              reasonFixture, // the per-format test tables look formats up by name
-	"compress.FormatNames":               reasonFixture,
 	"compress.lines.at":                  reasonFixture,
 	"compress.lines.clone":               reasonFixture,
 	"compress.lines.equal":               reasonFixture,

@@ -1,21 +1,18 @@
 #!/bin/sh
 # compute_smoke.sh: end-to-end smoke of the distributed compute layer.
 # Runs every op through the CLI with its sequential oracle, then boots
-# the daemon with refiner persistence, drives op-carrying jobs through
-# the load generator (ops executed, comm-plan cache hit, traffic
-# counters moved), SIGTERMs it and requires both a clean drain and the
-# persisted refiner state on disk. `make compute-smoke` and CI run this.
+# the daemon, drives op-carrying jobs through the load generator (ops
+# executed, comm-plan cache hit, traffic counters moved), SIGTERMs it
+# and requires a clean drain. `make compute-smoke` and CI run this.
 set -eu
 
 ADDR="${ADDR:-127.0.0.1:8478}"
 BIN="${TMPDIR:-/tmp}/sparsedistd-compute-smoke"
 CLI="${TMPDIR:-/tmp}/sparsedist-compute-smoke"
-STATE="${TMPDIR:-/tmp}/compute-smoke-refine.json"
 
 cd "$(dirname "$0")/.."
 go build -o "$BIN" ./cmd/sparsedistd
 go build -o "$CLI" ./cmd/sparsedist
-rm -f "$STATE"
 
 # CLI: every op against its sequential oracle (verify is on by default).
 "$CLI" -n 96 -scheme ED -partition row -procs 4 -op spmv >/dev/null
@@ -23,7 +20,7 @@ rm -f "$STATE"
 "$CLI" -n 64 -scheme SFC -partition mesh -mesh 2x2 -op spgemm >/dev/null
 echo "compute-smoke: CLI ops OK"
 
-"$BIN" -addr "$ADDR" -queue 32 -workers 4 -refine-state "$STATE" &
+"$BIN" -addr "$ADDR" -queue 32 -workers 4 &
 PID=$!
 trap 'kill "$PID" 2>/dev/null || true' EXIT
 
@@ -44,14 +41,8 @@ for op in spmv jacobi spgemm; do
     -op "$op" -assert-ops
 done
 
-# Graceful drain: SIGTERM must finish accepted jobs, persist the
-# refiner state and exit zero.
+# Graceful drain: SIGTERM must finish accepted jobs and exit zero.
 kill -TERM "$PID"
 wait "$PID"
 trap - EXIT
-if [ ! -s "$STATE" ]; then
-  echo "compute-smoke: drained daemon left no refiner state at $STATE" >&2
-  exit 1
-fi
-rm -f "$STATE"
 echo "compute-smoke: OK"
