@@ -73,7 +73,7 @@ ci: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -count=50 -run 'Reliable|Lossy|Fault|SpentRetry' ./internal/machine ./internal/dist ./internal/spops
+	$(GO) test -count=50 -run 'Reliable|Lossy|Fault|SpentRetry|Untouched' ./internal/machine ./internal/dist ./internal/spops
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) bench-kernels BENCHTIME=1x
 	$(MAKE) bench-gates

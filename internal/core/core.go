@@ -265,10 +265,7 @@ type Distribution struct {
 	// for Scheme "auto"; nil for explicit configs.
 	Auto *AutoChoice
 
-	m      *machine.Machine
-	rel    *machine.ReliableTransport
-	faults *machine.FaultTransport
-	net    *simnet.Network
+	machineStack
 
 	// The halo-exchange communication plan is pure index structure, so
 	// it is built once on first use and shared by every op on this
@@ -419,7 +416,7 @@ func Distribute(g *sparse.Dense, cfg Config) (*Distribution, error) {
 		st.m.Close()
 		return nil, err
 	}
-	return &Distribution{Global: g, Partition: plan.Partition, Result: res, Params: cfg.Params, Auto: auto, m: st.m, rel: st.rel, faults: st.faults, net: st.net}, nil
+	return &Distribution{Global: g, Partition: plan.Partition, Result: res, Params: cfg.Params, Auto: auto, machineStack: *st}, nil
 }
 
 // DistributeStream is Distribute for an out-of-core source: the global
@@ -457,7 +454,7 @@ func DistributeStream(src sparse.ChunkReader, cfg Config) (*Distribution, error)
 		st.m.Close()
 		return nil, err
 	}
-	return &Distribution{Partition: plan.Partition, Result: res, Params: cfg.Params, Streamed: true, m: st.m, rel: st.rel, faults: st.faults, net: st.net}, nil
+	return &Distribution{Partition: plan.Partition, Result: res, Params: cfg.Params, Streamed: true, machineStack: *st}, nil
 }
 
 // NewPartition builds the partition cfg describes for g — the

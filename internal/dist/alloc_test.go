@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -80,84 +81,101 @@ func TestEDEncodeSendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSFCEncodeSendSteadyStateAllocs is the SFC twin of the ED guard:
-// once the pool is warm, one dense part's extract (Prepare) + send +
-// receive + release cycle reuses the wire buffer instead of allocating
-// and zeroing a fresh n² array — only the locals slice and a few fixed
-// words remain. A fresh array is a single allocation, so the guard
-// bounds bytes as well as counts.
+// TestSFCEncodeSendSteadyStateAllocs is the SFC twin of the ED guard,
+// on both kinds of SFC payload. A column part is packed into a pooled
+// wire buffer: once the pool is warm, its pack + send + receive +
+// release cycle reuses that buffer instead of allocating and zeroing a
+// fresh array, which would be a single allocation, so the guard bounds
+// bytes as well as counts. A row block is sent as a view of the global
+// array: unpooled, sharing g's memory with no room to append past the
+// part, and its cycle allocates nothing at all.
 func TestSFCEncodeSendSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under -race")
 	}
 	const n = 64
 	g := sparse.Uniform(n, n, 0.1, 3)
-	part, err := partition.NewMesh(n, n, 1, 1)
+	col, err := partition.NewCol(n, n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := machine.New(1) // loopback: rank 0 sends to itself
+	row, err := partition.NewRow(n, n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-
 	f, err := formatFor(CRS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &runState{codec: SFC{}, global: g, part: part, opts: Options{Method: CRS}, format: f}
-	cycle := func(pr *machine.Proc) error {
-		if err := (SFC{}).Prepare(run); err != nil {
-			return err
-		}
-		pp := partPayload{k: 0}
-		if err := (SFC{}).EncodePart(run, 0, &pp); err != nil {
-			return err
-		}
-		if !pp.pooled {
-			return errors.New("SFC payload is not marked pooled")
-		}
-		if err := pr.SendBuf(0, 1, pp.meta, pp.buf, pp.pooled, nil); err != nil {
-			return err
-		}
-		msg, err := pr.RecvFrom(0, 1)
-		if err != nil {
-			return err
-		}
-		machine.ReleaseMessage(&msg)
-		return nil
-	}
-
-	err = m.Run(func(pr *machine.Proc) error {
-		for i := 0; i < 3; i++ { // warm the pool to steady state
-			if err := cycle(pr); err != nil {
-				return err
+	for _, c := range []struct {
+		name      string
+		part      partition.Partition
+		pooled    bool
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		// The bounds leave a little slack for runtime noise but are far
+		// below the one-array-per-part regime (n²·8/2 bytes a cycle).
+		{"col", col, true, 4, n * n * 8 / 16},
+		{"row", row, false, 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := machine.New(1) // loopback: rank 0 sends part 0 to itself
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		const runs = 100
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		avg := testing.AllocsPerRun(runs, func() {
-			if err := cycle(pr); err != nil {
-				t.Error(err)
+			defer m.Close()
+			run := &runState{codec: SFC{}, global: g, part: c.part, opts: Options{Method: CRS}, format: f}
+			cycle := func(pr *machine.Proc) error {
+				pp := partPayload{k: 0}
+				if err := (SFC{}).EncodePart(run, 0, &pp); err != nil {
+					return err
+				}
+				if pp.pooled != c.pooled {
+					return fmt.Errorf("SFC %s payload has pooled = %t, want %t", c.name, pp.pooled, c.pooled)
+				}
+				if !c.pooled && (&pp.buf[0] != &g.Data()[0] || cap(pp.buf) != len(pp.buf)) {
+					return errors.New("SFC row payload is not a capped view of the global array")
+				}
+				if err := pr.SendBuf(0, 1, pp.meta, pp.buf, pp.pooled, nil); err != nil {
+					return err
+				}
+				msg, err := pr.RecvFrom(0, 1)
+				if err != nil {
+					return err
+				}
+				machine.ReleaseMessage(&msg)
+				return nil
+			}
+
+			err = m.Run(func(pr *machine.Proc) error {
+				for i := 0; i < 3; i++ { // warm the pool to steady state
+					if err := cycle(pr); err != nil {
+						return err
+					}
+				}
+				const runs = 100
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				avg := testing.AllocsPerRun(runs, func() {
+					if err := cycle(pr); err != nil {
+						t.Error(err)
+					}
+				})
+				runtime.ReadMemStats(&after)
+				if avg > c.maxAllocs {
+					t.Errorf("SFC %s encode+send steady state allocates %.1f times per part, want <= %g", c.name, avg, c.maxAllocs)
+				}
+				// AllocsPerRun makes one warm-up call besides the measured runs.
+				if perCycle := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perCycle > c.maxBytes {
+					t.Errorf("SFC %s encode+send steady state allocates %d bytes per part, want <= %d", c.name, perCycle, c.maxBytes)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
-		runtime.ReadMemStats(&after)
-		// One allocation is Prepare's locals slice; the bounds leave a
-		// little slack for runtime noise but are far below the
-		// one-array-per-part regime (n²·8 bytes a cycle).
-		if avg > 4 {
-			t.Errorf("SFC extract+send steady state allocates %.1f times per part, want <= 4", avg)
-		}
-		// AllocsPerRun makes one warm-up call besides the measured runs.
-		if perCycle := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perCycle > n*n*8/16 {
-			t.Errorf("SFC extract+send steady state allocates %d bytes per part, want <= %d", perCycle, n*n*8/16)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -166,11 +184,13 @@ func TestSFCEncodeSendSteadyStateAllocs(t *testing.T) {
 // own (the reliability layer delivers a frame of its own, fault
 // injection may deliver a payload twice) and checks that no rank is
 // handed a payload it may recycle, while the fault-free transport
-// hands every rank its pooled buffer.
+// hands every rank its pooled buffer. It runs on a column partition,
+// whose every part is packed into a pooled buffer (a row block goes as
+// an unpooled view of the array).
 func TestSFCRetainingTransportUnpooled(t *testing.T) {
 	const n, p = 24, 4
 	g := sparse.UniformExact(n, n, 0.2, 9)
-	part, err := partition.NewRow(n, n, p)
+	part, err := partition.NewCol(n, n, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +216,6 @@ func TestSFCRetainingTransportUnpooled(t *testing.T) {
 			}
 			defer m.Close()
 			run := &runState{codec: SFC{}, global: g, part: part, opts: Options{Method: CRS}, format: f}
-			if err := (SFC{}).Prepare(run); err != nil {
-				t.Fatal(err)
-			}
 			err = m.Run(func(pr *machine.Proc) error {
 				if pr.Rank == 0 {
 					for k := 0; k < p; k++ {

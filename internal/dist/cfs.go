@@ -30,10 +30,6 @@ func (CFS) Policy() PhasePolicy {
 	return PhasePolicy{RootEncode: PhaseCompression, Receive: PhaseDistribution}
 }
 
-// Prepare implements Codec; CFS compresses straight from the global
-// array.
-func (CFS) Prepare(*runState) error { return nil }
-
 // EncodePart implements Codec: compress part k with global minor
 // indices (compression phase) by one scan of the global array through
 // the part's row and column maps, then — under the CFSConvertAtRoot

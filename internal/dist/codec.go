@@ -53,9 +53,6 @@ type Codec interface {
 	Name() string
 	// Policy returns the scheme's cost bookkeeping split.
 	Policy() PhasePolicy
-	// Prepare runs once per plan before the SPMD region, outside the
-	// timed phases (the paper excludes partition time).
-	Prepare(run *runState) error
 	// EncodePart produces part k's wire payload at the root, charging
 	// the scheme's costs to pp's local counters. Must be safe for
 	// concurrent calls with distinct k.
@@ -83,10 +80,6 @@ type runState struct {
 	// encode in part order, per-rank decode) so Finalize replays the
 	// whole distribution on the network's topology.
 	net *simnet.Network
-	// locals are SFC's pre-extracted dense parts (Prepare), row-major
-	// in pooled wire buffers, each handed to its payload by EncodePart;
-	// nil for the compressed-wire schemes.
-	locals [][]float64
 	// finalizing bounds a RunStream's concurrent part finalizes to
 	// GOMAXPROCS, one token each (finalizeStreamPart); nil on the
 	// materializing path.

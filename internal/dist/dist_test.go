@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -500,5 +501,78 @@ func swap01[T any](s []T) []T {
 func TestMethodString(t *testing.T) {
 	if CRS.String() != "CRS" || CCS.String() != "CCS" {
 		t.Errorf("Method.String: %q, %q", CRS, CCS)
+	}
+}
+
+// TestSchemesLeaveTheInputUntouched pins the invariant SFC's row-block
+// payloads rest on: they are views of the global array, so no encoder,
+// transport or decoder may write into what it is handed. Every zero
+// cell holds a negative zero, so even a write of 0 shows in the bits.
+// The reliable stack duplicates and reorders frames beneath the ARQ.
+func TestSchemesLeaveTheInputUntouched(t *testing.T) {
+	const n, p = 24, 4
+	g := sparse.UniformExact(n, n, 0.2, 11)
+	data := g.Data()
+	for i, v := range data {
+		if v == 0 {
+			data[i] = math.Copysign(0, -1)
+		}
+	}
+	want := g.Clone().Data()
+	balanced, err := partition.NewBalancedRow(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []partition.Partition
+	for _, desc := range []string{"(Block,*)", "(*,Block)", "(Block,Block)", "(Cyclic,*)"} {
+		part, err := partition.Parse(desc, n, n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	parts = append(parts, balanced)
+	transports := []struct {
+		name    string
+		machine func(t *testing.T) *machine.Machine
+	}{
+		{"chan", func(t *testing.T) *machine.Machine { return newMachine(t, p) }},
+		{"tcp", func(t *testing.T) *machine.Machine {
+			tr, err := machine.NewTCPTransport(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := machine.New(p, machine.WithTransport(tr), machine.WithRecvTimeout(10*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			return m
+		}},
+		{"reliable", func(t *testing.T) *machine.Machine {
+			m, ft, _, _ := faultyMachine(t, p, "chan")
+			ft.DuplicateNext(2)
+			ft.ReorderNext(2)
+			return m
+		}},
+	}
+	for _, c := range Schemes() {
+		for _, part := range parts {
+			for _, tr := range transports {
+				t.Run(c.Name()+"/"+part.Name()+"/"+tr.name, func(t *testing.T) {
+					_, err := distribute(c, tr.machine(t), g, part, Options{})
+					for i, v := range data {
+						if math.Float64bits(v) != math.Float64bits(want[i]) {
+							copy(data, want) // the next run starts from the true input
+							t.Fatalf("cell (%d,%d) holds %016x after the run, want %016x",
+								i/n, i%n, math.Float64bits(v), math.Float64bits(want[i]))
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
 	}
 }

@@ -37,9 +37,6 @@ func (ED) Policy() PhasePolicy {
 	return PhasePolicy{RootEncode: PhaseCompression, Receive: PhaseCompression}
 }
 
-// Prepare implements Codec; ED encodes straight from the global array.
-func (ED) Prepare(*runState) error { return nil }
-
 // EncodePart implements Codec: encode part k's special buffer
 // (compression phase) by one scan of the global array through the
 // part's row and column maps. The buffer itself is the wire message —

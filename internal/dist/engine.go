@@ -52,9 +52,6 @@ func Run(m *machine.Machine, plan Plan) (*Result, error) {
 		return nil, err
 	}
 	run := &runState{codec: c, global: plan.Global, part: plan.Partition, opts: plan.Options, format: f, net: m.Network()}
-	if err := c.Prepare(run); err != nil {
-		return nil, fmt.Errorf("dist: %s prepare: %w", c.Name(), err)
-	}
 	p := m.P()
 	bd := newBreakdown(p)
 	res := &Result{Scheme: c.Name(), Partition: plan.Partition.Name(), Method: plan.Options.Method, Breakdown: bd}

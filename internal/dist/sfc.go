@@ -30,39 +30,37 @@ func (SFC) Policy() PhasePolicy {
 	return PhasePolicy{RootEncode: PhaseDistribution, Receive: PhaseCompression}
 }
 
-// Prepare implements Codec: materialise the dense local arrays up
-// front — the paper's analysis excludes partition time — each in a
-// wire buffer from the pool, which needs no zeroing because every cell
-// is written.
-func (SFC) Prepare(run *runState) error {
-	run.locals = make([][]float64, run.part.NumParts())
-	for k := range run.locals {
-		n := len(run.part.RowMap(k)) * len(run.part.ColMap(k))
-		run.locals[k] = partition.AppendPart(machine.GetBuf(n), run.global, run.part, k)
-	}
-	return nil
-}
-
-// EncodePart implements Codec. For the row partition each local array
-// is a contiguous block of the global array, sent "without packing
-// into buffers" (paper §4.1.1). Column, mesh and cyclic parts are
-// strided in memory and must be packed element-by-element first — the
-// cost that makes SFC's measured column/mesh distribution times much
-// larger than its row ones (paper Tables 4-5) and lowers the Remark 5
-// thresholds. The payload takes the part's pooled buffer over from
-// Prepare, and the receiver releases it once compressed.
+// EncodePart implements Codec. A part of whole consecutive rows (row,
+// balanced-row) is already contiguous in the global array and is sent
+// "without packing into buffers" (paper §4.1.1): the payload is a view
+// of the global array's memory, capped at the part's end so no append
+// reaches past it, unpooled and uncharged — sound because no decoder
+// writes into its payload. Column, mesh and cyclic parts are
+// strided in memory and are packed element-by-element into a pooled
+// wire buffer — the cost that makes SFC's measured column/mesh
+// distribution times much larger than its row ones (paper Tables 4-5)
+// and lowers the Remark 5 thresholds — which the receiver releases
+// once compressed.
 func (SFC) EncodePart(run *runState, k int, pp *partPayload) error {
 	start := time.Now()
-	densePayload(run, k, run.locals[k], pp)
-	run.locals[k] = nil // the payload owns the buffer now
+	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
+	if _, cols := run.part.Shape(); rowContiguousPart(run.part, k, cols) {
+		pp.meta = [4]int64{int64(len(rowMap)), int64(cols)}
+		if len(rowMap) > 0 {
+			lo, hi := rowMap[0]*cols, (rowMap[len(rowMap)-1]+1)*cols
+			pp.buf = run.global.Data()[lo:hi:hi]
+		}
+	} else {
+		densePayload(run, k, partition.AppendPart(machine.GetBuf(len(rowMap)*len(colMap)), run.global, run.part, k), pp)
+	}
 	pp.wallDist = time.Since(start)
 	return nil
 }
 
 // EncodeEntries implements Codec: the dense local scattered out of the
-// part's staged entries. The scatter stands in for Prepare's
-// extraction, which charges nothing; only EncodePart's packing charge
-// is booked.
+// part's staged entries into a buffer of its own. The charges are
+// EncodePart's: a row block's scatter stands in for its uncharged
+// view, any other part's for its packing.
 func (SFC) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partPayload) error {
 	start := time.Now()
 	l, err := st.Dense(run.part.RowMap(k), run.part.ColMap(k))

@@ -152,9 +152,6 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// No codec.Prepare: SFC's Prepare extracts dense locals from the
-	// global array, which a streamed run never materializes — the
-	// finalize builds locals from staged entries instead.
 	run := &runState{codec: c, part: plan.Partition, opts: plan.Options, format: f,
 		finalizing: make(chan struct{}, runtime.GOMAXPROCS(0)), reports: make([]streamReport, p)}
 	loc, err := partition.NewLocator(plan.Partition)

@@ -82,7 +82,7 @@ func TestFaultTransportDrop(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Errorf("dropped message did not surface as timeout: %v", err)
 	}
-	if d, _ := ft.Stats(); d != 1 {
+	if d := ft.FullStats().Dropped; d != 1 {
 		t.Errorf("dropped = %d, want 1", d)
 	}
 }
@@ -114,7 +114,7 @@ func TestFaultTransportCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, c := ft.Stats(); c != 1 {
+	if c := ft.FullStats().Corrupted; c != 1 {
 		t.Errorf("corrupted = %d, want 1", c)
 	}
 }

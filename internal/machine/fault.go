@@ -99,14 +99,6 @@ func (t *FaultTransport) Delay(d time.Duration) {
 	t.delay = d
 }
 
-// Stats reports how many messages were dropped and corrupted (legacy
-// two-counter form; see FullStats for everything).
-func (t *FaultTransport) Stats() (dropped, corrupted int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped, t.corruptedN
-}
-
 // FullStats reports every injection counter.
 func (t *FaultTransport) FullStats() FaultStats {
 	t.mu.Lock()

@@ -54,7 +54,7 @@ func TestReliableDeliversThroughDrops(t *testing.T) {
 	if st.Failed != 0 {
 		t.Errorf("failed = %d, want 0", st.Failed)
 	}
-	if d, _ := ft.Stats(); d != 3 {
+	if d := ft.FullStats().Dropped; d != 3 {
 		t.Errorf("dropped = %d, want 3", d)
 	}
 }

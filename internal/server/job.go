@@ -212,8 +212,9 @@ type JobResult struct {
 	// Network-model timing, populated when the server runs with a
 	// topology (Config.Topology): the discrete-event replay's phase
 	// estimates in nanoseconds, which unlike the flat virtual clock see
-	// link contention and queueing. They replay what this job's machine
-	// carried, which on an OpPlanCacheHit is the op alone.
+	// link contention and queueing. They replay this job's distribution
+	// before any op runs, so on an OpPlanCacheHit, which distributed
+	// nothing, they stay unset.
 	Topology        string        `json:"topology,omitempty"`
 	NetDistribution time.Duration `json:"net_distribution_ns,omitempty"`
 	NetCompression  time.Duration `json:"net_compression_ns,omitempty"`

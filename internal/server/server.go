@@ -30,7 +30,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dist"
 	"repro/internal/machine"
-	"repro/internal/simnet"
 	"repro/internal/sparse"
 	"repro/internal/spops"
 	"repro/internal/trace"
@@ -314,18 +313,18 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 
 	out := s.newJobResult(res, pl, planHit, !reused)
 	out.Rows, out.Cols, out.NNZ, out.ArrayCacheHit = g.Rows(), g.Cols(), res.NNZ(), arrayHit
+	// The network snapshot is taken before the compute op runs on the
+	// same pooled machine, so the Net* fields replay the distribution
+	// alone (none at all when it was reused from the op-plan cache).
+	attachMachineReport(out, m)
 	if auto != nil {
-		recordAuto(out, auto, m.Network(), reused)
+		recordAuto(out, auto)
 	}
-	// The compute op runs on the same pooled machine while it is still
-	// held, before the network timing snapshot, so the op's halo traffic
-	// shows up in the job's timeline.
 	if cpl != nil {
 		if err := s.runOp(spec, g, cpl, reused, m, out); err != nil {
 			return nil, err
 		}
 	}
-	attachMachineReport(out, m)
 	return out, nil
 }
 
@@ -358,11 +357,10 @@ func (s *Server) newJobResult(res *dist.Result, pl *plan, planHit, distributed b
 
 // recordAuto pins the chosen plan and its prediction into the result,
 // with the prediction's error against the clock that priced it: the
-// flat virtual phases, or under a network model the job's own replay
-// of its distribution. A reused distribution was not replayed (the
-// recording holds the op alone), so its error stays unset. It runs
-// before the op records anything, so the replay is the distribution's.
-func recordAuto(out *JobResult, auto *core.AutoChoice, net *simnet.Network, reused bool) {
+// flat virtual phases, or under a network model the Net* replay of the
+// job's distribution (attachMachineReport). A reused distribution was
+// not replayed, so its error stays unset.
+func recordAuto(out *JobResult, auto *core.AutoChoice) {
 	out.Auto = true
 	out.ChosenScheme = auto.Scheme
 	out.ChosenPartition = auto.Partition
@@ -371,12 +369,8 @@ func recordAuto(out *JobResult, auto *core.AutoChoice, net *simnet.Network, reus
 	out.PredictedDistribution = auto.Predicted.Distribution
 	out.PredictedCompression = auto.Predicted.Compression
 	actual := out.Phases[0].Virtual + out.Phases[1].Virtual
-	if net != nil {
-		if reused {
-			return
-		}
-		pb := net.Finalize().PaperBreakdown()
-		actual = pb.Distribution + pb.Compression
+	if out.Topology != "" {
+		actual = out.NetDistribution + out.NetCompression
 	}
 	if actual > 0 {
 		diff := auto.Predicted.Total() - actual
@@ -388,8 +382,8 @@ func recordAuto(out *JobResult, auto *core.AutoChoice, net *simnet.Network, reus
 }
 
 // attachMachineReport copies what the pooled machine recorded of the
-// job into the result: the network model's replayed phase estimates
-// when the machine carries one (Config.Topology).
+// job's distribution into the result: the network model's replayed
+// phase estimates when the machine carries one (Config.Topology).
 func attachMachineReport(out *JobResult, m *machine.Machine) {
 	net := m.Network()
 	if net == nil {

@@ -341,6 +341,36 @@ func TestNoTopologyJobOmitsNetTiming(t *testing.T) {
 	}
 }
 
+// TestNetPhasesAreTheDistributions pins what the Net* fields replay
+// under a topology: the job's distribution, taken before the op runs.
+// An op job that misses the op-plan cache reports the same four values
+// as the plain job with its spec, and the repeat that hits the cache
+// distributed nothing, so it reports none.
+func TestNetPhasesAreTheDistributions(t *testing.T) {
+	s := New(Config{QueueDepth: 8, Workers: 1, Topology: "mesh"})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	defer s.Close()
+
+	const spec = `{"n":160,"ratio":0.1,"scheme":"ED","procs":4,"partition":"row","method":"CRS","seed":3,"workers":1}`
+	net := func(r *JobResult) [4]time.Duration {
+		return [4]time.Duration{r.NetDistribution, r.NetCompression, r.NetMakespan, r.NetQueued}
+	}
+	plain := net(mustJobDone(t, ts, decodeID(t, postJob(t, ts, spec))))
+	if plain[0] == 0 || plain[1] == 0 {
+		t.Fatalf("plain job on a mesh reported no replay: %v", plain)
+	}
+	op := strings.Replace(spec, `"workers":1`, `"workers":1,"op":"spmv"`, 1)
+	miss := mustJobDone(t, ts, decodeID(t, postJob(t, ts, op)))
+	if miss.OpPlanCacheHit || net(miss) != plain {
+		t.Errorf("op job on a cache miss (hit %t): net_* %v, want the plain job's %v", miss.OpPlanCacheHit, net(miss), plain)
+	}
+	hit := mustJobDone(t, ts, decodeID(t, postJob(t, ts, op)))
+	if !hit.OpPlanCacheHit || net(hit) != [4]time.Duration{} {
+		t.Errorf("op job on a cache hit (hit %t): net_* %v, want none", hit.OpPlanCacheHit, net(hit))
+	}
+}
+
 // TestJobPanicFailsOnlyItsJob: a panic while a job executes fails that
 // job with the panic text and leaves its worker serving. A nil cached
 // array panics before a machine is checked out; a nil cached comm plan
