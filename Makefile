@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint loc reach fuzz-smoke check-diff bench bench-compare bench-kernels bench-gates tables examples serve-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
+.PHONY: all build test test-race lint loc reach fuzz-smoke arq-stress check-diff bench bench-compare bench-kernels bench-gates tables examples serve-smoke compute-smoke sim-smoke auto-smoke sim-remarks ci clean
 
 all: build test
 
@@ -43,19 +43,25 @@ reach:
 # its caches and pooled machines), the daemon's request path, the file
 # parsers, the partition builders, the TCP frame reader and the SpGEMM
 # row buffers (go-native fuzzing runs one target per invocation, so each
-# gets its own line).
+# gets its own line). CI runs the same list with FUZZTIME=30s.
+FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime 10s ./internal/compress/
-	$(GO) test -run '^$$' -fuzz FuzzDecodePartED -fuzztime 10s ./internal/compress/
-	$(GO) test -run '^$$' -fuzz FuzzEncodePart -fuzztime 10s ./internal/compress/
-	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime 10s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzDiffStream -fuzztime 10s ./internal/dist/
-	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/
-	$(GO) test -run '^$$' -fuzz FuzzDiffJob -fuzztime 10s ./internal/server/
-	$(GO) test -run '^$$' -fuzz FuzzOpenStream -fuzztime 10s ./internal/sparse/
-	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/partition/
-	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/machine/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeRows -fuzztime 10s ./internal/spops/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime $(FUZZTIME) ./internal/compress/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePartED -fuzztime $(FUZZTIME) ./internal/compress/
+	$(GO) test -run '^$$' -fuzz FuzzEncodePart -fuzztime $(FUZZTIME) ./internal/compress/
+	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDiffStream -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzDiffJob -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzOpenStream -fuzztime $(FUZZTIME) ./internal/sparse/
+	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime $(FUZZTIME) ./internal/partition/
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/machine/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRows -fuzztime $(FUZZTIME) ./internal/spops/
+
+# The ARQ stress pass: every reliability, lossy-transport and fault test
+# of the layers that send over the ARQ, 50 times over. CI runs it too.
+arq-stress:
+	$(GO) test -count=50 -run 'Reliable|Lossy|Fault|SpentRetry|Untouched' ./internal/machine ./internal/dist ./internal/spops
 
 # The differential correctness harness at full size: >= 200 adversarial
 # arrays through every scheme x partition x method combination, direct
@@ -73,7 +79,7 @@ ci: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -count=50 -run 'Reliable|Lossy|Fault|SpentRetry|Untouched' ./internal/machine ./internal/dist ./internal/spops
+	$(MAKE) arq-stress
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) bench-kernels BENCHTIME=1x
 	$(MAKE) bench-gates

@@ -72,7 +72,7 @@ func main() {
 	flag.BoolVar(&cli.stream, "stream", false,
 		"out-of-core mode: stream the input in bounded chunks instead of materializing it; the root's memory stays within -mem-budget")
 	var (
-		seed       = flag.Int64("seed", 1, "random seed for synthetic input")
+		seed       = flag.Int64("seed", 1, "random seed for synthetic input and for -op's operands (the daemon's job seed)")
 		mesh       = flag.String("mesh", "", "mesh grid as RxC (e.g. 2x2); defaults to the most square grid")
 		verify     = flag.Bool("verify", true, "verify the distributed result against direct compression")
 		spy        = flag.Bool("spy", false, "print an ASCII spy plot of the array's sparsity pattern")
@@ -186,10 +186,40 @@ func main() {
 		fmt.Println("differential check: OK (reassembled array matches the input element-wise)")
 	}
 	if cli.op != "" {
-		if err := runOp(d, g, cli.op, *verify); err != nil {
+		if err := runOp(d, g, cli.op, *seed, *verify); err != nil {
 			fatal(err)
 		}
 	}
+}
+
+// runOp runs the requested op on the finished distribution through
+// spops.RunOp, on the daemon's operands for -seed, prints its traffic
+// and, under -verify, checks the answer with core's sequential oracle.
+func runOp(d *core.Distribution, g *sparse.Dense, op string, seed int64, verify bool) error {
+	fmt.Println()
+	pl, err := d.CommPlan()
+	if err != nil {
+		return fmt.Errorf("%s: %w", op, err)
+	}
+	vec, c, st, err := spops.RunOp(d.Machine(), pl, g, op, seed, 0)
+	if err != nil {
+		return fmt.Errorf("%s: %w", op, err)
+	}
+	fmt.Println("distributed " + core.OpStatsString(st))
+	if c != nil {
+		fmt.Printf("product: %dx%d with %d nonzeros\n", c.Rows, c.Cols, len(c.Val))
+	}
+	if op == "jacobi" && !st.Converged {
+		fmt.Println("jacobi did NOT converge — the array is not diagonally dominant " +
+			"(synthetic inputs are adjusted automatically; file inputs are not)")
+	}
+	if verify {
+		if err := core.CheckOp(g, op, seed, vec, c); err != nil {
+			return fmt.Errorf("%s oracle: %w", op, err)
+		}
+		fmt.Printf("op oracle: OK (distributed %s matches core's sequential oracle)\n", op)
+	}
+	return nil
 }
 
 // parseMesh parses a strict RxC grid: two positive integers joined by

@@ -1,17 +1,23 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/server"
 	"repro/internal/sparse"
 )
 
@@ -394,6 +400,56 @@ func TestStreamWideHeaderIsAnError(t *testing.T) {
 		code, _, stderr := runMain(t, "-stream", "-input", path, "-procs", "4", "-partition", partition)
 		if code != 1 || !strings.Contains(stderr, "2147483647x1000") {
 			t.Fatalf("-partition %s: exit status %d, stderr %q; want 1 and an error naming the 2147483647x1000 shape", partition, code, stderr)
+		}
+	}
+}
+
+// TestCLIAndDaemonRunOpsAlike runs each op through both front doors
+// with one spec: the CLI's printed sweeps, messages and wire words must
+// equal the daemon job's op_iterations, op_messages and op_wire_words.
+// Jacobi's sweep count depends on its right-hand side and tolerance, so
+// it fails when the doors compute on different operands.
+func TestCLIAndDaemonRunOpsAlike(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1})
+	ts := httptest.NewServer(srv)
+	defer srv.Close()
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, tc := range []struct {
+		op   string
+		seed int64
+	}{{"jacobi", 3}, {"spmv", 5}, {"spgemm", 5}} {
+		seed := strconv.FormatInt(tc.seed, 10)
+		code, report, stderr := runMain(t, "-n", "96", "-seed", seed, "-scheme", "CFS", "-partition", "row", "-procs", "4", "-op", tc.op)
+		if code != 0 {
+			t.Fatalf("%s: exit status %d: %s", tc.op, code, stderr)
+		}
+		var cli [3]int64
+		var halo, bcast, flops int64
+		i := strings.Index(report, "distributed "+tc.op+":")
+		if i < 0 {
+			t.Fatalf("%s: report lacks the op line:\n%s", tc.op, report)
+		}
+		if _, err := fmt.Sscanf(report[i:], "distributed "+tc.op+": %d msgs, %d wire words (halo %d vs broadcast %d), %d flops, %d iterations",
+			&cli[1], &cli[2], &halo, &bcast, &flops, &cli[0]); err != nil {
+			t.Fatalf("%s: parsing the op line: %v\n%s", tc.op, err, report)
+		}
+		id, err := c.Submit(ctx, server.JobSpec{N: 96, Seed: tc.seed, Scheme: "CFS", Partition: "row", Procs: 4, Op: tc.op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Wait(ctx, id, 2*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != server.StateDone {
+			t.Fatalf("%s: job %s: %s", tc.op, st.State, st.Error)
+		}
+		r := st.Result
+		if job := [3]int64{int64(r.OpIterations), r.OpMessages, r.OpWireWords}; job != cli {
+			t.Errorf("%s -seed %s: CLI sweeps, messages, wire words %v, daemon %v", tc.op, seed, cli, job)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/ops"
 	"repro/internal/sparse"
+	"repro/internal/spops"
 )
 
 // The ops differential sweep: the distributed compute layer (halo
@@ -137,7 +138,9 @@ func opsSweepOne(op, scheme, part, method string, seed int64) error {
 func opsSweepInput(op string, seed int64) *sparse.Dense {
 	switch op {
 	case "jacobi":
-		return diagDominant(sparse.Uniform(40, 40, 0.12, seed))
+		g := sparse.Uniform(40, 40, 0.12, seed)
+		sparse.MakeDiagDominant(g)
+		return g
 	case "cg":
 		return sparse.Poisson2D(6).ToDense()
 	case "spgemm":
@@ -145,21 +148,6 @@ func opsSweepInput(op string, seed int64) *sparse.Dense {
 	default:
 		return sparse.Uniform(37, 29, 0.15, seed)
 	}
-}
-
-// diagDominant forces strict diagonal dominance in place so Jacobi is
-// guaranteed to converge, and returns the array.
-func diagDominant(g *sparse.Dense) *sparse.Dense {
-	for i := 0; i < g.Rows(); i++ {
-		sum := 0.0
-		for j := 0; j < g.Cols(); j++ {
-			if j != i {
-				sum += math.Abs(g.At(i, j))
-			}
-		}
-		g.Set(i, i, sum+1)
-	}
-	return g
 }
 
 func opsSweepSpMV(d *Distribution, g *sparse.Dense, seed int64) error {
@@ -228,6 +216,27 @@ func opsSweepSpGEMM(d *Distribution, g *sparse.Dense, seed int64) error {
 		return err
 	}
 	return crsClose("spgemm", got, want, 1e-9)
+}
+
+// CheckOp is the front doors' oracle for spops.RunOp's answer on g,
+// rebuilt from the operands RunOp derives from seed: spmv's y against
+// the dense product, jacobi's x by its residual A·x − b, spgemm's C
+// against the sequential Gustavson product A·A.
+func CheckOp(g *sparse.Dense, op string, seed int64, vec []float64, c *compress.CRS) error {
+	switch op {
+	case "spmv":
+		return vecsClose(op, vec, denseMatVec(g, spops.OpVector(g.Cols(), seed)), 1e-9)
+	case "jacobi":
+		return vecsClose("jacobi residual", denseMatVec(g, vec), spops.OpVector(g.Rows(), seed+1), 1e-6)
+	case "spgemm":
+		a := compress.CompressCRS(g, nil)
+		want, err := ops.SpGEMM(a, a)
+		if err != nil {
+			return err
+		}
+		return crsClose(op, c, want, 1e-9)
+	}
+	return fmt.Errorf("core: unknown op %q", op)
 }
 
 // denseMatVec is the sequential oracle y = G·x.

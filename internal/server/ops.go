@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/machine"
@@ -21,9 +20,6 @@ import (
 // both and runs only its op, on whatever pooled machine it holds (the
 // plan is machine-free by construction). Distribution happens once,
 // before any computation, as in the paper.
-
-// defaultOpIters caps Jacobi sweeps when the spec leaves op_iters zero.
-const defaultOpIters = 500
 
 // distribute runs the job's distribution on m, or, for an op job,
 // takes it from the op-plan cache. A hit (reused) distributed nothing:
@@ -71,24 +67,7 @@ func (s *Server) distribute(j *job, cfg core.Config, pl *plan, g *sparse.Dense, 
 // plan, fills the result's ops_* fields and counts the traffic into
 // the metrics. hit reports that the plan came from the cache.
 func (s *Server) runOp(spec JobSpec, g *sparse.Dense, cpl *spops.CommPlan, hit bool, m *machine.Machine, out *JobResult) error {
-	var st spops.OpStats
-	var err error
-	switch spec.Op {
-	case "spmv":
-		_, st, err = spops.SpMV(m, cpl, spops.OpVector(g.Cols(), spec.Seed))
-	case "jacobi":
-		iters := spec.OpIters
-		if iters == 0 {
-			iters = defaultOpIters
-		}
-		_, st, err = spops.Jacobi(m, cpl, spops.OpVector(g.Rows(), spec.Seed+1), nil, 1e-9, iters)
-	case "spgemm":
-		// C = A·A: the synthetic arrays are square, so the array is its
-		// own right-hand operand — no second array to generate or cache.
-		_, st, err = spops.DistSpGEMM(m, cpl, compress.CompressCRS(g, nil))
-	default:
-		return fmt.Errorf("unknown op %q", spec.Op)
-	}
+	_, _, st, err := spops.RunOp(m, cpl, g, spec.Op, spec.Seed, spec.OpIters)
 	if err != nil {
 		return fmt.Errorf("op %s: %w", spec.Op, err)
 	}

@@ -67,21 +67,14 @@ func oracleCounts(spec JobSpec, node Config, got *JobResult) (jobCounts, error) 
 		NNZ: d.Result.NNZ(), VDist: d.DistributionTime(), VComp: d.CompressionTime(),
 		Messages: bd.RootDist.Messages, Elements: bd.RootDist.Elements,
 	}
-	var st spops.OpStats
-	switch spec.Op {
-	case "":
+	if spec.Op == "" {
 		return c, nil
-	case "spmv":
-		_, st, err = d.SpMV(spops.OpVector(g.Cols(), spec.Seed))
-	case "jacobi":
-		iters := spec.OpIters
-		if iters == 0 {
-			iters = defaultOpIters
-		}
-		_, st, err = d.Jacobi(spops.OpVector(g.Rows(), spec.Seed+1), 1e-9, iters)
-	case "spgemm":
-		_, st, err = d.SpGEMM(compress.CompressCRS(g, nil))
 	}
+	pl, err := d.CommPlan()
+	if err != nil {
+		return jobCounts{}, err
+	}
+	_, _, st, err := spops.RunOp(d.Machine(), pl, g, spec.Op, spec.Seed, spec.OpIters)
 	if err != nil {
 		return jobCounts{}, err
 	}

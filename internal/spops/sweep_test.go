@@ -2,7 +2,6 @@ package spops_test
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -15,22 +14,6 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/spops"
 )
-
-// diagDominant returns g with its diagonal raised until every row is
-// strictly diagonally dominant, so that Jacobi converges on it.
-func diagDominant(g *sparse.Dense) *sparse.Dense {
-	d := g.Clone()
-	for i := 0; i < d.Rows(); i++ {
-		sum := 0.0
-		for j, v := range d.Row(i) {
-			if j != i {
-				sum += math.Abs(v)
-			}
-		}
-		d.Set(i, i, 1.25*sum+1)
-	}
-	return d
-}
 
 // TestSweepKernelParity holds the plan-compiled kernel against the
 // sequential ops.SpMV on the global CRS — the oracle shares no code
@@ -90,7 +73,8 @@ func TestSweepAllocs(t *testing.T) {
 		t.Skip("alloc counts are inflated under -race")
 	}
 	const n, p = 512, 4
-	g := diagDominant(sparse.Banded(n, n, 8, 0.8, 3))
+	g := sparse.Banded(n, n, 8, 0.8, 3)
+	sparse.MakeDiagDominant(g)
 	b := randVec(n, 4)
 	d, pl := distribute(t, g, core.Config{Scheme: "ED", Partition: "row", Method: "CRS", Procs: p})
 	defer d.Close()
@@ -114,14 +98,16 @@ func TestSweepAllocs(t *testing.T) {
 
 // TestSweepsOverLossyTransport aims transient faults at sweep traffic:
 // Jacobi runs on a reliable layer over a fault injector armed, before
-// the solve starts, to drop, duplicate and reorder the next few data
-// messages. The solve must return exactly what it returns on the clean
-// machine, in as many sweeps, and every armed fault must have fired
-// exactly once. Under -race this also shows a payload recycled while a
+// the solve starts, to drop, corrupt, duplicate and reorder the next
+// few data messages. The solve must return exactly what it returns on
+// the clean machine, in as many sweeps, and every armed fault must have
+// fired exactly once: op traffic carries no checksum of its own, so a
+// flipped bit must be caught by the layer's CRC32C and resent. Under -race this also shows a payload recycled while a
 // retransmission could still read it.
 func TestSweepsOverLossyTransport(t *testing.T) {
 	const n, p, faults = 96, 4, 3
-	g := diagDominant(sparse.Banded(n, n, 5, 0.8, 9))
+	g := sparse.Banded(n, n, 5, 0.8, 9)
+	sparse.MakeDiagDominant(g)
 	b := randVec(n, 10)
 	for _, part := range []string{"row", "mesh"} {
 		t.Run(part, func(t *testing.T) {
@@ -144,6 +130,7 @@ func TestSweepsOverLossyTransport(t *testing.T) {
 				t.Fatalf("clean Jacobi: %+v", stClean)
 			}
 			ft.DropNext(faults)
+			ft.CorruptNext(faults)
 			ft.DuplicateNext(faults)
 			ft.ReorderNext(faults)
 			x, st, err := spops.Jacobi(m, pl, b, nil, 1e-10, 200)
@@ -161,8 +148,8 @@ func TestSweepsOverLossyTransport(t *testing.T) {
 			vecClose(t, x, xClean, 0, "Jacobi solution")
 
 			fs := ft.FullStats()
-			if fs.Dropped != faults || fs.Duplicated != faults || fs.Reordered != faults {
-				t.Fatalf("faults injected %+v, want %d each of drop, duplicate and reorder", fs, faults)
+			if fs.Dropped != faults || fs.Corrupted != faults || fs.Duplicated != faults || fs.Reordered != faults {
+				t.Fatalf("faults injected %+v, want %d each of drop, corrupt, duplicate and reorder", fs, faults)
 			}
 			t.Logf("%d Jacobi sweeps through %+v", stClean.Iterations, fs)
 		})
@@ -183,7 +170,8 @@ func TestSweepsOverLossyTransport(t *testing.T) {
 // the gate catches the old message path coming back, nothing subtler.
 func BenchmarkJacobiSweep(b *testing.B) {
 	const n, p, sweeps = 2000, 4, 50
-	g := diagDominant(sparse.Banded(n, n, 8, 0.8, 1))
+	g := sparse.Banded(n, n, 8, 0.8, 1)
+	sparse.MakeDiagDominant(g)
 	a := compress.CompressCRS(g, nil)
 	rhs, x := randVec(n, 2), randVec(n, 3)
 	d, pl := distribute(b, g, core.Config{Scheme: "ED", Partition: "row", Method: "CRS", Procs: p})

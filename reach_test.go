@@ -62,7 +62,6 @@ var reachAllow = map[string]string{
 	"compress.lines.at":                  reasonFixture,
 	"compress.lines.clone":               reasonFixture,
 	"compress.lines.equal":               reasonFixture,
-	"core.Distribution.Machine":          reasonFixture,
 	"machine.SettledGoroutines":          reasonFixture,
 	"machine.wantAny":                    reasonFixture, // the zero want every test's recvAny matches with
 	"partition.ExtractAll":               reasonFixture, // every part's dense local for TestEngineParity's SFC reference, the partition and cost-model consistency tests
