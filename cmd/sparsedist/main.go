@@ -26,7 +26,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/sparse"
 	"repro/internal/spops"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -49,7 +48,6 @@ func main() {
 		"bottleneck link per-message latency (0: the cost model's T_Startup)")
 	flag.BoolVar(&cfg.Check, "check", false,
 		"run the invariant checker during the run and the differential oracle after it (reassemble the global array from the distributed pieces and diff element-wise)")
-	flag.BoolVar(&cfg.Trace, "trace", false, "print the message timeline and per-rank activity chart")
 	flag.IntVar(&cfg.Workers, "workers", 0,
 		"root-side encode workers (0: one per CPU, 1: the paper's sequential root loop)")
 	flag.IntVar(&cfg.Retries, "retries", 0,
@@ -69,6 +67,8 @@ func main() {
 		"comma-separated schemes (e.g. SFC,CFS,ED) each distributed in turn and compared in one table; overrides -scheme")
 	flag.StringVar(&cli.op, "op", "",
 		"run a distributed compute op on the finished distribution: spmv (halo-exchange y = A·x), jacobi (solve A·x = b; synthetic inputs are made diagonally dominant) or spgemm (row-fetch C = A·A)")
+	flag.BoolVar(&cli.trace, "trace", false,
+		"print the network model's per-rank activity chart on the virtual clock (deterministic); without -topology, records on the uniform topology")
 	flag.BoolVar(&cli.stream, "stream", false,
 		"out-of-core mode: stream the input in bounded chunks instead of materializing it; the root's memory stays within -mem-budget")
 	var (
@@ -150,6 +150,9 @@ func main() {
 		return
 	}
 
+	if cli.trace && cfg.Topology == "" {
+		cfg.Topology = "uniform" // the chart is drawn from the network model's replay
+	}
 	d, err := core.Distribute(g, cfg)
 	if err != nil {
 		fatal(err)
@@ -161,17 +164,9 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Print(d.Report())
-	if cfg.Trace {
-		fmt.Println("\nmessage timeline:")
-		fmt.Print(d.Trace().Timeline())
+	if cli.trace {
 		fmt.Println()
-		fmt.Print(d.Trace().Gantt(d.Partition.NumParts(), 64))
-		if tl := d.NetTimeline(); tl != nil {
-			// The virtual chart is deterministic: solid runs of `s` on
-			// rank 0's row are link occupancy (incl. queueing).
-			fmt.Println("\nvirtual timeline (network model):")
-			fmt.Print(trace.RenderGantt(tl.TraceEvents(), d.Partition.NumParts(), 64))
-		}
+		fmt.Print(d.NetTimeline().Gantt(64))
 	}
 	if *verify {
 		if err := d.Verify(); err != nil {
@@ -247,6 +242,7 @@ type cliFlags struct {
 	input  string
 	batch  string
 	stream bool
+	trace  bool
 	op     string
 }
 
@@ -302,6 +298,12 @@ func validateFlags(cfg core.Config, f cliFlags) error {
 				Fields: "-scheme auto with -stream",
 				Reason: "plan selection needs full array statistics, which a streamed run never materializes; pick a scheme explicitly",
 			}
+		}
+	}
+	if f.trace && f.stream {
+		return &core.ConflictError{
+			Fields: "-trace with -stream",
+			Reason: "the chart draws the network model's replay of the paper's messages, which a streamed run does not send; drop -trace or -stream",
 		}
 	}
 	if !spops.ValidOp(f.op) {
@@ -403,10 +405,6 @@ func runStream(cfg core.Config, input string, n int, ratio float64, seed int64, 
 	}
 	defer d.Close()
 	fmt.Print(d.Report())
-	if cfg.Trace {
-		fmt.Println("\nmessage timeline:")
-		fmt.Print(d.Trace().Timeline())
-	}
 	if !verify && !cfg.Check {
 		return nil
 	}

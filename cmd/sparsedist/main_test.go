@@ -190,6 +190,13 @@ func TestValidateFlags(t *testing.T) {
 			f.wantConflict = true
 		}},
 		{"batch-overrides-auto-scheme", func(f *flags) { f.cfg.Scheme = "auto"; f.batch = "SFC,ED" }},
+		{"trace-ok", func(f *flags) { f.trace = true }},
+		{"trace-with-stream", func(f *flags) {
+			f.trace = true
+			f.stream = true
+			f.wantErrSub = "-trace with -stream"
+			f.wantConflict = true
+		}},
 		{"op-ok", func(f *flags) { f.op = "spmv" }},
 		{"op-unknown", func(f *flags) { f.op = "qr"; f.wantErrSub = "-op" }},
 		{"op-with-stream", func(f *flags) {
@@ -235,11 +242,12 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestStreamWithTopologyIsAConflict: a streamed run's network replay
-// priced its frames and stats replies as the paper's messages and none
-// of its compute. core.DistributeStream now refuses the pairing with a
-// *ConflictError, so the command exits 1 in core's words, naming both
-// settings, before anything is distributed.
+// TestStreamWithTopologyIsAConflict: a streamed run sends frames,
+// credits and finalizes, not the paper's messages, and mirrors none of
+// its compute, so a network replay of it is not the distribution.
+// core.DistributeStream refuses the pairing with a *ConflictError, so
+// the command exits 1 in core's words, naming both settings, before
+// anything is distributed.
 func TestStreamWithTopologyIsAConflict(t *testing.T) {
 	code, stdout, stderr := runMain(t, "-stream", "-n", "200", "-procs", "4", "-topology", "mesh")
 	if code != 1 || stdout != "" || !strings.Contains(stderr, "stream") || !strings.Contains(stderr, "topology") {
@@ -249,6 +257,28 @@ func TestStreamWithTopologyIsAConflict(t *testing.T) {
 	var conflict *core.ConflictError
 	if !errors.As(err, &conflict) {
 		t.Errorf("runStream with a topology = %v, want *core.ConflictError", err)
+	}
+}
+
+// TestTraceDrawsTheNetworkModel: -trace without -topology records on
+// the uniform topology and prints the network model's chart after the
+// report, on the virtual clock, so two identical runs print the same
+// bytes from the network section on.
+func TestTraceDrawsTheNetworkModel(t *testing.T) {
+	var sections [2]string
+	for i := range sections {
+		code, stdout, stderr := runMain(t, "-n", "80", "-procs", "3", "-trace")
+		if code != 0 {
+			t.Fatalf("exit status %d: %s", code, stderr)
+		}
+		at := strings.Index(stdout, "network model: topology=uniform p=3\n")
+		if at < 0 || !strings.Contains(stdout[at:], "time ->") || !strings.Contains(stdout[at:], "\nP2   ") {
+			t.Fatalf("want a uniform network section followed by a 3-rank chart:\n%s", stdout)
+		}
+		sections[i] = stdout[at:strings.Index(stdout, "verification:")]
+	}
+	if sections[0] != sections[1] {
+		t.Errorf("two identical runs drew different charts:\n%s\nvs\n%s", sections[0], sections[1])
 	}
 }
 

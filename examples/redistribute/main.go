@@ -5,8 +5,9 @@
 // problem of the paper's reference [3], built on the same machinery.
 //
 // The example compares redistribution against the naive alternative
-// (gather everything at the root and re-distribute with ED) and prints
-// the message timeline of the all-to-all exchange.
+// (gather everything at the root and re-distribute with ED) and draws
+// the all-to-all exchange as the network model replays it on the
+// uniform topology, on the virtual clock.
 //
 //	go run ./examples/redistribute
 package main
@@ -21,8 +22,8 @@ import (
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/redist"
+	"repro/internal/simnet"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -38,8 +39,12 @@ func main() {
 	}
 	params := cost.DefaultParams
 
-	tr := trace.New()
-	m, err := machine.New(p, machine.WithRecvTimeout(30*time.Second), machine.WithTracer(tr))
+	top, err := simnet.Build("uniform", p, params, 0, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	net := simnet.NewNetwork(top, params)
+	m, err := machine.New(p, machine.WithRecvTimeout(30*time.Second), machine.WithNetwork(net))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +59,7 @@ func main() {
 		src.Breakdown.DistributionTime(params), src.Breakdown.CompressionTime(params))
 
 	// Phase 2: the next algorithm phase wants a mesh layout.
-	tr.Reset()
+	net.Reset()
 	moved, stats, err := redist.Redistribute(m, row, src, mesh)
 	if err != nil {
 		log.Fatal(err)
@@ -82,6 +87,6 @@ func main() {
 	fmt.Printf("direct redistribution moves only the %d nonzeros that change owner,\n", g.NNZ())
 	fmt.Println("and spreads encode/decode over all processors instead of the root.")
 
-	fmt.Println("\nall-to-all message chart (s=send r=recv x=both):")
-	fmt.Print(tr.Gantt(p, 64))
+	fmt.Println("\nall-to-all exchange on the virtual clock (uniform network model):")
+	fmt.Print(net.Finalize().Gantt(64))
 }

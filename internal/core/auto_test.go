@@ -155,7 +155,7 @@ func TestDistributeStreamRejectsAuto(t *testing.T) {
 
 // TestDistributeStreamRejectsTopology: the network model replays the
 // materializing engine's messages; a streamed run's frames, credits and
-// stats are not the paper's, so the pairing is a *ConflictError naming
+// finalizes are not the paper's, so the pairing is a *ConflictError naming
 // both settings, not a replay that disagrees with the counters.
 func TestDistributeStreamRejectsTopology(t *testing.T) {
 	src := sparse.NewUniformStream(40, 40, 80, 1, sparse.DefaultChunkEntries)

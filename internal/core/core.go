@@ -71,7 +71,7 @@ type Config struct {
 	// price the same traffic under link contention. With Transport
 	// "model", the wire sleeps are priced by topology routes too.
 	// DistributeStream refuses it (a *ConflictError): a streamed run
-	// moves frames, credits and stats the paper's model does not have.
+	// moves frames, credits and finalizes the paper's model does not have.
 	Topology string
 	// LinkBW, in payload words per second, overrides the bandwidth of
 	// the topology's bottleneck links (see simnet.Build). Zero keeps the
@@ -88,9 +88,6 @@ type Config struct {
 	// the paper's strictly sequential root loop). Virtual costs are
 	// identical for any value; wall time improves on multi-core hosts.
 	Workers int
-	// Trace records every data message for timeline rendering; read it
-	// back with Distribution.Trace.
-	Trace bool
 	// Check turns on the invariant checker for the run (dist
 	// Options.Check): decoded part arrays are structurally validated and
 	// shape-checked, and ED special buffers are verified at the root
@@ -343,26 +340,18 @@ func newMachineStack(cfg Config) (*machineStack, error) {
 		ft = machine.NewFaultTransport(base)
 		base = ft
 	}
-	var tracer *trace.Tracer
-	if cfg.Trace {
-		tracer = trace.New()
-	}
 	var rt *machine.ReliableTransport
 	if cfg.Reliable {
 		rt = machine.NewReliableTransport(base, machine.RetryPolicy{
 			MaxRetries: cfg.Retries,
 			BaseDelay:  cfg.RetryBackoff,
 		})
-		rt.SetTracer(tracer)
 		base = rt
 	}
 
 	opts := []machine.Option{
 		machine.WithRecvTimeout(cfg.RecvTimeout),
 		machine.WithTransport(base),
-	}
-	if tracer != nil {
-		opts = append(opts, machine.WithTracer(tracer))
 	}
 	if net != nil {
 		opts = append(opts, machine.WithNetwork(net))
@@ -437,7 +426,7 @@ func DistributeStream(src sparse.ChunkReader, cfg Config) (*Distribution, error)
 	if cfg.Topology != "" {
 		return nil, &ConflictError{
 			Fields: "topology with stream",
-			Reason: "the network model replays the paper's messages, but a streamed run sends frames, credits and stats instead; drop topology or stream",
+			Reason: "the network model replays the paper's messages, but a streamed run sends frames, credits and finalizes instead; drop topology or stream",
 		}
 	}
 	cfg = cfg.withDefaults()
@@ -526,9 +515,6 @@ func (d *Distribution) Close() error { return d.m.Close() }
 // Machine exposes the underlying emulated multicomputer for custom
 // SPMD kernels.
 func (d *Distribution) Machine() *machine.Machine { return d.m }
-
-// Trace returns the message tracer when Config.Trace was set, else nil.
-func (d *Distribution) Trace() *trace.Tracer { return d.m.Tracer() }
 
 // NetTimeline replays the recorded network activity into the virtual
 // timeline; nil when no Config.Topology was set. Deterministic: the
@@ -641,12 +627,6 @@ func (d *Distribution) Report() string {
 	if st, ok := d.FaultStats(); ok {
 		fmt.Fprintf(&b, "injected faults: %d dropped, %d corrupted, %d duplicated, %d reordered\n",
 			st.Dropped, st.Corrupted, st.Duplicated, st.Reordered)
-	}
-	if tr := d.m.Tracer(); tr != nil && len(tr.Counters()) > 0 {
-		fmt.Fprintf(&b, "counters:\n")
-		for _, line := range strings.Split(strings.TrimRight(tr.CountersString(), "\n"), "\n") {
-			fmt.Fprintf(&b, "  %s\n", line)
-		}
 	}
 	if tl := d.NetTimeline(); tl != nil {
 		b.WriteString(tl.Report())

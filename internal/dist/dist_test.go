@@ -550,7 +550,7 @@ func TestSchemesLeaveTheInputUntouched(t *testing.T) {
 			return m
 		}},
 		{"reliable", func(t *testing.T) *machine.Machine {
-			m, ft, _, _ := faultyMachine(t, p, "chan")
+			m, ft, _ := faultyMachine(t, p, "chan")
 			ft.DuplicateNext(2)
 			ft.ReorderNext(2)
 			return m

@@ -139,7 +139,7 @@ func TestEngineParity(t *testing.T) {
 							want := referenceBreakdown(t, scheme.Name(), g, part, method)
 							var m *machine.Machine
 							if reliable {
-								m, _, _, _ = faultyMachine(t, p, "chan")
+								m, _, _ = faultyMachine(t, p, "chan")
 							} else {
 								m = newMachine(t, p)
 							}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 // recoverPolicy keeps ACK waits short so a spent budget is noticed
@@ -19,9 +18,9 @@ import (
 // landing on the same unlucky message.
 var recoverPolicy = machine.RetryPolicy{MaxRetries: 6, BaseDelay: 2 * time.Millisecond, MaxDelay: 15 * time.Millisecond}
 
-// faultyMachine stacks Reliable(Fault(inner)) — faults hit the wire
-// below the reliability layer — and wires a tracer through both.
-func faultyMachine(t *testing.T, p int, transport string) (*machine.Machine, *machine.FaultTransport, *machine.ReliableTransport, *trace.Tracer) {
+// faultyMachine stacks Reliable(Fault(inner)): faults hit the wire
+// below the reliability layer.
+func faultyMachine(t *testing.T, p int, transport string) (*machine.Machine, *machine.FaultTransport, *machine.ReliableTransport) {
 	t.Helper()
 	var inner machine.Transport
 	switch transport {
@@ -36,14 +35,12 @@ func faultyMachine(t *testing.T, p int, transport string) (*machine.Machine, *ma
 	}
 	ft := machine.NewFaultTransport(inner)
 	rt := machine.NewReliableTransport(ft, recoverPolicy)
-	tracer := trace.New()
-	rt.SetTracer(tracer)
-	m, err := machine.New(p, machine.WithTransport(rt), machine.WithRecvTimeout(10*time.Second), machine.WithTracer(tracer))
+	m, err := machine.New(p, machine.WithTransport(rt), machine.WithRecvTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	return m, ft, rt, tracer
+	return m, ft, rt
 }
 
 var recoverSchemes = []Codec{SFC{}, CFS{}, ED{}}
@@ -90,7 +87,7 @@ func TestSchemesRecoverFromTransientFaults(t *testing.T) {
 				opts := Options{Method: CRS}
 				want := baselineLocals(t, scheme, g, part, Options{Method: CRS})
 
-				m, ft, rt, _ := faultyMachine(t, p, transport)
+				m, ft, rt := faultyMachine(t, p, transport)
 				ft.DropNext(3)
 				ft.CorruptNext(2)
 				res, err := distribute(scheme, m, g, part, opts)
@@ -131,7 +128,7 @@ func TestDegradePathMatchesLegacyWhenHealthy(t *testing.T) {
 			for _, scheme := range recoverSchemes {
 				t.Run(scheme.Name()+"/"+part.Name()+"/"+method.String(), func(t *testing.T) {
 					want := baselineLocals(t, scheme, g, part, Options{Method: method})
-					m, _, _, _ := faultyMachine(t, p, "chan")
+					m, _, _ := faultyMachine(t, p, "chan")
 					res, err := distribute(scheme, m, g, part, Options{Method: method})
 					if err != nil {
 						t.Fatal(err)

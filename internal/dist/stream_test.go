@@ -54,7 +54,7 @@ func TestStreamParity(t *testing.T) {
 
 						var ms *machine.Machine
 						if reliable {
-							ms, _, _, _ = faultyMachine(t, p, "chan")
+							ms, _, _ = faultyMachine(t, p, "chan")
 						} else {
 							ms = newMachine(t, p)
 						}
@@ -303,12 +303,11 @@ func TestStreamSetupErrors(t *testing.T) {
 	}
 }
 
-// TestStreamRefusesNetwork: a streamed run's wire is frames, credits,
-// finalizes and stats, and it mirrors no compute, so a network model's
-// replay of it is not the paper's distribution (on uniform it read
-// T_Compression 0 and listed the stats replies as links). RunStream
-// refuses a recording machine before any goroutine spawns, and the
-// recorder stays empty.
+// TestStreamRefusesNetwork: a streamed run's wire is frames, credits
+// and finalizes, and it mirrors no compute, so a network model's replay
+// of it is not the paper's distribution (on uniform it read
+// T_Compression 0). RunStream refuses a recording machine before any
+// goroutine spawns, and the recorder stays empty.
 func TestStreamRefusesNetwork(t *testing.T) {
 	const p = 4
 	top, err := simnet.Build("uniform", p, cost.DefaultParams, 0, 0)

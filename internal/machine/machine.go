@@ -68,7 +68,6 @@ type Machine struct {
 	p         int
 	transport Transport
 	timeout   time.Duration
-	tracer    *trace.Tracer
 	net       *simnet.Network
 	retains   bool  // transport may retain sent payloads (see PayloadRetainer)
 	nextTag   int64 // the tag allocator cursor (see tags.go)
@@ -85,12 +84,8 @@ func WithTransport(t Transport) Option { return func(m *Machine) { m.transport =
 // receive aborts the run with ErrTimeout instead of hanging.
 func WithRecvTimeout(d time.Duration) Option { return func(m *Machine) { m.timeout = d } }
 
-// WithTracer records every data message (sends and receives) into tr
-// for timeline rendering. Control traffic of collectives is not traced.
-func WithTracer(tr *trace.Tracer) Option { return func(m *Machine) { m.tracer = tr } }
-
-// Tracer returns the machine's tracer, or nil.
-func (m *Machine) Tracer() *trace.Tracer { return m.tracer }
+// WithTracer records nothing; goes when bench stops calling it (ROADMAP 21a).
+func WithTracer(*trace.Tracer) Option { return func(*Machine) {} }
 
 // WithNetwork attaches a simnet recorder: every data message (tag >= 0)
 // is recorded as a virtual send at the sender and a matched receive at

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/trace"
 )
 
 // Send transmits data words (with a small integer header) to rank `to`,
@@ -29,9 +28,6 @@ func (p *Proc) SendBuf(to, tag int, meta [4]int64, data []float64, pooled bool, 
 		return fmt.Errorf("machine: rank %d sending to invalid rank %d of %d", p.Rank, to, p.m.p)
 	}
 	ctr.AddSend(len(data))
-	if p.m.tracer != nil {
-		p.m.tracer.Record(trace.Event{Kind: trace.Send, Rank: p.Rank, Peer: to, Tag: tag, Words: len(data)})
-	}
 	if p.m.net != nil && tag >= 0 {
 		// Recorded before the transport attempt, like the counter charge:
 		// a send the reliability layer later gives up on still cost its
@@ -42,22 +38,13 @@ func (p *Proc) SendBuf(to, tag int, meta [4]int64, data []float64, pooled bool, 
 		Pooled: pooled && !p.m.retains})
 }
 
-func (p *Proc) traceRecv(msg Message) {
-	if msg.Tag < 0 {
-		// Data-bearing collectives are recorded into the network model
-		// (their hops occupy links like any other transfer) but stay
-		// out of the tracer and the cost counters: the paper's flat
-		// analysis does not include them, while the topology replay
-		// should show every word that moves.
-		if p.m.net != nil && collectiveRecorded(msg.Tag) {
-			p.m.net.Recv(p.Rank, msg.From, msg.Tag)
-		}
-		return
-	}
-	if p.m.tracer != nil {
-		p.m.tracer.Record(trace.Event{Kind: trace.Recv, Rank: p.Rank, Peer: msg.From, Tag: msg.Tag, Words: len(msg.Data)})
-	}
-	if p.m.net != nil {
+// recordRecv records a matched receive into the network model: every
+// data message, and the data-bearing collectives too. Their hops
+// occupy links like any other transfer, so the topology replay shows
+// every word that moves, although the paper's flat analysis and the
+// cost counters leave collectives out.
+func (p *Proc) recordRecv(msg Message) {
+	if p.m.net != nil && (msg.Tag >= 0 || collectiveRecorded(msg.Tag)) {
 		p.m.net.Recv(p.Rank, msg.From, msg.Tag)
 	}
 }
@@ -71,7 +58,7 @@ func (p *Proc) recvMatch(ctx context.Context, w want) (Message, error) {
 	if err != nil {
 		return Message{}, fmt.Errorf("machine: rank %d waiting for %s: %w", p.Rank, w, err)
 	}
-	p.traceRecv(msg)
+	p.recordRecv(msg)
 	return msg, nil
 }
 

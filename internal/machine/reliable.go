@@ -47,7 +47,6 @@ import (
 type ReliableTransport struct {
 	inner  Transport
 	policy RetryPolicy
-	tracer *trace.Tracer
 	wg     sync.WaitGroup // the pumps
 
 	// mu guards the send side: the links and closed. cond (on mu) wakes
@@ -130,7 +129,6 @@ type ReliableStats struct {
 	Retransmits int64 // extra wire copies due to NACK or ACK timeout
 	Nacks       int64 // checksum rejections signalled back to senders
 	Duplicates  int64 // received copies discarded by sequence dedup
-	Reordered   int64 // messages held to restore per-pair order
 	Corrupt     int64 // frames that failed the checksum
 	Failed      int64 // frames that exhausted the retry budget
 }
@@ -147,11 +145,6 @@ var ErrRetriesExhausted = errors.New("machine: reliable send retries exhausted")
 const (
 	tagAck  = -100
 	tagNack = -101
-	// tagSkip heals the sequence gap left by a permanently failed send:
-	// without it every later message on that (sender, receiver) pair
-	// would wait forever in the hold buffer for a frame nobody will
-	// retransmit again.
-	tagSkip = -102
 )
 
 // relTrailerWords is the framing a data message carries after its
@@ -165,13 +158,12 @@ const relTrailerWords = 3
 const relMagicBits = 0x52454C4941424C45
 
 // relEndpoint is one rank's receive side: the in-order delivery queue,
-// which is the rank's inbox, plus per-source sequencing state, guarded
-// by the queue's mutex. The queue fails with the inner inbox's error
-// once the rank can never receive again.
+// which is the rank's inbox, plus the next sequence number expected
+// from each source, guarded by the queue's mutex. The queue fails with
+// the inner inbox's error once the rank can never receive again.
 type relEndpoint struct {
 	msgQueue
 	expected map[int]uint64
-	hold     map[int]map[uint64]Message
 }
 
 // NewReliableTransport wraps inner with the given retry policy (zero
@@ -189,10 +181,7 @@ func NewReliableTransport(inner Transport, policy RetryPolicy) *ReliableTranspor
 	t.cond.L = &t.mu
 	t.failed, t.fail = context.WithCancelCause(context.Background())
 	for i := range t.eps {
-		t.eps[i] = &relEndpoint{
-			expected: make(map[int]uint64),
-			hold:     make(map[int]map[uint64]Message),
-		}
+		t.eps[i] = &relEndpoint{expected: make(map[int]uint64)}
 	}
 	for rank := range t.eps {
 		t.wg.Add(1)
@@ -201,10 +190,8 @@ func NewReliableTransport(inner Transport, policy RetryPolicy) *ReliableTranspor
 	return t
 }
 
-// SetTracer mirrors the layer's counters into tr (as
-// "reliable.retransmits", "reliable.nacks", "reliable.duplicates",
-// "reliable.corrupt", "reliable.failed"). Call before traffic flows.
-func (t *ReliableTransport) SetTracer(tr *trace.Tracer) { t.tracer = tr }
+// SetTracer records nothing; goes when bench stops calling it (ROADMAP 21a).
+func (t *ReliableTransport) SetTracer(*trace.Tracer) {}
 
 // Stats returns a snapshot of the layer's counters.
 func (t *ReliableTransport) Stats() ReliableStats {
@@ -219,11 +206,10 @@ func (t *ReliableTransport) Policy() RetryPolicy { return t.policy }
 // Ranks implements Transport.
 func (t *ReliableTransport) Ranks() int { return t.inner.Ranks() }
 
-func (t *ReliableTransport) count(field *int64, name string) {
+func (t *ReliableTransport) count(field *int64) {
 	t.statMu.Lock()
 	*field++
 	t.statMu.Unlock()
-	t.tracer.Count(name, 1)
 }
 
 var errRelClosed = errors.New("machine: reliable transport: closed")
@@ -360,17 +346,12 @@ func (t *ReliableTransport) expire(f *relFrame) {
 
 // retryLocked resends f and arms its next ACK wait or, with the budget
 // spent, gives f up: the link fails with ErrRetriesExhausted, which
-// also marks the transport failed, and the receiver gets a skip notice
-// so a merely unlucky peer is not wedged behind the abandoned number.
-// Callers hold t.mu and have stopped or consumed f's timer; it returns
-// with t.mu released, after the send.
+// also marks the transport failed, and writes nothing more. Callers
+// hold t.mu and have stopped or consumed f's timer; it returns with
+// t.mu released, after any resend.
 func (t *ReliableTransport) retryLocked(f *relFrame) {
 	out := f.msg
-	if f.attempt < t.policy.MaxRetries {
-		f.attempt++
-		f.timer.Reset(t.ackWait(f.attempt))
-		t.count(&t.stats.Retransmits, "reliable.retransmits")
-	} else {
+	if f.attempt >= t.policy.MaxRetries {
 		err := fmt.Errorf("machine: reliable: message from rank %d to rank %d (tag %d, seq %d) unacknowledged after %d attempts: %w",
 			out.From, out.To, out.Tag, f.seq, f.attempt+1, ErrRetriesExhausted)
 		if f.link.err == nil {
@@ -378,9 +359,13 @@ func (t *ReliableTransport) retryLocked(f *relFrame) {
 		}
 		t.fail(err)
 		t.retireLocked(f)
-		t.count(&t.stats.Failed, "reliable.failed")
-		out = Message{From: out.From, To: out.To, Tag: tagSkip, Meta: [4]int64{int64(f.seq)}}
+		t.count(&t.stats.Failed)
+		t.mu.Unlock()
+		return
 	}
+	f.attempt++
+	f.timer.Reset(t.ackWait(f.attempt))
+	t.count(&t.stats.Retransmits)
 	t.sending.Add(1)
 	t.mu.Unlock()
 	_ = t.inner.Send(out) // best effort: a lost copy is the next ACK wait's to resend
@@ -468,8 +453,6 @@ func (t *ReliableTransport) dispatch(rank int, msg Message) {
 	switch {
 	case msg.Tag == tagAck || msg.Tag == tagNack:
 		t.settle(rank, msg.From, uint64(msg.Meta[0]), msg.Tag == tagAck)
-	case msg.Tag == tagSkip:
-		t.handleSkip(rank, msg)
 	case msg.Tag < 0:
 		// Collective control traffic: no sequencing, straight through.
 		t.eps[rank].push(msg)
@@ -481,11 +464,21 @@ func (t *ReliableTransport) dispatch(rank int, msg Message) {
 // handleData verifies, acknowledges and orders one data frame. A frame
 // that is not delivered (damaged or a duplicate) goes back to the pool
 // if the inner transport drew it from there.
+//
+// An intact frame is either a copy of one already delivered or the
+// very frame the endpoint expects next, never one ahead of it: a link
+// writes frame seq only once seq−1 is acknowledged, only this function
+// acknowledges, and the rank's one pump finishes each frame before it
+// reads the next. A link that spends a frame's retry budget writes
+// nothing after it. Reordering on the wire therefore shows up here as
+// duplicates, and nothing is ever held back. The one frame that can
+// arrive ahead follows a frame the inner transport refused (its Send
+// returned that error); nothing will fill that gap, so it is delivered.
 func (t *ReliableTransport) handleData(rank int, msg Message) {
 	payload, seq, ok := decodeRel(msg)
 	if !ok {
-		t.count(&t.stats.Corrupt, "reliable.corrupt")
-		t.count(&t.stats.Nacks, "reliable.nacks")
+		t.count(&t.stats.Corrupt)
+		t.count(&t.stats.Nacks)
 		t.sendControl(rank, msg.From, tagNack, seq)
 		ReleaseMessage(&msg)
 		return
@@ -493,51 +486,18 @@ func (t *ReliableTransport) handleData(rank int, msg Message) {
 	// ACK before dedup: duplicates mean the sender missed the first ACK.
 	t.sendControl(rank, msg.From, tagAck, seq)
 
-	clean := msg
-	clean.Data = payload
-
 	ep := t.eps[rank]
 	ep.mu.Lock()
-	exp := ep.expected[msg.From]
-	switch {
-	case seq < exp:
+	if seq < ep.expected[msg.From] {
 		ep.mu.Unlock()
-		t.count(&t.stats.Duplicates, "reliable.duplicates")
+		t.count(&t.stats.Duplicates)
 		ReleaseMessage(&msg)
-	case seq == exp:
-		ep.pushLocked(clean)
-		ep.advanceLocked(msg.From, exp+1)
-		ep.mu.Unlock()
-	default: // seq > exp: a gap — hold until the missing frames arrive
-		if ep.hold[msg.From] == nil {
-			ep.hold[msg.From] = make(map[uint64]Message)
-		}
-		if _, dup := ep.hold[msg.From][seq]; dup {
-			ep.mu.Unlock()
-			t.count(&t.stats.Duplicates, "reliable.duplicates")
-			ReleaseMessage(&msg)
-			return
-		}
-		ep.hold[msg.From][seq] = clean
-		ep.mu.Unlock()
-		t.count(&t.stats.Reordered, "reliable.reordered")
-	}
-}
-
-// handleSkip processes a sender's notice that it abandoned seq after
-// exhausting its retries: if that is exactly the frame this endpoint is
-// waiting for, skip it and release any held successors. If the frame
-// did arrive (the sender only missed the ACKs), expected has already
-// moved past seq and the notice is stale — ignore it.
-func (t *ReliableTransport) handleSkip(rank int, msg Message) {
-	ep := t.eps[rank]
-	seq := uint64(msg.Meta[0])
-	ep.mu.Lock()
-	if ep.expected[msg.From] != seq {
-		ep.mu.Unlock()
 		return
 	}
-	ep.advanceLocked(msg.From, seq+1)
+	ep.expected[msg.From] = seq + 1
+	clean := msg
+	clean.Data = payload
+	ep.pushLocked(clean)
 	ep.mu.Unlock()
 }
 
@@ -545,21 +505,6 @@ func (t *ReliableTransport) handleSkip(rank int, msg Message) {
 // a lost ACK is recovered by the sender's retransmission.
 func (t *ReliableTransport) sendControl(rank, peer, tag int, seq uint64) {
 	_ = t.inner.Send(Message{From: rank, To: peer, Tag: tag, Meta: [4]int64{int64(seq)}})
-}
-
-// advanceLocked moves expected[from] to exp, releasing any directly-
-// following held messages into the delivery queue. ep.mu must be held.
-func (ep *relEndpoint) advanceLocked(from int, exp uint64) {
-	for {
-		held, ok := ep.hold[from][exp]
-		if !ok {
-			break
-		}
-		delete(ep.hold[from], exp)
-		ep.pushLocked(held)
-		exp++
-	}
-	ep.expected[from] = exp
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

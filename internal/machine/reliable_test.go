@@ -114,40 +114,6 @@ func TestReliableRestoresOrderUnderReordering(t *testing.T) {
 	}
 }
 
-func TestReliableHoldsGapFrames(t *testing.T) {
-	// Inject frames directly into the inner transport with seq 1 ahead of
-	// seq 0: the receiver must hold the early frame and release both in
-	// sequence order.
-	ct := NewChanTransport(2)
-	rt := NewReliableTransport(ct, fastPolicy)
-	defer rt.Close()
-
-	wire := func(seq uint64, v float64) Message {
-		base := Message{From: 0, To: 1, Tag: 5, Data: []float64{v}}
-		framed := base
-		framed.Data = encodeRel(base, seq)
-		return framed
-	}
-	if err := ct.Send(wire(1, 11)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.Send(wire(0, 10)); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []float64{10, 11} {
-		msg, err := recvAny(rt, 1, time.Second)
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if msg.Data[0] != want {
-			t.Fatalf("recv %d = %v, want %v (sequence order restored)", i, msg.Data[0], want)
-		}
-	}
-	if st := rt.Stats(); st.Reordered != 1 {
-		t.Errorf("reordered = %d, want 1 (the held gap frame)", st.Reordered)
-	}
-}
-
 func TestReliableSelfSendDoesNotDeadlock(t *testing.T) {
 	// Rank 0 sending to itself must not block on its own ACK: the pump
 	// acknowledges independently of the application Recv loop.

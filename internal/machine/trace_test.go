@@ -1,63 +1,78 @@
 package machine
 
 import (
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cost"
+	"repro/internal/simnet"
 	"repro/internal/trace"
 )
 
-func TestMachineTracesMessages(t *testing.T) {
-	tr := trace.New()
-	m, err := New(2, WithTracer(tr), WithRecvTimeout(5*time.Second))
+// recordedRun runs body on a p-rank machine over the reliable layer
+// with a uniform network model attached, with or without the tracer
+// shims, and returns the replayed timeline.
+func recordedRun(t *testing.T, p int, shims bool, body func(*Proc) error) *simnet.Timeline {
+	t.Helper()
+	top, err := simnet.Build("uniform", p, cost.DefaultParams, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.NewNetwork(top, cost.DefaultParams)
+	rt := NewReliableTransport(NewChanTransport(p), fastPolicy)
+	opts := []Option{WithTransport(rt), WithNetwork(net), WithRecvTimeout(5 * time.Second)}
+	if shims {
+		tr := trace.New()
+		rt.SetTracer(tr)
+		opts = append(opts, WithTracer(tr))
+	}
+	m, err := New(p, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	err = m.Run(func(p *Proc) error {
+	if err := m.Run(body); err != nil {
+		t.Fatal(err)
+	}
+	return net.Finalize()
+}
+
+// TestTracerShimsAreInert: WithTracer and SetTracer record nothing and
+// change nothing. A run built with them delivers the same data and
+// replays to the same timeline as one built without.
+func TestTracerShimsAreInert(t *testing.T) {
+	body := func(p *Proc) error {
 		if p.Rank == 0 {
 			return p.Send(1, 3, [4]int64{}, []float64{1, 2}, nil)
 		}
-		_, err := p.RecvFrom(0, 3)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Tracer() != tr {
-		t.Error("Tracer() did not return the installed tracer")
-	}
-	evs := tr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2 (send, recv)", len(evs))
-	}
-	out := tr.Timeline()
-	for _, want := range []string{"P0 send -> P1", "P1 recv <- P0", "2 words"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("timeline missing %q:\n%s", want, out)
+		msg, err := p.RecvFrom(0, 3)
+		if err == nil && (len(msg.Data) != 2 || msg.Data[1] != 2) {
+			t.Errorf("received %v, want [1 2]", msg.Data)
 		}
+		return err
+	}
+	plain, shimmed := recordedRun(t, 2, false, body), recordedRun(t, 2, true, body)
+	if len(plain.Events) != 2 {
+		t.Fatalf("timeline has %d events, want 2 (send, recv)", len(plain.Events))
+	}
+	if plain.Hash() != shimmed.Hash() {
+		t.Errorf("the tracer shims changed the timeline:\n%s\nvs\n%s", plain.Gantt(32), shimmed.Gantt(32))
 	}
 }
 
-func TestControlTrafficNotTraced(t *testing.T) {
-	tr := trace.New()
-	m, err := New(3, WithTracer(tr), WithRecvTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
+// TestControlTrafficNotRecorded: a barrier moves no array data and
+// stays out of the network model; a broadcast's hops occupy links like
+// any transfer and are recorded, one send and one receive per leaf.
+func TestControlTrafficNotRecorded(t *testing.T) {
+	tl := recordedRun(t, 3, false, func(p *Proc) error { return p.Barrier() })
+	if n := len(tl.Events); n != 0 {
+		t.Errorf("a barrier left %d timeline events, want 0", n)
 	}
-	defer m.Close()
-	err = m.Run(func(p *Proc) error {
-		if err := p.Barrier(); err != nil {
-			return err
-		}
+	tl = recordedRun(t, 3, false, func(p *Proc) error {
 		_, err := p.Bcast(0, []float64{1})
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := tr.Len(); n != 0 {
-		t.Errorf("control traffic produced %d trace events, want 0", n)
+	if n := len(tl.Events); n != 4 {
+		t.Errorf("a broadcast to 2 leaves left %d timeline events, want 4", n)
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"hash/fnv"
 	"strings"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // EvKind classifies a timeline event.
@@ -159,29 +157,56 @@ func (t *Timeline) Hash() uint64 {
 	return h.Sum64()
 }
 
-// TraceEvents exports the timeline as trace events carrying virtual
-// timestamps (VAt/VDur), ready for trace.RenderTimeline and
-// trace.RenderGantt. The export is deterministic: events come out in
-// replay order, which the renderers stably re-sort by (VAt, Rank, Tag).
-func (t *Timeline) TraceEvents() []trace.Event {
-	out := make([]trace.Event, 0, len(t.Events))
+// Gantt renders a fixed-width per-rank activity chart of the timeline:
+// one row per rank, virtual time bucketed into width columns, `s`/`r`/`c`
+// marking buckets with sends, receives or compute, `x` buckets mixing
+// kinds. An event marks every bucket from its Start to its End, so a
+// send's link occupancy, queueing included, shows as a solid run of `s`
+// on the sender's row. Like the rest of the timeline it is a pure
+// function of the recording: two identical runs draw the same bytes.
+func (t *Timeline) Gantt(width int) string {
+	if len(t.Events) == 0 || t.P <= 0 || width <= 0 {
+		return "(no events)\n"
+	}
+	first, last := t.Events[0].Start, t.Events[0].End
 	for _, e := range t.Events {
-		te := trace.Event{
-			Rank: e.Rank, Peer: e.Peer, Tag: e.Tag, Words: e.Words,
-			VAt: e.Start, VDur: e.End - e.Start, Virtual: true,
+		first, last = min(first, e.Start), max(last, e.End)
+	}
+	total := max(last-first, time.Nanosecond)
+	grid := make([][]byte, t.P)
+	for r := range grid {
+		grid[r] = []byte(strings.Repeat(".", width))
+	}
+	bucket := func(at time.Duration) int {
+		return min(max(int(float64(at-first)/float64(total)*float64(width-1)), 0), width-1)
+	}
+	for _, e := range t.Events {
+		if e.Rank < 0 || e.Rank >= t.P {
+			continue
 		}
+		mark := byte('c')
 		switch e.Kind {
 		case EvSend:
-			te.Kind = trace.Send
+			mark = 's'
 		case EvRecv:
-			te.Kind = trace.Recv
-		default:
-			te.Kind = trace.Span
-			te.Label = e.Class.String()
+			mark = 'r'
 		}
-		out = append(out, te)
+		for col := bucket(e.Start); col <= bucket(e.End); col++ {
+			switch cell := &grid[e.Rank][col]; *cell {
+			case '.':
+				*cell = mark
+			case mark:
+			default:
+				*cell = 'x'
+			}
+		}
 	}
-	return out
+	var b strings.Builder
+	fmt.Fprintf(&b, "time ->  (%v total; s=send r=recv c=compute x=mixed)\n", total)
+	for r, row := range grid {
+		fmt.Fprintf(&b, "P%-3d %s\n", r, row)
+	}
+	return b.String()
 }
 
 // LinkReport renders the per-link occupancy table: one row per link

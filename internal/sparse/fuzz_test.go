@@ -36,11 +36,18 @@ func drainDigest(src ChunkReader) (n int, digest uint64, err error) {
 
 // FuzzOpenStream aims arbitrary bytes at the two file parsers through
 // the sniff OpenStream uses — the path the CLI's -input takes, with or
-// without -stream. No input may panic; a stream that opened
-// rewinds, and a second pass yields the same entries and ends the same
-// way; and what the parser allocates is bounded by its fixed buffers
-// and the bytes on file, with 1 MiB of slack for anything a header
-// declares — a count in a header is a claim, not an allocation size.
+// without -stream — and at what reads a stream that opened: the count
+// pass ScanStats and, for shapes of at most 2^16 cells, the oracle
+// Materialize. No input may panic; a stream that opened rewinds, and
+// every pass yields the same entries and ends the same way; and what
+// the parser allocates is bounded by its fixed buffers and the bytes on
+// file, with 1 MiB of slack for anything a header declares — a count in
+// a header is a claim, not an allocation size. Only what the readers
+// must size by the shape widens the budget: ScanStats' two histograms,
+// 8·(rows+cols) bytes, and Materialize's dense array, 8·rows·cols
+// bytes. ScanStats runs on every shape but those of more than 2^20 and
+// at most 2^28 indices (CheckIndexSpan's bound), whose histograms alone
+// would take 8 MiB to 2 GiB a run.
 func FuzzOpenStream(f *testing.F) {
 	for _, c := range textErrorCases {
 		f.Add([]byte(c.in))
@@ -76,7 +83,7 @@ func FuzzOpenStream(f *testing.F) {
 		defer func() {
 			runtime.ReadMemStats(&after)
 			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
-				t.Errorf("%d-byte input made the parser allocate %d bytes, budget %d", len(data), got, budget)
+				t.Errorf("%d-byte input made the parser and its readers allocate %d bytes, budget %d", len(data), got, budget)
 			}
 		}()
 
@@ -93,5 +100,50 @@ func FuzzOpenStream(f *testing.F) {
 			t.Errorf("second pass differs: %d entries (digest %x, err %v), then %d (digest %x, err %v)",
 				n1, d1, err1, n2, d2, err2)
 		}
+		// A pass that succeeds hands the stream back rewound, so the next
+		// drain yields the same entries; one that fails leaves it where
+		// it stopped, for the caller to Reset.
+		settled := func(pass string, err error) {
+			if err == nil {
+				if n, d, derr := drainDigest(src); n != n1 || d != d1 || (derr == nil) != (err1 == nil) {
+					t.Errorf("after %s: %d entries (digest %x, err %v), want %d (digest %x, err %v)", pass, n, d, derr, n1, d1, err1)
+				}
+			} else if err1 == nil {
+				t.Errorf("%s failed on a stream the parser read whole: %v", pass, err)
+			}
+			if err := src.Reset(); err != nil {
+				t.Fatalf("Reset after %s: %v", pass, err)
+			}
+		}
+		if err := src.Reset(); err != nil {
+			t.Fatalf("Reset of a stream that opened: %v", err)
+		}
+		rows, cols := src.Shape()
+		if span := CheckIndexSpan(rows, cols); span != nil {
+			if _, err := ScanStats(src); err == nil {
+				t.Errorf("ScanStats counted a shape CheckIndexSpan refuses: %v", span)
+			}
+			return
+		}
+		if rows+cols > 1<<20 {
+			return // histograms of 8 MiB to 2 GiB a run: more than a fuzzer may take
+		}
+		budget += 8 * uint64(rows+cols)
+		st, err := ScanStats(src)
+		if err == nil && (err1 != nil || st.NNZ != n1 || st.Rows != rows || st.Cols != cols) {
+			t.Errorf("ScanStats counted %d entries of a %dx%d array, the parser yielded %d of %dx%d (err %v)",
+				st.NNZ, st.Rows, st.Cols, n1, rows, cols, err1)
+		}
+		settled("ScanStats", err)
+		if rows < 0 || cols < 0 || rows > 0 && cols > 1<<16/rows {
+			return
+		}
+		budget += 8 * uint64(rows*cols)
+		g, err := Materialize(src)
+		if err == nil && (err1 != nil || g.Rows() != rows || g.Cols() != cols || g.NNZ() > n1) {
+			t.Errorf("Materialize built a %dx%d array with %d nonzeros, the parser yielded %d entries of %dx%d (err %v)",
+				g.Rows(), g.Cols(), g.NNZ(), n1, rows, cols, err1)
+		}
+		settled("Materialize", err)
 	})
 }

@@ -1,63 +1,13 @@
 package trace
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
 
-// Golden-output regression tests: the renderers are part of the
-// deterministic reporting surface (sim-smoke diffs them across runs),
-// so their exact bytes for a fixed virtual event set are pinned here.
-// A deliberate format change must update these strings.
-
-// goldenEvents is a fixed virtual workload: root computes, sends to
-// two ranks (the second send queued behind the first), ranks receive
-// and decode. Several events share timestamps to exercise the sort
-// tiebreaks.
-func goldenEvents() []Event {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	return []Event{
-		{Kind: Span, Rank: 0, Peer: -1, Label: "root-comp", Virtual: true, VAt: 0, VDur: ms(2)},
-		{Kind: Send, Rank: 0, Peer: 1, Tag: 1, Words: 100, Virtual: true, VAt: ms(2), VDur: ms(3)},
-		{Kind: Send, Rank: 0, Peer: 2, Tag: 2, Words: 100, Virtual: true, VAt: ms(5), VDur: ms(3)},
-		{Kind: Recv, Rank: 1, Peer: 0, Tag: 1, Words: 100, Virtual: true, VAt: ms(5), VDur: 0},
-		{Kind: Recv, Rank: 2, Peer: 0, Tag: 2, Words: 100, Virtual: true, VAt: ms(8), VDur: 0},
-		{Kind: Span, Rank: 1, Peer: -1, Label: "rank-comp", Virtual: true, VAt: ms(5), VDur: ms(4)},
-		{Kind: Span, Rank: 2, Peer: -1, Label: "rank-comp", Virtual: true, VAt: ms(8), VDur: ms(4)},
-	}
-}
-
-const goldenTimeline = `+          0s  P0 root-comp      (2ms)
-+         2ms  P0 send -> P1  tag 1  100 words
-+         5ms  P0 send -> P2  tag 2  100 words
-+         5ms  P1 rank-comp      (4ms)
-+         5ms  P1 recv <- P0  tag 1  100 words
-+         8ms  P2 rank-comp      (4ms)
-+         8ms  P2 recv <- P0  tag 2  100 words
-`
-
-func TestRenderTimelineGolden(t *testing.T) {
-	if got := RenderTimeline(goldenEvents()); got != goldenTimeline {
-		t.Errorf("timeline drifted:\n got:\n%s\nwant:\n%s", got, goldenTimeline)
-	}
-}
-
-const goldenGantt = `time ->  (12ms total; s=send r=recv c=compute x=mixed)
-P0   cccccccxsssssssssssssssssssss...............
-P1   .................xccccccccccccccc...........
-P2   ............................xccccccccccccccc
-`
-
-func TestRenderGanttGolden(t *testing.T) {
-	got := RenderGantt(goldenEvents(), 3, 44)
-	// The golden string above is regenerated below on mismatch so the
-	// failure message shows the real output; keeping it literal guards
-	// against *unintentional* drift.
-	if got != goldenGantt {
-		t.Errorf("gantt drifted:\n got:\n%s\nwant:\n%s", got, goldenGantt)
-	}
-}
+// The phase table is part of every run report; its exact bytes for a
+// fixed set of phases are pinned here. A deliberate format change must
+// update this string.
 
 const goldenPhaseTable = `phase                 virtual           wall  wall/virtual
 T_Distribution           10ms           25ms         2.50x
@@ -73,52 +23,5 @@ func TestPhaseTableGolden(t *testing.T) {
 	})
 	if got != goldenPhaseTable {
 		t.Errorf("phase table drifted:\n got:\n%s\nwant:\n%s", got, goldenPhaseTable)
-	}
-}
-
-// TestRenderOrderInvariant: rendering is a pure function of the event
-// *set* — shuffling the recording order changes nothing, because
-// SortEvents breaks timestamp ties by (rank, tag).
-func TestRenderOrderInvariant(t *testing.T) {
-	base := goldenEvents()
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		shuffled := make([]Event, len(base))
-		copy(shuffled, base)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		if got := RenderTimeline(shuffled); got != goldenTimeline {
-			t.Fatalf("trial %d: shuffled timeline differs:\n%s", trial, got)
-		}
-		if got := RenderGantt(shuffled, 3, 44); got != goldenGantt {
-			t.Fatalf("trial %d: shuffled gantt differs:\n%s", trial, got)
-		}
-	}
-}
-
-// TestSortEventsTiebreak pins the (time, rank, tag) tiebreak directly.
-func TestSortEventsTiebreak(t *testing.T) {
-	at := time.Unix(100, 0)
-	events := []Event{
-		{Kind: Send, Rank: 2, Tag: 1, At: at},
-		{Kind: Send, Rank: 0, Tag: 5, At: at},
-		{Kind: Send, Rank: 0, Tag: 2, At: at},
-		{Kind: Send, Rank: 1, Tag: 0, At: at.Add(-time.Second)},
-	}
-	SortEvents(events)
-	want := []struct{ rank, tag int }{{1, 0}, {0, 2}, {0, 5}, {2, 1}}
-	for i, w := range want {
-		if events[i].Rank != w.rank || events[i].Tag != w.tag {
-			t.Fatalf("position %d: got rank %d tag %d, want rank %d tag %d",
-				i, events[i].Rank, events[i].Tag, w.rank, w.tag)
-		}
-	}
-	// Mixed wall/virtual: virtual events sort ahead of wall events.
-	mixed := []Event{
-		{Kind: Send, Rank: 0, At: at},
-		{Kind: Send, Rank: 1, Virtual: true, VAt: time.Hour},
-	}
-	SortEvents(mixed)
-	if !mixed[0].Virtual {
-		t.Error("virtual event did not sort before wall event")
 	}
 }

@@ -4,9 +4,11 @@
 # twice on a mesh and on a bandwidth-starved star and requires (a) the
 # deterministic network-model section of the report to be byte-identical
 # across runs, and (b) the congested star to show non-zero link
-# utilization. A streamed run with a topology must be refused: its
-# frames and stats replies are not the paper's messages, so a replay of
-# them would not be the distribution. `make sim-smoke` and CI run this.
+# utilization. A -trace run must print the same network section and
+# chart twice. A streamed run with a topology must be refused: its
+# frames, credits and finalizes are not the paper's messages, so a
+# replay of them would not be the distribution. `make sim-smoke` and CI
+# run this.
 set -eu
 
 BIN="${TMPDIR:-/tmp}/sparsedist-smoke"
@@ -49,6 +51,23 @@ for scheme in SFC CFS ED; do
     exit 1
   fi
 done
+# -trace records on the uniform topology and draws the network model's
+# chart after the report, on the virtual clock: from the network section
+# through the chart's last rank, two runs print the same bytes.
+"$BIN" -n 200 -procs 4 -trace >"$OUT/a.txt"
+"$BIN" -n 200 -procs 4 -trace >"$OUT/b.txt"
+sed -n '/^network model:/,/^P3 /p' "$OUT/a.txt" >"$OUT/a.net"
+sed -n '/^network model:/,/^P3 /p' "$OUT/b.txt" >"$OUT/b.net"
+if ! grep -q '^time -> ' "$OUT/a.net" || ! grep -q '^P3 ' "$OUT/a.net"; then
+  echo "sim-smoke: -trace: no network section followed by a 4-rank chart" >&2
+  cat "$OUT/a.txt" >&2
+  exit 1
+fi
+if ! cmp -s "$OUT/a.net" "$OUT/b.net"; then
+  echo "sim-smoke: -trace: network section and chart differ across identical runs" >&2
+  diff "$OUT/a.net" "$OUT/b.net" >&2 || true
+  exit 1
+fi
 # -stream with a topology exits non-zero, naming both settings.
 if "$BIN" -stream -n 200 -procs 4 -topology mesh >"$OUT/s.txt" 2>"$OUT/s.err"; then
   echo "sim-smoke: -stream -topology mesh exited 0; want a refusal" >&2
