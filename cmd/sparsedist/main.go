@@ -306,6 +306,12 @@ func validateFlags(cfg core.Config, f cliFlags) error {
 			Reason: "the chart draws the network model's replay of the paper's messages, which a streamed run does not send; drop -trace or -stream",
 		}
 	}
+	if f.trace && f.batch != "" {
+		return &core.ConflictError{
+			Fields: "-trace with -batch",
+			Reason: "the chart draws one distribution's replay, but the batch table compares several; drop -trace or -batch",
+		}
+	}
 	if !spops.ValidOp(f.op) {
 		return fmt.Errorf("-op %q: want %s", f.op, spops.OpNames())
 	}

@@ -197,6 +197,12 @@ func TestValidateFlags(t *testing.T) {
 			f.wantErrSub = "-trace with -stream"
 			f.wantConflict = true
 		}},
+		{"trace-with-batch", func(f *flags) {
+			f.trace = true
+			f.batch = "SFC,ED"
+			f.wantErrSub = "-trace with -batch"
+			f.wantConflict = true
+		}},
 		{"op-ok", func(f *flags) { f.op = "spmv" }},
 		{"op-unknown", func(f *flags) { f.op = "qr"; f.wantErrSub = "-op" }},
 		{"op-with-stream", func(f *flags) {

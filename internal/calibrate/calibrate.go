@@ -70,6 +70,9 @@ func fitLinear(x, y []float64) (Fit, error) {
 // Operation measures T_Operation: it times the instrumented CRS
 // compression kernel over a reference array and divides wall time by
 // the counted element operations. iters >= 1 runs are averaged.
+// Readings from before CompressCRS allocated its result once, at its
+// size, are higher for the same count: the kernel's time at s = 0.1
+// fell to 0.77× (BenchmarkCompressCRS).
 func Operation(iters int) (time.Duration, error) {
 	if iters < 1 {
 		return 0, fmt.Errorf("calibrate: iters %d must be >= 1", iters)

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cost"
@@ -45,10 +46,10 @@ func benchParts() []struct {
 }
 
 // BenchmarkEncodeED times EncodeED over both kinds of map into a reused
-// buffer, per scanned cell; CompressCRS is the scan it is measured
-// against, and accessor/ED is the accessor form EncodeEDPartInto on the
-// strided part. The banded pair repeats the comparison on the
-// low-density array.
+// buffer, per scanned cell, and over the low-density banded array;
+// accessor/ED is the accessor form EncodeEDPartInto on the strided
+// part. BenchmarkCompressCRS is the branching scan it is measured
+// against.
 func BenchmarkEncodeED(b *testing.B) {
 	g := benchArray()
 	parts := benchParts()
@@ -71,12 +72,6 @@ func BenchmarkEncodeED(b *testing.B) {
 		}
 		perUnit(b, "ns/cell", len(strided.rowMap)*len(strided.colMap))
 	})
-	b.Run("CompressCRS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			CompressCRS(g, nil)
-		}
-		perUnit(b, "ns/cell", g.Size())
-	})
 	band := benchBanded()
 	whole := rangeIntsTest(0, band.Rows())
 	b.Run("banded/RowMajor", func(b *testing.B) {
@@ -86,12 +81,27 @@ func BenchmarkEncodeED(b *testing.B) {
 		}
 		perUnit(b, "ns/cell", band.Size())
 	})
-	b.Run("banded/CompressCRS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			CompressCRS(band, nil)
-		}
-		perUnit(b, "ns/cell", band.Size())
-	})
+}
+
+// BenchmarkCompressCRS is the dense compress of SFC's ranks over a
+// 250×1000 part (a row-partition part of the Table-3 array on four
+// ranks) across the density range, and over the banded array: the
+// branching scan's trade against EncodeED's (EXPERIMENTS "The
+// low-density side of the root scan"), with the bytes its result costs.
+func BenchmarkCompressCRS(b *testing.B) {
+	run := func(name string, g *sparse.Dense) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CompressCRS(g, nil)
+			}
+			perUnit(b, "ns/cell", g.Size())
+		})
+	}
+	for _, s := range []float64{0.001, 0.01, 0.1, 0.3} {
+		run(fmt.Sprintf("s=%g", s), sparse.UniformExact(250, benchN, s, 7))
+	}
+	run("banded", benchBanded())
 }
 
 // BenchmarkCompressPart is the CFS root compress, CompressPart, in each

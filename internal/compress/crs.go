@@ -12,6 +12,8 @@
 package compress
 
 import (
+	"sync"
+
 	"repro/internal/cost"
 	"repro/internal/sparse"
 )
@@ -35,24 +37,37 @@ func (m *CRS) NNZ() int { return len(m.Val) }
 // CompressCRS compresses a dense array into CRS, charging the counter in
 // the paper's accounting: one operation per scanned element plus three
 // operations per nonzero (the RO/CO/VL writes), i.e. rows*cols*(1+3s)
-// total — the T_Compression term of Tables 1 and 2.
+// total — the T_Compression term of Tables 1 and 2. The scan appends
+// the nonzeros into pooled scratch and copies them out once, so the
+// result's arrays are allocated at their size and never alias the pool.
 func CompressCRS(d *sparse.Dense, ctr *cost.Counter) *CRS {
 	rows, cols := d.Rows(), d.Cols()
+	s := crsScratch.Get().(*CRS)
+	s.ColIdx, s.Val = s.ColIdx[:0], s.Val[:0]
 	m := &CRS{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
 	for i := 0; i < rows; i++ {
 		row := d.Row(i)
 		for j, v := range row {
 			if v != 0 {
-				m.ColIdx = append(m.ColIdx, j)
-				m.Val = append(m.Val, v)
+				s.ColIdx = append(s.ColIdx, j)
+				s.Val = append(s.Val, v)
 				ctr.AddOps(3)
 			}
 		}
-		m.RowPtr[i+1] = len(m.Val)
+		m.RowPtr[i+1] = len(s.Val)
 		ctr.AddOps(cols)
 	}
+	m.ColIdx = make([]int, len(s.ColIdx))
+	copy(m.ColIdx, s.ColIdx)
+	m.Val = make([]float64, len(s.Val))
+	copy(m.Val, s.Val)
+	crsScratch.Put(s)
 	return m
 }
+
+// crsScratch holds the index and value arrays CompressCRS appends
+// into, grown to the most nonzeros its user has scanned.
+var crsScratch = sync.Pool{New: func() any { return new(CRS) }}
 
 // CompressCRSFromCOO builds a CRS from a COO. The COO is sorted row-major
 // internally; duplicates must have been removed.

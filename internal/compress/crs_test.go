@@ -1,6 +1,10 @@
 package compress
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -230,5 +234,118 @@ func TestCRSAllZeroRows(t *testing.T) {
 		if m.RowPtr[i] != w {
 			t.Errorf("RowPtr[%d] = %d, want %d", i, m.RowPtr[i], w)
 		}
+	}
+}
+
+// crsReference is the CRS of d built without CompressCRS: its nonzeros
+// (v != 0, so -0 is a zero and NaN is kept) through CompressCRSFromCOO.
+func crsReference(t *testing.T, d *sparse.Dense) *CRS {
+	t.Helper()
+	c := sparse.NewCOO(d.Rows(), d.Cols())
+	for i := 0; i < d.Rows(); i++ {
+		for j, v := range d.Row(i) {
+			if v != 0 {
+				c.Entries = append(c.Entries, sparse.Entry{Row: i, Col: j, Val: v})
+			}
+		}
+	}
+	m, err := CompressCRSFromCOO(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// sameCRS reports whether two CRS arrays hold the same shape, pointers,
+// indices and value bits (so a NaN equals itself).
+func sameCRS(a, b *CRS) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.RowPtr, b.RowPtr) &&
+		slices.Equal(a.ColIdx, b.ColIdx) && slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// TestCompressCRSExactSize checks that CompressCRS allocates its index
+// and value arrays at their size and builds what CompressCRSFromCOO
+// builds, across densities, degenerate shapes, all-zero rows, a -0
+// cell (a zero, as v != 0 treats it) and a NaN cell (kept).
+func TestCompressCRSExactSize(t *testing.T) {
+	cases := map[string]*sparse.Dense{
+		"0x0":  sparse.NewDense(0, 0),
+		"0x5":  sparse.NewDense(0, 5),
+		"5x0":  sparse.NewDense(5, 0),
+		"zero": sparse.NewDense(6, 7),
+	}
+	for _, s := range []float64{0, 0.001, 0.1, 0.5, 1} {
+		cases[fmt.Sprintf("s=%g", s)] = sparse.UniformExact(40, 50, s, 11)
+	}
+	rows := sparse.UniformExact(9, 8, 0.5, 3)
+	for _, i := range []int{0, 4, 8} { // all-zero first, middle and last rows
+		clear(rows.Row(i))
+	}
+	cases["zero-rows"] = rows
+	special := sparse.UniformExact(5, 6, 0.3, 5)
+	special.Set(1, 2, math.Copysign(0, -1))
+	special.Set(3, 4, math.NaN())
+	cases["-0-and-NaN"] = special
+	for name, d := range cases {
+		t.Run(name, func(t *testing.T) {
+			m := CompressCRS(d, nil)
+			if cap(m.ColIdx) != len(m.ColIdx) || cap(m.Val) != len(m.Val) {
+				t.Errorf("ColIdx len %d cap %d, Val len %d cap %d: want cap == len",
+					len(m.ColIdx), cap(m.ColIdx), len(m.Val), cap(m.Val))
+			}
+			if want := crsReference(t, d); !sameCRS(m, want) {
+				t.Errorf("CompressCRS = %+v, want %+v", m, want)
+			}
+		})
+	}
+	if m := CompressCRS(special, nil); !math.IsNaN(m.At(3, 4)) || m.NNZ() != special.NNZ() {
+		t.Errorf("NaN cell read %g with %d stored, want NaN and %d (the -0 not stored)", m.At(3, 4), m.NNZ(), special.NNZ())
+	}
+}
+
+// TestCompressCRSResultsOutliveScratch compresses A, then a larger B,
+// then A again from 8 goroutines at once, and checks every result
+// against its reference afterwards: a result that aliased the pooled
+// scratch would be overwritten by a later compress.
+func TestCompressCRSResultsOutliveScratch(t *testing.T) {
+	a, b := sparse.UniformExact(30, 40, 0.2, 1), sparse.UniformExact(60, 80, 0.3, 2)
+	refA, refB := crsReference(t, a), crsReference(t, b)
+	first := CompressCRS(a, nil)
+	second := CompressCRS(b, nil)
+	again := make([]*CRS, 8)
+	var wg sync.WaitGroup
+	for k := range again {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			again[k] = CompressCRS(a, nil)
+		}()
+	}
+	wg.Wait()
+	if !sameCRS(first, refA) {
+		t.Error("the first compress of A changed after later compresses")
+	}
+	if !sameCRS(second, refB) {
+		t.Error("the compress of B changed after later compresses")
+	}
+	for k, m := range again {
+		if !sameCRS(m, refA) {
+			t.Errorf("concurrent compress %d of A differs from its reference", k)
+		}
+	}
+}
+
+// TestCompressCRSSteadyStateAllocs pins what a warm CompressCRS
+// allocates: the CRS header and its three arrays, none grown by append.
+func TestCompressCRSSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	d := sparse.UniformExact(100, 400, 0.1, 4)
+	CompressCRS(d, nil) // grow the scratch
+	if avg := testing.AllocsPerRun(100, func() { CompressCRS(d, nil) }); avg > 4 {
+		t.Errorf("CompressCRS allocates %.1f times per call, want <= 4", avg)
 	}
 }

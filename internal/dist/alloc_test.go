@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/sparse"
@@ -178,6 +179,65 @@ func TestSFCEncodeSendSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestSFCDecodeAllocatesItsResult pins SFC's rank-side compress at the
+// layer the workloads run it: once warm, DecodePart on a row part of
+// n = 400 allocates its result's arrays and little else (at most 1 KiB
+// more), not the doubling slices an append-grown result leaves behind.
+func TestSFCDecodeAllocatesItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	const n = 400
+	g := sparse.UniformExact(n, n, 0.1, 5)
+	row, err := partition.NewRow(n, n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := formatFor(CRS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &runState{codec: SFC{}, global: g, part: row, opts: Options{Method: CRS}, format: f}
+	pp := partPayload{k: 0}
+	if err := (SFC{}).EncodePart(run, 0, &pp); err != nil {
+		t.Fatal(err)
+	}
+	decode := func() *compress.CRS {
+		a, err := (SFC{}).DecodePart(run, 0, pp.buf, pp.meta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.(*compress.CRS)
+	}
+	// One P, as in testing.AllocsPerRun: a goroutine that moved to
+	// another P would miss the pooled scratch its last call put back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res := decode() // warm the compress scratch
+	const runs = 50
+	bytesPerCall := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	// The result's bytes as the allocator hands them out, size classes
+	// included: three fresh arrays of its lengths.
+	result := bytesPerCall(func() {
+		resultSink = compress.CRS{RowPtr: make([]int, len(res.RowPtr)), ColIdx: make([]int, len(res.ColIdx)), Val: make([]float64, len(res.Val))}
+	})
+	if got := bytesPerCall(func() { decode() }); got > result+1024 {
+		t.Errorf("SFC DecodePart allocates %d bytes per row part, want <= %d (its result's %d + 1 KiB)",
+			got, result+1024, result)
+	}
+}
+
+// resultSink keeps the arrays TestSFCDecodeAllocatesItsResult sizes on
+// the heap.
+var resultSink compress.CRS
 
 // TestSFCRetainingTransportUnpooled runs SFC end to end over the two
 // transports that do not hand a receiver the sender's buffer as its

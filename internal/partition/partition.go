@@ -58,9 +58,18 @@ func Contiguous(m []int) bool {
 // order and returns the extended slice: the data of the local dense
 // array. This is the data partition phase proper: the root materialises
 // the local sparse array that will be sent (SFC). Every cell is written,
-// so buf (a pooled wire buffer, say) need not be zeroed.
+// so buf (a pooled wire buffer, say) need not be zeroed. A contiguous
+// column map (col, mesh and cyclic-row parts) is copied a row span at a
+// time; a strided one cell by cell.
 func AppendPart(buf []float64, g *sparse.Dense, p Partition, k int) []float64 {
 	rm, cm := p.RowMap(k), p.ColMap(k)
+	if n := len(cm); n > 0 && cm[n-1]-cm[0] == n-1 { // strictly ascending: contiguous
+		lo, hi := cm[0], cm[n-1]+1
+		for _, gi := range rm {
+			buf = append(buf, g.Row(gi)[lo:hi]...)
+		}
+		return buf
+	}
 	for _, gi := range rm {
 		row := g.Row(gi)
 		for _, gj := range cm {
