@@ -41,15 +41,17 @@ reach:
 # its accessor-form reference, the end-to-end differential targets
 # (materializing, streaming, and job sequences through one daemon with
 # its caches and pooled machines), the daemon's request path, the file
-# parsers, the partition builders, the TCP frame reader and the SpGEMM
-# row buffers (go-native fuzzing runs one target per invocation, so each
-# gets its own line). CI runs the same list with FUZZTIME=30s.
+# parsers and the stream planner above them, the partition builders,
+# the TCP frame reader and the SpGEMM row buffers (go-native fuzzing
+# runs one target per invocation, so each gets its own line). CI runs
+# the same list with FUZZTIME=30s.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartCFS -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartED -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzEncodePart -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDiffDistribute -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzStreamPlan -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDiffStream -fuzztime $(FUZZTIME) ./internal/dist/
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzDiffJob -fuzztime $(FUZZTIME) ./internal/server/
@@ -119,17 +121,11 @@ bench-gates:
 tables:
 	$(GO) run ./cmd/tables -predicted
 
-# Run every example program, then the two commands that compare
-# distributions of one array: cmd/redist's reference runs and
-# sparsedist's -batch table.
+# Run every directory under examples/ (so none can skip CI), then the
+# two commands that compare distributions of one array: cmd/redist's
+# reference runs and sparsedist's -batch table.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/spmv
-	$(GO) run ./examples/advisor
-	$(GO) run ./examples/cg
-	$(GO) run ./examples/redistribute
-	$(GO) run ./examples/ekmr3d
-	$(GO) run ./examples/pagerank
+	for d in examples/*/; do $(GO) run ./$$d || exit 1; done
 	$(GO) run ./cmd/redist
 	$(GO) run ./cmd/sparsedist -n 120 -batch SFC,CFS,ED -verify -check
 

@@ -56,7 +56,6 @@ func main() {
 		"initial ACK wait for the reliable transport, doubling per retry (0: library default 5ms)")
 	flag.IntVar(&cfg.FaultDrops, "fault-drop", 0, "inject: drop the next N data messages on the wire")
 	flag.IntVar(&cfg.FaultCorrupt, "fault-corrupt", 0, "inject: flip a random payload bit in the next N data messages")
-	flag.IntVar(&cfg.FlushEntries, "flush", 0, "streaming per-part flush threshold in entries (0: library default 8192)")
 
 	var cli cliFlags
 	flag.IntVar(&cli.n, "n", 500, "square array size for synthetic input")

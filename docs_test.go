@@ -17,12 +17,16 @@ var (
 	docMake    = regexp.MustCompile(`\bmake\s+([a-z][a-z0-9-]*)`)
 	testFunc   = regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)\w*)\(`)
 	makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	// ./cmd/x, examples/x/main.go, internal/x/y.go:12 (the :12 is left
+	// unmatched), scripts/x.sh; not repro/internal/x or bench/cmd/x.
+	docPath = regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?((?:cmd|examples|internal|scripts)(?:/\w[\w.-]*)+)`)
 )
 
-// TestDocsCiteWhatExists: every Benchmark*/Test*/Fuzz* name and every
-// `make <target>` the documents put in code must exist — as a func in
-// some *_test.go of the checkout (the nested bench module included) or
-// as a Makefile target. A trailing * is a prefix match.
+// TestDocsCiteWhatExists: every Benchmark*/Test*/Fuzz* name, every
+// `make <target>` and every cmd/, examples/, internal/ or scripts/ path
+// the documents put in code must exist — as a func in some *_test.go of
+// the checkout (the nested bench module included), as a Makefile
+// target, or on disk. A trailing * is a prefix match.
 func TestDocsCiteWhatExists(t *testing.T) {
 	funcs := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -77,6 +81,12 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			for _, m := range docMake.FindAllSubmatch(code, -1) {
 				if !targets[string(m[1])] {
 					t.Errorf("%s cites `make %s`: no such Makefile target", doc, m[1])
+				}
+			}
+			for _, m := range docPath.FindAllSubmatch(code, -1) {
+				path := strings.TrimRight(string(m[1]), ".")
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("%s cites %s: no such file or directory", doc, path)
 				}
 			}
 		}

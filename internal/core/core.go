@@ -111,9 +111,6 @@ type Config struct {
 	// MemBudget caps the streaming root's routing-accumulator memory in
 	// bytes (DistributeStream only; 0 takes the dist default of 32 MiB).
 	MemBudget int
-	// FlushEntries is the streaming per-part flush threshold in entries
-	// (DistributeStream only; 0 takes the dist default of 8192).
-	FlushEntries int
 
 	// FaultDrops / FaultCorrupt inject transient faults for
 	// demonstration and testing: the next n data messages are dropped /
@@ -200,8 +197,8 @@ func NewPlan(g *sparse.Dense, cfg Config) (dist.Plan, error) {
 }
 
 // NewStreamPlan is NewPlan for a chunked source, with the streaming
-// bounds (MemBudget, FlushEntries) carried over; DistributeStream runs
-// what it returns.
+// memory bound (MemBudget) carried over; DistributeStream runs what it
+// returns.
 func NewStreamPlan(src sparse.ChunkReader, cfg Config) (dist.StreamPlan, error) {
 	part, err := NewStreamPartition(src, cfg)
 	if err != nil {
@@ -213,7 +210,7 @@ func NewStreamPlan(src sparse.ChunkReader, cfg Config) (dist.StreamPlan, error) 
 	}
 	return dist.StreamPlan{
 		Codec: codec, Source: src, Partition: part, Options: opts,
-		Stream: dist.StreamOptions{FlushEntries: cfg.FlushEntries, MemBudget: cfg.MemBudget},
+		Stream: dist.StreamOptions{MemBudget: cfg.MemBudget},
 	}, nil
 }
 

@@ -26,7 +26,6 @@ func TestDistributeStreamMatchesDistribute(t *testing.T) {
 				}
 				defer want.Close()
 
-				cfg.FlushEntries = 16
 				cfg.MemBudget = 4096
 				d, err := DistributeStream(sparse.NewStreamCOO(coo, 37), cfg)
 				if err != nil {

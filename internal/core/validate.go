@@ -86,8 +86,7 @@ func (c Config) Validate() error {
 		v    int
 	}{
 		{"procs", c.Procs}, {"block", c.BlockSize}, {"workers", c.Workers}, {"retries", c.Retries},
-		{"mem-budget", c.MemBudget}, {"flush", c.FlushEntries},
-		{"fault-drop", c.FaultDrops}, {"fault-corrupt", c.FaultCorrupt},
+		{"mem-budget", c.MemBudget}, {"fault-drop", c.FaultDrops}, {"fault-corrupt", c.FaultCorrupt},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%s %d: cannot be negative", f.name, f.v)

@@ -48,9 +48,8 @@ func TestConfigValidate(t *testing.T) {
 		{name: "workers negative", cfg: Config{Workers: -3}, want: "workers -3"},
 		{name: "retries negative", cfg: Config{Retries: -2}, want: "retries -2"},
 		{name: "retry-backoff negative", cfg: Config{RetryBackoff: -time.Millisecond}, want: "retry-backoff -1ms"},
-		{name: "mem-budget zero is unset", cfg: Config{MemBudget: 0, FlushEntries: 0}},
+		{name: "mem-budget zero is unset", cfg: Config{MemBudget: 0}},
 		{name: "mem-budget negative", cfg: Config{MemBudget: -1}, want: "mem-budget -1"},
-		{name: "flush negative", cfg: Config{FlushEntries: -8}, want: "flush -8"},
 		{name: "fault-drop negative", cfg: Config{FaultDrops: -1}, want: "fault-drop -1"},
 		{name: "fault-corrupt negative", cfg: Config{FaultCorrupt: -1}, want: "fault-corrupt -1"},
 

@@ -1,7 +1,7 @@
 package repro
 
 // End-to-end pipeline tests: each one drives a full user scenario
-// through the public surface, the way the examples/ programs do, and
+// through the public surface, as a caller of internal/core would, and
 // asserts the results instead of printing them.
 
 import (
