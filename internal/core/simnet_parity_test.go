@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,38 +19,44 @@ import (
 // in exact integer nanoseconds, hence bit-for-bit equality.
 func TestSimnetUniformParity(t *testing.T) {
 	g := sparse.Uniform(24, 24, 0.15, 2)
-	for _, scheme := range []string{"SFC", "CFS", "ED"} {
-		for _, part := range []string{"row", "col", "mesh", "cyclic-row", "cyclic-col", "brs", "cyclic-mesh"} {
-			for _, method := range []string{"CRS", "CCS", "JDS"} {
-				d, err := Distribute(g, Config{
-					Scheme: scheme, Partition: part, Method: method,
-					Procs: 4, BlockSize: 2, Topology: "uniform",
-				})
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", scheme, part, method, err)
+	// Both root loops: one worker runs the sequential reference, four
+	// the pipeline, and each charges the recorder from its own merge.
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			for _, scheme := range []string{"SFC", "CFS", "ED"} {
+				for _, part := range []string{"row", "col", "mesh", "cyclic-row", "cyclic-col", "brs", "cyclic-mesh"} {
+					for _, method := range []string{"CRS", "CCS", "JDS"} {
+						d, err := Distribute(g, Config{
+							Scheme: scheme, Partition: part, Method: method,
+							Procs: 4, BlockSize: 2, Topology: "uniform", Workers: workers,
+						})
+						if err != nil {
+							t.Fatalf("%s/%s/%s: %v", scheme, part, method, err)
+						}
+						tl := d.NetTimeline()
+						if tl == nil {
+							t.Fatalf("%s/%s/%s: no timeline despite Topology", scheme, part, method)
+						}
+						if tl.Unmatched != 0 {
+							t.Errorf("%s/%s/%s: %d unmatched receives", scheme, part, method, tl.Unmatched)
+						}
+						pb := tl.PaperBreakdown()
+						if want := d.DistributionTime(); pb.Distribution != want {
+							t.Errorf("%s/%s/%s: sim T_Distribution %v != counter %v",
+								scheme, part, method, pb.Distribution, want)
+						}
+						if want := d.CompressionTime(); pb.Compression != want {
+							t.Errorf("%s/%s/%s: sim T_Compression %v != counter %v",
+								scheme, part, method, pb.Compression, want)
+						}
+						if q := tl.TotalQueue(); q != 0 {
+							t.Errorf("%s/%s/%s: uniform topology queued %v, want 0", scheme, part, method, q)
+						}
+						d.Close()
+					}
 				}
-				tl := d.NetTimeline()
-				if tl == nil {
-					t.Fatalf("%s/%s/%s: no timeline despite Topology", scheme, part, method)
-				}
-				if tl.Unmatched != 0 {
-					t.Errorf("%s/%s/%s: %d unmatched receives", scheme, part, method, tl.Unmatched)
-				}
-				pb := tl.PaperBreakdown()
-				if want := d.DistributionTime(); pb.Distribution != want {
-					t.Errorf("%s/%s/%s: sim T_Distribution %v != counter %v",
-						scheme, part, method, pb.Distribution, want)
-				}
-				if want := d.CompressionTime(); pb.Compression != want {
-					t.Errorf("%s/%s/%s: sim T_Compression %v != counter %v",
-						scheme, part, method, pb.Compression, want)
-				}
-				if q := tl.TotalQueue(); q != 0 {
-					t.Errorf("%s/%s/%s: uniform topology queued %v, want 0", scheme, part, method, q)
-				}
-				d.Close()
 			}
-		}
+		})
 	}
 }
 

@@ -51,14 +51,6 @@ func (c *Counter) Add(o Counter) {
 	}
 }
 
-// Snapshot returns the current value (zero for nil).
-func (c *Counter) Snapshot() Counter {
-	if c == nil {
-		return Counter{}
-	}
-	return *c
-}
-
 // Reset zeroes the counter.
 func (c *Counter) Reset() {
 	if c != nil {

@@ -11,9 +11,6 @@ func TestNilCounterSafe(t *testing.T) {
 	c.AddSend(10)
 	c.Add(Counter{Ops: 1})
 	c.Reset()
-	if got := c.Snapshot(); got != (Counter{}) {
-		t.Errorf("nil counter snapshot = %v, want zero", got)
-	}
 }
 
 func TestCounterAccumulation(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/machine"
+	"repro/internal/simnet"
 )
 
 // CFS is the Compress Followed Send scheme (paper §3.2): the root
@@ -27,7 +28,7 @@ func (CFS) Name() string { return "CFS" }
 // work; the receivers' unpack/convert is still distribution — the
 // bookkeeping difference from ED that is the paper's point.
 func (CFS) Policy() PhasePolicy {
-	return PhasePolicy{RootEncode: PhaseCompression, Receive: PhaseDistribution}
+	return PhasePolicy{RootEncode: simnet.ClassRootComp, Receive: simnet.ClassRankDist}
 }
 
 // EncodePart implements Codec: compress part k with global minor

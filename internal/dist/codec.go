@@ -14,34 +14,25 @@ import (
 	"repro/internal/check"
 	"repro/internal/compress"
 	"repro/internal/cost"
+	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/simnet"
 	"repro/internal/sparse"
 )
 
-// Phase is one side of the paper's cost split.
-type Phase int
-
-const (
-	// PhaseDistribution is T_Distribution: message startup/transfer plus
-	// pack/unpack/convert work the paper books as distribution.
-	PhaseDistribution Phase = iota
-	// PhaseCompression is T_Compression: compress/encode/decode work.
-	PhaseCompression
-)
-
 // PhasePolicy states where a scheme's work lands in the breakdown —
-// the bookkeeping difference that is the paper's point. It replaces
-// the scheme-name switches the drivers used to carry.
+// the bookkeeping difference that is the paper's point — as the
+// network recorder's classes, so one name serves both ledgers. It
+// replaces the scheme-name switches the drivers used to carry.
 type PhasePolicy struct {
-	// RootEncode is the phase of the root's per-part encode step; the
+	// RootEncode is the class of the root's per-part encode step; the
 	// pipeline charges its residual stall time to the same side.
-	// Distribution for SFC (extract/pack), compression for CFS and ED.
-	RootEncode Phase
-	// Receive is the phase of the receiver's per-part decode step:
-	// distribution for CFS (unpack/convert), compression for SFC
+	// ClassRootDist for SFC (extract/pack), ClassRootComp for CFS and ED.
+	RootEncode simnet.Class
+	// Receive is the class of the receiver's per-part decode step:
+	// ClassRankDist for CFS (unpack/convert), ClassRankComp for SFC
 	// (compress) and ED (decode).
-	Receive Phase
+	Receive simnet.Class
 }
 
 // Codec is one scheme's wire protocol. Implementations are stateless;
@@ -75,11 +66,6 @@ type runState struct {
 	part   partition.Partition
 	opts   Options
 	format *compress.Format
-	// net is the machine's network recorder (machine.WithNetwork), nil
-	// without one. The engine mirrors its compute charges into it (root
-	// encode in part order, per-rank decode) so Finalize replays the
-	// whole distribution on the network's topology.
-	net *simnet.Network
 	// finalizing bounds a RunStream's concurrent part finalizes to
 	// GOMAXPROCS, one token each (finalizeStreamPart); nil on the
 	// materializing path.
@@ -142,51 +128,40 @@ func localiseMinor(run *runState, k int, a compress.PartArray, ctr *cost.Counter
 }
 
 // rankCounter picks the per-rank counter for work booked to the given
-// phase.
-func (b *Breakdown) rankCounter(ph Phase, rank int) *cost.Counter {
-	if ph == PhaseDistribution {
+// receive class.
+func (b *Breakdown) rankCounter(class simnet.Class, rank int) *cost.Counter {
+	if class == simnet.ClassRankDist {
 		return &b.RankDist[rank]
 	}
 	return &b.RankComp[rank]
 }
 
-// addRankWall accumulates per-rank wall time on the matching side.
-func (b *Breakdown) addRankWall(ph Phase, rank int, d time.Duration) {
-	if ph == PhaseDistribution {
+// addRankWall accumulates per-rank wall time on the side of the given
+// root or rank class.
+func (b *Breakdown) addRankWall(class simnet.Class, rank int, d time.Duration) {
+	if class == simnet.ClassRootDist || class == simnet.ClassRankDist {
 		b.WallRankDist[rank] += d
 	} else {
 		b.WallRankComp[rank] += d
 	}
 }
 
-// decodeTimed runs part k's decode on rank k, charging the policy's
+// decodeTimed runs the decode of pr's own part, charging the policy's
 // receive counter and wall slot — the shared receiver step of Run and
-// RunStream. The decode's counter delta is mirrored into the network
-// recorder on rank k, on the class the policy's receive phase maps to,
-// so the replayed timeline books decode work exactly where the paper's
-// breakdown does.
-func decodeTimed(run *runState, bd *Breakdown, k int, data []float64, meta [4]int64) (compress.PartArray, error) {
-	pol := run.codec.Policy()
-	ctr := bd.rankCounter(pol.Receive, k)
-	before := ctr.Snapshot()
+// RunStream. The decode charges the rank's scratch counter, booked by
+// one pr.Charge after it succeeds, so the breakdown and the network
+// recorder get the same work on the same class, and a rejected buffer
+// charges neither.
+func decodeTimed(pr *machine.Proc, run *runState, bd *Breakdown, data []float64, meta [4]int64) (compress.PartArray, error) {
+	k, pol := pr.Rank, run.codec.Policy()
+	ctr := &bd.decoded[k]
 	start := time.Now()
 	a, err := run.codec.DecodePart(run, k, data, meta, ctr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %s rank %d decode: %w", run.codec.Name(), k, err)
 	}
 	bd.addRankWall(pol.Receive, k, time.Since(start))
-	if net := run.net; net != nil {
-		after := ctr.Snapshot()
-		class := simnet.ClassRankComp
-		if pol.Receive == PhaseDistribution {
-			class = simnet.ClassRankDist
-		}
-		net.Charge(k, class, cost.Counter{
-			Messages: after.Messages - before.Messages,
-			Elements: after.Elements - before.Elements,
-			Ops:      after.Ops - before.Ops,
-		})
-	}
+	pr.Charge(bd.rankCounter(pol.Receive, k), pol.Receive, *ctr)
 	if run.opts.Check {
 		// Outside the timed window: checks are diagnostics, not protocol.
 		if err := check.Array(a); err != nil {

@@ -130,12 +130,21 @@ type Breakdown struct {
 	WallRootComp time.Duration
 	WallRankDist []time.Duration
 	WallRankComp []time.Duration
+
+	// decoded is each rank's scratch counter for its part's one
+	// decode, booked onto the rank's side by decodeTimed once the
+	// decode succeeds. It lives here, in one allocation with the rank
+	// counters, because a counter on decodeTimed's stack would escape
+	// through the codec interface and cost an allocation per rank.
+	decoded []cost.Counter
 }
 
 func newBreakdown(p int) *Breakdown {
+	ctrs := make([]cost.Counter, 3*p)
 	return &Breakdown{
-		RankDist:     make([]cost.Counter, p),
-		RankComp:     make([]cost.Counter, p),
+		RankDist:     ctrs[:p:p],
+		RankComp:     ctrs[p : 2*p : 2*p],
+		decoded:      ctrs[2*p:],
 		WallRankDist: make([]time.Duration, p),
 		WallRankComp: make([]time.Duration, p),
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/machine"
+	"repro/internal/simnet"
 )
 
 // ED is the Encoding-Decoding scheme (paper §3.3), the paper's novel
@@ -34,7 +35,7 @@ func (ED) Name() string { return "ED" }
 // work; only the bare transfer is distribution — the split that buys
 // ED its smaller T_Distribution.
 func (ED) Policy() PhasePolicy {
-	return PhasePolicy{RootEncode: PhaseCompression, Receive: PhaseCompression}
+	return PhasePolicy{RootEncode: simnet.ClassRootComp, Receive: simnet.ClassRankComp}
 }
 
 // EncodePart implements Codec: encode part k's special buffer

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/partition"
+	"repro/internal/simnet"
 	"repro/internal/sparse"
 )
 
@@ -51,13 +52,13 @@ func Run(m *machine.Machine, plan Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := &runState{codec: c, global: plan.Global, part: plan.Partition, opts: plan.Options, format: f, net: m.Network()}
+	run := &runState{codec: c, global: plan.Global, part: plan.Partition, opts: plan.Options, format: f}
 	p := m.P()
 	bd := newBreakdown(p)
 	res := &Result{Scheme: c.Name(), Partition: plan.Partition.Name(), Method: plan.Options.Method, Breakdown: bd}
 	res.allocLocals(p)
 	tag := m.AllocTags(1)
-	stallToComp := c.Policy().RootEncode == PhaseCompression
+	stallToComp := c.Policy().RootEncode == simnet.ClassRootComp
 	err = runRanks(m, run, func(pr *machine.Proc) error {
 		ctx := run.opts.Ctx
 		if pr.Rank == 0 {
@@ -71,7 +72,7 @@ func Run(m *machine.Machine, plan Plan) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("dist: %s rank %d receive: %w", c.Name(), pr.Rank, err)
 		}
-		a, err := decodeTimed(run, bd, pr.Rank, msg.Data, msg.Meta)
+		a, err := decodeTimed(pr, run, bd, msg.Data, msg.Meta)
 		if err != nil {
 			return err
 		}

@@ -64,22 +64,22 @@ func rootSendParts(pr *machine.Proc, tag int, run *runState, bd *Breakdown, stal
 	}
 	workers := run.opts.workerCount()
 	if workers <= 1 {
-		return runRootSequential(pr.P(), run.net, bd, encode, send)
+		return runRootSequential(pr, bd, encode, send)
 	}
-	return runRootPipeline(pr.P(), workers, run.net, bd, stallToComp, encode, send)
+	return runRootPipeline(pr, workers, bd, stallToComp, encode, send)
 }
 
 // runRootSequential is the reference loop: encode part k, merge its
 // charges, send it, repeat. Per-part encode wall time lands on the side
 // the encoder measured it (wallComp/wallDist), send wall on
 // WallRootDist — exactly the legacy per-scheme loops.
-func runRootSequential(p int, net *simnet.Network, bd *Breakdown, encode encodePartFunc, send func(*partPayload) error) error {
-	for k := 0; k < p; k++ {
+func runRootSequential(pr *machine.Proc, bd *Breakdown, encode encodePartFunc, send func(*partPayload) error) error {
+	for k := 0; k < pr.P(); k++ {
 		pp := partPayload{k: k}
 		if err := encode(k, &pp); err != nil {
 			return err
 		}
-		mergePart(net, bd, &pp)
+		mergePart(pr, bd, &pp)
 		bd.WallRootComp += pp.wallComp
 		bd.WallRootDist += pp.wallDist
 		start := time.Now()
@@ -95,8 +95,9 @@ func runRootSequential(p int, net *simnet.Network, bd *Breakdown, encode encodeP
 // sends completed parts in order from this goroutine. On any error —
 // an encoder's or the sender's — the pool is stopped and fully drained
 // before returning, so no goroutine outlives the call.
-func runRootPipeline(p, workers int, net *simnet.Network, bd *Breakdown, stallToComp bool,
+func runRootPipeline(pr *machine.Proc, workers int, bd *Breakdown, stallToComp bool,
 	encode encodePartFunc, send func(*partPayload) error) error {
+	p := pr.P()
 	if workers > p {
 		workers = p
 	}
@@ -158,7 +159,7 @@ func runRootPipeline(p, workers int, net *simnet.Network, bd *Breakdown, stallTo
 				break
 			}
 			delete(pending, next)
-			mergePart(net, bd, q)
+			mergePart(pr, bd, q)
 			start := time.Now()
 			err := send(q)
 			sendWall += time.Since(start)
@@ -183,17 +184,15 @@ func runRootPipeline(p, workers int, net *simnet.Network, bd *Breakdown, stallTo
 	return nil
 }
 
-// mergePart folds one part's virtual charges into the run breakdown;
-// called in part order on both paths, so totals and order match the
-// sequential reference exactly — which also makes it the deterministic
-// point to mirror the root's encode compute into the network recorder
-// (the encoder goroutines themselves complete in scheduler order). Wall
-// charges are path-dependent: the sequential loop books the encoder's
-// own measurements, the pipeline books stall time instead (see the
-// package comment above).
-func mergePart(net *simnet.Network, bd *Breakdown, pp *partPayload) {
-	bd.RootComp.Add(pp.comp)
-	bd.RootDist.Add(pp.dist)
-	net.Charge(0, simnet.ClassRootComp, pp.comp)
-	net.Charge(0, simnet.ClassRootDist, pp.dist)
+// mergePart charges one part's virtual costs on the root's proc, into
+// the run breakdown and the network recorder alike. It runs on rank
+// 0's goroutine in part order on both paths, so totals and order match
+// the sequential reference exactly, and the recorded compute is
+// deterministic although the encoder goroutines complete in scheduler
+// order. Wall charges are path-dependent: the sequential loop books the
+// encoder's own measurements, the pipeline books stall time instead
+// (see the package comment above).
+func mergePart(pr *machine.Proc, bd *Breakdown, pp *partPayload) {
+	pr.Charge(&bd.RootComp, simnet.ClassRootComp, pp.comp)
+	pr.Charge(&bd.RootDist, simnet.ClassRootDist, pp.dist)
 }

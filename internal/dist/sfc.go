@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/partition"
+	"repro/internal/simnet"
 	"repro/internal/sparse"
 )
 
@@ -27,7 +28,7 @@ func (SFC) Name() string { return "SFC" }
 // distribution work (so pipeline stall stays on that side too), and
 // the receivers' compression is the scheme's entire compression phase.
 func (SFC) Policy() PhasePolicy {
-	return PhasePolicy{RootEncode: PhaseDistribution, Receive: PhaseCompression}
+	return PhasePolicy{RootEncode: simnet.ClassRootDist, Receive: simnet.ClassRankComp}
 }
 
 // EncodePart implements Codec. A part of whole consecutive rows (row,

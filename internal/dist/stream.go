@@ -133,9 +133,9 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	if m == nil || plan.Source == nil || plan.Partition == nil {
 		return nil, fmt.Errorf("dist: RunStream: nil machine, source or partition")
 	}
-	// Frames, credits and finalizes are not the paper's messages,
-	// and no compute charge is mirrored: a replay of what the machine
-	// recorded would not be this distribution.
+	// Frames, credits and finalizes are not the paper's messages: a
+	// replay of what the machine recorded would not be this
+	// distribution.
 	if m.Network() != nil {
 		return nil, fmt.Errorf("dist: RunStream: the machine records a network model, which replays only the materializing engine's messages; stream on a machine without one")
 	}
@@ -317,7 +317,7 @@ func (sr *streamRoot) rootRun() error {
 	}
 	acc := sr.selfAcc
 	sr.selfAcc = nil // consumed by the finalize; release before decode
-	a, err := finalizeStreamPart(sr.run, sr.bd, 0, acc)
+	a, err := finalizeStreamPart(sr.pr, sr.run, sr.bd, acc)
 	if err != nil {
 		return err
 	}
@@ -411,10 +411,10 @@ type streamReport struct {
 	wire       int
 }
 
-// finalizeStreamPart turns part k's staged entries into its decoded
-// local array on rank k: the codec builds the canonical payload from
-// them (Codec.EncodeEntries), which is decoded with the usual
-// receive-side charges. The encode's wall time lands on rank k's slot
+// finalizeStreamPart turns the staged entries of part k = pr.Rank into
+// its decoded local array on rank k: the codec builds the canonical
+// payload from them (Codec.EncodeEntries), which is decoded with the
+// usual receive-side charges. The encode's wall time lands on rank k's slot
 // for the policy's root-encode phase — on the streaming path that work
 // really does happen here, in parallel across receivers. The staging
 // is consumed, each block released as the encode reads it for the last
@@ -426,7 +426,8 @@ type streamReport struct {
 // them than there are Ps only interleave — every one holding its
 // scratch, payload and decoded array together — without finishing
 // sooner. The waiting parts hold nothing but their staging.
-func finalizeStreamPart(run *runState, bd *Breakdown, k int, st *compress.Entries) (compress.PartArray, error) {
+func finalizeStreamPart(pr *machine.Proc, run *runState, bd *Breakdown, st *compress.Entries) (compress.PartArray, error) {
+	k := pr.Rank
 	if st == nil {
 		st = compress.NewEntries(run.part.Shape())
 	}
@@ -438,7 +439,7 @@ func finalizeStreamPart(run *runState, bd *Breakdown, k int, st *compress.Entrie
 	}
 	bd.addRankWall(run.codec.Policy().RootEncode, k, pp.wallComp+pp.wallDist)
 	run.reports[k] = streamReport{comp: pp.comp, dist: pp.dist, wire: len(pp.buf)}
-	a, err := decodeTimed(run, bd, k, pp.buf, pp.meta)
+	a, err := decodeTimed(pr, run, bd, pp.buf, pp.meta)
 	if pp.pooled {
 		machine.PutBuf(pp.buf)
 	}
@@ -483,7 +484,7 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 			if frames != int(msg.Meta[1]) {
 				return fmt.Errorf("dist: %s rank %d part %d: finalize expects %d frames, received %d", c.Name(), k, k, msg.Meta[1], frames)
 			}
-			a, err := finalizeStreamPart(run, bd, k, acc)
+			a, err := finalizeStreamPart(pr, run, bd, acc)
 			if err != nil {
 				return err
 			}

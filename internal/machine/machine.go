@@ -89,7 +89,8 @@ func WithTracer(*trace.Tracer) Option { return func(*Machine) {} }
 
 // WithNetwork attaches a simnet recorder: every data message (tag >= 0)
 // is recorded as a virtual send at the sender and a matched receive at
-// the receiver, and compute layers may add charges of their own.
+// the receiver, and every compute charge made through Proc.Charge is
+// recorded on its rank.
 // Finalizing the network replays the run on its topology. Control
 // traffic (negative tags) is not recorded, mirroring the cost model.
 func WithNetwork(n *simnet.Network) Option { return func(m *Machine) { m.net = n } }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/simnet"
 )
 
 // Send transmits data words (with a small integer header) to rank `to`,
@@ -36,6 +37,16 @@ func (p *Proc) SendBuf(to, tag int, meta [4]int64, data []float64, pooled bool, 
 	}
 	return p.m.transport.Send(Message{From: p.Rank, To: to, Tag: tag, Data: data, Meta: meta,
 		Pooled: pooled && !p.m.retains})
+}
+
+// Charge books compute work c to ctr (nil-safe) and, when the machine
+// records a network model, onto this rank's timeline under class: the
+// compute counterpart of SendBuf, so both ledgers get the same charge
+// from one call. Call it from the rank's own goroutine, in program
+// order, so the replay sees the work where the rank did it.
+func (p *Proc) Charge(ctr *cost.Counter, class simnet.Class, c cost.Counter) {
+	ctr.Add(c)
+	p.m.net.Charge(p.Rank, class, c)
 }
 
 // recordRecv records a matched receive into the network model: every

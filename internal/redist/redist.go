@@ -9,9 +9,10 @@
 // receiver decodes and compresses its new local array.
 //
 // Costs follow the same accounting as the distribution schemes: one
-// message + words on the wire per pair of ranks, one operation per
-// scanned local nonzero, three per encoded triplet word group, and the
-// receiver's decode charged per entry.
+// message + words on the wire per pair of ranks, three operations per
+// encoded triplet, three per decoded triplet and three per compressed
+// entry. Every compute charge goes through machine.Proc.Charge, so a
+// machine with a network model replays it next to the sends.
 package redist
 
 import (
@@ -24,6 +25,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/partition"
+	"repro/internal/simnet"
 	"repro/internal/sparse"
 )
 
@@ -98,8 +100,8 @@ func Redistribute(m *machine.Machine, from partition.Partition, res *dist.Result
 				return fmt.Errorf("redist: rank %d: %w", pr.Rank, err)
 			}
 			buffers[owner] = append(buffers[owner], float64(e.Row), float64(e.Col), e.Val)
-			ctr.AddOps(3)
 		}
+		pr.Charge(ctr, simnet.ClassRankComp, cost.Counter{Ops: 3 * int64(len(entries))})
 
 		// 3. Exchange: p explicit (charged) sends, then receive from all.
 		for d := 0; d < p; d++ {
@@ -128,8 +130,10 @@ func Redistribute(m *machine.Machine, from partition.Partition, res *dist.Result
 					return fmt.Errorf("redist: rank %d: received col %d it does not own", pr.Rank, gj)
 				}
 				local.Add(li, lj, v)
-				ctr.AddOps(3)
 			}
+			// Each buffer's decode is charged as it happens, so the
+			// replay overlaps it with the wait for the next one.
+			pr.Charge(ctr, simnet.ClassRankComp, cost.Counter{Ops: int64(len(msg.Data))})
 		}
 
 		// 4. Compress the merged local array.
@@ -138,16 +142,15 @@ func Redistribute(m *machine.Machine, from partition.Partition, res *dist.Result
 			if err != nil {
 				return fmt.Errorf("redist: rank %d compress: %w", pr.Rank, err)
 			}
-			ctr.AddOps(3 * local.NNZ())
 			out.LocalCRS[pr.Rank] = crs
 		} else {
 			ccs, err := compress.CompressCCSFromCOO(local)
 			if err != nil {
 				return fmt.Errorf("redist: rank %d compress: %w", pr.Rank, err)
 			}
-			ctr.AddOps(3 * local.NNZ())
 			out.LocalCCS[pr.Rank] = ccs
 		}
+		pr.Charge(ctr, simnet.ClassRankComp, cost.Counter{Ops: 3 * int64(local.NNZ())})
 		return nil
 	})
 	stats.Wall = time.Since(start)

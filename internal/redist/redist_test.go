@@ -8,6 +8,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/partition"
+	"repro/internal/simnet"
 	"repro/internal/sparse"
 )
 
@@ -95,6 +96,46 @@ func TestRedistributeRowToMesh(t *testing.T) {
 	}
 	if stats.Wall <= 0 {
 		t.Error("wall time not measured")
+	}
+}
+
+// TestRedistributeRecordsItsCompute: on a machine with a network
+// model, a redistribution's replay carries its compute, not only its
+// sends. Each rank's compute on the uniform timeline is exactly the
+// virtual time of the operations Stats books for it.
+func TestRedistributeRecordsItsCompute(t *testing.T) {
+	const p = 4
+	g := sparse.Uniform(24, 24, 0.15, 5)
+	row, _ := partition.NewRow(24, 24, p)
+	mesh, _ := partition.NewMesh(24, 24, 2, 2)
+	top, err := simnet.Build("uniform", p, cost.DefaultParams, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.NewNetwork(top, cost.DefaultParams)
+	m, err := machine.New(p, machine.WithRecvTimeout(10*time.Second), machine.WithNetwork(net))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	src, err := dist.Run(m, dist.Plan{Codec: dist.ED{}, Global: g, Partition: row})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Reset()
+	_, stats, err := Redistribute(m, row, src, mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := net.Finalize()
+	for r := 0; r < p; r++ {
+		want := cost.DefaultParams.Time(cost.Counter{Ops: stats.PerRank[r].Ops})
+		if want == 0 {
+			t.Fatalf("rank %d booked no operations", r)
+		}
+		if got := tl.Busy[r][simnet.ClassRankComp]; got != want {
+			t.Errorf("rank %d: replayed compute %v, want %v (%d ops)", r, got, want, stats.PerRank[r].Ops)
+		}
 	}
 }
 

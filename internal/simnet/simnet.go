@@ -191,18 +191,14 @@ func (n *Network) Recv(rank, from, tag int) {
 
 // Charge records compute work on a rank, priced by the network's
 // params: Messages·T_Startup + Elements·T_Data + Ops·T_Operation. Wire
-// classes belong to Send; Charge is for the compute mirror (encode,
-// decode, pack, convert). Zero charges are dropped.
+// classes belong to Send; Charge is for compute (encode, decode, pack,
+// convert). Zero charges are dropped.
 func (n *Network) Charge(rank int, class Class, c cost.Counter) {
-	if n == nil {
+	if n == nil || rank < 0 || rank >= n.top.Ranks() {
 		return
 	}
-	n.ChargeDuration(rank, class, n.params.Time(c))
-}
-
-// ChargeDuration records compute work as a raw virtual duration.
-func (n *Network) ChargeDuration(rank int, class Class, d time.Duration) {
-	if n == nil || d <= 0 || rank < 0 || rank >= n.top.Ranks() {
+	d := n.params.Time(c)
+	if d <= 0 {
 		return
 	}
 	n.mu.Lock()

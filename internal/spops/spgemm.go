@@ -7,6 +7,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/machine"
+	"repro/internal/simnet"
 )
 
 // DistSpGEMM computes C = A·B where A is the plan's distributed array
@@ -53,7 +54,7 @@ func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CR
 			return err
 		}
 		// Phase 3: local Gustavson over the rank's part.
-		out := e.multiply(pr.Rank, gv, need)
+		out := e.multiply(pr, gv, need)
 		// Phase 4: C rows to the IO rank; merge.
 		if pr.Rank != ioRank {
 			return e.sendRows(pr, ioRank, tagGather, out.Rows,
@@ -274,15 +275,15 @@ func (a *spa) flush(m *compress.CRS, row, start int) {
 	a.gen++
 }
 
-// multiply runs Gustavson's algorithm over rank r's part
+// multiply runs Gustavson's algorithm over rank r = pr.Rank's part
 // against the need-slot-indexed B rows and returns the rank's rows of
 // C, indexed by contribution slot (Contrib[r] order). The symbolic
 // pass sizes the slabs exactly; the numeric pass fills them in place.
 // Each A-nonzero (i, j) merges B's row j scaled by a_ij into C's row i
 // and is charged 2 operations per B entry; the symbolic pass is
 // bookkeeping, like plan construction, and is not charged.
-func (e *exec) multiply(r int, gv *gemmView, need *compress.CRS) *compress.CRS {
-	pl := e.pl
+func (e *exec) multiply(pr *machine.Proc, gv *gemmView, need *compress.CRS) *compress.CRS {
+	pl, r := e.pl, pr.Rank
 	feeds, feedPtr := gv.feed[r], gv.feedPtr[r]
 	nOut := len(pl.Contrib[r])
 	acc := newSPA(need.Cols)
@@ -313,7 +314,7 @@ func (e *exec) multiply(r int, gv *gemmView, need *compress.CRS) *compress.CRS {
 		}
 		acc.flush(out, c, start)
 	}
-	e.chargeComp(e.st[r], delta)
+	pr.Charge(&e.st[r].comp, simnet.ClassRankComp, delta)
 	return out
 }
 

@@ -54,7 +54,6 @@ type OpStats struct {
 // rankState is one rank's execution-time scratch. Buffers are sized
 // from the plan once and reused across iterations.
 type rankState struct {
-	rank       int
 	xlo, xhi   int
 	ylo, yhi   int
 	xSeg       []float64  // resident owned x values
@@ -80,7 +79,7 @@ type exec struct {
 func bindExec(m *machine.Machine, pl *CommPlan) *exec {
 	e := &exec{pl: pl, m: m, base: m.AllocTags(tagCount), st: make([]*rankState, pl.P)}
 	for r := 0; r < pl.P; r++ {
-		st := &rankState{rank: r}
+		st := &rankState{}
 		st.xlo, st.xhi = pl.xRange(r)
 		st.ylo, st.yhi = pl.yRange(r)
 		e.st[r] = st
@@ -104,16 +103,6 @@ func newExec(m *machine.Machine, pl *CommPlan) *exec {
 
 // tag returns the wire tag for a phase offset.
 func (e *exec) tag(off int) int { return e.base + off }
-
-// chargeComp flushes a rank's accumulated compute into the simnet
-// recorder (compute spans appear on the timeline next to the wire
-// occupancy its messages produced).
-func (e *exec) chargeComp(st *rankState, delta cost.Counter) {
-	st.comp.Add(delta)
-	if net := e.m.Network(); net != nil {
-		net.Charge(st.rank, simnet.ClassRankComp, delta)
-	}
-}
 
 // scatterX places x's owned segments at their owners from the IO
 // rank: the one-time setup the halo exchange then amortises.
@@ -202,9 +191,8 @@ func (e *exec) compute(pr *machine.Proc) {
 	for i := range st.contribVal {
 		st.contribVal[i] = 0
 	}
-	var delta cost.Counter
-	delta.AddOps(2 * e.computePart(pr.Rank, st.needVal, st.contribVal))
-	e.chargeComp(st, delta)
+	delta := cost.Counter{Ops: 2 * int64(e.computePart(pr.Rank, st.needVal, st.contribVal))}
+	pr.Charge(&st.comp, simnet.ClassRankComp, delta)
 }
 
 // computePart multiplies part k against the assembled need values in

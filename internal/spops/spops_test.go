@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -319,6 +320,72 @@ func TestSimnetRecordsOps(t *testing.T) {
 	after := d.NetTimeline().Makespan
 	if after <= base {
 		t.Fatalf("SpMV traffic not recorded: makespan %v -> %v", base, after)
+	}
+}
+
+// TestSimnetLedgerParity holds the op layer's two ledgers to each
+// other on the uniform topology: for SpMV, Jacobi and DistSpGEMM the
+// compute recorded across ranks is T_Operation times OpStats.Ops, and
+// the words recorded on data tags (collectives' control tags are
+// negative and off the counters) are OpStats.WireWords.
+func TestSimnetLedgerParity(t *testing.T) {
+	const n = 48
+	g := sparse.Banded(n, n, 4, 0.8, 9)
+	sparse.MakeDiagDominant(g)
+	runs := []struct {
+		name string
+		run  func(*core.Distribution, *spops.CommPlan) (spops.OpStats, error)
+	}{
+		{"spmv", func(d *core.Distribution, pl *spops.CommPlan) (spops.OpStats, error) {
+			_, st, err := spops.SpMV(d.Machine(), pl, randVec(n, 1))
+			return st, err
+		}},
+		{"jacobi", func(d *core.Distribution, pl *spops.CommPlan) (spops.OpStats, error) {
+			_, st, err := spops.Jacobi(d.Machine(), pl, randVec(n, 2), nil, 0, 5)
+			return st, err
+		}},
+		{"spgemm", func(d *core.Distribution, pl *spops.CommPlan) (spops.OpStats, error) {
+			_, st, err := spops.DistSpGEMM(d.Machine(), pl, compress.CompressCRS(g, nil))
+			return st, err
+		}},
+	}
+	for _, part := range []string{"row", "mesh"} {
+		for _, r := range runs {
+			t.Run(part+"/"+r.name, func(t *testing.T) {
+				d, pl := distribute(t, g, core.Config{Partition: part, Procs: 4, Topology: "uniform"})
+				defer d.Close()
+				// recorded sums the replay's rank compute and data-tag
+				// words; the op's share is what it adds to the run's.
+				recorded := func() (comp time.Duration, words int) {
+					tl := d.NetTimeline()
+					for _, busy := range tl.Busy {
+						comp += busy[simnet.ClassRankComp]
+					}
+					for _, e := range tl.Events {
+						if e.Kind == simnet.EvSend && e.Tag >= 0 {
+							words += e.Words
+						}
+					}
+					return comp, words
+				}
+				comp0, words0 := recorded()
+				st, err := r.run(d, pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				comp, words := recorded()
+				comp, words = comp-comp0, words-words0
+				if st.Ops == 0 || st.WireWords == 0 {
+					t.Fatalf("op booked nothing: %+v", st)
+				}
+				if want := time.Duration(st.Ops) * d.Params.TOperation; comp != want {
+					t.Errorf("recorded compute %v, want %d ops × T_Operation = %v", comp, st.Ops, want)
+				}
+				if words != st.WireWords {
+					t.Errorf("recorded %d words on data tags, OpStats.WireWords %d", words, st.WireWords)
+				}
+			})
+		}
 	}
 }
 

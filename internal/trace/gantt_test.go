@@ -97,9 +97,10 @@ func TestGanttMarks(t *testing.T) {
 // to `x`.
 func TestGanttSpanGlyph(t *testing.T) {
 	lines := replayed(t, 3, 20, func(net *simnet.Network) {
-		net.ChargeDuration(0, simnet.ClassRankComp, time.Millisecond)
+		ms := cost.Counter{Ops: 13_333} // ≈ 1 ms at T_Operation
+		net.Charge(0, simnet.ClassRankComp, ms)
 		net.Send(1, 2, 0, 1000)
-		net.ChargeDuration(1, simnet.ClassRankComp, time.Millisecond)
+		net.Charge(1, simnet.ClassRankComp, ms)
 		net.Recv(2, 1, 0)
 	})
 	if !strings.Contains(lines[0], "c=compute") {

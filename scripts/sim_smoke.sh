@@ -3,12 +3,15 @@
 # the sparsedist CLI. For every scheme it runs the same distribution
 # twice on a mesh and on a bandwidth-starved star and requires (a) the
 # deterministic network-model section of the report to be byte-identical
-# across runs, and (b) the congested star to show non-zero link
-# utilization. A -trace run must print the same network section and
-# chart twice. A streamed run with a topology must be refused: its
-# frames, credits and finalizes are not the paper's messages, so a
-# replay of them would not be the distribution. `make sim-smoke` and CI
-# run this.
+# across runs, (b) the congested star to show non-zero link
+# utilization, and (c) on the uniform topology the replay's sim
+# T_Distribution and T_Compression to print as the phase table's virtual
+# column: the recorder and the counters are charged by the same calls,
+# so the two ledgers agree to the nanosecond. A -trace run must print
+# the same network section and chart twice. A streamed run with a
+# topology must be refused: its frames, credits and finalizes are not
+# the paper's messages, so a replay of them would not be the
+# distribution. `make sim-smoke` and CI run this.
 set -eu
 
 BIN="${TMPDIR:-/tmp}/sparsedist-smoke"
@@ -48,6 +51,15 @@ for scheme in SFC CFS ED; do
   if ! grep -Eq ' (100|[1-9][0-9]?)\.[0-9]+%' "$OUT/a.net"; then
     echo "sim-smoke: $scheme: congested star shows no link utilization" >&2
     cat "$OUT/a.net" >&2
+    exit 1
+  fi
+  "$BIN" -scheme "$scheme" -n 200 -procs 4 -topology uniform >"$OUT/u.txt"
+  counters=$(awk '$1 == "T_Distribution" { d = $2 } $1 == "T_Compression" { c = $2 }
+    END { printf "T_Distribution %s, T_Compression %s", d, c }' "$OUT/u.txt")
+  sim=$(sed -n 's/^sim \(T_Distribution [^,]*, T_Compression [^,]*\),.*/\1/p' "$OUT/u.txt")
+  if [ "$sim" != "$counters" ]; then
+    echo "sim-smoke: $scheme/uniform: replay prints \"$sim\", phase table \"$counters\"" >&2
+    cat "$OUT/u.txt" >&2
     exit 1
   fi
 done
