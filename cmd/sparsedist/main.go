@@ -39,7 +39,7 @@ func main() {
 	flag.IntVar(&cfg.Procs, "procs", 4, "number of processors")
 	flag.IntVar(&cfg.BlockSize, "block", 1, "block size for the brs partition")
 	flag.StringVar(&cfg.Method, "method", "", "compression method: "+dist.MethodNames()+" (default CRS)")
-	flag.StringVar(&cfg.Transport, "transport", "", "message transport: chan, tcp or model (default chan)")
+	flag.StringVar(&cfg.Transport, "transport", "", "message transport: chan or tcp (default chan)")
 	flag.StringVar(&cfg.Topology, "topology", "",
 		"network model topology: "+simnet.TopologyNames()+" (empty: no network model); records the run against a discrete-event simulator and prints the contention-aware timing section")
 	flag.Float64Var(&cfg.LinkBW, "link-bw", 0,

@@ -151,6 +151,7 @@ func TestValidateFlags(t *testing.T) {
 			f.cfg.LinkBW = 1e6
 			f.cfg.LinkLatency = time.Millisecond
 		}},
+		{"transport-model", func(f *flags) { f.cfg.Transport = "model"; f.wantErrSub = `transport "model": want chan or tcp` }},
 		{"topology-unknown", func(f *flags) { f.cfg.Topology = "hypercube"; f.wantErrSub = "topology" }},
 		{"link-bw-negative", func(f *flags) { f.cfg.Topology = "bus"; f.cfg.LinkBW = -1; f.wantErrSub = "link-bw" }},
 		{"link-bw-nan", func(f *flags) { f.cfg.Topology = "bus"; f.cfg.LinkBW = math.NaN(); f.wantErrSub = "link-bw" }},

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/machine"
 )
 
@@ -104,25 +103,23 @@ func TestHostCalibration(t *testing.T) {
 	_ = fit
 }
 
-func TestLinkFitModelTransport(t *testing.T) {
-	// A model transport with large known unit costs dominates channel
-	// noise, so the fitted link must land near the configured values:
-	// the slope rests on an 8 ms spread between the payload sizes, well
-	// above the sleep jitter the fastest of three round trips lets through.
-	params := cost.Params{TStartup: 2 * time.Millisecond, TData: 2 * time.Microsecond, TOperation: time.Nanosecond}
+// TestLinkFitChanTransport pins LinkFit's mapping from the wire fit to
+// a simnet link without depending on timing: the link's Latency and
+// PerWord are the returned fit's intercept and slope, clamped at 0, and
+// the link is named. TestFitLinearExact and TestFitLinearNoise pin the
+// fit itself.
+func TestLinkFitChanTransport(t *testing.T) {
 	link, fit, err := LinkFit(func(p int) (machine.Transport, error) {
-		return machine.NewModelTransport(machine.NewChanTransport(p), params), nil
+		return machine.NewChanTransport(p), nil
 	}, []int{0, 2000, 4000}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The round trip pays one data startup plus one (modelled) ack
-	// startup; the halved intercept should sit within 2x of T_Startup.
-	if link.Latency < params.TStartup/2 || link.Latency > 4*params.TStartup {
-		t.Errorf("fitted latency %v far from configured %v (fit %+v)", link.Latency, params.TStartup, fit)
+	if want := time.Duration(max64(0, int64(fit.Intercept))); link.Latency != want {
+		t.Errorf("latency %v, want the fit's intercept clamped at 0, %v (fit %+v)", link.Latency, want, fit)
 	}
-	if link.PerWord < params.TData/2 || link.PerWord > 4*params.TData {
-		t.Errorf("fitted per-word %v far from configured %v (fit %+v)", link.PerWord, params.TData, fit)
+	if want := time.Duration(max64(0, int64(fit.Slope))); link.PerWord != want {
+		t.Errorf("per-word %v, want the fit's slope clamped at 0, %v (fit %+v)", link.PerWord, want, fit)
 	}
 	if link.Name == "" {
 		t.Error("fitted link unnamed")

@@ -291,8 +291,9 @@ func FuzzDecodePartED(f *testing.F) {
 }
 
 // TestDecodeEDRejectedChargesNothing: a decode that fails books no
-// work — the charge is made once, after the last check — so the simnet
-// mirror in dist.decodeTimed never records compute for a part that was
+// work — the charge is made once, after the last check — so
+// dist.decodeTimed, which books the decode with one pr.Charge and only
+// after the decode succeeds, never charges compute for a part that was
 // not produced. Every hostile buffer is also rejected by the reference
 // decoders, and the intact one decodes identically.
 func TestDecodeEDRejectedChargesNothing(t *testing.T) {

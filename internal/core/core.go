@@ -58,9 +58,7 @@ type Config struct {
 	BlockSize int
 	// Method is "CRS", "CCS" or "JDS" (default "CRS").
 	Method string
-	// Transport is "chan" (default), "tcp" (localhost sockets) or
-	// "model" (channel transport that really sleeps T_Startup +
-	// words·T_Data per message, so wall time matches the model).
+	// Transport is "chan" (default) or "tcp" (localhost sockets).
 	Transport string
 	// Topology, when set, turns on the discrete-event network model:
 	// every data message and compute charge of the run is recorded
@@ -68,10 +66,9 @@ type Config struct {
 	// "fattree") and replayed into a contention-aware virtual timeline,
 	// read back with Distribution.NetTimeline. "uniform" reproduces the
 	// flat counter totals exactly (the parity contract); the others
-	// price the same traffic under link contention. With Transport
-	// "model", the wire sleeps are priced by topology routes too.
-	// DistributeStream refuses it (a *ConflictError): a streamed run
-	// moves frames, credits and finalizes the paper's model does not have.
+	// price the same traffic under link contention. DistributeStream
+	// refuses it (a *ConflictError): a streamed run moves frames,
+	// credits and finalizes the paper's model does not have.
 	Topology string
 	// LinkBW, in payload words per second, overrides the bandwidth of
 	// the topology's bottleneck links (see simnet.Build). Zero keeps the
@@ -297,8 +294,6 @@ type machineStack struct {
 // faults hit the wire *below* the reliability layer, which then
 // recovers from them.
 func newMachineStack(cfg Config) (*machineStack, error) {
-	// The network model is built first so the model transport can price
-	// its sleeps by topology routes instead of the flat charge.
 	var net *simnet.Network
 	if cfg.Topology != "" {
 		top, err := simnet.Build(cfg.Topology, cfg.Procs, cfg.Params, cfg.LinkBW, cfg.LinkLatency)
@@ -318,16 +313,6 @@ func newMachineStack(cfg Config) (*machineStack, error) {
 			return nil, err
 		}
 		base = tr
-	case "model":
-		// Spend the model's communication time for real: wall-clock
-		// measurements then reproduce the paper's orderings directly.
-		// Under a topology the sleeps follow the routes (a congested
-		// root link slows wall time, a mesh send pays per hop).
-		if net != nil {
-			base = machine.NewModelTransportTopo(machine.NewChanTransport(cfg.Procs), net.Topology())
-		} else {
-			base = machine.NewModelTransport(machine.NewChanTransport(cfg.Procs), cfg.Params)
-		}
 	default:
 		return nil, unknownTransport(cfg.Transport)
 	}

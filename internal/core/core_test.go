@@ -44,25 +44,6 @@ func TestDistributeAllConfigCombos(t *testing.T) {
 	}
 }
 
-func TestDistributeModelTransport(t *testing.T) {
-	g := sparse.Uniform(16, 16, 0.2, 9)
-	d, err := Distribute(g, Config{Transport: "model", Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	// Wall distribution must now be at least the modelled wire time of
-	// the root's sends.
-	bd := d.Result.Breakdown
-	wire := d.Params.TStartup*2 + time.Duration(bd.RootDist.Elements)*d.Params.TData
-	if bd.WallDistribution() < wire {
-		t.Errorf("wall dist %v below modelled wire %v", bd.WallDistribution(), wire)
-	}
-}
-
 func TestDistributeTCP(t *testing.T) {
 	g := sparse.Uniform(16, 16, 0.2, 3)
 	d, err := Distribute(g, Config{Transport: "tcp", Procs: 2})

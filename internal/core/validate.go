@@ -37,7 +37,7 @@ func unknownPartition(name string) error {
 }
 
 func unknownTransport(name string) error {
-	return fmt.Errorf("transport %q: want chan, tcp or model", name)
+	return fmt.Errorf("transport %q: want chan or tcp", name)
 }
 
 // Validate reports the first rule the request breaks, or nil. It is
@@ -67,7 +67,7 @@ func (c Config) Validate() error {
 		}
 	}
 	switch c.Transport {
-	case "", "chan", "tcp", "model":
+	case "", "chan", "tcp":
 	default:
 		return unknownTransport(c.Transport)
 	}

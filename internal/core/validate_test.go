@@ -34,8 +34,8 @@ func TestConfigValidate(t *testing.T) {
 		{name: "method JDS", cfg: Config{Method: "jds"}},
 		{name: "method unknown", cfg: Config{Method: "COO"}, want: `method "COO": want CRS, CCS, JDS`},
 		{name: "auto with method pins", cfg: Config{Scheme: "auto", Method: "CCS"}},
-		{name: "transport model", cfg: Config{Transport: "model"}},
-		{name: "transport unknown", cfg: Config{Transport: "carrier-pigeon"}, want: "chan, tcp or model"},
+		{name: "transport model", cfg: Config{Transport: "model"}, want: `transport "model": want chan or tcp`},
+		{name: "transport unknown", cfg: Config{Transport: "carrier-pigeon"}, want: "chan or tcp"},
 		{name: "topology with overrides", cfg: Config{Topology: "star", LinkBW: 1e6, LinkLatency: time.Millisecond}},
 		{name: "topology unknown", cfg: Config{Topology: "hypercube"}, want: `topology "hypercube"`},
 

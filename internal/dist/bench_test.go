@@ -14,19 +14,25 @@ import (
 )
 
 // benchDistribute is the loop every whole-distribution benchmark here
-// shares: b.N distributions on one machine of the given transport,
-// reused across iterations. wdist-ms and wcomp-ms are the measured
-// phases of the paper's split (root time plus the slowest rank's),
-// vdist-ms and vcomp-ms the virtual clock's figures for the same run.
-func benchDistribute(b *testing.B, tcp bool, s Codec, g *sparse.Dense, part partition.Partition, opts Options) {
+// shares: b.N distributions on one machine of the given transport
+// ("chan", "tcp" or "reliable-tcp", the ARQ over TCP with its default
+// retry policy), reused across iterations. wdist-ms and wcomp-ms are
+// the measured phases of the paper's split (root time plus the slowest
+// rank's), vdist-ms and vcomp-ms the virtual clock's figures for the
+// same run.
+func benchDistribute(b *testing.B, transport string, s Codec, g *sparse.Dense, part partition.Partition, opts Options) {
 	b.Helper()
 	var mopts []machine.Option
-	if tcp {
+	if transport != "chan" {
 		tr, err := machine.NewTCPTransport(part.NumParts())
 		if err != nil {
 			b.Fatal(err)
 		}
-		mopts = append(mopts, machine.WithTransport(tr))
+		var base machine.Transport = tr
+		if transport == "reliable-tcp" {
+			base = machine.NewReliableTransport(tr, machine.RetryPolicy{})
+		}
+		mopts = append(mopts, machine.WithTransport(base))
 	}
 	m, err := machine.New(part.NumParts(), mopts...)
 	if err != nil {
@@ -93,26 +99,45 @@ func BenchmarkRun(b *testing.B) {
 	for _, s := range Schemes() {
 		for _, pt := range parts {
 			b.Run(s.Name()+"/"+pt.name, func(b *testing.B) {
-				benchDistribute(b, false, s, g, pt.part, Options{})
+				benchDistribute(b, "chan", s, g, pt.part, Options{})
 			})
 		}
 	}
 }
 
-// BenchmarkAblationSparseRatio sweeps s to locate the wall-clock
-// crossover between SFC and ED that Remark 5 predicts: as s grows, ED's
-// wire savings shrink while its decode cost grows.
+// BenchmarkAblationSparseRatio sweeps s across the crossovers of
+// Remarks 2 and 5 on the wires the virtual clock stands for: the
+// Table-3 array (n=1000, p=4, CRS) at s from 0.02 to 0.45, per
+// transport (chan, tcp, reliable-tcp), partition (row, col) and scheme.
+// Remark 2 puts CFS's distribution below SFC's iff T_Data/T_Operation
+// > 2s/(1-2s); Remark 5 gives the ratios above which ED's and CFS's
+// totals drop below SFC's. EXPERIMENTS.md "Remarks on the wall clock"
+// reads the crossovers off 20 passes of the whole sweep, so each
+// point's samples interleave with every other point's.
 func BenchmarkAblationSparseRatio(b *testing.B) {
-	part, err := partition.NewCol(400, 400, 4)
+	const n, p = 1000, 4
+	row, err := partition.NewRow(n, n, p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, s := range []float64{0.01, 0.05, 0.1, 0.2, 0.4} {
-		g := sparse.UniformExact(400, 400, s, 8)
-		for _, scheme := range []Codec{SFC{}, ED{}} {
-			b.Run(fmt.Sprintf("%s/s=%g", scheme.Name(), s), func(b *testing.B) {
-				benchDistribute(b, false, scheme, g, part, Options{})
-			})
+	col, err := partition.NewCol(n, n, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts := []struct {
+		name string
+		part partition.Partition
+	}{{"row", row}, {"col", col}}
+	for _, s := range []float64{0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45} {
+		g := sparse.UniformExact(n, n, s, 8)
+		for _, transport := range []string{"chan", "tcp", "reliable-tcp"} {
+			for _, pt := range parts {
+				for _, scheme := range Schemes() {
+					b.Run(fmt.Sprintf("%s/%s/%s/s=%g", transport, pt.name, scheme.Name(), s), func(b *testing.B) {
+						benchDistribute(b, transport, scheme, g, pt.part, Options{})
+					})
+				}
+			}
 		}
 	}
 }
@@ -131,7 +156,7 @@ func BenchmarkAblationCFSConvert(b *testing.B) {
 		atRoot bool
 	}{{"receiver-side", false}, {"root-side", true}} {
 		b.Run(c.name, func(b *testing.B) {
-			benchDistribute(b, false, CFS{}, g, part, Options{CFSConvertAtRoot: c.atRoot})
+			benchDistribute(b, "chan", CFS{}, g, part, Options{CFSConvertAtRoot: c.atRoot})
 		})
 	}
 }
@@ -151,7 +176,7 @@ func BenchmarkAblationEDOverlap(b *testing.B) {
 		workers int
 	}{{"sequential", 1}, {"pipelined", 2}} {
 		b.Run(c.name, func(b *testing.B) {
-			benchDistribute(b, true, ED{}, g, part, Options{Workers: c.workers})
+			benchDistribute(b, "tcp", ED{}, g, part, Options{Workers: c.workers})
 		})
 	}
 }

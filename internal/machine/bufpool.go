@@ -90,7 +90,3 @@ func transportRetainsPayloads(t Transport) bool {
 // RetainsPayloads implements PayloadRetainer: fault injection may
 // duplicate or mutate payloads after Send returns.
 func (t *FaultTransport) RetainsPayloads() bool { return true }
-
-// RetainsPayloads implements PayloadRetainer by delegating to the
-// wrapped transport — the model layer only adds latency.
-func (t *ModelTransport) RetainsPayloads() bool { return transportRetainsPayloads(t.Inner) }

@@ -144,9 +144,6 @@ func NewNetwork(top *Topology, params cost.Params) *Network {
 	}
 }
 
-// Topology returns the network's topology.
-func (n *Network) Topology() *Topology { return n.top }
-
 // Send records rank `from` transmitting words payload words to rank
 // `to` on tag. Out-of-range ranks are ignored (defensive: the machine
 // validates destinations before sending).

@@ -136,22 +136,30 @@ func TestBusContention(t *testing.T) {
 
 // TestStarCongestedRootLink: overriding the bandwidth prices rank 0's
 // access pair hot while leaf links stay at base, so a root-to-leaf
-// transfer slows down by exactly the up-link difference.
+// transfer slows down by exactly the up-link difference. Each route is
+// priced by replaying one recorded message alone on the network, so
+// its delivery time is the sum of its hops' Latency + words·PerWord.
 func TestStarCongestedRootLink(t *testing.T) {
 	const bw = 1e6 // words/s => 1µs per word, ~11x T_Data
 	hotPerWord := time.Duration(float64(time.Second) / bw)
 	top := mustBuild(t, "star", 4, bw, 0)
 	const words = 500
+	replayOne := func(from, to int) time.Duration {
+		net := NewNetwork(top, testParams)
+		net.Send(from, to, 1, words)
+		net.Recv(to, from, 1)
+		return net.Finalize().Makespan
+	}
 
 	// Route 0→1 crosses hot up0 then base down1.
 	want := (testParams.TStartup + words*hotPerWord) + (testParams.TStartup + words*testParams.TData)
-	if got := top.RouteCharge(0, 1, words); got != want {
-		t.Errorf("RouteCharge(0,1) = %v, want %v", got, want)
+	if got := replayOne(0, 1); got != want {
+		t.Errorf("replayed 0→1 = %v, want %v", got, want)
 	}
 	// Leaf-to-leaf traffic avoids the hot pair entirely.
 	wantLeaf := 2 * (testParams.TStartup + words*testParams.TData)
-	if got := top.RouteCharge(2, 3, words); got != wantLeaf {
-		t.Errorf("RouteCharge(2,3) = %v, want %v", got, wantLeaf)
+	if got := replayOne(2, 3); got != wantLeaf {
+		t.Errorf("replayed 2→3 = %v, want %v", got, wantLeaf)
 	}
 }
 

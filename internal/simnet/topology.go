@@ -39,21 +39,6 @@ func (t *Topology) Ranks() int { return len(t.routes) }
 // Route returns the link sequence from one rank to another.
 func (t *Topology) Route(from, to int) []int { return t.routes[from][to] }
 
-// RouteCharge prices one uncontended transfer along the route: the sum
-// of every hop's Latency + words·PerWord. The model transport uses it
-// to sleep topology-aware wire time; an empty route charges nothing
-// (local delivery).
-func (t *Topology) RouteCharge(from, to, words int) time.Duration {
-	if from < 0 || from >= t.Ranks() || to < 0 || to >= t.Ranks() {
-		return 0
-	}
-	var d time.Duration
-	for _, li := range t.routes[from][to] {
-		d += t.Links[li].Transfer(words)
-	}
-	return d
-}
-
 // newTopology allocates an empty p-rank topology.
 func newTopology(name string, p int) *Topology {
 	t := &Topology{Name: name}
