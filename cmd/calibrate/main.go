@@ -32,17 +32,17 @@ func main() {
 		name = "tcp"
 	}
 
-	params, fit, err := calibrate.Host(factory)
+	cal, err := calibrate.Host(factory)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "calibrate:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("host calibration over the %s transport (wire fit R² = %.4f):\n", name, fit.R2)
+	params := cal.Params()
+	fmt.Printf("host calibration over the %s transport (wire fit R² = %.4f):\n", name, cal.Wire.R2)
 	fmt.Printf("  T_Startup   = %v\n", params.TStartup)
-	fmt.Printf("  T_Data      = %v per element\n", params.TData)
-	fmt.Printf("  T_Operation = %v per element op\n", params.TOperation)
-	ratio := params.DataOpRatio()
-	fmt.Printf("  T_Data/T_Operation = %.3f (paper's SP2 estimate: 1.2)\n\n", ratio)
+	fmt.Printf("  T_Data      = %.3gns per element (virtual clock: %v)\n", max(cal.Wire.Slope, 0), params.TData)
+	fmt.Printf("  T_Operation = %.3gns per element op (virtual clock: %v)\n", cal.OpNs, params.TOperation)
+	fmt.Printf("  T_Data/T_Operation = %.3f (paper's SP2 estimate: 1.2)\n\n", cal.Ratio())
 
 	fmt.Println("implied overall winners at s = 0.1 (cost model):")
 	for _, kind := range []costmodel.PartitionKind{costmodel.RowPart, costmodel.ColPart, costmodel.MeshPart} {
@@ -70,14 +70,15 @@ func main() {
 		}
 		fmt.Printf("\nfitted simnet link over the %s transport (R² = %.4f):\n", name, lfit.R2)
 		fmt.Printf("  latency  = %v per message\n", l.Latency)
-		fmt.Printf("  per-word = %v", l.PerWord)
-		if l.PerWord > 0 {
-			fmt.Printf("  (bandwidth ~%.3g words/s)", float64(time.Second)/float64(l.PerWord))
+		perWord := max(lfit.Slope, 0)
+		fmt.Printf("  per-word = %.3gns", perWord)
+		if perWord > 0 {
+			fmt.Printf("  (bandwidth ~%.3g words/s)", float64(time.Second)/perWord)
 		}
 		fmt.Println()
 		fmt.Printf("  use with: -topology star -link-latency %v", l.Latency)
-		if l.PerWord > 0 {
-			fmt.Printf(" -link-bw %.0f", float64(time.Second)/float64(l.PerWord))
+		if perWord > 0 {
+			fmt.Printf(" -link-bw %.0f", float64(time.Second)/perWord)
 		}
 		fmt.Println()
 	}

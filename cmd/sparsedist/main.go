@@ -49,7 +49,7 @@ func main() {
 	flag.BoolVar(&cfg.Check, "check", false,
 		"run the invariant checker during the run and the differential oracle after it (reassemble the global array from the distributed pieces and diff element-wise)")
 	flag.IntVar(&cfg.Workers, "workers", 0,
-		"root-side encode workers (0: one per CPU, 1: the paper's sequential root loop)")
+		"goroutines encoding the root's parts (1: the root alone, as in the paper; n: the root plus n-1 helpers; 0: one per CPU)")
 	flag.IntVar(&cfg.Retries, "retries", 0,
 		"retransmission budget per message; > 0 enables the reliable transport (seq numbers, checksums, ACK/retransmit)")
 	flag.DurationVar(&cfg.RetryBackoff, "retry-backoff", 0,

@@ -67,13 +67,14 @@ func fitLinear(x, y []float64) (Fit, error) {
 	return Fit{Intercept: a, Slope: b, R2: r2}, nil
 }
 
-// Operation measures T_Operation: it times the instrumented CRS
-// compression kernel over a reference array and divides wall time by
-// the counted element operations. iters >= 1 runs are averaged.
+// Operation measures T_Operation in nanoseconds per element operation,
+// unrounded: it times the instrumented CRS compression kernel over a
+// reference array and divides wall time by the counted element
+// operations. iters >= 1 runs are averaged.
 // Readings from before CompressCRS allocated its result once, at its
 // size, are higher for the same count: the kernel's time at s = 0.1
 // fell to 0.77× (BenchmarkCompressCRS).
-func Operation(iters int) (time.Duration, error) {
+func Operation(iters int) (float64, error) {
 	if iters < 1 {
 		return 0, fmt.Errorf("calibrate: iters %d must be >= 1", iters)
 	}
@@ -89,7 +90,7 @@ func Operation(iters int) (time.Duration, error) {
 	if totalOps == 0 {
 		return 0, fmt.Errorf("calibrate: kernel counted no operations")
 	}
-	return wall / time.Duration(totalOps), nil
+	return float64(wall) / float64(totalOps), nil
 }
 
 // Wire measures T_Startup and T_Data over the given transport factory
@@ -183,41 +184,47 @@ func LinkFit(newTransport func(p int) (machine.Transport, error), sizes []int, r
 	}
 	link := simnet.Link{
 		Name:    "calibrated",
-		Latency: time.Duration(max64(0, int64(fit.Intercept))),
-		PerWord: time.Duration(max64(0, int64(fit.Slope))),
+		Latency: time.Duration(max(0, int64(fit.Intercept))),
+		PerWord: time.Duration(max(0, int64(fit.Slope))),
 	}
 	return link, fit, nil
 }
 
+// Calibration is one host calibration, as measured.
+type Calibration struct {
+	Wire Fit     // T_Startup is its intercept, T_Data its slope, in ns
+	OpNs float64 // T_Operation in ns per element op
+}
+
+// Params rounds the calibration to the virtual clock's unit costs, in
+// whole nanoseconds and clamped at 0.
+func (c Calibration) Params() cost.Params {
+	return cost.Params{
+		TStartup:   time.Duration(max(0, int64(c.Wire.Intercept))),
+		TData:      time.Duration(max(0, int64(c.Wire.Slope))),
+		TOperation: time.Duration(c.OpNs),
+	}
+}
+
+// Ratio returns r = T_Data/T_Operation from the unrounded wire slope,
+// clamped at 0 as Params' T_Data is, and ns/op. Params().DataOpRatio
+// divides the whole-nanosecond values, which on a host where both are
+// a few ns jumps between 1, 1.25, 1.33 and so on from run to run.
+func (c Calibration) Ratio() float64 { return max(c.Wire.Slope, 0) / c.OpNs }
+
 // Host runs the full calibration on this host using the given transport
-// factory (nil means the channel transport) and returns a cost.Params
-// usable with the virtual clock.
-func Host(newTransport func(p int) (machine.Transport, error)) (cost.Params, Fit, error) {
+// factory (nil means the channel transport).
+func Host(newTransport func(p int) (machine.Transport, error)) (Calibration, error) {
 	if newTransport == nil {
 		newTransport = func(p int) (machine.Transport, error) { return machine.NewChanTransport(p), nil }
 	}
 	op, err := Operation(5)
 	if err != nil {
-		return cost.Params{}, Fit{}, err
+		return Calibration{}, err
 	}
 	fit, err := Wire(newTransport, []int{0, 1024, 4096, 16384, 65536, 262144}, 20)
 	if err != nil {
-		return cost.Params{}, Fit{}, err
+		return Calibration{}, err
 	}
-	params := cost.Params{
-		TStartup:   time.Duration(max64(0, int64(fit.Intercept))),
-		TData:      time.Duration(max64(0, int64(fit.Slope))),
-		TOperation: op,
-	}
-	if err := params.Validate(); err != nil {
-		return cost.Params{}, Fit{}, err
-	}
-	return params, fit, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return Calibration{Wire: fit, OpNs: op}, nil
 }

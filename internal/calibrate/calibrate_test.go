@@ -90,17 +90,33 @@ func TestHostCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration timing in -short mode")
 	}
-	params, fit, err := Host(nil)
+	c, err := Host(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	params := c.Params()
 	if params.TOperation <= 0 {
 		t.Errorf("T_Operation = %v", params.TOperation)
 	}
 	if params.Validate() != nil {
 		t.Errorf("invalid params %+v", params)
 	}
-	_ = fit
+}
+
+// TestCalibrationRatioUnrounded pins that r = T_Data/T_Operation comes
+// from the fitted slope and the measured ns/op, not from the
+// whole-nanosecond Params they round to: slope 4.6 and 3.4 ns/op give
+// 1.353, where 4 ns over 3 ns would read 1.333.
+func TestCalibrationRatioUnrounded(t *testing.T) {
+	c := Calibration{Wire: Fit{Intercept: 1500, Slope: 4.6}, OpNs: 3.4}
+	params := c.Params()
+	if params.TData != 4 || params.TOperation != 3 || params.TStartup != 1500 {
+		t.Errorf("params %+v, want whole-ns T_Startup 1500, T_Data 4, T_Operation 3", params)
+	}
+	if got := c.Ratio(); math.Abs(got-4.6/3.4) > 1e-12 {
+		t.Errorf("ratio %.4f, want %.4f from the unrounded values (the rounded params read %.4f)",
+			got, 4.6/3.4, params.DataOpRatio())
+	}
 }
 
 // TestLinkFitChanTransport pins LinkFit's mapping from the wire fit to
@@ -115,10 +131,10 @@ func TestLinkFitChanTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := time.Duration(max64(0, int64(fit.Intercept))); link.Latency != want {
+	if want := time.Duration(max(0, int64(fit.Intercept))); link.Latency != want {
 		t.Errorf("latency %v, want the fit's intercept clamped at 0, %v (fit %+v)", link.Latency, want, fit)
 	}
-	if want := time.Duration(max64(0, int64(fit.Slope))); link.PerWord != want {
+	if want := time.Duration(max(0, int64(fit.Slope))); link.PerWord != want {
 		t.Errorf("per-word %v, want the fit's slope clamped at 0, %v (fit %+v)", link.PerWord, want, fit)
 	}
 	if link.Name == "" {

@@ -54,8 +54,8 @@ func TestDiffSweepTCP(t *testing.T) {
 	}))
 }
 
-// TestDiffSweepSequentialRoot drives the corner cases through the
-// strictly sequential root loop (Workers=1), a distinct pipeline path.
+// TestDiffSweepSequentialRoot drives the corner cases through the root
+// alone (Workers=1), where no helper starts and the root encodes every part.
 func TestDiffSweepSequentialRoot(t *testing.T) {
 	for _, c := range check.Adversarial(1, 1) {
 		for _, scheme := range []string{"SFC", "CFS", "ED"} {

@@ -81,9 +81,10 @@ type Config struct {
 	Params cost.Params
 	// RecvTimeout guards against deadlock (default 30s).
 	RecvTimeout time.Duration
-	// Workers bounds the root-side encode pool (0 = one per CPU, 1 =
-	// the paper's strictly sequential root loop). Virtual costs are
-	// identical for any value; wall time improves on multi-core hosts.
+	// Workers is how many goroutines encode the root's parts (1: the
+	// root alone, as in the paper; n: the root plus n-1 helpers; 0: one
+	// per CPU). Virtual costs are identical for any value; wall time
+	// improves on multi-core hosts.
 	Workers int
 	// Check turns on the invariant checker for the run (dist
 	// Options.Check): decoded part arrays are structurally validated and

@@ -19,8 +19,8 @@ import (
 // in exact integer nanoseconds, hence bit-for-bit equality.
 func TestSimnetUniformParity(t *testing.T) {
 	g := sparse.Uniform(24, 24, 0.15, 2)
-	// Both root loops: one worker runs the sequential reference, four
-	// the pipeline, and each charges the recorder from its own merge.
+	// One worker runs the root alone, four the root with three helpers;
+	// either way the root charges the recorder in its merge, in part order.
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			for _, scheme := range []string{"SFC", "CFS", "ED"} {

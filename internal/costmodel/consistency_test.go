@@ -21,6 +21,14 @@ import (
 	"repro/internal/sparse"
 )
 
+// modelTolerance is the largest relative error the 18 subtests read
+// (each logs both of its readings), 0.0035 on CFS/col/CRS's
+// distribution, plus a margin of 0.0015. The counts are exact on a
+// seeded array, so the readings do not vary from run to run; the
+// margin leaves room for a change to the model's sub-leading terms,
+// not for noise.
+const modelTolerance = 0.005
+
 func TestModelMatchesMeasuredCounts(t *testing.T) {
 	const n, p = 80, 4
 	g := sparse.UniformExact(n, n, 0.1, 21)
@@ -72,8 +80,8 @@ func TestModelMatchesMeasuredCounts(t *testing.T) {
 				}
 				gotD := res.Breakdown.DistributionTime(params)
 				gotC := res.Breakdown.CompressionTime(params)
-				checkWithin(t, "distribution", gotD, est.Distribution, 0.15)
-				checkWithin(t, "compression", gotC, est.Compression, 0.15)
+				checkWithin(t, "distribution", gotD, est.Distribution, modelTolerance)
+				checkWithin(t, "compression", gotC, est.Compression, modelTolerance)
 			})
 		}
 	}
@@ -88,7 +96,9 @@ func checkWithin(t *testing.T, what string, got, want time.Duration, tol float64
 		}
 		return
 	}
-	if rel := math.Abs(g-w) / w; rel > tol {
+	rel := math.Abs(g-w) / w
+	t.Logf("%s: measured %v vs model %v (relative error %.5f)", what, got, want, rel)
+	if rel > tol {
 		t.Errorf("%s: measured %v vs model %v (relative error %.1f%%)", what, got, want, 100*rel)
 	}
 }

@@ -110,9 +110,8 @@ type Choice struct {
 	Ranked []Candidate
 }
 
-// smallNNZ is the nonzero count below which the parallel root encode
-// pipeline's fan-out overhead exceeds its win and Select suggests a
-// single worker.
+// smallNNZ is the nonzero count below which starting root encode
+// helpers costs more than it wins and Select suggests a single worker.
 const smallNNZ = 1 << 15
 
 // Select predicts the best plan for an array with the given statistics.

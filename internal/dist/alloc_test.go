@@ -42,7 +42,7 @@ func TestEDEncodeSendSteadyStateAllocs(t *testing.T) {
 	run := &runState{codec: ED{}, global: g, part: part, opts: Options{Method: CRS}, format: f}
 	encode := func(k int, pp *partPayload) error { return ED{}.EncodePart(run, k, pp) }
 	cycle := func(pr *machine.Proc) error {
-		pp := partPayload{k: 0}
+		pp := partPayload{}
 		if err := encode(0, &pp); err != nil {
 			return err
 		}
@@ -128,7 +128,7 @@ func TestSFCEncodeSendSteadyStateAllocs(t *testing.T) {
 			defer m.Close()
 			run := &runState{codec: SFC{}, global: g, part: c.part, opts: Options{Method: CRS}, format: f}
 			cycle := func(pr *machine.Proc) error {
-				pp := partPayload{k: 0}
+				pp := partPayload{}
 				if err := (SFC{}).EncodePart(run, 0, &pp); err != nil {
 					return err
 				}
@@ -199,7 +199,7 @@ func TestSFCDecodeAllocatesItsResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := &runState{codec: SFC{}, global: g, part: row, opts: Options{Method: CRS}, format: f}
-	pp := partPayload{k: 0}
+	pp := partPayload{}
 	if err := (SFC{}).EncodePart(run, 0, &pp); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestSFCRetainingTransportUnpooled(t *testing.T) {
 			err = m.Run(func(pr *machine.Proc) error {
 				if pr.Rank == 0 {
 					for k := 0; k < p; k++ {
-						pp := partPayload{k: k}
+						pp := partPayload{}
 						if err := (SFC{}).EncodePart(run, k, &pp); err != nil {
 							return err
 						}
@@ -305,5 +305,80 @@ func TestSFCRetainingTransportUnpooled(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRootLoopAllocsFlatInP pins what the root loop itself allocates
+// with the root alone (Workers: 1): one payload slice per run, whatever
+// p, not one payload per part. The run sends SFC row blocks, views of
+// the array that encode without allocating, and every rank receives
+// its frame and releases it. The same frames sent from payloads encoded
+// beforehand are the baseline, so the difference is rootSendParts' own.
+func TestRootLoopAllocsFlatInP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	const n = 64
+	g := sparse.Uniform(n, n, 0.1, 3)
+	f, err := formatFor(CRS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loopAllocs := func(p int) float64 {
+		part, err := partition.NewRow(n, n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := machine.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		run := &runState{codec: SFC{}, global: g, part: part, opts: Options{Method: CRS, Workers: 1}, format: f}
+		bd := newBreakdown(p)
+		encoded := make([]partPayload, p)
+		for k := range encoded {
+			if err := (SFC{}).EncodePart(run, k, &encoded[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		receive := func(pr *machine.Proc) error {
+			msg, err := pr.RecvFrom(0, 1)
+			if err != nil {
+				return err
+			}
+			machine.ReleaseMessage(&msg)
+			return nil
+		}
+		allocs := func(root func(pr *machine.Proc) error) float64 {
+			return testing.AllocsPerRun(50, func() {
+				err := m.Run(func(pr *machine.Proc) error {
+					if pr.Rank == 0 {
+						if err := root(pr); err != nil {
+							return err
+						}
+					}
+					return receive(pr)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		loop := allocs(func(pr *machine.Proc) error { return rootSendParts(pr, 1, run, bd) })
+		direct := allocs(func(pr *machine.Proc) error {
+			for k := range encoded {
+				pp := &encoded[k]
+				if err := pr.SendBuf(k, 1, pp.meta, pp.buf, pp.pooled, &bd.RootDist); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		t.Logf("p = %d: the root loop allocates %.0f times per run beyond its sends", p, loop-direct)
+		return loop - direct
+	}
+	if small, large := loopAllocs(2), loopAllocs(8); large > small {
+		t.Errorf("the root loop allocates %.0f times per run at p = 8 against %.0f at p = 2, want no growth with p", large, small)
 	}
 }

@@ -161,10 +161,12 @@ func BenchmarkAblationCFSConvert(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEDOverlap compares the sequential ED root loop
-// (Workers: 1) with the pipelined one (Workers: 2, one part of encode
-// overlapped with the previous part's send) over the TCP transport,
-// where send time is real enough to hide encoding behind.
+// BenchmarkAblationEDOverlap compares the ED root alone (Workers: 1,
+// "sequential") with the root and one helper (Workers: 2, "pipelined":
+// the helper encodes the next part while the root sends the previous
+// one) over the TCP transport, where send time is real enough to hide
+// encoding behind. Helpers run alongside the root only with GOMAXPROCS
+// of 2 or more.
 func BenchmarkAblationEDOverlap(b *testing.B) {
 	g := sparse.UniformExact(800, 800, 0.1, 13)
 	part, err := partition.NewRow(800, 800, 4)

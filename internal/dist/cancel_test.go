@@ -65,7 +65,7 @@ func TestCancelMidDistribution(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		// Workers 1 selects the sequential root loop: encode part k,
+		// Workers 1 runs the root alone, with no helper: encode part k,
 		// send part k — so after the gated send the next encode is the
 		// first post-cancel step, deterministically.
 		_, err := Run(m, Plan{Codec: codec, Global: g, Partition: part,

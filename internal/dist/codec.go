@@ -26,7 +26,8 @@ import (
 // replaces the scheme-name switches the drivers used to carry.
 type PhasePolicy struct {
 	// RootEncode is the class of the root's per-part encode step; the
-	// pipeline charges its residual stall time to the same side.
+	// root's wall time waiting on a helper's encode books to the same
+	// side.
 	// ClassRootDist for SFC (extract/pack), ClassRootComp for CFS and ED.
 	RootEncode simnet.Class
 	// Receive is the class of the receiver's per-part decode step:

@@ -22,7 +22,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/compress"
@@ -79,12 +78,12 @@ type Options struct {
 	// paper's receiver-side choice wins whenever conversion is needed,
 	// which BenchmarkAblationCFSConvert demonstrates.
 	CFSConvertAtRoot bool
-	// Workers bounds the root-side encode pool (see pipeline.go): up to
-	// Workers parts are encoded concurrently while a single consumer
-	// sends completed parts in part order. Zero means GOMAXPROCS; one
-	// selects the strictly sequential legacy loop (the paper's SP2
-	// behaviour and the virtual-cost reference — which the pool matches
-	// by construction; see TestRootPipelineParity).
+	// Workers is how many goroutines encode the root's parts (see
+	// pipeline.go). 1: the root alone, encoding and sending each part
+	// in turn as the paper's SP2 root does; n: the root plus n-1
+	// helpers (at most p-1) that encode parts ahead of it. The root
+	// sends in part order either way. Zero or less means GOMAXPROCS. Virtual
+	// costs are identical for any value (TestRootPipelineParity).
 	Workers int
 	// Check enables the invariant checker (package check) on the run:
 	// every decoded part array is structurally validated and
@@ -95,15 +94,6 @@ type Options struct {
 	// no virtual cost, but they cost real time — a debugging and
 	// harness option, not a production default.
 	Check bool
-}
-
-// workerCount resolves Options.Workers: zero and negative mean "one per
-// available CPU".
-func (o Options) workerCount() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // Breakdown is the per-phase cost account of one distribution run.

@@ -2,7 +2,7 @@ package dist
 
 // The distribution engine: one scheme-agnostic SPMD driver executing a
 // Plan. Planning decides what moves where — codec, partition, wire
-// tag — and execution runs the root encode pipeline, the transport
+// tag — and execution runs the root loop, the transport
 // exchange and the per-rank decode. SFC, CFS and ED differ only in the
 // Codec they plug in.
 //
@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/partition"
-	"repro/internal/simnet"
 	"repro/internal/sparse"
 )
 
@@ -58,17 +57,13 @@ func Run(m *machine.Machine, plan Plan) (*Result, error) {
 	res := &Result{Scheme: c.Name(), Partition: plan.Partition.Name(), Method: plan.Options.Method, Breakdown: bd}
 	res.allocLocals(p)
 	tag := m.AllocTags(1)
-	stallToComp := c.Policy().RootEncode == simnet.ClassRootComp
 	err = runRanks(m, run, func(pr *machine.Proc) error {
-		ctx := run.opts.Ctx
 		if pr.Rank == 0 {
-			err := rootSendParts(pr, tag, run, bd, stallToComp,
-				cancellableEncode(ctx, func(k int, pp *partPayload) error { return c.EncodePart(run, k, pp) }))
-			if err != nil {
+			if err := rootSendParts(pr, tag, run, bd); err != nil {
 				return fmt.Errorf("dist: %s root: %w", c.Name(), err)
 			}
 		}
-		msg, err := pr.RecvFromCtx(ctx, 0, tag)
+		msg, err := pr.RecvFromCtx(run.opts.Ctx, 0, tag)
 		if err != nil {
 			return fmt.Errorf("dist: %s rank %d receive: %w", c.Name(), pr.Rank, err)
 		}
@@ -122,19 +117,4 @@ func runRanks(m *machine.Machine, run *runState, body func(pr *machine.Proc) err
 		}
 		return err
 	})
-}
-
-// cancellableEncode wraps an encodePartFunc with a per-part context
-// check: once ctx is cancelled no further part is encoded, so the root
-// pipeline fails fast and drains. A nil ctx adds nothing.
-func cancellableEncode(ctx context.Context, encode encodePartFunc) encodePartFunc {
-	if ctx == nil {
-		return encode
-	}
-	return func(k int, pp *partPayload) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return encode(k, pp)
-	}
 }

@@ -104,7 +104,7 @@ func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part parti
 // virtual counters are byte-identical to the straight-line sequential
 // reference computed without any of its machinery. A refactor that
 // moves a charge between phases, drops a send, or double-charges a
-// pipeline worker fails here immediately.
+// part a helper encoded fails here immediately.
 func TestEngineParity(t *testing.T) {
 	const n, p = 36, 4
 	g := sparse.Uniform(n, n, 0.15, 5)

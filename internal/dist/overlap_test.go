@@ -9,8 +9,8 @@ import (
 	"repro/internal/sparse"
 )
 
-// The pipelined root loop (Workers > 1) overlaps part k+1's encode with
-// part k's send; these tests hold it to the sequential loop (Workers: 1)
+// With helpers (Workers > 1) the root loop overlaps part k+1's encode
+// with part k's send; these tests hold it to the root alone (Workers: 1)
 // on ED, the scheme whose encode dominates the root's time.
 
 func TestEDOverlapEquivalent(t *testing.T) {

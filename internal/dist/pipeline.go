@@ -1,29 +1,31 @@
 package dist
 
-// Root-side encode pipeline, shared by all three schemes.
+// The root loop, shared by all three schemes.
 //
 // The root's work per part is encode (compress/pack/extract, CPU bound)
-// followed by send (transport bound). The sequential path interleaves
-// them strictly — encode part 0, send part 0, encode part 1, ... — and
-// is the paper's SP2 behaviour as well as the virtual-cost reference.
-// The pipelined path runs a bounded pool of Options.Workers encoder
-// goroutines while a single consumer sends completed parts *in part
-// order*, for every scheme and any worker count.
+// followed by send (transport bound). The root walks parts 0..p-1 in
+// order, as the paper's SP2 root does: encode part k, send it, move on.
+// Up to Options.Workers-1 helper goroutines encode parts ahead of it,
+// so that part k+1's encode overlaps part k's send. A shared counter of
+// the next unclaimed part decides who encodes each part: at part k the
+// root claims parts and encodes them itself until part k is encoded,
+// by itself or by the helper that claimed it, and blocks only when no
+// part is left to claim. With one worker no helper starts.
 //
-// Virtual costs are identical on both paths by construction: encoders
-// charge per-part local counters (partPayload.comp/.dist) and the
-// consumer merges them into the run's Breakdown in part order, so the
-// additive totals — and the sequence of Send charges, which the
-// consumer issues itself — are byte-identical to the sequential loop.
-// Only wall-clock attribution differs: the pipeline charges measured
-// send time to WallRootDist and the residual stall (elapsed minus send
-// time — the encode critical path the consumer actually waited on) to
-// WallRootComp for ED/CFS, whose encode step is compression-phase work,
-// or to WallRootDist for SFC, whose extract/pack step is
-// distribution-phase work (stallToComp selects the side).
+// Virtual costs do not depend on who encoded a part: an encode charges
+// the part's own counters (partPayload.comp/.dist), and the root merges
+// them into the run's Breakdown and sends the part, in part order, so
+// the totals and the sequence of charges are the same for any worker
+// count. Wall time is booked by who did the work: a part the root
+// encoded books the encoder's own measurements, and time the root
+// spends blocked on a helper books to the side of the scheme's encode
+// step (PhasePolicy.RootEncode) — compression for ED and CFS,
+// distribution for SFC. Send time books to WallRootDist.
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cost"
@@ -31,10 +33,9 @@ import (
 	"repro/internal/simnet"
 )
 
-// partPayload carries one encoded part from an encoder to the consumer:
-// the wire message plus the virtual and wall cost of producing it.
+// partPayload carries one encoded part to the root's send: the wire
+// message plus the virtual and wall cost of producing it.
 type partPayload struct {
-	k      int
 	meta   [4]int64
 	buf    []float64
 	pooled bool // buf came from machine.GetBuf; receiver may release it
@@ -45,154 +46,131 @@ type partPayload struct {
 	wallComp time.Duration
 	wallDist time.Duration
 
-	err error
+	err error // the encode's error, read by the root
 }
 
-// encodePartFunc produces part k's wire payload at the root, charging
-// the scheme's costs to pp's local counters. Implementations must be
-// safe for concurrent calls with distinct k.
-type encodePartFunc func(k int, pp *partPayload) error
-
-// rootSendParts runs the root side of one scheme: encode parts 0..p-1
-// and send each to its own rank on tag, in part order, from a single
-// goroutine. One worker runs the strictly sequential legacy loop, more
-// run the pipeline — same counts, encode overlapped with send.
-func rootSendParts(pr *machine.Proc, tag int, run *runState, bd *Breakdown, stallToComp bool,
-	encode encodePartFunc) error {
-	send := func(pp *partPayload) error {
-		return pr.SendBuf(pp.k, tag, pp.meta, pp.buf, pp.pooled, &bd.RootDist)
+// rootSendParts runs the root side of one scheme: it encodes parts
+// 0..p-1, or takes them from the helpers that encoded them, and sends
+// each to its own rank on tag, in part order. On any error no part is
+// claimed after it, and every helper has returned before this does.
+func rootSendParts(pr *machine.Proc, tag int, run *runState, bd *Breakdown) error {
+	parts := make([]partPayload, pr.P())
+	workers := run.opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	workers := run.opts.workerCount()
-	if workers <= 1 {
-		return runRootSequential(pr, bd, encode, send)
+	var h *helpers
+	if n := min(workers, len(parts)) - 1; n > 0 {
+		h = startHelpers(run, parts, n)
+		defer func() {
+			h.next.Store(int64(len(parts))) // claim nothing more
+			h.wg.Wait()
+		}()
 	}
-	return runRootPipeline(pr, workers, bd, stallToComp, encode, send)
-}
-
-// runRootSequential is the reference loop: encode part k, merge its
-// charges, send it, repeat. Per-part encode wall time lands on the side
-// the encoder measured it (wallComp/wallDist), send wall on
-// WallRootDist — exactly the legacy per-scheme loops.
-func runRootSequential(pr *machine.Proc, bd *Breakdown, encode encodePartFunc, send func(*partPayload) error) error {
-	for k := 0; k < pr.P(); k++ {
-		pp := partPayload{k: k}
-		if err := encode(k, &pp); err != nil {
-			return err
+	waitWall := &bd.WallRootDist
+	if run.codec.Policy().RootEncode == simnet.ClassRootComp {
+		waitWall = &bd.WallRootComp
+	}
+	for k := range parts {
+		pp := &parts[k]
+		if h == nil {
+			pp.err = encodePart(run, k, pp)
+			bookEncode(bd, pp)
+		} else {
+			h.await(k, run, parts, bd, waitWall)
 		}
-		mergePart(pr, bd, &pp)
-		bd.WallRootComp += pp.wallComp
-		bd.WallRootDist += pp.wallDist
+		if pp.err != nil {
+			return pp.err
+		}
+		// Merged here, in part order, the charges reach the breakdown and
+		// the network recorder the same way whoever encoded the part.
+		pr.Charge(&bd.RootComp, simnet.ClassRootComp, pp.comp)
+		pr.Charge(&bd.RootDist, simnet.ClassRootDist, pp.dist)
 		start := time.Now()
-		if err := send(&pp); err != nil {
+		err := pr.SendBuf(k, tag, pp.meta, pp.buf, pp.pooled, &bd.RootDist)
+		bd.WallRootDist += time.Since(start)
+		if err != nil {
 			return err
 		}
-		bd.WallRootDist += time.Since(start)
 	}
 	return nil
 }
 
-// runRootPipeline fans part encoding out over a bounded worker pool and
-// sends completed parts in order from this goroutine. On any error —
-// an encoder's or the sender's — the pool is stopped and fully drained
-// before returning, so no goroutine outlives the call.
-func runRootPipeline(pr *machine.Proc, workers int, bd *Breakdown, stallToComp bool,
-	encode encodePartFunc, send func(*partPayload) error) error {
-	p := pr.P()
-	if workers > p {
-		workers = p
+// encodePart produces part k's wire payload into pp, unless the run's
+// context is done: a cancelled run encodes no further part.
+func encodePart(run *runState, k int, pp *partPayload) error {
+	if ctx := run.opts.Ctx; ctx != nil && ctx.Err() != nil {
+		return ctx.Err()
 	}
-	jobs := make(chan int, p)
-	for k := 0; k < p; k++ {
-		jobs <- k
-	}
-	close(jobs)
+	return run.codec.EncodePart(run, k, pp)
+}
 
-	results := make(chan *partPayload, workers)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+// bookEncode books the wall time of a part the root encoded itself.
+func bookEncode(bd *Breakdown, pp *partPayload) {
+	bd.WallRootComp += pp.wallComp
+	bd.WallRootDist += pp.wallDist
+}
+
+// helpers is the state the root shares with the goroutines that encode
+// parts ahead of it. It exists only while helpers run.
+type helpers struct {
+	next atomic.Int64    // the next unclaimed part; len(done) or more once claiming stops
+	done []chan struct{} // done[k] is closed once part k is encoded
+	wg   sync.WaitGroup
+}
+
+// startHelpers starts n goroutines that claim and encode parts into
+// parts until none is left unclaimed.
+func startHelpers(run *runState, parts []partPayload, n int) *helpers {
+	h := &helpers{done: make([]chan struct{}, len(parts))}
+	for k := range h.done {
+		h.done[k] = make(chan struct{})
+	}
+	h.wg.Add(n)
+	for range n {
 		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				select {
-				case <-stop: // consumer failed; abandon remaining parts
-					return
-				default:
-				}
-				pp := &partPayload{k: k}
-				pp.err = encode(k, pp)
-				select {
-				case results <- pp:
-				case <-stop:
-					return
-				}
+			defer h.wg.Done()
+			for h.encodeNext(run, parts) >= 0 {
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	pipeStart := time.Now()
-	var sendWall time.Duration
-	pending := make(map[int]*partPayload, workers)
-	next := 0
-	var firstErr error
-	fail := func(err error) {
-		firstErr = err
-		close(stop)
-	}
-	for pp := range results {
-		if firstErr != nil {
-			continue // draining: let every worker exit
-		}
-		if pp.err != nil {
-			fail(pp.err)
-			continue
-		}
-		pending[pp.k] = pp
-		for {
-			q, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			mergePart(pr, bd, q)
-			start := time.Now()
-			err := send(q)
-			sendWall += time.Since(start)
-			if err != nil {
-				fail(err)
-				break
-			}
-			next++
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	bd.WallRootDist += sendWall
-	if stall := time.Since(pipeStart) - sendWall; stall > 0 {
-		if stallToComp {
-			bd.WallRootComp += stall
-		} else {
-			bd.WallRootDist += stall
-		}
-	}
-	return nil
+	return h
 }
 
-// mergePart charges one part's virtual costs on the root's proc, into
-// the run breakdown and the network recorder alike. It runs on rank
-// 0's goroutine in part order on both paths, so totals and order match
-// the sequential reference exactly, and the recorded compute is
-// deterministic although the encoder goroutines complete in scheduler
-// order. Wall charges are path-dependent: the sequential loop books the
-// encoder's own measurements, the pipeline books stall time instead
-// (see the package comment above).
-func mergePart(pr *machine.Proc, bd *Breakdown, pp *partPayload) {
-	pr.Charge(&bd.RootComp, simnet.ClassRootComp, pp.comp)
-	pr.Charge(&bd.RootDist, simnet.ClassRootDist, pp.dist)
+// encodeNext claims the next unclaimed part and encodes it, returning
+// its index, or -1 when no part is left to claim. An encode error stops
+// all claiming; the root reads it from the part when it gets there.
+func (h *helpers) encodeNext(run *runState, parts []partPayload) int {
+	k := int(h.next.Add(1) - 1)
+	if k >= len(parts) {
+		return -1
+	}
+	pp := &parts[k]
+	if pp.err = encodePart(run, k, pp); pp.err != nil {
+		h.next.Store(int64(len(parts))) // claim nothing after it
+	}
+	close(h.done[k])
+	return k
+}
+
+// await returns once part k is encoded. Until then the root claims and
+// encodes parts itself — part k when no helper has claimed it yet, or
+// parts after it — booking their encoder's wall time; only the time it
+// blocks on the helper that holds part k books to waitWall.
+func (h *helpers) await(k int, run *runState, parts []partPayload, bd *Breakdown, waitWall *time.Duration) {
+	for {
+		select {
+		case <-h.done[k]:
+			return
+		default:
+		}
+		j := h.encodeNext(run, parts)
+		if j < 0 {
+			break
+		}
+		bookEncode(bd, &parts[j])
+	}
+	start := time.Now()
+	<-h.done[k]
+	*waitWall += time.Since(start)
 }

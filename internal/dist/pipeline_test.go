@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +13,8 @@ import (
 )
 
 // sameBreakdownCounters asserts the virtual cost counters of two runs
-// are byte-identical — the pipeline's core invariant: any worker count
-// must charge exactly what the sequential reference loop charges.
+// are byte-identical — the root loop's core invariant: any worker count
+// must charge exactly what the root alone charges.
 func sameBreakdownCounters(t *testing.T, a, b *Breakdown) {
 	t.Helper()
 	if a.RootDist != b.RootDist {
@@ -32,11 +33,12 @@ func sameBreakdownCounters(t *testing.T, a, b *Breakdown) {
 	}
 }
 
-// TestRootPipelineParity sweeps every scheme x partition x method and
-// checks that the pooled root pipeline (Workers=8) produces the same
-// local arrays and the same virtual cost counters as the strictly
-// sequential loop (Workers=1). Run with -race this also exercises the
-// pool's concurrency.
+// TestRootPipelineParity sweeps every scheme x partition x method x
+// worker count and checks that the root with helpers produces the same
+// local arrays and the same virtual cost counters as the root alone
+// (Workers=1). The worker axis runs the root alone, the root with one
+// and two helpers, and a count capped at p. Run with -race this also
+// exercises the helpers' concurrency.
 func TestRootPipelineParity(t *testing.T) {
 	const n, p = 48, 4
 	g := sparse.Uniform(n, n, 0.12, 7)
@@ -52,16 +54,20 @@ func TestRootPipelineParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					m2 := newMachine(t, p)
-					par, err := distribute(scheme, m2, g, part, Options{Method: method, Workers: 8})
-					if err != nil {
-						t.Fatal(err)
+					for _, workers := range []int{1, 2, 3, 8} {
+						t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+							m2 := newMachine(t, p)
+							par, err := distribute(scheme, m2, g, part, Options{Method: method, Workers: workers})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := Verify(g, part, par); err != nil {
+								t.Fatal(err)
+							}
+							sameBreakdownCounters(t, seq.Breakdown, par.Breakdown)
+							sameLocals(t, scheme.Name(), par, seq)
+						})
 					}
-					if err := Verify(g, part, par); err != nil {
-						t.Fatal(err)
-					}
-					sameBreakdownCounters(t, seq.Breakdown, par.Breakdown)
-					sameLocals(t, scheme.Name(), par, seq)
 				})
 			}
 		}
@@ -94,10 +100,10 @@ func (f *failingTransport) Send(msg machine.Message) error {
 }
 
 // TestRootPipelineSendFailureDrains injects a hard Send error
-// mid-pipeline for every scheme: Distribute must surface the error —
-// with all encoder workers drained rather than leaked, which -race and
-// the absence of a deadlock (the Run join would hang on a stuck worker
-// holding a result) confirm.
+// mid-distribution for every scheme: Distribute must surface the error —
+// with every helper joined rather than leaked, which -race and the
+// absence of a deadlock (the Run join would hang on a stuck helper)
+// confirm.
 func TestRootPipelineSendFailureDrains(t *testing.T) {
 	const n, p = 32, 4
 	g := sparse.Uniform(n, n, 0.2, 11)

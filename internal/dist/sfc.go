@@ -25,7 +25,7 @@ type SFC struct{}
 func (SFC) Name() string { return "SFC" }
 
 // Policy implements Codec: extraction/packing at the root is
-// distribution work (so pipeline stall stays on that side too), and
+// distribution work (so waiting on a helper stays on that side too), and
 // the receivers' compression is the scheme's entire compression phase.
 func (SFC) Policy() PhasePolicy {
 	return PhasePolicy{RootEncode: simnet.ClassRootDist, Receive: simnet.ClassRankComp}

@@ -28,8 +28,8 @@ package dist
 // model, so they charge nothing. Instead RunStream folds in, per part
 // and in part order once the ranks have joined: the finalize encode's
 // charges into RootComp/RootDist and one AddSend of the canonical
-// payload length into RootDist — exactly what mergePart plus the root's
-// SendBuf charge on the materializing path. Counters are additive sums,
+// payload length into RootDist — exactly what the root loop's merge
+// plus its SendBuf charge on the materializing path. Counters are additive sums,
 // so the totals are identical by construction; the parity table test
 // (stream_test.go) asserts it for every scheme × partition × method ×
 // transport stack.
@@ -433,7 +433,7 @@ func finalizeStreamPart(pr *machine.Proc, run *runState, bd *Breakdown, st *comp
 	}
 	run.finalizing <- struct{}{}
 	defer func() { <-run.finalizing }()
-	pp := &partPayload{k: k}
+	pp := &partPayload{}
 	if err := run.codec.EncodeEntries(run, k, st, pp); err != nil {
 		return nil, fmt.Errorf("dist: %s rank %d stream encode: %w", run.codec.Name(), k, err)
 	}

@@ -5,7 +5,7 @@ import "sync"
 // Wire-buffer pool: steady-state distribution reuses []float64 payload
 // buffers instead of allocating one per part.
 //
-// Ownership protocol (see DESIGN.md "Root pipeline"):
+// Ownership protocol (see DESIGN.md "Root loop"):
 //
 //   - An encoder takes a buffer with GetBuf and owns it exclusively
 //     while filling it.

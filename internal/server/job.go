@@ -44,7 +44,8 @@ type JobSpec struct {
 	Block int `json:"block,omitempty"`
 	// Method is CRS, CCS or JDS (default CRS).
 	Method string `json:"method,omitempty"`
-	// Workers bounds the root-side encode pool (0: one per CPU).
+	// Workers is how many goroutines encode the root's parts (1: the
+	// root alone; n: the root plus n-1 helpers; 0: one per CPU).
 	Workers int `json:"workers,omitempty"`
 	// Check runs the invariant checker during the run.
 	Check bool `json:"check,omitempty"`

@@ -14,7 +14,7 @@ import (
 // wall column is what this process actually spent — and the ratio
 // between them shows where the emulation diverges from the model (e.g.
 // a slow transport inflating wall distribution time, or the root
-// pipeline compressing wall time below the sequential model).
+// loop's helpers compressing wall time below the sequential model).
 
 // PhaseStat is one phase's virtual and wall duration. The JSON field
 // names (durations in nanoseconds) are part of the sparsedistd job
