@@ -2,9 +2,11 @@
 // host by timing the real primitives — the procedure the paper used to
 // estimate its SP2's T_Data ≈ 1.2·T_Operation — and prints a
 // ready-to-use parameter set plus the scheme crossovers it implies.
+// The wire is fitted over localhost TCP: the in-process channel
+// transport hands over slices without copying them, so its per-word
+// time is zero and would fit nothing.
 //
-//	calibrate            # channel transport (in-process upper bound)
-//	calibrate -tcp       # localhost TCP (closer to a real interconnect)
+//	calibrate            # T_Startup, T_Data, T_Operation over TCP
 //	calibrate -link      # also fit a simnet link (latency/bandwidth)
 package main
 
@@ -21,16 +23,10 @@ import (
 )
 
 func main() {
-	tcp := flag.Bool("tcp", false, "calibrate over localhost TCP instead of the in-process channel transport")
 	link := flag.Bool("link", false, "also fit a simnet link from the wire microbenchmark and print the -link-bw/-link-latency overrides it implies")
 	flag.Parse()
 
-	factory := func(p int) (machine.Transport, error) { return machine.NewChanTransport(p), nil }
-	name := "chan"
-	if *tcp {
-		factory = func(p int) (machine.Transport, error) { return machine.NewTCPTransport(p) }
-		name = "tcp"
-	}
+	factory := func(p int) (machine.Transport, error) { return machine.NewTCPTransport(p) }
 
 	cal, err := calibrate.Host(factory)
 	if err != nil {
@@ -38,7 +34,7 @@ func main() {
 		os.Exit(1)
 	}
 	params := cal.Params()
-	fmt.Printf("host calibration over the %s transport (wire fit R² = %.4f):\n", name, cal.Wire.R2)
+	fmt.Printf("host calibration over the tcp transport (wire fit R² = %.4f):\n", cal.Wire.R2)
 	fmt.Printf("  T_Startup   = %v\n", params.TStartup)
 	fmt.Printf("  T_Data      = %.3gns per element (virtual clock: %v)\n", max(cal.Wire.Slope, 0), params.TData)
 	fmt.Printf("  T_Operation = %.3gns per element op (virtual clock: %v)\n", cal.OpNs, params.TOperation)
@@ -68,7 +64,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "calibrate:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nfitted simnet link over the %s transport (R² = %.4f):\n", name, lfit.R2)
+		fmt.Printf("\nfitted simnet link over the tcp transport (R² = %.4f):\n", lfit.R2)
 		fmt.Printf("  latency  = %v per message\n", l.Latency)
 		perWord := max(lfit.Slope, 0)
 		fmt.Printf("  per-word = %.3gns", perWord)

@@ -19,10 +19,7 @@ package simnet
 // after the hop completes, and a blocked receive becomes runnable no
 // earlier than its sender's current candidate time.
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // hopEvent is one in-flight message arriving at its next link.
 type hopEvent struct {
@@ -33,30 +30,56 @@ type hopEvent struct {
 	seq  int // ...and sender op index
 }
 
-// hopHeap orders hop events by (at, from, seq, hop).
-type hopHeap []hopEvent
-
-func (h hopHeap) Len() int { return len(h) }
-func (h hopHeap) Less(a, b int) bool {
-	if h[a].at != h[b].at {
-		return h[a].at < h[b].at
+// hopLess orders hop events by (at, from, seq, hop).
+func hopLess(a, b hopEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h[a].from != h[b].from {
-		return h[a].from < h[b].from
+	if a.from != b.from {
+		return a.from < b.from
 	}
-	if h[a].seq != h[b].seq {
-		return h[a].seq < h[b].seq
+	if a.seq != b.seq {
+		return a.seq < b.seq
 	}
-	return h[a].hop < h[b].hop
+	return a.hop < b.hop
 }
-func (h hopHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *hopHeap) Push(x interface{}) { *h = append(*h, x.(hopEvent)) }
-func (h *hopHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// push adds ev to the binary min-heap of in-flight hops.
+func (r *replay) push(ev hopEvent) {
+	h := append(r.hops, ev)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !hopLess(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	r.hops = h
+}
+
+// pop removes and returns the earliest in-flight hop.
+func (r *replay) pop() hopEvent {
+	h := r.hops
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if hopLess(h[c], h[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	r.hops = h
+	return top
 }
 
 // replay executes the DES over a snapshot of the recorded state.
@@ -72,7 +95,7 @@ type replay struct {
 	wait      []time.Duration
 	deliver   []time.Duration
 	delivered []bool
-	hops      hopHeap
+	hops      []hopEvent // binary min-heap under hopLess
 	links     []LinkStat
 	events    []TimedEvent
 	unmatched int
@@ -117,7 +140,7 @@ func (r *replay) run() *Timeline {
 		hopOK := len(r.hops) > 0
 		switch {
 		case hopOK && (!rankOK || r.hops[0].at <= rankAt):
-			r.runHop(heap.Pop(&r.hops).(hopEvent))
+			r.runHop(r.pop())
 		case rankOK:
 			r.runOp(rank)
 		default:
@@ -154,23 +177,34 @@ func (r *replay) nextRank() (rank int, at time.Duration, ok bool) {
 }
 
 // runHop advances one in-flight message across its next link.
-func (r *replay) runHop(ev hopEvent) {
-	m := r.msgs[ev.msg]
-	route := r.top.Route(m.from, m.to)
-	li := route[ev.hop]
-	start := ev.at
-	if f := r.free[li]; f > start {
-		start = f
+func (r *replay) runHop(ev hopEvent) { r.cross(ev.msg, ev.hop, ev.at) }
+
+// cross moves message id over hop h of its route, arriving at the link
+// at time at: the transfer waits until the link is free, occupies it,
+// then delivers the message or queues its next hop. An empty route is
+// local delivery and costs nothing.
+func (r *replay) cross(id, h int, at time.Duration) (start, end time.Duration) {
+	m := r.msgs[id]
+	li, hops := r.top.route(m.from, m.to, h)
+	if hops == 0 {
+		r.deliver[id], r.delivered[id] = at, true
+		return at, at
 	}
-	end := start + r.top.Links[li].Transfer(m.words)
-	r.chargeLink(li, m.words, end-start, start-ev.at, end)
+	start = max(at, r.free[li])
+	end = start + r.top.Links[li].Transfer(m.words)
 	r.free[li] = end
-	if ev.hop == len(route)-1 {
-		r.deliver[ev.msg] = end
-		r.delivered[ev.msg] = true
-		return
+	st := &r.links[li]
+	st.Transfers++
+	st.Words += int64(m.words)
+	st.Busy += end - start
+	st.Queue += start - at
+	st.LastEnd = max(st.LastEnd, end)
+	if h < hops-1 {
+		r.push(hopEvent{at: end, msg: id, hop: h + 1, from: m.from, seq: m.srcOp})
+	} else {
+		r.deliver[id], r.delivered[id] = end, true
 	}
-	heap.Push(&r.hops, hopEvent{at: end, msg: ev.msg, hop: ev.hop + 1, from: m.from, seq: m.srcOp})
+	return start, end
 }
 
 // runOp executes the rank's next recorded operation.
@@ -210,52 +244,17 @@ func (r *replay) runOp(rank int) {
 // runSend serialises the message onto the first link of its route: the
 // sender blocks until the link is free and the payload has crossed it
 // (queueing delay is the sender's problem — that is the contention
-// signal). Later hops propagate as heap events; an empty route is
-// local delivery and costs nothing.
+// signal). Later hops propagate as heap events.
 func (r *replay) runSend(rank int, o op) {
 	m := r.msgs[o.msg]
-	route := r.top.Route(m.from, m.to)
 	before := r.clock[rank]
-	if len(route) == 0 {
-		r.deliver[o.msg] = before
-		r.delivered[o.msg] = true
-		r.events = append(r.events, TimedEvent{
-			Kind: EvSend, Rank: rank, Peer: m.to, Tag: m.tag, Words: m.words,
-			Start: before, End: before,
-		})
-		return
-	}
-	li := route[0]
-	start := before
-	if f := r.free[li]; f > start {
-		start = f
-	}
-	end := start + r.top.Links[li].Transfer(m.words)
-	r.chargeLink(li, m.words, end-start, start-before, end)
-	r.free[li] = end
+	start, end := r.cross(o.msg, 0, before)
 	r.clock[rank] = end
 	r.busy[rank][ClassWire] += end - before
-	if len(route) == 1 {
-		r.deliver[o.msg] = end
-		r.delivered[o.msg] = true
-	} else {
-		heap.Push(&r.hops, hopEvent{at: end, msg: o.msg, hop: 1, from: m.from, seq: m.srcOp})
-	}
 	r.events = append(r.events, TimedEvent{
 		Kind: EvSend, Rank: rank, Peer: m.to, Tag: m.tag, Words: m.words,
 		Start: before, End: end, Queue: start - before,
 	})
-}
-
-func (r *replay) chargeLink(li, words int, busy, queue, lastEnd time.Duration) {
-	st := &r.links[li]
-	st.Transfers++
-	st.Words += int64(words)
-	st.Busy += busy
-	st.Queue += queue
-	if lastEnd > st.LastEnd {
-		st.LastEnd = lastEnd
-	}
 }
 
 // unstick breaks a receive that can never be satisfied — possible only

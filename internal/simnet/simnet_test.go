@@ -170,7 +170,7 @@ func TestMeshRoutes(t *testing.T) {
 		{0, 1, 1}, {0, 2, 1}, {0, 3, 2}, {3, 0, 2}, {1, 2, 2}, {2, 2, 0},
 	}
 	for _, c := range cases {
-		if got := len(top.Route(c.from, c.to)); got != c.hops {
+		if _, got := top.route(c.from, c.to, 0); got != c.hops {
 			t.Errorf("mesh route %d->%d: %d hops, want %d", c.from, c.to, got, c.hops)
 		}
 	}
@@ -180,10 +180,10 @@ func TestMeshRoutes(t *testing.T) {
 // hops); cross-group traffic crosses the core (4 hops).
 func TestFatTreeRoutes(t *testing.T) {
 	top := mustBuild(t, "fattree", 4, 0, 0) // g=2: groups {0,1} {2,3}
-	if got := len(top.Route(0, 1)); got != 2 {
+	if _, got := top.route(0, 1, 0); got != 2 {
 		t.Errorf("same-group route: %d hops, want 2", got)
 	}
-	if got := len(top.Route(0, 3)); got != 4 {
+	if _, got := top.route(0, 3, 0); got != 4 {
 		t.Errorf("cross-group route: %d hops, want 4", got)
 	}
 }

@@ -1,9 +1,11 @@
 package simnet
 
 // Topology builders. Every topology is a set of directed Links plus a
-// static route (a link sequence) per (from, to) pair. Routes are
-// store-and-forward: each hop pays the link's full Latency +
-// words·PerWord, and occupies the link for that long.
+// routing rule: arithmetic that names hop h's link on the path from
+// one rank to another, so Build is O(links) and asking for a hop
+// allocates nothing. Routes are store-and-forward: each hop pays the
+// link's full Latency + words·PerWord, and occupies the link for that
+// long.
 //
 // Link pricing: "access" links default to the cost model's units
 // (Latency = T_Startup, PerWord = T_Data), so an uncongested
@@ -28,30 +30,19 @@ import (
 type Topology struct {
 	Name  string
 	Links []Link
-	// routes[from][to] is the link index sequence a message crosses; an
-	// empty route is free local delivery.
-	routes [][][]int
+	p     int
+	// route returns the link of hop h on the path from one rank to
+	// another and the path's hop count; zero hops is free local
+	// delivery. The link is meaningful only for h < hops.
+	route func(from, to, h int) (link, hops int)
 }
 
 // Ranks returns the processor count.
-func (t *Topology) Ranks() int { return len(t.routes) }
-
-// Route returns the link sequence from one rank to another.
-func (t *Topology) Route(from, to int) []int { return t.routes[from][to] }
-
-// newTopology allocates an empty p-rank topology.
-func newTopology(name string, p int) *Topology {
-	t := &Topology{Name: name}
-	t.routes = make([][][]int, p)
-	for i := range t.routes {
-		t.routes[i] = make([][]int, p)
-	}
-	return t
-}
+func (t *Topology) Ranks() int { return t.p }
 
 // addLink appends a link and returns its index.
-func (t *Topology) addLink(l Link) int {
-	t.Links = append(t.Links, l)
+func (t *Topology) addLink(name string, l Link) int {
+	t.Links = append(t.Links, Link{Name: name, Latency: l.Latency, PerWord: l.PerWord})
 	return len(t.Links) - 1
 }
 
@@ -112,57 +103,62 @@ func Build(name string, p int, params cost.Params, linkBW float64, linkLatency t
 // prices exactly Latency + words·PerWord. With default pricing this is
 // the legacy flat clock as a topology (the parity anchor); the
 // self-loop link is deliberately kept charged, matching the counter
-// model where a root's send to itself pays the full wire cost.
+// model where a root's send to itself pays the full wire cost. Link
+// from·p+to carries from → to.
 func buildUniform(p int, l Link) *Topology {
-	t := newTopology("uniform", p)
+	t := &Topology{Name: "uniform", p: p, Links: make([]Link, 0, p*p)}
 	for from := 0; from < p; from++ {
 		for to := 0; to < p; to++ {
-			li := t.addLink(Link{Name: fmt.Sprintf("u%d>%d", from, to), Latency: l.Latency, PerWord: l.PerWord})
-			t.routes[from][to] = []int{li}
+			t.addLink(fmt.Sprintf("u%d>%d", from, to), l)
 		}
 	}
+	t.route = func(from, to, _ int) (int, int) { return from*p + to, 1 }
 	return t
 }
 
 // buildBus routes every remote transfer over one shared link — the
 // maximally contended topology. Self-delivery is local and free.
 func buildBus(p int, l Link) *Topology {
-	t := newTopology("bus", p)
-	li := t.addLink(Link{Name: "bus", Latency: l.Latency, PerWord: l.PerWord})
-	for from := 0; from < p; from++ {
-		for to := 0; to < p; to++ {
-			if from != to {
-				t.routes[from][to] = []int{li}
-			}
+	t := &Topology{Name: "bus", p: p}
+	t.addLink("bus", l)
+	t.route = func(from, to, _ int) (int, int) {
+		if from == to {
+			return 0, 0
 		}
+		return 0, 1
 	}
 	return t
 }
 
 // buildStar connects every rank to a central hub with an up and a down
-// link. Rank 0's access pair is the *root link* — every distribution
-// byte crosses it — and is the one the bandwidth/latency overrides
-// congest; leaves keep the base pricing. Self-delivery is free.
+// link (2r and 2r+1). Rank 0's access pair is the *root link* — every
+// distribution byte crosses it — and is the one the bandwidth/latency
+// overrides congest; leaves keep the base pricing. Self-delivery is
+// free.
 func buildStar(p int, base, hot Link) *Topology {
-	t := newTopology("star", p)
-	up := make([]int, p)
-	down := make([]int, p)
+	t := &Topology{Name: "star", p: p, Links: make([]Link, 0, 2*p)}
 	for r := 0; r < p; r++ {
 		l := base
 		if r == 0 {
 			l = hot
 		}
-		up[r] = t.addLink(Link{Name: fmt.Sprintf("up%d", r), Latency: l.Latency, PerWord: l.PerWord})
-		down[r] = t.addLink(Link{Name: fmt.Sprintf("down%d", r), Latency: l.Latency, PerWord: l.PerWord})
+		t.addLink(fmt.Sprintf("up%d", r), l)
+		t.addLink(fmt.Sprintf("down%d", r), l)
 	}
-	for from := 0; from < p; from++ {
-		for to := 0; to < p; to++ {
-			if from != to {
-				t.routes[from][to] = []int{up[from], down[to]}
-			}
-		}
-	}
+	t.route = upDown
 	return t
+}
+
+// upDown is the two-hop route through a hub: rank from's up link 2·from,
+// then rank to's down link 2·to+1. Self-delivery is free.
+func upDown(from, to, h int) (int, int) {
+	if from == to {
+		return 0, 0
+	}
+	if h == 0 {
+		return 2 * from, 2
+	}
+	return 2*to + 1, 2
 }
 
 // buildMesh arranges the ranks on the most square pr × pc grid with
@@ -171,56 +167,49 @@ func buildStar(p int, base, hot Link) *Topology {
 // column). Self-delivery is free.
 func buildMesh(p int, l Link) *Topology {
 	pr, pc := partition.SquareGrid(p)
-	t := newTopology("mesh", p)
-	// hlink[r][c] / vlink[r][c]: directed links between grid neighbours.
-	link := make(map[[2]int]int, 4*p)
-	id := func(r, c int) int { return r*pc + c }
-	addEdge := func(a, b int) {
-		if _, ok := link[[2]int{a, b}]; !ok {
-			link[[2]int{a, b}] = t.addLink(Link{Name: fmt.Sprintf("m%d>%d", a, b), Latency: l.Latency, PerWord: l.PerWord})
+	t := &Topology{Name: "mesh", p: p, Links: make([]Link, 0, 2*(pr*(pc-1)+pc*(pr-1)))}
+	// out[v][d] is the link leaving node v toward direction d.
+	const (
+		right = iota
+		left
+		down
+		up
+	)
+	out := make([][4]int, p)
+	for v := 0; v < p; v++ {
+		if v%pc+1 < pc {
+			out[v][right] = t.addLink(fmt.Sprintf("m%d>%d", v, v+1), l)
+			out[v+1][left] = t.addLink(fmt.Sprintf("m%d>%d", v+1, v), l)
+		}
+		if v/pc+1 < pr {
+			out[v][down] = t.addLink(fmt.Sprintf("m%d>%d", v, v+pc), l)
+			out[v+pc][up] = t.addLink(fmt.Sprintf("m%d>%d", v+pc, v), l)
 		}
 	}
-	for r := 0; r < pr; r++ {
-		for c := 0; c < pc; c++ {
-			if c+1 < pc {
-				addEdge(id(r, c), id(r, c+1))
-				addEdge(id(r, c+1), id(r, c))
-			}
-			if r+1 < pr {
-				addEdge(id(r, c), id(r+1, c))
-				addEdge(id(r+1, c), id(r, c))
-			}
+	t.route = func(from, to, h int) (int, int) {
+		dx, dy := to%pc-from%pc, to/pc-from/pc
+		hops := abs(dx) + abs(dy)
+		switch { // along the row first: right while dx > 0, left while dx < 0
+		case h < dx:
+			return out[from+h][right], hops
+		case h < -dx:
+			return out[from-h][left], hops
 		}
-	}
-	for from := 0; from < p; from++ {
-		fr, fc := from/pc, from%pc
-		for to := 0; to < p; to++ {
-			if from == to {
-				continue
-			}
-			tr, tc := to/pc, to%pc
-			var route []int
-			r, c := fr, fc
-			for c != tc {
-				nc := c + 1
-				if tc < c {
-					nc = c - 1
-				}
-				route = append(route, link[[2]int{id(r, c), id(r, nc)}])
-				c = nc
-			}
-			for r != tr {
-				nr := r + 1
-				if tr < r {
-					nr = r - 1
-				}
-				route = append(route, link[[2]int{id(r, c), id(nr, c)}])
-				r = nr
-			}
-			t.routes[from][to] = route
+		turn := from + dx // the node in from's row and to's column
+		k := h - abs(dx)
+		if dy > 0 {
+			return out[turn+k*pc][down], hops
 		}
+		return out[turn-k*pc][up], hops
 	}
 	return t
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // buildFatTree is a two-level tree: ranks group under edge switches of
@@ -229,42 +218,42 @@ func buildMesh(p int, l Link) *Topology {
 // the base divided by the group size — so the tree is balanced by
 // default; the overrides apply to the core links, which is where a
 // congested spine is dialled in. Same-group traffic never leaves the
-// edge switch. Self-delivery is free.
+// edge switch. Self-delivery is free. Rank r's up/down links are 2r and
+// 2r+1, as on the star; switch s's core links follow them at 2p+2s and
+// 2p+2s+1.
 func buildFatTree(p int, base, hot Link) *Topology {
 	g := int(math.Ceil(math.Sqrt(float64(p))))
 	if g < 1 {
 		g = 1
 	}
-	t := newTopology("fattree", p)
 	nSw := (p + g - 1) / g
-	up := make([]int, p)
-	down := make([]int, p)
+	t := &Topology{Name: "fattree", p: p, Links: make([]Link, 0, 2*(p+nSw))}
 	for r := 0; r < p; r++ {
-		up[r] = t.addLink(Link{Name: fmt.Sprintf("up%d", r), Latency: base.Latency, PerWord: base.PerWord})
-		down[r] = t.addLink(Link{Name: fmt.Sprintf("down%d", r), Latency: base.Latency, PerWord: base.PerWord})
+		t.addLink(fmt.Sprintf("up%d", r), base)
+		t.addLink(fmt.Sprintf("down%d", r), base)
 	}
-	coreUp := make([]int, nSw)
-	coreDown := make([]int, nSw)
+	core := Link{Latency: base.Latency, PerWord: base.PerWord / time.Duration(g)}
+	if hot != base {
+		core = hot // an explicit override prices the spine verbatim
+	}
 	for s := 0; s < nSw; s++ {
-		core := Link{Latency: base.Latency, PerWord: base.PerWord / time.Duration(g)}
-		if hot != base {
-			core = hot // an explicit override prices the spine verbatim
-		}
-		coreUp[s] = t.addLink(Link{Name: fmt.Sprintf("coreup%d", s), Latency: core.Latency, PerWord: core.PerWord})
-		coreDown[s] = t.addLink(Link{Name: fmt.Sprintf("coredown%d", s), Latency: core.Latency, PerWord: core.PerWord})
+		t.addLink(fmt.Sprintf("coreup%d", s), core)
+		t.addLink(fmt.Sprintf("coredown%d", s), core)
 	}
-	sw := func(r int) int { return r / g }
-	for from := 0; from < p; from++ {
-		for to := 0; to < p; to++ {
-			if from == to {
-				continue
-			}
-			if sw(from) == sw(to) {
-				t.routes[from][to] = []int{up[from], down[to]}
-			} else {
-				t.routes[from][to] = []int{up[from], coreUp[sw(from)], coreDown[sw(to)], down[to]}
-			}
+	t.route = func(from, to, h int) (int, int) {
+		sf, st := from/g, to/g
+		if sf == st {
+			return upDown(from, to, h)
 		}
+		switch h {
+		case 0:
+			return 2 * from, 4
+		case 1:
+			return 2*p + 2*sf, 4
+		case 2:
+			return 2*p + 2*st + 1, 4
+		}
+		return 2*to + 1, 4
 	}
 	return t
 }
