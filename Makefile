@@ -63,10 +63,13 @@ fuzz-smoke:
 # The ARQ stress pass: every reliability, lossy-transport and fault test
 # of the layers that send over the ARQ, 50 times over; then the root
 # loop's parity, overlap, cancel and send-failure tests under -race, 20
-# times at 1, 2 and 4 CPUs (0, 1 and 3 helpers). CI runs it too.
+# times at 1, 2 and 4 CPUs (0, 1 and 3 helpers); then the stream tests
+# the same way (1, 2 and 4 finalize tokens sharing their scratch). CI
+# runs it too.
 arq-stress:
 	$(GO) test -count=50 -run 'Reliable|Lossy|Fault|SpentRetry|Untouched' ./internal/machine ./internal/dist ./internal/spops
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'RootPipeline|Overlap|Cancel|SendFailure|EngineParity' ./internal/dist
+	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Stream' ./internal/dist
 
 # The differential correctness harness at full size: >= 200 adversarial
 # arrays through every scheme x partition x method combination, direct

@@ -53,6 +53,22 @@ func (e *Entries) Add(row, col int, v float64) {
 	e.n++
 }
 
+// AddTriplets stages a frame's (row, col, value) triplets, in order.
+// Each index word must hold an index of the array exactly (exactInt:
+// integral, so no fraction, NaN or infinity); the first triplet whose
+// words do not is an error naming it.
+func (e *Entries) AddTriplets(w []float64) error {
+	for i := 0; i+2 < len(w); i += 3 {
+		r, okr := exactInt(w[i])
+		c, okc := exactInt(w[i+1])
+		if !okr || !okc || r < 0 || r >= e.rows || c < 0 || c >= e.cols {
+			return fmt.Errorf("compress: entry (%v, %v) is not a cell of the %dx%d array", w[i], w[i+1], e.rows, e.cols)
+		}
+		e.Add(r, c, w[i+2])
+	}
+	return nil
+}
+
 // Len returns the number of staged entries.
 func (e *Entries) Len() int { return e.n }
 
@@ -76,9 +92,10 @@ func (e *Entries) consumed(i int) {
 }
 
 // slots maps each of dim global indices to its position in the sorted
-// ownership map m, or to -1 when m does not own it.
-func slots(m []int, dim int) []int32 {
-	s := make([]int32, dim)
+// ownership map m, or to -1 when m does not own it, in s's backing
+// array when it is large enough.
+func slots(s []int32, m []int, dim int) []int32 {
+	s = resize(s, dim)
 	for i := range s {
 		s[i] = -1
 	}
@@ -88,6 +105,28 @@ func slots(m []int, dim int) []int32 {
 	return s
 }
 
+// resize returns s with length n: s's backing array when it holds n,
+// a new one with 1/16 to spare otherwise — one partition's parts are
+// close in size, so a scratch sized by the first part finalized mostly
+// serves the rest. The contents are left as they are.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n, n+n/16)
+}
+
+// EntryScratch is the working memory of EncodeEDPartEntries: its
+// counting-sort arrays and the special buffer it writes. A call grows
+// what it needs and leaves it for the next, so parts finalized one
+// after another share one scratch; the buffer a call returns lives in
+// the scratch and is overwritten by the next call.
+type EntryScratch struct {
+	line, byMinor  []int32
+	ptr, run, next []int
+	vals, buf      []float64
+}
+
 func errForeign(row, col int32) error {
 	return fmt.Errorf("compress: entry (%d, %d) lies outside the part", row, col)
 }
@@ -95,7 +134,7 @@ func errForeign(row, col int32) error {
 // foreign names the first staged entry outside rowMap x colMap — the
 // error path of a kernel that has detected one without locating it.
 func (e *Entries) foreign(rowMap, colMap []int) error {
-	rs, cs := slots(rowMap, e.rows), slots(colMap, e.cols)
+	rs, cs := slots(nil, rowMap, e.rows), slots(nil, colMap, e.cols)
 	for i := range e.blocks {
 		rows, cols, _ := e.block(i, RowMajor)
 		for t, r := range rows {
@@ -111,9 +150,8 @@ func (e *Entries) foreign(rowMap, colMap []int) error {
 // entries: the same special buffer — counts per major line of
 // rowMap x colMap in the given layout, then (global minor index, value)
 // pairs line by line — and the same charge, nr·nc + 3·nnz, booked once.
-// It writes into buf's backing array when that holds
-// lines + 2·e.Len() words and allocates exactly that otherwise. e is
-// consumed.
+// It works in s and returns a buffer of s; a nil s allocates a
+// scratch of its own. e is consumed.
 //
 // The pairs are ordered by two stable counting sorts: by global minor
 // index, visiting only the minors the part owns in map order, then by
@@ -123,15 +161,20 @@ func (e *Entries) foreign(rowMap, colMap []int) error {
 // error, found without a per-entry lookup beyond the sort's own: a
 // major index the part does not own has no line, and a minor index it
 // does not own leaves the counts over owned minors short of e.Len().
-func EncodeEDPartEntries(e *Entries, rowMap, colMap []int, major Major, buf []float64, ctr *cost.Counter) ([]float64, error) {
+func EncodeEDPartEntries(e *Entries, rowMap, colMap []int, major Major, s *EntryScratch, ctr *cost.Counter) ([]float64, error) {
 	majMap, minMap, majDim, minDim := rowMap, colMap, e.rows, e.cols
 	if major == ColMajor {
 		majMap, minMap, majDim, minDim = colMap, rowMap, e.cols, e.rows
 	}
+	if s == nil {
+		s = new(EntryScratch)
+	}
 	// Counting pass: entries per line and per global minor index.
-	line := slots(majMap, majDim)
-	ptr := make([]int, len(majMap)+1)
-	run := make([]int, minDim)
+	s.line = slots(s.line, majMap, majDim)
+	s.ptr, s.run = resize(s.ptr, len(majMap)+1), resize(s.run, minDim)
+	clear(s.ptr)
+	clear(s.run)
+	line, ptr, run := s.line, s.ptr, s.run
 	for i := range e.blocks {
 		maj, mnr, _ := e.block(i, major)
 		for t, g := range maj {
@@ -160,8 +203,8 @@ func EncodeEDPartEntries(e *Entries, rowMap, colMap []int, major Major, buf []fl
 	// Sort by minor: run[m] walks the slots of minor m's run, which ends
 	// where the next owned minor's begins. Each block goes as soon as it
 	// has been read.
-	byMinor := make([]int32, n) // the entry's line
-	vals := make([]float64, n)
+	s.byMinor, s.vals = resize(s.byMinor, n), resize(s.vals, n)
+	byMinor, vals := s.byMinor, s.vals // the entry's line, its value
 	for i := range e.blocks {
 		maj, mnr, val := e.block(i, major)
 		for t, m := range mnr {
@@ -178,13 +221,9 @@ func EncodeEDPartEntries(e *Entries, rowMap, colMap []int, major Major, buf []fl
 	for l := 0; l < lines; l++ {
 		ptr[l+1] += ptr[l]
 	}
-	if need := lines + 2*n; cap(buf) >= need {
-		buf = buf[:need]
-	} else {
-		buf = make([]float64, need)
-	}
+	s.buf, s.next = resize(s.buf, lines+2*n), resize(s.next, lines)
+	buf, next := s.buf, s.next
 	pairs := buf[lines:]
-	next := make([]int, lines)
 	copy(next, ptr)
 	compact := false // some cell arrived twice, or as a zero
 	p := 0
@@ -232,9 +271,10 @@ func EncodeEDPartEntries(e *Entries, rowMap, colMap []int, major Major, buf []fl
 // CompressPartEntries is CompressPart for a part handed over as its
 // staged entries: the same array with global minor indices and the same
 // charges — the special buffer sorted out of the entries, its lines
-// read back as CompressPart reads EncodeED's. e is consumed.
-func (f *Format) CompressPartEntries(e *Entries, rowMap, colMap []int, ctr *cost.Counter) (PartArray, error) {
-	buf, err := EncodeEDPartEntries(e, rowMap, colMap, f.Major, nil, ctr)
+// read back as CompressPart reads EncodeED's, working in s as
+// EncodeEDPartEntries does. e is consumed.
+func (f *Format) CompressPartEntries(e *Entries, rowMap, colMap []int, s *EntryScratch, ctr *cost.Counter) (PartArray, error) {
+	buf, err := EncodeEDPartEntries(e, rowMap, colMap, f.Major, s, ctr)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +290,7 @@ func (f *Format) CompressPartEntries(e *Entries, rowMap, colMap []int, ctr *cost
 // zero erases, exactly as writing them into the global array would. e
 // is consumed.
 func (e *Entries) Dense(rowMap, colMap []int) (*sparse.Dense, error) {
-	rs, cs := slots(rowMap, e.rows), slots(colMap, e.cols)
+	rs, cs := slots(nil, rowMap, e.rows), slots(nil, colMap, e.cols)
 	d := sparse.NewDense(len(rowMap), len(colMap))
 	data, nc := d.Data(), len(colMap)
 	for i := range e.blocks {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,7 +92,7 @@ func TestPartEntriesMatchAccessorForms(t *testing.T) {
 			name := f.Name
 			var want, got cost.Counter
 			wa := compressPartGlobal(f, d.At, pt.rowMap, pt.colMap, &want)
-			ga, err := f.CompressPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, &got)
+			ga, err := f.CompressPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, nil, &got)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", pt.name, name, err)
 			}
@@ -143,6 +144,46 @@ func TestPartEntriesRejectForeignEntry(t *testing.T) {
 			err := run(fn)
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("(%d, %d)", foreign[0], foreign[1])) {
 				t.Errorf("%s with foreign entry %v: err = %v, want one naming it", name, foreign, err)
+			}
+		}
+	}
+}
+
+// TestEntryScratchReuse: one scratch carried from part to part, large
+// to small to large and across both layouts, gives every call the
+// buffer and charge a fresh scratch gives, and CompressPartEntries the
+// same array.
+func TestEntryScratchReuse(t *testing.T) {
+	es, _ := stagedEntries()
+	s := new(EntryScratch)
+	for round := 0; round < 2; round++ {
+		for _, pt := range entryParts {
+			for _, major := range []Major{RowMajor, ColMajor} {
+				var want, got cost.Counter
+				wantBuf, err := EncodeEDPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, major, nil, &want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotBuf, err := EncodeEDPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, major, s, &got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(gotBuf, wantBuf) || got != want {
+					t.Errorf("round %d %s/%s: reused scratch differs from a fresh one", round, pt.name, major)
+				}
+			}
+			for _, f := range testFormats {
+				wa, err := f.CompressPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ga, err := f.CompressPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, s, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(ga.PackInto(nil, nil), wa.PackInto(nil, nil)) {
+					t.Errorf("round %d %s/%s: reused scratch differs from a fresh one", round, pt.name, f.Name)
+				}
 			}
 		}
 	}

@@ -106,7 +106,7 @@ type Config struct {
 	// takes the library default of 5ms).
 	RetryBackoff time.Duration
 
-	// MemBudget caps the streaming root's routing-accumulator memory in
+	// MemBudget caps the capacity of the streaming root's open frames in
 	// bytes (DistributeStream only; 0 takes the dist default of 32 MiB).
 	MemBudget int
 

@@ -45,11 +45,11 @@ func (c CFS) EncodePart(run *runState, k int, pp *partPayload) error {
 }
 
 // EncodeEntries implements Codec: the part compressed out of its staged
-// entries, then packed as by EncodePart.
-func (c CFS) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partPayload) error {
+// entries, working in s, then packed as by EncodePart.
+func (c CFS) EncodeEntries(run *runState, k int, st *compress.Entries, s *compress.EntryScratch, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	start := time.Now()
-	a, err := run.format.CompressPartEntries(st, rowMap, colMap, &pp.comp)
+	a, err := run.format.CompressPartEntries(st, rowMap, colMap, s, &pp.comp)
 	if err != nil {
 		return err
 	}

@@ -51,8 +51,9 @@ type Codec interface {
 	EncodePart(run *runState, k int, pp *partPayload) error
 	// EncodeEntries is EncodePart for part k handed over as its staged
 	// entries instead of cells of the global array — a streaming
-	// finalize: the same payload and the same charges. It consumes e.
-	EncodeEntries(run *runState, k int, e *compress.Entries, pp *partPayload) error
+	// finalize: the same payload and the same charges. It consumes e
+	// and may work in s, so the payload is valid until s's next use.
+	EncodeEntries(run *runState, k int, e *compress.Entries, s *compress.EntryScratch, pp *partPayload) error
 	// DecodePart rebuilds part k's compressed local array from a
 	// received payload, charging ctr. Index conversion uses part k's
 	// maps.
@@ -68,9 +69,9 @@ type runState struct {
 	opts   Options
 	format *compress.Format
 	// finalizing bounds a RunStream's concurrent part finalizes to
-	// GOMAXPROCS, one token each (finalizeStreamPart); nil on the
-	// materializing path.
-	finalizing chan struct{}
+	// GOMAXPROCS: a finalize takes a token, which is the scratch it
+	// works in (finalizeStreamPart); nil on the materializing path.
+	finalizing chan *compress.EntryScratch
 	// reports holds each part's canonical root-side charges, stored by
 	// its finalizing rank and folded in by RunStream after the run; nil
 	// on the materializing path.

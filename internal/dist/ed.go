@@ -54,18 +54,16 @@ func (e ED) EncodePart(run *runState, k int, pp *partPayload) error {
 }
 
 // EncodeEntries implements Codec: the special buffer sorted out of the
-// part's staged entries, into a pooled buffer big enough for every
-// entry to survive.
-func (e ED) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partPayload) error {
+// part's staged entries, in s's buffer — a payload that is decoded in
+// place and never sent, so it stays out of the wire pool.
+func (e ED) EncodeEntries(run *runState, k int, st *compress.Entries, s *compress.EntryScratch, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	pp.meta = [4]int64{int64(len(rowMap)), int64(len(colMap))}
 	start := time.Now()
-	buf := machine.GetBuf(len(rowMap) + len(colMap) + 2*st.Len())
 	var err error
-	if pp.buf, err = compress.EncodeEDPartEntries(st, rowMap, colMap, run.format.Major, buf, &pp.comp); err != nil {
+	if pp.buf, err = compress.EncodeEDPartEntries(st, rowMap, colMap, run.format.Major, s, &pp.comp); err != nil {
 		return err
 	}
-	pp.pooled = true
 	pp.wallComp = time.Since(start)
 	return e.checkEncoded(run, k, pp)
 }

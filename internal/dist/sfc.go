@@ -61,8 +61,8 @@ func (SFC) EncodePart(run *runState, k int, pp *partPayload) error {
 // EncodeEntries implements Codec: the dense local scattered out of the
 // part's staged entries into a buffer of its own. The charges are
 // EncodePart's: a row block's scatter stands in for its uncharged
-// view, any other part's for its packing.
-func (SFC) EncodeEntries(run *runState, k int, st *compress.Entries, pp *partPayload) error {
+// view, any other part's for its packing. The scratch goes unused.
+func (SFC) EncodeEntries(run *runState, k int, st *compress.Entries, _ *compress.EntryScratch, pp *partPayload) error {
 	start := time.Now()
 	l, err := st.Dense(run.part.RowMap(k), run.part.ColMap(k))
 	if err != nil {

@@ -6,17 +6,19 @@ package dist
 // encode and send overlap the read.
 //
 // Protocol. The root routes each streamed entry to its owning part via
-// a partition.Locator and buffers it in a per-part accumulator. An
-// accumulator that reaches the flush threshold — or the largest one,
-// when the total buffered bytes reach the memory budget — is flushed as
-// a COO-triplet *frame* to the part's owning rank on tag base+k.
-// Receivers copy each frame's entries, in arrival order, into fixed-
-// size staging blocks (compress.Entries); at the root's *finalize*
-// message they build the codec's canonical payload from them in
-// O(nnz + rows + cols) (Codec.EncodeEntries: two counting sorts for CFS
-// and ED, a dense scatter for SFC), decode it exactly as the
-// materializing path would, and store the canonical root-side charges
-// in the part's slot (runState.reports). Duplicate coordinates resolve
+// a partition.Locator. Part 0's entries go straight into the root's own
+// staging; every other part's are written as (row, col, value) triplets
+// into the part's open *frame*, a wire-pool buffer sized so that the
+// open frames fit the memory budget together, which ships as is to the
+// part's owning rank on tag base+k once full. Receivers copy each
+// frame's entries, in arrival order, into fixed-size staging blocks
+// (compress.Entries) and return the frame to the pool; at the root's
+// *finalize* message they build the codec's canonical payload from them
+// in O(nnz + rows + cols) (Codec.EncodeEntries: two counting sorts for
+// CFS and ED, in the scratch that is the finalize's token; a dense
+// scatter for SFC), decode it exactly as the materializing path would,
+// and store the canonical root-side charges in the part's slot
+// (runState.reports). Duplicate coordinates resolve
 // keep-last and explicit zeros erase, exactly like writing the stream
 // into a dense array, and an entry outside the part is an error.
 // Backpressure is credit-based: each frame a receiver consumes returns
@@ -49,15 +51,16 @@ import (
 
 // StreamOptions bound the root's memory and the pipeline depth.
 type StreamOptions struct {
-	// FlushEntries is the per-part accumulator flush threshold, in
-	// entries; a part's buffer ships as soon as it holds this many.
-	// Default 8192 (~192 KiB of entries per part).
+	// FlushEntries is a frame's size in entries: a part's open frame
+	// ships as soon as it holds this many. Default 8192 (192 KiB of
+	// triplets).
 	FlushEntries int
-	// MemBudget caps the root's routing-accumulator memory in bytes
-	// (24 bytes per buffered entry); when the total reaches it the
-	// largest accumulator is flushed early. The reader's chunk buffer
-	// and parts the root itself hosts (receiver-side storage, same as
-	// on any other rank) are outside the budget. Default 32 MiB.
+	// MemBudget caps the capacity of the root's open frames in bytes
+	// (24 bytes per entry): with p-1 parts on other ranks, a frame
+	// holds at most MemBudget/(24·(p-1)) entries and ships at that
+	// size when FlushEntries is larger. The reader's chunk buffer and
+	// parts the root itself hosts (receiver-side storage, same as on
+	// any other rank) are outside the budget. Default 32 MiB.
 	MemBudget int
 	// MaxInflight bounds unacknowledged frames on the wire — the
 	// backpressure window. Default max(8, 2·p).
@@ -81,14 +84,11 @@ func (o StreamOptions) withDefaults(p int) StreamOptions {
 	return o
 }
 
-// budgetEntries converts the byte budget to an entry count, flooring at
-// one entry per part so routing can always make progress.
-func (o StreamOptions) budgetEntries(p int) int {
-	n := o.MemBudget / 24
-	if n < p {
-		n = p
-	}
-	return n
+// frameEntries is an open frame's capacity in entries: FlushEntries,
+// cut so that the p-1 wire parts' frames fit MemBudget together, and
+// at least one entry so routing can always make progress.
+func (o StreamOptions) frameEntries(p int) int {
+	return max(min(o.FlushEntries, o.MemBudget/24/max(p-1, 1)), 1)
 }
 
 // StreamPlan describes one streaming distribution: the chunked source
@@ -153,7 +153,7 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 		return nil, err
 	}
 	run := &runState{codec: c, part: plan.Partition, opts: plan.Options, format: f,
-		finalizing: make(chan struct{}, runtime.GOMAXPROCS(0)), reports: make([]streamReport, p)}
+		finalizing: newFinalizeTokens(runtime.GOMAXPROCS(0)), reports: make([]streamReport, p)}
 	loc, err := partition.NewLocator(plan.Partition)
 	if err != nil {
 		return nil, err
@@ -180,22 +180,22 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	return res, nil
 }
 
-// streamIngester routes entries to per-part accumulators and flushes
-// them through emit under the flush threshold and the global budget. It
-// is transport-agnostic so the bounded-memory guard test can drive it
-// with a discarding sink.
+// streamIngester routes entries to their parts: part 0's into the
+// root's own staging, every other part's as (row, col, value) triplets
+// into the part's open frame, a wire buffer that ships through emit as
+// it fills. It is transport-agnostic so the bounded-memory guard test
+// can drive it with a sink.
 type streamIngester struct {
-	loc           *partition.Locator
-	acc           [][]sparse.Entry
-	flushEntries  int
-	budgetEntries int
-	buffered      int
-	emit          func(k int, entries []sparse.Entry) error
+	loc        *partition.Locator
+	self       *compress.Entries                  // part 0: the root hosts it, outside the budget
+	frames     [][]float64                        // each wire part's open frame, nil until its first entry
+	frameWords int                                // a frame's capacity, 3 words per entry
+	emit       func(k int, frame []float64) error // takes the frame
 }
 
-func newStreamIngester(loc *partition.Locator, p, flushEntries, budgetEntries int, emit func(int, []sparse.Entry) error) *streamIngester {
-	return &streamIngester{loc: loc, acc: make([][]sparse.Entry, p),
-		flushEntries: flushEntries, budgetEntries: budgetEntries, emit: emit}
+func newStreamIngester(loc *partition.Locator, p int, o StreamOptions, self *compress.Entries, emit func(int, []float64) error) *streamIngester {
+	return &streamIngester{loc: loc, self: self, frames: make([][]float64, p),
+		frameWords: 3 * o.frameEntries(p), emit: emit}
 }
 
 // run consumes src to EOF, routing every entry to its part.
@@ -214,61 +214,48 @@ func (si *streamIngester) run(src sparse.ChunkReader, opts Options) error {
 			return fmt.Errorf("dist: stream read: %w", err)
 		}
 		for _, e := range ch.Entries {
-			k, err := si.loc.Owner(e.Row, e.Col)
-			if err != nil {
-				return fmt.Errorf("dist: stream route: %w", err)
-			}
-			si.acc[k] = append(si.acc[k], e)
-			si.buffered++
-			if len(si.acc[k]) >= si.flushEntries {
-				if err := si.flush(k); err != nil {
-					return err
-				}
-			} else if si.buffered >= si.budgetEntries {
-				if err := si.flushLargest(); err != nil {
-					return err
-				}
+			if err := si.add(e); err != nil {
+				return err
 			}
 		}
 	}
 }
 
-// flush ships part k's accumulator through emit and recycles it. emit
-// must copy the entries out — the slice is reused for the next batch.
+// add routes one entry, flushing its part's frame once it is full.
+func (si *streamIngester) add(e sparse.Entry) error {
+	k, err := si.loc.Owner(e.Row, e.Col)
+	if err != nil {
+		return fmt.Errorf("dist: stream route: %w", err)
+	}
+	if k == 0 {
+		si.self.Add(e.Row, e.Col, e.Val)
+		return nil
+	}
+	f := si.frames[k]
+	if f == nil {
+		f = machine.GetBuf(si.frameWords)[:0:si.frameWords]
+	}
+	f = append(f, float64(e.Row), float64(e.Col), e.Val)
+	si.frames[k] = f
+	if len(f) == si.frameWords {
+		return si.flush(k)
+	}
+	return nil
+}
+
+// flush hands part k's open frame, if any, to emit.
 func (si *streamIngester) flush(k int) error {
-	n := len(si.acc[k])
-	if n == 0 {
+	f := si.frames[k]
+	if f == nil {
 		return nil
 	}
-	err := si.emit(k, si.acc[k])
-	si.buffered -= n
-	if cap(si.acc[k]) > 2*si.flushEntries {
-		// A budget sweep can overgrow one accumulator; don't let that
-		// capacity stick around for the rest of the run.
-		si.acc[k] = nil
-	} else {
-		si.acc[k] = si.acc[k][:0]
-	}
-	return err
+	si.frames[k] = nil
+	return si.emit(k, f)
 }
 
-// flushLargest relieves budget pressure where it helps most.
-func (si *streamIngester) flushLargest() error {
-	best, bestLen := -1, 0
-	for k, a := range si.acc {
-		if len(a) > bestLen {
-			best, bestLen = k, len(a)
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return si.flush(best)
-}
-
-// drain flushes every non-empty accumulator (end of the stream).
+// drain flushes every open frame (end of the stream).
 func (si *streamIngester) drain() error {
-	for k := range si.acc {
+	for k := range si.frames {
 		if err := si.flush(k); err != nil {
 			return err
 		}
@@ -289,9 +276,8 @@ type streamRoot struct {
 	p     int
 
 	ing        *streamIngester
-	selfAcc    *compress.Entries // part 0: local store, no wire
-	framesSent []int             // frames delivered to each part's rank
-	inflight   int               // frames sent minus credits received
+	framesSent []int // frames delivered to each part's rank
+	inflight   int   // frames sent minus credits received
 }
 
 func newStreamRoot(pr *machine.Proc, run *runState, bd *Breakdown, res *Result,
@@ -301,7 +287,7 @@ func newStreamRoot(pr *machine.Proc, run *runState, bd *Breakdown, res *Result,
 		tags: tags, sopts: sopts, p: p,
 		framesSent: make([]int, p),
 	}
-	sr.ing = newStreamIngester(loc, p, sopts.FlushEntries, sopts.budgetEntries(p), sr.emit)
+	sr.ing = newStreamIngester(loc, p, sopts, compress.NewEntries(run.part.Shape()), sr.emit)
 	return sr
 }
 
@@ -315,9 +301,9 @@ func (sr *streamRoot) rootRun() error {
 	if err != nil {
 		return err
 	}
-	acc := sr.selfAcc
-	sr.selfAcc = nil // consumed by the finalize; release before decode
-	a, err := finalizeStreamPart(sr.pr, sr.run, sr.bd, acc)
+	st := sr.ing.self
+	sr.ing.self = nil // consumed by the finalize; release before decode
+	a, err := finalizeStreamPart(sr.pr, sr.run, sr.bd, st)
 	if err != nil {
 		return err
 	}
@@ -345,28 +331,15 @@ func (sr *streamRoot) distribute() error {
 	return nil
 }
 
-// emit delivers one flushed batch to part k's rank: part 0 appends to
-// the local store, everything else ships as a frame (uncharged —
-// physical transport, not the paper's model) under the credit window.
-func (sr *streamRoot) emit(k int, entries []sparse.Entry) error {
-	if k == 0 {
-		if sr.selfAcc == nil {
-			sr.selfAcc = compress.NewEntries(sr.run.part.Shape())
-		}
-		for _, e := range entries {
-			sr.selfAcc.Add(e.Row, e.Col, e.Val)
-		}
-		return nil
-	}
+// emit ships part k's full or drained frame to the part's rank as is
+// (uncharged — physical transport, not the paper's model) under the
+// credit window; the receiver returns the buffer to the wire pool.
+func (sr *streamRoot) emit(k int, frame []float64) error {
 	if err := sr.waitCredits(); err != nil {
 		return err
 	}
-	buf := machine.GetBuf(3 * len(entries))
-	for _, e := range entries {
-		buf = append(buf, float64(e.Row), float64(e.Col), e.Val)
-	}
-	meta := [4]int64{streamFrame, int64(len(entries))}
-	if err := sr.pr.SendBuf(k, sr.tags.base+k, meta, buf, true, nil); err != nil {
+	meta := [4]int64{streamFrame, int64(len(frame) / 3)}
+	if err := sr.pr.SendBuf(k, sr.tags.base+k, meta, frame, true, nil); err != nil {
 		return fmt.Errorf("dist: %s stream part %d to rank %d: %w", sr.run.codec.Name(), k, k, err)
 	}
 	sr.framesSent[k]++
@@ -404,6 +377,16 @@ func (sr *streamRoot) sendFinalizes() error {
 	return nil
 }
 
+// newFinalizeTokens returns n finalize tokens: empty scratches, which
+// grow to the largest part each finalizes in the run.
+func newFinalizeTokens(n int) chan *compress.EntryScratch {
+	c := make(chan *compress.EntryScratch, n)
+	for range n {
+		c <- new(compress.EntryScratch)
+	}
+	return c
+}
+
 // streamReport is one part's canonical root-side charges, stored by
 // the finalizing rank in run.reports[k] and folded in by RunStream.
 type streamReport struct {
@@ -425,16 +408,18 @@ type streamReport struct {
 // a time (run.finalizing): a finalize is local CPU work, and more of
 // them than there are Ps only interleave — every one holding its
 // scratch, payload and decoded array together — without finishing
-// sooner. The waiting parts hold nothing but their staging.
+// sooner. The token a finalize takes is the scratch it sorts in and
+// writes its payload to, so the run's parts share GOMAXPROCS of them.
+// The waiting parts hold nothing but their staging.
 func finalizeStreamPart(pr *machine.Proc, run *runState, bd *Breakdown, st *compress.Entries) (compress.PartArray, error) {
 	k := pr.Rank
 	if st == nil {
 		st = compress.NewEntries(run.part.Shape())
 	}
-	run.finalizing <- struct{}{}
-	defer func() { <-run.finalizing }()
+	s := <-run.finalizing
+	defer func() { run.finalizing <- s }()
 	pp := &partPayload{}
-	if err := run.codec.EncodeEntries(run, k, st, pp); err != nil {
+	if err := run.codec.EncodeEntries(run, k, st, s, pp); err != nil {
 		return nil, fmt.Errorf("dist: %s rank %d stream encode: %w", run.codec.Name(), k, err)
 	}
 	bd.addRankWall(run.codec.Policy().RootEncode, k, pp.wallComp+pp.wallDist)
@@ -451,7 +436,6 @@ func finalizeStreamPart(pr *machine.Proc, run *runState, bd *Breakdown, st *comp
 // root's word.
 func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tags streamTags) error {
 	c, k := run.codec, pr.Rank
-	rows, cols := run.part.Shape()
 	var acc *compress.Entries
 	frames := 0
 	for {
@@ -466,14 +450,10 @@ func recvStream(pr *machine.Proc, run *runState, res *Result, bd *Breakdown, tag
 				return fmt.Errorf("dist: %s rank %d part %d: malformed frame (%d words for %d entries)", c.Name(), k, k, len(msg.Data), n)
 			}
 			if acc == nil {
-				acc = compress.NewEntries(rows, cols)
+				acc = compress.NewEntries(run.part.Shape())
 			}
-			for i := 0; i < 3*n; i += 3 {
-				r, cc := int(msg.Data[i]), int(msg.Data[i+1])
-				if r < 0 || r >= rows || cc < 0 || cc >= cols {
-					return fmt.Errorf("dist: %s rank %d part %d: streamed entry (%d,%d) outside the %dx%d array", c.Name(), k, k, r, cc, rows, cols)
-				}
-				acc.Add(r, cc, msg.Data[i+2])
+			if err := acc.AddTriplets(msg.Data); err != nil {
+				return fmt.Errorf("dist: %s rank %d part %d: %w", c.Name(), k, k, err)
 			}
 			frames++
 			machine.ReleaseMessage(&msg)

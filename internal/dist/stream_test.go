@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/partition"
@@ -167,7 +169,7 @@ func TestStreamRejectsMisroutedEntry(t *testing.T) {
 					t.Fatal(err)
 				}
 				run := &runState{codec: codec, part: part, opts: Options{Method: method}, format: f,
-					finalizing: make(chan struct{}, 1)}
+					finalizing: newFinalizeTokens(1)}
 				res := &Result{Method: method, Breakdown: newBreakdown(p)}
 				res.allocLocals(p)
 				tags := planStreamTags(m, p)
@@ -186,6 +188,53 @@ func TestStreamRejectsMisroutedEntry(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStreamRejectsInexactIndex: a frame's index words must hold
+// integers exactly. A fractional, NaN or infinite row or column fails
+// the receiver with an error naming the part and the word, instead of
+// being truncated into some cell.
+func TestStreamRejectsInexactIndex(t *testing.T) {
+	const n, p = 8, 2
+	part, err := partition.NewRow(n, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := formatFor(CRS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		row, col float64
+		want     string
+	}{
+		{"fraction", 5.5, 1.9, "(5.5, 1.9)"},
+		{"nan", 5, math.NaN(), "(5, NaN)"},
+		{"+inf", math.Inf(1), 1, "(+Inf, 1)"},
+		{"-inf", 5, math.Inf(-1), "(5, -Inf)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMachine(t, p)
+			run := &runState{codec: ED{}, part: part, opts: Options{Method: CRS}, format: f, finalizing: newFinalizeTokens(1)}
+			res := &Result{Method: CRS, Breakdown: newBreakdown(p)}
+			res.allocLocals(p)
+			tags := planStreamTags(m, p)
+			err := m.Run(func(pr *machine.Proc) error {
+				if pr.Rank == 1 {
+					return recvStream(pr, run, res, res.Breakdown, tags)
+				}
+				frame := []float64{4, 0, 1, tc.row, tc.col, 2.5} // (4,0) is part 1's
+				if err := pr.Send(1, tags.base+1, [4]int64{streamFrame, 2}, frame, nil); err != nil {
+					return err
+				}
+				return pr.Send(1, tags.base+1, [4]int64{streamFinalize, 1}, nil, nil)
+			})
+			if err == nil || !strings.Contains(err.Error(), "part 1") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("frame entry %s: err = %v, want an error naming part 1 and %s", tc.want, err, tc.want)
+			}
+		})
 	}
 }
 
@@ -221,6 +270,59 @@ func TestStreamAllocsDoNotScaleWithRows(t *testing.T) {
 		if large > 1.5*small {
 			t.Errorf("%s: %.0f allocations per run at n=4000 against %.0f at n=500, above 1.5x", name, large, small)
 		}
+	}
+}
+
+// TestStreamAllocatesItsAnswer pins the bytes one streamed run
+// allocates (a runtime.MemStats.TotalAlloc delta, ED/row, p = 4, at
+// GOMAXPROCS 1 so one finalize token) to what it must hold: the staging
+// blocks of every part, the decoded result, one finalize scratch sized
+// by the largest part, and a slack of the source's chunk, one credit
+// window of frames and 1 MiB for the O(p + lines) rest. Sort scratch
+// per part, accumulators copied into frames, or ED payloads taken from
+// the wire pool each exceed it.
+func TestStreamAllocatesItsAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are inflated under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, nnz, p = 2000, 400_000, 4
+	part, err := partition.NewRow(n, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(t, p)
+	var res *Result
+	run := func() {
+		res, err = RunStream(m, StreamPlan{Codec: ED{}, Source: sparse.NewUniformStream(n, n, nnz, 5, 0),
+			Partition: part, Options: Options{Method: CRS}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fills the wire pool with frames, as any earlier run would
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	got := int(after.TotalAlloc - before.TotalAlloc)
+
+	const blockBytes = 4096 * (4 + 4 + 8) // compress.entryBlockLen entries
+	staging, result, largest := 0, 0, 0
+	for _, a := range res.LocalCRS {
+		staging += (a.NNZ() + 4095) / 4096 * blockBytes
+		result += 8 * (len(a.RowPtr) + 2*a.NNZ())
+		largest = max(largest, a.NNZ())
+	}
+	lines := n / p
+	scratch := (12*largest+8*(lines+2*largest))*17/16 + 4*n + 8*(2*lines+1+n) // compress.resize's 1/16 to spare
+	opts := StreamOptions{}.withDefaults(p)
+	slack := 24*sparse.DefaultChunkEntries + opts.MaxInflight*24*opts.FlushEntries + 1<<20
+	bound := staging + result + scratch + slack
+	t.Logf("%.2f MB allocated: staging %.2f + result %.2f + scratch %.2f + slack %.2f = %.2f MB bound",
+		float64(got)/1e6, float64(staging)/1e6, float64(result)/1e6, float64(scratch)/1e6, float64(slack)/1e6, float64(bound)/1e6)
+	if got > bound {
+		t.Errorf("a streamed run allocated %d bytes, above the %d-byte bound", got, bound)
 	}
 }
 
@@ -388,12 +490,13 @@ func TestStreamIngesterBoundedMemory(t *testing.T) {
 	baseline := ms.HeapAlloc
 
 	var delivered int64
-	sink := func(k int, entries []sparse.Entry) error {
-		delivered += int64(len(entries))
+	sink := func(k int, frame []float64) error {
+		delivered += int64(len(frame) / 3)
+		machine.PutBuf(frame) // as the receiver releases a consumed frame
 		return nil
 	}
 	opts := StreamOptions{FlushEntries: 8192, MemBudget: budget}.withDefaults(p)
-	si := newStreamIngester(loc, p, opts.FlushEntries, opts.budgetEntries(p), sink)
+	si := newStreamIngester(loc, p, opts, compress.NewEntries(n, n), sink)
 	src := sparse.NewUniformStream(n, n, nnz, 42, sparse.DefaultChunkEntries)
 	high, err := heapHighWater(func() error {
 		if err := si.run(src, Options{}); err != nil {
@@ -404,6 +507,7 @@ func TestStreamIngesterBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	delivered += int64(si.self.Len()) // part 0's entries, staged at the root
 
 	if delivered != nnz {
 		t.Fatalf("delivered %d entries, want %d", delivered, nnz)
@@ -419,9 +523,9 @@ func TestStreamIngesterBoundedMemory(t *testing.T) {
 	t.Logf("heap high-water over baseline: %.1f MiB (budget %d MiB)", float64(used)/(1<<20), budget>>20)
 }
 
-// TestStreamIngesterBudgetSweep (white box): the accumulator total must
-// never exceed the entry budget between flushes, and an oversized
-// accumulator's capacity must be released after a budget sweep.
+// TestStreamIngesterBudgetSweep (white box): the entries in open
+// frames must never exceed the entry budget between flushes, and the
+// open frames' reserved capacity must never exceed MemBudget.
 func TestStreamIngesterBudgetSweep(t *testing.T) {
 	const n, p = 64, 4
 	part, err := partition.NewRow(n, n, p)
@@ -433,7 +537,8 @@ func TestStreamIngesterBudgetSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budgetEntries = 40
-	si := newStreamIngester(loc, p, 1<<30 /* never flush by size */, budgetEntries, func(int, []sparse.Entry) error { return nil })
+	opts := StreamOptions{FlushEntries: 1 << 30 /* never flush by size */, MemBudget: 24 * budgetEntries}
+	si := newStreamIngester(loc, p, opts, compress.NewEntries(n, n), func(_ int, f []float64) error { machine.PutBuf(f); return nil })
 	src := sparse.NewUniformStream(n, n, 800, 7, 16)
 	for {
 		ch, err := src.Next()
@@ -441,19 +546,18 @@ func TestStreamIngesterBudgetSweep(t *testing.T) {
 			break
 		}
 		for _, e := range ch.Entries {
-			k, err := loc.Owner(e.Row, e.Col)
-			if err != nil {
+			if err := si.add(e); err != nil {
 				t.Fatal(err)
 			}
-			si.acc[k] = append(si.acc[k], e)
-			si.buffered++
-			if si.buffered >= budgetEntries {
-				if err := si.flushLargest(); err != nil {
-					t.Fatal(err)
-				}
+			buffered, reserved := 0, 0
+			for _, f := range si.frames {
+				buffered, reserved = buffered+len(f)/3, reserved+8*cap(f)
 			}
-			if si.buffered > budgetEntries {
-				t.Fatalf("buffered %d entries exceeds budget %d", si.buffered, budgetEntries)
+			if buffered > budgetEntries {
+				t.Fatalf("buffered %d entries exceeds budget %d", buffered, budgetEntries)
+			}
+			if reserved > opts.MemBudget {
+				t.Fatalf("open frames reserve %d bytes, above the %d-byte budget", reserved, opts.MemBudget)
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // coordinate entries instead of a materialized COO or Dense, so the
 // distribution engine can partition, encode and ship tiles while the
 // input is still being read, with root memory bounded by the chunk size
-// plus the engine's accumulator budget rather than by nnz.
+// plus the engine's frame budget rather than by nnz.
 
 // DefaultChunkEntries is the chunk size used when a reader is built
 // with chunkEntries <= 0: 64k entries ≈ 1.5 MiB of Entry structs.
