@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/sparse"
+	"repro/internal/spops"
 )
 
 func TestDistributeDefaults(t *testing.T) {
@@ -67,7 +68,11 @@ func TestDistributeSpMV(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
-	y, _, err := d.SpMV(x)
+	pl, err := d.CommPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, _, err := spops.SpMV(d.m, pl, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,35 +85,6 @@ func TestDistributeSpMV(t *testing.T) {
 		if diff := y[i] - want; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("y[%d] = %g, want %g", i, y[i], want)
 		}
-	}
-}
-
-func TestDistributeCG(t *testing.T) {
-	g := sparse.Poisson2D(5).ToDense() // 25x25 SPD
-	d, err := Distribute(g, Config{Procs: 5, Scheme: "CFS"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	b := make([]float64, 25)
-	b[12] = 1
-	sol, err := d.CG(b, 1e-10, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Converged {
-		t.Fatalf("CG residual %g after %d iterations", sol.Residual, sol.Iterations)
-	}
-	if _, err := d.CG(make([]float64, 24), 1e-6, 5); err == nil {
-		t.Error("wrong b length accepted")
-	}
-	rect, err := Distribute(sparse.Uniform(6, 4, 0.5, 3), Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rect.Close()
-	if _, err := rect.CG(make([]float64, 6), 1e-6, 5); err == nil {
-		t.Error("non-square system accepted")
 	}
 }
 
@@ -160,7 +136,11 @@ func TestDistributeJDSMethod(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
-	y, _, err := d.SpMV(x)
+	pl, err := d.CommPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, _, err := spops.SpMV(d.m, pl, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/compress"
-	"repro/internal/ops"
 	"repro/internal/spops"
 )
 
@@ -27,16 +26,6 @@ func (d *Distribution) CommPlan() (*spops.CommPlan, error) {
 	return d.commPlan, d.commErr
 }
 
-// SpMV computes y = A·x with point-to-point halo exchange and reports
-// the wire traffic it moved.
-func (d *Distribution) SpMV(x []float64) ([]float64, spops.OpStats, error) {
-	pl, err := d.CommPlan()
-	if err != nil {
-		return nil, spops.OpStats{}, err
-	}
-	return spops.SpMV(d.m, pl, x)
-}
-
 // Jacobi solves A·x = b by Jacobi iteration over the distributed array
 // (A must be square with a zero-free diagonal; convergence needs it
 // diagonally dominant). Each iteration is one halo exchange plus one
@@ -47,24 +36,6 @@ func (d *Distribution) Jacobi(b []float64, tol float64, maxIter int) ([]float64,
 		return nil, spops.OpStats{}, err
 	}
 	return spops.Jacobi(d.m, pl, b, nil, tol, maxIter)
-}
-
-// CG solves A·x = b with the conjugate gradient method (A must be
-// symmetric positive definite). Every product is one halo SpMV; the
-// vector updates run sequentially at the caller, so the distributed
-// array never moves after distribution.
-func (d *Distribution) CG(b []float64, tol float64, maxIter int) (*ops.CGResult, error) {
-	rows, cols := d.Partition.Shape()
-	if rows != cols {
-		return nil, fmt.Errorf("core: CG: array %dx%d not square", rows, cols)
-	}
-	if len(b) != rows {
-		return nil, fmt.Errorf("core: CG: b has %d entries, want %d", len(b), rows)
-	}
-	return ops.CG(func(p []float64) ([]float64, error) {
-		y, _, err := d.SpMV(p)
-		return y, err
-	}, b, tol, maxIter)
 }
 
 // SpGEMM computes C = A·B where A is the distributed array and B a

@@ -11,16 +11,16 @@ import (
 )
 
 // The ops differential sweep: the distributed compute layer (halo
-// SpMV, Jacobi, CG, row-fetch SpGEMM) is run under every scheme x
+// SpMV, Jacobi, row-fetch SpGEMM) is run under every scheme x
 // partition x method combination and each result is diffed against the
 // sequential oracle — a dense mat-vec, the residual of the linear
-// system, sequential CG, or the sequential Gustavson SpGEMM. One
+// system, or the sequential Gustavson SpGEMM. One
 // failing combination is one OpsSweepFailure; the sweep never stops
 // early.
 
 // OpsSweepConfig selects the axes of an OpsSweep. The zero value
 // sweeps SFC/CFS/ED over row/col/mesh/cyclic-row/balanced-row with
-// CRS/CCS/JDS for all four ops.
+// CRS/CCS/JDS for all three ops.
 type OpsSweepConfig struct {
 	// Seed drives the input generators (default 1).
 	Seed int64
@@ -29,7 +29,7 @@ type OpsSweepConfig struct {
 	Schemes    []string
 	Partitions []string
 	Methods    []string
-	// Ops defaults to spmv, jacobi, cg and spgemm.
+	// Ops defaults to spmv, jacobi and spgemm.
 	Ops []string
 	// Progress, when non-nil, is called after every completed run.
 	Progress func(done, total int)
@@ -49,7 +49,7 @@ func (sc OpsSweepConfig) withDefaults() OpsSweepConfig {
 		sc.Methods = []string{"CRS", "CCS", "JDS"}
 	}
 	if len(sc.Ops) == 0 {
-		sc.Ops = []string{"spmv", "jacobi", "cg", "spgemm"}
+		sc.Ops = []string{"spmv", "jacobi", "spgemm"}
 	}
 	return sc
 }
@@ -123,26 +123,22 @@ func opsSweepOne(op, scheme, part, method string, seed int64) error {
 		return opsSweepSpMV(d, g, seed)
 	case "jacobi":
 		return opsSweepJacobi(d, g)
-	case "cg":
-		return opsSweepCG(d, g)
 	case "spgemm":
 		return opsSweepSpGEMM(d, g, seed)
 	default:
-		return fmt.Errorf("core: unknown op %q (want spmv, jacobi, cg or spgemm)", op)
+		return fmt.Errorf("core: unknown op %q (want spmv, jacobi or spgemm)", op)
 	}
 }
 
 // opsSweepInput builds the op's deterministic test matrix: a
-// rectangular uniform array for spmv/spgemm, a strictly diagonally
-// dominant square one for jacobi, the SPD 2-D Poisson matrix for cg.
+// rectangular uniform array for spmv/spgemm and a strictly diagonally
+// dominant square one for jacobi.
 func opsSweepInput(op string, seed int64) *sparse.Dense {
 	switch op {
 	case "jacobi":
 		g := sparse.Uniform(40, 40, 0.12, seed)
 		sparse.MakeDiagDominant(g)
 		return g
-	case "cg":
-		return sparse.Poisson2D(6).ToDense()
 	case "spgemm":
 		return sparse.Uniform(30, 24, 0.15, seed)
 	default:
@@ -155,7 +151,11 @@ func opsSweepSpMV(d *Distribution, g *sparse.Dense, seed int64) error {
 	for i := range x {
 		x[i] = float64((int64(i)*2654435761 + seed) % 17)
 	}
-	got, st, err := d.SpMV(x)
+	pl, err := d.CommPlan()
+	if err != nil {
+		return err
+	}
+	got, st, err := spops.SpMV(d.m, pl, x)
 	if err != nil {
 		return err
 	}
@@ -180,28 +180,6 @@ func opsSweepJacobi(d *Distribution, g *sparse.Dense) error {
 	}
 	// The oracle is the residual: A·x must reproduce b.
 	return vecsClose("jacobi residual", denseMatVec(g, x), b, 1e-8)
-}
-
-// opsSweepCG solves the Poisson system through the halo SpMV and
-// diffs the solution against the same CG over the sequential SpMV.
-func opsSweepCG(d *Distribution, g *sparse.Dense) error {
-	b := make([]float64, g.Rows())
-	for i := range b {
-		b[i] = float64(i%7) - 3
-	}
-	got, err := d.CG(b, 1e-10, 1000)
-	if err != nil {
-		return err
-	}
-	a := compress.CompressCRS(g, nil)
-	want, err := ops.CG(func(p []float64) ([]float64, error) { return ops.SpMV(a, p) }, b, 1e-10, 1000)
-	if err != nil {
-		return err
-	}
-	if !got.Converged || !want.Converged {
-		return fmt.Errorf("core: cg converged distributed=%v sequential=%v", got.Converged, want.Converged)
-	}
-	return vecsClose("cg", got.X, want.X, 1e-8)
 }
 
 func opsSweepSpGEMM(d *Distribution, g *sparse.Dense, seed int64) error {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/spops"
 )
 
 // reportOpsSweep fails the test with every sweep failure (capped).
@@ -18,7 +20,7 @@ func reportOpsSweep(t *testing.T, name string, res *OpsSweepResult) {
 }
 
 // TestOpsSweep is the compute-layer differential harness: halo SpMV,
-// Jacobi, CG and row-fetch SpGEMM under the full scheme x partition x
+// Jacobi and row-fetch SpGEMM under the full scheme x partition x
 // method matrix, each diffed against its sequential oracle. Short mode trims the method axis.
 func TestOpsSweep(t *testing.T) {
 	sc := OpsSweepConfig{}
@@ -52,7 +54,7 @@ func TestDistributionOpsConvenience(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	y, st, err := d.SpMV(x)
+	y, st, err := spops.SpMV(d.m, pl1, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -519,7 +519,7 @@ func TestSchemesLeaveTheInputUntouched(t *testing.T) {
 		}
 	}
 	want := g.Clone().Data()
-	balanced, err := partition.NewBalancedRow(g, p)
+	balanced, err := partition.NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestEndToEndRandomised(t *testing.T) {
 		case 2:
 			part, err = partition.NewCyclicRow(rows, cols, p)
 		default:
-			part, err = partition.NewBalancedRow(g, p)
+			part, err = partition.NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), p)
 		}
 		if err != nil {
 			return false

@@ -87,6 +87,6 @@ func fuzzPartition(k int, g *sparse.Dense, p int) (*partition.Grid, error) {
 	case 6:
 		return partition.NewCyclicMesh(rows, cols, pr, pc, 2, 3)
 	default:
-		return partition.NewBalancedRow(g, p)
+		return partition.NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), p)
 	}
 }

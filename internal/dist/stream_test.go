@@ -21,7 +21,7 @@ import (
 // reachable from a stream via ScanStats + FromCounts.
 func streamPartitionsFor(t *testing.T, g *sparse.Dense, p int) []partition.Partition {
 	t.Helper()
-	bal, err := partition.NewBalancedRow(g, p)
+	bal, err := partition.NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestDistributedSpMVErrors(t *testing.T) {
 func TestDistributedSpMVWithBalancedRow(t *testing.T) {
 	// The balanced partitioner plugs into the whole stack unchanged.
 	g := sparse.BlockClustered(30, 30, 6, 5, 0.9, 35)
-	part, err := partition.NewBalancedRow(g, 4)
+	part, err := partition.NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package ops provides the sequential sparse kernels over the
-// compressed formats (SpMV, SpGEMM, CG): the workloads for which
+// compressed formats (SpMV, SpGEMM): the workloads for which
 // the paper distributes and compresses sparse arrays in the first
 // place, and the oracles the distributed layer (internal/spops) is
 // diffed against. Its one distributed kernel, DistributedSpMV, is the
@@ -67,29 +67,6 @@ func SpMVJDS(a *compress.JDS, x []float64) ([]float64, error) {
 		y[orig] = yPerm[pos]
 	}
 	return y, nil
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("ops: Dot: lengths %d and %d differ", len(a), len(b))
-	}
-	sum := 0.0
-	for i := range a {
-		sum += a[i] * b[i]
-	}
-	return sum, nil
-}
-
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("ops: Axpy: lengths %d and %d differ", len(x), len(y))
-	}
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
-	return nil
 }
 
 // Norm2 returns the Euclidean norm of v.

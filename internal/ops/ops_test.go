@@ -105,20 +105,6 @@ func TestSpMVDimensionErrors(t *testing.T) {
 }
 
 func TestVectorHelpers(t *testing.T) {
-	d, err := Dot([]float64{1, 2, 3}, []float64{4, 5, 6})
-	if err != nil || d != 32 {
-		t.Errorf("Dot = %g, %v; want 32", d, err)
-	}
-	if _, err := Dot([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("Dot length mismatch accepted")
-	}
-	y := []float64{1, 1}
-	if err := Axpy(2, []float64{3, 4}, y); err != nil || y[0] != 7 || y[1] != 9 {
-		t.Errorf("Axpy = %v, %v", y, err)
-	}
-	if err := Axpy(1, []float64{1}, []float64{1, 2}); err == nil {
-		t.Error("Axpy length mismatch accepted")
-	}
 	if got := Norm2([]float64{3, 4}); got != 5 {
 		t.Errorf("Norm2 = %g, want 5", got)
 	}

@@ -37,7 +37,7 @@ func TestAppendPartMatchesCellByCell(t *testing.T) {
 		must(NewCyclicRow(rows, cols, 3)),
 		must(NewCyclicCol(rows, cols, 4)),
 		must(NewBlockCyclicRow(rows, cols, 2, 3)),
-		must(NewBalancedRow(g, 3)),
+		must(NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), 3)),
 		must(NewCyclicMesh(rows, cols, 2, 2, 1, 1)),
 		must(NewCyclicMesh(rows, cols, 2, 2, 2, 3)),
 	}

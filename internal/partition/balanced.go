@@ -3,39 +3,29 @@ package partition
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/sparse"
 )
 
 // ErrBadPartCount is returned (wrapped) when a partition is asked for a
 // non-positive number of parts.
 var ErrBadPartCount = errors.New("part count must be positive")
 
-// NewBalancedRow builds an nnz-balanced contiguous row partition of g
-// into p parts — a nonuniform row partition in the spirit of the
-// paper's reference [5] (Berger & Bokhari, "A Partitioning Strategy for
-// Nonuniform Problems on Multiprocessors"): contiguous row blocks whose
-// boundaries are chosen so every part holds roughly the same number of
-// *nonzeros* rather than the same number of rows. For skewed arrays
-// this drives the paper's s' (the busiest rank's ratio) toward s,
-// shrinking the parallel compression/decode terms of every scheme.
+// NewBalancedRowFromCounts builds an nnz-balanced contiguous row
+// partition into p parts from a per-row nonzero histogram
+// (sparse.RowNNZ of a materialized array, or the count pass
+// sparse.ScanStats of a stream, so a streamed plan lands on exactly the
+// rows a materialized plan would). It is a nonuniform row partition in
+// the spirit of the paper's reference [5] (Berger & Bokhari, "A
+// Partitioning Strategy for Nonuniform Problems on Multiprocessors"):
+// contiguous row blocks whose boundaries are chosen so every part holds
+// roughly the same number of *nonzeros* rather than the same number of
+// rows. For skewed arrays this drives the paper's s' (the busiest
+// rank's ratio) toward s, shrinking the parallel compression/decode
+// terms of every scheme.
 //
 // Because blocks stay contiguous and span all columns, the paper's
 // Case 3.2.1/3.3.1 index conversions apply unchanged. The boundaries
 // come from a greedy prefix-sum sweep: one is placed as soon as the
 // running nonzero count reaches the ideal share.
-func NewBalancedRow(g *sparse.Dense, p int) (*Grid, error) {
-	if g == nil {
-		return nil, fmt.Errorf("partition: balanced-row: nil array")
-	}
-	return NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), p)
-}
-
-// NewBalancedRowFromCounts is NewBalancedRow from a per-row nonzero
-// histogram instead of a materialized array — the form a streaming
-// count pass (sparse.ScanStats) produces. The boundary sweep is shared,
-// so a streamed plan lands on exactly the rows a materialized plan
-// would.
 //
 // Degenerate histograms stay valid: an all-zero histogram falls back to
 // one row per part (remainder to the last part), p > rows yields

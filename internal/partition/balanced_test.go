@@ -22,7 +22,7 @@ func TestBalancedRowCoverage(t *testing.T) {
 	f := func(seed int64) bool {
 		g := sparse.Uniform(23, 11, 0.3, seed)
 		for _, p := range []int{1, 2, 4, 7} {
-			b, err := NewBalancedRow(g, p)
+			b, err := NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), p)
 			if err != nil || Validate(b) != nil {
 				return false
 			}
@@ -48,23 +48,29 @@ func TestBalancedRowBeatsUniformOnSkew(t *testing.T) {
 		g.Set(i, 0, 1) // a sprinkle elsewhere
 	}
 	uniform, _ := NewRow(64, 64, 4)
-	balanced, err := NewBalancedRow(g, 4)
+	balanced, err := NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bu := BalanceOf(g, uniform)
-	bb := BalanceOf(g, balanced)
-	if bb.Max >= bu.Max {
-		t.Errorf("balanced max %d not below uniform max %d", bb.Max, bu.Max)
+	maxPart := func(p Partition) int {
+		m := 0
+		for k := 0; k < p.NumParts(); k++ {
+			m = max(m, Extract(g, p, k).NNZ())
+		}
+		return m
 	}
-	if bb.Imbalance > 2 {
-		t.Errorf("balanced imbalance %g still above 2", bb.Imbalance)
+	bu, bb := maxPart(uniform), maxPart(balanced)
+	if bb >= bu {
+		t.Errorf("balanced max %d not below uniform max %d", bb, bu)
+	}
+	if mean := float64(g.NNZ()) / 4; float64(bb)/mean > 2 {
+		t.Errorf("balanced imbalance %g still above 2", float64(bb)/mean)
 	}
 }
 
 func TestBalancedRowContiguity(t *testing.T) {
 	g := sparse.Uniform(40, 20, 0.2, 3)
-	b, err := NewBalancedRow(g, 5)
+	b, err := NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +93,12 @@ func TestBalancedRowContiguity(t *testing.T) {
 }
 
 func TestBalancedRowEdgeCases(t *testing.T) {
-	if _, err := NewBalancedRow(nil, 2); err == nil {
-		t.Error("nil array accepted")
-	}
 	g := sparse.Uniform(4, 4, 0.5, 1)
-	if _, err := NewBalancedRow(g, 0); err == nil {
+	if _, err := NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), 0); err == nil {
 		t.Error("zero parts accepted")
 	}
 	// More parts than rows: must still cover exactly once.
-	b, err := NewBalancedRow(g, 9)
+	b, err := NewBalancedRowFromCounts(sparse.RowNNZ(g), g.Cols(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func TestBalancedRowEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty array.
-	b, err = NewBalancedRow(sparse.NewDense(6, 6), 3)
+	b, err = NewBalancedRowFromCounts(make([]int, 6), 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func allKinds(t testing.TB, rows, cols int) []*partition.Grid {
 		must(partition.NewCyclicCol(rows, cols, 4)),
 		must(partition.NewBlockCyclicRow(rows, cols, 4, 3)),
 		must(partition.NewCyclicMesh(rows, cols, 2, 2, 2, 3)),
-		must(partition.NewBalancedRow(sparse.Uniform(rows, cols, 0.2, 7), 4)),
+		must(partition.NewBalancedRowFromCounts(sparse.RowNNZ(sparse.Uniform(rows, cols, 0.2, 7)), cols, 4)),
 	}
 }
 

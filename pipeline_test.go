@@ -15,6 +15,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/redist"
 	"repro/internal/sparse"
+	"repro/internal/spops"
 )
 
 func TestPipelineQuickstart(t *testing.T) {
@@ -31,7 +32,11 @@ func TestPipelineQuickstart(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	y, _, err := d.SpMV(x)
+	pl, err := d.CommPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, _, err := spops.SpMV(d.Machine(), pl, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +86,12 @@ func TestPipelineRedistribute(t *testing.T) {
 	}
 }
 
-func TestPipelineHBFileToSolver(t *testing.T) {
+func TestPipelineHBFileToBalancedRow(t *testing.T) {
 	// Write a Poisson system to a Harwell-Boeing buffer, read it back,
-	// distribute it, and solve with CG — the full file-to-solution path.
-	coo := sparse.Poisson2D(7) // 49x49 SPD
+	// distribute it over the nnz-balanced row partition, and check the
+	// distributed SpMV against the dense product — the full
+	// file-to-compute path.
+	coo := sparse.Poisson2D(7) // 49x49
 	var hb bytes.Buffer
 	if err := sparse.WriteHB(&hb, coo, "poisson 7x7 grid", "POI7"); err != nil {
 		t.Fatal(err)
@@ -106,23 +113,25 @@ func TestPipelineHBFileToSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	b := make([]float64, 49)
-	b[24] = 1
-	sol, err := d.CG(b, 1e-10, 1000)
+	x := make([]float64, 49)
+	for i := range x {
+		x[i] = float64(i%5) - 2
+	}
+	pl, err := d.CommPlan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Converged {
-		t.Fatalf("CG residual %g", sol.Residual)
-	}
-	// Check the solve: A·x ≈ b.
-	ax, _, err := d.SpMV(sol.X)
+	y, _, err := spops.SpMV(d.Machine(), pl, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range b {
-		if diff := ax[i] - b[i]; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("residual at %d: %g", i, diff)
+	for i := range y {
+		want := 0.0
+		for j := range x {
+			want += g.At(i, j) * x[j]
+		}
+		if diff := y[i] - want; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("y[%d] = %g, want %g", i, y[i], want)
 		}
 	}
 }
