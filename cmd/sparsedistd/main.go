@@ -15,6 +15,12 @@
 //	curl -s localhost:8477/jobs/j-000001
 //	curl -s localhost:8477/metrics
 //
+// Profile it (off by default; loopback addresses only):
+//
+//	sparsedistd -debug-addr 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/heap
+//	curl -s 127.0.0.1:6060/debug/runtime
+//
 // Load-generate against it:
 //
 //	sparsedistd -loadgen -target http://127.0.0.1:8477 -jobs 60 -clients 8 -schemes SFC,CFS,ED
@@ -47,6 +53,7 @@ func main() {
 		maxN    = flag.Int("max-n", 4096, "admission cap on array size n")
 		maxP    = flag.Int("max-procs", 64, "admission cap on processor count")
 		drainT  = flag.Duration("drain-timeout", 60*time.Second, "graceful drain budget on SIGTERM")
+		debugA  = flag.String("debug-addr", "", "serve net/http/pprof and runtime gauges on this loopback address (empty: off)")
 
 		topology = flag.String("topology", "",
 			"network model topology for every job: "+simnet.TopologyNames()+" (empty: no network model); finished jobs then report the contention-aware phase estimates")
@@ -77,7 +84,7 @@ func main() {
 		topology: *topology, linkBW: *linkBW, linkLatency: *linkLatency,
 		jobs: *jobs, clients: *clients, schemes: *schemes,
 		loadgen: *loadgen, assertAuto: *assertA,
-		op: *op, assertOps: *assertO,
+		op: *op, assertOps: *assertO, debugAddr: *debugA,
 	}); err != nil {
 		fatal(err)
 	}
@@ -108,6 +115,14 @@ func main() {
 	}
 	hs := newHTTPServer(srv)
 	fmt.Fprintf(os.Stderr, "sparsedistd: serving on http://%s (queue %d, workers %d)\n", ln.Addr(), *queue, *workers)
+	if *debugA != "" {
+		dbg, err := serveDebug(*debugA)
+		if err != nil {
+			fatal(err)
+		}
+		defer dbg.Close()
+		fmt.Fprintf(os.Stderr, "sparsedistd: debug endpoints on http://%s/debug/pprof/\n", dbg.Addr)
+	}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
@@ -169,6 +184,7 @@ type daemonFlags struct {
 	assertAuto     bool
 	op             string
 	assertOps      bool
+	debugAddr      string
 }
 
 // validateFlags rejects bad flag values up front with one clear error
@@ -220,7 +236,7 @@ func validateFlags(f daemonFlags) error {
 	if f.assertOps && f.loadgen && f.op == "" {
 		return fmt.Errorf("-assert-ops without -op: no distributed ops would run, so the assertion can never hold")
 	}
-	return nil
+	return checkDebugAddr(f.debugAddr)
 }
 
 // splitList parses a comma-separated flag into trimmed non-empty items.

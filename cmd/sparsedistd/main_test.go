@@ -1,11 +1,16 @@
 package main
 
 import (
+	"context"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
 func TestSplitList(t *testing.T) {
@@ -74,6 +79,8 @@ func TestValidateFlags(t *testing.T) {
 		{"assert-auto-ignored-in-serve-mode", func(f *flags) { f.assertAuto = true }},
 		{"op-ok", func(f *flags) { f.loadgen = true; f.op = "spmv" }},
 		{"op-unknown", func(f *flags) { f.op = "cholesky"; f.wantErrSub = "-op" }},
+		{"debug-addr-loopback", func(f *flags) { f.debugAddr = "127.0.0.1:6060" }},
+		{"debug-addr-public", func(f *flags) { f.debugAddr = "0.0.0.0:6060"; f.wantErrSub = "-debug-addr" }},
 		{"assert-ops-ok", func(f *flags) { f.loadgen = true; f.op = "jacobi"; f.assertOps = true }},
 		{"assert-ops-without-op", func(f *flags) {
 			f.loadgen = true
@@ -142,6 +149,58 @@ func TestArraysWithinBudget(t *testing.T) {
 	} {
 		if err := arraysWithinBudget(tc.m); (err == nil) != tc.ok {
 			t.Errorf("%v: err %v, want ok=%v", tc.m, err, tc.ok)
+		}
+	}
+}
+
+// TestDebugAddrLoopbackOnly: -debug-addr is off when empty, accepts a
+// loopback host and rejects any other, including the empty host that
+// would bind every interface.
+func TestDebugAddrLoopbackOnly(t *testing.T) {
+	for _, addr := range []string{"", "127.0.0.1:6060", "localhost:0", "[::1]:6060"} {
+		if err := checkDebugAddr(addr); err != nil {
+			t.Errorf("checkDebugAddr(%q) = %v, want nil", addr, err)
+		}
+	}
+	for _, addr := range []string{":6060", "0.0.0.0:6060", "10.1.2.3:6060", "example.com:6060", "127.0.0.1"} {
+		if err := checkDebugAddr(addr); err == nil || !strings.Contains(err.Error(), "-debug-addr") {
+			t.Errorf("checkDebugAddr(%q) = %v, want a -debug-addr error", addr, err)
+		}
+	}
+}
+
+// TestJobAPIServesNoPprof: the job API's handler does not answer the
+// profiling paths, whatever importing net/http/pprof registered on
+// http.DefaultServeMux.
+func TestJobAPIServesNoPprof(t *testing.T) {
+	srv := server.New(server.Config{QueueDepth: 1, Workers: 1})
+	defer srv.Drain(context.Background())
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/runtime"} {
+		rec := httptest.NewRecorder()
+		newHTTPServer(srv).Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("job API GET %s = %d, want 404", path, rec.Code)
+		}
+	}
+}
+
+// TestDebugServerServes: the debug listener, on a loopback port,
+// answers the pprof command line and the runtime gauges.
+func TestDebugServerServes(t *testing.T) {
+	hs, err := serveDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	for path, want := range map[string]string{"/debug/pprof/cmdline": "", "/debug/runtime": "goroutines "} {
+		resp, err := http.Get("http://" + hs.Addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("debug GET %s = %d %q (%v), want 200 containing %q", path, resp.StatusCode, body, err, want)
 		}
 	}
 }

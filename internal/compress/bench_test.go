@@ -104,9 +104,10 @@ func BenchmarkCompressCRS(b *testing.B) {
 	run("banded", benchBanded())
 }
 
-// BenchmarkCompressPart is the CFS root compress, CompressPart, in each
-// of the three methods over both kinds of map, and over the whole
-// banded array.
+// BenchmarkCompressPart is the array route of the CFS root compress,
+// CompressPart, in each of the three methods over both kinds of map,
+// and over the whole banded array; BenchmarkPackPart is the route the
+// root runs.
 func BenchmarkCompressPart(b *testing.B) {
 	g, band := benchArray(), benchBanded()
 	whole := rangeIntsTest(0, band.Rows())
@@ -116,6 +117,30 @@ func BenchmarkCompressPart(b *testing.B) {
 			b.Run(label+"/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					f.CompressPart(g, rowMap, colMap, nil)
+				}
+				perUnit(b, "ns/cell", len(rowMap)*len(colMap))
+			})
+		}
+		for _, pt := range benchParts() {
+			run(pt.name, g, pt.rowMap, pt.colMap)
+		}
+		run("banded", band, whole, whole)
+	}
+}
+
+// BenchmarkPackPart is the CFS root encode, PackPart — the scan and
+// its rewrite into the wire form, into one reused buffer — over the
+// parts and methods of BenchmarkCompressPart.
+func BenchmarkPackPart(b *testing.B) {
+	g, band := benchArray(), benchBanded()
+	whole := rangeIntsTest(0, band.Rows())
+	for _, f := range testFormats {
+		name := f.Name
+		run := func(label string, g *sparse.Dense, rowMap, colMap []int) {
+			b.Run(label+"/"+name, func(b *testing.B) {
+				var buf []float64
+				for i := 0; i < b.N; i++ {
+					buf, _, _, _ = f.PackPart(g, rowMap, colMap, false, buf, nil, nil)
 				}
 				perUnit(b, "ns/cell", len(rowMap)*len(colMap))
 			})

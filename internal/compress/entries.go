@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/sparse"
@@ -10,11 +11,11 @@ import (
 // The entry-list kernels: a part handed over as its nonzeros, in the
 // order they arrived, instead of as cells of a dense array — what a
 // streaming receiver holds at finalize. Each kernel is the twin of a
-// dense-array kernel (EncodeED, CompressPart) and returns what that
-// kernel returns from the dense array the same entries would fill: a
-// later entry for a cell overwrites an earlier one, and an explicit
-// zero erases the cell. The work is O(nnz + rows + cols); the charges
-// are the dense kernel's closed forms, booked once.
+// dense-array kernel (EncodeED, PackPart) and returns what that kernel
+// returns from the dense array the same entries would fill: a later
+// entry for a cell overwrites an earlier one, and an explicit zero
+// erases the cell. The work is O(nnz + rows + cols); the charges are
+// the dense kernel's closed forms, booked once.
 
 // entryBlockLen is the capacity of one staging block: 4096 entries,
 // 64 KiB.
@@ -116,15 +117,16 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n, n+n/16)
 }
 
-// EntryScratch is the working memory of EncodeEDPartEntries: its
-// counting-sort arrays and the special buffer it writes. A call grows
-// what it needs and leaves it for the next, so parts finalized one
-// after another share one scratch; the buffer a call returns lives in
-// the scratch and is overwritten by the next call.
+// EntryScratch is the working memory of EncodeEDPartEntries and
+// PackPartEntries: the counting-sort arrays, the special buffer and the
+// wire form written from it. A call grows what it needs and leaves it
+// for the next, so parts finalized one after another share one scratch;
+// the buffer a call returns lives in the scratch and is overwritten by
+// the next call.
 type EntryScratch struct {
-	line, byMinor  []int32
-	ptr, run, next []int
-	vals, buf      []float64
+	line, byMinor   []int32
+	ptr, run, next  []int
+	vals, buf, wire []float64
 }
 
 func errForeign(row, col int32) error {
@@ -268,21 +270,21 @@ func EncodeEDPartEntries(e *Entries, rowMap, colMap []int, major Major, s *Entry
 	return buf[:lines+2*w], nil
 }
 
-// CompressPartEntries is CompressPart for a part handed over as its
-// staged entries: the same array with global minor indices and the same
-// charges — the special buffer sorted out of the entries, its lines
-// read back as CompressPart reads EncodeED's, working in s as
-// EncodeEDPartEntries does. e is consumed.
-func (f *Format) CompressPartEntries(e *Entries, rowMap, colMap []int, s *EntryScratch, ctr *cost.Counter) (PartArray, error) {
-	buf, err := EncodeEDPartEntries(e, rowMap, colMap, f.Major, s, ctr)
+// PackPartEntries is PackPart for a part handed over as its staged
+// entries: EncodeEDPartEntries, then packSpecial into s's wire buffer,
+// which the next call overwrites. e is consumed.
+func (f *Format) PackPartEntries(e *Entries, rowMap, colMap []int, local bool, s *EntryScratch, comp, dist *cost.Counter) ([]float64, int64, time.Duration, error) {
+	start := time.Now()
+	special, err := EncodeEDPartEntries(e, rowMap, colMap, f.Major, s, comp)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	n, span := len(rowMap), len(colMap)
-	if f.Major == ColMajor {
-		n, span = span, n
+	scan := time.Since(start)
+	wire, extra, err := f.packSpecial(special, rowMap, colMap, local, s.wire, comp, dist)
+	if err == nil {
+		s.wire = wire
 	}
-	return f.ofLines(linesOf(buf, n, span), ctr), nil
+	return wire, extra, scan, err
 }
 
 // Dense scatters the staged entries into the dense local array of the

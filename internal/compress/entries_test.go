@@ -68,8 +68,8 @@ func stage(es []sparse.Entry, rowMap, colMap []int) *Entries {
 // TestPartEntriesMatchAccessorForms: the entry-list kernels return what
 // the accessor forms return from the dense array the same entries fill
 // — keep-last, zero-erase — with the same charges, for both ED layouts,
-// every format and contiguous, strided and empty parts; the staging is
-// consumed.
+// every format, global and local minor indices, and contiguous, strided
+// and empty parts; the staging is consumed.
 func TestPartEntriesMatchAccessorForms(t *testing.T) {
 	es, d := stagedEntries()
 	for _, pt := range entryParts {
@@ -89,15 +89,17 @@ func TestPartEntriesMatchAccessorForms(t *testing.T) {
 			}
 		}
 		for _, f := range testFormats {
-			name := f.Name
-			var want, got cost.Counter
-			wa := compressPartGlobal(f, d.At, pt.rowMap, pt.colMap, &want)
-			ga, err := f.CompressPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, nil, &got)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", pt.name, name, err)
-			}
-			if !reflect.DeepEqual(ga.PackInto(nil, nil), wa.PackInto(nil, nil)) || ga.HeaderExtra() != wa.HeaderExtra() || got != want {
-				t.Errorf("%s/%s: array or charge differs from the accessor form (%v vs %v)", pt.name, name, got, want)
+			for _, local := range []bool{false, true} {
+				var wantComp, wantDist, comp, dist cost.Counter
+				wantWire, wantExtra := packPartGlobal(t, f, d.At, pt.rowMap, pt.colMap, local, &wantComp, &wantDist)
+				wire, extra, _, err := f.PackPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, local, new(EntryScratch), &comp, &dist)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", pt.name, f.Name, err)
+				}
+				if !reflect.DeepEqual(wire, wantWire) || extra != wantExtra || comp != wantComp || dist != wantDist {
+					t.Errorf("%s/%s local=%t: wire form or charges differ from the accessor form (%v/%v vs %v/%v)",
+						pt.name, f.Name, local, comp, dist, wantComp, wantDist)
+				}
 			}
 		}
 		l, err := stage(es, pt.rowMap, pt.colMap).Dense(pt.rowMap, pt.colMap)
@@ -151,8 +153,8 @@ func TestPartEntriesRejectForeignEntry(t *testing.T) {
 
 // TestEntryScratchReuse: one scratch carried from part to part, large
 // to small to large and across both layouts, gives every call the
-// buffer and charge a fresh scratch gives, and CompressPartEntries the
-// same array.
+// buffer and charge a fresh scratch gives, and PackPartEntries the
+// same wire form.
 func TestEntryScratchReuse(t *testing.T) {
 	es, _ := stagedEntries()
 	s := new(EntryScratch)
@@ -173,15 +175,15 @@ func TestEntryScratchReuse(t *testing.T) {
 				}
 			}
 			for _, f := range testFormats {
-				wa, err := f.CompressPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, nil, nil)
+				want, _, _, err := f.PackPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, false, new(EntryScratch), nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ga, err := f.CompressPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, s, nil)
+				got, _, _, err := f.PackPartEntries(stage(es, pt.rowMap, pt.colMap), pt.rowMap, pt.colMap, false, s, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(ga.PackInto(nil, nil), wa.PackInto(nil, nil)) {
+				if !slices.Equal(got, want) {
 					t.Errorf("round %d %s/%s: reused scratch differs from a fresh one", round, pt.name, f.Name)
 				}
 			}

@@ -16,12 +16,11 @@ import (
 // PackJDS serialises a JDS into a flat word buffer, charging one
 // operation per word.
 func PackJDS(m *JDS, ctr *cost.Counter) []float64 {
-	return PackJDSInto(m, make([]float64, 0, m.WireCap()), ctr)
+	return m.PackInto(nil, ctr)
 }
 
-// PackJDSInto is the caller-supplied-buffer variant of PackJDS; see
-// PackCRSInto.
-func PackJDSInto(m *JDS, buf []float64, ctr *cost.Counter) []float64 {
+// PackInto implements PartArray: PackJDS's layout appended to buf.
+func (m *JDS) PackInto(buf []float64, ctr *cost.Counter) []float64 {
 	start := len(buf)
 	for _, p := range m.Perm {
 		buf = append(buf, float64(p))

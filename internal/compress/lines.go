@@ -19,8 +19,9 @@ import (
 //
 // What is not here: the scans of a dense array. The root's one scan is
 // EncodeED (edbuf.go), which walks a part in either Major through its
-// ownership maps; CompressPart and CompressCCS read their lines back off
-// its buffer (linesOf, part.go). CompressCRS keeps its own append scan.
+// ownership maps; CompressCCS and CompressPart read their lines back off
+// its buffer (linesOf, part.go), and PackPart rewrites it straight into
+// the wire form packInto writes. CompressCRS keeps its own append scan.
 //
 // The kernels take the view by value and index plain slices: no
 // closure, interface method or function value is called per element.
@@ -236,9 +237,6 @@ func (l lines) transpose() lines {
 	}
 	return out
 }
-
-// wireCap returns the packed size in words.
-func (l lines) wireCap() int { return len(l.ptr) + 2*len(l.val) }
 
 // packInto appends the wire form [ ptr | idx | val ] to buf, growing it
 // only when its capacity is too small, and charges one operation per

@@ -64,7 +64,7 @@ func TestLinesTwins(t *testing.T) {
 	runTwin(t, twin[*CCS]{name: "CCS", byCol: true, of: ccsOf, view: (*CCS).lines,
 		validate: (*CCS).Validate, at: (*CCS).At, equal: (*CCS).Equal, clone: (*CCS).Clone,
 		shift: (*CCS).ShiftRows, fromCOO: CompressCCSFromCOO,
-		pack: PackCCS, packInto: PackCCSInto, unpack: UnpackCCS,
+		pack: PackCCS, packInto: (*CCS).PackInto, unpack: UnpackCCS,
 		transpose: func(m *CCS) lines { return CCSToCRS(m).lines() },
 		dense:     (*CCS).Decompress})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -138,17 +139,47 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
+// packPartGlobal is the reference of f.PackPart: the reference array,
+// its minor indices made local when local is set — a shift by the minor
+// map's origin, or a conversion through a strided map — charging dist,
+// then packed by PackInto.
+func packPartGlobal(t *testing.T, f *Format, at func(i, j int) float64, rowMap, colMap []int, local bool, comp, dist *cost.Counter) ([]float64, int64) {
+	a := compressPartGlobal(f, at, rowMap, colMap, comp)
+	if local {
+		m := colMap
+		if f.MinorIsRow {
+			m = rowMap
+		}
+		switch {
+		case !partition.Contiguous(m):
+			if err := a.ConvertMinor(m, dist); err != nil {
+				t.Fatal(err)
+			}
+		case len(m) > 0:
+			a.ShiftMinor(m[0], dist)
+		}
+	}
+	return a.PackInto(nil, dist), a.HeaderExtra()
+}
+
 // FuzzEncodePart holds the one route to the accessor-form reference on
 // arbitrary parts: a small dense array and sorted row and column maps
 // that are contiguous, strided, block-cyclic or empty. EncodeED, from no
 // buffer and from a reused one of fuzzed capacity full of stale words,
 // must produce the reference's buffer in both layouts, and CompressPart
 // the reference's array in every registered format (compared as its
-// wire form and header word), each for the reference's charge.
+// wire form and header word), each for the reference's charge. PackPart
+// and PackPartEntries, from the same two buffers (the entries twin from
+// a scratch carried through the run), must write the reference array's
+// wire words bit for bit with its header word and both its charges:
+// global minor indices as they stand, and local ones after the
+// reference has converted them, by offset or by map.
 func FuzzEncodePart(f *testing.F) {
 	f.Add([]byte{9, 7, 0, 2, 5, 1, 1, 2, 0, 170, 201, 0, 0, 255, 254, 199, 160, 0, 200})
 	f.Add([]byte{3, 3, 2, 1, 6, 2, 2, 9, 64, 161, 162, 163, 164, 165, 166, 167, 168, 169, 170, 171})
 	f.Add([]byte{11, 0, 3, 0, 0, 0, 0, 0, 3})
+	f.Add([]byte{12, 12, 0, 3, 7, 1, 1, 2, 40, 170, 0, 255, 254, 161, 0, 0, 199, 200, 160, 180, 0, 171})
+	scratch := new(EntryScratch)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 9 {
 			return
@@ -179,6 +210,31 @@ func FuzzEncodePart(f *testing.F) {
 			ref := compressPartGlobal(fm, g.At, rowMap, colMap, &want)
 			if !sameBits(a.PackInto(nil, nil), ref.PackInto(nil, nil)) || a.HeaderExtra() != ref.HeaderExtra() || got != want {
 				t.Fatalf("%s CompressPart %v x %v: %+v charged %v, reference %+v charged %v", name, rowMap, colMap, a, got, ref, want)
+			}
+			for _, local := range []bool{false, true} {
+				var wantComp, wantDist cost.Counter
+				wantWire, wantExtra := packPartGlobal(t, fm, g.At, rowMap, colMap, local, &wantComp, &wantDist)
+				check := func(route string, capacity int, wire []float64, extra int64, err error, comp, dist cost.Counter) {
+					t.Helper()
+					if err != nil || !sameBits(wire, wantWire) || extra != wantExtra || comp != wantComp || dist != wantDist {
+						t.Fatalf("%s %s %v x %v local=%t (cap %d): %v extra %d charged %v/%v (err %v), reference %v extra %d charged %v/%v",
+							name, route, rowMap, colMap, local, capacity, wire, extra, comp, dist, err, wantWire, wantExtra, wantComp, wantDist)
+					}
+				}
+				for _, buf := range [][]float64{nil, slices.Clone(stale)[:0]} {
+					var comp, dist cost.Counter
+					wire, extra, _, err := fm.PackPart(g, rowMap, colMap, local, buf, &comp, &dist)
+					check("PackPart", cap(buf), wire, extra, err, comp, dist)
+				}
+				st := NewEntries(rows, cols)
+				for _, gi := range rowMap {
+					for _, gj := range colMap {
+						st.Add(gi, gj, g.At(gi, gj)) // zeros too: each erases its cell
+					}
+				}
+				var comp, dist cost.Counter
+				wire, extra, _, err := fm.PackPartEntries(st, rowMap, colMap, local, scratch, &comp, &dist)
+				check("PackPartEntries", cap(scratch.wire), wire, extra, err, comp, dist)
 			}
 		}
 	})

@@ -22,9 +22,6 @@ type PartArray interface {
 	NNZ() int
 	// Validate checks structural invariants.
 	Validate() error
-	// WireCap returns the packed size in words, used to draw a
-	// right-sized buffer from the wire pool before PackInto.
-	WireCap() int
 	// HeaderExtra is the format-specific word the wire header carries
 	// beyond the part shape (JDS: diagonal count; otherwise 0).
 	HeaderExtra() int64
@@ -40,7 +37,6 @@ type PartArray interface {
 
 // The PartArray operations of each format, documented on the interface.
 
-func (m *CRS) WireCap() int                                        { return m.lines().wireCap() }
 func (m *CRS) HeaderExtra() int64                                  { return 0 }
 func (m *CRS) PackInto(buf []float64, ctr *cost.Counter) []float64 { return PackCRSInto(m, buf, ctr) }
 func (m *CRS) ShiftMinor(delta int, ctr *cost.Counter)             { m.ShiftCols(delta, ctr) }
@@ -48,18 +44,17 @@ func (m *CRS) ConvertMinor(idxMap []int, ctr *cost.Counter) error {
 	return m.ConvertColsToLocal(idxMap, ctr)
 }
 
-func (m *CCS) WireCap() int                                        { return m.lines().wireCap() }
-func (m *CCS) HeaderExtra() int64                                  { return 0 }
-func (m *CCS) PackInto(buf []float64, ctr *cost.Counter) []float64 { return PackCCSInto(m, buf, ctr) }
-func (m *CCS) ShiftMinor(delta int, ctr *cost.Counter)             { m.ShiftRows(delta, ctr) }
+func (m *CCS) HeaderExtra() int64 { return 0 }
+func (m *CCS) PackInto(buf []float64, ctr *cost.Counter) []float64 {
+	return m.lines().packInto(buf, ctr)
+}
+func (m *CCS) ShiftMinor(delta int, ctr *cost.Counter) { m.ShiftRows(delta, ctr) }
 func (m *CCS) ConvertMinor(idxMap []int, ctr *cost.Counter) error {
 	return m.ConvertRowsToLocal(idxMap, ctr)
 }
 
-func (m *JDS) WireCap() int                                        { return len(m.Perm) + len(m.JDPtr) + 2*m.NNZ() }
-func (m *JDS) HeaderExtra() int64                                  { return int64(m.MaxRowNNZ()) }
-func (m *JDS) PackInto(buf []float64, ctr *cost.Counter) []float64 { return PackJDSInto(m, buf, ctr) }
-func (m *JDS) ShiftMinor(delta int, ctr *cost.Counter)             { m.ShiftCols(delta, ctr) }
+func (m *JDS) HeaderExtra() int64                      { return int64(m.MaxRowNNZ()) }
+func (m *JDS) ShiftMinor(delta int, ctr *cost.Counter) { m.ShiftCols(delta, ctr) }
 func (m *JDS) ConvertMinor(idxMap []int, ctr *cost.Counter) error {
 	return m.ConvertColsToLocal(idxMap, ctr)
 }

@@ -25,8 +25,8 @@ func registryFixture(t *testing.T) *sparse.Dense {
 }
 
 // TestFormatRegistryRoundTrip drives every registered format through
-// the full CFS-style path — compress-from-global, pack into a WireCap
-// buffer, unpack with the HeaderExtra word, localise minor indices —
+// the full CFS-style path — compress-from-global, pack, unpack with the
+// HeaderExtra word, localise minor indices —
 // and checks costs match the direct (non-registry) calls.
 func TestFormatRegistryRoundTrip(t *testing.T) {
 	d := registryFixture(t)
@@ -36,11 +36,7 @@ func TestFormatRegistryRoundTrip(t *testing.T) {
 		name := f.Name
 		var comp, dist cost.Counter
 		a := f.CompressPart(d, rowMap, colMap, &comp)
-		cap := a.WireCap()
-		buf := a.PackInto(make([]float64, 0, cap), &dist)
-		if len(buf) != cap {
-			t.Errorf("%s: WireCap %d but packed %d words", name, cap, len(buf))
-		}
+		buf := a.PackInto(nil, &dist)
 		var rctr cost.Counter
 		got, err := f.Unpack(buf, len(rowMap), len(colMap), a.HeaderExtra(), &rctr)
 		if err != nil {

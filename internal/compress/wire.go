@@ -14,15 +14,15 @@ import "repro/internal/cost"
 // header, not the payload, as an MPI implementation would do with a
 // derived datatype.
 
-// PackCRS serialises a CRS into a flat word buffer.
+// PackCRS serialises a CRS into a flat word buffer, charging one
+// operation per word.
 func PackCRS(m *CRS, ctr *cost.Counter) []float64 {
-	return PackCRSInto(m, make([]float64, 0, m.WireCap()), ctr)
+	return m.PackInto(nil, ctr)
 }
 
 // PackCRSInto serialises a CRS by appending to buf, growing it only
-// when its capacity is too small — pass a zero-length buffer from
-// machine.GetBuf to reuse one backing array across parts. Charging is
-// identical to PackCRS: one operation per appended word.
+// when its capacity is too small. Charging is identical to PackCRS:
+// one operation per appended word.
 func PackCRSInto(m *CRS, buf []float64, ctr *cost.Counter) []float64 {
 	return m.lines().packInto(buf, ctr)
 }
@@ -40,15 +40,9 @@ func UnpackCRS(buf []float64, rows, cols int, ctr *cost.Counter) (*CRS, error) {
 	return crsOf(l), nil
 }
 
-// PackCCS serialises a CCS into a flat word buffer.
+// PackCCS serialises a CCS into a flat word buffer; see PackCRS.
 func PackCCS(m *CCS, ctr *cost.Counter) []float64 {
-	return PackCCSInto(m, make([]float64, 0, m.WireCap()), ctr)
-}
-
-// PackCCSInto is the caller-supplied-buffer variant of PackCCS; see
-// PackCRSInto.
-func PackCCSInto(m *CCS, buf []float64, ctr *cost.Counter) []float64 {
-	return m.lines().packInto(buf, ctr)
+	return m.PackInto(nil, ctr)
 }
 
 // UnpackCCS deserialises a buffer produced by PackCCS into a CCS of the

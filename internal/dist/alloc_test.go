@@ -82,6 +82,103 @@ func TestEDEncodeSendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestCFSEncodeSendSteadyStateAllocs is the CFS twin of the ED guard:
+// once the wire-buffer pool is warm, one CFS part's encode + send +
+// receive + release cycle writes the wire form straight off the pooled
+// special buffer into the pooled wire buffer, so it allocates only the
+// partition's ownership-map copies — no compressed array of 16 bytes
+// per nonzero on the way. It runs with the CFSConvertAtRoot ablation
+// off on a row part and on for the last part of a column partition,
+// whose minor indices the root shifts by a nonzero offset as it writes
+// them. One P, as in TestSFCDecodeAllocatesItsResult: the scan's
+// scratch is a per-P sync.Pool.
+func TestCFSEncodeSendSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 128
+	g := sparse.Uniform(n, n, 0.1, 3)
+	row, err := partition.NewRow(n, n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := partition.NewCol(n, n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := formatFor(CRS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		part    partition.Partition
+		convert bool
+	}{
+		{"row", row, false},
+		{"col/convert-at-root", col, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := machine.New(1) // loopback: rank 0 sends the part to itself
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			const k = 1
+			run := &runState{codec: CFS{}, global: g, part: c.part, opts: Options{Method: CRS, CFSConvertAtRoot: c.convert}, format: f}
+			nnz := 0
+			cycle := func(pr *machine.Proc) error {
+				pp := partPayload{}
+				if err := (CFS{}).EncodePart(run, k, &pp); err != nil {
+					return err
+				}
+				nnz = (len(pp.buf) - len(run.part.RowMap(k)) - 1) / 2
+				if err := pr.SendBuf(0, 1, pp.meta, pp.buf, pp.pooled, nil); err != nil {
+					return err
+				}
+				msg, err := pr.RecvFrom(0, 1)
+				if err != nil {
+					return err
+				}
+				machine.ReleaseMessage(&msg)
+				return nil
+			}
+			err = m.Run(func(pr *machine.Proc) error {
+				for i := 0; i < 3; i++ { // warm the pools to steady state
+					if err := cycle(pr); err != nil {
+						return err
+					}
+				}
+				const runs = 100
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				avg := testing.AllocsPerRun(runs, func() {
+					if err := cycle(pr); err != nil {
+						t.Error(err)
+					}
+				})
+				runtime.ReadMemStats(&after)
+				perCycle := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+				t.Logf("CFS %s: %.1f allocations and %d bytes per cycle, %d nonzeros", c.name, avg, perCycle, nnz)
+				if avg > 4 {
+					t.Errorf("CFS %s encode+send steady state allocates %.1f times per part, want <= 4", c.name, avg)
+				}
+				// AllocsPerRun makes one warm-up call besides the measured
+				// runs. The bound is a quarter of a compressed array's
+				// 16 bytes per nonzero, well above the map copies.
+				if bound := uint64(4 * nnz); perCycle > bound {
+					t.Errorf("CFS %s encode+send steady state allocates %d bytes per part of %d nonzeros, want <= %d", c.name, perCycle, nnz, bound)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestSFCEncodeSendSteadyStateAllocs is the SFC twin of the ED guard,
 // on both kinds of SFC payload. A column part is packed into a pooled
 // wire buffer: once the pool is warm, its pack + send + receive +

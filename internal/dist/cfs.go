@@ -31,59 +31,51 @@ func (CFS) Policy() PhasePolicy {
 	return PhasePolicy{RootEncode: simnet.ClassRootComp, Receive: simnet.ClassRankDist}
 }
 
-// EncodePart implements Codec: compress part k with global minor
-// indices (compression phase) by one scan of the global array through
-// the part's row and column maps, then — under the CFSConvertAtRoot
-// ablation — localise indices, and pack for the wire (distribution
-// phase). The wire buffer comes from the machine's pool.
-func (c CFS) EncodePart(run *runState, k int, pp *partPayload) error {
+// EncodePart implements Codec: part k's wire payload written by one
+// scan of the global array through the part's maps (compression phase)
+// and one rewrite into a buffer from the machine's pool — with local
+// minor indices under the CFSConvertAtRoot ablation (distribution
+// phase). No compressed array is built at the root.
+func (CFS) EncodePart(run *runState, k int, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	start := time.Now()
-	a := run.format.CompressPart(run.global, rowMap, colMap, &pp.comp)
-	pp.wallComp = time.Since(start)
-	return c.packPart(run, k, len(rowMap), len(colMap), a, pp)
+	buf, extra, scan, err := run.format.PackPart(run.global, rowMap, colMap, run.opts.CFSConvertAtRoot, machine.GetBuf(0), &pp.comp, &pp.dist)
+	if err != nil {
+		return fmt.Errorf("dist: CFS root encode for %d: %w", k, err)
+	}
+	pp.meta, pp.buf, pp.pooled = [4]int64{int64(len(rowMap)), int64(len(colMap)), extra}, buf, true
+	pp.wallComp, pp.wallDist = scan, time.Since(start)-scan
+	return nil
 }
 
-// EncodeEntries implements Codec: the part compressed out of its staged
-// entries, working in s, then packed as by EncodePart.
-func (c CFS) EncodeEntries(run *runState, k int, st *compress.Entries, s *compress.EntryScratch, pp *partPayload) error {
+// EncodeEntries implements Codec: EncodePart's payload written from
+// the staged entries into s, decoded in place and never sent.
+func (CFS) EncodeEntries(run *runState, k int, st *compress.Entries, s *compress.EntryScratch, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	start := time.Now()
-	a, err := run.format.CompressPartEntries(st, rowMap, colMap, s, &pp.comp)
+	buf, extra, scan, err := run.format.PackPartEntries(st, rowMap, colMap, run.opts.CFSConvertAtRoot, s, &pp.comp, &pp.dist)
 	if err != nil {
 		return err
 	}
-	pp.wallComp = time.Since(start)
-	return c.packPart(run, k, len(rowMap), len(colMap), a, pp)
-}
-
-// packPart is the distribution-phase tail of both encode steps: the
-// nr x nc compressed part a becomes part k's wire payload.
-func (CFS) packPart(run *runState, k, nr, nc int, a compress.PartArray, pp *partPayload) error {
-	pp.meta = [4]int64{int64(nr), int64(nc)}
-	start := time.Now()
-	if run.opts.CFSConvertAtRoot {
-		if err := localiseMinor(run, k, a, &pp.dist); err != nil {
-			return fmt.Errorf("dist: CFS root convert for %d: %w", k, err)
-		}
-	}
-	pp.meta[2] = a.HeaderExtra()
-	pp.buf = a.PackInto(machine.GetBuf(a.WireCap()), &pp.dist)
-	pp.pooled = true
-	pp.wallDist = time.Since(start)
+	pp.meta, pp.buf = [4]int64{int64(len(rowMap)), int64(len(colMap)), extra}, buf
+	pp.wallComp, pp.wallDist = scan, time.Since(start)-scan
 	return nil
 }
 
 // DecodePart implements Codec: unpack RO/CO/VL and, unless the root
 // already localised them, convert the global minor indices to local
-// ones (Cases 3.2.1-3.2.3), then validate.
+// ones (Cases 3.2.1-3.2.3) — a contiguous map subtracts its origin
+// (none at origin 0), a strided one converts by search — then validate.
 func (CFS) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *cost.Counter) (compress.PartArray, error) {
 	a, err := run.format.Unpack(data, int(meta[0]), int(meta[1]), meta[2], ctr)
 	if err != nil {
 		return nil, fmt.Errorf("unpack: %w", err)
 	}
 	if !run.opts.CFSConvertAtRoot {
-		if err := localiseMinor(run, k, a, ctr); err != nil {
+		offset, idxMap := minorOffsetAndMap(run.part, k, run.format)
+		if idxMap == nil {
+			a.ShiftMinor(offset, ctr)
+		} else if err := a.ConvertMinor(idxMap, ctr); err != nil {
 			return nil, fmt.Errorf("convert: %w", err)
 		}
 	}

@@ -115,20 +115,6 @@ func (r *Result) allocLocals(p int) {
 	}
 }
 
-// localiseMinor converts an array's global minor indices to part k's
-// local ones, as minorOffsetAndMap resolves them: a contiguous map
-// subtracts its origin (Cases x.2/x.3 of the paper; a zero origin is
-// Case x.1 and charges nothing), a non-contiguous one converts by
-// search (cyclic partitions).
-func localiseMinor(run *runState, k int, a compress.PartArray, ctr *cost.Counter) error {
-	offset, idxMap := minorOffsetAndMap(run.part, k, run.format)
-	if idxMap != nil {
-		return a.ConvertMinor(idxMap, ctr)
-	}
-	a.ShiftMinor(offset, ctr)
-	return nil
-}
-
 // rankCounter picks the per-rank counter for work booked to the given
 // receive class.
 func (b *Breakdown) rankCounter(class simnet.Class, rank int) *cost.Counter {

@@ -326,6 +326,57 @@ func TestStreamAllocatesItsAnswer(t *testing.T) {
 	}
 }
 
+// TestStreamCFSAllocatesItsAnswer is TestStreamAllocatesItsAnswer for
+// CFS/row, whose finalize writes each part's wire form from the special
+// buffer into the token's scratch. The bound is the ED test's with that
+// wire buffer added to the scratch: n/p+1+2·nnz words of the largest
+// part, with compress.resize's 1/16 to spare. A compressed array built
+// per part on the way to its wire form exceeds it.
+func TestStreamCFSAllocatesItsAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are inflated under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, nnz, p = 2000, 400_000, 4
+	part, err := partition.NewRow(n, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(t, p)
+	var res *Result
+	run := func() {
+		res, err = RunStream(m, StreamPlan{Codec: CFS{}, Source: sparse.NewUniformStream(n, n, nnz, 5, 0),
+			Partition: part, Options: Options{Method: CRS}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fills the wire pool with frames, as any earlier run would
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	got := int(after.TotalAlloc - before.TotalAlloc)
+
+	const blockBytes = 4096 * (4 + 4 + 8) // compress.entryBlockLen entries
+	staging, result, largest := 0, 0, 0
+	for _, a := range res.LocalCRS {
+		staging += (a.NNZ() + 4095) / 4096 * blockBytes
+		result += 8 * (len(a.RowPtr) + 2*a.NNZ())
+		largest = max(largest, a.NNZ())
+	}
+	lines := n / p
+	scratch := (12*largest+8*(lines+2*largest)+8*(lines+1+2*largest))*17/16 + 4*n + 8*(2*lines+1+n)
+	opts := StreamOptions{}.withDefaults(p)
+	slack := 24*sparse.DefaultChunkEntries + opts.MaxInflight*24*opts.FlushEntries + 1<<20
+	bound := staging + result + scratch + slack
+	t.Logf("%.2f MB allocated: staging %.2f + result %.2f + scratch %.2f + slack %.2f = %.2f MB bound",
+		float64(got)/1e6, float64(staging)/1e6, float64(result)/1e6, float64(scratch)/1e6, float64(slack)/1e6, float64(bound)/1e6)
+	if got > bound {
+		t.Errorf("a streamed CFS run allocated %d bytes, above the %d-byte bound", got, bound)
+	}
+}
+
 // TestStreamOverTCP reruns one streamed configuration across the real
 // network stack.
 func TestStreamOverTCP(t *testing.T) {
