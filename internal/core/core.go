@@ -448,11 +448,11 @@ func NewPartition(g *sparse.Dense, cfg Config) (partition.Partition, error) {
 func NewStreamPartition(src sparse.ChunkReader, cfg Config) (partition.Partition, error) {
 	rows, cols := src.Shape()
 	return newPartitionAt(rows, cols, cfg, func() ([]int, error) {
-		st, err := sparse.ScanStats(src)
+		counts, err := sparse.ScanStats(src)
 		if err != nil {
 			return nil, fmt.Errorf("core: counting pass for balanced partition: %w", err)
 		}
-		return st.RowNNZ, nil
+		return counts, nil
 	})
 }
 

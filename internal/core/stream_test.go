@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/sparse"
@@ -94,5 +97,48 @@ func TestDistributeStreamFromFile(t *testing.T) {
 	}
 	if err := d.DiffCheck(); err == nil {
 		t.Error("DiffCheck on a streamed distribution should direct callers to DiffCheckAgainst")
+	}
+}
+
+// TestStreamPlanMemoryBounded: a plan keeps the partition's rule, not
+// tables sized by the shape, so a Matrix Market header that declares a
+// huge array and holds no entries plans in O(p) memory. Balanced-row
+// alone pays by the shape: its count pass, 8 bytes a row.
+func TestStreamPlanMemoryBounded(t *testing.T) {
+	const mib = 1 << 20
+	shapes := []struct{ rows, cols int }{{1<<28 - 1, 1}, {1, 1<<28 - 1}, {1 << 27, 1 << 27}}
+	plan := func(name string, rows, cols int) uint64 {
+		t.Helper()
+		header := fmt.Sprintf("%%%%MatrixMarket matrix coordinate real general\n%d %d 0\n", rows, cols)
+		src, err := sparse.NewTextStream(strings.NewReader(header), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Partition: name, Procs: 4}.Normalized()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := NewStreamPlan(src, cfg); err != nil {
+			t.Fatalf("%s %dx%d: %v", name, rows, cols, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, name := range partitionNames {
+		if name == "balanced-row" {
+			continue
+		}
+		for _, s := range shapes {
+			if got := plan(name, s.rows, s.cols); got >= mib {
+				t.Errorf("%s %dx%d: planning allocated %d bytes, want < 1 MiB", name, s.rows, s.cols, got)
+			}
+		}
+	}
+	const rows = 1 << 22
+	if got := plan("balanced-row", 1, rows); got >= mib {
+		t.Errorf("balanced-row 1x%d: planning allocated %d bytes, want < 1 MiB", rows, got)
+	}
+	if got, budget := plan("balanced-row", rows, 1), uint64(8*rows+mib); got > budget {
+		t.Errorf("balanced-row %dx1: planning allocated %d bytes, want <= %d (8 bytes a row + 1 MiB)", rows, got, budget)
 	}
 }

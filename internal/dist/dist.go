@@ -273,12 +273,9 @@ func checkSetup(m *machine.Machine, g *sparse.Dense, part partition.Partition) e
 // rowContiguousPart reports whether part k is a contiguous full-width
 // row block of the global array, i.e. its dense local array is a
 // contiguous slice of global memory that SFC can send without packing.
+// An ascending column map as long as the row holds every column.
 func rowContiguousPart(part partition.Partition, k, globalCols int) bool {
-	cm := part.ColMap(k)
-	if len(cm) != globalCols || !partition.Contiguous(cm) {
-		return false
-	}
-	return partition.Contiguous(part.RowMap(k))
+	return len(part.ColMap(k)) == globalCols && partition.Contiguous(part.RowMap(k))
 }
 
 // minorOffsetAndMap returns the receiver-side conversion for part k: if
@@ -288,17 +285,15 @@ func rowContiguousPart(part partition.Partition, k, globalCols int) bool {
 // the map itself is returned for search-based conversion (cyclic
 // partitions).
 func minorOffsetAndMap(part partition.Partition, k int, f *compress.Format) (offset int, idxMap []int) {
-	var m []int
+	m := part.ColMap(k)
 	if f.MinorIsRow {
 		m = part.RowMap(k)
-	} else {
-		m = part.ColMap(k)
 	}
-	if partition.Contiguous(m) {
-		if len(m) == 0 {
-			return 0, nil
-		}
-		return m[0], nil
+	if !partition.Contiguous(m) {
+		return 0, m
 	}
-	return 0, m
+	if len(m) == 0 {
+		return 0, nil
+	}
+	return m[0], nil
 }

@@ -5,7 +5,9 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/partition"
 	"repro/internal/sparse"
@@ -179,5 +181,36 @@ func TestEmptyPartsAndCappedMaps(t *testing.T) {
 	_ = append(g.RowMap(0), -1)
 	if got := g.RowMap(1)[0]; got != 3 {
 		t.Errorf("append to part 0's map overwrote part 1's first row: %d", got)
+	}
+}
+
+// TestMapsFirstUseConcurrent: an axis builds its maps on the first
+// RowMap/ColMap call, and the first call may come from every rank at
+// once. Each goroutine must get the one shared map per slot (the same
+// backing array), and under -race the build must not race.
+func TestMapsFirstUseConcurrent(t *testing.T) {
+	const procs = 4
+	for _, g := range allKinds(t, 14, 10) {
+		p := g.NumParts()
+		got := make([][]*int, procs)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := 0; k < p; k++ {
+					got[r] = append(got[r], unsafe.SliceData(g.RowMap(k)), unsafe.SliceData(g.ColMap(k)))
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for r := 1; r < procs; r++ {
+			if !slices.Equal(got[r], got[0]) {
+				t.Errorf("%s: goroutine %d got maps backed by other arrays than goroutine 0", g.Name(), r)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/sparse"
 )
@@ -10,57 +11,76 @@ import (
 // processor P_{i,j} (part index i*pc + j) owns row set i crossed with
 // column set j. Each axis is cut into contiguous ranges or dealt
 // cyclically; the 1-D methods are the degenerate grids p x 1 and 1 x p.
-// The ownership maps and their inverse are built once, at construction.
+// An axis stores only its rule; a *Grid builds its maps on first use.
 type Grid struct {
 	name       string
 	rows, cols axis
 }
 
-// axis is one dimension of a Grid: len(owner) global indices dealt to
-// len(maps) slots. maps[k] lists the indices slot k owns, ascending;
-// owner is the inverse. Both are read-only after construction.
+// axis is one dimension of a Grid: n indices cut into the ranges
+// [cuts[k], cuts[k+1]) of q slots or, with cuts nil, dealt round-robin
+// to q slots in blocks of b. maps[k] lists the indices slot k owns,
+// ascending: built by the first map call, read-only after.
 type axis struct {
-	maps  [][]int
-	owner []int32
+	n, q, b int
+	cuts    []int
+	once    sync.Once
+	maps    [][]int
 }
 
-// cutAxis builds the axis whose slot k owns the contiguous range
-// [cuts[k], cuts[k+1]): the paper's block rule (BlockCuts), the
-// nnz-balanced boundaries, and with a single slot the whole dimension.
-// The maps are slices of one [0, n) array, each capped at its own end
-// so an append by a caller cannot reach a neighbour's indices.
-func cutAxis(cuts []int) axis {
-	q := len(cuts) - 1
-	all := make([]int, cuts[q])
-	a := axis{maps: make([][]int, q), owner: make([]int32, cuts[q])}
-	for k := range a.maps {
-		lo, hi := cuts[k], cuts[k+1]
-		a.maps[k] = all[lo:hi:hi]
-		for i := lo; i < hi; i++ {
+// cutAxis is the paper's block rule (BlockCuts), the nnz-balanced
+// boundaries, and with a single slot the whole dimension.
+func cutAxis(cuts []int) axis { return axis{n: cuts[len(cuts)-1], q: len(cuts) - 1, cuts: cuts} }
+
+// cyclicAxis deals blocks of b consecutive indices round-robin to q
+// slots (b = 1 is the pure cyclic rule, larger b the BRS rule). The
+// owner of index i is i / b % q — no product of b and q is ever formed,
+// so a block wider than the dimension is simply one block.
+func cyclicAxis(n, q, b int) axis { return axis{n: n, q: q, b: b} }
+
+// slots returns the maps, building them once whichever goroutine asks
+// first. Cut maps are slices of one [0, n) array, each capped at its
+// own end so an append by a caller cannot reach a neighbour's indices;
+// a slot dealt nothing keeps an empty, non-nil map.
+func (a *axis) slots() [][]int {
+	a.once.Do(func() {
+		a.maps = make([][]int, a.q)
+		if a.cuts == nil {
+			for k := range a.maps {
+				a.maps[k] = []int{}
+			}
+			for i := 0; i < a.n; i++ {
+				k := i / a.b % a.q
+				a.maps[k] = append(a.maps[k], i)
+			}
+			return
+		}
+		all := make([]int, a.n)
+		for i := range all {
 			all[i] = i
-			a.owner[i] = int32(k)
+		}
+		for k := range a.maps {
+			a.maps[k] = all[a.cuts[k]:a.cuts[k+1]:a.cuts[k+1]]
+		}
+	})
+	return a.maps
+}
+
+// owners tabulates the inverse of the rule: the slot of every index.
+func (a *axis) owners() []int32 {
+	owner := make([]int32, a.n)
+	if a.cuts == nil {
+		for i := range owner {
+			owner[i] = int32(i / a.b % a.q)
+		}
+		return owner
+	}
+	for k := 0; k < a.q; k++ {
+		for i := a.cuts[k]; i < a.cuts[k+1]; i++ {
+			owner[i] = int32(k)
 		}
 	}
-	return a
-}
-
-// cyclicAxis builds the axis that deals blocks of b consecutive indices
-// round-robin to q slots (b = 1 is the pure cyclic rule, larger b the
-// BRS rule). The owner of index i is i / b % q — no product of b and q
-// is ever formed, so a block wider than the dimension is simply one
-// block, whatever its size. A slot that is dealt nothing keeps an
-// empty, non-nil map.
-func cyclicAxis(n, q, b int) axis {
-	a := axis{maps: make([][]int, q), owner: make([]int32, n)}
-	for k := range a.maps {
-		a.maps[k] = []int{}
-	}
-	for i := range a.owner {
-		k := i / b % q
-		a.owner[i] = int32(k)
-		a.maps[k] = append(a.maps[k], i)
-	}
-	return a
+	return owner
 }
 
 // BlockCuts returns the paper's partition rule as q+1 boundaries: block
@@ -79,19 +99,19 @@ func BlockCuts(n, q int) []int {
 func (g *Grid) Name() string { return g.name }
 
 // Shape implements Partition.
-func (g *Grid) Shape() (int, int) { return len(g.rows.owner), len(g.cols.owner) }
+func (g *Grid) Shape() (int, int) { return g.rows.n, g.cols.n }
 
 // NumParts implements Partition.
-func (g *Grid) NumParts() int { return len(g.rows.maps) * len(g.cols.maps) }
+func (g *Grid) NumParts() int { return g.rows.q * g.cols.q }
 
 // Grid returns the processor grid dimensions.
-func (g *Grid) Grid() (pr, pc int) { return len(g.rows.maps), len(g.cols.maps) }
+func (g *Grid) Grid() (pr, pc int) { return g.rows.q, g.cols.q }
 
 // RowMap implements Partition.
-func (g *Grid) RowMap(k int) []int { return g.rows.maps[g.checkPart(k)/len(g.cols.maps)] }
+func (g *Grid) RowMap(k int) []int { return g.rows.slots()[g.checkPart(k)/g.cols.q] }
 
 // ColMap implements Partition.
-func (g *Grid) ColMap(k int) []int { return g.cols.maps[g.checkPart(k)%len(g.cols.maps)] }
+func (g *Grid) ColMap(k int) []int { return g.cols.slots()[g.checkPart(k)%g.cols.q] }
 
 func (g *Grid) checkPart(k int) int {
 	if k < 0 || k >= g.NumParts() {
@@ -188,10 +208,10 @@ func NewCyclicMesh(rows, cols, pr, pc, br, bc int) (*Grid, error) {
 	return &Grid{name, cyclicAxis(rows, pr, br), cyclicAxis(cols, pc, bc)}, nil
 }
 
-// checkDims is the shape validation every constructor shares. The
-// ownership maps and int32 owner tables are O(rows + cols) words, so a
-// shape sparse.CheckIndexSpan refuses is an error here instead of a fatal
-// allocation failure further down.
+// checkDims is the shape validation every constructor shares. The maps
+// and a Locator's int32 owner tables, once built, are O(rows + cols)
+// words, so a shape sparse.CheckIndexSpan refuses is an error here
+// instead of a fatal allocation failure further down.
 func checkDims(rows, cols int) error {
 	if rows < 0 || cols < 0 {
 		return fmt.Errorf("negative shape %dx%d", rows, cols)

@@ -34,24 +34,21 @@ type Partition interface {
 	// NumParts returns the number of parts (processors).
 	NumParts() int
 	// RowMap returns the sorted global row indices owned by part k.
-	// The slice is built once and shared by every caller and every
-	// goroutine: callers must not write to it.
+	// The slice is built once, by the first call, and shared by every
+	// caller and every goroutine: callers must not write to it.
 	RowMap(k int) []int
 	// ColMap returns the sorted global column indices owned by part k
 	// (shared; callers must not write).
 	ColMap(k int) []int
 }
 
-// Contiguous reports whether a sorted index map is a contiguous range,
-// in which case global-to-local conversion is the paper's single
-// subtraction of the first element.
+// Contiguous reports whether an index map is a contiguous range, in
+// which case global-to-local conversion is the paper's single
+// subtraction of the first element. The map must be strictly ascending,
+// as every map a Partition hands out is: its endpoints then decide, in
+// O(1).
 func Contiguous(m []int) bool {
-	for i := 1; i < len(m); i++ {
-		if m[i] != m[i-1]+1 {
-			return false
-		}
-	}
-	return true
+	return len(m) == 0 || m[len(m)-1]-m[0] == len(m)-1
 }
 
 // AppendPart appends part k of the global array to buf in row-major
@@ -63,7 +60,7 @@ func Contiguous(m []int) bool {
 // time; a strided one cell by cell.
 func AppendPart(buf []float64, g *sparse.Dense, p Partition, k int) []float64 {
 	rm, cm := p.RowMap(k), p.ColMap(k)
-	if n := len(cm); n > 0 && cm[n-1]-cm[0] == n-1 { // strictly ascending: contiguous
+	if n := len(cm); n > 0 && Contiguous(cm) {
 		lo, hi := cm[0], cm[n-1]+1
 		for _, gi := range rm {
 			buf = append(buf, g.Row(gi)[lo:hi]...)

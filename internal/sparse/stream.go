@@ -43,29 +43,17 @@ type ChunkReader interface {
 	Reset() error
 }
 
-// StreamStats is what one counting pass over a stream learns — enough
-// to plan every partition class (balanced-row needs RowNNZ; everything
-// else only needs the shape).
-type StreamStats struct {
-	Rows, Cols int
-	// NNZ counts entries as yielded; duplicate coordinates count once
-	// each, matching what the stream will deliver on the next pass.
-	NNZ    int
-	RowNNZ []int
-	ColNNZ []int
-}
-
-// ScanStats consumes src to the end, counting per-row and per-column
-// entries, and rewinds it. This is the cheap count pass: O(rows+cols)
-// memory, no entry storage, so balanced partitions can be planned
-// without materializing the array.
-func ScanStats(src ChunkReader) (*StreamStats, error) {
+// ScanStats is the count pass that plans a balanced partition without
+// materializing the array: it consumes src to the end, returns each
+// row's entry count (duplicate coordinates count once each, as the
+// next pass will deliver them) and rewinds src. O(rows) memory, no
+// entry storage; every other partition needs only the shape.
+func ScanStats(src ChunkReader) ([]int, error) {
 	rows, cols := src.Shape()
 	if err := CheckIndexSpan(rows, cols); err != nil {
 		return nil, fmt.Errorf("sparse: %w", err)
 	}
-	st := &StreamStats{Rows: rows, Cols: cols,
-		RowNNZ: make([]int, rows), ColNNZ: make([]int, cols)}
+	rowNNZ := make([]int, rows)
 	for {
 		ch, err := src.Next()
 		if err == io.EOF {
@@ -78,15 +66,13 @@ func ScanStats(src ChunkReader) (*StreamStats, error) {
 			if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 				return nil, fmt.Errorf("sparse: stream entry (%d, %d) out of range %dx%d", e.Row, e.Col, rows, cols)
 			}
-			st.RowNNZ[e.Row]++
-			st.ColNNZ[e.Col]++
-			st.NNZ++
+			rowNNZ[e.Row]++
 		}
 	}
 	if err := src.Reset(); err != nil {
 		return nil, fmt.Errorf("sparse: rewinding stream after count pass: %w", err)
 	}
-	return st, nil
+	return rowNNZ, nil
 }
 
 // maxDenseCells is the most cells a Dense can hold: the runtime refuses
@@ -94,13 +80,13 @@ func ScanStats(src ChunkReader) (*StreamStats, error) {
 // on 32-bit ones.
 const maxDenseCells = min(1<<45, math.MaxInt/8)
 
-// maxIndexSpan is the most rows plus columns a shape may have. A plan
-// builds tables of O(rows + cols) words before it reads one entry — a
-// partition's ownership maps and owner index (12 bytes an index),
-// ScanStats' histograms — so a file header alone could otherwise ask
-// for gigabytes and end the process in a fatal out of memory. At the
-// bound a partition's tables take 3 GiB; it is also far below the
-// int32 range those owner indices are stored in.
+// maxIndexSpan is the most rows plus columns a shape may have. What a
+// run tabulates by index is O(rows + cols) words: ScanStats' row
+// histogram, a partition's ownership maps (built on first use, 8 bytes
+// an index) and a Locator's owner tables (4 bytes an index). A file
+// header alone could otherwise size them at gigabytes and end the
+// process in a fatal out of memory. The bound is also far below the
+// int32 range the owner tables are stored in.
 const maxIndexSpan = 1 << 28
 
 // CheckIndexSpan returns an error naming the shape if its rows plus
@@ -108,7 +94,7 @@ const maxIndexSpan = 1 << 28
 // are added, so the sum cannot overflow.
 func CheckIndexSpan(rows, cols int) error {
 	if rows > maxIndexSpan || cols > maxIndexSpan || rows+cols > maxIndexSpan {
-		return fmt.Errorf("a %dx%d array: rows %d plus cols %d exceed the %d indices a plan may tabulate", rows, cols, rows, cols, maxIndexSpan)
+		return fmt.Errorf("a %dx%d array: rows %d plus cols %d exceed the %d indices a run may tabulate", rows, cols, rows, cols, maxIndexSpan)
 	}
 	return nil
 }

@@ -262,21 +262,23 @@ func TestOpenStreamSniffsFormats(t *testing.T) {
 func TestScanStatsMatchesRowNNZ(t *testing.T) {
 	g := Uniform(23, 17, 0.2, 8)
 	c := FromDense(g)
-	st, err := ScanStats(NewStreamCOO(c, 10))
+	counts, err := ScanStats(NewStreamCOO(c, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRows := RowNNZ(g)
-	if len(st.RowNNZ) != len(wantRows) {
-		t.Fatalf("RowNNZ length %d, want %d", len(st.RowNNZ), len(wantRows))
+	if len(counts) != len(wantRows) {
+		t.Fatalf("RowNNZ length %d, want %d", len(counts), len(wantRows))
 	}
+	total := 0
 	for i := range wantRows {
-		if st.RowNNZ[i] != wantRows[i] {
-			t.Errorf("RowNNZ[%d] = %d, want %d", i, st.RowNNZ[i], wantRows[i])
+		if counts[i] != wantRows[i] {
+			t.Errorf("RowNNZ[%d] = %d, want %d", i, counts[i], wantRows[i])
 		}
+		total += counts[i]
 	}
-	if st.NNZ != c.NNZ() {
-		t.Errorf("NNZ = %d, want %d", st.NNZ, c.NNZ())
+	if total != c.NNZ() {
+		t.Errorf("NNZ = %d, want %d", total, c.NNZ())
 	}
 }
 
@@ -353,17 +355,17 @@ func TestMaterializeLastWriteWins(t *testing.T) {
 // planner picks.
 func TestBalancedRowStreamPlanningParity(t *testing.T) {
 	g := Uniform(64, 40, 0.18, 13)
-	st, err := ScanStats(NewStreamCOO(FromDense(g), 33))
+	counts, err := ScanStats(NewStreamCOO(FromDense(g), 33))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.RowNNZ) != 64 {
-		t.Fatalf("RowNNZ length %d, want 64", len(st.RowNNZ))
+	if len(counts) != 64 {
+		t.Fatalf("RowNNZ length %d, want 64", len(counts))
 	}
 	want := RowNNZ(g)
 	for i, n := range want {
-		if st.RowNNZ[i] != n {
-			t.Fatalf("row %d count %d, want %d", i, st.RowNNZ[i], n)
+		if counts[i] != n {
+			t.Fatalf("row %d count %d, want %d", i, counts[i], n)
 		}
 	}
 }
