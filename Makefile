@@ -66,12 +66,14 @@ fuzz-smoke:
 # times at 1, 2 and 4 CPUs (0, 1 and 3 helpers); then the stream tests
 # the same way (1, 2 and 4 finalize tokens sharing their scratch),
 # without TestStreamIngesterBoundedMemory: it drives the ingester alone,
-# takes no finalize token, and runs in test and test-race. CI runs it
-# too.
+# takes no finalize token, and runs in test and test-race; then one comm
+# plan's ops on several machines at once, and after a failed op, the
+# same way. CI runs it too.
 arq-stress:
 	$(GO) test -count=50 -run 'Reliable|Lossy|Fault|SpentRetry|Untouched' ./internal/machine ./internal/dist ./internal/spops
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'RootPipeline|Overlap|Cancel|SendFailure|EngineParity' ./internal/dist
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Stream' -skip TestStreamIngesterBoundedMemory ./internal/dist
+	$(GO) test -race -count=20 -cpu 1,2,4 -run 'TestOnePlanManyMachines' ./internal/spops
 
 # The differential correctness harness at full size: >= 200 adversarial
 # arrays through every scheme x partition x method combination, direct

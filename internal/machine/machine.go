@@ -71,6 +71,7 @@ type Machine struct {
 	net       *simnet.Network
 	retains   bool  // transport may retain sent payloads (see PayloadRetainer)
 	nextTag   int64 // the tag allocator cursor (see tags.go)
+	procs     []Proc
 }
 
 // Option configures a Machine.
@@ -115,6 +116,10 @@ func New(p int, opts ...Option) (*Machine, error) {
 	}
 	m.retains = transportRetainsPayloads(m.transport)
 	m.nextTag = allocTagBase
+	m.procs = make([]Proc, p)
+	for rank := range m.procs {
+		m.procs[rank] = Proc{Rank: rank, m: m}
+	}
 	return m, nil
 }
 
@@ -153,7 +158,9 @@ func (m *Machine) Drain() int {
 }
 
 // Proc is one processor's handle inside a Run: its rank plus the
-// communication endpoints. A receive takes the oldest message it
+// communication endpoints. The machine builds one per rank in New and
+// hands the same one to every Run, concurrent ones too, so a body reads
+// it and never changes it. A receive takes the oldest message it
 // matches from the rank's inbox, so RecvFrom matches on (source, tag)
 // like MPI_Recv — and several concurrent Run sessions on disjoint tag
 // ranges never steal each other's frames.
@@ -163,33 +170,34 @@ type Proc struct {
 }
 
 // Run executes fn on every rank concurrently (SPMD style, like
-// mpirun -np p) and waits for all to finish. The first error or panic
-// from any rank is returned; remaining goroutines are still joined so
-// the transport is quiescent afterwards. Over the reliability layer,
-// whose sends do not wait for their ACKs, each rank's body ends by
-// waiting for its own frames to be acknowledged: a rank whose link
-// spent its retry budget returns that link's error if fn returned
-// none.
+// mpirun -np p), each with the rank's Proc, and waits for all to
+// finish. The first error or panic from any rank is returned; remaining
+// goroutines are still joined so the transport is quiescent afterwards.
+// Over the reliability layer, whose sends do not wait for their ACKs,
+// each rank's body ends by waiting for its own frames to be
+// acknowledged: a rank whose link spent its retry budget returns that
+// link's error if fn returned none. A call allocates p + 2 times: one
+// goroutine closure per rank, the error slice and the wait group.
 func (m *Machine) Run(fn func(p *Proc) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, m.p)
 	rt, _ := m.transport.(*ReliableTransport)
 	for rank := 0; rank < m.p; rank++ {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					errs[rank] = fmt.Errorf("machine: rank %d panicked: %v", rank, r)
 				}
 			}()
-			errs[rank] = fn(&Proc{Rank: rank, m: m})
+			errs[rank] = fn(&m.procs[rank])
 			if rt != nil {
 				if err := rt.flush(rank); errs[rank] == nil {
 					errs[rank] = err
 				}
 			}
-		}(rank)
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)

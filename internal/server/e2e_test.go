@@ -69,8 +69,8 @@ func TestSubmitPollFetch(t *testing.T) {
 	if res.NNZ <= 0 || res.Messages <= 0 || res.Elements <= 0 {
 		t.Errorf("result totals nnz=%d messages=%d elements=%d, want all positive", res.NNZ, res.Messages, res.Elements)
 	}
-	if len(res.Phases) != 2 || !strings.Contains(res.PhaseTable, "T_Distribution") {
-		t.Errorf("phase report missing: %d phases, table %q", len(res.Phases), res.PhaseTable)
+	if len(res.Phases) != 2 || res.Phases[0].Name != "T_Distribution" || res.Phases[1].Name != "T_Compression" {
+		t.Errorf("phase report = %+v, want T_Distribution then T_Compression", res.Phases)
 	}
 	if res.PlanCacheHit {
 		t.Error("first job of its shape reported a plan cache hit")

@@ -200,11 +200,10 @@ type JobResult struct {
 	// NNZ counts what the parts hold (dist.Result.NNZ).
 	NNZ int `json:"nnz"`
 
-	// The paper's phase split: virtual (cost-model) and wall durations,
-	// plus the rendered phase table. Wall is 0 when the job reused a
-	// cached distribution (OpPlanCacheHit): it distributed nothing.
-	Phases     []trace.PhaseStat `json:"phases"`
-	PhaseTable string            `json:"phase_table"`
+	// The paper's phase split: virtual (cost-model) and wall durations.
+	// Wall is 0 when the job reused a cached distribution
+	// (OpPlanCacheHit): it distributed nothing.
+	Phases []trace.PhaseStat `json:"phases"`
 
 	// Wire totals of the root's distribution phase.
 	Messages int64 `json:"messages"`

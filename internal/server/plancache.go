@@ -47,7 +47,7 @@ func specArrayKey(s JobSpec) arrayKey {
 // each) and any number of small ones; an array over the budget
 // (n > 2048) is generated for its job and not kept. opPlanCacheBytes holds one comm
 // plan of an n = 4096, s = 0.1 array (≈ 32 MiB), or hundreds at
-// n = 400 (≈ 0.35 MiB each). The statistics and plan caches count
+// n = 400 (≈ 0.4 MiB each). The statistics and plan caches count
 // entries: a statistics entry is O(n) and a plan small, but
 // scheme=auto and balanced-row key plans by array identity, so without
 // a bound every new seed pins a partition for the life of the daemon.
@@ -66,12 +66,16 @@ func denseBytes(g *sparse.Dense) int64 { return 8 * int64(g.Rows()) * int64(g.Co
 // pointer per row and column of every part (an upper bound on their
 // local shapes), the index lists and the diagonal at a word per entry,
 // and the 4-byte slot per nonzero its sweep view adds on the first
-// SpMV.
+// SpMV. Then the scratch its ops keep between calls: the x, y and b
+// segments, a need value per need-list entry, a contribution value per
+// contributed row, and SpGEMM's accumulator at every rank, two words
+// per column of B, which is A here.
 func commPlanBytes(cpl *spops.CommPlan) int64 {
 	nnz := cpl.Res.NNZ()
-	words := 2*nnz + cpl.P*(cpl.Rows+cpl.Cols) + cpl.Stats.TotalNeed + cpl.Stats.HaloWords + len(cpl.Diag)
+	words := 2*nnz + cpl.P*(cpl.Rows+cpl.Cols) + 2*cpl.Stats.TotalNeed + cpl.Stats.HaloWords + len(cpl.Diag) +
+		cpl.Cols + 2*cpl.Rows + 2*cpl.P*cpl.Cols
 	for _, rows := range cpl.Contrib {
-		words += len(rows)
+		words += 2 * len(rows)
 	}
 	return 8*int64(words) + 4*int64(nnz)
 }

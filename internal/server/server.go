@@ -348,7 +348,6 @@ func (s *Server) newJobResult(res *dist.Result, pl *plan, planHit, distributed b
 		Method:       res.Method.String(),
 		Procs:        pl.Partition.NumParts(),
 		Phases:       phases,
-		PhaseTable:   trace.PhaseTable(phases),
 		Messages:     bd.RootDist.Messages,
 		Elements:     bd.RootDist.Elements,
 		PlanCacheHit: planHit,

@@ -42,7 +42,8 @@ import (
 // distributed array. It is a pure index structure: it holds no
 // machine reference and allocates no tags, so it can be cached and
 // executed on any machine of the right size (the server's machine
-// pool reuses machines across jobs).
+// pool reuses machines across jobs). Between calls it also keeps its
+// ops' scratch, machine-free, for the next call to reuse.
 type CommPlan struct {
 	// Part is the partition the array was distributed with.
 	Part partition.Partition
@@ -104,6 +105,10 @@ type CommPlan struct {
 	// first SpMV or Jacobi.
 	sweepOnce sync.Once
 	sweep     []sweepPart
+
+	// execs holds the ops' execution state between calls: one exec, or
+	// none while a call has it (takeExec).
+	execs chan *exec
 }
 
 // partComp holds part k's precomputed index translations.
@@ -164,8 +169,9 @@ func BuildCommPlan(part partition.Partition, res *dist.Result) (*CommPlan, error
 		// x over columns, y over rows. For square arrays the two cuts
 		// coincide, which is what lets Jacobi feed y straight back in
 		// as the next x without a remap.
-		xCut: partition.BlockCuts(cols, p),
-		yCut: partition.BlockCuts(rows, p),
+		xCut:  partition.BlockCuts(cols, p),
+		yCut:  partition.BlockCuts(rows, p),
+		execs: make(chan *exec, 1),
 	}
 
 	if err := pl.buildNeedSets(); err != nil {

@@ -56,7 +56,9 @@ func Jacobi(m *machine.Machine, pl *CommPlan, b, x0 []float64, tol float64, maxI
 		x0 = make([]float64, pl.Cols)
 	}
 
-	e := newExec(m, pl)
+	e := pl.takeExec(m)
+	defer pl.putExec(e)
+	e.sweep = pl.sweepView()
 	x := make([]float64, pl.Cols)
 	var iters int
 	var converged bool
@@ -65,8 +67,7 @@ func Jacobi(m *machine.Machine, pl *CommPlan, b, x0 []float64, tol float64, maxI
 		// Resident b segment: shipped once, like the x segments. The
 		// diagonal segment comes from the plan (root-side metadata,
 		// uncharged like the plan's index lists).
-		bSeg := make([]float64, len(st.ySeg))
-		if err := e.scatterSeg(pr, b, bSeg, tagFetch); err != nil {
+		if err := e.scatterSeg(pr, b, st.bSeg, tagFetch); err != nil {
 			return err
 		}
 		if err := e.scatterX(pr, x0); err != nil {
@@ -87,7 +88,7 @@ func Jacobi(m *machine.Machine, pl *CommPlan, b, x0 []float64, tol float64, maxI
 			maxDelta := 0.0
 			for i := range st.xSeg {
 				old := st.xSeg[i]
-				next := (bSeg[i] - st.ySeg[i] + diag[i]*old) / diag[i]
+				next := (st.bSeg[i] - st.ySeg[i] + diag[i]*old) / diag[i]
 				if d := math.Abs(next - old); d > maxDelta {
 					maxDelta = d
 				}

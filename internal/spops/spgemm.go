@@ -39,7 +39,8 @@ func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CR
 		return nil, OpStats{}, fmt.Errorf("spops: DistSpGEMM: B: %w", err)
 	}
 	gv := pl.gemmView()
-	e := bindExec(m, pl)
+	e := pl.takeExec(m)
+	defer pl.putExec(e)
 	var c *compress.CRS
 	err := e.m.Run(func(pr *machine.Proc) error {
 		// Phase 1: block-scatter B's rows to the x-owners (owner of
@@ -74,7 +75,7 @@ func DistSpGEMM(m *machine.Machine, pl *CommPlan, b *compress.CRS) (*compress.CR
 				return err
 			}
 		}
-		c = gv.merge(produced, b.Cols)
+		c = gv.merge(produced, &e.st[ioRank].acc, b.Cols)
 		return nil
 	})
 	if err != nil {
@@ -216,15 +217,21 @@ func (e *exec) fetchB(pr *machine.Proc, block *compress.CRS, off, cols int) (*co
 // spa is Gustavson's sparse accumulator: a dense value array over B's
 // columns whose entries count only when their mark equals the current
 // generation, so starting the next output row is one increment and the
-// arrays are never cleared.
+// arrays are never cleared, between products either.
 type spa struct {
 	mark []int
 	val  []float64
 	gen  int
 }
 
-func newSPA(cols int) *spa {
-	return &spa{mark: make([]int, cols), val: make([]float64, cols), gen: 1}
+// fit readies a for B's cols columns, growing it when it is narrower,
+// and starts a new generation, so no mark of an earlier product — one
+// that a failed call left mid-row too — counts.
+func (a *spa) fit(cols int) {
+	if len(a.mark) < cols {
+		a.mark, a.val, a.gen = make([]int, cols), make([]float64, cols), 0
+	}
+	a.gen++
 }
 
 // count is the symbolic step: it marks cols in the current row and
@@ -286,7 +293,8 @@ func (e *exec) multiply(pr *machine.Proc, gv *gemmView, need *compress.CRS) *com
 	pl, r := e.pl, pr.Rank
 	feeds, feedPtr := gv.feed[r], gv.feedPtr[r]
 	nOut := len(pl.Contrib[r])
-	acc := newSPA(need.Cols)
+	acc := &e.st[r].acc
+	acc.fit(need.Cols)
 	nnz := 0
 	for c := 0; c < nOut; c++ {
 		for _, f := range feeds[feedPtr[c]:feedPtr[c+1]] {
@@ -321,11 +329,11 @@ func (e *exec) multiply(pr *machine.Proc, gv *gemmView, need *compress.CRS) *com
 // merge assembles the global C from the rows each rank produced
 // (produced[r] is indexed by r's contribution slot). A row one rank
 // produced is copied; a row several ranks hold partial sums for goes
-// through the accumulator, and entries whose final sum is exactly zero
-// are dropped there, so the result has the nonzeros of ops.SpGEMM.
-func (gv *gemmView) merge(produced []*compress.CRS, cols int) *compress.CRS {
+// through the accumulator acc, and entries whose final sum is exactly
+// zero are dropped there, so the result has the nonzeros of ops.SpGEMM.
+func (gv *gemmView) merge(produced []*compress.CRS, acc *spa, cols int) *compress.CRS {
 	rows := len(gv.prodPtr) - 1
-	acc := newSPA(cols)
+	acc.fit(cols)
 	rowOf := func(p rowRef) (m *compress.CRS, lo, hi int) {
 		m = produced[p.owner]
 		return m, m.RowPtr[p.row], m.RowPtr[p.row+1]

@@ -52,21 +52,24 @@ type OpStats struct {
 }
 
 // rankState is one rank's execution-time scratch. Buffers are sized
-// from the plan once and reused across iterations.
+// from the plan once and reused across calls: the plan keeps its exec.
 type rankState struct {
 	xlo, xhi   int
 	ylo, yhi   int
 	xSeg       []float64  // resident owned x values
 	ySeg       []float64  // owned y accumulation
+	bSeg       []float64  // Jacobi's resident right-hand side
 	needVal    []float64  // x values this rank's nonzeros reference
 	contribVal []float64  // partial sums for contributed rows
 	red        [2]float64 // allreduce operand, then the reduced scalars
+	acc        spa        // SpGEMM's accumulator, over B's columns
 	wire       cost.Counter
 	comp       cost.Counter
 }
 
-// exec binds a plan to one machine run: allocated tags plus per-rank
-// state and counters.
+// exec is the execution state of the plan's ops: per-rank state and
+// counters, bound to one machine and one tag range for each call. The
+// plan keeps one (CommPlan.execs); m is nil while it is not in use.
 type exec struct {
 	pl    *CommPlan
 	m     *machine.Machine
@@ -75,30 +78,39 @@ type exec struct {
 	sweep []sweepPart // the plan's sweep view (SpMV-family ops only)
 }
 
-// bindExec allocates the tags and the per-rank counters of one run.
-func bindExec(m *machine.Machine, pl *CommPlan) *exec {
-	e := &exec{pl: pl, m: m, base: m.AllocTags(tagCount), st: make([]*rankState, pl.P)}
-	for r := 0; r < pl.P; r++ {
-		st := &rankState{}
-		st.xlo, st.xhi = pl.xRange(r)
-		st.ylo, st.yhi = pl.yRange(r)
-		e.st[r] = st
+// takeExec returns the plan's exec bound to m and fresh tags, with
+// its counters cleared, or a new exec when a concurrent call holds the
+// plan's. Every buffer a call reads, it writes first, so a call that
+// failed midway leaves nothing the next one sees.
+func (pl *CommPlan) takeExec(m *machine.Machine) *exec {
+	var e *exec
+	select {
+	case e = <-pl.execs:
+	default:
+		e = &exec{pl: pl, st: make([]*rankState, pl.P)}
+		for r := range e.st {
+			xlo, xhi := pl.xRange(r)
+			ylo, yhi := pl.yRange(r)
+			e.st[r] = &rankState{xlo: xlo, xhi: xhi, ylo: ylo, yhi: yhi,
+				xSeg: make([]float64, xhi-xlo), ySeg: make([]float64, yhi-ylo), bSeg: make([]float64, yhi-ylo),
+				needVal: make([]float64, len(pl.Need[r])), contribVal: make([]float64, len(pl.Contrib[r]))}
+		}
+	}
+	e.m, e.base = m, m.AllocTags(tagCount)
+	for _, st := range e.st {
+		st.wire, st.comp = cost.Counter{}, cost.Counter{}
 	}
 	return e
 }
 
-// newExec is bindExec plus the vector scratch of the SpMV-family ops.
-func newExec(m *machine.Machine, pl *CommPlan) *exec {
-	e := bindExec(m, pl)
-	e.sweep = pl.sweepView()
-	for r := 0; r < pl.P; r++ {
-		st := e.st[r]
-		st.xSeg = make([]float64, st.xhi-st.xlo)
-		st.ySeg = make([]float64, st.yhi-st.ylo)
-		st.needVal = make([]float64, len(pl.Need[r]))
-		st.contribVal = make([]float64, len(pl.Contrib[r]))
+// putExec hands e back to its plan, without its machine; it is dropped
+// when the plan already holds one.
+func (pl *CommPlan) putExec(e *exec) {
+	e.m = nil
+	select {
+	case pl.execs <- e:
+	default:
 	}
-	return e
 }
 
 // tag returns the wire tag for a phase offset.
@@ -397,7 +409,9 @@ func SpMV(m *machine.Machine, pl *CommPlan, x []float64) ([]float64, OpStats, er
 	if len(x) != pl.Cols {
 		return nil, OpStats{}, fmt.Errorf("spops: SpMV: x has %d entries, want %d", len(x), pl.Cols)
 	}
-	e := newExec(m, pl)
+	e := pl.takeExec(m)
+	defer pl.putExec(e)
+	e.sweep = pl.sweepView()
 	y := make([]float64, pl.Rows)
 	err := e.m.Run(func(pr *machine.Proc) error {
 		if err := e.scatterX(pr, x); err != nil {
